@@ -69,6 +69,18 @@ pub struct AdioFile {
     node_comm: Rc<RefCell<Option<Comm>>>,
 }
 
+/// The aggregator ranks of `comm` under the `cb_nodes` /
+/// `cb_config_list` placement hints (default: one per node).
+pub(crate) fn elect_aggregators(comm: &Comm, hints: &RomioHints) -> Vec<usize> {
+    let node_map = comm.node_map();
+    let nnodes = node_map.iter().copied().max().map(|m| m + 1).unwrap_or(1);
+    select_aggregators_capped(
+        &node_map,
+        hints.cb_nodes.unwrap_or(nnodes),
+        hints.cb_config_max_per_node.unwrap_or(usize::MAX),
+    )
+}
+
 impl AdioFile {
     /// Collective open (`ADIOI_GEN_OpenColl`): creates (or opens) the
     /// global file, resolves hints and aggregators, and — when
@@ -89,13 +101,7 @@ impl AdioFile {
             unit: hints.striping_unit,
             count: hints.striping_factor,
         };
-        let node_map = comm.node_map();
-        let nnodes = node_map.iter().copied().max().map(|m| m + 1).unwrap_or(1);
-        let aggregators = Rc::new(select_aggregators_capped(
-            &node_map,
-            hints.cb_nodes.unwrap_or(nnodes),
-            hints.cb_config_max_per_node.unwrap_or(usize::MAX),
-        ));
+        let aggregators = Rc::new(elect_aggregators(&comm, &hints));
         let my_agg_index = aggregators.iter().position(|&r| r == comm.rank());
 
         // Rank 0 creates; everyone else opens after the create is

@@ -17,27 +17,63 @@
 //!    "post_write" global synchronisation, bottlenecked by the slowest
 //!    writer.
 //!
-//! The `e10_two_phase` hint selects the algorithm ([`TwoPhaseAlgo`]):
-//! `stock` buffers an entire file domain per aggregator in a single
-//! round (the original del Rosario/Bordawekar/Choudhary protocol with
-//! an unbounded collective buffer); `extended` (the default) bounds
-//! memory with `cb_buffer_size` rounds; `node_agg` prepends the
-//! intra-node request-aggregation pre-phase of [`crate::node_agg`].
-//! All three share the round engine [`exchange_and_write`], which is
-//! parameterised over a per-window contribution source so the reduced
-//! (leader-only) request set of `node_agg` flows through the exact
-//! machinery the flat variants use.
+//! There is one implementation of these steps, [`two_phase_write`],
+//! with two orthogonal parameters:
+//!
+//! * the `e10_two_phase` hint ([`TwoPhaseAlgo`]) sizes the rounds and
+//!   selects the optional pre-stage: `stock` buffers an entire file
+//!   domain per aggregator in a single round (the original del
+//!   Rosario/Bordawekar/Choudhary protocol with an unbounded
+//!   collective buffer); `extended` (the default) bounds memory with
+//!   `cb_buffer_size` rounds; `node_agg` prepends the intra-node
+//!   request aggregation of [`crate::node_agg`], after which only node
+//!   leaders feed the shuffle;
+//! * a [`Transport`] decides *how the ranks coordinate* at the five
+//!   points where a crash-tolerant collective must differ from a plain
+//!   one. [`Plain`] (this module) is stock MPI; `Timed`
+//!   ([`crate::tolerant`], selected by `e10_coll_timeout > 0`) bounds
+//!   every wait and can abort the attempt.
+//!
+//! The collective read ([`crate::collective_read`]) keeps its own
+//! round body (request → read → reply) but takes the offset exchange,
+//! the collective-vs-independent decision, the file domains and the
+//! per-round windows from the functions here.
 
-use e10_mpisim::{FileView, Request, SourceSel, Tag};
+use std::convert::Infallible;
+use std::future::Future;
+
+use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag};
 use e10_simcore::trace::counter;
 use e10_storesim::Payload;
 
 use crate::adio::{AdioFile, DataSpec};
 use crate::fd::FileDomains;
 use crate::hints::{CbMode, TwoPhaseAlgo};
+use crate::node_agg::{gather_to_leader, stage_into_cache};
 use crate::profile::Phase;
 
-pub(crate) const DATA_TAG_BASE: Tag = 0x2000_0000;
+// Point-to-point tag ranges of the collective engines, one table so
+// their disjointness is checkable (`tag_ranges_are_disjoint`). The
+// per-round bases take `round % ROUND_TAGS` on top; mpisim's own
+// collectives sit at `0x4000_0000`. Tag values never enter the timing
+// model.
+const ROUND_TAGS: Tag = 4096;
+/// The write shuffle's piece lists.
+const DATA_TAG_BASE: Tag = 0x2000_0000;
+/// The node-leader pre-stage gather (one tag: it runs once per
+/// collective, on the node communicator).
+pub(crate) const GATHER_TAG: Tag = 0x2800_0000;
+/// The read path's request lists and data replies.
+pub(crate) const READ_REQ_TAG_BASE: Tag = 0x3000_0000;
+pub(crate) const READ_DATA_TAG_BASE: Tag = 0x3800_0000;
+/// The `Timed` transport's coordination steps, `FT_TAG_SPAN` wide.
+pub(crate) const FT_TAG_BASE: Tag = 0x5000_0000;
+pub(crate) const FT_TAG_SPAN: Tag = 0x1000_0000;
+
+/// The tag of `round` in a per-round tag range.
+pub(crate) fn round_tag(base: Tag, round: u64) -> Tag {
+    base + (round % u64::from(ROUND_TAGS)) as Tag
+}
 
 /// Outcome of a collective write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +89,124 @@ pub struct WriteAllResult {
     /// the collective path). The failing rank's cause is retrievable
     /// with [`AdioFile::take_io_error`].
     pub error_code: u32,
+}
+
+/// How the ranks of a collective coordinate: the five points where the
+/// crash-tolerant write differs from the plain one. Everything else —
+/// window maths, shuffle sends, counters, assembly, the write itself —
+/// is [`two_phase_write`], once.
+///
+/// | step | [`Plain`] | `Timed` |
+/// |---|---|---|
+/// | range gather | `MPI_Allgather` | `ft_coordinate`; abort if a rank is missing |
+/// | size exchange | in-place `MPI_Alltoall` | `ft_coordinate` of the size matrix; abort if a row is missing |
+/// | shuffle receive | post every `irecv`, wait for all | one timed receive per source; a silent source is convicted and dooms the attempt |
+/// | settle | nothing | `ft_coordinate` of (doomed, error) flags; abort if any rank is doomed or missing |
+/// | finish | one `MPI_Allreduce` of the error codes | the error bits the settles already agreed on |
+pub(crate) trait Transport {
+    /// Why an attempt ends early ([`Infallible`] for [`Plain`]). When
+    /// one rank's step returns it, every surviving rank's does.
+    type Abort;
+
+    /// 1. Every rank's `(start, end)` access range, by rank.
+    async fn gather_ranges(
+        &mut self,
+        comm: &Comm,
+        mine: (u64, u64),
+    ) -> Result<Vec<(u64, u64)>, Self::Abort>;
+
+    /// 2. `sizes[i]` goes to rank `i` and is replaced by the value
+    ///    rank `i` sent here. `sreqs` is drained scratch.
+    async fn exchange_sizes(
+        &mut self,
+        comm: &Comm,
+        sizes: &mut [u64],
+        sreqs: &mut Vec<Request>,
+    ) -> Result<(), Self::Abort>;
+
+    /// 3. One piece list from each rank of `srcs`, handed to `got` in
+    ///    `srcs` order. `rreqs` is drained scratch.
+    async fn recv_each(
+        &mut self,
+        comm: &Comm,
+        srcs: impl Iterator<Item = usize>,
+        tag: Tag,
+        rreqs: &mut Vec<Request>,
+        got: impl FnMut(Vec<(u64, Payload)>),
+    );
+
+    /// True once a receive of step 3 came up empty: whatever this
+    /// rank would assemble from the others is incomplete, so it skips
+    /// the work (the redo repeats it) and the next settle aborts.
+    fn doomed(&self) -> bool;
+
+    /// 4. Settle the pre-stage (`phase` is `None`) or a round (charged
+    ///    to `phase`) before anything builds on it. `local_err` is
+    ///    this rank's error code so far.
+    async fn settle(
+        &mut self,
+        fd: &AdioFile,
+        phase: Option<Phase>,
+        local_err: u32,
+    ) -> Result<(), Self::Abort>;
+
+    /// 5. The global error code.
+    async fn finish(&mut self, fd: &AdioFile, local_err: u32) -> u32;
+}
+
+/// Stock MPI coordination: blocking collectives, untimed receives, no
+/// per-round settle, one final error `MPI_Allreduce`. Cannot abort.
+pub(crate) struct Plain;
+
+impl Transport for Plain {
+    type Abort = Infallible;
+
+    async fn gather_ranges(
+        &mut self,
+        comm: &Comm,
+        mine: (u64, u64),
+    ) -> Result<Vec<(u64, u64)>, Infallible> {
+        Ok(comm.allgather(mine, 16).await)
+    }
+
+    async fn exchange_sizes(
+        &mut self,
+        comm: &Comm,
+        sizes: &mut [u64],
+        sreqs: &mut Vec<Request>,
+    ) -> Result<(), Infallible> {
+        comm.alltoall_u64_inplace(sizes, 8, sreqs).await;
+        Ok(())
+    }
+
+    async fn recv_each(
+        &mut self,
+        comm: &Comm,
+        srcs: impl Iterator<Item = usize>,
+        tag: Tag,
+        rreqs: &mut Vec<Request>,
+        mut got: impl FnMut(Vec<(u64, Payload)>),
+    ) {
+        rreqs.extend(srcs.map(|src| comm.irecv(SourceSel::Rank(src), tag)));
+        for r in rreqs.drain(..) {
+            if let Some(m) = r.wait().await {
+                got(m.into_data());
+            }
+        }
+    }
+
+    fn doomed(&self) -> bool {
+        false
+    }
+
+    async fn settle(&mut self, _: &AdioFile, _: Option<Phase>, _: u32) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    async fn finish(&mut self, fd: &AdioFile, local_err: u32) -> u32 {
+        let _t = fd.profiler().enter(Phase::PostWrite);
+        fd.comm.allreduce(local_err, 4, |a, b| (*a).max(*b)).await
+    }
 }
 
 /// A maximal contiguous group of shuffled pieces in an aggregator's
@@ -108,17 +262,12 @@ pub(crate) fn merge_continuing(pieces: Vec<(u64, Payload)>) -> Vec<(u64, Payload
 /// Provenance of one rank's contribution to a single aggregator
 /// window: how many separate messages (`msgs`) and raw pieces
 /// (`pieces`) the same data would occupy *without* intra-node
-/// aggregation. The flat two-phase paths contribute their own pieces
-/// unmodified, so their provenance equals the contribution itself and
+/// aggregation. A rank shipping its own pieces contributes them
+/// unmodified, so its provenance equals the contribution itself and
 /// the node-agg savings counter stays at zero.
-///
-/// A contribution source fills its `(file_offset, payload)` pieces —
-/// sorted by offset — into a caller-provided buffer and returns the
-/// provenance, so the round loop reuses one buffer per aggregator
-/// instead of allocating a fresh contribution per window per round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Provenance {
-    /// Shuffle messages this contribution replaces (1 for flat paths).
+    /// Shuffle messages this contribution replaces (1 for own pieces).
     pub(crate) msgs: u64,
     /// Piece count before intra-node merging.
     pub(crate) pieces: u64,
@@ -134,45 +283,50 @@ impl Provenance {
     }
 }
 
-/// Outcome of the pre-steps (offset exchange and the collective-vs-
-/// independent decision) shared by every two-phase variant.
-pub(crate) enum Prepared {
-    /// The write already completed on a non-collective path (nothing
-    /// to write anywhere, or data sieving took it).
-    Done(WriteAllResult),
-    /// Proceed with collective buffering over `[min_st, max_end)`.
-    Collective { min_st: u64, max_end: u64 },
+/// What the offset exchange established about the collective's access
+/// pattern (both directions).
+pub(crate) struct AccessRange {
+    /// Lowest byte any rank accesses.
+    pub(crate) min_st: u64,
+    /// One past the highest.
+    pub(crate) max_end: u64,
+    /// Whether some rank starts before a lower rank has ended.
+    interleaved: bool,
 }
 
-/// Steps 1–2: offset exchange, then decide collective vs independent.
-pub(crate) async fn prepare(fd: &AdioFile, view: &FileView, data: &DataSpec) -> Prepared {
-    let comm = fd.comm.clone();
-    let prof = fd.profiler().clone();
-    let my_bytes = view.total_bytes();
+impl AccessRange {
+    /// The collective-vs-independent decision under `mode`
+    /// (`romio_cb_write` / `romio_cb_read`). Every rank holds the same
+    /// ranges, so every rank decides the same.
+    pub(crate) fn use_collective(&self, mode: CbMode) -> bool {
+        match mode {
+            CbMode::Enable => true,
+            CbMode::Disable => false,
+            CbMode::Automatic => self.interleaved,
+        }
+    }
+}
 
-    // --- 1. offset exchange --------------------------------------------
-    let (my_st, my_end) = if my_bytes == 0 {
+/// Step 1, the offset exchange. `None` when no rank accesses a byte.
+pub(crate) async fn exchange_ranges<T: Transport>(
+    fd: &AdioFile,
+    view: &FileView,
+    t: &mut T,
+) -> Result<Option<AccessRange>, T::Abort> {
+    let mine = if view.total_bytes() == 0 {
         (u64::MAX, 0)
     } else {
         view.file_range()
     };
     let st_end: Vec<(u64, u64)> = {
-        let _t = prof.enter(Phase::OffsetExchange);
-        comm.allgather((my_st, my_end), 16).await
+        let _t = fd.profiler().enter(Phase::OffsetExchange);
+        t.gather_ranges(&fd.comm, mine).await?
     };
     let min_st = st_end.iter().filter(|e| e.0 != u64::MAX).map(|e| e.0).min();
     let Some(min_st) = min_st else {
-        // Nobody wrote anything.
-        return Prepared::Done(WriteAllResult {
-            bytes: 0,
-            rounds: 0,
-            used_collective: false,
-            error_code: 0,
-        });
+        return Ok(None);
     };
     let max_end = st_end.iter().map(|e| e.1).max().unwrap_or(0);
-
-    // --- 2. collective-vs-independent decision --------------------------
     let mut interleaved = false;
     let mut running_end = 0u64;
     for &(st, end) in &st_end {
@@ -184,24 +338,14 @@ pub(crate) async fn prepare(fd: &AdioFile, view: &FileView, data: &DataSpec) -> 
         }
         running_end = running_end.max(end);
     }
-    let use_coll = match fd.hints().cb_write {
-        CbMode::Enable => true,
-        CbMode::Disable => false,
-        CbMode::Automatic => interleaved,
-    };
-    if !use_coll {
-        let (bytes, error_code) = crate::sieve::write_strided(fd, view, data).await;
-        return Prepared::Done(WriteAllResult {
-            bytes,
-            rounds: 0,
-            used_collective: false,
-            error_code,
-        });
-    }
-    Prepared::Collective { min_st, max_end }
+    Ok(Some(AccessRange {
+        min_st,
+        max_end,
+        interleaved,
+    }))
 }
 
-/// Step 3: split `[min_st, max_end)` into file domains and size the
+/// Step 2: split `[min_st, max_end)` into file domains and size the
 /// rounds. [`TwoPhaseAlgo::Stock`] models the original two-phase
 /// protocol, which buffers a whole file domain per aggregator: a
 /// single round with the effective collective buffer as large as the
@@ -210,15 +354,14 @@ pub(crate) async fn prepare(fd: &AdioFile, view: &FileView, data: &DataSpec) -> 
 /// rounds.
 pub(crate) fn compute_domains(
     fd: &AdioFile,
-    min_st: u64,
-    max_end: u64,
+    range: &AccessRange,
     algo: TwoPhaseAlgo,
 ) -> (FileDomains, u64, u64) {
     let _t = fd.profiler().enter(Phase::FdCalc);
     let naggs = fd.aggregators().len();
     let fds = FileDomains::compute(
-        min_st,
-        max_end,
+        range.min_st,
+        range.max_end,
         naggs,
         fd.hints().fd_strategy,
         fd.stripe_unit(),
@@ -231,78 +374,132 @@ pub(crate) fn compute_domains(
     (fds, cb, ntimes)
 }
 
-/// `MPI_File_write_all`: collective write of this rank's buffer
-/// (described by `data`) through its file `view`, dispatched on the
-/// `e10_two_phase` hint.
-pub async fn write_at_all(fd: &AdioFile, view: &FileView, data: &DataSpec) -> WriteAllResult {
-    if fd.hints().e10_coll_timeout > 0 {
-        // Crash tolerance requested: the ULFM-shaped engine, which
-        // handles all two-phase variants itself. The default (0) stays
-        // on this single comparison — stock behaviour, stock goldens.
-        return crate::tolerant::write_at_all_tolerant(fd, view, data).await;
-    }
-    match fd.hints().two_phase {
-        TwoPhaseAlgo::NodeAgg => crate::node_agg::write_at_all_node_agg(fd, view, data).await,
-        algo => write_at_all_flat(fd, view, data, algo).await,
-    }
+/// Every aggregator's window `[ws, we)` of `round`, into `windows`.
+pub(crate) fn round_windows(fds: &FileDomains, cb: u64, round: u64, windows: &mut Vec<(u64, u64)>) {
+    windows.clear();
+    windows.extend((0..fds.starts.len()).map(|a| {
+        let ws = (fds.starts[a] + round * cb).min(fds.ends[a]);
+        let we = (fds.starts[a] + (round + 1) * cb).min(fds.ends[a]);
+        (ws, we)
+    }));
 }
 
-/// The flat (per-rank) two-phase write: every rank ships its own
-/// window pieces to the aggregators. Serves both the stock and the
-/// extended algorithm — they differ only in round sizing.
-async fn write_at_all_flat(
+/// `MPI_File_write_all`: collective write of this rank's buffer
+/// (described by `data`) through its file `view`. `e10_coll_timeout`
+/// is the one input that selects the transport: the default (0) stays
+/// on this single comparison — stock behaviour, stock goldens.
+pub async fn write_at_all(fd: &AdioFile, view: &FileView, data: &DataSpec) -> WriteAllResult {
+    if fd.hints().e10_coll_timeout > 0 {
+        return crate::tolerant::write_at_all_tolerant(fd, view, data).await;
+    }
+    // The node communicator is split on first use, and only if the
+    // pre-stage runs: the future is not polled before that.
+    let Ok(res) = two_phase_write(fd, view, data, &mut Plain, fd.node_comm()).await;
+    res
+}
+
+/// The collective write over `fd.comm` with transport `t`: steps 1–5,
+/// with the node-leader pre-stage between 1 and 2 when `e10_two_phase
+/// = node_agg` (`node_comm` resolves to this rank's node communicator
+/// and is awaited only then).
+pub(crate) async fn two_phase_write<T: Transport>(
     fd: &AdioFile,
     view: &FileView,
     data: &DataSpec,
-    algo: TwoPhaseAlgo,
-) -> WriteAllResult {
+    t: &mut T,
+    node_comm: impl Future<Output = Comm>,
+) -> Result<WriteAllResult, T::Abort> {
     let my_bytes = view.total_bytes();
-    let (min_st, max_end) = match prepare(fd, view, data).await {
-        Prepared::Done(r) => return r,
-        Prepared::Collective { min_st, max_end } => (min_st, max_end),
-    };
-    let (fds, cb, ntimes) = compute_domains(fd, min_st, max_end, algo);
-    let error_code = exchange_and_write(fd, &fds, cb, ntimes, |ws, we, out| {
-        if my_bytes == 0 {
-            return Provenance::default();
-        }
-        view.for_each_piece_in_window(ws, we, |vp| {
-            out.push((vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)));
+    let Some(range) = exchange_ranges(fd, view, t).await? else {
+        // Nobody wrote anything.
+        return Ok(WriteAllResult {
+            bytes: 0,
+            rounds: 0,
+            used_collective: false,
+            error_code: 0,
         });
-        Provenance::plain(out.len() as u64)
+    };
+    if !range.use_collective(fd.hints().cb_write) {
+        // Independent strided writes involve no peer communication, so
+        // no transport is needed (and no later death can stall them).
+        let (bytes, error_code) = crate::sieve::write_strided(fd, view, data).await;
+        return Ok(WriteAllResult {
+            bytes,
+            rounds: 0,
+            used_collective: false,
+            error_code,
+        });
+    }
+
+    // Optional pre-stage: aggregate this node's requests at the node
+    // leader. Afterwards only leaders contribute pieces to the
+    // inter-node exchange; everyone still joins its collectives.
+    let algo = fd.hints().two_phase;
+    let merged = if algo == TwoPhaseAlgo::NodeAgg {
+        let node_comm = node_comm.await;
+        let merged = {
+            let _t = fd.profiler().enter(Phase::NodeAggGather);
+            let m = gather_to_leader(t, &node_comm, view, data).await;
+            if let Some(m) = &m {
+                stage_into_cache(fd, m).await;
+            }
+            m
+        };
+        // Only a leader can observe a silent member; the settle makes
+        // its verdict everybody's before the rounds build on it.
+        t.settle(fd, None, 0).await?;
+        merged
+    } else {
+        None
+    };
+
+    let (fds, cb, ntimes) = compute_domains(fd, &range, algo);
+    let mut origins_scratch: Vec<usize> = Vec::new();
+    let error_code = exchange_and_write(fd, t, &fds, cb, ntimes, |ws, we, out| match &merged {
+        Some(m) => m.window_into(ws, we, out, &mut origins_scratch),
+        None if algo == TwoPhaseAlgo::NodeAgg || my_bytes == 0 => Provenance::default(),
+        None => {
+            view.for_each_piece_in_window(ws, we, |vp| {
+                out.push((vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)));
+            });
+            Provenance::plain(out.len() as u64)
+        }
     })
-    .await;
-    WriteAllResult {
+    .await?;
+    Ok(WriteAllResult {
         bytes: my_bytes,
         rounds: ntimes,
         used_collective: true,
         error_code,
-    }
+    })
 }
 
-/// Steps 4–5, the round engine shared by all algorithms: per-round
-/// `MPI_Alltoall` size dissemination, point-to-point data shuffle,
-/// collective-buffer assembly and write, then the final error-code
-/// `MPI_Allreduce`. `contribution(ws, we, out)` fills what this rank
-/// sends into aggregator window `[ws, we)` — the rank's own pieces on
-/// the flat paths, the node-merged request list on the node-agg path
-/// (and nothing at all on its non-leader ranks) — and returns its
-/// pre-aggregation provenance. Returns the global error code.
+/// Steps 3–5, the round loop: per-round size exchange, point-to-point
+/// data shuffle, collective-buffer assembly and write, a settle per
+/// round, then the finish. `contribution(ws, we, out)` fills what this
+/// rank sends into aggregator window `[ws, we)` — `(file_offset,
+/// payload)` pieces sorted by offset: the rank's own, the node-merged
+/// request list on a node leader, nothing on the ranks it speaks for —
+/// and returns its pre-aggregation provenance. Returns the global
+/// error code.
 ///
-/// Steady-state rounds are allocation-free (asserted by `e10-romio`'s
-/// `alloc_count` test): every per-round buffer is hoisted scratch that
-/// reaches its high-water capacity in the first rounds, shuffled
-/// payload vectors circulate through the communicator's recycling pool
-/// ([`e10_mpisim::Comm::send_buf`]), and assembly sorts/merges in
-/// place instead of building run structures.
-pub(crate) async fn exchange_and_write<S>(
+/// Steady-state rounds are allocation-free under [`Plain`] (asserted
+/// by `e10-romio`'s `alloc_count` test): every per-round buffer is
+/// hoisted scratch that reaches its high-water capacity in the first
+/// rounds (one contribution buffer per aggregator, refilled in place),
+/// shuffled payload vectors circulate through the communicator's
+/// recycling pool ([`e10_mpisim::Comm::send_buf`]), and assembly
+/// sorts/merges in place instead of building run structures.
+async fn exchange_and_write<T, S>(
     fd: &AdioFile,
+    t: &mut T,
     fds: &FileDomains,
     cb: u64,
     ntimes: u64,
     mut contribution: S,
-) -> u32
+) -> Result<u32, T::Abort>
 where
+    T: Transport,
     S: FnMut(u64, u64, &mut Vec<(u64, Payload)>) -> Provenance,
 {
     let comm = fd.comm.clone();
@@ -333,16 +530,10 @@ where
     let mut order: Vec<(u64, u32)> = Vec::new();
     let mut sorted: Vec<(u64, Payload)> = Vec::new();
 
-    // --- 4. the two-phase rounds ------------------------------------------
+    // --- 3–4. the two-phase rounds ----------------------------------------
     for round in 0..ntimes {
-        let tag = DATA_TAG_BASE + (round % 4096) as Tag;
-        // Per-aggregator window of this round.
-        windows.clear();
-        windows.extend((0..naggs).map(|a| {
-            let ws = (fds.starts[a] + round * cb).min(fds.ends[a]);
-            let we = (fds.starts[a] + (round + 1) * cb).min(fds.ends[a]);
-            (ws, we)
-        }));
+        let tag = round_tag(DATA_TAG_BASE, round);
+        round_windows(fds, cb, round, &mut windows);
 
         // My contribution to each aggregator this round.
         size_buf.fill(0);
@@ -352,19 +543,19 @@ where
             size_buf[aggregators[a]] = agg_bufs[a].iter().map(|(_, p)| p.len).sum();
         }
 
-        // Size dissemination: the per-round MPI_Alltoall
-        // ("shuffle_all2all"), in place — `size_buf` now holds the
-        // per-source byte counts this rank will receive.
+        // Size dissemination ("shuffle_all2all"), in place —
+        // `size_buf` now holds the per-source byte counts this rank
+        // will receive.
         {
             let _t = prof.enter(Phase::ShuffleAlltoall);
-            comm.alltoall_u64_inplace(&mut size_buf, 8, &mut sreqs)
-                .await;
+            t.exchange_sizes(&comm, &mut size_buf, &mut sreqs).await?;
         }
 
-        // Data shuffle: post sends, post receives, wait for all. The
-        // wire size of a shuffle message is its payload plus a 32-byte
+        // Data shuffle: post sends, receive, wait for the sends (which
+        // complete on arrival whatever the receiver's fate). The wire
+        // size of a shuffle message is its payload plus a 32-byte
         // envelope and a 16-byte (offset, length) header per piece —
-        // the footprint the node-agg pre-phase shrinks.
+        // the footprint the node-agg pre-stage shrinks.
         recvd.clear();
         for (a, c) in agg_bufs.iter_mut().enumerate() {
             if c.is_empty() {
@@ -394,21 +585,19 @@ where
                 sreqs.push(comm.isend(dst, tag, bytes, payload));
             }
         }
-        if my_agg.is_some() {
-            for (src, &sz) in size_buf.iter().enumerate() {
-                if sz > 0 && src != me {
-                    rreqs.push(comm.irecv(SourceSel::Rank(src), tag));
-                }
-            }
-        }
         {
             let _t = prof.enter(Phase::ShuffleWaitall);
-            for r in rreqs.drain(..) {
-                if let Some(m) = r.wait().await {
-                    let mut v = m.into_data::<Vec<(u64, Payload)>>();
+            if my_agg.is_some() {
+                let srcs = size_buf
+                    .iter()
+                    .enumerate()
+                    .filter(|&(src, &sz)| sz > 0 && src != me)
+                    .map(|(src, _)| src);
+                t.recv_each(&comm, srcs, tag, &mut rreqs, |mut v| {
                     recvd.append(&mut v);
                     comm.recycle_buf(v);
-                }
+                })
+                .await;
             }
             for r in sreqs.drain(..) {
                 r.wait().await;
@@ -416,7 +605,7 @@ where
         }
 
         // Collective-buffer assembly + write (aggregators only).
-        if my_agg.is_some() && !recvd.is_empty() {
+        if !t.doomed() && my_agg.is_some() && !recvd.is_empty() {
             let total: u64 = recvd.iter().map(|(_, p)| p.len).sum();
             {
                 let _t = prof.enter(Phase::CollBufAssembly);
@@ -499,115 +688,62 @@ where
                 }
             }
         }
+
+        // Each round's fate is settled before the next round's shuffle.
+        t.settle(fd, Some(Phase::PostWrite), local_err).await?;
     }
     // --- 5. post-write error exchange -------------------------------------
-    {
-        let _t = prof.enter(Phase::PostWrite);
-        comm.allreduce(local_err, 4, |a, b| (*a).max(*b)).await
-    }
+    Ok(t.finish(fd, local_err).await)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::{IoCtx, TestbedSpec};
+    use crate::test_util::{cb_info, on_testbed, strided_view};
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;
 
-    async fn on_testbed<F, Fut>(procs: usize, nodes: usize, f: F)
-    where
-        F: Fn(IoCtx) -> Fut,
-        Fut: std::future::Future<Output = ()> + 'static,
-    {
-        let tb = TestbedSpec::small(procs, nodes).build();
-        let handles: Vec<_> = tb
-            .ctxs()
-            .into_iter()
-            .map(|ctx| e10_simcore::spawn(f(ctx)))
-            .collect();
-        e10_simcore::join_all(handles).await;
-    }
-
-    fn strided_view(rank: usize, p: usize, block: u64, count: u64) -> FileView {
-        // Rank r owns blocks r, r+p, r+2p, ... (classic interleave).
-        let blocks: Vec<(u64, u64)> = (0..count)
-            .map(|i| ((i * p as u64 + rank as u64) * block, block))
-            .collect();
-        FileView::new(&FlatType::indexed(blocks), 0)
-    }
-
-    fn paper_info(extra: &[(&str, &str)]) -> Info {
-        let i = Info::new();
-        i.set("romio_cb_write", "enable");
-        i.set("cb_buffer_size", "65536");
-        for (k, v) in extra {
-            i.set(k, v);
-        }
-        i
-    }
-
     /// The core oracle: an interleaved collective write from P ranks
     /// produces a byte-perfect file.
+    fn write_and_verify(algo: &'static str) {
+        run(on_testbed(8, 4, move |ctx| async move {
+            let info = cb_info(&[("e10_two_phase", algo)]);
+            let f = crate::adio::AdioFile::open(&ctx, "/gfs/tp", &info, true)
+                .await
+                .unwrap();
+            let view = strided_view(ctx.comm.rank(), 8, 10_000, 16);
+            let res = write_at_all(&f, &view, &DataSpec::FileGen { seed: 11 }).await;
+            assert!(res.used_collective);
+            assert_eq!(res.rounds == 1, algo == "stock", "{algo}: {res:?}");
+            assert_eq!(res.bytes, 160_000);
+            f.close().await;
+            if ctx.comm.rank() == 0 {
+                f.global()
+                    .extents()
+                    .verify_gen(11, 0, 8 * 16 * 10_000)
+                    .unwrap();
+            }
+        }));
+    }
+
+    /// `extended` must take multiple `cb_buffer_size` rounds.
     #[test]
     fn two_phase_write_produces_correct_file() {
-        run(async {
-            on_testbed(8, 4, |ctx| async move {
-                let f = crate::adio::AdioFile::open(&ctx, "/gfs/tp", &paper_info(&[]), true)
-                    .await
-                    .unwrap();
-                let view = strided_view(ctx.comm.rank(), 8, 10_000, 16);
-                let res = write_at_all(&f, &view, &DataSpec::FileGen { seed: 11 }).await;
-                assert!(res.used_collective);
-                assert!(res.rounds > 1, "must take multiple rounds");
-                assert_eq!(res.bytes, 160_000);
-                f.close().await;
-                if ctx.comm.rank() == 0 {
-                    f.global()
-                        .extents()
-                        .verify_gen(11, 0, 8 * 16 * 10_000)
-                        .unwrap();
-                }
-            })
-            .await;
-        });
+        write_and_verify("extended");
     }
 
     /// `e10_two_phase = stock`: one round regardless of
-    /// `cb_buffer_size`, same bytes on disk.
+    /// `cb_buffer_size` (it buffers a whole file domain), same bytes.
     #[test]
     fn stock_algorithm_takes_one_round_and_matches() {
-        run(async {
-            on_testbed(8, 4, |ctx| async move {
-                let f = crate::adio::AdioFile::open(
-                    &ctx,
-                    "/gfs/stock",
-                    &paper_info(&[("e10_two_phase", "stock")]),
-                    true,
-                )
-                .await
-                .unwrap();
-                let view = strided_view(ctx.comm.rank(), 8, 10_000, 16);
-                let res = write_at_all(&f, &view, &DataSpec::FileGen { seed: 11 }).await;
-                assert!(res.used_collective);
-                assert_eq!(res.rounds, 1, "stock buffers a whole file domain");
-                assert_eq!(res.bytes, 160_000);
-                f.close().await;
-                if ctx.comm.rank() == 0 {
-                    f.global()
-                        .extents()
-                        .verify_gen(11, 0, 8 * 16 * 10_000)
-                        .unwrap();
-                }
-            })
-            .await;
-        });
+        write_and_verify("stock");
     }
 
     #[test]
     fn two_phase_write_with_cache_produces_correct_file() {
         run(async {
             on_testbed(8, 4, |ctx| async move {
-                let info = paper_info(&[
+                let info = cb_info(&[
                     ("e10_cache", "enable"),
                     ("e10_cache_flush_flag", "flush_immediate"),
                     ("e10_cache_discard_flag", "enable"),
@@ -634,7 +770,7 @@ mod tests {
         run(async {
             on_testbed(4, 2, |ctx| async move {
                 // Pre-populate the file with generator 7 everywhere.
-                let f0 = crate::adio::AdioFile::open(&ctx, "/gfs/rmw", &paper_info(&[]), true)
+                let f0 = crate::adio::AdioFile::open(&ctx, "/gfs/rmw", &cb_info(&[]), true)
                     .await
                     .unwrap();
                 if ctx.comm.rank() == 0 {
@@ -646,7 +782,7 @@ mod tests {
 
                 // Now write generator 8 to every second 1000-byte block
                 // (holes between pieces → the RMW path).
-                let f = crate::adio::AdioFile::open(&ctx, "/gfs/rmw", &paper_info(&[]), false)
+                let f = crate::adio::AdioFile::open(&ctx, "/gfs/rmw", &cb_info(&[]), false)
                     .await
                     .unwrap();
                 let blocks: Vec<(u64, u64)> = (0..10)
@@ -719,7 +855,7 @@ mod tests {
     fn ranks_with_no_data_participate_safely() {
         run(async {
             on_testbed(4, 2, |ctx| async move {
-                let f = crate::adio::AdioFile::open(&ctx, "/gfs/empty", &paper_info(&[]), true)
+                let f = crate::adio::AdioFile::open(&ctx, "/gfs/empty", &cb_info(&[]), true)
                     .await
                     .unwrap();
                 // Only even ranks write.
@@ -745,7 +881,7 @@ mod tests {
     fn all_empty_views_return_immediately() {
         run(async {
             on_testbed(3, 3, |ctx| async move {
-                let f = crate::adio::AdioFile::open(&ctx, "/gfs/nothing", &paper_info(&[]), true)
+                let f = crate::adio::AdioFile::open(&ctx, "/gfs/nothing", &cb_info(&[]), true)
                     .await
                     .unwrap();
                 let view = FileView::new(&FlatType::contiguous(0), 0);
@@ -762,7 +898,7 @@ mod tests {
         run(async {
             on_testbed(2, 1, |ctx| async move {
                 let rank = ctx.comm.rank();
-                let f = crate::adio::AdioFile::open(&ctx, "/gfs/lit", &paper_info(&[]), true)
+                let f = crate::adio::AdioFile::open(&ctx, "/gfs/lit", &cb_info(&[]), true)
                     .await
                     .unwrap();
                 // Rank r writes bytes [r, r, ...] at interleaved blocks.
@@ -793,7 +929,7 @@ mod tests {
                 let f = crate::adio::AdioFile::open(
                     &ctx,
                     "/gfs/prof",
-                    &paper_info(&[("striping_unit", "4096")]),
+                    &cb_info(&[("striping_unit", "4096")]),
                     true,
                 )
                 .await
@@ -817,6 +953,26 @@ mod tests {
             })
             .await;
         });
+    }
+
+    #[test]
+    fn tag_ranges_are_disjoint() {
+        let mut ranges = [
+            ("shuffle", DATA_TAG_BASE, ROUND_TAGS),
+            ("gather", GATHER_TAG, 1),
+            ("read request", READ_REQ_TAG_BASE, ROUND_TAGS),
+            ("read data", READ_DATA_TAG_BASE, ROUND_TAGS),
+            ("ft", FT_TAG_BASE, FT_TAG_SPAN),
+        ];
+        ranges.sort_by_key(|&(_, base, _)| base);
+        for w in ranges.windows(2) {
+            let ((a, base, len), (b, next, _)) = (w[0], w[1]);
+            assert!(base + len <= next, "{a} tags run into {b} tags");
+        }
+        assert_eq!(
+            round_tag(DATA_TAG_BASE, u64::from(ROUND_TAGS) + 5),
+            DATA_TAG_BASE + 5
+        );
     }
 
     #[test]

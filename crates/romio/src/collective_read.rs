@@ -13,18 +13,26 @@
 //!   the run is fully covered there, falling back to the global file
 //!   otherwise. With matching aggregator count and file domains this is
 //!   exactly the safe case the paper describes.
+//!
+//! The preamble is the write path's, not a copy of it: the offset
+//! exchange, the collective-vs-independent decision, the file domains
+//! and the per-round windows come from [`crate::collective`] (always
+//! under the plain transport and `cb_buffer_size` rounds — no caller
+//! asks for a crash-tolerant or node-aggregated read). The round body
+//! — request lists out, aggregator read, data back — is this module's
+//! own, because it runs the shuffle in the opposite direction.
 
-use e10_mpisim::{waitall, FileView, SourceSel, Tag};
+use e10_mpisim::{waitall, FileView, SourceSel};
 use e10_simcore::trace;
 use e10_storesim::{ExtentMap, Payload, Source};
 
 use crate::adio::AdioFile;
-use crate::fd::FileDomains;
-use crate::hints::CbMode;
+use crate::collective::{
+    compute_domains, exchange_ranges, round_tag, round_windows, Plain, READ_DATA_TAG_BASE,
+    READ_REQ_TAG_BASE,
+};
+use crate::hints::TwoPhaseAlgo;
 use crate::profile::Phase;
-
-const READ_REQ_TAG_BASE: Tag = 0x3000_0000;
-const READ_DATA_TAG_BASE: Tag = 0x3800_0000;
 
 /// One piece of data returned by a collective read.
 #[derive(Debug, Clone)]
@@ -85,57 +93,14 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     let comm = fd.comm.clone();
     let prof = fd.profiler().clone();
     let me = comm.rank();
-    let my_bytes = view.total_bytes();
 
-    // Offset exchange — identical preamble to the write path.
-    let (my_st, my_end) = if my_bytes == 0 {
-        (u64::MAX, 0)
-    } else {
-        view.file_range()
-    };
-    let st_end: Vec<(u64, u64)> = {
-        let _t = prof.enter(Phase::OffsetExchange);
-        comm.allgather((my_st, my_end), 16).await
-    };
-    let min_st = st_end.iter().filter(|e| e.0 != u64::MAX).map(|e| e.0).min();
-    let Some(min_st) = min_st else {
+    let Ok(Some(range)) = exchange_ranges(fd, view, &mut Plain).await else {
         return ReadAllResult::default();
     };
-    let max_end = st_end.iter().map(|e| e.1).max().unwrap_or(0);
-
-    let mut interleaved = false;
-    let mut running_end = 0u64;
-    for &(st, end) in &st_end {
-        if st == u64::MAX {
-            continue;
-        }
-        if st < running_end {
-            interleaved = true;
-        }
-        running_end = running_end.max(end);
-    }
-    let use_coll = match fd.hints().cb_read {
-        CbMode::Enable => true,
-        CbMode::Disable => false,
-        CbMode::Automatic => interleaved,
-    };
-    if !use_coll {
+    if !range.use_collective(fd.hints().cb_read) {
         return independent_read(fd, view).await;
     }
-
-    let (fds, cb, ntimes) = {
-        let _t = prof.enter(Phase::FdCalc);
-        let fds = FileDomains::compute(
-            min_st,
-            max_end,
-            fd.aggregators().len(),
-            fd.hints().fd_strategy,
-            fd.stripe_unit(),
-        );
-        let cb = fd.hints().cb_buffer_size;
-        let ntimes = fds.max_size().div_ceil(cb);
-        (fds, cb, ntimes)
-    };
+    let (fds, cb, ntimes) = compute_domains(fd, &range, TwoPhaseAlgo::Extended);
     // Mirrors the write path: borrow the aggregator set instead of the
     // historical per-call `to_vec()`, and reuse the alltoall size
     // buffer across rounds.
@@ -156,14 +121,9 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     let mut asked: Vec<bool> = Vec::with_capacity(naggs);
 
     for round in 0..ntimes {
-        let req_tag = READ_REQ_TAG_BASE + (round % 4096) as Tag;
-        let data_tag = READ_DATA_TAG_BASE + (round % 4096) as Tag;
-        windows.clear();
-        windows.extend((0..naggs).map(|a| {
-            let ws = (fds.starts[a] + round * cb).min(fds.ends[a]);
-            let we = (fds.starts[a] + (round + 1) * cb).min(fds.ends[a]);
-            (ws, we)
-        }));
+        let req_tag = round_tag(READ_REQ_TAG_BASE, round);
+        let data_tag = round_tag(READ_DATA_TAG_BASE, round);
+        round_windows(&fds, cb, round, &mut windows);
 
         // What I want from each aggregator this round.
         size_buf.fill(0);
@@ -387,42 +347,18 @@ mod tests {
     use super::*;
     use crate::adio::DataSpec;
     use crate::collective::write_at_all;
-    use crate::testbed::{IoCtx, TestbedSpec};
+    use crate::test_util::{cb_info, on_testbed, strided_view};
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;
 
-    async fn on_testbed<F, Fut>(procs: usize, nodes: usize, f: F)
-    where
-        F: Fn(IoCtx) -> Fut,
-        Fut: std::future::Future<Output = ()> + 'static,
-    {
-        let tb = TestbedSpec::small(procs, nodes).build();
-        let handles: Vec<_> = tb
-            .ctxs()
-            .into_iter()
-            .map(|ctx| e10_simcore::spawn(f(ctx)))
-            .collect();
-        e10_simcore::join_all(handles).await;
-    }
-
-    fn strided_view(rank: usize, p: usize, block: u64, count: u64) -> FileView {
-        let blocks: Vec<(u64, u64)> = (0..count)
-            .map(|i| ((i * p as u64 + rank as u64) * block, block))
-            .collect();
-        FileView::new(&FlatType::indexed(blocks), 0)
-    }
-
+    /// Collective reads forced on too, 32 KB rounds and stripes.
     fn rw_hints(extra: &[(&str, &str)]) -> Info {
-        let i = Info::from_pairs([
-            ("romio_cb_write", "enable"),
+        let rw = [
             ("romio_cb_read", "enable"),
             ("cb_buffer_size", "32K"),
             ("striping_unit", "32K"),
-        ]);
-        for (k, v) in extra {
-            i.set(k, v);
-        }
-        i
+        ];
+        cb_info(&[&rw, extra].concat())
     }
 
     #[test]

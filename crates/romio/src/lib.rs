@@ -11,13 +11,18 @@
 //!   `e10_*` extensions) with parsing and validation.
 //! * [`adio`] — the ADIO file object: collective open, `write_contig`
 //!   with cache redirection, flush/sync/close semantics.
-//! * [`collective`] — the extended two-phase algorithm
-//!   (`ADIOI_Exch_and_write`): offset exchange, file domains, per-round
-//!   `Alltoall` + data shuffle + collective-buffer write, final error
-//!   `Allreduce`.
-//! * [`node_agg`] — the intra-node request-aggregation pre-phase
+//! * [`collective`] — the two-phase collective write
+//!   (`ADIOI_Exch_and_write`), the one implementation of it: offset
+//!   exchange, file domains, per-round `Alltoall` + data shuffle +
+//!   collective-buffer write, final error `Allreduce`, generic over
+//!   how the ranks coordinate.
+//! * [`node_agg`] — the intra-node request-aggregation pre-stage
 //!   (`e10_two_phase = node_agg`): node leaders merge their node's
 //!   requests before the inter-node exchange.
+//! * [`tolerant`] — the crash-tolerant coordination
+//!   (`e10_coll_timeout > 0`): the same write under timed,
+//!   abortable steps, in a shrink-and-redo attempt loop.
+//! * [`collective_read`] — the two-phase collective read.
 //! * [`sieve`] — independent strided writes with optional data sieving.
 //! * [`cache`] — the E10 cache layer: cache file, `fallocate`
 //!   allocation, sync thread, generalized-request completion, coherent
@@ -43,6 +48,8 @@ pub mod journal;
 pub mod node_agg;
 pub mod profile;
 pub mod sieve;
+#[cfg(test)]
+mod test_util;
 pub mod testbed;
 pub mod tolerant;
 
@@ -58,6 +65,5 @@ pub use hints::{
     CacheClass, CacheMode, CbMode, FdStrategy, FlushFlag, HintError, HintErrors, RomioHints,
     RomioHintsBuilder, SyncPolicy, TraceMode, TwoPhaseAlgo,
 };
-pub use node_agg::write_at_all_node_agg;
 pub use profile::{Breakdown, Phase, Profiler};
 pub use testbed::{IoCtx, Testbed, TestbedSpec};

@@ -5,29 +5,32 @@
 //! pieces across the network to the aggregators — with many ranks per
 //! node, one aggregator window receives one message *per rank per
 //! node* even though the ranks of a node usually hold adjacent slices
-//! of the file. This module prepends a **pre-phase** to the exchange:
+//! of the file. This module is the **pre-stage**
+//! [`crate::collective::two_phase_write`] runs in front of the rounds
+//! for this variant — it holds no write loop of its own:
 //!
-//! 1. the ranks of a node (the intra-node subcommunicator from
-//!    [`e10_mpisim::Comm::split_by_node`], MPI's
-//!    `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`) gather their
-//!    offset/length lists and data to the **node leader** (node rank
-//!    0) over the intra-node fabric,
+//! 1. the ranks of a node gather their offset/length lists and data
+//!    to the **node leader** (node rank 0) over the intra-node fabric
+//!    ([`gather_to_leader`]). The node communicator comes from the
+//!    caller: [`e10_mpisim::Comm::split_by_node`] (MPI's
+//!    `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`) on the plain path,
+//!    the live node members of the survivor communicator on the
+//!    crash-tolerant one,
 //! 2. the leader sorts the union by file offset and merges adjacent
 //!    continuing pieces into one per-node aggregated request list
 //!    ([`crate::collective::merge_continuing`]) — when the E10 cache
 //!    is enabled the aggregated buffer is staged straight into the
-//!    node-local cache device on the way,
-//! 3. the ordinary exchange/write engine
-//!    ([`crate::collective::exchange_and_write`]) then runs over the
-//!    reduced request set: only leaders feed the shuffle, so each
-//!    aggregator window receives at most one message per *node*
+//!    node-local cache device on the way ([`stage_into_cache`]),
+//! 3. the rounds then run over the reduced request set
+//!    ([`MergedNode::window_into`]): only leaders feed the shuffle, so
+//!    each aggregator window receives at most one message per *node*
 //!    instead of one per *rank*, with fewer per-piece headers.
 //!
-//! Every rank still joins the collectives (offset exchange, per-round
-//! `Alltoall`, final `Allreduce`), so the variant composes with the
-//! existing aggregator selection, deferred open and cache machinery
-//! unchanged, and the file bytes produced are identical to the stock
-//! and extended algorithms.
+//! Every rank still joins the collective steps (offset exchange,
+//! per-round size exchange, settle/finish), so the variant composes
+//! with the existing aggregator selection, deferred open, cache
+//! machinery and either transport unchanged, and the file bytes
+//! produced are identical to the stock and extended algorithms.
 //!
 //! Telemetry: `coll.node_agg.merged_reqs` counts pieces eliminated by
 //! the leader's merge, `coll.node_agg.shuffle_bytes_saved` the
@@ -36,21 +39,12 @@
 //! `coll.node_agg.staged_bytes` what the leader staged into the
 //! node-local cache.
 
-use e10_mpisim::{waitall, Comm, FileView, SourceSel, Tag};
+use e10_mpisim::{waitall, Comm, FileView};
 use e10_simcore::trace::counter;
 use e10_storesim::Payload;
 
 use crate::adio::{AdioFile, DataSpec};
-use crate::collective::{
-    compute_domains, exchange_and_write, merge_continuing, prepare, Prepared, Provenance,
-    WriteAllResult,
-};
-use crate::hints::TwoPhaseAlgo;
-use crate::profile::Phase;
-
-/// Tag space of the intra-node gather (disjoint from the shuffle's
-/// `DATA_TAG_BASE`; the gather also runs on its own communicator).
-const GATHER_TAG: Tag = 0x3000_0000;
+use crate::collective::{merge_continuing, Provenance, Transport, GATHER_TAG};
 
 /// The node's aggregated request list, held by the node leader.
 pub(crate) struct MergedNode {
@@ -142,10 +136,12 @@ impl MergedNode {
     }
 }
 
-/// The pre-phase: ship every node rank's piece list to the node
+/// The pre-stage: ship every node rank's piece list to the node
 /// leader over the intra-node fabric. Returns the merged request list
-/// on the leader, `None` elsewhere.
-async fn gather_to_leader(
+/// on the leader, `None` elsewhere — and on a leader whose transport
+/// is doomed because a member stayed silent.
+pub(crate) async fn gather_to_leader<T: Transport>(
+    t: &mut T,
     node_comm: &Comm,
     view: &FileView,
     data: &DataSpec,
@@ -158,22 +154,29 @@ async fn gather_to_leader(
     if node_comm.rank() != 0 {
         // Same wire model as the shuffle: payload + 32-byte envelope +
         // 16-byte header per piece — but over the intra-node fabric.
+        // The send completes on arrival whatever the leader's fate.
         let bytes: u64 = mine.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * mine.len() as u64;
         waitall(vec![node_comm.isend(0, GATHER_TAG, bytes, mine)]).await;
+        return None;
+    }
+    // Merge only once every member has answered: a silent one dooms
+    // the attempt and the lists are dropped unmerged.
+    let members = 1..node_comm.size();
+    let mut lists: Vec<Vec<(u64, Payload)>> = Vec::with_capacity(members.len());
+    t.recv_each(node_comm, members, GATHER_TAG, &mut Vec::new(), |list| {
+        lists.push(list)
+    })
+    .await;
+    if t.doomed() {
         return None;
     }
     let mut raw: Vec<(u64, u64, usize)> =
         mine.iter().map(|&(off, ref p)| (off, p.len, 0)).collect();
     let mut pieces = mine;
-    let rreqs: Vec<_> = (1..node_comm.size())
-        .map(|src| node_comm.irecv(SourceSel::Rank(src), GATHER_TAG))
-        .collect();
-    for (i, m) in waitall(rreqs).await.into_iter().enumerate() {
-        if let Some(m) = m {
-            for (off, p) in m.into_data::<Vec<(u64, Payload)>>() {
-                raw.push((off, p.len, i + 1));
-                pieces.push((off, p));
-            }
+    for (i, list) in lists.into_iter().enumerate() {
+        for (off, p) in list {
+            raw.push((off, p.len, i + 1));
+            pieces.push((off, p));
         }
     }
     // Stable sorts: ties keep node-rank order, so the merged list is
@@ -212,120 +215,19 @@ pub(crate) async fn stage_into_cache(fd: &AdioFile, merged: &MergedNode) {
     let _ = fd.ctx().my_localfs().unlink(&path).await;
 }
 
-/// `MPI_File_write_all` with intra-node request aggregation
-/// (`e10_two_phase = node_agg`). Dispatched to by
-/// [`crate::collective::write_at_all`]; callable directly by
-/// harnesses that want the variant regardless of hints.
-pub async fn write_at_all_node_agg(
-    fd: &AdioFile,
-    view: &FileView,
-    data: &DataSpec,
-) -> WriteAllResult {
-    let prof = fd.profiler().clone();
-    let my_bytes = view.total_bytes();
-    let (min_st, max_end) = match prepare(fd, view, data).await {
-        Prepared::Done(r) => return r,
-        Prepared::Collective { min_st, max_end } => (min_st, max_end),
-    };
-
-    // Pre-phase: aggregate this node's requests at the node leader.
-    let node_comm = fd.node_comm().await;
-    let merged = {
-        let _t = prof.enter(Phase::NodeAggGather);
-        let m = gather_to_leader(&node_comm, view, data).await;
-        if let Some(m) = &m {
-            stage_into_cache(fd, m).await;
-        }
-        m
-    };
-
-    // Inter-node exchange over the reduced request set: only leaders
-    // contribute pieces; everyone still joins the collectives.
-    let (fds, cb, ntimes) = compute_domains(fd, min_st, max_end, TwoPhaseAlgo::NodeAgg);
-    let mut origins_scratch: Vec<usize> = Vec::new();
-    let error_code = exchange_and_write(fd, &fds, cb, ntimes, |ws, we, out| match &merged {
-        Some(m) => m.window_into(ws, we, out, &mut origins_scratch),
-        None => Provenance::default(),
-    })
-    .await;
-
-    WriteAllResult {
-        bytes: my_bytes,
-        rounds: ntimes,
-        used_collective: true,
-        error_code,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::{IoCtx, TestbedSpec};
-    use e10_mpisim::{FlatType, Info};
+    use crate::test_util::{cb_info, on_testbed, strided_view, write_then_read};
+    use e10_mpisim::FlatType;
     use e10_simcore::run;
-
-    async fn on_testbed<F, Fut>(procs: usize, nodes: usize, f: F)
-    where
-        F: Fn(IoCtx) -> Fut,
-        Fut: std::future::Future<Output = ()> + 'static,
-    {
-        let tb = TestbedSpec::small(procs, nodes).build();
-        let handles: Vec<_> = tb
-            .ctxs()
-            .into_iter()
-            .map(|ctx| e10_simcore::spawn(f(ctx)))
-            .collect();
-        e10_simcore::join_all(handles).await;
-    }
-
-    fn strided_view(rank: usize, p: usize, block: u64, count: u64) -> FileView {
-        let blocks: Vec<(u64, u64)> = (0..count)
-            .map(|i| ((i * p as u64 + rank as u64) * block, block))
-            .collect();
-        FileView::new(&FlatType::indexed(blocks), 0)
-    }
-
-    fn node_agg_info(extra: &[(&str, &str)]) -> Info {
-        let i = Info::new();
-        i.set("romio_cb_write", "enable");
-        i.set("cb_buffer_size", "65536");
-        i.set("e10_two_phase", "node_agg");
-        for (k, v) in extra {
-            i.set(k, v);
-        }
-        i
-    }
-
-    #[test]
-    fn node_agg_write_produces_correct_file() {
-        run(async {
-            on_testbed(8, 2, |ctx| async move {
-                let f = crate::adio::AdioFile::open(&ctx, "/gfs/na", &node_agg_info(&[]), true)
-                    .await
-                    .unwrap();
-                let view = strided_view(ctx.comm.rank(), 8, 10_000, 16);
-                let res =
-                    crate::collective::write_at_all(&f, &view, &DataSpec::FileGen { seed: 21 })
-                        .await;
-                assert!(res.used_collective);
-                assert_eq!(res.bytes, 160_000);
-                f.close().await;
-                if ctx.comm.rank() == 0 {
-                    f.global()
-                        .extents()
-                        .verify_gen(21, 0, 8 * 16 * 10_000)
-                        .unwrap();
-                }
-            })
-            .await;
-        });
-    }
 
     #[test]
     fn node_agg_with_cache_stages_and_stays_correct() {
         run(async {
             on_testbed(8, 2, |ctx| async move {
-                let info = node_agg_info(&[
+                let info = cb_info(&[
+                    ("e10_two_phase", "node_agg"),
                     ("e10_cache", "enable"),
                     ("e10_cache_flush_flag", "flush_immediate"),
                     ("e10_cache_discard_flag", "enable"),
@@ -351,9 +253,14 @@ mod tests {
     fn node_agg_handles_ranks_with_no_data() {
         run(async {
             on_testbed(4, 2, |ctx| async move {
-                let f = crate::adio::AdioFile::open(&ctx, "/gfs/nae", &node_agg_info(&[]), true)
-                    .await
-                    .unwrap();
+                let f = crate::adio::AdioFile::open(
+                    &ctx,
+                    "/gfs/nae",
+                    &cb_info(&[("e10_two_phase", "node_agg")]),
+                    true,
+                )
+                .await
+                .unwrap();
                 let view = if ctx.comm.rank() % 2 == 0 {
                     strided_view(ctx.comm.rank() / 2, 2, 3_000, 4)
                 } else {
@@ -395,33 +302,17 @@ mod tests {
     }
 
     /// Byte-identity oracle at module level: the same interleaved
-    /// pattern written by all three algorithms lands identically.
+    /// pattern written by all three algorithms lands identically, and
+    /// a collective read after each returns the same pieces.
     #[test]
     fn three_algorithms_write_identical_bytes() {
-        run(async {
-            on_testbed(8, 2, |ctx| async move {
-                for (i, algo) in ["stock", "extended", "node_agg"].iter().enumerate() {
-                    let info = Info::new();
-                    info.set("romio_cb_write", "enable");
-                    info.set("cb_buffer_size", "16384");
-                    info.set("e10_two_phase", algo);
-                    let path = format!("/gfs/tri{i}");
-                    let f = crate::adio::AdioFile::open(&ctx, &path, &info, true)
-                        .await
-                        .unwrap();
-                    let view = strided_view(ctx.comm.rank(), 8, 7_000, 8);
-                    crate::collective::write_at_all(&f, &view, &DataSpec::FileGen { seed: 77 })
-                        .await;
-                    f.close().await;
-                    if ctx.comm.rank() == 0 {
-                        f.global()
-                            .extents()
-                            .verify_gen(77, 0, 8 * 8 * 7_000)
-                            .unwrap();
-                    }
-                }
-            })
-            .await;
-        });
+        let stock = write_then_read("stock", "0");
+        assert_eq!(stock.rounds, 1, "stock buffers a whole file domain");
+        for algo in ["extended", "node_agg"] {
+            let other = write_then_read(algo, "0");
+            assert!(other.rounds > 1, "{algo} must take multiple rounds");
+            assert!(stock.file == other.file, "{algo}: file bytes differ");
+            assert_eq!(stock.read, other.read, "{algo}: read pieces differ");
+        }
     }
 }

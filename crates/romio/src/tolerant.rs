@@ -1,17 +1,20 @@
 //! Crash-tolerant collective writes (`e10_coll_timeout > 0`).
 //!
-//! The stock two-phase engine ([`crate::collective`]) deadlocks if a
-//! rank dies mid-collective: every `Alltoall`, shuffle receive and
-//! error `Allreduce` waits forever for the dead peer. This module is
-//! the ULFM-shaped alternative, dispatched by
-//! [`crate::collective::write_at_all`] when the `e10_coll_timeout`
-//! hint is non-zero (the default `0` keeps the stock path — and its
-//! goldens — bit-identical):
+//! The plain two-phase write deadlocks if a rank dies mid-collective:
+//! every `Alltoall`, shuffle receive and error `Allreduce` waits
+//! forever for the dead peer. This module is the ULFM-shaped
+//! alternative, dispatched by [`crate::collective::write_at_all`] when
+//! the `e10_coll_timeout` hint is non-zero (the default `0` keeps the
+//! plain path — and its goldens — bit-identical). It holds no write
+//! loop of its own: the rounds are
+//! [`crate::collective::two_phase_write`], run here under the
+//! [`Timed`] transport inside an attempt loop.
 //!
-//! 1. **Detection** — every coordination step is a fault-tolerant
-//!    gather-and-broadcast ([`e10_mpisim::Comm::ft_coordinate`]) and
-//!    every shuffle receive a timed receive; a silent peer is
-//!    convicted on the shared failure detector.
+//! 1. **Detection** — every coordination step of [`Timed`] is a
+//!    fault-tolerant gather-and-broadcast
+//!    ([`e10_mpisim::Comm::ft_coordinate`]) and every shuffle or
+//!    pre-stage receive a timed receive; a silent peer is convicted on
+//!    the shared failure detector.
 //! 2. **Abort discipline** — a conviction never makes a rank skip a
 //!    coordination step. The coordinator folds "somebody is missing"
 //!    into the step's broadcast result, so *all* survivors abort the
@@ -46,32 +49,156 @@ use e10_simcore::trace::counter;
 use e10_simcore::SimDuration;
 use e10_storesim::Payload;
 
-use crate::adio::{AdioFile, DataSpec};
-use crate::collective::{compute_domains, Provenance, WriteAllResult, DATA_TAG_BASE};
-use crate::fd::select_aggregators_capped;
-use crate::hints::{CbMode, TwoPhaseAlgo};
-use crate::node_agg::{stage_into_cache, MergedNode};
+use crate::adio::{elect_aggregators, AdioFile, DataSpec};
+use crate::collective::{two_phase_write, Transport, WriteAllResult, FT_TAG_BASE, FT_TAG_SPAN};
 use crate::profile::Phase;
 
-/// Tag space of the fault-tolerant coordination steps (disjoint from
-/// the shuffle's `DATA_TAG_BASE`, the node-agg gather and the
-/// `COLL_TAG_BASE` of the stock collectives).
-const FT_TAG_BASE: Tag = 0x5000_0000;
+/// Coordination steps an attempt can take before its step numbers
+/// wrap (onto its own, long-consumed tags — never the next attempt's).
+const FT_STEPS: Tag = 4096;
 
-/// Tag block for coordination step `seq` of redo attempt `attempt`.
-/// Each step gets 256 tags (2 per coordinator-failover candidate, so
-/// sub-communicators up to 128 ranks); 4096 steps per attempt before
-/// wrapping.
-fn ft_tag(attempt: u32, seq: u32) -> Tag {
-    FT_TAG_BASE + (attempt.wrapping_mul(4096).wrapping_add(seq) % 0x0010_0000) * 256
+/// How many attempts' worth of `FT_STEPS` tag blocks fit in the FT tag
+/// range on communicators of up to `p` ranks: `ft_coordinate` takes
+/// one (contribution, result) tag pair per coordinator-failover
+/// candidate, so a block is `2 * p` wide.
+fn ft_attempts(p: usize) -> Tag {
+    FT_TAG_SPAN / (2 * p as Tag) / FT_STEPS
+}
+
+/// Tag block for coordination step `seq` of redo attempt `attempt`
+/// (attempts wrap after [`ft_attempts`]).
+fn ft_tag(p: usize, attempt: u32, seq: u32) -> Tag {
+    let block = (attempt % ft_attempts(p)) * FT_STEPS + seq % FT_STEPS;
+    FT_TAG_BASE + block * 2 * p as Tag
 }
 
 /// An attempt aborted: at least one rank was convicted; retry on the
 /// shrunken communicator.
 struct Aborted;
 
+/// `ft_coordinate` combiner: everyone's contribution by rank, or `None`
+/// (the abort decision) if any rank's is missing.
+fn all_present<T>(contribs: &mut [Option<T>]) -> Option<Vec<T>> {
+    contribs.iter_mut().map(Option::take).collect()
+}
+
+/// Fault-tolerant coordination (the module header's points 1 and 2;
+/// step by step in the table on [`Transport`]).
+struct Timed {
+    timeout: SimDuration,
+    /// Rank count the tag blocks are sized for (the file's full
+    /// communicator; survivor communicators are no larger).
+    p: usize,
+    attempt: u32,
+    /// Next coordination step of this attempt (step 0 is the
+    /// live-list sync).
+    seq: u32,
+    doomed: bool,
+    /// OR of the error bits the settles have agreed on so far.
+    global_err: u32,
+}
+
+impl Timed {
+    fn next_tag(&mut self) -> Tag {
+        self.seq += 1;
+        ft_tag(self.p, self.attempt, self.seq - 1)
+    }
+}
+
+impl Transport for Timed {
+    type Abort = Aborted;
+
+    async fn gather_ranges(
+        &mut self,
+        comm: &Comm,
+        mine: (u64, u64),
+    ) -> Result<Vec<(u64, u64)>, Aborted> {
+        comm.ft_coordinate(self.next_tag(), mine, 16, self.timeout, all_present)
+            .await
+            .ok_or(Aborted)
+    }
+
+    async fn exchange_sizes(
+        &mut self,
+        comm: &Comm,
+        sizes: &mut [u64],
+        _: &mut Vec<Request>,
+    ) -> Result<(), Aborted> {
+        // A fault-tolerant alltoall — the coordinator assembles the
+        // full size matrix and broadcasts it (or the abort decision)
+        // to every survivor.
+        let (row, bytes) = (sizes.to_vec(), 8 * sizes.len() as u64);
+        let matrix = comm
+            .ft_coordinate(self.next_tag(), row, bytes, self.timeout, all_present)
+            .await
+            .ok_or(Aborted)?;
+        for (mine, row) in sizes.iter_mut().zip(matrix) {
+            *mine = row[comm.rank()];
+        }
+        Ok(())
+    }
+
+    async fn recv_each(
+        &mut self,
+        comm: &Comm,
+        srcs: impl Iterator<Item = usize>,
+        tag: Tag,
+        _: &mut Vec<Request>,
+        mut got: impl FnMut(Vec<(u64, Payload)>),
+    ) {
+        // A silent sender is convicted without skipping the step's
+        // remaining receives or the coordination that follows.
+        for src in srcs {
+            match comm
+                .recv_timeout(SourceSel::Rank(src), tag, self.timeout)
+                .await
+            {
+                Some(m) => got(m.into_data()),
+                None => {
+                    comm.mark_failed(src);
+                    self.doomed = true;
+                }
+            }
+        }
+    }
+
+    fn doomed(&self) -> bool {
+        self.doomed
+    }
+
+    async fn settle(
+        &mut self,
+        fd: &AdioFile,
+        phase: Option<Phase>,
+        local_err: u32,
+    ) -> Result<(), Aborted> {
+        // OR of (doomed, error) bits, with the usual
+        // missing-contributor abort. This replaces the plain
+        // transport's single final allreduce.
+        let flag = u64::from(self.doomed) | (u64::from(local_err) << 1);
+        let _t = phase.map(|p| fd.profiler().enter(p));
+        let status: Option<u64> = fd
+            .comm
+            .ft_coordinate(self.next_tag(), flag, 16, self.timeout, |contribs| {
+                contribs.iter().try_fold(0, |or, c| Some(or | (*c)?))
+            })
+            .await;
+        match status {
+            Some(f) if f & 1 == 0 => {
+                self.global_err |= (f >> 1) as u32 & 1;
+                Ok(())
+            }
+            _ => Err(Aborted),
+        }
+    }
+
+    async fn finish(&mut self, _: &AdioFile, _: u32) -> u32 {
+        self.global_err
+    }
+}
+
 /// `MPI_File_write_all` with mid-collective crash tolerance. Same
-/// result contract as the stock path; ranks that die mid-collective
+/// result contract as the plain path; ranks that die mid-collective
 /// simply never return (their bytes were never acked).
 pub async fn write_at_all_tolerant(
     fd: &AdioFile,
@@ -81,6 +208,10 @@ pub async fn write_at_all_tolerant(
     let timeout = SimDuration::from_millis(fd.hints().e10_coll_timeout);
     let me = fd.comm.rank();
     let p = fd.comm.size();
+    assert!(
+        ft_attempts(p) >= 2,
+        "{p} ranks leave no room for two attempts' tag blocks"
+    );
     let base_epoch = fd.global().epoch();
     let mut attempt: u32 = 0;
     loop {
@@ -89,7 +220,7 @@ pub async fn write_at_all_tolerant(
         // read, so every survivor shrinks to exactly the same list.
         let live: Vec<usize> = fd
             .comm
-            .ft_coordinate(ft_tag(attempt, 0), (), 16, timeout, |contribs| {
+            .ft_coordinate(ft_tag(p, attempt, 0), (), 16, timeout, |contribs| {
                 contribs
                     .iter()
                     .enumerate()
@@ -111,15 +242,8 @@ pub async fn write_at_all_tolerant(
         }
         let sub = fd.comm.shrink(&live);
         // Re-elect aggregators among the live nodes (sub numbering),
-        // with the same placement policy the open used.
-        let node_map = sub.node_map();
-        let nnodes = node_map.iter().copied().max().map(|m| m + 1).unwrap_or(1);
-        let aggregators = select_aggregators_capped(
-            &node_map,
-            fd.hints().cb_nodes.unwrap_or(nnodes),
-            fd.hints().cb_config_max_per_node.unwrap_or(usize::MAX),
-        );
-        let sfd = fd.with_comm(sub.clone(), aggregators);
+        // with the placement policy the open used.
+        let sfd = fd.with_comm(sub.clone(), elect_aggregators(&sub, fd.hints()));
         let epoch = base_epoch + u64::from(attempt);
         if attempt > 0 {
             counter("coll.ft.redo_attempts", 1);
@@ -128,7 +252,25 @@ pub async fn write_at_all_tolerant(
             sfd.global().set_epoch(epoch);
             sfd.global().raise_fence(epoch);
         }
-        let outcome = attempt_write(&sfd, view, data, timeout, attempt).await;
+        let mut timed = Timed {
+            timeout,
+            p,
+            attempt,
+            seq: 1,
+            doomed: false,
+            global_err: 0,
+        };
+        // The node communicator is carved out of the *survivor*
+        // communicator, so a dead leader from a previous attempt is
+        // already gone: the leader is the lowest live node member.
+        let node_comm = async {
+            let my_node = sub.node();
+            let members: Vec<usize> = (0..sub.size())
+                .filter(|&r| sub.node_of(r) == my_node)
+                .collect();
+            sub.shrink(&members)
+        };
+        let outcome = two_phase_write(&sfd, view, data, &mut timed, node_comm).await;
         // Either way, share what this attempt learned with the parent
         // communicator (idempotent; the sub-comm failure set is shared
         // state, so all survivors propagate the same convictions).
@@ -155,442 +297,11 @@ pub async fn write_at_all_tolerant(
     }
 }
 
-/// One attempt on the survivor communicator: the full two-phase write
-/// with every coordination step fault-tolerant. `Err(Aborted)` means a
-/// conviction happened and *every* survivor of this attempt returned
-/// `Err(Aborted)` at the same step.
-async fn attempt_write(
-    fd: &AdioFile,
-    view: &FileView,
-    data: &DataSpec,
-    timeout: SimDuration,
-    attempt: u32,
-) -> Result<WriteAllResult, Aborted> {
-    let comm = fd.comm.clone();
-    let prof = fd.profiler().clone();
-    let me = comm.rank();
-    let my_node = comm.node();
-    let p = comm.size();
-    let my_bytes = view.total_bytes();
-    let mut seq: u32 = 1; // step 0 is the live-list sync
-
-    // --- offset exchange (fault-tolerant allgather) ---------------------
-    let (my_st, my_end) = if my_bytes == 0 {
-        (u64::MAX, 0)
-    } else {
-        view.file_range()
-    };
-    let st_end: Option<Vec<(u64, u64)>> = {
-        let _t = prof.enter(Phase::OffsetExchange);
-        comm.ft_coordinate(
-            ft_tag(attempt, seq),
-            (my_st, my_end),
-            16,
-            timeout,
-            |contribs| {
-                contribs
-                    .iter()
-                    .map(|c| c.as_ref().copied())
-                    .collect::<Option<Vec<_>>>()
-            },
-        )
-        .await
-    };
-    seq += 1;
-    let Some(st_end) = st_end else {
-        return Err(Aborted);
-    };
-    let min_st = st_end.iter().filter(|e| e.0 != u64::MAX).map(|e| e.0).min();
-    let Some(min_st) = min_st else {
-        return Ok(WriteAllResult {
-            bytes: 0,
-            rounds: 0,
-            used_collective: false,
-            error_code: 0,
-        });
-    };
-    let max_end = st_end.iter().map(|e| e.1).max().unwrap_or(0);
-
-    // --- collective-vs-independent decision (identical inputs on every
-    // survivor → identical decision) -------------------------------------
-    let mut interleaved = false;
-    let mut running_end = 0u64;
-    for &(st, end) in &st_end {
-        if st == u64::MAX {
-            continue;
-        }
-        if st < running_end {
-            interleaved = true;
-        }
-        running_end = running_end.max(end);
-    }
-    let use_coll = match fd.hints().cb_write {
-        CbMode::Enable => true,
-        CbMode::Disable => false,
-        CbMode::Automatic => interleaved,
-    };
-    if !use_coll {
-        // Independent strided writes involve no peer communication, so
-        // they cannot be stalled by later deaths.
-        let (bytes, error_code) = crate::sieve::write_strided(fd, view, data).await;
-        return Ok(WriteAllResult {
-            bytes,
-            rounds: 0,
-            used_collective: false,
-            error_code,
-        });
-    }
-
-    // --- node-agg pre-phase (tolerant gather to the live node leader) ---
-    let algo = fd.hints().two_phase;
-    let mut pre_abort = false;
-    let merged: Option<MergedNode> = if algo == TwoPhaseAlgo::NodeAgg {
-        let _t = prof.enter(Phase::NodeAggGather);
-        let members: Vec<usize> = (0..p).filter(|&r| comm.node_of(r) == my_node).collect();
-        // Leader = lowest live node member. The node communicator is
-        // carved out of the *survivor* communicator, so a dead leader
-        // from a previous attempt is already gone.
-        let node_comm = comm.shrink(&members);
-        let m = gather_node_tolerant(&comm, &node_comm, &members, view, data, timeout).await;
-        match m {
-            Ok(Some(m)) => {
-                stage_into_cache(fd, &m).await;
-                Some(m)
-            }
-            Ok(None) => None,
-            Err(Aborted) => {
-                pre_abort = true;
-                None
-            }
-        }
-    } else {
-        None
-    };
-    if algo == TwoPhaseAlgo::NodeAgg {
-        // Pre-phase sync: only the leaders can observe a dead member,
-        // so fold their abort flags into one broadcast decision.
-        let ok: Option<()> = comm
-            .ft_coordinate(
-                ft_tag(attempt, seq),
-                u64::from(pre_abort),
-                16,
-                timeout,
-                |contribs| contribs.iter().all(|c| matches!(c, Some(0))).then_some(()),
-            )
-            .await;
-        seq += 1;
-        if ok.is_none() {
-            return Err(Aborted);
-        }
-    }
-
-    // --- the two-phase rounds --------------------------------------------
-    let (fds, cb, ntimes) = compute_domains(fd, min_st, max_end, algo);
-    let aggregators: Vec<usize> = fd.aggregators().to_vec();
-    let naggs = aggregators.len();
-    let my_agg = fd.my_agg_index();
-    let net = comm.network();
-    let mut global_err: u32 = 0;
-
-    let mut origins_scratch: Vec<usize> = Vec::new();
-    let mut row = vec![0u64; p];
-    let mut windows: Vec<(u64, u64)> = Vec::with_capacity(naggs);
-    let mut agg_bufs: Vec<Vec<(u64, Payload)>> = (0..naggs).map(|_| Vec::new()).collect();
-    let mut provenance: Vec<Provenance> = vec![Provenance::default(); naggs];
-    let mut sreqs: Vec<Request> = Vec::new();
-    let mut recvd: Vec<(u64, Payload)> = Vec::new();
-    let mut order: Vec<(u64, u32)> = Vec::new();
-    let mut sorted: Vec<(u64, Payload)> = Vec::new();
-
-    for round in 0..ntimes {
-        let tag = DATA_TAG_BASE + (round % 4096) as Tag;
-        windows.clear();
-        windows.extend((0..naggs).map(|a| {
-            let ws = (fds.starts[a] + round * cb).min(fds.ends[a]);
-            let we = (fds.starts[a] + (round + 1) * cb).min(fds.ends[a]);
-            (ws, we)
-        }));
-
-        row.fill(0);
-        for (a, &(ws, we)) in windows.iter().enumerate() {
-            agg_bufs[a].clear();
-            provenance[a] = match &merged {
-                Some(m) => m.window_into(ws, we, &mut agg_bufs[a], &mut origins_scratch),
-                None if algo == TwoPhaseAlgo::NodeAgg => Provenance::default(),
-                None => {
-                    if my_bytes == 0 {
-                        Provenance::default()
-                    } else {
-                        view.for_each_piece_in_window(ws, we, |vp| {
-                            agg_bufs[a]
-                                .push((vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)));
-                        });
-                        Provenance::plain(agg_bufs[a].len() as u64)
-                    }
-                }
-            };
-            row[aggregators[a]] = agg_bufs[a].iter().map(|(_, p)| p.len).sum();
-        }
-
-        // Size dissemination: a fault-tolerant alltoall — the
-        // coordinator assembles the full size matrix and broadcasts it
-        // (or the abort decision) to every survivor.
-        let matrix: Option<Vec<Vec<u64>>> = {
-            let _t = prof.enter(Phase::ShuffleAlltoall);
-            comm.ft_coordinate(
-                ft_tag(attempt, seq),
-                row.clone(),
-                8 * p as u64,
-                timeout,
-                |contribs| {
-                    contribs
-                        .iter_mut()
-                        .map(std::option::Option::take)
-                        .collect::<Option<Vec<_>>>()
-                },
-            )
-            .await
-        };
-        seq += 1;
-        let Some(matrix) = matrix else {
-            return Err(Aborted);
-        };
-
-        // Data shuffle. Sends complete on arrival whatever the
-        // receiver's fate; receives are timed, and a silent sender is
-        // convicted without skipping the round's coordination.
-        let mut local_abort = false;
-        recvd.clear();
-        for (a, c) in agg_bufs.iter_mut().enumerate() {
-            if c.is_empty() {
-                continue;
-            }
-            let dst = aggregators[a];
-            if dst == me {
-                recvd.append(c);
-            } else {
-                let npieces = c.len() as u64;
-                let bytes: u64 = c.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * npieces;
-                counter("coll.shuffle.msgs", 1);
-                counter("coll.shuffle.bytes", bytes);
-                if comm.node_of(dst) != my_node {
-                    counter("coll.shuffle.remote_msgs", 1);
-                    counter("coll.shuffle.remote_bytes", bytes);
-                    let saved = 32 * provenance[a].msgs.saturating_sub(1)
-                        + 16 * provenance[a].pieces.saturating_sub(npieces);
-                    if saved > 0 {
-                        counter("coll.node_agg.shuffle_bytes_saved", saved);
-                    }
-                }
-                let mut payload = comm.send_buf::<(u64, Payload)>();
-                payload.append(c);
-                sreqs.push(comm.isend(dst, tag, bytes, payload));
-            }
-        }
-        {
-            let _t = prof.enter(Phase::ShuffleWaitall);
-            if my_agg.is_some() {
-                for (src, sizes) in matrix.iter().enumerate() {
-                    if src == me || sizes[me] == 0 {
-                        continue;
-                    }
-                    match comm.recv_timeout(SourceSel::Rank(src), tag, timeout).await {
-                        Some(m) => {
-                            let mut v = m.into_data::<Vec<(u64, Payload)>>();
-                            recvd.append(&mut v);
-                            comm.recycle_buf(v);
-                        }
-                        None => {
-                            comm.mark_failed(src);
-                            local_abort = true;
-                        }
-                    }
-                }
-            }
-            for r in sreqs.drain(..) {
-                r.wait().await;
-            }
-        }
-
-        // Collective-buffer assembly + write — skipped when this
-        // round is already doomed (the redo rewrites the window).
-        let mut local_err: u32 = 0;
-        if !local_abort && my_agg.is_some() && !recvd.is_empty() {
-            let total: u64 = recvd.iter().map(|(_, p)| p.len).sum();
-            {
-                let _t = prof.enter(Phase::CollBufAssembly);
-                net.local_copy(comm.node(), total).await;
-            }
-            order.clear();
-            order.extend(
-                recvd
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(off, _))| (off, i as u32)),
-            );
-            order.sort_unstable();
-            sorted.clear();
-            sorted.extend(
-                order.iter().map(|&(_, i)| {
-                    std::mem::replace(&mut recvd[i as usize], (0, Payload::zero(0)))
-                }),
-            );
-            let mut holes = false;
-            let mut run_end = 0u64;
-            for (i, &(off, ref pl)) in sorted.iter().enumerate() {
-                if i > 0 && off > run_end {
-                    holes = true;
-                }
-                run_end = run_end.max(off + pl.len);
-            }
-            if holes && !fd.cache_active() {
-                let span_start = sorted.first().unwrap().0;
-                let span_end = run_end;
-                {
-                    let _t = prof.enter(Phase::Write);
-                    if let Err(e) = fd
-                        .global()
-                        .read(comm.node(), span_start, span_end - span_start)
-                        .await
-                    {
-                        local_err = 1;
-                        fd.record_io_error(e.into());
-                    }
-                }
-                if let Err(e) = fd
-                    .write_span(
-                        span_start,
-                        span_end - span_start,
-                        std::mem::take(&mut sorted),
-                    )
-                    .await
-                {
-                    local_err = 1;
-                    fd.record_io_error(e);
-                }
-            } else {
-                let mut it = sorted.drain(..);
-                if let Some((mut coff, mut cp)) = it.next() {
-                    for (off, pl) in it {
-                        if coff + cp.len == off && cp.src.continues(cp.len, &pl.src) {
-                            cp.len += pl.len;
-                        } else {
-                            if let Err(e) = fd.write_contig(coff, cp).await {
-                                local_err = 1;
-                                fd.record_io_error(e);
-                            }
-                            coff = off;
-                            cp = pl;
-                        }
-                    }
-                    if let Err(e) = fd.write_contig(coff, cp).await {
-                        local_err = 1;
-                        fd.record_io_error(e);
-                    }
-                }
-            }
-        }
-
-        // Round status: OR of (abort, error) bits, with the usual
-        // missing-contributor abort. This replaces the stock engine's
-        // single final allreduce — each round's fate is settled before
-        // the next round's shuffle.
-        let flag = u64::from(local_abort) | (u64::from(local_err) << 1);
-        let status: Option<u64> = {
-            let _t = prof.enter(Phase::PostWrite);
-            comm.ft_coordinate(ft_tag(attempt, seq), flag, 16, timeout, |contribs| {
-                let mut or = 0u64;
-                for c in contribs.iter() {
-                    or |= (*c)?;
-                }
-                Some(or)
-            })
-            .await
-        };
-        seq += 1;
-        match status {
-            None => return Err(Aborted),
-            Some(f) if f & 1 != 0 => return Err(Aborted),
-            Some(f) => global_err |= (f >> 1) as u32 & 1,
-        }
-    }
-
-    Ok(WriteAllResult {
-        bytes: my_bytes,
-        rounds: ntimes,
-        used_collective: true,
-        error_code: global_err,
-    })
-}
-
-/// Tag of the tolerant intra-node gather (its communicator is carved
-/// fresh from each attempt's survivor communicator, so no stale
-/// messages can cross attempts).
-const NODE_GATHER_TAG: Tag = 0x6100_0000;
-
-/// The node-agg pre-phase over the live node members: gather every
-/// member's piece list to the node leader with timed receives. Returns
-/// the merged request list on the leader, `Ok(None)` on members, and
-/// `Err(Aborted)` if a member died mid-gather (the leader convicts it
-/// on the survivor communicator; the caller's pre-phase sync spreads
-/// the abort).
-async fn gather_node_tolerant(
-    comm: &Comm,
-    node_comm: &Comm,
-    members: &[usize],
-    view: &FileView,
-    data: &DataSpec,
-    timeout: SimDuration,
-) -> Result<Option<MergedNode>, Aborted> {
-    let mine: Vec<(u64, Payload)> = view
-        .pieces()
-        .iter()
-        .map(|vp| (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)))
-        .collect();
-    if node_comm.rank() != 0 {
-        let bytes: u64 = mine.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * mine.len() as u64;
-        drop(node_comm.isend(0, NODE_GATHER_TAG, bytes, mine));
-        return Ok(None);
-    }
-    let mut aborted = false;
-    let mut raw: Vec<(u64, u64, usize)> =
-        mine.iter().map(|&(off, ref p)| (off, p.len, 0)).collect();
-    let mut pieces = mine;
-    // `src` is both the node-comm recv source and the index into
-    // `members` for conviction; enumerate() would hide that pairing.
-    #[allow(clippy::needless_range_loop)]
-    for src in 1..node_comm.size() {
-        match node_comm
-            .recv_timeout(SourceSel::Rank(src), NODE_GATHER_TAG, timeout)
-            .await
-        {
-            Some(m) => {
-                for (off, p) in m.into_data::<Vec<(u64, Payload)>>() {
-                    raw.push((off, p.len, src));
-                    pieces.push((off, p));
-                }
-            }
-            None => {
-                comm.mark_failed(members[src]);
-                aborted = true;
-            }
-        }
-    }
-    if aborted {
-        return Err(Aborted);
-    }
-    raw.sort_by_key(|&(off, _, _)| off);
-    pieces.sort_by_key(|&(off, _)| off);
-    let raw_count = pieces.len() as u64;
-    let merged = crate::collective::merge_continuing(pieces);
-    counter("coll.node_agg.merged_reqs", raw_count - merged.len() as u64);
-    Ok(Some(MergedNode::new(merged, raw)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collective::write_at_all;
+    use crate::test_util::{cb_info, strided_view, write_then_read};
     use crate::testbed::TestbedSpec;
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::{kill_group, new_group, run, sleep, spawn, spawn_in_group, Flag};
@@ -601,22 +312,8 @@ mod tests {
         SimDuration::from_millis(n)
     }
 
-    fn strided_view(rank: usize, p: usize, block: u64, count: u64) -> FileView {
-        let blocks: Vec<(u64, u64)> = (0..count)
-            .map(|i| ((i * p as u64 + rank as u64) * block, block))
-            .collect();
-        FileView::new(&FlatType::indexed(blocks), 0)
-    }
-
     fn ft_info(extra: &[(&str, &str)]) -> Info {
-        let i = Info::new();
-        i.set("romio_cb_write", "enable");
-        i.set("cb_buffer_size", "65536");
-        i.set("e10_coll_timeout", "40");
-        for (k, v) in extra {
-            i.set(k, v);
-        }
-        i
+        cb_info(&[&[("e10_coll_timeout", "40")], extra].concat())
     }
 
     /// Run an 8-rank / 4-node collective write where `victims` are
@@ -711,37 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn tolerant_write_without_failures_is_correct() {
-        run(async {
-            let tb = TestbedSpec::small(8, 4).build();
-            let handles: Vec<_> = tb
-                .ctxs()
-                .into_iter()
-                .map(|ctx| {
-                    spawn(async move {
-                        let f = crate::adio::AdioFile::open(&ctx, "/gfs/ftok", &ft_info(&[]), true)
-                            .await
-                            .unwrap();
-                        let view = strided_view(ctx.comm.rank(), 8, 10_000, 16);
-                        let res = write_at_all(&f, &view, &DataSpec::FileGen { seed: 30 }).await;
-                        assert!(res.used_collective);
-                        assert_eq!(res.error_code, 0);
-                        assert_eq!(res.bytes, 160_000);
-                        f.close().await;
-                        if ctx.comm.rank() == 0 {
-                            f.global()
-                                .extents()
-                                .verify_gen(30, 0, 8 * 16 * 10_000)
-                                .unwrap();
-                        }
-                    })
-                })
-                .collect();
-            e10_simcore::join_all(handles).await;
-        });
-    }
-
-    #[test]
     fn mid_collective_crash_survivors_complete_and_verify() {
         // Node 1 (ranks 2, 3) dies shortly into the write.
         crash_scenario(&[2, 3], ms(3), &[]);
@@ -774,33 +440,35 @@ mod tests {
         );
     }
 
+    /// Transport equivalence: with no failures the plain and the timed
+    /// transport are the same write — same bytes, same rounds, same
+    /// shuffle traffic, same read-back — under every algorithm.
     #[test]
-    fn tolerant_node_agg_without_failures_matches_plain_bytes() {
-        run(async {
-            let tb = TestbedSpec::small(8, 2).build();
-            let handles: Vec<_> = tb
-                .ctxs()
-                .into_iter()
-                .map(|ctx| {
-                    spawn(async move {
-                        let info = ft_info(&[("e10_two_phase", "node_agg")]);
-                        let f = crate::adio::AdioFile::open(&ctx, "/gfs/ftna", &info, true)
-                            .await
-                            .unwrap();
-                        let view = strided_view(ctx.comm.rank(), 8, 7_000, 8);
-                        let res = write_at_all(&f, &view, &DataSpec::FileGen { seed: 33 }).await;
-                        assert_eq!(res.error_code, 0);
-                        f.close().await;
-                        if ctx.comm.rank() == 0 {
-                            f.global()
-                                .extents()
-                                .verify_gen(33, 0, 8 * 8 * 7_000)
-                                .unwrap();
-                        }
-                    })
-                })
-                .collect();
-            e10_simcore::join_all(handles).await;
-        });
+    fn without_failures_both_transports_write_the_same() {
+        for algo in ["stock", "extended", "node_agg"] {
+            let (plain, timed) = (write_then_read(algo, "0"), write_then_read(algo, "40"));
+            assert_eq!(plain.rounds, timed.rounds, "{algo}: rounds");
+            assert_eq!(plain.shuffle, timed.shuffle, "{algo}: shuffle traffic");
+            assert!(plain == timed, "{algo}: file bytes or read pieces differ");
+        }
+    }
+
+    /// Block k is `[tag, tag + 2p)`: a step's tags must end before the
+    /// next step's begin — at the benchmark's 256 ranks, across the
+    /// attempt boundary — and stay inside the FT range.
+    #[test]
+    fn ft_tag_blocks_are_disjoint() {
+        let p = 256;
+        let width = 2 * p as Tag;
+        let steps = [(0, 0), (0, 1), (0, FT_STEPS - 1), (1, 0), (1, 1), (2, 0)];
+        for w in steps.windows(2) {
+            let (a, b) = (ft_tag(p, w[0].0, w[0].1), ft_tag(p, w[1].0, w[1].1));
+            assert!(a + width <= b, "{:?} overlaps {:?}", w[0], w[1]);
+        }
+        assert_eq!(ft_tag(p, 0, 0), FT_TAG_BASE);
+        assert!(ft_tag(p, 2, 0) + width <= FT_TAG_BASE + FT_TAG_SPAN);
+        // A step past the per-attempt limit wraps inside its own
+        // attempt's blocks, never into the next attempt's.
+        assert_eq!(ft_tag(p, 0, FT_STEPS + 3), ft_tag(p, 0, 3));
     }
 }

@@ -103,6 +103,35 @@ fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> 
     rounds.get()
 }
 
+/// The gauge is per-thread: a window on this thread must not see what
+/// other threads allocate meanwhile (libtest runs this file's tests on
+/// parallel threads, and each one's count has to be its own).
+#[test]
+fn other_threads_do_not_leak_into_the_count() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    static STOP: AtomicBool = AtomicBool::new(false);
+    let (started, wait_started) = mpsc::channel();
+    let noise = std::thread::spawn(move || {
+        alloc_gauge::enable();
+        std::hint::black_box(vec![0u8; 64]);
+        started.send(()).unwrap();
+        while !STOP.load(Ordering::Relaxed) {
+            std::hint::black_box(vec![0u8; 64]);
+        }
+    });
+    // The other thread is counting and allocating from here on.
+    wait_started.recv().unwrap();
+    let (n, _) = alloc_gauge::count(|| {
+        for _ in 0..1000 {
+            std::hint::black_box(Box::new(7u64));
+        }
+    });
+    STOP.store(true, Ordering::Relaxed);
+    noise.join().unwrap();
+    assert_eq!(n, 1000, "exactly this thread's allocations");
+}
+
 #[test]
 fn collective_write_allocation_budget() {
     // Warm-up outside the counted window (lazy statics, first-touch

@@ -19,39 +19,48 @@
 //!
 //! Counting covers `alloc` and `realloc` (a `realloc` is a fresh
 //! allocator round-trip even when it resizes in place); `dealloc` is
-//! free. The counter is atomic and process-global, so it also works
-//! under the bench worker pool — but per-scenario counts are only
-//! meaningful when exactly one simulation thread runs inside the
-//! counted window (`E10_JOBS=1`), which is how the gates invoke it.
+//! free. The counter and the enable flag are per-thread: every
+//! simulation runs on exactly one thread, so "this thread's window" is
+//! exactly "this run" — concurrent libtest threads or bench pool
+//! workers never leak allocations into each other's counts.
 //!
 //! When `CountingAlloc` is *not* installed as the global allocator the
 //! helpers still run the closure; they just report 0 — callers that
 //! require real numbers can check [`is_installed`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 static BT_LO: AtomicU64 = AtomicU64::new(u64::MAX);
 static BT_HI: AtomicU64 = AtomicU64::new(u64::MAX);
 
+// `const`-initialised `Cell`s of `Copy` types: no lazy init and no
+// destructor, so touching them from inside the allocator can neither
+// allocate nor observe a torn-down slot.
 thread_local! {
-    static IN_HOOK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static IN_HOOK: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Debug aid for allocation hunts: print a backtrace for every counted
 /// allocation whose ordinal falls in `[lo, hi)`. `RUST_BACKTRACE=1`
-/// must be set for symbols. Disabled (the default) it costs one atomic
-/// load per counted allocation.
+/// must be set for symbols. The range is process-wide (ordinals are
+/// per-thread); disabled (the default) it costs one atomic load per
+/// counted allocation.
 pub fn trace_range(lo: u64, hi: u64) {
     BT_LO.store(lo, Ordering::Relaxed);
     BT_HI.store(hi, Ordering::Relaxed);
 }
 
 fn note_alloc() {
-    let n = ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if !COUNTING.get() {
+        return;
+    }
+    let n = ALLOCS.get();
+    ALLOCS.set(n + 1);
     if n >= BT_LO.load(Ordering::Relaxed) && n < BT_HI.load(Ordering::Relaxed) {
         IN_HOOK.with(|f| {
             if !f.get() {
@@ -72,9 +81,7 @@ pub struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            note_alloc();
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -83,9 +90,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            note_alloc();
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -117,25 +122,24 @@ pub fn is_installed() -> bool {
     INSTALLED.load(Ordering::Relaxed)
 }
 
-/// Allocator calls observed since the last [`reset`], regardless of
-/// whether counting is currently enabled.
+/// Allocator calls this thread has counted since its last [`reset`].
 pub fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.get()
 }
 
-/// Zero the counter.
+/// Zero this thread's counter.
 pub fn reset() {
-    ALLOCS.store(0, Ordering::Relaxed);
+    ALLOCS.set(0);
 }
 
-/// Enable counting (idempotent).
+/// Enable counting on this thread (idempotent).
 pub fn enable() {
-    COUNTING.store(true, Ordering::Relaxed);
+    COUNTING.set(true);
 }
 
-/// Disable counting (idempotent).
+/// Disable counting on this thread (idempotent).
 pub fn disable() {
-    COUNTING.store(false, Ordering::Relaxed);
+    COUNTING.set(false);
 }
 
 /// Count allocator calls across `f`, returning `(calls, f())`.

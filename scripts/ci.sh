@@ -22,7 +22,8 @@
 #      binary itself gates on the contended arm degrading + evicting
 #      while the control arms stay clean, and the JSON output (minus
 #      the host_secs wall-clock field) must be byte-identical at
-#      E10_JOBS=1 and E10_JOBS=8
+#      E10_JOBS=1 and E10_JOBS=8 (identical_across_jobs, as in steps
+#      10-12)
 #   8. node_agg smoke: the three collective-write algorithms on the
 #      test-scale grid; the binary gates on intra-node aggregation
 #      strictly reducing inter-node shuffle bytes AND messages vs the
@@ -47,8 +48,8 @@
 #      must match exactly (the sim is deterministic), the densest
 #      cell's median wall-clock per event must stay within the
 #      baseline's tolerance factor, and the JSON minus the
-#      wall-clock/host fields must be byte-identical at --jobs 1
-#      and --jobs 8
+#      wall-clock/host fields must be byte-identical at E10_JOBS=1
+#      and E10_JOBS=8
 #  12. degraded smoke: the failure-intensity × cache-class ×
 #      algorithm survivability grid; the binary gates on every cell
 #      verifying all acked bytes (device failure, mid-collective node
@@ -58,6 +59,10 @@
 #      The zero-cost-when-off half of the gate is the alloc_count
 #      steady-state test in step 2 (tolerance hints at defaults add
 #      exactly 0 allocator calls per round).
+#  13. repo-benchmark smoke: builds the standalone `benchmark/` crate
+#      against this tree (so a rename in crates/ cannot break it
+#      unnoticed) and runs all five workloads at 8 ranks; its
+#      self-checks exit != 0
 #
 # Each step prints its wall-clock seconds.
 set -euo pipefail
@@ -99,20 +104,24 @@ t0=$SECONDS
 cargo run --release -q -p e10-bench --bin bench_baseline -- --smoke --jobs 4 --out -
 echo "    [$(($SECONDS - t0))s] bench_baseline smoke"
 
-echo "==> multi_job smoke (arbiter gate + E10_JOBS=1 vs 8 byte-identity)"
-t0=$SECONDS
-E10_JOBS=1 cargo run --release -q -p e10-bench --bin multi_job -- --json \
-  > target/ci-multi-job-1.json
-E10_JOBS=8 cargo run --release -q -p e10-bench --bin multi_job -- --json \
-  > target/ci-multi-job-8.json
-# host_secs is the only wall-clock (non-simulated) field; everything
-# else must not depend on the worker count.
-sed 's/"host_secs":[^,]*,//' target/ci-multi-job-1.json \
-  > target/ci-multi-job-1.stripped.json
-sed 's/"host_secs":[^,]*,//' target/ci-multi-job-8.json \
-  > target/ci-multi-job-8.stripped.json
-cmp target/ci-multi-job-1.stripped.json target/ci-multi-job-8.stripped.json
-echo "    [$(($SECONDS - t0))s] multi_job smoke"
+# identical_across_jobs NAME STRIP CMD...: run CMD (JSON on stdout) at
+# E10_JOBS=1 and E10_JOBS=8. Apart from the host-side fields matching
+# the extended regex STRIP — wall-clock seconds, the worker count —
+# the two documents must be byte-identical: nothing simulated may
+# depend on the worker count.
+identical_across_jobs() {
+  local name=$1 strip=$2 jobs
+  shift 2
+  for jobs in 1 8; do
+    E10_JOBS=$jobs "$@" > "target/ci-$name-$jobs.json"
+    sed -E "s/($strip): *[^,]*,//g" "target/ci-$name-$jobs.json" \
+      > "target/ci-$name-$jobs.stripped.json"
+  done
+  cmp "target/ci-$name-1.stripped.json" "target/ci-$name-8.stripped.json"
+}
+
+step identical_across_jobs multi-job '"host_secs"' \
+  cargo run --release -q -p e10-bench --bin multi_job -- --json
 
 echo "==> node_agg smoke (inter-node traffic reduction gate)"
 t0=$SECONDS
@@ -125,51 +134,19 @@ t0=$SECONDS
 E10_JOBS=4 cargo run --release -q -p e10-bench --bin chaos_soak -- --smoke --json
 echo "    [$(($SECONDS - t0))s] chaos-soak smoke"
 
-echo "==> nvm_sweep smoke (cache-tier gate + E10_JOBS=1 vs 8 byte-identity)"
-t0=$SECONDS
-E10_JOBS=1 cargo run --release -q -p e10-bench --bin nvm_sweep -- --smoke --json \
-  --out - > target/ci-nvm-sweep-1.json
-E10_JOBS=8 cargo run --release -q -p e10-bench --bin nvm_sweep -- --smoke --json \
-  --out - > target/ci-nvm-sweep-8.json
-# The worker count is recorded in the document; everything else —
-# stall counters, front bytes, bandwidth — must not depend on it.
-sed 's/"jobs":[^,]*,//' target/ci-nvm-sweep-1.json \
-  > target/ci-nvm-sweep-1.stripped.json
-sed 's/"jobs":[^,]*,//' target/ci-nvm-sweep-8.json \
-  > target/ci-nvm-sweep-8.stripped.json
-cmp target/ci-nvm-sweep-1.stripped.json target/ci-nvm-sweep-8.stripped.json
-echo "    [$(($SECONDS - t0))s] nvm_sweep smoke"
+step identical_across_jobs nvm-sweep '"jobs"' \
+  cargo run --release -q -p e10-bench --bin nvm_sweep -- --smoke --json --out -
 
-echo "==> bench_perf smoke (perf-baseline gate + E10_JOBS=1 vs 8 byte-identity)"
-t0=$SECONDS
-cargo run --release -q -p e10-bench --bin bench_perf -- --jobs 1 \
-  --check BENCH_perf.json --out target/ci-bench-perf-1.json
-cargo run --release -q -p e10-bench --bin bench_perf -- --jobs 8 \
-  --check BENCH_perf.json --out target/ci-bench-perf-8.json
-# Events, sim times, bandwidth and allocator-call counts are
-# deterministic; only the wall-clock / host fields may differ between
-# job counts (and vs the committed baseline's host).
-STRIP='"host_secs"|"wall_ns_per_event"|"jobs"|"host_cpus"|"wall_densest_median_ns_per_event"'
-grep -Ev "$STRIP" target/ci-bench-perf-1.json \
-  > target/ci-bench-perf-1.stripped.json
-grep -Ev "$STRIP" target/ci-bench-perf-8.json \
-  > target/ci-bench-perf-8.stripped.json
-cmp target/ci-bench-perf-1.stripped.json target/ci-bench-perf-8.stripped.json
-echo "    [$(($SECONDS - t0))s] bench_perf smoke"
+# --check gates events and allocator calls against the committed
+# baseline (and the densest cell's wall clock within its tolerance).
+step identical_across_jobs bench-perf \
+  '"host_secs"|"wall_ns_per_event"|"jobs"|"host_cpus"|"wall_densest_median_ns_per_event"' \
+  cargo run --release -q -p e10-bench --bin bench_perf -- \
+  --check BENCH_perf.json --json --out -
 
-echo "==> degraded smoke (survivability gate + E10_JOBS=1 vs 8 byte-identity)"
-t0=$SECONDS
-E10_JOBS=1 cargo run --release -q -p e10-bench --bin degraded -- --smoke --json \
-  --out - > target/ci-degraded-1.json
-E10_JOBS=8 cargo run --release -q -p e10-bench --bin degraded -- --smoke --json \
-  --out - > target/ci-degraded-8.json
-# host_secs is the only wall-clock field; verdicts, injection counts
-# and file digests must not depend on the worker count.
-sed 's/"host_secs":[^,]*,//' target/ci-degraded-1.json \
-  > target/ci-degraded-1.stripped.json
-sed 's/"host_secs":[^,]*,//' target/ci-degraded-8.json \
-  > target/ci-degraded-8.stripped.json
-cmp target/ci-degraded-1.stripped.json target/ci-degraded-8.stripped.json
-echo "    [$(($SECONDS - t0))s] degraded smoke"
+step identical_across_jobs degraded '"host_secs"' \
+  cargo run --release -q -p e10-bench --bin degraded -- --smoke --json --out -
+
+step bash benchmark/run.sh --smoke
 
 echo "==> ci: all green"
