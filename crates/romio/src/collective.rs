@@ -61,7 +61,7 @@ const ROUND_TAGS: Tag = 4096;
 /// The write shuffle's piece lists.
 const DATA_TAG_BASE: Tag = 0x2000_0000;
 /// The node-leader pre-stage gather (one tag: it runs once per
-/// collective, on the node communicator).
+/// collective, ahead of the rounds).
 pub(crate) const GATHER_TAG: Tag = 0x2800_0000;
 /// The read path's request lists and data replies.
 pub(crate) const READ_REQ_TAG_BASE: Tag = 0x3000_0000;
@@ -94,7 +94,10 @@ pub struct WriteAllResult {
 /// How the ranks of a collective coordinate: the five points where the
 /// crash-tolerant write differs from the plain one. Everything else —
 /// window maths, shuffle sends, counters, assembly, the write itself —
-/// is [`two_phase_write`], once.
+/// is [`two_phase_write`], once. A transport is built for one
+/// collective on one communicator (`fd.comm`) and every step runs
+/// there, so whatever a step learns about a peer it learns on the
+/// communicator the next step — and the caller — will use.
 ///
 /// | step | [`Plain`] | `Timed` |
 /// |---|---|---|
@@ -109,29 +112,25 @@ pub(crate) trait Transport {
     type Abort;
 
     /// 1. Every rank's `(start, end)` access range, by rank.
-    async fn gather_ranges(
-        &mut self,
-        comm: &Comm,
-        mine: (u64, u64),
-    ) -> Result<Vec<(u64, u64)>, Self::Abort>;
+    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Vec<(u64, u64)>, Self::Abort>;
 
     /// 2. `sizes[i]` goes to rank `i` and is replaced by the value
-    ///    rank `i` sent here. `sreqs` is drained scratch.
-    async fn exchange_sizes(
-        &mut self,
-        comm: &Comm,
-        sizes: &mut [u64],
-        sreqs: &mut Vec<Request>,
-    ) -> Result<(), Self::Abort>;
+    ///    rank `i` sent here.
+    async fn exchange_sizes(&mut self, sizes: &mut [u64]) -> Result<(), Self::Abort>;
 
     /// 3. One piece list from each rank of `srcs`, handed to `got` in
-    ///    `srcs` order. `rreqs` is drained scratch.
+    ///    `srcs` order. The one step that also serves the pre-stage,
+    ///    so it names where the lists travel: `on` is the transport's
+    ///    own communicator, or (only ever under [`Plain`], which
+    ///    learns nothing from a receive) this rank's node communicator.
+    ///    `pending` is request storage the caller keeps across calls
+    ///    and gets back empty, so steady-state rounds allocate nothing.
     async fn recv_each(
         &mut self,
-        comm: &Comm,
+        on: &Comm,
         srcs: impl Iterator<Item = usize>,
         tag: Tag,
-        rreqs: &mut Vec<Request>,
+        pending: &mut Vec<Request>,
         got: impl FnMut(Vec<(u64, Payload)>),
     );
 
@@ -143,52 +142,53 @@ pub(crate) trait Transport {
     /// 4. Settle the pre-stage (`phase` is `None`) or a round (charged
     ///    to `phase`) before anything builds on it. `local_err` is
     ///    this rank's error code so far.
-    async fn settle(
-        &mut self,
-        fd: &AdioFile,
-        phase: Option<Phase>,
-        local_err: u32,
-    ) -> Result<(), Self::Abort>;
+    async fn settle(&mut self, phase: Option<Phase>, local_err: u32) -> Result<(), Self::Abort>;
 
     /// 5. The global error code.
-    async fn finish(&mut self, fd: &AdioFile, local_err: u32) -> u32;
+    async fn finish(&mut self, local_err: u32) -> u32;
 }
 
-/// Stock MPI coordination: blocking collectives, untimed receives, no
-/// per-round settle, one final error `MPI_Allreduce`. Cannot abort.
-pub(crate) struct Plain;
+/// Stock MPI coordination on `fd.comm`: blocking collectives, untimed
+/// receives, no per-round settle, one final error `MPI_Allreduce`.
+/// Cannot abort.
+pub(crate) struct Plain<'a> {
+    fd: &'a AdioFile,
+    /// The size exchange's send requests (empty between steps).
+    sreqs: Vec<Request>,
+}
 
-impl Transport for Plain {
+impl Plain<'_> {
+    pub(crate) fn new(fd: &AdioFile) -> Plain<'_> {
+        Plain {
+            fd,
+            sreqs: Vec::new(),
+        }
+    }
+}
+
+impl Transport for Plain<'_> {
     type Abort = Infallible;
 
-    async fn gather_ranges(
-        &mut self,
-        comm: &Comm,
-        mine: (u64, u64),
-    ) -> Result<Vec<(u64, u64)>, Infallible> {
-        Ok(comm.allgather(mine, 16).await)
+    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Vec<(u64, u64)>, Infallible> {
+        Ok(self.fd.comm.allgather(mine, 16).await)
     }
 
-    async fn exchange_sizes(
-        &mut self,
-        comm: &Comm,
-        sizes: &mut [u64],
-        sreqs: &mut Vec<Request>,
-    ) -> Result<(), Infallible> {
-        comm.alltoall_u64_inplace(sizes, 8, sreqs).await;
+    async fn exchange_sizes(&mut self, sizes: &mut [u64]) -> Result<(), Infallible> {
+        let comm = &self.fd.comm;
+        comm.alltoall_u64_inplace(sizes, 8, &mut self.sreqs).await;
         Ok(())
     }
 
     async fn recv_each(
         &mut self,
-        comm: &Comm,
+        on: &Comm,
         srcs: impl Iterator<Item = usize>,
         tag: Tag,
-        rreqs: &mut Vec<Request>,
+        pending: &mut Vec<Request>,
         mut got: impl FnMut(Vec<(u64, Payload)>),
     ) {
-        rreqs.extend(srcs.map(|src| comm.irecv(SourceSel::Rank(src), tag)));
-        for r in rreqs.drain(..) {
+        pending.extend(srcs.map(|src| on.irecv(SourceSel::Rank(src), tag)));
+        for r in pending.drain(..) {
             if let Some(m) = r.wait().await {
                 got(m.into_data());
             }
@@ -199,13 +199,14 @@ impl Transport for Plain {
         false
     }
 
-    async fn settle(&mut self, _: &AdioFile, _: Option<Phase>, _: u32) -> Result<(), Infallible> {
+    async fn settle(&mut self, _: Option<Phase>, _: u32) -> Result<(), Infallible> {
         Ok(())
     }
 
-    async fn finish(&mut self, fd: &AdioFile, local_err: u32) -> u32 {
-        let _t = fd.profiler().enter(Phase::PostWrite);
-        fd.comm.allreduce(local_err, 4, |a, b| (*a).max(*b)).await
+    async fn finish(&mut self, local_err: u32) -> u32 {
+        let _t = self.fd.profiler().enter(Phase::PostWrite);
+        let comm = &self.fd.comm;
+        comm.allreduce(local_err, 4, |a, b| (*a).max(*b)).await
     }
 }
 
@@ -320,7 +321,7 @@ pub(crate) async fn exchange_ranges<T: Transport>(
     };
     let st_end: Vec<(u64, u64)> = {
         let _t = fd.profiler().enter(Phase::OffsetExchange);
-        t.gather_ranges(&fd.comm, mine).await?
+        t.gather_ranges(mine).await?
     };
     let min_st = st_end.iter().filter(|e| e.0 != u64::MAX).map(|e| e.0).min();
     let Some(min_st) = min_st else {
@@ -394,20 +395,22 @@ pub async fn write_at_all(fd: &AdioFile, view: &FileView, data: &DataSpec) -> Wr
     }
     // The node communicator is split on first use, and only if the
     // pre-stage runs: the future is not polled before that.
-    let Ok(res) = two_phase_write(fd, view, data, &mut Plain, fd.node_comm()).await;
+    let Ok(res) = two_phase_write(fd, view, data, &mut Plain::new(fd), fd.node_comm()).await;
     res
 }
 
 /// The collective write over `fd.comm` with transport `t`: steps 1–5,
 /// with the node-leader pre-stage between 1 and 2 when `e10_two_phase
-/// = node_agg` (`node_comm` resolves to this rank's node communicator
-/// and is awaited only then).
+/// = node_agg`. `gather_comm` is awaited only then and resolves to the
+/// communicator the pre-stage gathers over — this rank's node
+/// communicator, or `fd.comm` itself ([`gather_to_leader`] picks out
+/// the ranks of this node).
 pub(crate) async fn two_phase_write<T: Transport>(
     fd: &AdioFile,
     view: &FileView,
     data: &DataSpec,
     t: &mut T,
-    node_comm: impl Future<Output = Comm>,
+    gather_comm: impl Future<Output = Comm>,
 ) -> Result<WriteAllResult, T::Abort> {
     let my_bytes = view.total_bytes();
     let Some(range) = exchange_ranges(fd, view, t).await? else {
@@ -436,10 +439,10 @@ pub(crate) async fn two_phase_write<T: Transport>(
     // inter-node exchange; everyone still joins its collectives.
     let algo = fd.hints().two_phase;
     let merged = if algo == TwoPhaseAlgo::NodeAgg {
-        let node_comm = node_comm.await;
+        let gather_comm = gather_comm.await;
         let merged = {
             let _t = fd.profiler().enter(Phase::NodeAggGather);
-            let m = gather_to_leader(t, &node_comm, view, data).await;
+            let m = gather_to_leader(t, &gather_comm, view, data).await;
             if let Some(m) = &m {
                 stage_into_cache(fd, m).await;
             }
@@ -447,7 +450,7 @@ pub(crate) async fn two_phase_write<T: Transport>(
         };
         // Only a leader can observe a silent member; the settle makes
         // its verdict everybody's before the rounds build on it.
-        t.settle(fd, None, 0).await?;
+        t.settle(None, 0).await?;
         merged
     } else {
         None
@@ -548,7 +551,7 @@ where
         // will receive.
         {
             let _t = prof.enter(Phase::ShuffleAlltoall);
-            t.exchange_sizes(&comm, &mut size_buf, &mut sreqs).await?;
+            t.exchange_sizes(&mut size_buf).await?;
         }
 
         // Data shuffle: post sends, receive, wait for the sends (which
@@ -690,10 +693,10 @@ where
         }
 
         // Each round's fate is settled before the next round's shuffle.
-        t.settle(fd, Some(Phase::PostWrite), local_err).await?;
+        t.settle(Some(Phase::PostWrite), local_err).await?;
     }
     // --- 5. post-write error exchange -------------------------------------
-    Ok(t.finish(fd, local_err).await)
+    Ok(t.finish(local_err).await)
 }
 
 #[cfg(test)]

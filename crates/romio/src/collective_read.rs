@@ -94,7 +94,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     let prof = fd.profiler().clone();
     let me = comm.rank();
 
-    let Ok(Some(range)) = exchange_ranges(fd, view, &mut Plain).await else {
+    let Ok(Some(range)) = exchange_ranges(fd, view, &mut Plain::new(fd)).await else {
         return ReadAllResult::default();
     };
     if !range.use_collective(fd.hints().cb_read) {

@@ -10,12 +10,12 @@
 //! for this variant — it holds no write loop of its own:
 //!
 //! 1. the ranks of a node gather their offset/length lists and data
-//!    to the **node leader** (node rank 0) over the intra-node fabric
-//!    ([`gather_to_leader`]). The node communicator comes from the
-//!    caller: [`e10_mpisim::Comm::split_by_node`] (MPI's
-//!    `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`) on the plain path,
-//!    the live node members of the survivor communicator on the
-//!    crash-tolerant one,
+//!    to the **node leader** (the node's lowest rank) over the
+//!    intra-node fabric ([`gather_to_leader`]). The communicator comes
+//!    from the caller: [`e10_mpisim::Comm::split_by_node`] (MPI's
+//!    `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`) on the plain path;
+//!    the survivor communicator itself on the crash-tolerant one, so
+//!    a conviction made during the gather shrinks the redo,
 //! 2. the leader sorts the union by file offset and merges adjacent
 //!    continuing pieces into one per-node aggregated request list
 //!    ([`crate::collective::merge_continuing`]) — when the E10 cache
@@ -136,13 +136,17 @@ impl MergedNode {
     }
 }
 
-/// The pre-stage: ship every node rank's piece list to the node
-/// leader over the intra-node fabric. Returns the merged request list
-/// on the leader, `None` elsewhere — and on a leader whose transport
-/// is doomed because a member stayed silent.
+/// The pre-stage: ship the piece list of every rank of this node to
+/// the node leader over the intra-node fabric. The group is the ranks
+/// of `comm` on this rank's node and the lowest of them leads: rank 0
+/// and everybody else on a node communicator, the node's lowest *live*
+/// rank on a survivor communicator (a leader that died in an earlier
+/// attempt is already replaced). Returns the merged request list on
+/// the leader, `None` elsewhere — and on a leader whose transport is
+/// doomed because a member stayed silent.
 pub(crate) async fn gather_to_leader<T: Transport>(
     t: &mut T,
-    node_comm: &Comm,
+    comm: &Comm,
     view: &FileView,
     data: &DataSpec,
 ) -> Option<MergedNode> {
@@ -151,19 +155,22 @@ pub(crate) async fn gather_to_leader<T: Transport>(
         .iter()
         .map(|vp| (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)))
         .collect();
-    if node_comm.rank() != 0 {
+    let mut members = (0..comm.size()).filter(|&r| comm.node_of(r) == comm.node());
+    let leader = members.next().expect("a rank is on its own node");
+    if comm.rank() != leader {
         // Same wire model as the shuffle: payload + 32-byte envelope +
         // 16-byte header per piece — but over the intra-node fabric.
         // The send completes on arrival whatever the leader's fate.
         let bytes: u64 = mine.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * mine.len() as u64;
-        waitall(vec![node_comm.isend(0, GATHER_TAG, bytes, mine)]).await;
+        waitall(vec![comm.isend(leader, GATHER_TAG, bytes, mine)]).await;
         return None;
     }
     // Merge only once every member has answered: a silent one dooms
     // the attempt and the lists are dropped unmerged.
-    let members = 1..node_comm.size();
-    let mut lists: Vec<Vec<(u64, Payload)>> = Vec::with_capacity(members.len());
-    t.recv_each(node_comm, members, GATHER_TAG, &mut Vec::new(), |list| {
+    let n = members.clone().count();
+    let mut lists: Vec<Vec<(u64, Payload)>> = Vec::with_capacity(n);
+    let mut pending = Vec::with_capacity(n);
+    t.recv_each(comm, members, GATHER_TAG, &mut pending, |list| {
         lists.push(list)
     })
     .await;

@@ -83,8 +83,12 @@ fn all_present<T>(contribs: &mut [Option<T>]) -> Option<Vec<T>> {
 }
 
 /// Fault-tolerant coordination (the module header's points 1 and 2;
-/// step by step in the table on [`Transport`]).
-struct Timed {
+/// step by step in the table on [`Transport`]) of one attempt, on the
+/// survivor communicator `fd.comm`.
+struct Timed<'a> {
+    /// The file as the survivors see it (`fd.comm` is their
+    /// communicator: every conviction of the attempt lands there).
+    fd: &'a AdioFile,
     timeout: SimDuration,
     /// Rank count the tag blocks are sized for (the file's full
     /// communicator; survivor communicators are no larger).
@@ -98,36 +102,29 @@ struct Timed {
     global_err: u32,
 }
 
-impl Timed {
+impl Timed<'_> {
     fn next_tag(&mut self) -> Tag {
         self.seq += 1;
         ft_tag(self.p, self.attempt, self.seq - 1)
     }
 }
 
-impl Transport for Timed {
+impl Transport for Timed<'_> {
     type Abort = Aborted;
 
-    async fn gather_ranges(
-        &mut self,
-        comm: &Comm,
-        mine: (u64, u64),
-    ) -> Result<Vec<(u64, u64)>, Aborted> {
+    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Vec<(u64, u64)>, Aborted> {
+        let comm = &self.fd.comm;
         comm.ft_coordinate(self.next_tag(), mine, 16, self.timeout, all_present)
             .await
             .ok_or(Aborted)
     }
 
-    async fn exchange_sizes(
-        &mut self,
-        comm: &Comm,
-        sizes: &mut [u64],
-        _: &mut Vec<Request>,
-    ) -> Result<(), Aborted> {
+    async fn exchange_sizes(&mut self, sizes: &mut [u64]) -> Result<(), Aborted> {
         // A fault-tolerant alltoall — the coordinator assembles the
         // full size matrix and broadcasts it (or the abort decision)
         // to every survivor.
         let (row, bytes) = (sizes.to_vec(), 8 * sizes.len() as u64);
+        let comm = &self.fd.comm;
         let matrix = comm
             .ft_coordinate(self.next_tag(), row, bytes, self.timeout, all_present)
             .await
@@ -140,22 +137,24 @@ impl Transport for Timed {
 
     async fn recv_each(
         &mut self,
-        comm: &Comm,
+        on: &Comm,
         srcs: impl Iterator<Item = usize>,
         tag: Tag,
         _: &mut Vec<Request>,
         mut got: impl FnMut(Vec<(u64, Payload)>),
     ) {
         // A silent sender is convicted without skipping the step's
-        // remaining receives or the coordination that follows.
+        // remaining receives or the coordination that follows. `on` is
+        // the survivor communicator (for the pre-stage gather too), so
+        // the conviction shrinks the next attempt's live list.
         for src in srcs {
-            match comm
+            match on
                 .recv_timeout(SourceSel::Rank(src), tag, self.timeout)
                 .await
             {
                 Some(m) => got(m.into_data()),
                 None => {
-                    comm.mark_failed(src);
+                    on.mark_failed(src);
                     self.doomed = true;
                 }
             }
@@ -166,18 +165,14 @@ impl Transport for Timed {
         self.doomed
     }
 
-    async fn settle(
-        &mut self,
-        fd: &AdioFile,
-        phase: Option<Phase>,
-        local_err: u32,
-    ) -> Result<(), Aborted> {
+    async fn settle(&mut self, phase: Option<Phase>, local_err: u32) -> Result<(), Aborted> {
         // OR of (doomed, error) bits, with the usual
         // missing-contributor abort. This replaces the plain
         // transport's single final allreduce.
         let flag = u64::from(self.doomed) | (u64::from(local_err) << 1);
-        let _t = phase.map(|p| fd.profiler().enter(p));
-        let status: Option<u64> = fd
+        let _t = phase.map(|p| self.fd.profiler().enter(p));
+        let status: Option<u64> = self
+            .fd
             .comm
             .ft_coordinate(self.next_tag(), flag, 16, self.timeout, |contribs| {
                 contribs.iter().try_fold(0, |or, c| Some(or | (*c)?))
@@ -192,7 +187,7 @@ impl Transport for Timed {
         }
     }
 
-    async fn finish(&mut self, _: &AdioFile, _: u32) -> u32 {
+    async fn finish(&mut self, _: u32) -> u32 {
         self.global_err
     }
 }
@@ -253,6 +248,7 @@ pub async fn write_at_all_tolerant(
             sfd.global().raise_fence(epoch);
         }
         let mut timed = Timed {
+            fd: &sfd,
             timeout,
             p,
             attempt,
@@ -260,17 +256,10 @@ pub async fn write_at_all_tolerant(
             doomed: false,
             global_err: 0,
         };
-        // The node communicator is carved out of the *survivor*
-        // communicator, so a dead leader from a previous attempt is
-        // already gone: the leader is the lowest live node member.
-        let node_comm = async {
-            let my_node = sub.node();
-            let members: Vec<usize> = (0..sub.size())
-                .filter(|&r| sub.node_of(r) == my_node)
-                .collect();
-            sub.shrink(&members)
-        };
-        let outcome = two_phase_write(&sfd, view, data, &mut timed, node_comm).await;
+        // The pre-stage gathers over the *survivor* communicator too:
+        // its leader is the node's lowest live rank, and a member it
+        // finds silent is gone from the next attempt's live list.
+        let outcome = two_phase_write(&sfd, view, data, &mut timed, async { sub.clone() }).await;
         // Either way, share what this attempt learned with the parent
         // communicator (idempotent; the sub-comm failure set is shared
         // state, so all survivors propagate the same convictions).
@@ -316,8 +305,9 @@ mod tests {
         cb_info(&[&[("e10_coll_timeout", "40")], extra].concat())
     }
 
-    /// Run an 8-rank / 4-node collective write where `victims` are
-    /// killed `kill_after` after every rank has opened the file.
+    /// Run an 8-rank / `nodes`-node collective write of 16
+    /// `block`-byte blocks per rank where `victims` are killed
+    /// `kill_after` after every rank has opened the file.
     /// Survivors must complete and their own bytes must verify; a
     /// second post-crash collective must also work (the raised fence
     /// must not swallow later writes).
@@ -325,9 +315,10 @@ mod tests {
         victims: &'static [usize],
         kill_after: SimDuration,
         extra: &'static [(&str, &str)],
+        (nodes, block): (usize, u64),
     ) {
         run(async move {
-            let tb = TestbedSpec::small(8, 4).build();
+            let tb = TestbedSpec::small(8, nodes).build();
             let crash_gid = new_group();
             let opened = Rc::new(Cell::new(0usize));
             let all_open = Flag::new();
@@ -351,7 +342,7 @@ mod tests {
                         if opened.get() == 8 {
                             all_open.set();
                         }
-                        let view = strided_view(rank, 8, 10_000, 16);
+                        let view = strided_view(rank, 8, block, 16);
                         let res = write_at_all(&f, &view, &DataSpec::FileGen { seed: 31 }).await;
                         assert_eq!(res.error_code, 0, "rank {rank}: first write failed");
                         f.file_sync().await;
@@ -360,7 +351,7 @@ mod tests {
                         let shifted = FileView::new(
                             &FlatType::indexed(
                                 (0..4u64)
-                                    .map(|i| (2_000_000 + (i * 8 + rank as u64) * 1_000, 1_000))
+                                    .map(|i| (200 * block + (i * 8 + rank as u64) * 1_000, 1_000))
                                     .collect(),
                             ),
                             0,
@@ -394,12 +385,12 @@ mod tests {
                 // Oracle: every byte a surviving rank was acked for
                 // reads back.
                 for i in 0..16u64 {
-                    let off = (i * 8 + rank as u64) * 10_000;
-                    ext.verify_gen(31, off, 10_000)
+                    let off = (i * 8 + rank as u64) * block;
+                    ext.verify_gen(31, off, block)
                         .unwrap_or_else(|e| panic!("rank {rank} block {i}: {e:?}"));
                 }
                 for i in 0..4u64 {
-                    let off = 2_000_000 + (i * 8 + rank as u64) * 1_000;
+                    let off = 200 * block + (i * 8 + rank as u64) * 1_000;
                     ext.verify_gen(32, off, 1_000)
                         .unwrap_or_else(|e| panic!("rank {rank} post block {i}: {e:?}"));
                 }
@@ -410,21 +401,21 @@ mod tests {
     #[test]
     fn mid_collective_crash_survivors_complete_and_verify() {
         // Node 1 (ranks 2, 3) dies shortly into the write.
-        crash_scenario(&[2, 3], ms(3), &[]);
+        crash_scenario(&[2, 3], ms(3), &[], (4, 10_000));
     }
 
     #[test]
     fn aggregator_and_coordinator_death_fails_over() {
         // Rank 0 is both an aggregator and the lowest rank (the
         // ft-coordination default coordinator); rank 1 shares its node.
-        crash_scenario(&[0, 1], ms(3), &[]);
+        crash_scenario(&[0, 1], ms(3), &[], (4, 10_000));
     }
 
     #[test]
     fn node_agg_leader_death_reelects_and_completes() {
         // Rank 2 is node 1's leader under node_agg; its partner rank 3
         // survives and must be re-led.
-        crash_scenario(&[2], ms(3), &[("e10_two_phase", "node_agg")]);
+        crash_scenario(&[2], ms(3), &[("e10_two_phase", "node_agg")], (4, 10_000));
     }
 
     #[test]
@@ -437,7 +428,20 @@ mod tests {
                 ("e10_cache_flush_flag", "flush_immediate"),
                 ("e10_cache_discard_flag", "enable"),
             ],
+            (4, 10_000),
         );
+    }
+
+    #[test]
+    fn node_agg_live_but_slow_members_are_evicted_not_retried() {
+        // Two nodes, 100 MB per rank: each leader's first gather receive
+        // times out on a member (ranks 1 and 5) that is alive, merely
+        // slow, and joins the settle in time. The abort must shrink
+        // the live list all the same, so the redo runs without them.
+        // Evicted ranks have no exit of their own — they wait on the
+        // aborted attempt's settle — so the scenario reaps them late.
+        let extra = &[("e10_two_phase", "node_agg"), ("cb_buffer_size", "1048576")];
+        crash_scenario(&[1, 5], ms(700), extra, (2, 6_250_000));
     }
 
     /// Transport equivalence: with no failures the plain and the timed
