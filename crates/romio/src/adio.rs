@@ -12,7 +12,7 @@ use e10_storesim::Payload;
 use crate::cache::{CacheConfig, CacheLayer};
 use crate::error::Error;
 use crate::fd::select_aggregators_capped;
-use crate::hints::{CacheClass, CacheMode, RomioHints};
+use crate::hints::{CacheMode, RomioHints};
 use crate::profile::{Phase, Profiler};
 use crate::testbed::IoCtx;
 
@@ -144,25 +144,10 @@ impl AdioFile {
             let cfg = CacheConfig::from_hints(&hints, basename, comm.rank(), comm.node());
             // "If for any reason the open of the cache file fails, the
             // implementation reverts to standard open."
-            // `e10_cache_class` picks the backing store: the block SSD
-            // mount (default), the byte-granular NVM mount, or both
-            // (hybrid: SSD block tier + NVM byte-granular front tier).
-            match hints.e10_cache_class {
-                CacheClass::Ssd => CacheLayer::open(ctx.my_localfs().clone(), global.clone(), cfg)
-                    .await
-                    .ok(),
-                CacheClass::Nvm => CacheLayer::open(ctx.my_nvmfs().clone(), global.clone(), cfg)
-                    .await
-                    .ok(),
-                CacheClass::Hybrid => CacheLayer::open_with_front(
-                    ctx.my_localfs().clone(),
-                    Some(ctx.my_nvmfs().clone()),
-                    global.clone(),
-                    cfg,
-                )
+            let (store, front) = ctx.cache_mounts(hints.e10_cache_class);
+            CacheLayer::open_with_front(store, front, global.clone(), cfg)
                 .await
-                .ok(),
-            }
+                .ok()
         } else {
             None
         };

@@ -42,8 +42,12 @@ pub enum Error {
     /// The sync thread could not push every staged extent to the
     /// global file (RPC retries or wire-checksum retransmissions were
     /// exhausted). The affected extents remain staged in the cache
-    /// file and its journal — nothing is lost, but the global file is
-    /// incomplete and the caller must not treat the flush as durable.
+    /// file and its journal and the next flush pushes them again; a
+    /// close that still cannot keeps the cache files for recovery even
+    /// when asked to discard them. Until a flush returns `Ok` the
+    /// global file is incomplete and the caller must not treat it as
+    /// durable. (Bytes a *failed cache device* lost before they were
+    /// synced are reported the same way but have no copy to retry.)
     SyncFailed {
         /// Global-file write failures since the previous flush.
         failures: u64,

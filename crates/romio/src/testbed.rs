@@ -16,6 +16,8 @@ use e10_pfs::{Pfs, PfsParams};
 use e10_simcore::SimRng;
 use e10_storesim::{DeviceModel, Nvm, NvmParams, PageCache, PageCacheParams, Ssd, SsdParams};
 
+use crate::hints::CacheClass;
+
 /// Everything an ADIO file operation needs from the environment, bound
 /// to one rank.
 #[derive(Clone)]
@@ -37,9 +39,20 @@ impl IoCtx {
         &self.localfs[self.comm.node()]
     }
 
-    /// The NVM mount of this rank's node.
-    pub fn my_nvmfs(&self) -> &LocalFs {
-        &self.nvmfs[self.comm.node()]
+    /// The mounts of this rank's node that `e10_cache_class` stages
+    /// on, in the shape `CacheLayer::open_with_front` and
+    /// `recover_with_front` take them: the store of the cache file —
+    /// the block SSD mount (`ssd`, `hybrid`) or the byte-granular NVM
+    /// mount (`nvm`) — and, for `hybrid`, the NVM mount as a distinct
+    /// front store.
+    pub fn cache_mounts(&self, class: CacheClass) -> (LocalFs, Option<LocalFs>) {
+        let ssd = self.my_localfs();
+        let nvm = &self.nvmfs[self.comm.node()];
+        match class {
+            CacheClass::Ssd => (ssd.clone(), None),
+            CacheClass::Nvm => (nvm.clone(), None),
+            CacheClass::Hybrid => (ssd.clone(), Some(nvm.clone())),
+        }
     }
 }
 

@@ -485,23 +485,8 @@ async fn run_once(tb: &Testbed, case: &ChaosCase, plan: Option<FaultPlan>) -> Ru
                         continue;
                     };
                     let ccfg = CacheConfig::from_hints(&romio_hints, basename, rank, node);
-                    let recovery = match romio_hints.e10_cache_class {
-                        CacheClass::Ssd => {
-                            CacheLayer::recover(tb.localfs[node].clone(), global, ccfg).await
-                        }
-                        CacheClass::Nvm => {
-                            CacheLayer::recover(tb.nvmfs[node].clone(), global, ccfg).await
-                        }
-                        CacheClass::Hybrid => {
-                            CacheLayer::recover_with_front(
-                                tb.localfs[node].clone(),
-                                Some(tb.nvmfs[node].clone()),
-                                global,
-                                ccfg,
-                            )
-                            .await
-                        }
-                    };
+                    let (store, front) = tb.ctx(rank).cache_mounts(romio_hints.e10_cache_class);
+                    let recovery = CacheLayer::recover_with_front(store, front, global, ccfg).await;
                     match recovery {
                         Ok((layer, _report)) => {
                             if let Err(e) = layer.close().await {

@@ -271,23 +271,8 @@ pub async fn run_crash_recovery(
         let ccfg = CacheConfig::from_hints(&romio_hints, basename, rank, crash_node);
         let global = tb.pfs.attach(&cfg.path).expect("global file exists");
         // Recover from whichever mount(s) the cache class staged on.
-        let recovery = match romio_hints.e10_cache_class {
-            CacheClass::Ssd => {
-                CacheLayer::recover(tb.localfs[crash_node].clone(), global, ccfg).await
-            }
-            CacheClass::Nvm => {
-                CacheLayer::recover(tb.nvmfs[crash_node].clone(), global, ccfg).await
-            }
-            CacheClass::Hybrid => {
-                CacheLayer::recover_with_front(
-                    tb.localfs[crash_node].clone(),
-                    Some(tb.nvmfs[crash_node].clone()),
-                    global,
-                    ccfg,
-                )
-                .await
-            }
-        };
+        let (store, front) = tb.ctx(rank).cache_mounts(romio_hints.e10_cache_class);
+        let recovery = CacheLayer::recover_with_front(store, front, global, ccfg).await;
         match recovery {
             Ok((layer, report)) => {
                 // A recovery-stage integrity failure (staged bytes that

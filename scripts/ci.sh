@@ -8,7 +8,8 @@
 #   1. release build of every crate, bins included
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
-#      "test result:" lines
+#      "test result:" lines, then scripts/loc.sh over crates/romio/src:
+#      production vs test lines per file (informational, no gate)
 #   3. formatting
 #   4. clippy, warnings promoted to errors
 #   5. fault-matrix smoke: stalls/link faults/RPC failures across the
@@ -89,6 +90,7 @@ awk '/^test result:/ {
               suites, passed, failed
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
+scripts/loc.sh crates/romio/src
 
 step cargo fmt --all --check
 
