@@ -451,7 +451,9 @@ impl Request {
         let Some(st) = self.st.clone() else {
             return Some(None);
         };
-        let mut timer = Box::pin(e10_simcore::sleep(d));
+        // On the stack, and cancelled by its drop when the request
+        // wins: an early completion leaves nothing in the calendar.
+        let mut timer = std::pin::pin!(e10_simcore::sleep(d));
         let out = poll_fn(|cx| {
             // The request wins ties with the timer: a completion at the
             // deadline instant is still a completion.

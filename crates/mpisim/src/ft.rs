@@ -17,10 +17,16 @@
 //!
 //! The control collectives here are star-shaped with coordinator
 //! failover: every live rank sends its contribution to the lowest live
-//! rank, which combines and re-broadcasts; if the coordinator itself
-//! dies, participants time out, convict it and retry with the next
-//! live rank. O(P) messages per operation — fine for the control
-//! plane (failure handling is rare), not a data path.
+//! rank, which combines and answers; if the coordinator itself dies,
+//! participants time out, convict it and retry with the next live
+//! rank. That is O(P) messages per operation — and a data-path cost:
+//! the crash-tolerant collective write runs two such steps per
+//! two-phase round. So a step does no more host work than its messages
+//! imply: the coordinator builds one result and every reply is a share
+//! of it (`Rc` — the simulation is one address space), scratch is
+//! recycled, and a timed receive that completes early leaves no timer
+//! in the calendar. O(P) plus `combine` at the coordinator, O(1)
+//! elsewhere, no steady-state allocator calls beyond the result.
 //!
 //! Accuracy caveat: a live-but-slow rank whose contribution misses the
 //! timeout is convicted like a dead one. Detection is accurate when
@@ -79,38 +85,47 @@ impl Comm {
     ///
     /// Every live rank contributes `v`; the lowest live rank collects
     /// (with `timeout` per missing contributor, convicting silent
-    /// peers), applies `combine` to the per-rank contributions (`None`
-    /// for ranks that failed to arrive — their absence is the caller's
-    /// abort signal) and sends the result to every surviving
-    /// contributor. If the coordinator itself dies, participants time
-    /// out on the result, convict it and fail over to the next live
-    /// rank. `tag_base` must be unique per logical operation and leave
-    /// `2 * size` tag values free above it (the failover tags are
-    /// derived from the coordinator's rank — shared failure knowledge
-    /// keeps them consistent even when ranks enter the operation with
-    /// different conviction histories).
+    /// peers), applies `combine` once to the per-rank contributions
+    /// (`None` for ranks that failed to arrive — their absence is the
+    /// caller's abort signal) and sends every surviving contributor a
+    /// share of that one result: a reply is billed `bytes` on the wire
+    /// whatever `R` holds, and nothing is copied per recipient. If the
+    /// coordinator itself dies, participants time out on the result,
+    /// convict it and fail over to the next live rank with `v.clone()`
+    /// (keep `T` cheap to clone). `tag_base` must be unique per logical
+    /// operation and leave `2 * size` tag values free above it (the
+    /// failover tags are derived from the coordinator's rank — shared
+    /// failure knowledge keeps them consistent even when ranks enter
+    /// the operation with different conviction histories).
+    ///
+    /// `None` on a rank that finds *itself* convicted — alive, but too
+    /// slow for somebody's timeout. The group has moved on and will not
+    /// answer it; the silence of coordinators that ignore it is no
+    /// evidence against them, so it convicts nobody and leaves.
     pub async fn ft_coordinate<T, R>(
         &self,
         tag_base: Tag,
         v: T,
         bytes: u64,
         timeout: SimDuration,
-        combine: impl Fn(&mut [Option<T>]) -> R,
-    ) -> R
+        combine: impl FnOnce(&mut [Option<T>]) -> R,
+    ) -> Option<Rc<R>>
     where
         T: Clone + 'static,
-        R: Clone + 'static,
+        R: 'static,
     {
         let p = self.state.size;
-        loop {
+        while !self.is_failed(self.rank) {
             let coord = (0..p)
                 .find(|&r| !self.is_failed(r))
-                .expect("every rank of the communicator convicted");
+                .expect("this rank is live");
             let ctag = tag_base + 2 * coord as Tag;
             let rtag = ctag + 1;
             if self.rank == coord {
-                let mut contribs: Vec<Option<T>> = (0..p).map(|_| None).collect();
-                contribs[self.rank] = Some(v.clone());
+                // Scratch from the communicator's recycling pool.
+                let mut contribs = self.send_buf::<Option<T>>();
+                contribs.resize_with(p, || None);
+                contribs[self.rank] = Some(v);
                 // `r` is both the peer rank (recv source, conviction
                 // target) and the contribution slot; an enumerate()
                 // rewrite would obscure that.
@@ -131,15 +146,18 @@ impl Comm {
                         None => self.mark_failed(r),
                     }
                 }
-                let res = combine(&mut contribs);
+                let res = Rc::new(combine(&mut contribs));
+                // Let go of the contributions before anyone is answered:
+                // a contributor may be reusing what it shared with us.
+                self.recycle_buf(contribs);
                 for r in 0..p {
                     if r != self.rank && !self.is_failed(r) {
                         // Fire and forget: completion on arrival, and a
                         // dead recipient's mailbox harmlessly swallows it.
-                        drop(self.isend(r, rtag, bytes, res.clone()));
+                        drop(self.isend(r, rtag, bytes, Rc::clone(&res)));
                     }
                 }
-                return res;
+                return Some(res);
             }
             drop(self.isend(coord, ctag, bytes, v.clone()));
             // The coordinator may spend up to two timeouts per silent
@@ -150,24 +168,72 @@ impl Comm {
                 .recv_timeout(SourceSel::Rank(coord), rtag, result_wait)
                 .await
             {
-                Some(m) => return m.into_data::<R>(),
+                Some(m) => return Some(m.into_data::<Rc<R>>()),
+                // Ignored, not bereaved: the loop condition ends it.
+                None if self.is_failed(self.rank) => {}
                 None => self.mark_failed(coord),
             }
         }
+        None
+    }
+
+    /// Fault-tolerant [`Comm::alltoall_u64_inplace`], one
+    /// [`Comm::ft_coordinate`] step: `buf[i]` goes to rank `i` and is
+    /// replaced by the value rank `i` sent here. Every rank contributes
+    /// its row, the coordinator transposes the rows once into one flat
+    /// matrix, and each survivor copies out its own row of that — the
+    /// `8 * size` bytes either message is billed. `row` is caller-owned
+    /// scratch kept across calls: the contribution is a share of it,
+    /// refilled in place once the coordinator has let go of the last.
+    /// `None` (`buf` untouched) is the abort, the same on every
+    /// survivor: a row is missing, or this rank is itself convicted.
+    pub async fn ft_alltoall_u64_inplace(
+        &self,
+        tag_base: Tag,
+        buf: &mut [u64],
+        row: &mut Rc<Vec<u64>>,
+        timeout: SimDuration,
+    ) -> Option<()> {
+        let p = self.state.size;
+        assert_eq!(buf.len(), p, "alltoall needs one element per rank");
+        let mine = Rc::make_mut(row);
+        mine.clear();
+        mine.extend_from_slice(buf);
+        let transpose = |rows: &mut [Option<Rc<Vec<u64>>>]| {
+            let mut flat = vec![0u64; p * p];
+            for (src, row) in rows.iter().enumerate() {
+                for (dst, &v) in row.as_ref()?.iter().enumerate() {
+                    flat[dst * p + src] = v;
+                }
+            }
+            Some(flat)
+        };
+        let res = self
+            .ft_coordinate(tag_base, Rc::clone(row), 8 * p as u64, timeout, transpose)
+            .await?;
+        let flat = (*res).as_ref()?;
+        buf.copy_from_slice(&flat[self.rank * p..][..p]);
+        Some(())
     }
 
     /// `MPI_Comm_agree` (ULFM): all live ranks agree on the bitwise
     /// AND of their `flag` contributions and on a consistent failure
     /// set, which is returned (and installed locally). Ranks that die
     /// during the agreement are convicted and excluded; the operation
-    /// always terminates within a bounded number of timeouts.
-    pub async fn agree(&self, tag_base: Tag, flag: u64, timeout: SimDuration) -> (u64, Vec<usize>) {
+    /// always terminates within a bounded number of timeouts. `None`
+    /// on a rank that is itself convicted (see [`Comm::ft_coordinate`]).
+    pub async fn agree(
+        &self,
+        tag_base: Tag,
+        flag: u64,
+        timeout: SimDuration,
+    ) -> Option<(u64, Vec<usize>)> {
         let and = self
             .ft_coordinate(tag_base, flag, 16, timeout, |contribs| {
                 contribs.iter().flatten().fold(u64::MAX, |acc, &f| acc & f)
             })
-            .await;
-        (and, self.failed_ranks())
+            .await?;
+        Some((*and, self.failed_ranks()))
     }
 
     /// `MPI_Comm_shrink` (ULFM): a communicator over `live` (sorted
@@ -258,7 +324,7 @@ mod tests {
                     // Rank 2 "dies": it never joins the agreement.
                     return (0, vec![]);
                 }
-                comm.agree(T, !(1 << comm.rank()), ms(10)).await
+                comm.agree(T, !(1 << comm.rank()), ms(10)).await.unwrap()
             })
             .await;
             for (r, (and, dead)) in outs.iter().enumerate() {
@@ -280,7 +346,7 @@ mod tests {
                     // The would-be coordinator is dead.
                     return (0, vec![]);
                 }
-                comm.agree(T, u64::MAX, ms(10)).await
+                comm.agree(T, u64::MAX, ms(10)).await.unwrap()
             })
             .await;
             for (r, (and, dead)) in outs.iter().enumerate() {

@@ -105,6 +105,59 @@ proptest! {
         prop_assert_eq!(covered, view.total_bytes());
     }
 
+    /// The fault-tolerant size exchange is an alltoall: for a random
+    /// communicator size and size matrix it leaves every rank with
+    /// exactly what `alltoall_u64_inplace` leaves it, twice in a row on
+    /// the same hoisted row. With one rank silent, every survivor gets
+    /// the abort instead (its buffer untouched) and convicts exactly
+    /// the silent rank.
+    #[test]
+    fn ft_size_exchange_is_an_alltoall(
+        p in 2usize..10,
+        cells in prop::collection::vec(0u64..(1 << 40), 81..82),
+        silent in 0usize..9,
+    ) {
+        use e10_simcore::SimDuration;
+        use std::rc::Rc;
+        const TAG: u32 = 0x5800_0000;
+        let timeout = SimDuration::from_millis(10);
+        let cells = Rc::new(cells);
+        let cells2 = Rc::clone(&cells);
+        e10_simcore::run(async move {
+            launch(spec(p, CollBackend::Algorithmic), move |comm| {
+                let cells = Rc::clone(&cells2);
+                async move {
+                    let me = comm.rank();
+                    let sent = |salt: u64| -> Vec<u64> {
+                        (0..p).map(|dst| cells[me * p + dst] ^ salt).collect()
+                    };
+                    let mut row = Rc::default();
+                    let mut sreqs = Vec::new();
+                    for step in 0..2u32 {
+                        let (mut ft, mut plain) = (sent(step.into()), sent(step.into()));
+                        let tag = TAG + step * 2 * p as u32;
+                        let done = comm.ft_alltoall_u64_inplace(tag, &mut ft, &mut row, timeout);
+                        assert_eq!(done.await, Some(()));
+                        comm.alltoall_u64_inplace(&mut plain, 8, &mut sreqs).await;
+                        assert_eq!(ft, plain, "rank {me}, step {step}");
+                    }
+                    // Third exchange: one rank never joins.
+                    let silent = silent % p;
+                    if me == silent {
+                        return;
+                    }
+                    let mut buf = sent(7);
+                    let tag = TAG + 4 * p as u32;
+                    let done = comm.ft_alltoall_u64_inplace(tag, &mut buf, &mut row, timeout);
+                    assert_eq!(done.await, None, "rank {me} must see the abort");
+                    assert_eq!(buf, sent(7), "an aborted exchange leaves the buffer alone");
+                    assert_eq!(comm.failed_ranks(), vec![silent]);
+                }
+            })
+            .await;
+        });
+    }
+
     /// Per-pair message ordering holds for arbitrary interleavings of
     /// sizes (big messages must not be overtaken by later small ones).
     #[test]

@@ -386,13 +386,12 @@ impl CacheLayer {
     /// same re-read → repair-from-memory ladder as the flush path.
     /// When the device keeps corrupting, the in-memory ground truth is
     /// served this time, but the cache degrades and a typed error is
-    /// left pending so the caller learns the cache is gone. Returns
-    /// `None` when verified bytes cannot be produced — the caller must
-    /// fall through to the global file. With integrity disabled (or no
-    /// in-memory copy to compare against: a recovered cache, whose
-    /// journal digests recovery already verified) the bytes are served
-    /// as stored.
-    pub async fn read_verified(&self, offset: u64, len: u64) -> Option<Pieces> {
+    /// left pending so the caller learns the cache is gone — so there
+    /// is always something to serve, and no fall-through to the global
+    /// file. With integrity disabled (or no in-memory copy to compare
+    /// against: a recovered cache, whose journal digests recovery
+    /// already verified) the bytes are served as stored.
+    pub async fn read_verified(&self, offset: u64, len: u64) -> Pieces {
         let vol = &self.inner.vol;
         let mut pieces = vol.tiers.read(offset, len).await;
         if vol
@@ -402,7 +401,7 @@ impl CacheLayer {
         {
             vol.degraded.set(true);
         }
-        Some(pieces)
+        pieces
     }
 
     /// Post one extent to the sync thread. Fails with a recoverable

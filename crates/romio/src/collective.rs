@@ -102,7 +102,7 @@ pub struct WriteAllResult {
 /// | step | [`Plain`] | `Timed` |
 /// |---|---|---|
 /// | range gather | `MPI_Allgather` | `ft_coordinate`; abort if a rank is missing |
-/// | size exchange | in-place `MPI_Alltoall` | `ft_coordinate` of the size matrix; abort if a row is missing |
+/// | size exchange | in-place `MPI_Alltoall` | `ft_alltoall_u64_inplace` (one `ft_coordinate` step; each rank reads its row of the one shared transpose); abort if a row is missing |
 /// | shuffle receive | post every `irecv`, wait for all | one timed receive per source; a silent source is convicted and dooms the attempt |
 /// | settle | nothing | `ft_coordinate` of (doomed, error) flags; abort if any rank is doomed or missing |
 /// | finish | one `MPI_Allreduce` of the error codes | the error bits the settles already agreed on |

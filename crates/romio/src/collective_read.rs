@@ -23,7 +23,6 @@
 //! own, because it runs the shuffle in the opposite direction.
 
 use e10_mpisim::{waitall, FileView, SourceSel};
-use e10_simcore::trace;
 use e10_storesim::{ExtentMap, Payload, Source};
 
 use crate::adio::AdioFile;
@@ -210,24 +209,13 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
                                 .cache()
                                 .filter(|c| !c.is_degraded())
                                 .is_some_and(|c| c.covers(o, l));
-                        // A cache hit is served only if its bytes pass
-                        // digest verification (`e10_integrity`); on an
-                        // unrepairable mismatch the read falls through
-                        // to the global file instead of propagating
-                        // corrupt bytes.
-                        let verified = if cached {
-                            let p = fd.cache().unwrap().read_verified(o, l).await;
-                            if p.is_some() {
-                                out.cache_hits += l;
-                            } else {
-                                trace::counter("integrity.read_fallthrough", 1);
-                            }
-                            p
-                        } else {
-                            None
-                        };
-                        let pieces = if let Some(p) = verified {
-                            p
+                        // A cache hit is served only after its bytes
+                        // pass digest verification (`e10_integrity`);
+                        // an unrepairable mismatch is answered from the
+                        // in-memory copy and degrades the cache.
+                        let pieces = if cached {
+                            out.cache_hits += l;
+                            fd.cache().unwrap().read_verified(o, l).await
                         } else {
                             match fd.global().read(comm.node(), o, l).await {
                                 Ok(pieces) => pieces,

@@ -44,6 +44,8 @@
 //! rank per aborted attempt — so the collective terminates in at most
 //! `size` attempts.
 
+use std::rc::Rc;
+
 use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag};
 use e10_simcore::trace::counter;
 use e10_simcore::SimDuration;
@@ -100,6 +102,9 @@ struct Timed<'a> {
     doomed: bool,
     /// OR of the error bits the settles have agreed on so far.
     global_err: u32,
+    /// The size exchange's contribution, hoisted across rounds (see
+    /// [`Comm::ft_alltoall_u64_inplace`]).
+    row: Rc<Vec<u64>>,
 }
 
 impl Timed<'_> {
@@ -114,25 +119,21 @@ impl Transport for Timed<'_> {
 
     async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Vec<(u64, u64)>, Aborted> {
         let comm = &self.fd.comm;
-        comm.ft_coordinate(self.next_tag(), mine, 16, self.timeout, all_present)
-            .await
-            .ok_or(Aborted)
+        let ranges = comm
+            .ft_coordinate(self.next_tag(), mine, 16, self.timeout, all_present)
+            .await;
+        match ranges.as_deref() {
+            Some(Some(ranges)) => Ok(ranges.clone()),
+            _ => Err(Aborted),
+        }
     }
 
     async fn exchange_sizes(&mut self, sizes: &mut [u64]) -> Result<(), Aborted> {
-        // A fault-tolerant alltoall — the coordinator assembles the
-        // full size matrix and broadcasts it (or the abort decision)
-        // to every survivor.
-        let (row, bytes) = (sizes.to_vec(), 8 * sizes.len() as u64);
+        let tag = self.next_tag();
         let comm = &self.fd.comm;
-        let matrix = comm
-            .ft_coordinate(self.next_tag(), row, bytes, self.timeout, all_present)
+        comm.ft_alltoall_u64_inplace(tag, sizes, &mut self.row, self.timeout)
             .await
-            .ok_or(Aborted)?;
-        for (mine, row) in sizes.iter_mut().zip(matrix) {
-            *mine = row[comm.rank()];
-        }
-        Ok(())
+            .ok_or(Aborted)
     }
 
     async fn recv_each(
@@ -171,14 +172,14 @@ impl Transport for Timed<'_> {
         // transport's single final allreduce.
         let flag = u64::from(self.doomed) | (u64::from(local_err) << 1);
         let _t = phase.map(|p| self.fd.profiler().enter(p));
-        let status: Option<u64> = self
+        let status = self
             .fd
             .comm
             .ft_coordinate(self.next_tag(), flag, 16, self.timeout, |contribs| {
                 contribs.iter().try_fold(0, |or, c| Some(or | (*c)?))
             })
             .await;
-        match status {
+        match status.as_deref().copied().flatten() {
             Some(f) if f & 1 == 0 => {
                 self.global_err |= (f >> 1) as u32 & 1;
                 Ok(())
@@ -194,7 +195,9 @@ impl Transport for Timed<'_> {
 
 /// `MPI_File_write_all` with mid-collective crash tolerance. Same
 /// result contract as the plain path; ranks that die mid-collective
-/// simply never return (their bytes were never acked).
+/// simply never return (their bytes were never acked), and a rank
+/// evicted while alive — too slow for the timeout — returns
+/// `error_code = 1`, here and from every later collective on `fd`.
 pub async fn write_at_all_tolerant(
     fd: &AdioFile,
     view: &FileView,
@@ -213,20 +216,21 @@ pub async fn write_at_all_tolerant(
         counter("coll.ft.attempts", 1);
         // Settle the live list: the coordinator's snapshot, not a local
         // read, so every survivor shrinks to exactly the same list.
-        let live: Vec<usize> = fd
+        let live = fd
             .comm
             .ft_coordinate(ft_tag(p, attempt, 0), (), 16, timeout, |contribs| {
                 contribs
                     .iter()
                     .enumerate()
                     .filter_map(|(r, c)| c.map(|()| r))
-                    .collect()
+                    .collect::<Vec<usize>>()
             })
             .await;
-        if !live.contains(&me) {
-            // Spuriously convicted (a live rank whose messages missed
-            // the detection window). The group proceeds without us;
-            // surface a local failure instead of corrupting the redo.
+        let Some(live) = live.filter(|live| live.contains(&me)) else {
+            // Convicted while alive (messages that missed a detection
+            // window, in this step or in the attempt just aborted). The
+            // group proceeds without us; surface a local failure
+            // instead of corrupting the redo.
             counter("coll.ft.self_evicted", 1);
             return WriteAllResult {
                 bytes: view.total_bytes(),
@@ -234,7 +238,7 @@ pub async fn write_at_all_tolerant(
                 used_collective: true,
                 error_code: 1,
             };
-        }
+        };
         let sub = fd.comm.shrink(&live);
         // Re-elect aggregators among the live nodes (sub numbering),
         // with the placement policy the open used.
@@ -255,6 +259,7 @@ pub async fn write_at_all_tolerant(
             seq: 1,
             doomed: false,
             global_err: 0,
+            row: Rc::default(),
         };
         // The pre-stage gathers over the *survivor* communicator too:
         // its leader is the node's lowest live rank, and a member it
@@ -293,6 +298,7 @@ mod tests {
     use crate::test_util::{cb_info, strided_view, write_then_read};
     use crate::testbed::TestbedSpec;
     use e10_mpisim::{FlatType, Info};
+    use e10_simcore::trace::{self, RingSink};
     use e10_simcore::{kill_group, new_group, run, sleep, spawn, spawn_in_group, Flag};
     use std::cell::Cell;
     use std::rc::Rc;
@@ -307,12 +313,14 @@ mod tests {
 
     /// Run an 8-rank / `nodes`-node collective write of 16
     /// `block`-byte blocks per rank where `victims` are killed
-    /// `kill_after` after every rank has opened the file.
-    /// Survivors must complete and their own bytes must verify; a
-    /// second post-crash collective must also work (the raised fence
-    /// must not swallow later writes).
+    /// `kill_after` after every rank has opened the file, and the
+    /// `evicted` (alive, but too slow for the timeout) must come back
+    /// from the write with `error_code == 1`. Survivors must complete
+    /// and their own bytes must verify; a second post-crash collective
+    /// must also work (the raised fence must not swallow later writes).
     fn crash_scenario(
         victims: &'static [usize],
+        evicted: &'static [usize],
         kill_after: SimDuration,
         extra: &'static [(&str, &str)],
         (nodes, block): (usize, u64),
@@ -344,6 +352,12 @@ mod tests {
                         }
                         let view = strided_view(rank, 8, block, 16);
                         let res = write_at_all(&f, &view, &DataSpec::FileGen { seed: 31 }).await;
+                        if evicted.contains(&rank) {
+                            // Expelled, not crashed: the write returns,
+                            // its bytes unacknowledged.
+                            assert_eq!(res.error_code, 1, "rank {rank}: eviction not reported");
+                            return None;
+                        }
                         assert_eq!(res.error_code, 0, "rank {rank}: first write failed");
                         f.file_sync().await;
                         // The raised fence must not affect post-redo
@@ -360,7 +374,7 @@ mod tests {
                             write_at_all(&f, &shifted, &DataSpec::FileGen { seed: 32 }).await;
                         assert_eq!(res2.error_code, 0, "rank {rank}: post-crash write failed");
                         f.file_sync().await;
-                        (rank, f)
+                        Some((rank, f))
                     };
                     if victims.contains(&rank) {
                         // Killed tasks' handles never complete: fire and
@@ -379,7 +393,12 @@ mod tests {
             });
             // Verify only after EVERY survivor has flushed: with a
             // cache, an aggregator's flush covers other ranks' bytes.
-            let outs = e10_simcore::join_all(survivors).await;
+            let outs: Vec<_> = e10_simcore::join_all(survivors)
+                .await
+                .into_iter()
+                .flatten()
+                .collect();
+            assert_eq!(outs.len(), 8 - victims.len() - evicted.len());
             let ext = outs[0].1.global().extents();
             for &(rank, _) in &outs {
                 // Oracle: every byte a surviving rank was acked for
@@ -401,27 +420,34 @@ mod tests {
     #[test]
     fn mid_collective_crash_survivors_complete_and_verify() {
         // Node 1 (ranks 2, 3) dies shortly into the write.
-        crash_scenario(&[2, 3], ms(3), &[], (4, 10_000));
+        crash_scenario(&[2, 3], &[], ms(3), &[], (4, 10_000));
     }
 
     #[test]
     fn aggregator_and_coordinator_death_fails_over() {
         // Rank 0 is both an aggregator and the lowest rank (the
         // ft-coordination default coordinator); rank 1 shares its node.
-        crash_scenario(&[0, 1], ms(3), &[], (4, 10_000));
+        crash_scenario(&[0, 1], &[], ms(3), &[], (4, 10_000));
     }
 
     #[test]
     fn node_agg_leader_death_reelects_and_completes() {
         // Rank 2 is node 1's leader under node_agg; its partner rank 3
         // survives and must be re-led.
-        crash_scenario(&[2], ms(3), &[("e10_two_phase", "node_agg")], (4, 10_000));
+        crash_scenario(
+            &[2],
+            &[],
+            ms(3),
+            &[("e10_two_phase", "node_agg")],
+            (4, 10_000),
+        );
     }
 
     #[test]
     fn mid_collective_crash_with_cache_survives() {
         crash_scenario(
             &[4, 5],
+            &[],
             ms(3),
             &[
                 ("e10_cache", "enable"),
@@ -436,12 +462,21 @@ mod tests {
     fn node_agg_live_but_slow_members_are_evicted_not_retried() {
         // Two nodes, 100 MB per rank: each leader's first gather receive
         // times out on a member (ranks 1 and 5) that is alive, merely
-        // slow, and joins the settle in time. The abort must shrink
-        // the live list all the same, so the redo runs without them.
-        // Evicted ranks have no exit of their own — they wait on the
-        // aborted attempt's settle — so the scenario reaps them late.
+        // slow. The abort must shrink the live list all the same, so
+        // the redo runs without them — and when their gather sends
+        // finally land, the evicted find their own conviction at the
+        // settle, convict nobody, and return with an error.
+        let _trace = trace::install(Rc::new(RingSink::new(16)));
         let extra = &[("e10_two_phase", "node_agg"), ("cb_buffer_size", "1048576")];
-        crash_scenario(&[1, 5], ms(700), extra, (2, 6_250_000));
+        crash_scenario(&[], &[1, 5], ms(700), extra, (2, 6_250_000));
+        let counters = trace::metrics_snapshot().unwrap().counters;
+        let count = |name| counters.iter().find(|c| c.0 == name).map(|c| c.1);
+        assert_eq!(count("coll.ft.self_evicted"), Some(2));
+        assert_eq!(
+            count("ft.convictions"),
+            Some(2 + 2),
+            "sub + parent, no more"
+        );
     }
 
     /// Transport equivalence: with no failures the plain and the timed

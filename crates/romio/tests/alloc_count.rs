@@ -39,13 +39,25 @@ fn install_bt_hook() {
 /// `e10_pfs_max_retries = 4`, `e10_pfs_retry_base_us = 2000`): parsing
 /// and wiring them must not wake any of the tolerance machinery.
 fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> u64 {
+    write_scenario(8, blocks, cache, degraded_hints.then_some("0"))
+}
+
+/// The same write by `procs` ranks, two to a node (so the rounds per
+/// block do not depend on `procs`); `coll_timeout` sets the
+/// degraded-mode knobs with that `e10_coll_timeout`.
+fn write_scenario(
+    procs: usize,
+    blocks: u64,
+    cache: bool,
+    coll_timeout: Option<&'static str>,
+) -> u64 {
     use e10_mpisim::{FlatType, Info};
     use std::cell::Cell;
     use std::rc::Rc;
     let rounds = Rc::new(Cell::new(0u64));
     let rounds2 = Rc::clone(&rounds);
     e10_simcore::run(async move {
-        let tb = e10_romio::TestbedSpec::small(8, 4).build();
+        let tb = e10_romio::TestbedSpec::small(procs, procs / 2).build();
         let handles: Vec<_> = tb
             .ctxs()
             .into_iter()
@@ -72,8 +84,8 @@ fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> 
                         // zero-allocation steady state well-defined.
                         info.set("e10_cache_sync_depth", "4");
                     }
-                    if degraded_hints {
-                        info.set("e10_coll_timeout", "0");
+                    if let Some(timeout) = coll_timeout {
+                        info.set("e10_coll_timeout", timeout);
                         info.set("e10_pfs_max_retries", "4");
                         info.set("e10_pfs_retry_base_us", "2000");
                     }
@@ -82,7 +94,7 @@ fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> 
                         .unwrap();
                     let rank = ctx.comm.rank();
                     let blocks: Vec<(u64, u64)> = (0..blocks)
-                        .map(|i| ((i * 8 + rank as u64) * 10_000, 10_000))
+                        .map(|i| ((i * procs as u64 + rank as u64) * 10_000, 10_000))
                         .collect();
                     let view = e10_mpisim::FileView::new(&FlatType::indexed(blocks), 0);
                     let r = e10_romio::write_at_all(
@@ -192,4 +204,47 @@ fn steady_state_with_tolerance_hints_off_allocates_nothing() {
              {a1} allocs over {r1} rounds vs {a2} over {r2} ({marginal:.2}/round)"
         );
     }
+}
+
+/// The crash-tolerant transport with nothing failing
+/// (`e10_coll_timeout = 40`). A round's two coordination steps — size
+/// exchange and settle — cost the coordinator one shared result each
+/// plus the flat size matrix, and everybody else nothing: timed
+/// receives are stack-pinned and cancel their timers, rows and the
+/// contribution table are recycled. So an extra round costs
+/// `MAX_PER_ROUND` = 3 allocator calls *whatever the rank count* — well
+/// inside the "small multiple of P" a star-shaped step may cost — and
+/// doubling the ranks at fixed rounds must not grow the per-round
+/// marginal by more than 2.5×. (With the result deep-copied per
+/// recipient, a boxed timer per timed receive and a fresh row per rank
+/// it was ≈ P² + 7·P per round: 117.55 at 8 ranks, 359.00 at 16.)
+#[test]
+fn timed_rounds_cost_linear_in_ranks() {
+    const MAX_PER_ROUND: f64 = 3.0;
+    install_bt_hook();
+    let marginal = |procs: usize| {
+        // The file, and with it the rounds, is the 8-rank gates'.
+        let blocks = 16 * 8 / procs as u64;
+        write_scenario(procs, blocks, false, Some("40"));
+        let (a1, r1) = alloc_gauge::count(|| write_scenario(procs, blocks, false, Some("40")));
+        let (a2, r2) = alloc_gauge::count(|| write_scenario(procs, 2 * blocks, false, Some("40")));
+        assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
+        let marginal = (a2 as f64 - a1 as f64) / (r2 - r1) as f64;
+        println!(
+            "timed, {procs} ranks: rounds {r1}->{r2}, allocs {a1}->{a2}, \
+             marginal {marginal:.2}/round"
+        );
+        assert!(
+            marginal <= MAX_PER_ROUND,
+            "{procs} ranks: {marginal:.2} allocator calls per extra timed round"
+        );
+        (marginal, r2 - r1)
+    };
+    let ((m8, extra8), (m16, extra16)) = (marginal(8), marginal(16));
+    assert_eq!(extra8, extra16, "the comparison wants the same rounds");
+    assert!(
+        m16 <= 2.5 * m8.max(1.0),
+        "per-round cost must not grow with the square of the ranks: \
+         {m8:.2} at 8 ranks, {m16:.2} at 16"
+    );
 }

@@ -80,21 +80,9 @@ impl EventHandle {
     /// 24-byte heap entry instead of retaining its closure for the
     /// rest of the run.
     pub fn cancel(&self) {
-        if self.cancelled.replace(true) {
-            return;
+        if !self.cancelled.replace(true) {
+            vacate_event(self.kernel, self.seq, self.slot);
         }
-        // Take the body out under the kernel borrow, drop it after:
-        // captured values may re-enter the kernel from their own Drop.
-        let body = CTX.with(|ctx| {
-            let guard = ctx.borrow();
-            let rc = guard.as_ref()?;
-            let mut k = rc.borrow_mut();
-            if k.id != self.kernel {
-                return None;
-            }
-            k.free_event(self.slot, self.seq)
-        });
-        drop(body);
     }
 
     /// True if [`cancel`](Self::cancel) has been called.
@@ -313,21 +301,6 @@ impl Kernel {
         (self.id, seq, slot)
     }
 
-    /// Cancel a fair-share timer scheduled by this kernel; inert for a
-    /// foreign kernel id (a resource outliving its simulation). The
-    /// returned body is just an `Rc` clone — safe to drop anywhere.
-    pub(crate) fn cancel_fs_timer(
-        &mut self,
-        kernel: u64,
-        seq: u64,
-        slot: u32,
-    ) -> Option<ScheduledEvent> {
-        if self.id != kernel {
-            return None;
-        }
-        self.free_event(slot, seq)
-    }
-
     /// Free a task slot (completion or kill).
     fn free_task(&mut self, id: TaskId) -> Option<TaskSlot> {
         let (slot, generation) = task_slot(id);
@@ -355,6 +328,25 @@ pub(crate) fn with_kernel<R>(f: impl FnOnce(&mut Kernel) -> R) -> R {
         let mut k = rc.borrow_mut();
         f(&mut k)
     })
+}
+
+/// Vacate calendar entry `(seq, slot)` if the ambient kernel is the one
+/// that scheduled it, dropping the event body now. Inert outside
+/// [`run`], inside another simulation (whose indices may collide) and
+/// once the entry has fired. Shared by [`EventHandle::cancel`],
+/// fair-share timer re-arming and [`Sleep`]'s drop: it must not panic.
+pub(crate) fn vacate_event(kernel: u64, seq: u64, slot: u32) {
+    // Take the body out under the kernel borrow, drop it after:
+    // captured values may re-enter the kernel from their own Drop.
+    let body = CTX.with(|ctx| {
+        let guard = ctx.borrow();
+        let mut k = guard.as_ref()?.try_borrow_mut().ok()?;
+        if k.id != kernel {
+            return None;
+        }
+        k.free_event(slot, seq)
+    });
+    drop(body);
 }
 
 /// Current simulated time. Panics outside of [`run`].
@@ -395,10 +387,6 @@ pub fn schedule_call_at(at: SimTime, f: impl FnOnce() + 'static) -> EventHandle 
 pub fn schedule_call(delay: SimDuration, f: impl FnOnce() + 'static) -> EventHandle {
     let at = now() + delay;
     schedule_call_at(at, f)
-}
-
-pub(crate) fn schedule_wake_at(at: SimTime, waker: Waker) {
-    with_kernel(|k| k.schedule(at, EventAction::Wake(waker), None));
 }
 
 struct JoinState<T> {
@@ -551,33 +539,51 @@ pub fn kill_group(gid: u64) -> usize {
 }
 
 /// Future returned by [`sleep`] / [`sleep_until`].
+///
+/// Self-cancelling: dropped before its deadline (the losing arm of a
+/// timeout race), it vacates its calendar entry at once, so the wake
+/// event and the waker it pins do not sit in the calendar until the
+/// deadline. A sleep that runs to its deadline pays nothing for this.
+/// ([`EventHandle`] is the opposite: dropping it cancels nothing.)
 pub struct Sleep {
     deadline: SimTime,
-    scheduled: bool,
+    /// `(kernel, seq, slot)` of the pending wake event — the
+    /// allocation-free coordinates fair-share timers cancel by.
+    pending: Option<(u64, u64, u32)>,
 }
 
 impl Future for Sleep {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let t = now();
-        if t >= self.deadline {
+        if now() >= self.deadline {
+            // The wake was drained from the calendar when the clock
+            // reached the deadline: nothing left to cancel.
+            self.pending = None;
             return Poll::Ready(());
         }
-        if !self.scheduled {
-            self.scheduled = true;
-            schedule_wake_at(self.deadline, cx.waker().clone());
+        if self.pending.is_none() {
+            let wake = EventAction::Wake(cx.waker().clone());
+            self.pending = Some(with_kernel(|k| {
+                let (seq, slot) = k.schedule(self.deadline, wake, None);
+                (k.id, seq, slot)
+            }));
         }
         Poll::Pending
     }
 }
 
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some((kernel, seq, slot)) = self.pending {
+            vacate_event(kernel, seq, slot);
+        }
+    }
+}
+
 /// Suspend the current task for `d` of simulated time.
 pub fn sleep(d: SimDuration) -> Sleep {
-    Sleep {
-        deadline: now() + d,
-        scheduled: false,
-    }
+    sleep_until(now() + d)
 }
 
 /// Suspend the current task until the absolute instant `t` (no-op if in
@@ -585,7 +591,7 @@ pub fn sleep(d: SimDuration) -> Sleep {
 pub fn sleep_until(t: SimTime) -> Sleep {
     Sleep {
         deadline: t,
-        scheduled: false,
+        pending: None,
     }
 }
 

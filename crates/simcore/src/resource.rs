@@ -16,7 +16,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::{now, with_kernel};
+use crate::executor::{now, vacate_event, with_kernel};
 use crate::sync::Semaphore;
 use crate::time::{SimDuration, SimTime};
 
@@ -316,11 +316,10 @@ impl FsState {
     /// variant, and cancellation is a direct slab vacate.
     fn reschedule(&mut self, me: &Rc<RefCell<FsState>>, t: SimTime) {
         if let Some((kernel, seq, slot)) = self.pending.take() {
-            // The returned body is just an `Rc<RefCell<FsState>>`
+            // The vacated body is just an `Rc<RefCell<FsState>>`
             // clone; dropping it under our own borrow is fine (no
             // destructor re-enters this RefCell).
-            let stale = with_kernel(|k| k.cancel_fs_timer(kernel, seq, slot));
-            drop(stale);
+            vacate_event(kernel, seq, slot);
         }
         if self.jobs.is_empty() {
             return;

@@ -66,6 +66,12 @@
 #      self-checks exit != 0
 #
 # Each step prints its wall-clock seconds.
+#
+# Not a step (nothing to gate, and `perf` is not on the CI host):
+#   scripts/profile.sh <workload> [seconds]   # host profile of one
+#      repo-benchmark workload: perf stat + perf record -g with the
+#      Firefox-profiler conversion, or the E10_ALLOC_BT
+#      allocation-backtrace fallback
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
