@@ -16,13 +16,43 @@
 //! Either way a collective is a true synchronisation point: its cost to
 //! each rank includes waiting for the slowest participant — the effect
 //! the paper's `shuffle_all2all` / `post_write` breakdown terms measure.
+//!
+//! # What an analytic collective costs on the host
+//!
+//! In *virtual* time an analytic collective is two awaits — the
+//! rendezvous on the operation's `Slot`, then one `sleep` of the
+//! closed-form cost — so it is 1 timer event and P polls whatever it
+//! carries. On the *host* it costs what its ranks hand over:
+//!
+//! * **The rendezvous** (`sync_slot`): the first arrival builds the
+//!   slot — contribution table, flag, waiter list sized for the
+//!   communicator — and the last one the shared result: 4 allocator
+//!   calls per collective, independent of P.
+//! * **Generic collectives** (`bcast`, `allreduce`, `allgather`,
+//!   `alltoall[v]`, `split`) add one boxed contribution per rank, and
+//!   every rank clones its answer out of the shared result after the
+//!   sleep: O(1) per rank for `bcast`/`allreduce`, a P-vector per rank
+//!   for `allgather` (O(P²) words per collective), and for `alltoall`
+//!   a column walk of the P×P matrix — P strided reads and clones per
+//!   rank, 4 allocator calls per rank. Fine for the handful of control
+//!   collectives around an open, a close or an offset exchange.
+//! * **The size exchange** ([`Comm::alltoall_u64_inplace`]) runs once
+//!   per two-phase round on every rank, almost always carrying zeroes
+//!   (0.49 non-zero entries per rank per round on the paper's 512-rank
+//!   / 64-aggregator cell), so it contributes nothing boxed: a rank
+//!   stores each non-zero entry into the destination's row of
+//!   `CollShared::rows` and copies its own row out — one scan of its
+//!   buffer, one store per non-zero sent, one `memcpy` or zero-fill.
+//!   A row exists only for a destination that has ever been sent a
+//!   non-zero (the aggregators: ≤ naggs·P·8 B per communicator), and
+//!   the exchange allocates nothing beyond the rendezvous' 4 calls.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use e10_simcore::{sleep, Flag, SimDuration};
+use e10_simcore::{sleep, yield_now, Flag, SimDuration};
 
 use crate::comm::{waitall, Comm, SourceSel, Tag};
 
@@ -50,6 +80,11 @@ pub(crate) struct CollShared {
     pub(crate) backend: CollBackend,
     slots: RefCell<HashMap<u64, Slot>>,
     counters: RefCell<Vec<u64>>,
+    /// The analytic size exchange's mailboxes: `rows[dst][src]` is what
+    /// `src` sends `dst` in the exchange in flight, zero between
+    /// exchanges. Empty until the first non-zero is sent; a row is
+    /// materialised only for a destination that has ever been sent one.
+    rows: RefCell<Vec<Vec<u64>>>,
 }
 
 impl CollShared {
@@ -58,6 +93,7 @@ impl CollShared {
             backend,
             slots: RefCell::new(HashMap::new()),
             counters: RefCell::new(vec![0; size]),
+            rows: RefCell::new(Vec::new()),
         })
     }
 }
@@ -67,8 +103,8 @@ fn ceil_log2(n: usize) -> u32 {
 }
 
 impl Comm {
-    fn coll(&self) -> Rc<CollShared> {
-        Rc::clone(&self.state.coll)
+    fn coll(&self) -> &CollShared {
+        &self.state.coll
     }
 
     fn next_op(&self) -> u64 {
@@ -98,7 +134,7 @@ impl Comm {
             let slot = slots.entry(opid).or_insert_with(|| Slot {
                 contribs: (0..size).map(|_| None).collect(),
                 arrived: 0,
-                flag: Flag::new(),
+                flag: Flag::with_capacity(size - 1),
                 result: None,
                 taken: 0,
             });
@@ -381,7 +417,6 @@ impl Comm {
             CollBackend::Analytic => {
                 let total: u64 = bytes.iter().sum();
                 let contrib: Box<dyn Any> = Box::new(v);
-                let me = self.rank;
                 let out = self
                     .sync_slot(opid, contrib, move |contribs| {
                         // Build the full matrix once; each rank extracts
@@ -397,7 +432,6 @@ impl Comm {
                             .collect::<Vec<Vec<T>>>()
                     })
                     .await;
-                let _ = me;
                 sleep(self.cost_alltoall(total)).await;
                 (0..p).map(|src| out[src][self.rank].clone()).collect()
             }
@@ -422,13 +456,23 @@ impl Comm {
         }
     }
 
-    /// Allocation-free `MPI_Alltoall` of one `u64` per rank, the shape
-    /// of the two-phase round loop's size dissemination: `buf[i]` is
-    /// sent to rank `i` and replaced in place by the value received
-    /// *from* rank `i`. `sreqs` is caller-owned scratch (drained on
-    /// return) so steady-state rounds touch the allocator zero times.
-    /// Wire behaviour — send order, per-message size, matching — is
-    /// identical to `alltoall(v, bytes_each)`.
+    /// `MPI_Alltoall` of one `u64` per rank, the shape of the two-phase
+    /// round loop's size dissemination: `buf[i]` is sent to rank `i`
+    /// and replaced in place by the value received *from* rank `i`.
+    ///
+    /// * `Algorithmic`: the pairwise exchange of
+    ///   `alltoall(v, bytes_each)` — same send order, per-message size
+    ///   and matching — with `sreqs` as caller-owned scratch (drained
+    ///   on return), so steady-state rounds touch the allocator zero
+    ///   times.
+    /// * `Analytic`: the same two awaits as `alltoall` (rendezvous,
+    ///   then the `cost_alltoall` sleep) around a sparse exchange: a
+    ///   rank scatters its non-zero entries into the destinations'
+    ///   shared rows on arrival and takes its own row after the
+    ///   rendezvous. The communicator pays the rendezvous' 4 allocator
+    ///   calls per exchange (plus one per row the first time a
+    ///   destination is sent a non-zero), a rank none; `sreqs` is
+    ///   unused.
     pub async fn alltoall_u64_inplace(
         &self,
         buf: &mut [u64],
@@ -437,12 +481,51 @@ impl Comm {
     ) {
         let p = self.size();
         assert_eq!(buf.len(), p, "alltoall needs one element per rank");
+        let opid = self.next_op();
         if self.coll().backend == CollBackend::Analytic {
-            let out = self.alltoall(buf.to_vec(), bytes_each).await;
-            buf.copy_from_slice(&out);
+            let rows = &self.coll().rows;
+            {
+                let mut rows = rows.borrow_mut();
+                for (dst, &v) in buf.iter().enumerate().filter(|&(_, &v)| v != 0) {
+                    if rows.is_empty() {
+                        rows.resize_with(p, Vec::new);
+                    }
+                    let row = &mut rows[dst];
+                    if row.is_empty() {
+                        row.resize(p, 0);
+                    }
+                    row[self.rank] = v;
+                }
+            }
+            self.sync_slot(opid, Box::new(()), |_| ()).await;
+            // Take the row *before* the cost sleep. Every rank wakes
+            // from the sleep at the same instant, and one with nothing
+            // to send or receive runs from there straight into the next
+            // exchange's scatter within a single poll — a row read
+            // after the sleep could already hold the next round's
+            // sizes. Before the sleep it cannot: nobody passes this
+            // rendezvous until everybody has scattered, and nobody
+            // scatters again until every rank, woken here at this same
+            // instant, has been polled through to its suspension.
+            match rows.borrow_mut().get_mut(self.rank) {
+                Some(row) if !row.is_empty() => {
+                    buf.copy_from_slice(row);
+                    row.fill(0);
+                }
+                _ => buf.fill(0),
+            }
+            // A free network has no sleep to suspend on (`sleep(0)` is
+            // ready at once), so the rank that completed the rendezvous
+            // would scatter the next exchange before the ranks it just
+            // woke have taken their rows: queue behind them instead.
+            let cost = self.cost_alltoall(bytes_each * p as u64);
+            if cost == SimDuration::ZERO {
+                yield_now().await;
+            } else {
+                sleep(cost).await;
+            }
             return;
         }
-        let opid = self.next_op();
         let tag = self.op_tag(opid, 0);
         debug_assert!(sreqs.is_empty());
         for s in 1..p {

@@ -5,7 +5,7 @@
 //! constructors the benchmarks need (contiguous, vector, indexed and
 //! the `MPI_Type_create_subarray` used by coll_perf's 3-D block
 //! distribution); [`FileView`] binds a flattened type to a file
-//! displacement and answers the central two-phase query: *which pieces
+//! displacement and defines the central two-phase query: *which pieces
 //! of my buffer fall inside this round's file window?*
 
 /// A flattened datatype: sorted, non-overlapping `(offset, len)` runs.
@@ -172,21 +172,16 @@ impl FileView {
     }
 
     /// The (possibly clipped) pieces intersecting file window
-    /// `[lo, hi)` — the core two-phase round query. `O(log n + k)`.
+    /// `[lo, hi)`, found from scratch in `O(log n + k)`. This is the
+    /// definition of the two-phase round query and the oracle of the
+    /// tests; the round loops themselves step through the view with
+    /// one cursor per aggregator instead (`e10-romio`'s
+    /// `WindowCursors`), because a search per aggregator per round is
+    /// what stops two-phase I/O scaling with the rank count.
     pub fn pieces_in_window(&self, lo: u64, hi: u64) -> Vec<ViewPiece> {
         let mut out = Vec::new();
-        self.for_each_piece_in_window(lo, hi, |p| out.push(p));
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`pieces_in_window`](Self::pieces_in_window): visit each clipped
-    /// piece in order instead of collecting them. The two-phase round
-    /// loop calls this once per aggregator per round, so the collecting
-    /// form would dominate its steady-state allocation count.
-    pub fn for_each_piece_in_window(&self, lo: u64, hi: u64, mut f: impl FnMut(ViewPiece)) {
-        if lo >= hi || self.pieces.is_empty() {
-            return;
+        if lo >= hi {
+            return out;
         }
         // First piece that could overlap: binary search by end offset.
         let start = self.pieces.partition_point(|p| p.file_off + p.len <= lo);
@@ -196,12 +191,13 @@ impl FileView {
             }
             let s = p.file_off.max(lo);
             let e = (p.file_off + p.len).min(hi);
-            f(ViewPiece {
+            out.push(ViewPiece {
                 file_off: s,
                 len: e - s,
                 buf_off: p.buf_off + (s - p.file_off),
             });
         }
+        out
     }
 }
 

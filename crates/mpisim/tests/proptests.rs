@@ -12,6 +12,41 @@ fn spec(p: usize, backend: CollBackend) -> WorldSpec {
     s
 }
 
+/// What every rank holds after each of three back-to-back in-place
+/// size exchanges — on the world communicator, or on the odd/even
+/// halves of a `split` that reverses the rank order. `sent(step,
+/// world_rank, n)` is the rank's `n`-entry send buffer of `step`.
+fn three_size_exchanges(
+    spec: WorldSpec,
+    split: bool,
+    sent: impl Fn(usize, usize, usize) -> Vec<u64> + Clone + 'static,
+) -> Vec<Vec<Vec<u64>>> {
+    e10_simcore::run(async move {
+        launch(spec, move |world| {
+            let sent = sent.clone();
+            async move {
+                let me = world.rank();
+                let comm = if split {
+                    world
+                        .split((me % 2) as u32, (world.size() - me) as u64)
+                        .await
+                } else {
+                    world
+                };
+                let mut sreqs = Vec::new();
+                let mut got = Vec::new();
+                for step in 0..3 {
+                    let mut buf = sent(step, me, comm.size());
+                    comm.alltoall_u64_inplace(&mut buf, 8, &mut sreqs).await;
+                    got.push(buf);
+                }
+                got
+            }
+        })
+        .await
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
@@ -103,6 +138,53 @@ proptest! {
             pos = end;
         }
         prop_assert_eq!(covered, view.total_bytes());
+    }
+
+    /// The analytic size exchange is the algorithmic one: dense,
+    /// sparse and all-zero matrices, three exchanges back to back with
+    /// some ranks contributing nothing (such a rank runs from one
+    /// exchange's cost sleep straight into the next one's scatter, so a
+    /// row taken after the sleep would hold the wrong round's sizes),
+    /// on the world and on a `split` sub-communicator, on the default
+    /// fabric, a zero-latency/zero-overhead one, and a free one whose
+    /// exchange costs no virtual time at all (no sleep to suspend on).
+    #[test]
+    fn analytic_size_exchange_is_the_algorithmic_one(
+        p in 1usize..10,
+        cells in prop::collection::vec(0u64..(1 << 40), 243..244),
+        density in prop::collection::vec(0u8..3, 3..4),
+        idle in prop::collection::vec(0u16..512, 3..4),
+    ) {
+        use e10_netsim::NetConfig;
+        use e10_simcore::SimDuration;
+        let sent = move |step: usize, rank: usize, n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|dst| {
+                    let cell = cells[(step * 9 + rank) * 9 + dst];
+                    match density[step] {
+                        _ if idle[step] >> rank & 1 == 1 => 0,
+                        0 => 0,
+                        1 if cell % 4 != 0 => 0,
+                        _ => cell | 1,
+                    }
+                })
+                .collect()
+        };
+        let no_software_cost = NetConfig {
+            latency: SimDuration::ZERO,
+            overhead: SimDuration::ZERO,
+            ..NetConfig::ib_qdr(p)
+        };
+        let free = NetConfig { node_bw: 1e30, ..no_software_cost.clone() };
+        for split in [false, true] {
+            let want = three_size_exchanges(spec(p, CollBackend::Algorithmic), split, sent.clone());
+            for net_cfg in [None, Some(no_software_cost.clone()), Some(free.clone())] {
+                let mut analytic = spec(p, CollBackend::Analytic);
+                analytic.net_cfg = net_cfg.clone();
+                let got = three_size_exchanges(analytic, split, sent.clone());
+                prop_assert_eq!(&got, &want, "split {}, fabric {:?}", split, net_cfg);
+            }
+        }
     }
 
     /// The fault-tolerant size exchange is an alltoall: for a random

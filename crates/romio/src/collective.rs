@@ -36,13 +36,14 @@
 //!
 //! The collective read ([`crate::collective_read`]) keeps its own
 //! round body (request → read → reply) but takes the offset exchange,
-//! the collective-vs-independent decision, the file domains and the
-//! per-round windows from the functions here.
+//! the collective-vs-independent decision, the file domains, the size
+//! exchange and the per-aggregator view cursors ([`WindowCursors`])
+//! from here.
 
 use std::convert::Infallible;
 use std::future::Future;
 
-use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag};
+use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag, ViewPiece};
 use e10_simcore::trace::counter;
 use e10_storesim::Payload;
 
@@ -375,14 +376,65 @@ pub(crate) fn compute_domains(
     (fds, cb, ntimes)
 }
 
-/// Every aggregator's window `[ws, we)` of `round`, into `windows`.
-pub(crate) fn round_windows(fds: &FileDomains, cb: u64, round: u64, windows: &mut Vec<(u64, u64)>) {
-    windows.clear();
-    windows.extend((0..fds.starts.len()).map(|a| {
-        let ws = (fds.starts[a] + round * cb).min(fds.ends[a]);
-        let we = (fds.starts[a] + (round + 1) * cb).min(fds.ends[a]);
-        (ws, we)
-    }));
+/// Step 3, computed once per collective and stepped through per round
+/// (as ROMIO's `ADIOI_Calc_my_req` lists are): for every aggregator,
+/// how far into this rank's view its windows have got. An aggregator's
+/// window only moves forward with the round and starts where the last
+/// one ended, so each cursor advances monotonically and a whole
+/// collective walks the view once — against one binary search of the
+/// view per aggregator per round for [`FileView::pieces_in_window`],
+/// which a 512-rank, 64-aggregator collective would pay 64 times a
+/// round on every rank to find, almost always, nothing.
+pub(crate) struct WindowCursors<'v> {
+    pieces: &'v [ViewPiece],
+    /// Per aggregator: the first piece that ends past the start of the
+    /// aggregator's next window.
+    next: Vec<usize>,
+}
+
+impl<'v> WindowCursors<'v> {
+    /// Cursors at every domain's start (round 0).
+    pub(crate) fn new(view: &'v FileView, fds: &FileDomains) -> WindowCursors<'v> {
+        let pieces = view.pieces();
+        let next = (fds.starts.iter())
+            .map(|&s| pieces.partition_point(|p| p.file_off + p.len <= s))
+            .collect();
+        WindowCursors { pieces, next }
+    }
+
+    /// Visit, in order and clipped to it, the pieces of the view inside
+    /// aggregator `a`'s window `[ws, we)` — what
+    /// [`FileView::pieces_in_window`] returns — and leave the cursor
+    /// at `we`. Successive calls for one aggregator must name
+    /// successive windows ([`FileDomains::window`] of rounds in
+    /// order).
+    pub(crate) fn for_each_piece(
+        &mut self,
+        a: usize,
+        ws: u64,
+        we: u64,
+        mut f: impl FnMut(ViewPiece),
+    ) {
+        if ws >= we {
+            return;
+        }
+        let mut i = self.next[a];
+        while let Some(p) = self.pieces.get(i).filter(|p| p.file_off < we) {
+            // It ends past `ws`: that is where the last window left
+            // the cursor.
+            let (s, end) = (p.file_off.max(ws), p.file_off + p.len);
+            f(ViewPiece {
+                file_off: s,
+                len: end.min(we) - s,
+                buf_off: p.buf_off + (s - p.file_off),
+            });
+            if end > we {
+                break; // the rest of it is the next window's
+            }
+            i += 1;
+        }
+        self.next[a] = i;
+    }
 }
 
 /// `MPI_File_write_all`: collective write of this rank's buffer
@@ -458,17 +510,20 @@ pub(crate) async fn two_phase_write<T: Transport>(
 
     let (fds, cb, ntimes) = compute_domains(fd, &range, algo);
     let mut origins_scratch: Vec<usize> = Vec::new();
-    let error_code = exchange_and_write(fd, t, &fds, cb, ntimes, |ws, we, out| match &merged {
-        Some(m) => m.window_into(ws, we, out, &mut origins_scratch),
-        None if algo == TwoPhaseAlgo::NodeAgg || my_bytes == 0 => Provenance::default(),
-        None => {
-            view.for_each_piece_in_window(ws, we, |vp| {
+    // Only a rank that ships its own pieces steps through its view.
+    let mut own =
+        (algo != TwoPhaseAlgo::NodeAgg && my_bytes > 0).then(|| WindowCursors::new(view, &fds));
+    let contribution = |a, ws, we, out: &mut Vec<(u64, Payload)>| match (&merged, &mut own) {
+        (Some(m), _) => m.window_into(ws, we, out, &mut origins_scratch),
+        (None, Some(cursors)) => {
+            cursors.for_each_piece(a, ws, we, |vp| {
                 out.push((vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)));
             });
             Provenance::plain(out.len() as u64)
         }
-    })
-    .await?;
+        (None, None) => Provenance::default(),
+    };
+    let error_code = exchange_and_write(fd, t, &fds, cb, ntimes, contribution).await?;
     Ok(WriteAllResult {
         bytes: my_bytes,
         rounds: ntimes,
@@ -479,20 +534,26 @@ pub(crate) async fn two_phase_write<T: Transport>(
 
 /// Steps 3–5, the round loop: per-round size exchange, point-to-point
 /// data shuffle, collective-buffer assembly and write, a settle per
-/// round, then the finish. `contribution(ws, we, out)` fills what this
-/// rank sends into aggregator window `[ws, we)` — `(file_offset,
-/// payload)` pieces sorted by offset: the rank's own, the node-merged
-/// request list on a node leader, nothing on the ranks it speaks for —
-/// and returns its pre-aggregation provenance. Returns the global
-/// error code.
+/// round, then the finish. `contribution(a, ws, we, out)` fills what
+/// this rank sends into aggregator `a`'s window `[ws, we)` —
+/// `(file_offset, payload)` pieces sorted by offset: the rank's own,
+/// the node-merged request list on a node leader, nothing on the ranks
+/// it speaks for — and returns its pre-aggregation provenance. It is
+/// called for every aggregator of every round, rounds in order. Returns
+/// the global error code.
 ///
-/// Steady-state rounds are allocation-free under [`Plain`] (asserted
-/// by `e10-romio`'s `alloc_count` test): every per-round buffer is
-/// hoisted scratch that reaches its high-water capacity in the first
-/// rounds (one contribution buffer per aggregator, refilled in place),
-/// shuffled payload vectors circulate through the communicator's
-/// recycling pool ([`e10_mpisim::Comm::send_buf`]), and assembly
-/// sorts/merges in place instead of building run structures.
+/// Past that one pass over the aggregators, a round costs what the
+/// rank sends and receives: the shuffle visits only the aggregators
+/// whose window the rank touched. Steady-state rounds are
+/// allocation-free under [`Plain`] over algorithmic collectives and
+/// cost the communicator — not each rank — a small constant over
+/// analytic ones (`e10-romio`'s `alloc_count` test asserts both):
+/// every per-round buffer is hoisted scratch that reaches its
+/// high-water capacity in the first rounds (one contribution buffer
+/// per aggregator, refilled in place), shuffled payload vectors
+/// circulate through the communicator's recycling pool
+/// ([`e10_mpisim::Comm::send_buf`]), and assembly sorts/merges in place
+/// instead of building run structures.
 async fn exchange_and_write<T, S>(
     fd: &AdioFile,
     t: &mut T,
@@ -503,7 +564,7 @@ async fn exchange_and_write<T, S>(
 ) -> Result<u32, T::Abort>
 where
     T: Transport,
-    S: FnMut(u64, u64, &mut Vec<(u64, Payload)>) -> Provenance,
+    S: FnMut(usize, u64, u64, &mut Vec<(u64, Payload)>) -> Provenance,
 {
     let comm = fd.comm.clone();
     let prof = fd.profiler().clone();
@@ -521,9 +582,11 @@ where
 
     // Per-round scratch, allocated once and reused across rounds.
     let mut size_buf = vec![0u64; p];
-    let mut windows: Vec<(u64, u64)> = Vec::with_capacity(naggs);
     let mut agg_bufs: Vec<Vec<(u64, Payload)>> = (0..naggs).map(|_| Vec::new()).collect();
-    let mut provenance: Vec<Provenance> = vec![Provenance::default(); naggs];
+    // The aggregators this round's contribution is non-empty for, each
+    // with its provenance. The shuffle drains exactly their buffers, so
+    // every buffer is empty again when the next round fills it.
+    let mut touched: Vec<(usize, Provenance)> = Vec::with_capacity(naggs);
     let mut sreqs: Vec<Request> = Vec::new();
     let mut rreqs: Vec<Request> = Vec::new();
     let mut recvd: Vec<(u64, Payload)> = Vec::new();
@@ -536,14 +599,17 @@ where
     // --- 3–4. the two-phase rounds ----------------------------------------
     for round in 0..ntimes {
         let tag = round_tag(DATA_TAG_BASE, round);
-        round_windows(fds, cb, round, &mut windows);
 
         // My contribution to each aggregator this round.
         size_buf.fill(0);
-        for (a, &(ws, we)) in windows.iter().enumerate() {
-            agg_bufs[a].clear();
-            provenance[a] = contribution(ws, we, &mut agg_bufs[a]);
-            size_buf[aggregators[a]] = agg_bufs[a].iter().map(|(_, p)| p.len).sum();
+        touched.clear();
+        for (a, buf) in agg_bufs.iter_mut().enumerate() {
+            let (ws, we) = fds.window(a, cb, round);
+            let provenance = contribution(a, ws, we, buf);
+            if !buf.is_empty() {
+                size_buf[aggregators[a]] = buf.iter().map(|(_, p)| p.len).sum();
+                touched.push((a, provenance));
+            }
         }
 
         // Size dissemination ("shuffle_all2all"), in place —
@@ -560,10 +626,8 @@ where
         // envelope and a 16-byte (offset, length) header per piece —
         // the footprint the node-agg pre-stage shrinks.
         recvd.clear();
-        for (a, c) in agg_bufs.iter_mut().enumerate() {
-            if c.is_empty() {
-                continue;
-            }
+        for &(a, provenance) in &touched {
+            let c = &mut agg_bufs[a];
             let dst = aggregators[a];
             if dst == me {
                 recvd.append(c);
@@ -575,8 +639,8 @@ where
                 if comm.node_of(dst) != my_node {
                     counter("coll.shuffle.remote_msgs", 1);
                     counter("coll.shuffle.remote_bytes", bytes);
-                    let saved = 32 * provenance[a].msgs.saturating_sub(1)
-                        + 16 * provenance[a].pieces.saturating_sub(npieces);
+                    let saved = 32 * provenance.msgs.saturating_sub(1)
+                        + 16 * provenance.pieces.saturating_sub(npieces);
                     if saved > 0 {
                         counter("coll.node_agg.shuffle_bytes_saved", saved);
                     }
@@ -705,6 +769,7 @@ mod tests {
     use crate::test_util::{cb_info, on_testbed, strided_view};
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;
+    use proptest::prelude::*;
 
     /// The core oracle: an interleaved collective write from P ranks
     /// produces a byte-perfect file.
@@ -976,6 +1041,60 @@ mod tests {
             round_tag(DATA_TAG_BASE, u64::from(ROUND_TAGS) + 5),
             DATA_TAG_BASE + 5
         );
+    }
+
+    proptest! {
+        /// Stepping the cursors through every aggregator's windows,
+        /// rounds in order, visits exactly what the windowed view query
+        /// finds from scratch — on views with touching and far-apart
+        /// pieces, over the domains ROMIO would compute and over
+        /// arbitrary ones (zero-length, starting past the view's first
+        /// byte, ending short of or past its last, so the view ends
+        /// mid-window), with windows clipped at a domain's end and the
+        /// empty windows of an exhausted one.
+        #[test]
+        fn cursor_walk_is_the_windowed_view_query(
+            blocks in prop::collection::vec((0u64..40, 1u64..60), 0..40),
+            disp in 0u64..200,
+            computed in any::<bool>(),
+            first in 0u64..300,
+            sizes in prop::collection::vec(0u64..300, 1..9),
+            cb in 1u64..200,
+        ) {
+            let mut at = 0;
+            let blocks = blocks.into_iter().map(|(gap, len)| {
+                at += gap + len;
+                (at - len, len)
+            });
+            let view = FileView::new(&FlatType::indexed(blocks.collect()), disp);
+            let fds = if computed {
+                let (st, end) = view.file_range();
+                FileDomains::compute(st, end, sizes.len(), crate::hints::FdStrategy::Even, 1)
+            } else {
+                let mut bounds = vec![first];
+                for &s in &sizes {
+                    bounds.push(bounds.last().unwrap() + if s < 60 { 0 } else { s });
+                }
+                FileDomains {
+                    starts: bounds[..sizes.len()].to_vec(),
+                    ends: bounds[1..].to_vec(),
+                }
+            };
+            let mut cursors = WindowCursors::new(&view, &fds);
+            // One round past the last: every window empty by then.
+            for round in 0..fds.max_size().div_ceil(cb) + 1 {
+                for a in 0..fds.len() {
+                    let (ws, we) = fds.window(a, cb, round);
+                    let mut walked = Vec::new();
+                    cursors.for_each_piece(a, ws, we, |vp| walked.push(vp));
+                    prop_assert_eq!(
+                        walked,
+                        view.pieces_in_window(ws, we),
+                        "aggregator {} round {} window [{}, {})", a, round, ws, we
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!   exactly the safe case the paper describes.
 //!
 //! The preamble is the write path's, not a copy of it: the offset
-//! exchange, the collective-vs-independent decision, the file domains
-//! and the per-round windows come from [`crate::collective`] (always
-//! under the plain transport and `cb_buffer_size` rounds — no caller
-//! asks for a crash-tolerant or node-aggregated read). The round body
+//! exchange, the collective-vs-independent decision, the file domains,
+//! the per-round size exchange and the per-aggregator view cursors
+//! come from [`crate::collective`] (always under the plain transport
+//! and `cb_buffer_size` rounds — no caller asks for a crash-tolerant
+//! or node-aggregated read). The round body
 //! — request lists out, aggregator read, data back — is this module's
 //! own, because it runs the shuffle in the opposite direction.
 
@@ -27,8 +28,8 @@ use e10_storesim::{ExtentMap, Payload, Source};
 
 use crate::adio::AdioFile;
 use crate::collective::{
-    compute_domains, exchange_ranges, round_tag, round_windows, Plain, READ_DATA_TAG_BASE,
-    READ_REQ_TAG_BASE,
+    compute_domains, exchange_ranges, round_tag, Plain, Transport, WindowCursors,
+    READ_DATA_TAG_BASE, READ_REQ_TAG_BASE,
 };
 use crate::hints::TwoPhaseAlgo;
 use crate::profile::Phase;
@@ -93,7 +94,8 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     let prof = fd.profiler().clone();
     let me = comm.rank();
 
-    let Ok(Some(range)) = exchange_ranges(fd, view, &mut Plain::new(fd)).await else {
+    let mut plain = Plain::new(fd);
+    let Ok(Some(range)) = exchange_ranges(fd, view, &mut plain).await else {
         return ReadAllResult::default();
     };
     if !range.use_collective(fd.hints().cb_read) {
@@ -101,8 +103,9 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     }
     let (fds, cb, ntimes) = compute_domains(fd, &range, TwoPhaseAlgo::Extended);
     // Mirrors the write path: borrow the aggregator set instead of the
-    // historical per-call `to_vec()`, and reuse the alltoall size
-    // buffer across rounds.
+    // historical per-call `to_vec()`, exchange the sizes in place in
+    // one buffer reused across rounds, and step through the view with
+    // one cursor per aggregator.
     let aggregators: &[usize] = fd.aggregators();
     let naggs = aggregators.len();
     let my_agg = fd.my_agg_index();
@@ -116,33 +119,31 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     };
 
     let mut size_buf = vec![0u64; p];
-    let mut windows: Vec<(u64, u64)> = Vec::with_capacity(naggs);
+    let mut cursors = WindowCursors::new(view, &fds);
     let mut asked: Vec<bool> = Vec::with_capacity(naggs);
 
     for round in 0..ntimes {
         let req_tag = round_tag(READ_REQ_TAG_BASE, round);
         let data_tag = round_tag(READ_DATA_TAG_BASE, round);
-        round_windows(&fds, cb, round, &mut windows);
 
         // What I want from each aggregator this round.
         size_buf.fill(0);
-        let mut per_agg_reqs: Vec<Vec<ReqPiece>> = Vec::with_capacity(windows.len());
-        for (a, &(ws, we)) in windows.iter().enumerate() {
-            let pieces = view.pieces_in_window(ws, we);
-            let bytes: u64 = pieces.iter().map(|vp| vp.len).sum();
-            size_buf[aggregators[a]] = bytes;
-            per_agg_reqs.push(
-                pieces
-                    .into_iter()
-                    .map(|vp| (vp.file_off, vp.len, vp.buf_off))
-                    .collect(),
-            );
+        let mut per_agg_reqs: Vec<Vec<ReqPiece>> = Vec::with_capacity(naggs);
+        for (a, &agg) in aggregators.iter().enumerate() {
+            let (ws, we) = fds.window(a, cb, round);
+            let mut reqs: Vec<ReqPiece> = Vec::new();
+            cursors.for_each_piece(a, ws, we, |vp| {
+                size_buf[agg] += vp.len;
+                reqs.push((vp.file_off, vp.len, vp.buf_off));
+            });
+            per_agg_reqs.push(reqs);
         }
 
-        let req_sizes: Vec<u64> = {
+        // In place: `size_buf` now holds what each rank asks of me.
+        {
             let _t = prof.enter(Phase::ShuffleAlltoall);
-            comm.alltoall(std::mem::take(&mut size_buf), 8).await
-        };
+            let Ok(()) = plain.exchange_sizes(&mut size_buf).await;
+        }
 
         // Send request lists; keep my own local. The lists are moved
         // into the sends (the historical path cloned each one).
@@ -173,7 +174,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
             {
                 let _t = prof.enter(Phase::ShuffleWaitall);
                 let mut rreqs = Vec::new();
-                for (src, &sz) in req_sizes.iter().enumerate() {
+                for (src, &sz) in size_buf.iter().enumerate() {
                     if sz > 0 && src != me {
                         rreqs.push(comm.irecv(SourceSel::Rank(src), req_tag));
                     }
@@ -264,9 +265,6 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
                 }
             }
         }
-
-        // Reclaim the received size vector as next round's send buffer.
-        size_buf = req_sizes;
 
         // Everyone: wait for requested data.
         {

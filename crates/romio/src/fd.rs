@@ -83,6 +83,16 @@ impl FileDomains {
         (0..self.len()).map(|a| self.size(a)).max().unwrap_or(0)
     }
 
+    /// Aggregator `a`'s window of two-phase round `round`: the
+    /// `round`-th `cb`-byte slice of its domain, clipped to the domain's
+    /// end (empty once the domain is used up). A window starts where
+    /// the previous round's ended.
+    pub fn window(&self, a: usize, cb: u64, round: u64) -> (u64, u64) {
+        let ws = (self.starts[a] + round * cb).min(self.ends[a]);
+        let we = (self.starts[a] + (round + 1) * cb).min(self.ends[a]);
+        (ws, we)
+    }
+
     /// The aggregator whose domain contains file offset `off`, if any.
     pub fn aggregator_of(&self, off: u64) -> Option<usize> {
         // Domains are sorted and disjoint: binary search on starts.

@@ -9,7 +9,16 @@
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines, then scripts/loc.sh over crates/romio/src:
-#      production vs test lines per file (informational, no gate)
+#      production vs test lines per file (informational, no gate).
+#      The suite holds the four exact allocator-call gates of
+#      crates/romio/tests/alloc_count.rs:
+#      steady_state_rounds_allocate_nothing and
+#      steady_state_with_tolerance_hints_off_allocates_nothing (0 per
+#      extra round, algorithmic collectives),
+#      timed_rounds_cost_linear_in_ranks (3 per extra crash-tolerant
+#      round) and steady_state_rounds_allocate_a_constant_under_analytic
+#      (4 per extra round per communicator, at 8 and at 16 ranks, on
+#      the analytic collectives every paper-scale run uses)
 #   3. formatting
 #   4. clippy, warnings promoted to errors
 #   5. fault-matrix smoke: stalls/link faults/RPC failures across the

@@ -55,10 +55,11 @@ echo "profile.sh: no \`perf\` on this host; falling back to the" >&2
 echo "  allocation-backtrace recipe (E10_ALLOC_BT=lo:hi RUST_BACKTRACE=1)." >&2
 echo "==> ${run[*]}" >&2
 "${run[@]}"
-# The gate that exercises the transport the workload runs.
+# The gate that exercises the transport and the collective backend
+# the workload runs (every workload is analytic).
 case $workload in
   collperf_degraded) gate=timed_rounds_cost_linear_in_ranks ;;
-  *) gate=steady_state_rounds_allocate_nothing ;;
+  *) gate=steady_state_rounds_allocate_a_constant_under_analytic ;;
 esac
 export E10_ALLOC_BT="${E10_ALLOC_BT:-0:20}" RUST_BACKTRACE=1
 echo "==> E10_ALLOC_BT=$E10_ALLOC_BT RUST_BACKTRACE=1 alloc_count::$gate" >&2
