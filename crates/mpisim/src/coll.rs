@@ -36,20 +36,23 @@
 //!   a column walk of the P×P matrix — P strided reads and clones per
 //!   rank, 4 allocator calls per rank. Fine for the handful of control
 //!   collectives around an open, a close or an offset exchange.
-//! * **The size exchange** ([`Comm::alltoall_u64_inplace`]) runs once
-//!   per two-phase round on every rank, almost always carrying zeroes
-//!   (0.49 non-zero entries per rank per round on the paper's 512-rank
-//!   / 64-aggregator cell), so it contributes nothing boxed: a rank
-//!   stores each non-zero entry into the destination's row of
-//!   `CollShared::rows` and copies its own row out — one scan of its
-//!   buffer, one store per non-zero sent, one `memcpy` or zero-fill.
-//!   A row exists only for a destination that has ever been sent a
-//!   non-zero (the aggregators: ≤ naggs·P·8 B per communicator), and
-//!   the exchange allocates nothing beyond the rendezvous' 4 calls.
+//! * **The size exchange** ([`Comm::alltoall_u64_sparse`]) runs once
+//!   per two-phase round on every rank, almost always with nothing to
+//!   say (0.49 non-zero entries per rank per round on the paper's
+//!   512-rank / 64-aggregator cell), so it is sparse end to end: a rank
+//!   hands over the `(destination, value)` pairs it has, each is pushed
+//!   onto the destination's row of `CollShared::rows` tagged with its
+//!   source, and after the rendezvous the rank moves its own row out —
+//!   O(sent + received) per rank, O(1) for a rank with neither, and
+//!   nothing boxed. A row exists only for a destination that has ever
+//!   been sent to (the aggregators: ≤ naggs·P·16 B per communicator,
+//!   reserved once), and the exchange allocates nothing beyond the
+//!   rendezvous' 4 calls. The modelled `MPI_Alltoall` stays dense: the
+//!   virtual cost is that of P words per rank whatever they hold. The
+//!   dense [`Comm::alltoall_u64_inplace`] is an adapter over it.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use e10_simcore::{sleep, yield_now, Flag, SimDuration};
@@ -69,6 +72,7 @@ pub enum CollBackend {
 const COLL_TAG_BASE: Tag = 0x4000_0000;
 
 struct Slot {
+    opid: u64,
     contribs: Vec<Option<Box<dyn Any>>>,
     arrived: usize,
     flag: Flag,
@@ -78,20 +82,24 @@ struct Slot {
 
 pub(crate) struct CollShared {
     pub(crate) backend: CollBackend,
-    slots: RefCell<HashMap<u64, Slot>>,
+    /// The collectives in flight. Ranks join them in one order, so
+    /// these are the one every rank is leaving and the one the first
+    /// are entering: found by scanning, no hashing.
+    slots: RefCell<Vec<Slot>>,
     counters: RefCell<Vec<u64>>,
-    /// The analytic size exchange's mailboxes: `rows[dst][src]` is what
-    /// `src` sends `dst` in the exchange in flight, zero between
-    /// exchanges. Empty until the first non-zero is sent; a row is
-    /// materialised only for a destination that has ever been sent one.
-    rows: RefCell<Vec<Vec<u64>>>,
+    /// The analytic size exchange's mailboxes: `rows[dst]` holds the
+    /// `(src, value)` pairs sent to `dst` in the exchange in flight, in
+    /// arrival order, and is empty between exchanges. No rows until the
+    /// first pair is sent; a row gets its capacity (one pair per rank)
+    /// the first time its destination is sent to.
+    rows: RefCell<Vec<Vec<(usize, u64)>>>,
 }
 
 impl CollShared {
     pub(crate) fn new(backend: CollBackend, size: usize) -> Rc<Self> {
         Rc::new(CollShared {
             backend,
-            slots: RefCell::new(HashMap::new()),
+            slots: RefCell::new(Vec::new()),
             counters: RefCell::new(vec![0; size]),
             rows: RefCell::new(Vec::new()),
         })
@@ -131,13 +139,21 @@ impl Comm {
         let size = self.size();
         let flag = {
             let mut slots = coll.slots.borrow_mut();
-            let slot = slots.entry(opid).or_insert_with(|| Slot {
-                contribs: (0..size).map(|_| None).collect(),
-                arrived: 0,
-                flag: Flag::with_capacity(size - 1),
-                result: None,
-                taken: 0,
-            });
+            let i = match slots.iter().position(|s| s.opid == opid) {
+                Some(i) => i,
+                None => {
+                    slots.push(Slot {
+                        opid,
+                        contribs: (0..size).map(|_| None).collect(),
+                        arrived: 0,
+                        flag: Flag::with_capacity(size - 1),
+                        result: None,
+                        taken: 0,
+                    });
+                    slots.len() - 1
+                }
+            };
+            let slot = &mut slots[i];
             assert!(
                 slot.contribs[self.rank].is_none(),
                 "rank {} joined collective op {opid} twice — mismatched collective order",
@@ -154,7 +170,8 @@ impl Comm {
         };
         flag.wait().await;
         let mut slots = coll.slots.borrow_mut();
-        let slot = slots.get_mut(&opid).expect("collective slot vanished");
+        let i = (slots.iter().position(|s| s.opid == opid)).expect("collective slot vanished");
+        let slot = &mut slots[i];
         let result = slot
             .result
             .as_ref()
@@ -164,7 +181,7 @@ impl Comm {
             .expect("collective result type mismatch");
         slot.taken += 1;
         if slot.taken == size {
-            slots.remove(&opid);
+            slots.swap_remove(i);
         }
         result
     }
@@ -457,44 +474,48 @@ impl Comm {
     }
 
     /// `MPI_Alltoall` of one `u64` per rank, the shape of the two-phase
-    /// round loop's size dissemination: `buf[i]` is sent to rank `i`
-    /// and replaced in place by the value received *from* rank `i`.
+    /// round loop's size dissemination, for a matrix that is almost all
+    /// zeroes: `sends` holds this rank's non-zero entries as
+    /// `(destination, value)`, at most one per destination, and `recvs`
+    /// comes back holding the non-zero entries sent here as
+    /// `(source, value)`, ascending by source. A zero value is no entry.
     ///
     /// * `Algorithmic`: the pairwise exchange of
-    ///   `alltoall(v, bytes_each)` — same send order, per-message size
-    ///   and matching — with `sreqs` as caller-owned scratch (drained
-    ///   on return), so steady-state rounds touch the allocator zero
-    ///   times.
+    ///   `alltoall(v, bytes_each)` — P−1 messages per rank whatever
+    ///   they carry, same send order, per-message size and matching —
+    ///   with `sreqs` as caller-owned scratch (drained on return), so
+    ///   steady-state rounds touch the allocator zero times.
     /// * `Analytic`: the same two awaits as `alltoall` (rendezvous,
-    ///   then the `cost_alltoall` sleep) around a sparse exchange: a
-    ///   rank scatters its non-zero entries into the destinations'
-    ///   shared rows on arrival and takes its own row after the
-    ///   rendezvous. The communicator pays the rendezvous' 4 allocator
-    ///   calls per exchange (plus one per row the first time a
-    ///   destination is sent a non-zero), a rank none; `sreqs` is
-    ///   unused.
-    pub async fn alltoall_u64_inplace(
+    ///   then the `cost_alltoall` sleep of a dense exchange) around
+    ///   O(sent + received) host work: a rank pushes its entries onto
+    ///   the destinations' shared rows on arrival and moves its own row
+    ///   out after the rendezvous. The communicator pays the
+    ///   rendezvous' 4 allocator calls per exchange (plus one per row
+    ///   the first time a destination is sent to), a rank none once
+    ///   `recvs` has grown to what it receives; `sreqs` is unused.
+    pub async fn alltoall_u64_sparse(
         &self,
-        buf: &mut [u64],
+        sends: &[(usize, u64)],
+        recvs: &mut Vec<(usize, u64)>,
         bytes_each: u64,
         sreqs: &mut Vec<crate::comm::Request>,
     ) {
         let p = self.size();
-        assert_eq!(buf.len(), p, "alltoall needs one element per rank");
         let opid = self.next_op();
+        recvs.clear();
         if self.coll().backend == CollBackend::Analytic {
             let rows = &self.coll().rows;
-            {
+            if !sends.is_empty() {
                 let mut rows = rows.borrow_mut();
-                for (dst, &v) in buf.iter().enumerate().filter(|&(_, &v)| v != 0) {
-                    if rows.is_empty() {
-                        rows.resize_with(p, Vec::new);
-                    }
+                if rows.is_empty() {
+                    rows.resize_with(p, Vec::new);
+                }
+                for &(dst, v) in sends.iter().filter(|&&(_, v)| v != 0) {
                     let row = &mut rows[dst];
-                    if row.is_empty() {
-                        row.resize(p, 0);
+                    if row.capacity() == 0 {
+                        row.reserve_exact(p);
                     }
-                    row[self.rank] = v;
+                    row.push((self.rank, v));
                 }
             }
             self.sync_slot(opid, Box::new(()), |_| ()).await;
@@ -507,13 +528,12 @@ impl Comm {
             // rendezvous until everybody has scattered, and nobody
             // scatters again until every rank, woken here at this same
             // instant, has been polled through to its suspension.
-            match rows.borrow_mut().get_mut(self.rank) {
-                Some(row) if !row.is_empty() => {
-                    buf.copy_from_slice(row);
-                    row.fill(0);
-                }
-                _ => buf.fill(0),
+            if let Some(row) = rows.borrow_mut().get_mut(self.rank) {
+                recvs.append(row);
             }
+            // Ranks reach the rendezvous in any order; almost always it
+            // is rank order and this is one pass.
+            recvs.sort_unstable_by_key(|&(src, _)| src);
             // A free network has no sleep to suspend on (`sleep(0)` is
             // ready at once), so the rank that completed the rendezvous
             // would scatter the next exchange before the ranks it just
@@ -528,17 +548,48 @@ impl Comm {
         }
         let tag = self.op_tag(opid, 0);
         debug_assert!(sreqs.is_empty());
+        let sent_to = |dst| {
+            let entry = sends.iter().find(|&&(d, _)| d == dst);
+            entry.map_or(0, |&(_, v)| v)
+        };
         for s in 1..p {
             let dst = (self.rank + s) % p;
-            sreqs.push(self.isend(dst, tag, bytes_each, buf[dst]));
+            sreqs.push(self.isend(dst, tag, bytes_each, sent_to(dst)));
         }
+        recvs.push((self.rank, sent_to(self.rank)));
         for _ in 1..p {
             let m = self.recv(SourceSel::Any, tag).await;
-            let src = m.src;
-            buf[src] = m.into_data::<u64>();
+            recvs.push((m.src, m.into_data::<u64>()));
         }
+        recvs.retain(|&(_, v)| v != 0);
+        recvs.sort_unstable_by_key(|&(src, _)| src);
         for r in sreqs.drain(..) {
             r.wait().await;
+        }
+    }
+
+    /// The dense form of [`alltoall_u64_sparse`](Self::alltoall_u64_sparse),
+    /// an adapter over it: `buf[i]` is sent to rank `i` and replaced in
+    /// place by the value received *from* rank `i`.
+    pub async fn alltoall_u64_inplace(
+        &self,
+        buf: &mut [u64],
+        bytes_each: u64,
+        sreqs: &mut Vec<crate::comm::Request>,
+    ) {
+        assert_eq!(
+            buf.len(),
+            self.size(),
+            "alltoall needs one element per rank"
+        );
+        let entries = buf.iter().copied().enumerate();
+        let sends: Vec<(usize, u64)> = entries.filter(|&(_, v)| v != 0).collect();
+        let mut recvs = Vec::new();
+        self.alltoall_u64_sparse(&sends, &mut recvs, bytes_each, sreqs)
+            .await;
+        buf.fill(0);
+        for (src, v) in recvs {
+            buf[src] = v;
         }
     }
 

@@ -31,6 +31,7 @@ use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::future::poll_fn;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::task::{Poll, Waker};
 
@@ -40,18 +41,52 @@ use e10_simcore::{current_group, spawn};
 /// Message tag.
 pub type Tag = u32;
 
+/// The Fx multiply-rotate hash for the maps every message consults:
+/// their keys — rank pairs, task-group ids, `TypeId`s — are made by
+/// this program, so SipHash's resistance to crafted keys buys nothing
+/// here and costs a few percent of a paper-scale run. None of these
+/// maps is iterated.
+#[derive(Default)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
 /// Type-keyed shelf of reusable boxed scratch objects. `take_box`
 /// returns a previously recycled `Box<T>` (or default-constructs one on
 /// a cold start); `put_box` shelves it for the next taker. Steady
 /// state: every take is served from the shelf and allocates nothing.
 pub(crate) struct AnyPool {
-    shelves: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>>,
+    shelves: RefCell<IntMap<TypeId, Vec<Box<dyn Any>>>>,
 }
 
 impl AnyPool {
     fn new() -> AnyPool {
         AnyPool {
-            shelves: RefCell::new(HashMap::new()),
+            shelves: RefCell::default(),
         }
     }
 
@@ -334,7 +369,7 @@ struct CourierSlot {
 #[derive(Default)]
 struct Couriers {
     slots: RefCell<Vec<CourierSlot>>,
-    idle: RefCell<HashMap<u64, Vec<u32>>>,
+    idle: RefCell<IntMap<u64, Vec<u32>>>,
 }
 
 async fn courier_loop(st: Rc<CommState>, idx: u32, gid: u64) {
@@ -371,7 +406,7 @@ pub(crate) struct CommState {
     pub(crate) node_of: Vec<NodeId>,
     pub(crate) net: Rc<Network>,
     mailboxes: RefCell<Vec<RankMailbox>>,
-    order: RefCell<HashMap<(usize, usize), PairOrder>>,
+    order: RefCell<IntMap<(usize, usize), PairOrder>>,
     pub(crate) coll: Rc<super::coll::CollShared>,
     /// Bytes pushed through point-to-point sends (accounting).
     pub(crate) p2p_bytes: RefCell<u64>,
@@ -507,7 +542,7 @@ impl CommState {
             node_of,
             net,
             mailboxes: RefCell::new((0..size).map(|_| RankMailbox::default()).collect()),
-            order: RefCell::new(HashMap::new()),
+            order: RefCell::default(),
             coll,
             p2p_bytes: RefCell::new(0),
             p2p_msgs: RefCell::new(0),

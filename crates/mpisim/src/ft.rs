@@ -40,6 +40,10 @@ use e10_simcore::SimDuration;
 
 use crate::comm::{Comm, CommState, SourceSel, Tag};
 
+/// What a rank contributes to the fault-tolerant size exchange: a
+/// share of its row of the sparse size matrix, `(destination, value)`.
+type SharedRow = Rc<Vec<(usize, u64)>>;
+
 impl Comm {
     /// Convict `rank` as failed on this communicator. Idempotent.
     pub fn mark_failed(&self, rank: usize) {
@@ -177,42 +181,67 @@ impl Comm {
         None
     }
 
-    /// Fault-tolerant [`Comm::alltoall_u64_inplace`], one
-    /// [`Comm::ft_coordinate`] step: `buf[i]` goes to rank `i` and is
-    /// replaced by the value rank `i` sent here. Every rank contributes
-    /// its row, the coordinator transposes the rows once into one flat
-    /// matrix, and each survivor copies out its own row of that — the
-    /// `8 * size` bytes either message is billed. `row` is caller-owned
-    /// scratch kept across calls: the contribution is a share of it,
-    /// refilled in place once the coordinator has let go of the last.
-    /// `None` (`buf` untouched) is the abort, the same on every
-    /// survivor: a row is missing, or this rank is itself convicted.
-    pub async fn ft_alltoall_u64_inplace(
+    /// Fault-tolerant [`Comm::alltoall_u64_sparse`], one
+    /// [`Comm::ft_coordinate`] step: `sends` holds this rank's non-zero
+    /// entries as `(destination, value)`, and `recvs` comes back holding
+    /// the non-zero entries sent here as `(source, value)`, ascending
+    /// by source. Every rank contributes its sparse row, the
+    /// coordinator counting-sorts the rows by destination into one
+    /// buffer — O(P + non-zeros), one allocation — and each survivor
+    /// copies out its own slice of that. Either message is billed the
+    /// `8 * size` bytes of a dense row. `row` is caller-owned scratch
+    /// kept across calls: the contribution is a share of it, refilled
+    /// in place once the coordinator has let go of the last. `None`
+    /// (`recvs` untouched) is the abort, the same on every survivor: a
+    /// row is missing, or this rank is itself convicted.
+    pub async fn ft_alltoall_u64_sparse(
         &self,
         tag_base: Tag,
-        buf: &mut [u64],
-        row: &mut Rc<Vec<u64>>,
+        sends: &[(usize, u64)],
+        recvs: &mut Vec<(usize, u64)>,
+        row: &mut Rc<Vec<(usize, u64)>>,
         timeout: SimDuration,
     ) -> Option<()> {
         let p = self.state.size;
-        assert_eq!(buf.len(), p, "alltoall needs one element per rank");
         let mine = Rc::make_mut(row);
         mine.clear();
-        mine.extend_from_slice(buf);
-        let transpose = |rows: &mut [Option<Rc<Vec<u64>>>]| {
-            let mut flat = vec![0u64; p * p];
+        mine.extend(sends.iter().filter(|&&(_, v)| v != 0));
+        // The transpose in compressed form, in one buffer: `ends[dst]`
+        // is where `dst`'s entries end (they start where `dst - 1`'s
+        // end), then the entries as `source, value` word pairs — each
+        // destination's ascending by source, because the rows are
+        // dealt out in rank order.
+        let transpose = |rows: &mut [Option<SharedRow>]| {
+            let mut nnz = 0;
+            for row in rows.iter() {
+                nnz += row.as_ref()?.len();
+            }
+            let mut out = vec![0u64; p + 2 * nnz];
+            let (ends, entries) = out.split_at_mut(p);
+            for &(dst, _) in rows.iter().flatten().flat_map(|row| row.iter()) {
+                ends[dst] += 1;
+            }
+            let mut start = 0;
+            for e in ends.iter_mut() {
+                start += std::mem::replace(e, start);
+            }
             for (src, row) in rows.iter().enumerate() {
-                for (dst, &v) in row.as_ref()?.iter().enumerate() {
-                    flat[dst * p + src] = v;
+                for &(dst, v) in row.iter().flat_map(|row| row.iter()) {
+                    let at = 2 * ends[dst] as usize;
+                    entries[at..at + 2].copy_from_slice(&[src as u64, v]);
+                    ends[dst] += 1;
                 }
             }
-            Some(flat)
+            Some(out)
         };
         let res = self
             .ft_coordinate(tag_base, Rc::clone(row), 8 * p as u64, timeout, transpose)
             .await?;
-        let flat = (*res).as_ref()?;
-        buf.copy_from_slice(&flat[self.rank * p..][..p]);
+        let (ends, entries) = (*res).as_ref()?.split_at(p);
+        let start = self.rank.checked_sub(1).map_or(0, |r| ends[r]);
+        let mine = &entries[2 * start as usize..2 * ends[self.rank] as usize];
+        recvs.clear();
+        recvs.extend(mine.chunks_exact(2).map(|e| (e[0] as usize, e[1])));
         Some(())
     }
 

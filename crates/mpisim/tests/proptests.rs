@@ -12,13 +12,17 @@ fn spec(p: usize, backend: CollBackend) -> WorldSpec {
     s
 }
 
-/// What every rank holds after each of three back-to-back in-place
-/// size exchanges — on the world communicator, or on the odd/even
-/// halves of a `split` that reverses the rank order. `sent(step,
-/// world_rank, n)` is the rank's `n`-entry send buffer of `step`.
+/// What every rank holds after each of three back-to-back size
+/// exchanges — on the world communicator, or on the odd/even halves of
+/// a `split` that reverses the rank order. `sent(step, world_rank, n)`
+/// is the rank's `n`-entry send row of `step`; it goes through the
+/// dense in-place call, or (`sparse`) its non-zeros, last destination
+/// first, through the sparse one, whose answer — checked to be
+/// non-zeros ascending by source — is spread back out.
 fn three_size_exchanges(
     spec: WorldSpec,
     split: bool,
+    sparse: bool,
     sent: impl Fn(usize, usize, usize) -> Vec<u64> + Clone + 'static,
 ) -> Vec<Vec<Vec<u64>>> {
     e10_simcore::run(async move {
@@ -34,10 +38,24 @@ fn three_size_exchanges(
                     world
                 };
                 let mut sreqs = Vec::new();
+                let mut recvs = vec![(usize::MAX, 0)];
                 let mut got = Vec::new();
                 for step in 0..3 {
                     let mut buf = sent(step, me, comm.size());
-                    comm.alltoall_u64_inplace(&mut buf, 8, &mut sreqs).await;
+                    if sparse {
+                        let entries = buf.iter().copied().enumerate().rev();
+                        let sends: Vec<_> = entries.filter(|&(_, v)| v != 0).collect();
+                        comm.alltoall_u64_sparse(&sends, &mut recvs, 8, &mut sreqs)
+                            .await;
+                        assert!(recvs.windows(2).all(|w| w[0].0 < w[1].0), "{recvs:?}");
+                        buf.fill(0);
+                        for &(src, v) in &recvs {
+                            assert_ne!(v, 0, "a zero is no entry");
+                            buf[src] = v;
+                        }
+                    } else {
+                        comm.alltoall_u64_inplace(&mut buf, 8, &mut sreqs).await;
+                    }
                     got.push(buf);
                 }
                 got
@@ -140,14 +158,16 @@ proptest! {
         prop_assert_eq!(covered, view.total_bytes());
     }
 
-    /// The analytic size exchange is the algorithmic one: dense,
-    /// sparse and all-zero matrices, three exchanges back to back with
-    /// some ranks contributing nothing (such a rank runs from one
-    /// exchange's cost sleep straight into the next one's scatter, so a
-    /// row taken after the sleep would hold the wrong round's sizes),
-    /// on the world and on a `split` sub-communicator, on the default
-    /// fabric, a zero-latency/zero-overhead one, and a free one whose
-    /// exchange costs no virtual time at all (no sleep to suspend on).
+    /// The analytic size exchange is the algorithmic one, and the
+    /// sparse call the dense one: dense, sparse and all-zero matrices,
+    /// three exchanges back to back with some ranks sending nothing
+    /// and (on the world communicator) receiving nothing either (such
+    /// a rank runs from one exchange's cost sleep straight into the
+    /// next one's scatter, so a row taken after the sleep would hold
+    /// the wrong round's sizes), on the world and on a `split`
+    /// sub-communicator, on the default fabric, a
+    /// zero-latency/zero-overhead one, and a free one whose exchange
+    /// costs no virtual time at all (no sleep to suspend on).
     #[test]
     fn analytic_size_exchange_is_the_algorithmic_one(
         p in 1usize..10,
@@ -162,7 +182,7 @@ proptest! {
                 .map(|dst| {
                     let cell = cells[(step * 9 + rank) * 9 + dst];
                     match density[step] {
-                        _ if idle[step] >> rank & 1 == 1 => 0,
+                        _ if idle[step] >> rank & 1 == 1 || idle[step] >> dst & 1 == 1 => 0,
                         0 => 0,
                         1 if cell % 4 != 0 => 0,
                         _ => cell | 1,
@@ -177,22 +197,32 @@ proptest! {
         };
         let free = NetConfig { node_bw: 1e30, ..no_software_cost.clone() };
         for split in [false, true] {
-            let want = three_size_exchanges(spec(p, CollBackend::Algorithmic), split, sent.clone());
+            let algorithmic = |sparse| {
+                three_size_exchanges(spec(p, CollBackend::Algorithmic), split, sparse, sent.clone())
+            };
+            let want = algorithmic(false);
+            prop_assert_eq!(&algorithmic(true), &want, "algorithmic sparse call, split {}", split);
             for net_cfg in [None, Some(no_software_cost.clone()), Some(free.clone())] {
-                let mut analytic = spec(p, CollBackend::Analytic);
-                analytic.net_cfg = net_cfg.clone();
-                let got = three_size_exchanges(analytic, split, sent.clone());
-                prop_assert_eq!(&got, &want, "split {}, fabric {:?}", split, net_cfg);
+                for sparse in [true, false] {
+                    let mut analytic = spec(p, CollBackend::Analytic);
+                    analytic.net_cfg = net_cfg.clone();
+                    let got = three_size_exchanges(analytic, split, sparse, sent.clone());
+                    prop_assert_eq!(
+                        &got, &want,
+                        "split {}, sparse call {}, fabric {:?}", split, sparse, net_cfg
+                    );
+                }
             }
         }
     }
 
     /// The fault-tolerant size exchange is an alltoall: for a random
-    /// communicator size and size matrix it leaves every rank with
-    /// exactly what `alltoall_u64_inplace` leaves it, twice in a row on
-    /// the same hoisted row. With one rank silent, every survivor gets
-    /// the abort instead (its buffer untouched) and convicts exactly
-    /// the silent rank.
+    /// communicator size and size matrix — every entry set, then about
+    /// a quarter of them — it leaves every rank with exactly what
+    /// `alltoall_u64_sparse` leaves it, twice in a row on the same
+    /// hoisted row. With one rank silent, every survivor gets the abort
+    /// instead (what it held untouched) and convicts exactly the silent
+    /// rank.
     #[test]
     fn ft_size_exchange_is_an_alltoall(
         p in 2usize..10,
@@ -210,17 +240,20 @@ proptest! {
                 let cells = Rc::clone(&cells2);
                 async move {
                     let me = comm.rank();
-                    let sent = |salt: u64| -> Vec<u64> {
-                        (0..p).map(|dst| cells[me * p + dst] ^ salt).collect()
+                    let sent = |step: u32| -> Vec<(usize, u64)> {
+                        let row = (0..p).map(|dst| (dst, cells[me * p + dst] | 1));
+                        row.filter(|&(_, v)| step == 0 || v % 8 == 1).collect()
                     };
                     let mut row = Rc::default();
                     let mut sreqs = Vec::new();
+                    let (mut ft, mut plain) = (Vec::new(), Vec::new());
                     for step in 0..2u32 {
-                        let (mut ft, mut plain) = (sent(step.into()), sent(step.into()));
                         let tag = TAG + step * 2 * p as u32;
-                        let done = comm.ft_alltoall_u64_inplace(tag, &mut ft, &mut row, timeout);
+                        let sends = sent(step);
+                        let done =
+                            comm.ft_alltoall_u64_sparse(tag, &sends, &mut ft, &mut row, timeout);
                         assert_eq!(done.await, Some(()));
-                        comm.alltoall_u64_inplace(&mut plain, 8, &mut sreqs).await;
+                        comm.alltoall_u64_sparse(&sends, &mut plain, 8, &mut sreqs).await;
                         assert_eq!(ft, plain, "rank {me}, step {step}");
                     }
                     // Third exchange: one rank never joins.
@@ -228,11 +261,10 @@ proptest! {
                     if me == silent {
                         return;
                     }
-                    let mut buf = sent(7);
-                    let tag = TAG + 4 * p as u32;
-                    let done = comm.ft_alltoall_u64_inplace(tag, &mut buf, &mut row, timeout);
+                    let (tag, sends) = (TAG + 4 * p as u32, sent(0));
+                    let done = comm.ft_alltoall_u64_sparse(tag, &sends, &mut ft, &mut row, timeout);
                     assert_eq!(done.await, None, "rank {me} must see the abort");
-                    assert_eq!(buf, sent(7), "an aborted exchange leaves the buffer alone");
+                    assert_eq!(ft, plain, "an aborted exchange leaves the answer alone");
                     assert_eq!(comm.failed_ranks(), vec![silent]);
                 }
             })

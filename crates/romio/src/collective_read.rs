@@ -23,7 +23,7 @@
 //! — request lists out, aggregator read, data back — is this module's
 //! own, because it runs the shuffle in the opposite direction.
 
-use e10_mpisim::{waitall, FileView, SourceSel};
+use e10_mpisim::{FileView, Request, SourceSel};
 use e10_storesim::{ExtentMap, Payload, Source};
 
 use crate::adio::AdioFile;
@@ -65,6 +65,14 @@ pub struct ReadAllResult {
 }
 
 impl ReadAllResult {
+    /// Take delivery of an aggregator's reply, leaving it empty.
+    fn take(&mut self, reply: &mut Vec<ReadPiece>) {
+        for p in reply.drain(..) {
+            self.bytes += p.payload.len;
+            self.pieces.push(p);
+        }
+    }
+
     /// Check that every received byte equals generator stream `seed`
     /// at the identity mapping — the read-side verification oracle.
     pub fn verify_gen(&self, seed: u64) -> Result<(), String> {
@@ -102,14 +110,13 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         return independent_read(fd, view).await;
     }
     let (fds, cb, ntimes) = compute_domains(fd, &range, TwoPhaseAlgo::Extended);
-    // Mirrors the write path: borrow the aggregator set instead of the
-    // historical per-call `to_vec()`, exchange the sizes in place in
-    // one buffer reused across rounds, and step through the view with
-    // one cursor per aggregator.
+    // Mirrors the write path: borrow the aggregator set, exchange the
+    // sizes sparsely, step through the view by the round schedule, and
+    // keep every per-round list as scratch hoisted across the rounds —
+    // the lists that travel circulate through the communicator's pool.
     let aggregators: &[usize] = fd.aggregators();
     let naggs = aggregators.len();
     let my_agg = fd.my_agg_index();
-    let p = comm.size();
     let mut local_err: u32 = 0;
 
     let mut out = ReadAllResult {
@@ -118,46 +125,51 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         ..Default::default()
     };
 
-    let mut size_buf = vec![0u64; p];
-    let mut cursors = WindowCursors::new(view, &fds);
-    let mut asked: Vec<bool> = Vec::with_capacity(naggs);
+    let mut cursors = WindowCursors::new(view, &fds, cb);
+    let mut per_agg_reqs: Vec<Vec<ReqPiece>> = (0..naggs).map(|_| Vec::new()).collect();
+    // The aggregators (by index) asked for something this round,
+    // ascending.
+    let mut asked: Vec<usize> = Vec::new();
+    let mut sends: Vec<(usize, u64)> = Vec::new();
+    let mut recvs: Vec<(usize, u64)> = Vec::with_capacity(my_agg.map_or(0, |_| comm.size()));
+    let mut sreqs: Vec<Request> = Vec::new();
+    let mut rreqs: Vec<Request> = Vec::new();
+    let mut reply_reqs: Vec<Request> = Vec::new();
+    let mut requests: Vec<(usize, Vec<ReqPiece>)> = Vec::new();
+    let mut ranges: Vec<(u64, u64)> = Vec::new();
+    let mut runs: Vec<(u64, u64)> = Vec::new();
 
     for round in 0..ntimes {
         let req_tag = round_tag(READ_REQ_TAG_BASE, round);
         let data_tag = round_tag(READ_DATA_TAG_BASE, round);
 
         // What I want from each aggregator this round.
-        size_buf.fill(0);
-        let mut per_agg_reqs: Vec<Vec<ReqPiece>> = Vec::with_capacity(naggs);
-        for (a, &agg) in aggregators.iter().enumerate() {
-            let (ws, we) = fds.window(a, cb, round);
-            let mut reqs: Vec<ReqPiece> = Vec::new();
-            cursors.for_each_piece(a, ws, we, |vp| {
-                size_buf[agg] += vp.len;
-                reqs.push((vp.file_off, vp.len, vp.buf_off));
-            });
-            per_agg_reqs.push(reqs);
-        }
+        asked.clear();
+        cursors.for_each_piece(round, |a, vp| {
+            if asked.last() != Some(&a) {
+                asked.push(a);
+            }
+            per_agg_reqs[a].push((vp.file_off, vp.len, vp.buf_off));
+        });
+        sends.clear();
+        sends.extend(asked.iter().map(|&a| {
+            let bytes: u64 = per_agg_reqs[a].iter().map(|&(_, len, _)| len).sum();
+            (aggregators[a], bytes)
+        }));
 
-        // In place: `size_buf` now holds what each rank asks of me.
+        // `recvs` now holds what each rank asks of me.
         {
             let _t = prof.enter(Phase::ShuffleAlltoall);
-            let Ok(()) = plain.exchange_sizes(&mut size_buf).await;
+            let Ok(()) = plain.exchange_sizes(&sends, &mut recvs).await;
         }
 
-        // Send request lists; keep my own local. The lists are moved
-        // into the sends (the historical path cloned each one).
-        let mut local_req: Vec<ReqPiece> = Vec::new();
-        let mut sreqs = Vec::new();
-        asked.clear();
-        for (a, reqs) in per_agg_reqs.into_iter().enumerate() {
-            asked.push(!reqs.is_empty());
-            if reqs.is_empty() {
-                continue;
-            }
+        // Send request lists; keep my own local.
+        for &a in &asked {
+            let mut reqs = comm.send_buf::<ReqPiece>();
+            reqs.append(&mut per_agg_reqs[a]);
             let dst = aggregators[a];
             if dst == me {
-                local_req = reqs;
+                requests.push((me, reqs));
             } else {
                 let bytes = 32 + 24 * reqs.len() as u64;
                 sreqs.push(comm.isend(dst, req_tag, bytes, reqs));
@@ -165,35 +177,29 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         }
 
         // Aggregator: gather requests, read the union, reply.
-        let mut reply_reqs = Vec::new();
         if my_agg.is_some() {
-            let mut requests: Vec<(usize, Vec<ReqPiece>)> = Vec::new();
-            if !local_req.is_empty() {
-                requests.push((me, local_req));
-            }
             {
                 let _t = prof.enter(Phase::ShuffleWaitall);
-                let mut rreqs = Vec::new();
-                for (src, &sz) in size_buf.iter().enumerate() {
-                    if sz > 0 && src != me {
-                        rreqs.push(comm.irecv(SourceSel::Rank(src), req_tag));
+                let srcs = recvs.iter().map(|&(src, _)| src).filter(|&src| src != me);
+                rreqs.extend(srcs.map(|src| comm.irecv(SourceSel::Rank(src), req_tag)));
+                for r in rreqs.drain(..) {
+                    if let Some(m) = r.wait().await {
+                        requests.push((m.src, m.into_data::<Vec<ReqPiece>>()));
                     }
                 }
-                for m in waitall(rreqs).await.into_iter().flatten() {
-                    let src = m.src;
-                    requests.push((src, m.into_data::<Vec<ReqPiece>>()));
-                }
-                requests.sort_by_key(|(src, _)| *src);
+                requests.sort_unstable_by_key(|&(src, _)| src);
             }
             if !requests.is_empty() {
                 // Union of requested ranges → merged runs.
-                let mut ranges: Vec<(u64, u64)> = requests
-                    .iter()
-                    .flat_map(|(_, rs)| rs.iter().map(|&(o, l, _)| (o, l)))
-                    .collect();
+                ranges.clear();
+                ranges.extend(
+                    requests
+                        .iter()
+                        .flat_map(|(_, rs)| rs.iter().map(|&(o, l, _)| (o, l))),
+                );
                 ranges.sort_unstable();
-                let mut runs: Vec<(u64, u64)> = Vec::new();
-                for (o, l) in ranges {
+                runs.clear();
+                for &(o, l) in &ranges {
                     match runs.last_mut() {
                         Some(r) if o <= r.0 + r.1 => r.1 = r.1.max(o + l - r.0),
                         _ => runs.push((o, l)),
@@ -204,7 +210,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
                 let mut window_data = ExtentMap::new();
                 {
                     let _t = prof.enter(Phase::Write); // the data-I/O phase
-                    for (o, l) in runs {
+                    for &(o, l) in &runs {
                         let cached = fd.hints().e10_cache_read
                             && fd
                                 .cache()
@@ -237,10 +243,10 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
                     }
                 }
                 // Scatter the pieces back.
-                for (src, reqs) in requests {
-                    let mut reply: Vec<ReadPiece> = Vec::new();
+                for (src, mut reqs) in requests.drain(..) {
+                    let mut reply = comm.send_buf::<ReadPiece>();
                     let mut bytes = 32u64;
-                    for (o, l, buf_off) in reqs {
+                    for (o, l, buf_off) in reqs.drain(..) {
                         for (r, s) in window_data.lookup(o, l) {
                             let len = r.end - r.start;
                             reply.push(ReadPiece {
@@ -254,11 +260,10 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
                             bytes += len + 24;
                         }
                     }
+                    comm.recycle_buf(reqs);
                     if src == me {
-                        for p in reply {
-                            out.bytes += p.payload.len;
-                            out.pieces.push(p);
-                        }
+                        out.take(&mut reply);
+                        comm.recycle_buf(reply);
                     } else {
                         reply_reqs.push(comm.isend(src, data_tag, bytes, reply));
                     }
@@ -269,20 +274,21 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         // Everyone: wait for requested data.
         {
             let _t = prof.enter(Phase::ShuffleWaitall);
-            let mut rreqs = Vec::new();
-            for (a, &was_asked) in asked.iter().enumerate() {
-                if was_asked && aggregators[a] != me {
-                    rreqs.push(comm.irecv(SourceSel::Rank(aggregators[a]), data_tag));
+            let srcs = asked.iter().map(|&a| aggregators[a]);
+            rreqs.extend(
+                srcs.filter(|&agg| agg != me)
+                    .map(|agg| comm.irecv(SourceSel::Rank(agg), data_tag)),
+            );
+            for r in rreqs.drain(..) {
+                if let Some(m) = r.wait().await {
+                    let mut reply = m.into_data::<Vec<ReadPiece>>();
+                    out.take(&mut reply);
+                    comm.recycle_buf(reply);
                 }
             }
-            for m in waitall(rreqs).await.into_iter().flatten() {
-                for p in m.into_data::<Vec<ReadPiece>>() {
-                    out.bytes += p.payload.len;
-                    out.pieces.push(p);
-                }
+            for r in sreqs.drain(..).chain(reply_reqs.drain(..)) {
+                r.wait().await;
             }
-            waitall(sreqs).await;
-            waitall(reply_reqs).await;
         }
     }
 

@@ -85,10 +85,11 @@ impl Phase {
     }
 }
 
-/// Per-rank accumulated time per phase. Handle semantics (clones share).
+/// Per-rank accumulated time per phase, indexed by `phase as usize`.
+/// Handle semantics (clones share).
 #[derive(Clone, Default)]
 pub struct Profiler {
-    acc: Rc<RefCell<BTreeMap<Phase, SimDuration>>>,
+    acc: Rc<RefCell<[SimDuration; Phase::ALL.len()]>>,
 }
 
 /// RAII timer: charges the elapsed virtual time to a phase on drop.
@@ -118,50 +119,34 @@ impl Profiler {
 
     /// Charge an explicit duration to a phase.
     pub fn add(&self, phase: Phase, d: SimDuration) {
-        let mut acc = self.acc.borrow_mut();
-        let e = acc.entry(phase).or_insert(SimDuration::ZERO);
-        *e += d;
+        self.acc.borrow_mut()[phase as usize] += d;
     }
 
     /// Accumulated time in a phase.
     pub fn get(&self, phase: Phase) -> SimDuration {
-        self.acc
-            .borrow()
-            .get(&phase)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
+        self.acc.borrow()[phase as usize]
     }
 
     /// Total across all phases.
     pub fn total(&self) -> SimDuration {
-        self.acc
-            .borrow()
-            .values()
-            .fold(SimDuration::ZERO, |a, &b| a + b)
-    }
-
-    /// Snapshot of all non-zero phases.
-    pub fn snapshot(&self) -> BTreeMap<Phase, SimDuration> {
-        self.acc.borrow().clone()
+        let acc = self.acc.borrow();
+        acc.iter().fold(SimDuration::ZERO, |a, &b| a + b)
     }
 
     /// Reset all counters.
     pub fn reset(&self) {
-        self.acc.borrow_mut().clear();
+        self.acc.borrow_mut().fill(SimDuration::ZERO);
     }
 
     /// Remove and return a phase's accumulated time.
     pub fn take(&self, phase: Phase) -> SimDuration {
-        self.acc
-            .borrow_mut()
-            .remove(&phase)
-            .unwrap_or(SimDuration::ZERO)
+        std::mem::take(&mut self.acc.borrow_mut()[phase as usize])
     }
 
     /// Add all of `other`'s counters into this profiler.
     pub fn merge_from(&self, other: &Profiler) {
-        for (ph, d) in other.snapshot() {
-            self.add(ph, d);
+        for ph in Phase::ALL {
+            self.add(ph, other.get(ph));
         }
     }
 }
@@ -194,14 +179,9 @@ impl Breakdown {
     pub fn from_profilers(profs: &[Profiler]) -> Breakdown {
         let mut per_phase: BTreeMap<Phase, e10_simcore::Tally> = BTreeMap::new();
         for p in profs {
-            let snap = p.snapshot();
             for ph in Phase::ALL {
-                per_phase.entry(ph).or_default().push(
-                    snap.get(&ph)
-                        .copied()
-                        .unwrap_or(SimDuration::ZERO)
-                        .as_secs_f64(),
-                );
+                let tally = per_phase.entry(ph).or_default();
+                tally.push(p.get(ph).as_secs_f64());
             }
         }
         Breakdown {
@@ -309,6 +289,13 @@ mod tests {
             assert!(table.contains("write"));
             assert!(!table.contains("post_write"));
         });
+    }
+
+    #[test]
+    fn phases_index_the_profiler_in_display_order() {
+        for (i, ph) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(ph as usize, i, "{ph:?}");
+        }
     }
 
     #[test]

@@ -103,8 +103,8 @@ struct Timed<'a> {
     /// OR of the error bits the settles have agreed on so far.
     global_err: u32,
     /// The size exchange's contribution, hoisted across rounds (see
-    /// [`Comm::ft_alltoall_u64_inplace`]).
-    row: Rc<Vec<u64>>,
+    /// [`Comm::ft_alltoall_u64_sparse`]).
+    row: Rc<Vec<(usize, u64)>>,
 }
 
 impl Timed<'_> {
@@ -128,10 +128,14 @@ impl Transport for Timed<'_> {
         }
     }
 
-    async fn exchange_sizes(&mut self, sizes: &mut [u64]) -> Result<(), Aborted> {
+    async fn exchange_sizes(
+        &mut self,
+        sends: &[(usize, u64)],
+        recvs: &mut Vec<(usize, u64)>,
+    ) -> Result<(), Aborted> {
         let tag = self.next_tag();
         let comm = &self.fd.comm;
-        comm.ft_alltoall_u64_inplace(tag, sizes, &mut self.row, self.timeout)
+        comm.ft_alltoall_u64_sparse(tag, sends, recvs, &mut self.row, self.timeout)
             .await
             .ok_or(Aborted)
     }

@@ -88,7 +88,8 @@ const WORK_EPS: f64 = 1e-6;
 struct FsJob {
     /// Per-resource identifier; the serving [`FsServe`] future finds
     /// its job by id (the job may move as earlier completions shift
-    /// the order-preserving `jobs` vector).
+    /// the order-preserving `jobs` vector). Ids are handed out in join
+    /// order, so `jobs` is always sorted by id.
     id: u64,
     remaining: f64,
     cap: Option<f64>,
@@ -103,6 +104,10 @@ struct FsJob {
 pub(crate) struct FsState {
     rate: f64,
     jobs: Vec<FsJob>,
+    /// Whether some job may be down to `WORK_EPS`: a settle saw one
+    /// get there, or one joined with no more than that. The completion
+    /// sweep has nothing to find otherwise.
+    any_done: bool,
     last_settle: SimTime,
     /// `(kernel id, seq, slot)` of the armed completion timer (an
     /// unboxed `EventAction::FsTimer` calendar entry). A firing timer
@@ -139,6 +144,7 @@ impl FairShare {
             inner: Rc::new(RefCell::new(FsState {
                 rate,
                 jobs: Vec::new(),
+                any_done: false,
                 last_settle: SimTime::ZERO,
                 pending: None,
                 next_job: 0,
@@ -263,51 +269,77 @@ impl FsState {
         None
     }
 
+    /// Register a job of `work` units; returns its id.
+    fn join(&mut self, work: f64, cap: Option<f64>, waker: Waker) -> u64 {
+        let id = self.next_job;
+        self.next_job += 1;
+        self.any_done |= work <= WORK_EPS;
+        self.jobs.push(FsJob {
+            id,
+            remaining: work,
+            cap,
+            waker,
+        });
+        id
+    }
+
     /// Advance job progress from `last_settle` to `to`, completing any
     /// jobs that finish in the interval boundary.
     fn settle(&mut self, to: SimTime) {
         let dt = to.since(self.last_settle).as_secs_f64();
         self.last_settle = to;
         if dt > 0.0 && !self.jobs.is_empty() {
-            match self.compute_rates() {
-                Some(r) => {
-                    let FsState {
-                        jobs, work_done, ..
-                    } = self;
-                    for job in jobs.iter_mut() {
-                        let step = r * dt;
-                        let used = step.min(job.remaining);
-                        job.remaining -= used;
-                        *work_done += used;
-                    }
-                }
-                None => {
-                    let FsState {
-                        jobs,
-                        rates,
-                        work_done,
-                        ..
-                    } = self;
-                    for (job, r) in jobs.iter_mut().zip(rates.iter()) {
-                        let step = r * dt;
-                        let used = step.min(job.remaining);
-                        job.remaining -= used;
-                        *work_done += used;
-                    }
-                }
+            let uniform = self.compute_rates();
+            let FsState {
+                jobs,
+                rates,
+                work_done,
+                any_done,
+                ..
+            } = self;
+            let mut advance = |job: &mut FsJob, r: f64| {
+                let step = r * dt;
+                let used = step.min(job.remaining);
+                job.remaining -= used;
+                *work_done += used;
+                *any_done |= job.remaining <= WORK_EPS;
+            };
+            match uniform {
+                Some(r) => jobs.iter_mut().for_each(|job| advance(job, r)),
+                None => (jobs.iter_mut().zip(rates.iter())).for_each(|(job, &r)| advance(job, r)),
             }
         }
         // Complete finished jobs (preserving order for determinism).
-        let mut i = 0;
-        while i < self.jobs.len() {
-            if self.jobs[i].remaining <= WORK_EPS {
-                let job = self.jobs.remove(i);
+        if std::mem::take(&mut self.any_done) {
+            for job in self.jobs.extract_if(.., |job| job.remaining <= WORK_EPS) {
                 self.jobs_done += 1;
                 job.waker.wake();
-            } else {
-                i += 1;
             }
         }
+    }
+
+    /// Seconds until the first job completes at the current rates.
+    fn horizon(&mut self) -> f64 {
+        let mut horizon = f64::INFINITY;
+        match self.compute_rates() {
+            // Dividing by a positive rate is monotone, rounding
+            // included, so the least quotient is the quotient of the
+            // least remainder: one division, not one per job.
+            Some(r) => {
+                if r > 0.0 {
+                    let least = self.jobs.iter().map(|job| job.remaining);
+                    horizon = least.fold(horizon, f64::min) / r;
+                }
+            }
+            None => {
+                for (job, r) in self.jobs.iter().zip(self.rates.iter()) {
+                    if *r > 0.0 {
+                        horizon = horizon.min(job.remaining / r);
+                    }
+                }
+            }
+        }
+        horizon
     }
 
     /// Schedule the next completion event. The cancel + re-arm cycle
@@ -324,23 +356,7 @@ impl FsState {
         if self.jobs.is_empty() {
             return;
         }
-        let mut horizon = f64::INFINITY;
-        match self.compute_rates() {
-            Some(r) => {
-                if r > 0.0 {
-                    for job in self.jobs.iter() {
-                        horizon = horizon.min(job.remaining / r);
-                    }
-                }
-            }
-            None => {
-                for (job, r) in self.jobs.iter().zip(self.rates.iter()) {
-                    if *r > 0.0 {
-                        horizon = horizon.min(job.remaining / r);
-                    }
-                }
-            }
-        }
+        let horizon = self.horizon();
         assert!(
             horizon.is_finite(),
             "FairShare stalled: all jobs have zero rate"
@@ -395,14 +411,7 @@ impl Future for FsServe {
                 let t = now();
                 let mut st = this.fs.borrow_mut();
                 st.settle(t);
-                let id = st.next_job;
-                st.next_job += 1;
-                st.jobs.push(FsJob {
-                    id,
-                    remaining: this.work,
-                    cap: this.cap,
-                    waker: cx.waker().clone(),
-                });
+                let id = st.join(this.work, this.cap, cx.waker().clone());
                 st.reschedule(&this.fs, t);
                 drop(st);
                 this.job = Some(id);
@@ -410,14 +419,14 @@ impl Future for FsServe {
             }
             Some(id) => {
                 let mut st = this.fs.borrow_mut();
-                match st.jobs.iter_mut().find(|j| j.id == id) {
-                    Some(j) => {
+                match st.jobs.binary_search_by_key(&id, |j| j.id) {
+                    Ok(i) => {
                         // Keep the stored waker current (a cheap
                         // vtable-aware clone_from; no allocation).
-                        j.waker.clone_from(cx.waker());
+                        st.jobs[i].waker.clone_from(cx.waker());
                         Poll::Pending
                     }
-                    None => Poll::Ready(()),
+                    Err(_) => Poll::Ready(()),
                 }
             }
         }
@@ -677,6 +686,7 @@ mod tests {
                     waker: Waker::noop().clone(),
                 })
                 .collect(),
+            any_done: false,
             last_settle: SimTime::ZERO,
             pending: None,
             next_job: caps.len() as u64,
@@ -785,6 +795,124 @@ mod tests {
         }
         let mut st = probe_state(100.0, &[Some(10.0), None]);
         assert!(st.compute_rates().is_none(), "mixed caps need water-fill");
+    }
+
+    /// The fair share spelled out, for the production passes to be
+    /// held against: rates from the allocating [`water_fill`] oracle,
+    /// one division per job for the horizon, every job tried for
+    /// completion at every settle.
+    struct Reference {
+        rate: f64,
+        /// `(id, remaining, cap)` in join order.
+        jobs: Vec<(u64, f64, Option<f64>)>,
+        last_settle: SimTime,
+        work_done: f64,
+        done: Vec<u64>,
+    }
+
+    impl Reference {
+        fn rates(&self) -> Vec<f64> {
+            let caps: Vec<_> = self.jobs.iter().map(|j| j.2).collect();
+            water_fill(self.rate, &caps)
+        }
+
+        fn settle(&mut self, to: SimTime) {
+            let dt = to.since(self.last_settle).as_secs_f64();
+            self.last_settle = to;
+            if dt > 0.0 {
+                let rates = self.rates();
+                for (job, r) in self.jobs.iter_mut().zip(rates) {
+                    let used = (r * dt).min(job.1);
+                    job.1 -= used;
+                    self.work_done += used;
+                }
+            }
+            let (done, live) = self.jobs.iter().partition(|j| j.1 <= WORK_EPS);
+            self.jobs = live;
+            self.done.extend(done.iter().map(|j: &(u64, f64, _)| j.0));
+        }
+
+        fn horizon(&self) -> f64 {
+            let per_job = self.jobs.iter().zip(self.rates());
+            let finite = per_job.filter(|&(_, r)| r > 0.0).map(|(j, r)| j.1 / r);
+            finite.fold(f64::INFINITY, f64::min)
+        }
+    }
+
+    /// Records the id of the job it is woken for.
+    struct Completion(u64, std::sync::Arc<std::sync::Mutex<Vec<u64>>>);
+
+    impl std::task::Wake for Completion {
+        fn wake(self: std::sync::Arc<Self>) {
+            self.1.lock().unwrap().push(self.0);
+        }
+    }
+
+    proptest::proptest! {
+        /// One division per reschedule and a completion sweep only
+        /// when due change nothing: over random job mixes — uniform
+        /// caps (the single-rate path) and mixed ones, work from below
+        /// `WORK_EPS` to millions of units — joining at the instant of
+        /// a settle or between two, and time stepped to the horizon or
+        /// short of it, the horizon, every job's remaining work and
+        /// the work done agree bit for bit with the per-job-division
+        /// reference after every step, and jobs complete in the same
+        /// order.
+        #[test]
+        fn fair_share_passes_match_the_per_job_reference(
+            uniform in proptest::any::<bool>(),
+            jobs in proptest::collection::vec((0u8..4, 0.0f64..1.0, 0u8..4, 0.1f64..90.0), 1..40),
+            steps in proptest::collection::vec((0u8..4, 0.0f64..1.0), 1..120),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let rate = 256.0;
+            let mut jobs = jobs.into_iter().map(|(scale, work, kind, cap)| {
+                let work = [1e-6 * work, 1.0 + work, 1e3 * (work + 0.01), 1e7 * work + 1e-9][scale as usize];
+                let cap = [None, Some(64.0), Some(1e9), Some(cap)][if uniform { 1 } else { kind as usize }];
+                (work, cap)
+            });
+            let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+            let mut real = probe_state(rate, &[]);
+            let mut reference = Reference {
+                rate,
+                jobs: Vec::new(),
+                last_settle: SimTime::ZERO,
+                work_done: 0.0,
+                done: Vec::new(),
+            };
+            for (kind, frac) in steps {
+                let mut to = real.last_settle;
+                if !real.jobs.is_empty() {
+                    let horizon = real.horizon();
+                    prop_assert_eq!(horizon.to_bits(), reference.horizon().to_bits());
+                    prop_assert!(horizon.is_finite());
+                    // Kinds 0 and 1 bring a job, at this instant or
+                    // short of the horizon; 2 and 3 are the timer, which
+                    // always moves time on, at the horizon or short of it.
+                    let dt = [0.0, horizon * frac, horizon, horizon * frac][kind as usize];
+                    let least = SimDuration::from_nanos(u64::from(kind >= 2));
+                    to += SimDuration::from_secs_f64(dt).max(least);
+                }
+                real.settle(to);
+                reference.settle(to);
+                if let Some((work, cap)) = (kind < 2).then(|| jobs.next()).flatten() {
+                    let id = real.next_job;
+                    let waker = Waker::from(std::sync::Arc::new(Completion(id, log.clone())));
+                    prop_assert_eq!(real.join(work, cap, waker), id);
+                    reference.jobs.push((id, work, cap));
+                }
+                let state = |jobs: &mut dyn Iterator<Item = (u64, f64)>| -> Vec<(u64, u64)> {
+                    jobs.map(|(id, remaining)| (id, remaining.to_bits())).collect()
+                };
+                prop_assert_eq!(
+                    state(&mut real.jobs.iter().map(|j| (j.id, j.remaining))),
+                    state(&mut reference.jobs.iter().map(|j| (j.0, j.1)))
+                );
+                prop_assert_eq!(real.work_done.to_bits(), reference.work_done.to_bits());
+                prop_assert_eq!(&*log.lock().unwrap(), &reference.done);
+                prop_assert_eq!(real.jobs_done, reference.done.len() as u64);
+            }
+        }
     }
 
     #[test]

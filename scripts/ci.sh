@@ -76,11 +76,14 @@
 #
 # Each step prints its wall-clock seconds.
 #
-# Not a step (nothing to gate, and `perf` is not on the CI host):
+# Only syntax-checked (`bash -n`, with the formatting step): it gates
+# nothing and takes a workload's run time.
 #   scripts/profile.sh <workload> [seconds]   # host profile of one
 #      repo-benchmark workload: perf stat + perf record -g with the
-#      Firefox-profiler conversion, or the E10_ALLOC_BT
-#      allocation-backtrace fallback
+#      Firefox-profiler conversion; without `perf`, an LD_PRELOAD
+#      SIGPROF sampler + addr2line (self time by function and by
+#      source file); without `cc`/`addr2line`, the E10_ALLOC_BT
+#      allocation-backtrace recipe
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,6 +111,7 @@ echo "    [$(($SECONDS - t0))s] cargo test"
 scripts/loc.sh crates/romio/src
 
 step cargo fmt --all --check
+step bash -n scripts/profile.sh
 
 step cargo clippy --workspace --all-targets -- -D warnings
 
