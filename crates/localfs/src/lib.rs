@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
 
+use e10_simcore::alloc_gauge::FixedState;
 use e10_simcore::{SimDuration, SimRng};
 use e10_storesim::{DeviceModel, ExtentMap, PageCache, Payload, Source, Ssd};
 
@@ -146,7 +147,7 @@ enum InFlight {
 }
 
 struct VolumeState {
-    files: HashMap<String, Rc<RefCell<FileState>>>,
+    files: HashMap<String, Rc<RefCell<FileState>>, FixedState>,
     used: u64,
     stream: u64,
     /// Outstanding writes, keyed by issue ticket (BTreeMap: power-loss
@@ -175,9 +176,13 @@ pub struct LocalFs {
     dev: DeviceModel,
     cache: PageCache,
     vol: Rc<RefCell<VolumeState>>,
-    /// Volume-wide attachment slot (see [`LocalFs::attachment`]).
-    attachment: Rc<RefCell<Option<Rc<dyn Any>>>>,
+    /// Volume-wide attachment slot (see [`LocalFs::attachment`]);
+    /// `None` on a [`detached`](LocalFs::detached) handle.
+    attachment: Option<Rc<Slot>>,
 }
+
+/// What a volume has attached, if anything.
+type Slot = RefCell<Option<Rc<dyn Any>>>;
 
 /// An open file on a [`LocalFs`].
 #[derive(Clone)]
@@ -201,13 +206,13 @@ impl LocalFs {
             dev,
             cache,
             vol: Rc::new(RefCell::new(VolumeState {
-                files: HashMap::new(),
+                files: HashMap::default(),
                 used: 0,
                 stream: 0,
                 in_flight: BTreeMap::new(),
                 next_ticket: 0,
             })),
-            attachment: Rc::new(RefCell::new(None)),
+            attachment: Some(Rc::default()),
         }
     }
 
@@ -221,15 +226,31 @@ impl LocalFs {
     /// exactly one piece of per-volume state (e.g. a cache arbiter)
     /// without the volume knowing its type; the slot holds one value,
     /// and asking for a different type replaces it.
+    ///
+    /// The slot owns the attachment, and every plain clone of the
+    /// handle owns the slot: a handle kept *inside* the attachment
+    /// must be a [`detached`](LocalFs::detached) one, or the volume
+    /// and everything on it outlives its last user.
     pub fn attachment<T: Any>(&self, make: impl FnOnce() -> T) -> Rc<T> {
-        if let Some(existing) = self.attachment.borrow().as_ref() {
+        let slot = self.attachment.as_ref();
+        let slot = slot.expect("a detached LocalFs handle has no attachment slot");
+        if let Some(existing) = slot.borrow().as_ref() {
             if let Ok(t) = Rc::clone(existing).downcast::<T>() {
                 return t;
             }
         }
         let made = Rc::new(make());
-        *self.attachment.borrow_mut() = Some(Rc::clone(&made) as Rc<dyn Any>);
+        *slot.borrow_mut() = Some(Rc::clone(&made) as Rc<dyn Any>);
         made
+    }
+
+    /// A handle on the same volume without a share of its attachment
+    /// slot — the only kind the attachment itself may hold.
+    pub fn detached(&self) -> LocalFs {
+        LocalFs {
+            attachment: None,
+            ..self.clone()
+        }
     }
 
     /// Create (or truncate-open) a file.
@@ -392,6 +413,14 @@ impl LocalFile {
     /// File path.
     pub fn path(&self) -> &str {
         &self.path
+    }
+
+    /// This file through a [`LocalFs::detached`] volume handle.
+    pub fn detached(&self) -> LocalFile {
+        LocalFile {
+            fs: self.fs.detached(),
+            ..self.clone()
+        }
     }
 
     /// Current size (max of written high-water and preallocation).

@@ -192,7 +192,7 @@ struct RankMailbox {
 struct PairOrder {
     next_send: u64,
     next_deliver: u64,
-    stash: HashMap<u64, Message>,
+    stash: IntMap<u64, Message>,
 }
 
 // ---- request slab -----------------------------------------------------

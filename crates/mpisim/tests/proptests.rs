@@ -217,12 +217,14 @@ proptest! {
     }
 
     /// The fault-tolerant size exchange is an alltoall: for a random
-    /// communicator size and size matrix — every entry set, then about
-    /// a quarter of them — it leaves every rank with exactly what
-    /// `alltoall_u64_sparse` leaves it, twice in a row on the same
-    /// hoisted row. With one rank silent, every survivor gets the abort
-    /// instead (what it held untouched) and convicts exactly the silent
-    /// rank.
+    /// communicator size and size matrix — an entry for every
+    /// destination, then for about half of them, one value in eight an
+    /// explicit zero (no entry: it must not come out the other side) —
+    /// it leaves every rank with exactly the non-zeros sent to it,
+    /// which is what `alltoall_u64_sparse` leaves it, twice in a row on
+    /// the same hoisted row. With one rank silent, every survivor gets
+    /// the abort instead (what it held untouched) and convicts exactly
+    /// the silent rank.
     #[test]
     fn ft_size_exchange_is_an_alltoall(
         p in 2usize..10,
@@ -240,28 +242,35 @@ proptest! {
                 let cells = Rc::clone(&cells2);
                 async move {
                     let me = comm.rank();
-                    let sent = |step: u32| -> Vec<(usize, u64)> {
-                        let row = (0..p).map(|dst| (dst, cells[me * p + dst] | 1));
-                        row.filter(|&(_, v)| step == 0 || v % 8 == 1).collect()
+                    let sent = |src: usize, step: u32| -> Vec<(usize, u64)> {
+                        let value = |dst| Some(cells[src * p + dst]).filter(|c| c % 8 != 0);
+                        let row = (0..p).map(|dst| (dst, value(dst).unwrap_or(0)));
+                        row.filter(|&(_, v)| step == 0 || v % 4 < 2).collect()
+                    };
+                    let arriving = |step: u32| -> Vec<(usize, u64)> {
+                        let from = |src| sent(src, step).into_iter().find(|&(dst, _)| dst == me);
+                        let entries = (0..p).filter_map(|src| Some((src, from(src)?.1)));
+                        entries.filter(|&(_, v)| v != 0).collect()
                     };
                     let mut row = Rc::default();
                     let mut sreqs = Vec::new();
                     let (mut ft, mut plain) = (Vec::new(), Vec::new());
                     for step in 0..2u32 {
                         let tag = TAG + step * 2 * p as u32;
-                        let sends = sent(step);
+                        let sends = sent(me, step);
                         let done =
                             comm.ft_alltoall_u64_sparse(tag, &sends, &mut ft, &mut row, timeout);
                         assert_eq!(done.await, Some(()));
                         comm.alltoall_u64_sparse(&sends, &mut plain, 8, &mut sreqs).await;
-                        assert_eq!(ft, plain, "rank {me}, step {step}");
+                        assert_eq!(ft, arriving(step), "rank {me}, step {step}");
+                        assert_eq!(plain, ft, "rank {me}, step {step}");
                     }
                     // Third exchange: one rank never joins.
                     let silent = silent % p;
                     if me == silent {
                         return;
                     }
-                    let (tag, sends) = (TAG + 4 * p as u32, sent(0));
+                    let (tag, sends) = (TAG + 4 * p as u32, sent(me, 0));
                     let done = comm.ft_alltoall_u64_sparse(tag, &sends, &mut ft, &mut row, timeout);
                     assert_eq!(done.await, None, "rank {me} must see the abort");
                     assert_eq!(ft, plain, "an aborted exchange leaves the answer alone");

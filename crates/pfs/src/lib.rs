@@ -31,6 +31,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use e10_netsim::{Network, NodeId};
+use e10_simcore::alloc_gauge::FixedState;
 use e10_simcore::rng::Jitter;
 use e10_simcore::trace::{self, Event, EventKind, Layer};
 use e10_simcore::{join_all, spawn, FairShare, FifoServer, SimDuration, SimRng, Tally};
@@ -155,7 +156,7 @@ pub struct Pfs {
     mds: FifoServer,
     backend: FairShare,
     targets: Vec<Target>,
-    files: RefCell<HashMap<String, Rc<RefCell<PfsFileState>>>>,
+    files: RefCell<HashMap<String, Rc<RefCell<PfsFileState>>, FixedState>>,
     files_created: RefCell<u64>,
     /// Jitter stream for client retry backoff (decorrelates retries of
     /// concurrent clients after a correlated server failure).
@@ -306,7 +307,7 @@ impl Pfs {
             net,
             mds_node,
             targets,
-            files: RefCell::new(HashMap::new()),
+            files: RefCell::default(),
             files_created: RefCell::new(0),
             retry_rng: RefCell::new(SimRng::stream(seed, 20_000)),
             chunk_pool: RefCell::new(Vec::new()),

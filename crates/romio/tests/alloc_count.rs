@@ -3,7 +3,7 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates three
+//! `e10_simcore::alloc_gauge`; this test installs it and gates four
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
@@ -15,7 +15,9 @@
 //! 3. what a round may cost where it cannot be free — the same small
 //!    constant per *communicator* under the analytic collectives of
 //!    the paper-scale runs, at most a small multiple of P under the
-//!    crash-tolerant transport.
+//!    crash-tolerant transport, and
+//! 4. that the count *is* reproducible where a hash table with random
+//!    keys would make it not: file churn on a node's volume.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -290,4 +292,42 @@ fn timed_rounds_cost_linear_in_ranks() {
         "per-round cost must not grow with the square of the ranks: \
          {m8:.2} at 8 ranks, {m16:.2} at 16"
     );
+}
+
+/// A run's allocator calls are a function of the run. A node's volume
+/// cycles 16 cache and journal files per collective file at eight
+/// ranks a node, and a hash table that has seen removals grows by
+/// where its tombstones fell — by the hash values, which
+/// `RandomState` draws anew for every map. The volume's table is keyed
+/// by `alloc_gauge::FixedState` instead: the same file churn, the same
+/// count, every time (with `RandomState` every other run of this
+/// scenario comes out one call apart, and about one repetition in a
+/// thousand of the repo benchmark's `collperf_degraded`).
+#[test]
+fn file_churn_on_a_volume_costs_the_same_every_time() {
+    let churn = || {
+        alloc_gauge::count(|| {
+            e10_simcore::run(async {
+                let fs = e10_romio::TestbedSpec::small(1, 1).build().localfs[0].clone();
+                for phase in 0..40u32 {
+                    for rank in 0..16u32 {
+                        let path = format!("/scratch/chk.{phase}.{rank}.e10");
+                        fs.create(&path).await.unwrap();
+                        // The previous phase's files go as this one's
+                        // arrive, as a deferred close retires them.
+                        if phase > 0 {
+                            let old = format!("/scratch/chk.{}.{rank}.e10", phase - 1);
+                            fs.unlink(&old).await.unwrap();
+                        }
+                    }
+                }
+            })
+        })
+        .0
+    };
+    let first = churn();
+    assert!(first > 0, "the counting allocator is installed");
+    for run in 1..200 {
+        assert_eq!(churn(), first, "run {run} against run 0");
+    }
 }

@@ -24,18 +24,18 @@
 # taken. Samples outside the binary are charged to their shared object.
 # The dump stays in target/profile/<workload>.samples (one line of
 # decimal return addresses per sample, the sampled pc third) for
-# inclusive questions. E10_PROFILE_TOP sets the rows printed (30).
+# inclusive questions. Each table prints its top 30 rows.
 #
-# With neither, or when E10_ALLOC_BT is set, it runs the
-# allocation-backtrace recipe, which needs no tool: one plain run of
-# the workload for its result line (host_s, allocs, peak_rss_mb), then
-# the matching allocation gate of crates/romio/tests/alloc_count.rs
-# under `E10_ALLOC_BT=lo:hi RUST_BACKTRACE=1`, which prints a
-# symbolised backtrace for every counted allocator call whose ordinal
-# falls in [lo, hi) — allocator calls are the other host cost this
-# simulator's optimisations have been found by. Set E10_ALLOC_BT
-# yourself to move the window (default 0:20; the gates print their
-# totals, so a second run can aim at the steady-state tail).
+# With neither, it runs the allocation-backtrace recipe, which needs
+# no tool: one plain run of the workload for its result line (host_s,
+# allocs, peak_rss_mb), then the matching allocation gate of
+# crates/romio/tests/alloc_count.rs under
+# `E10_ALLOC_BT=lo:hi RUST_BACKTRACE=1`, which prints a symbolised
+# backtrace for every counted allocator call whose ordinal falls in
+# [lo, hi) — allocator calls are the other host cost this simulator's
+# optimisations have been found by. Set E10_ALLOC_BT yourself to move
+# that window (default 0:20; the gates print their totals, so a second
+# run can aim at the steady-state tail).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,16 +65,15 @@ if command -v perf > /dev/null; then
   exit 0
 fi
 
-if [ -z "${E10_ALLOC_BT:-}" ] && command -v cc > /dev/null && command -v addr2line > /dev/null; then
+if command -v cc > /dev/null && command -v addr2line > /dev/null; then
   mkdir -p "$out"
   bin="$target/release/e10-benchmark"
   pre="$out/$workload"
-  cc -O1 -shared -fPIC -o "$out/sampler.so" -x c - << 'SAMPLER'
+  cc -O1 -shared -fPIC -DSAMPLES_OUT="\"$PWD/$pre.samples\"" -o "$out/sampler.so" -x c - << 'SAMPLER'
 #define _GNU_SOURCE
 #include <execinfo.h>
 #include <signal.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <sys/time.h>
 
 #define DEPTH 32
@@ -109,8 +108,7 @@ __attribute__((constructor)) static void start(void) {
 
 __attribute__((destructor)) static void dump(void) {
   every(0);
-  const char *path = getenv("E10_SAMPLES_OUT");
-  FILE *out = path ? fopen(path, "w") : NULL, *maps = fopen("/proc/self/maps", "r");
+  FILE *out = fopen(SAMPLES_OUT, "w"), *maps = fopen("/proc/self/maps", "r");
   if (!out || !maps) return;
   for (int i = 0; i < taken; i++) {
     for (int d = 0; d < depths[i]; d++) fprintf(out, "%lu ", (unsigned long)stacks[i][d]);
@@ -122,7 +120,7 @@ __attribute__((destructor)) static void dump(void) {
 }
 SAMPLER
   echo "==> LD_PRELOAD=$out/sampler.so $bin ${args[*]}" >&2
-  E10_SAMPLES_OUT="$pre.samples" LD_PRELOAD="$PWD/$out/sampler.so" "$bin" "${args[@]}"
+  LD_PRELOAD="$PWD/$out/sampler.so" "$bin" "${args[@]}"
 
   # The executable mappings as "start end base object", in decimal
   # (mawk reads no hex); an object's base is where its first mapping
@@ -174,7 +172,7 @@ SAMPLER
         count[key]++
       }
       END { for (k in count) printf "%6.2f%%  %s\n", 100 * count[k] / total, k }' \
-      "$pre.syms" "$pre.leaves" | sort -rn | head -n "${E10_PROFILE_TOP:-30}"
+      "$pre.syms" "$pre.leaves" | sort -rn | head -n 30
   }
   echo "==> $total samples, one per ms of CPU time: self time by function"
   report 2
@@ -183,9 +181,8 @@ SAMPLER
   exit 0
 fi
 
-echo "profile.sh: no \`perf\` on this host (and no \`cc\` + \`addr2line\`, or" >&2
-echo "  E10_ALLOC_BT is set): the allocation-backtrace recipe" >&2
-echo "  (E10_ALLOC_BT=lo:hi RUST_BACKTRACE=1)." >&2
+echo "profile.sh: no \`perf\` and no \`cc\` + \`addr2line\` on this host: the" >&2
+echo "  allocation-backtrace recipe (E10_ALLOC_BT=lo:hi RUST_BACKTRACE=1)." >&2
 echo "==> ${run[*]}" >&2
 "${run[@]}"
 # The gate that exercises the transport and the collective backend
