@@ -19,7 +19,6 @@
 //! byte-identical regardless of the job count. Every binary also
 //! accepts `--json` for a machine-readable rendition of its output.
 
-pub mod harness;
 pub mod json;
 pub mod tables;
 
@@ -77,7 +76,7 @@ pub enum Scale {
     /// minutes; shapes still hold.
     Quick,
     /// 8 ranks, 2 nodes, kilobyte files — seconds; for the test suite
-    /// and the `bench_baseline --smoke` CI gate.
+    /// and the `--smoke` CI gates.
     Test,
 }
 

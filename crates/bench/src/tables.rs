@@ -8,91 +8,30 @@
 
 use crate::Json;
 use e10_mpisim::Info;
-use e10_romio::RomioHints;
+use e10_romio::{HintDoc, RomioHints, HINTS};
 use std::fmt::Write as _;
 
-/// TABLE I rows: the standard ROMIO collective hints.
-pub const TABLE1: [(&str, &str); 4] = [
-    ("romio_cb_write", "enable or disable collective writes"),
-    ("romio_cb_read", "enable or disable collective reads"),
-    ("cb_buffer_size", "set the collective buffer size [bytes]"),
-    ("cb_nodes", "set the number of aggregator processes"),
-];
-
-/// TABLE II rows: the paper's proposed E10 hint extensions.
-pub const TABLE2: [(&str, &str); 5] = [
-    ("e10_cache", "enable, disable, coherent"),
-    ("e10_cache_path", "cache directory pathname"),
-    ("e10_cache_flush_flag", "flush_immediate, flush_onclose"),
-    ("e10_cache_discard_flag", "enable, disable"),
-    ("ind_wr_buffer_size", "synchronisation buffer size [bytes]"),
-];
-
-/// Hints this implementation adds beyond the paper's two tables.
-pub const EXTENSIONS: [(&str, &str); 17] = [
-    (
-        "e10_two_phase",
-        "stock, extended, node_agg (collective-write algorithm)",
-    ),
-    (
-        "e10_cache_read",
-        "enable, disable (§VI future work: cache reads)",
-    ),
-    (
-        "e10_cache_evict",
-        "enable, disable (§III: streaming space management)",
-    ),
-    (
-        "e10_cache_hiwater",
-        "0..=100 percent (§III: multi-job admission high watermark)",
-    ),
-    (
-        "e10_cache_lowater",
-        "0..=100 percent (§III: eviction drains occupancy to here)",
-    ),
-    (
-        "e10_sync_policy",
-        "greedy, backoff (§III: congestion-aware sync)",
-    ),
-    (
-        "e10_fd_partition",
-        "even, aligned (footnote 1: BeeGFS driver alignment)",
-    ),
-    (
-        "e10_cache_class",
-        "ssd, nvm, hybrid (device class backing the cache)",
-    ),
-    (
-        "e10_nvm_capacity",
-        "bytes (hybrid: NVM front-tier budget; 0 = whole mount)",
-    ),
-    (
-        "e10_nvm_threshold",
-        "bytes (writes at most this take the byte-granular NVM path)",
-    ),
-    (
-        "e10_cache_sync_depth",
-        "extent count (bound on queued sync extents; 0 = unbounded)",
-    ),
-    (
-        "e10_coll_timeout",
-        "milliseconds (crash-tolerant collectives; 0 = off)",
-    ),
-    (
-        "e10_pfs_max_retries",
-        "count (client I/O RPC retries; unset = PFS default)",
-    ),
-    (
-        "e10_pfs_retry_base_us",
-        "microseconds (client retry backoff base; unset = PFS default)",
-    ),
-    ("cb_config_list", "\"*:N\" (aggregators per node)"),
-    ("romio_no_indep_rw", "true, false (deferred open)"),
-    (
-        "romio_ds_write",
-        "enable, disable, automatic (data sieving)",
-    ),
-];
+/// The three hint listings, read off the hint table of
+/// `e10_romio::hints`: TABLE I (the standard ROMIO collective hints)
+/// and TABLE II (the paper's proposed E10 extensions) in the paper's
+/// row order, then the hints this implementation adds beyond them, in
+/// table order. Each row is `(key, description)`.
+pub fn listings() -> [Vec<(&'static str, &'static str)>; 3] {
+    let mut out = [Vec::new(), Vec::new(), Vec::new()];
+    for spec in HINTS {
+        let (listing, row, text) = match spec.doc {
+            HintDoc::Table1(row, text) => (0, row, text),
+            HintDoc::Table2(row, text) => (1, row, text),
+            HintDoc::Extension(text) => (2, 0, text),
+            HintDoc::Standard => continue,
+        };
+        out[listing].push((row, spec.key, text));
+    }
+    out.map(|mut rows| {
+        rows.sort_by_key(|&(row, ..)| row); // stable: extensions keep table order
+        rows.into_iter().map(|(_, key, text)| (key, text)).collect()
+    })
+}
 
 /// The paper's experiment configuration (§IV) as an Info object.
 pub fn paper_info() -> Info {
@@ -121,37 +60,41 @@ fn resolve() -> (RomioHints, RomioHints) {
 pub fn tables_text() -> String {
     let (defaults, paper) = resolve();
     let mut out = String::new();
-    let _ = writeln!(out, "TABLE I: Collective I/O hints in ROMIO");
-    let _ = writeln!(out, "{:<24} Description", "Hint");
-    for (hint, desc) in TABLE1 {
-        let _ = writeln!(out, "{hint:<24} {desc}");
+    let listed = [
+        (
+            "TABLE I: Collective I/O hints in ROMIO",
+            Some("Description"),
+        ),
+        (
+            "\nTABLE II: Proposed MPI-IO hints extensions",
+            Some("Value"),
+        ),
+        (
+            "\nImplementation extensions beyond the paper's tables:",
+            None,
+        ),
+    ];
+    for ((title, column), rows) in listed.into_iter().zip(listings()) {
+        let _ = writeln!(out, "{title}");
+        if let Some(column) = column {
+            let _ = writeln!(out, "{:<24} {column}", "Hint");
+        }
+        for (hint, text) in rows {
+            let _ = writeln!(out, "{hint:<24} {text}");
+        }
     }
-
-    let _ = writeln!(out, "\nTABLE II: Proposed MPI-IO hints extensions");
-    let _ = writeln!(out, "{:<24} Value", "Hint");
-    for (hint, vals) in TABLE2 {
-        let _ = writeln!(out, "{hint:<24} {vals}");
-    }
-
-    let _ = writeln!(
-        out,
-        "\nImplementation extensions beyond the paper's tables:"
-    );
-    for (hint, vals) in EXTENSIONS {
-        let _ = writeln!(out, "{hint:<24} {vals}");
-    }
-
-    let _ = writeln!(
-        out,
-        "\nResolved defaults (MPI_File_get_info on an empty Info):"
-    );
-    for (k, v) in defaults.to_pairs() {
-        let _ = writeln!(out, "  {k:<24} = {v}");
-    }
-
-    let _ = writeln!(out, "\nPaper configuration resolved:");
-    for (k, v) in paper.to_pairs() {
-        let _ = writeln!(out, "  {k:<24} = {v}");
+    let resolved = [
+        (
+            "\nResolved defaults (MPI_File_get_info on an empty Info):",
+            defaults,
+        ),
+        ("\nPaper configuration resolved:", paper),
+    ];
+    for (title, hints) in resolved {
+        let _ = writeln!(out, "{title}");
+        for (k, v) in hints.to_pairs() {
+            let _ = writeln!(out, "  {k:<24} = {v}");
+        }
     }
     out
 }
@@ -159,6 +102,7 @@ pub fn tables_text() -> String {
 /// The `--json` document.
 pub fn tables_json() -> Json {
     let (defaults, paper) = resolve();
+    let [table1, table2, extensions] = listings();
     let hint_table = |rows: &[(&str, &str)]| {
         Json::arr(rows.iter().map(|&(hint, desc)| {
             Json::obj([("hint", Json::str(hint)), ("description", Json::str(desc))])
@@ -174,9 +118,9 @@ pub fn tables_json() -> Json {
     };
     Json::obj([
         ("figure", Json::str("tables")),
-        ("table1_romio_hints", hint_table(&TABLE1)),
-        ("table2_e10_hints", hint_table(&TABLE2)),
-        ("implementation_extensions", hint_table(&EXTENSIONS)),
+        ("table1_romio_hints", hint_table(&table1)),
+        ("table2_e10_hints", hint_table(&table2)),
+        ("implementation_extensions", hint_table(&extensions)),
         ("resolved_defaults", resolved(&defaults)),
         ("resolved_paper_config", resolved(&paper)),
     ])
@@ -186,31 +130,32 @@ pub fn tables_json() -> Json {
 mod tests {
     use super::*;
 
+    /// The listings are the hint table and nothing else: every hint
+    /// the parser reads is listed exactly once, bar the two standard
+    /// MPI-IO striping hints, and the paper's tables keep their rows.
     #[test]
-    fn every_extension_hint_is_resolvable() {
-        // Each advertised extension must be a hint the parser actually
-        // understands (set it to a plausible value and parse).
-        for (hint, _) in EXTENSIONS {
-            let value = match hint {
-                "cb_config_list" => "*:2",
-                "romio_no_indep_rw" => "true",
-                "romio_ds_write" => "automatic",
-                "e10_sync_policy" => "backoff",
-                "e10_fd_partition" => "even",
-                "e10_two_phase" => "node_agg",
-                "e10_cache_class" => "hybrid",
-                "e10_nvm_capacity" => "64M",
-                "e10_nvm_threshold" => "16K",
-                "e10_cache_sync_depth" => "8",
-                "e10_coll_timeout" => "40",
-                "e10_pfs_max_retries" => "4",
-                "e10_pfs_retry_base_us" => "2000",
-                "e10_cache_hiwater" | "e10_cache_lowater" => "50",
-                _ => "enable",
-            };
-            let info = Info::from_pairs([(hint, value)]);
-            RomioHints::parse(&info)
-                .unwrap_or_else(|e| panic!("extension hint {hint} rejected: {e:?}"));
+    fn every_parsed_hint_is_listed_once() {
+        let [table1, table2, extensions] = listings();
+        let keys = |rows: &[(&'static str, &str)]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
+        assert_eq!(
+            keys(&table1),
+            [
+                "romio_cb_write",
+                "romio_cb_read",
+                "cb_buffer_size",
+                "cb_nodes"
+            ]
+        );
+        assert_eq!(keys(&table2).last(), Some(&"ind_wr_buffer_size"));
+        assert_eq!((table2.len(), extensions.len()), (5, 23));
+        for spec in HINTS {
+            let listed = [&table1, &table2, &extensions]
+                .iter()
+                .flat_map(|rows| rows.iter())
+                .filter(|row| row.0 == spec.key)
+                .count();
+            let standard = ["striping_factor", "striping_unit"].contains(&spec.key);
+            assert_eq!(listed, usize::from(!standard), "{}", spec.key);
         }
     }
 

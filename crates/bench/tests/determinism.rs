@@ -15,15 +15,21 @@ use e10_bench::{
 fn fig4_output_is_byte_identical_at_1_and_8_jobs() {
     let scale = Scale::Test;
     let title = "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)";
+    // The rendered figure, and under it each point's virtual wall time
+    // and bandwidth to the bit (the figure prints rounded numbers).
     let sweep = |jobs| {
         let points = run_full_sweep_on(jobs, scale, move || scale.collperf(), false);
-        format_bandwidth_figure(title, &points)
+        let bits: Vec<(u64, u64)> = points
+            .iter()
+            .map(|p| (p.outcome.wall_time.to_bits(), p.outcome.gb_s().to_bits()))
+            .collect();
+        (format_bandwidth_figure(title, &points), bits)
     };
     let sequential = sweep(1);
     let parallel = sweep(8);
     // Sanity: the figure actually contains the full grid.
     for combo in ["2_8K", "2_32K", "4_8K", "4_32K"] {
-        assert!(sequential.contains(combo), "missing combo {combo}");
+        assert!(sequential.0.contains(combo), "missing combo {combo}");
     }
     assert_eq!(sequential, parallel, "fig4 output depends on job count");
 }

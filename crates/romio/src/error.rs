@@ -1,17 +1,124 @@
-//! The one public error type of `e10-romio`.
+//! The error types of `e10-romio`.
 //!
 //! Every fallible surface of the crate — hint resolution, the global
 //! parallel file system, the node-local cache file system — converges
-//! here, so callers match on a single enum instead of juggling the
-//! per-layer types. [`AdioError`] remains as an alias for existing
-//! code.
+//! on [`Error`], so callers match on a single enum instead of juggling
+//! the per-layer types. [`AdioError`] remains as an alias for existing
+//! code. What hint resolution itself reports, [`HintError`] and
+//! [`HintErrors`], is defined here too.
 //!
 //! [`AdioError`]: crate::adio::AdioError
 
 use e10_localfs::FsError;
 use e10_pfs::PfsError;
 
-use crate::hints::{HintError, HintErrors};
+/// A hint that was present but malformed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HintError {
+    /// Hint key.
+    pub key: String,
+    /// The rejected value.
+    pub value: String,
+    /// What would have been accepted.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for HintError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid hint {}={:?} (expected {})",
+            self.key, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for HintError {}
+
+/// Every violation found while resolving a hint set — checking keeps
+/// going after the first bad value so a caller sees the whole list.
+///
+/// The first violation is a separate field, so an empty error set is
+/// unrepresentable by construction: extracting the first error can
+/// never fail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HintErrors {
+    first: HintError,
+    rest: Vec<HintError>,
+}
+
+impl HintErrors {
+    /// Build from the first violation plus any further ones.
+    pub fn new(first: HintError, rest: Vec<HintError>) -> Self {
+        HintErrors { first, rest }
+    }
+
+    /// The first violation (MPI callers usually report just one).
+    pub fn first(&self) -> &HintError {
+        &self.first
+    }
+
+    /// Consume, keeping only the first violation.
+    pub fn into_first(self) -> HintError {
+        self.first
+    }
+
+    /// All violations, in the order they were recorded.
+    pub fn iter(&self) -> impl Iterator<Item = &HintError> {
+        std::iter::once(&self.first).chain(self.rest.iter())
+    }
+
+    /// Number of violations (always at least one).
+    pub fn len(&self) -> usize {
+        1 + self.rest.len()
+    }
+
+    /// Always false — the type cannot hold zero violations.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+}
+
+impl std::fmt::Display for HintErrors {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, e) in self.iter().enumerate() {
+            if i > 0 {
+                write!(f, "; ")?;
+            }
+            write!(f, "{e}")?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for HintErrors {}
+
+impl IntoIterator for HintErrors {
+    type Item = HintError;
+    type IntoIter = std::iter::Chain<std::iter::Once<HintError>, std::vec::IntoIter<HintError>>;
+
+    /// Every violation by value, first one included — `for e in errs`
+    /// just works.
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.first).chain(self.rest)
+    }
+}
+
+impl<'a> IntoIterator for &'a HintErrors {
+    type Item = &'a HintError;
+    type IntoIter =
+        std::iter::Chain<std::iter::Once<&'a HintError>, std::slice::Iter<'a, HintError>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(&self.first).chain(self.rest.iter())
+    }
+}
+
+impl From<HintErrors> for HintError {
+    fn from(e: HintErrors) -> HintError {
+        e.into_first()
+    }
+}
 
 /// Errors surfaced by ADIO operations.
 #[derive(Debug)]

@@ -2,289 +2,184 @@
 //! plus the proposed E10 extensions (Table II), with parsing,
 //! validation and defaults.
 //!
-//! Two ways in:
+//! Everything that is per hint lives in one table, [`HINTS`]: a row
+//! names the key, the [`RomioHints`] field it fills and that field's
+//! default, its value kind (the strings accepted, the range check, how
+//! the value renders back, the `expected` text of a rejection) and
+//! where the hint is documented. Defaults, parsing, validation,
+//! rendering and the listings of `results/tables.txt` all walk it, so
+//! **adding a hint is one struct field plus one row**.
 //!
-//! * [`RomioHintsBuilder`] — the typed API. Each setter takes the
-//!   enum/integer it controls and validates immediately; [`build`]
-//!   returns every violation at once as [`HintErrors`].
-//! * [`RomioHints::from_info`] — the MPI surface. A thin adapter that
-//!   feeds each `(key, value)` string pair of an [`Info`] object
-//!   through the builder's raw-string entry point.
-//!
-//! [`build`]: RomioHintsBuilder::build
+//! Two ways in, one set of checks, every violation reported at once
+//! as [`HintErrors`]: [`RomioHints::from_info`], the MPI surface,
+//! parses each `(key, value)` pair of an [`Info`] by its row; the typed
+//! path is struct-update syntax over the public fields (`RomioHints {
+//! cb_nodes: Some(16), ..Default::default() }`), then
+//! [`RomioHints::validate`].
+
+use std::ops::RangeInclusive;
 
 use e10_mpisim::Info;
 
-/// `romio_cb_write` / `romio_cb_read` values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CbMode {
-    /// Always use collective buffering.
-    Enable,
-    /// Never use collective buffering.
-    Disable,
-    /// Let ROMIO decide from the access pattern (the default).
-    #[default]
-    Automatic,
+pub use crate::error::{HintError, HintErrors};
+
+/// An enum-valued field, seen through its hint-string spellings.
+trait ChoiceSlot {
+    fn spelling(&self) -> &'static str;
+    /// Store the variant spelled `s`; `false` if there is none.
+    fn set(&mut self, s: &str) -> bool;
 }
 
-impl CbMode {
-    fn parse(s: &str) -> Option<CbMode> {
-        match s {
-            "enable" => Some(CbMode::Enable),
-            "disable" => Some(CbMode::Disable),
-            "automatic" => Some(CbMode::Automatic),
-            _ => None,
+/// Declares the hint enums with each variant's spelling written once,
+/// next to the variant: `as_str`, parsing and the `a|b|c` text a
+/// rejected value is answered with all come from that one list.
+macro_rules! hint_enums {
+    ($($(#[$meta:meta])* $ty:ident {
+        $(#[$m0:meta])* $v0:ident = $s0:literal,
+        $($(#[$m:meta])* $v:ident = $s:literal,)*
+    })*) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub enum $ty {
+            $(#[$m0])* $v0,
+            $($(#[$m])* $v,)*
         }
-    }
 
-    /// The hint-string spelling of this mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CbMode::Enable => "enable",
-            CbMode::Disable => "disable",
-            CbMode::Automatic => "automatic",
+        impl $ty {
+            const EXPECTED: &'static str = concat!($s0 $(, "|", $s)*);
+
+            /// The hint-string spelling of this value.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $ty::$v0 => $s0,
+                    $($ty::$v => $s,)*
+                }
+            }
         }
-    }
+
+        impl ChoiceSlot for $ty {
+            fn spelling(&self) -> &'static str {
+                self.as_str()
+            }
+
+            fn set(&mut self, s: &str) -> bool {
+                let all = [$ty::$v0 $(, $ty::$v)*];
+                all.into_iter().find(|v| v.as_str() == s).map(|v| *self = v).is_some()
+            }
+        }
+    )*};
 }
 
-/// `e10_cache` values (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheMode {
-    /// Cache layer off (default).
-    #[default]
-    Disable,
-    /// Write collective data to the node-local cache.
-    Enable,
-    /// Like `Enable`, but written extents stay locked in the global
-    /// file until their synchronisation completes.
-    Coherent,
-}
-
-impl CacheMode {
-    fn parse(s: &str) -> Option<CacheMode> {
-        match s {
-            "enable" => Some(CacheMode::Enable),
-            "disable" => Some(CacheMode::Disable),
-            "coherent" => Some(CacheMode::Coherent),
-            _ => None,
-        }
+hint_enums! {
+    /// `romio_cb_write` / `romio_cb_read` values.
+    CbMode {
+        /// Always use collective buffering.
+        Enable = "enable",
+        /// Never use collective buffering.
+        Disable = "disable",
+        /// Let ROMIO decide from the access pattern (the default).
+        #[default]
+        Automatic = "automatic",
     }
 
-    /// The hint-string spelling of this mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CacheMode::Disable => "disable",
-            CacheMode::Enable => "enable",
-            CacheMode::Coherent => "coherent",
-        }
-    }
-}
-
-/// `e10_cache_class` values (extension): which node-local device class
-/// backs the E10 cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheClass {
-    /// The paper's setup: the block SSD `/scratch` partition (default).
-    #[default]
-    Ssd,
-    /// Byte-addressable NVM mount: asymmetric latency, byte-granular
-    /// commands, channel-level concurrency. Small cache writes (at most
-    /// `e10_nvm_threshold` bytes) take the byte-granular front-end,
-    /// skipping the fallocate/page-cache staging path.
-    Nvm,
-    /// Two-tier cache: pieces at most `e10_nvm_threshold` bytes go to
-    /// an NVM front file (capped by `e10_nvm_capacity`), everything
-    /// else — and the overflow — to the SSD cache file.
-    Hybrid,
-}
-
-impl CacheClass {
-    fn parse(s: &str) -> Option<CacheClass> {
-        match s {
-            "ssd" => Some(CacheClass::Ssd),
-            "nvm" => Some(CacheClass::Nvm),
-            "hybrid" => Some(CacheClass::Hybrid),
-            _ => None,
-        }
+    /// `e10_cache` values (Table II).
+    CacheMode {
+        /// Write collective data to the node-local cache.
+        Enable = "enable",
+        /// Cache layer off (default).
+        #[default]
+        Disable = "disable",
+        /// Like `Enable`, but written extents stay locked in the global
+        /// file until their synchronisation completes.
+        Coherent = "coherent",
     }
 
-    /// The hint-string spelling of this class.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CacheClass::Ssd => "ssd",
-            CacheClass::Nvm => "nvm",
-            CacheClass::Hybrid => "hybrid",
-        }
-    }
-}
-
-/// `e10_cache_flush_flag` values (Table II), plus the `flush_none`
-/// measurement mode used to obtain the paper's "TBW Cache Enabled"
-/// series (cache writes without any synchronisation to the global
-/// file — an upper bound, not a consistency-preserving configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlushFlag {
-    /// Start synchronising each extent right after it is written.
-    #[default]
-    FlushImmediate,
-    /// Queue extents and synchronise them when the file is closed.
-    FlushOnClose,
-    /// Never synchronise (theoretical-bandwidth measurement only).
-    FlushNone,
-}
-
-impl FlushFlag {
-    fn parse(s: &str) -> Option<FlushFlag> {
-        match s {
-            "flush_immediate" => Some(FlushFlag::FlushImmediate),
-            "flush_onclose" => Some(FlushFlag::FlushOnClose),
-            "flush_none" => Some(FlushFlag::FlushNone),
-            _ => None,
-        }
+    /// `e10_cache_class` values (extension): which node-local device
+    /// class backs the E10 cache.
+    CacheClass {
+        /// The paper's setup: the block SSD `/scratch` partition (default).
+        #[default]
+        Ssd = "ssd",
+        /// Byte-addressable NVM mount: asymmetric latency, byte-granular
+        /// commands, channel-level concurrency. Small cache writes (at
+        /// most `e10_nvm_threshold` bytes) take the byte-granular
+        /// front-end, skipping the fallocate/page-cache staging path.
+        Nvm = "nvm",
+        /// Two-tier cache: pieces at most `e10_nvm_threshold` bytes go to
+        /// an NVM front file (capped by `e10_nvm_capacity`), everything
+        /// else — and the overflow — to the SSD cache file.
+        Hybrid = "hybrid",
     }
 
-    /// The hint-string spelling of this flag.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FlushFlag::FlushImmediate => "flush_immediate",
-            FlushFlag::FlushOnClose => "flush_onclose",
-            FlushFlag::FlushNone => "flush_none",
-        }
-    }
-}
-
-/// Cache synchronisation scheduling policy (`e10_sync_policy`,
-/// extension; §III names congestion awareness as a possible richer
-/// policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Stream to the global file as fast as the path allows (default).
-    #[default]
-    Greedy,
-    /// Back off while the storage servers are saturated by foreground
-    /// traffic, yielding the bandwidth to whoever is actively waiting.
-    Backoff,
-}
-
-impl SyncPolicy {
-    fn parse(s: &str) -> Option<SyncPolicy> {
-        match s {
-            "greedy" => Some(SyncPolicy::Greedy),
-            "backoff" => Some(SyncPolicy::Backoff),
-            _ => None,
-        }
+    /// `e10_cache_flush_flag` values (Table II), plus the `flush_none`
+    /// measurement mode used to obtain the paper's "TBW Cache Enabled"
+    /// series (cache writes without any synchronisation to the global
+    /// file — an upper bound, not a consistency-preserving
+    /// configuration).
+    FlushFlag {
+        /// Start synchronising each extent right after it is written.
+        #[default]
+        FlushImmediate = "flush_immediate",
+        /// Queue extents and synchronise them when the file is closed.
+        FlushOnClose = "flush_onclose",
+        /// Never synchronise (theoretical-bandwidth measurement only).
+        FlushNone = "flush_none",
     }
 
-    /// The hint-string spelling of this policy.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SyncPolicy::Greedy => "greedy",
-            SyncPolicy::Backoff => "backoff",
-        }
-    }
-}
-
-/// `e10_two_phase` values: which collective-write algorithm
-/// `MPI_File_write_all` runs. Replaces the per-variant boolean toggles
-/// older revisions would have needed — one typed knob selects the
-/// algorithm, and the dispatch in [`crate::collective`] switches on it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TwoPhaseAlgo {
-    /// The original two-phase algorithm (del Rosario et al.): one
-    /// exchange round buffering each aggregator's whole file domain.
-    Stock,
-    /// ROMIO's extended two-phase (`ADIOI_Exch_and_write`): rounds
-    /// bounded by `cb_buffer_size`. Default.
-    #[default]
-    Extended,
-    /// Intra-node request aggregation (Kang et al.): ranks sharing a
-    /// node merge their requests at a node leader before the
-    /// inter-node exchange, cutting shuffle messages by the
-    /// ranks-per-node factor.
-    NodeAgg,
-}
-
-impl TwoPhaseAlgo {
-    fn parse(s: &str) -> Option<TwoPhaseAlgo> {
-        match s {
-            "stock" => Some(TwoPhaseAlgo::Stock),
-            "extended" => Some(TwoPhaseAlgo::Extended),
-            "node_agg" => Some(TwoPhaseAlgo::NodeAgg),
-            _ => None,
-        }
+    /// Cache synchronisation scheduling policy (`e10_sync_policy`,
+    /// extension; §III names congestion awareness as a possible richer
+    /// policy).
+    SyncPolicy {
+        /// Stream to the global file as fast as the path allows (default).
+        #[default]
+        Greedy = "greedy",
+        /// Back off while the storage servers are saturated by foreground
+        /// traffic, yielding the bandwidth to whoever is actively waiting.
+        Backoff = "backoff",
     }
 
-    /// The hint-string spelling of this algorithm.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TwoPhaseAlgo::Stock => "stock",
-            TwoPhaseAlgo::Extended => "extended",
-            TwoPhaseAlgo::NodeAgg => "node_agg",
-        }
-    }
-}
-
-/// File-domain partitioning strategy for the two-phase algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FdStrategy {
-    /// Even byte split of the accessed range (classic UFS driver) —
-    /// file domains may straddle stripe boundaries and contend on
-    /// file-system locks.
-    Even,
-    /// Even split with boundaries aligned to `striping_unit` (the
-    /// Lustre driver behaviour, and the BeeGFS driver developed in the
-    /// course of the paper — its footnote 1). Default.
-    #[default]
-    StripeAligned,
-}
-
-impl FdStrategy {
-    fn parse(s: &str) -> Option<FdStrategy> {
-        match s {
-            "even" => Some(FdStrategy::Even),
-            "aligned" => Some(FdStrategy::StripeAligned),
-            _ => None,
-        }
+    /// `e10_two_phase` values: which collective-write algorithm
+    /// `MPI_File_write_all` runs. Replaces the per-variant boolean
+    /// toggles older revisions would have needed — one typed knob selects
+    /// the algorithm, and the dispatch in [`crate::collective`] switches
+    /// on it.
+    TwoPhaseAlgo {
+        /// The original two-phase algorithm (del Rosario et al.): one
+        /// exchange round buffering each aggregator's whole file domain.
+        Stock = "stock",
+        /// ROMIO's extended two-phase (`ADIOI_Exch_and_write`): rounds
+        /// bounded by `cb_buffer_size`. Default.
+        #[default]
+        Extended = "extended",
+        /// Intra-node request aggregation (Kang et al.): ranks sharing a
+        /// node merge their requests at a node leader before the
+        /// inter-node exchange, cutting shuffle messages by the
+        /// ranks-per-node factor.
+        NodeAgg = "node_agg",
     }
 
-    /// The hint-string spelling of this strategy.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FdStrategy::Even => "even",
-            FdStrategy::StripeAligned => "aligned",
-        }
-    }
-}
-
-/// `e10_trace` values: where structured trace events go.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// No tracing (default; the instrumented paths cost one branch).
-    #[default]
-    Off,
-    /// Bounded in-memory ring, inspectable after the run.
-    Ring,
-    /// NDJSON stream under `e10_trace_path`.
-    Jsonl,
-}
-
-impl TraceMode {
-    fn parse(s: &str) -> Option<TraceMode> {
-        match s {
-            "off" => Some(TraceMode::Off),
-            "ring" => Some(TraceMode::Ring),
-            "jsonl" => Some(TraceMode::Jsonl),
-            _ => None,
-        }
+    /// File-domain partitioning strategy for the two-phase algorithm.
+    FdStrategy {
+        /// Even byte split of the accessed range (classic UFS driver) —
+        /// file domains may straddle stripe boundaries and contend on
+        /// file-system locks.
+        Even = "even",
+        /// Even split with boundaries aligned to `striping_unit` (the
+        /// Lustre driver behaviour, and the BeeGFS driver developed in
+        /// the course of the paper — its footnote 1). Default.
+        #[default]
+        StripeAligned = "aligned",
     }
 
-    /// The hint-string spelling of this mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TraceMode::Off => "off",
-            TraceMode::Ring => "ring",
-            TraceMode::Jsonl => "jsonl",
-        }
+    /// `e10_trace` values: where structured trace events go.
+    TraceMode {
+        /// No tracing (default; the instrumented paths cost one branch).
+        #[default]
+        Off = "off",
+        /// Bounded in-memory ring, inspectable after the run.
+        Ring = "ring",
+        /// NDJSON stream under `e10_trace_path`.
+        Jsonl = "jsonl",
     }
 }
 
@@ -420,153 +315,160 @@ pub struct RomioHints {
     pub e10_trace_path: String,
 }
 
-impl Default for RomioHints {
-    fn default() -> Self {
-        RomioHints {
-            cb_write: CbMode::Automatic,
-            cb_read: CbMode::Automatic,
-            cb_buffer_size: 16 << 20,
-            cb_nodes: None,
-            striping_factor: None,
-            striping_unit: None,
-            ind_wr_buffer_size: 512 << 10,
-            e10_cache: CacheMode::Disable,
-            e10_cache_path: "/scratch".to_string(),
-            e10_cache_flush_flag: FlushFlag::FlushImmediate,
-            e10_cache_discard_flag: false,
-            fd_strategy: FdStrategy::StripeAligned,
-            ds_write: CbMode::Disable,
-            e10_cache_read: false,
-            cb_config_max_per_node: None,
-            no_indep_rw: false,
-            e10_cache_evict: false,
-            e10_sync_policy: SyncPolicy::Greedy,
-            e10_cache_journal: false,
-            e10_cache_journal_path: None,
-            e10_integrity: false,
-            e10_integrity_scrub_ms: 0,
-            e10_cache_hiwater: 0,
-            e10_cache_lowater: 0,
-            e10_cache_class: CacheClass::Ssd,
-            e10_nvm_capacity: 0,
-            e10_nvm_threshold: 1 << 20,
-            e10_cache_sync_depth: 0,
-            two_phase: TwoPhaseAlgo::Extended,
-            e10_coll_timeout: 0,
-            e10_pfs_max_retries: None,
-            e10_pfs_retry_base_us: None,
-            e10_trace: TraceMode::Off,
-            e10_trace_path: "results/traces".to_string(),
+/// A numeric field: every integer hint is read and stored as a `u64`.
+trait NumSlot {
+    /// The value, or `None` for an unset optional hint.
+    fn get(&self) -> Option<u64>;
+    /// Store `n`; `false` if it does not fit the field's type.
+    fn put(&mut self, n: u64) -> bool;
+}
+
+impl NumSlot for u64 {
+    fn get(&self) -> Option<u64> {
+        Some(*self)
+    }
+
+    fn put(&mut self, n: u64) -> bool {
+        *self = n;
+        true
+    }
+}
+
+impl<T: Copy + TryFrom<u64>> NumSlot for Option<T>
+where
+    u64: TryFrom<T>,
+{
+    fn get(&self) -> Option<u64> {
+        self.and_then(|n| u64::try_from(n).ok())
+    }
+
+    fn put(&mut self, n: u64) -> bool {
+        *self = T::try_from(n).ok();
+        self.is_some()
+    }
+}
+
+/// Shared and exclusive access to one [`RomioHints`] field, erased to
+/// what its kind reads and writes it through.
+struct Lens<T: ?Sized + 'static> {
+    get: fn(&RomioHints) -> &T,
+    get_mut: fn(&mut RomioHints) -> &mut T,
+}
+
+/// A boolean hint's `[on, off, expected]` words.
+type Words = [&'static str; 3];
+const ON_OFF: Words = ["enable", "disable", "enable|disable"];
+const TRUE_FALSE: Words = ["true", "false", "true|false"];
+
+/// A hint's value kind: the field it fills, the strings it accepts
+/// (surrounding whitespace is ignored by the numeric kinds and by no
+/// other), its range check and the `expected` text of a rejection.
+enum Kind {
+    /// One of an enum's spellings.
+    Choice(Lens<dyn ChoiceSlot>, &'static str),
+    /// A byte count with an optional `k`/`m`/`g` suffix.
+    Size(Lens<dyn NumSlot>, RangeInclusive<u64>, &'static str),
+    /// An integer; a percentage is one with the range `0..=100`.
+    Uint(Lens<dyn NumSlot>, RangeInclusive<u64>, &'static str),
+    /// `*:N`, the one form of ROMIO's `cb_config_list` supported.
+    PerNode(Lens<dyn NumSlot>),
+    /// A boolean in these words (`enable`/`disable` always work).
+    Flag(Lens<bool>, Words),
+    /// A non-empty path.
+    Path(Lens<String>),
+    /// A non-empty path that may stay unset.
+    OptPath(Lens<Option<String>>),
+}
+use Kind::{Choice, Flag, OptPath, Path, PerNode, Size, Uint};
+
+const POSITIVE: RangeInclusive<u64> = 1..=u64::MAX;
+const ANY: RangeInclusive<u64> = 0..=u64::MAX;
+const PERCENT: RangeInclusive<u64> = 0..=100;
+
+/// Where a hint is documented.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HintDoc {
+    /// The paper's Table I (ROMIO's collective hints): row, description.
+    Table1(u8, &'static str),
+    /// The paper's Table II (the E10 extensions): row, accepted values.
+    Table2(u8, &'static str),
+    /// Added by this implementation: accepted values and provenance.
+    Extension(&'static str),
+    /// A standard MPI-IO hint that none of the listings describes.
+    Standard,
+}
+use HintDoc::{Extension, Standard, Table1, Table2};
+
+/// One row of [`HINTS`]: everything that is particular to one hint.
+pub struct HintSpec {
+    /// The hint key.
+    pub key: &'static str,
+    /// Where the hint is documented, with its description.
+    pub doc: HintDoc,
+    kind: Kind,
+}
+
+impl HintSpec {
+    /// What a rejected value is told would have been accepted.
+    pub fn expected(&self) -> &'static str {
+        match &self.kind {
+            Choice(_, expected) | Size(_, _, expected) | Uint(_, _, expected) => expected,
+            PerNode(_) => "\"*:N\" with N > 0",
+            Flag(_, words) => words[2],
+            Path(_) | OptPath(_) => "non-empty path",
         }
     }
-}
 
-/// A hint that was present but malformed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HintError {
-    /// Hint key.
-    pub key: String,
-    /// The rejected value.
-    pub value: String,
-    /// What would have been accepted.
-    pub expected: &'static str,
-}
-
-impl std::fmt::Display for HintError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid hint {}={:?} (expected {})",
-            self.key, self.value, self.expected
-        )
-    }
-}
-
-impl std::error::Error for HintError {}
-
-/// Every violation found while building a hint set — the builder keeps
-/// going after the first bad value so a caller sees the whole list.
-///
-/// The first violation is a separate field, so an empty error set is
-/// unrepresentable by construction: extracting the first error can
-/// never fail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HintErrors {
-    first: HintError,
-    rest: Vec<HintError>,
-}
-
-impl HintErrors {
-    /// Build from the first violation plus any further ones.
-    pub fn new(first: HintError, rest: Vec<HintError>) -> Self {
-        HintErrors { first, rest }
-    }
-
-    /// The first violation (MPI callers usually report just one).
-    pub fn first(&self) -> &HintError {
-        &self.first
-    }
-
-    /// Consume, keeping only the first violation.
-    pub fn into_first(self) -> HintError {
-        self.first
-    }
-
-    /// All violations, in the order they were recorded.
-    pub fn iter(&self) -> impl Iterator<Item = &HintError> {
-        std::iter::once(&self.first).chain(self.rest.iter())
-    }
-
-    /// Number of violations (always at least one).
-    pub fn len(&self) -> usize {
-        1 + self.rest.len()
-    }
-
-    /// Always false — the type cannot hold zero violations.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
-impl std::fmt::Display for HintErrors {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, e) in self.iter().enumerate() {
-            if i > 0 {
-                write!(f, "; ")?;
+    /// Parse `value` into this hint's field; `false`, with the field
+    /// untouched, if it is not acceptable.
+    fn parse_into(&self, hints: &mut RomioHints, value: &str) -> bool {
+        let store = |slot: &mut dyn NumSlot, n: Option<u64>, range: &RangeInclusive<u64>| {
+            n.is_some_and(|n| range.contains(&n) && slot.put(n))
+        };
+        match &self.kind {
+            Choice(lens, _) => (lens.get_mut)(hints).set(value),
+            Size(lens, range, _) => store((lens.get_mut)(hints), parse_size(value), range),
+            Uint(lens, range, _) => store((lens.get_mut)(hints), parse_uint(value), range),
+            PerNode(lens) => {
+                let n = value.strip_prefix("*:").and_then(parse_uint);
+                store((lens.get_mut)(hints), n, &POSITIVE)
             }
-            write!(f, "{e}")?;
+            Flag(lens, words) => {
+                let on = value == words[0] || value == ON_OFF[0];
+                let known = on || value == words[1] || value == ON_OFF[1];
+                if known {
+                    *(lens.get_mut)(hints) = on;
+                }
+                known
+            }
+            Path(_) | OptPath(_) if value.is_empty() => false,
+            Path(lens) => {
+                *(lens.get_mut)(hints) = value.to_string();
+                true
+            }
+            OptPath(lens) => {
+                *(lens.get_mut)(hints) = Some(value.to_string());
+                true
+            }
         }
-        Ok(())
+    }
+
+    /// The field's value as a hint string; `None` for an unset
+    /// optional hint.
+    fn render(&self, hints: &RomioHints) -> Option<String> {
+        match &self.kind {
+            Choice(lens, _) => Some((lens.get)(hints).spelling().to_string()),
+            Size(lens, ..) | Uint(lens, ..) => (lens.get)(hints).get().map(|n| n.to_string()),
+            PerNode(lens) => (lens.get)(hints).get().map(|n| format!("*:{n}")),
+            Flag(lens, words) => Some(words[!*(lens.get)(hints) as usize].to_string()),
+            Path(lens) => Some((lens.get)(hints).clone()),
+            OptPath(lens) => (lens.get)(hints).clone(),
+        }
     }
 }
 
-impl std::error::Error for HintErrors {}
-
-impl IntoIterator for HintErrors {
-    type Item = HintError;
-    type IntoIter = std::iter::Chain<std::iter::Once<HintError>, std::vec::IntoIter<HintError>>;
-
-    /// Every violation by value, first one included — `for e in errs`
-    /// just works.
-    fn into_iter(self) -> Self::IntoIter {
-        std::iter::once(self.first).chain(self.rest)
-    }
-}
-
-impl<'a> IntoIterator for &'a HintErrors {
-    type Item = &'a HintError;
-    type IntoIter =
-        std::iter::Chain<std::iter::Once<&'a HintError>, std::slice::Iter<'a, HintError>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        std::iter::once(&self.first).chain(self.rest.iter())
-    }
-}
-
-impl From<HintErrors> for HintError {
-    fn from(e: HintErrors) -> HintError {
-        e.into_first()
-    }
+fn parse_uint(v: &str) -> Option<u64> {
+    v.trim().parse().ok()
 }
 
 fn parse_size(v: &str) -> Option<u64> {
@@ -577,643 +479,167 @@ fn parse_size(v: &str) -> Option<u64> {
         Some('g') | Some('G') => (&v[..v.len() - 1], 1 << 30),
         _ => (v, 1),
     };
-    num.trim().parse::<u64>().ok().map(|n| n * mult)
+    parse_uint(num)?.checked_mul(mult)
 }
 
-/// Typed, validating construction of a [`RomioHints`] set.
-///
-/// Setters take the value in its natural type and record a
-/// [`HintError`] instead of panicking or silently clamping; `build`
-/// either returns the hints or every violation at once. String pairs
-/// (the MPI `Info` surface) enter through [`set_str`].
-///
-/// [`set_str`]: RomioHintsBuilder::set_str
-#[derive(Debug, Clone, Default)]
-pub struct RomioHintsBuilder {
-    hints: RomioHints,
-    errors: Vec<HintError>,
+/// Builds [`HINTS`], and `RomioHints::default()` with it, from rows of
+/// `key => field = default, Kind(range, expected), documentation;` —
+/// the field becomes the kind's [`Lens`].
+macro_rules! hint_table {
+    ($($key:literal => $field:ident = $default:expr, $kind:ident($($arg:expr),*), $doc:expr;)*) => {
+        /// The hint table, in the order [`RomioHints::to_pairs`] renders.
+        pub const HINTS: &[HintSpec] = &[$(HintSpec {
+            key: $key,
+            doc: $doc,
+            kind: Kind::$kind(
+                Lens { get: |h| &h.$field, get_mut: |h| &mut h.$field },
+                $($arg),*
+            ),
+        }),*];
+
+        impl Default for RomioHints {
+            fn default() -> Self {
+                RomioHints { $($field: $default),* }
+            }
+        }
+    };
 }
 
-impl RomioHintsBuilder {
-    /// Start from the defaults of Tables I/II.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn invalid(&mut self, key: &str, value: impl std::fmt::Display, expected: &'static str) {
-        self.errors.push(HintError {
-            key: key.to_string(),
-            value: value.to_string(),
-            expected,
-        });
-    }
-
-    /// `romio_cb_write`.
-    pub fn cb_write(mut self, mode: CbMode) -> Self {
-        self.hints.cb_write = mode;
-        self
-    }
-
-    /// `romio_cb_read`.
-    pub fn cb_read(mut self, mode: CbMode) -> Self {
-        self.hints.cb_read = mode;
-        self
-    }
-
-    /// `cb_buffer_size` in bytes (must be positive).
-    pub fn cb_buffer_size(mut self, bytes: u64) -> Self {
-        if bytes == 0 {
-            self.invalid("cb_buffer_size", bytes, "positive byte count");
-        } else {
-            self.hints.cb_buffer_size = bytes;
-        }
-        self
-    }
-
-    /// `cb_nodes` (must be positive).
-    pub fn cb_nodes(mut self, n: usize) -> Self {
-        if n == 0 {
-            self.invalid("cb_nodes", n, "positive integer");
-        } else {
-            self.hints.cb_nodes = Some(n);
-        }
-        self
-    }
-
-    /// `striping_factor` (must be positive).
-    pub fn striping_factor(mut self, n: usize) -> Self {
-        if n == 0 {
-            self.invalid("striping_factor", n, "positive integer");
-        } else {
-            self.hints.striping_factor = Some(n);
-        }
-        self
-    }
-
-    /// `striping_unit` in bytes (must be positive).
-    pub fn striping_unit(mut self, bytes: u64) -> Self {
-        if bytes == 0 {
-            self.invalid("striping_unit", bytes, "positive byte count");
-        } else {
-            self.hints.striping_unit = Some(bytes);
-        }
-        self
-    }
-
-    /// `ind_wr_buffer_size` in bytes (must be positive).
-    pub fn ind_wr_buffer_size(mut self, bytes: u64) -> Self {
-        if bytes == 0 {
-            self.invalid("ind_wr_buffer_size", bytes, "positive byte count");
-        } else {
-            self.hints.ind_wr_buffer_size = bytes;
-        }
-        self
-    }
-
-    /// `e10_cache`.
-    pub fn e10_cache(mut self, mode: CacheMode) -> Self {
-        self.hints.e10_cache = mode;
-        self
-    }
-
-    /// `e10_cache_path` (must be non-empty).
-    pub fn e10_cache_path(mut self, path: impl Into<String>) -> Self {
-        let path = path.into();
-        if path.is_empty() {
-            self.invalid("e10_cache_path", path, "non-empty path");
-        } else {
-            self.hints.e10_cache_path = path;
-        }
-        self
-    }
-
-    /// `e10_cache_flush_flag`.
-    pub fn e10_cache_flush_flag(mut self, flag: FlushFlag) -> Self {
-        self.hints.e10_cache_flush_flag = flag;
-        self
-    }
-
-    /// `e10_cache_discard_flag`.
-    pub fn e10_cache_discard_flag(mut self, discard: bool) -> Self {
-        self.hints.e10_cache_discard_flag = discard;
-        self
-    }
-
-    /// `e10_fd_partition`.
-    pub fn fd_strategy(mut self, s: FdStrategy) -> Self {
-        self.hints.fd_strategy = s;
-        self
-    }
-
-    /// `romio_ds_write`.
-    pub fn ds_write(mut self, mode: CbMode) -> Self {
-        self.hints.ds_write = mode;
-        self
-    }
-
-    /// `e10_cache_read`.
-    pub fn e10_cache_read(mut self, on: bool) -> Self {
-        self.hints.e10_cache_read = on;
-        self
-    }
-
-    /// `cb_config_list` as `*:N` (N must be positive).
-    pub fn cb_config_max_per_node(mut self, n: usize) -> Self {
-        if n == 0 {
-            self.invalid("cb_config_list", format!("*:{n}"), "\"*:N\" with N > 0");
-        } else {
-            self.hints.cb_config_max_per_node = Some(n);
-        }
-        self
-    }
-
-    /// `romio_no_indep_rw`.
-    pub fn no_indep_rw(mut self, on: bool) -> Self {
-        self.hints.no_indep_rw = on;
-        self
-    }
-
-    /// `e10_cache_evict`.
-    pub fn e10_cache_evict(mut self, on: bool) -> Self {
-        self.hints.e10_cache_evict = on;
-        self
-    }
-
-    /// `e10_sync_policy`.
-    pub fn e10_sync_policy(mut self, p: SyncPolicy) -> Self {
-        self.hints.e10_sync_policy = p;
-        self
-    }
-
-    /// `e10_cache_journal`.
-    pub fn e10_cache_journal(mut self, on: bool) -> Self {
-        self.hints.e10_cache_journal = on;
-        self
-    }
-
-    /// `e10_cache_journal_path` (must be non-empty).
-    pub fn e10_cache_journal_path(mut self, path: impl Into<String>) -> Self {
-        let path = path.into();
-        if path.is_empty() {
-            self.invalid("e10_cache_journal_path", path, "non-empty path");
-        } else {
-            self.hints.e10_cache_journal_path = Some(path);
-        }
-        self
-    }
-
-    /// `e10_integrity`.
-    pub fn e10_integrity(mut self, on: bool) -> Self {
-        self.hints.e10_integrity = on;
-        self
-    }
-
-    /// `e10_integrity_scrub_ms` (`0` disables scrubbing).
-    pub fn e10_integrity_scrub_ms(mut self, ms: u64) -> Self {
-        self.hints.e10_integrity_scrub_ms = ms;
-        self
-    }
-
-    /// `e10_cache_hiwater` in percent (`0` disables watermarks).
-    pub fn e10_cache_hiwater(mut self, pct: u64) -> Self {
-        if pct > 100 {
-            self.invalid("e10_cache_hiwater", pct, "percentage 0..=100");
-        } else {
-            self.hints.e10_cache_hiwater = pct;
-        }
-        self
-    }
-
-    /// `e10_cache_lowater` in percent (`0` means "same as hiwater").
-    pub fn e10_cache_lowater(mut self, pct: u64) -> Self {
-        if pct > 100 {
-            self.invalid("e10_cache_lowater", pct, "percentage 0..=100");
-        } else {
-            self.hints.e10_cache_lowater = pct;
-        }
-        self
-    }
-
-    /// `e10_cache_class`.
-    pub fn e10_cache_class(mut self, class: CacheClass) -> Self {
-        self.hints.e10_cache_class = class;
-        self
-    }
-
-    /// `e10_nvm_capacity` in bytes (`0` means "the whole NVM mount").
-    pub fn e10_nvm_capacity(mut self, bytes: u64) -> Self {
-        self.hints.e10_nvm_capacity = bytes;
-        self
-    }
-
-    /// `e10_nvm_threshold` in bytes (`0` disables the byte-granular
-    /// front-end).
-    pub fn e10_nvm_threshold(mut self, bytes: u64) -> Self {
-        self.hints.e10_nvm_threshold = bytes;
-        self
-    }
-
-    /// `e10_cache_sync_depth` (`0` leaves the sync queue unbounded).
-    pub fn e10_cache_sync_depth(mut self, depth: u64) -> Self {
-        self.hints.e10_cache_sync_depth = depth;
-        self
-    }
-
-    /// `e10_two_phase`.
-    pub fn e10_two_phase(mut self, algo: TwoPhaseAlgo) -> Self {
-        self.hints.two_phase = algo;
-        self
-    }
-
-    /// `e10_coll_timeout` in milliseconds (`0` disables crash
-    /// tolerance).
-    pub fn e10_coll_timeout(mut self, ms: u64) -> Self {
-        self.hints.e10_coll_timeout = ms;
-        self
-    }
-
-    /// `e10_pfs_max_retries` (retries after the initial attempt).
-    pub fn e10_pfs_max_retries(mut self, retries: u32) -> Self {
-        self.hints.e10_pfs_max_retries = Some(retries);
-        self
-    }
-
-    /// `e10_pfs_retry_base_us` in microseconds (must be positive — a
-    /// zero base would collapse the exponential backoff).
-    pub fn e10_pfs_retry_base_us(mut self, us: u64) -> Self {
-        if us == 0 {
-            self.invalid("e10_pfs_retry_base_us", us, "positive integer microseconds");
-        } else {
-            self.hints.e10_pfs_retry_base_us = Some(us);
-        }
-        self
-    }
-
-    /// `e10_trace`.
-    pub fn e10_trace(mut self, mode: TraceMode) -> Self {
-        self.hints.e10_trace = mode;
-        self
-    }
-
-    /// `e10_trace_path` (must be non-empty).
-    pub fn e10_trace_path(mut self, path: impl Into<String>) -> Self {
-        let path = path.into();
-        if path.is_empty() {
-            self.invalid("e10_trace_path", path, "non-empty path");
-        } else {
-            self.hints.e10_trace_path = path;
-        }
-        self
-    }
-
-    /// The raw-string entry point used by [`RomioHints::from_info`]:
-    /// parse one `(key, value)` hint pair. Unknown keys are ignored
-    /// (MPI semantics); present-but-invalid values are recorded.
-    pub fn set_str(mut self, key: &str, value: &str) -> Self {
-        macro_rules! or_invalid {
-            ($opt:expr, $expected:literal, $setter:ident) => {
-                match $opt {
-                    Some(v) => return self.$setter(v),
-                    None => {
-                        self.invalid(key, value, $expected);
-                        return self;
-                    }
-                }
-            };
-        }
-        match key {
-            "romio_cb_write" => {
-                or_invalid!(CbMode::parse(value), "enable|disable|automatic", cb_write)
-            }
-            "romio_cb_read" => {
-                or_invalid!(CbMode::parse(value), "enable|disable|automatic", cb_read)
-            }
-            "romio_ds_write" => {
-                or_invalid!(CbMode::parse(value), "enable|disable|automatic", ds_write)
-            }
-            "cb_buffer_size" => or_invalid!(
-                parse_size(value).filter(|&n| n > 0),
-                "positive byte count",
-                cb_buffer_size
-            ),
-            "cb_nodes" => or_invalid!(
-                value.trim().parse::<usize>().ok().filter(|&n| n > 0),
-                "positive integer",
-                cb_nodes
-            ),
-            "striping_factor" => or_invalid!(
-                value.trim().parse::<usize>().ok().filter(|&n| n > 0),
-                "positive integer",
-                striping_factor
-            ),
-            "striping_unit" => or_invalid!(
-                parse_size(value).filter(|&n| n > 0),
-                "positive byte count",
-                striping_unit
-            ),
-            "ind_wr_buffer_size" => or_invalid!(
-                parse_size(value).filter(|&n| n > 0),
-                "positive byte count",
-                ind_wr_buffer_size
-            ),
-            "e10_cache" => {
-                or_invalid!(
-                    CacheMode::parse(value),
-                    "enable|disable|coherent",
-                    e10_cache
-                )
-            }
-            "e10_cache_path" => or_invalid!(
-                Some(value).filter(|v| !v.is_empty()),
-                "non-empty path",
-                e10_cache_path
-            ),
-            "e10_cache_flush_flag" => or_invalid!(
-                FlushFlag::parse(value),
-                "flush_immediate|flush_onclose|flush_none",
-                e10_cache_flush_flag
-            ),
-            "e10_cache_discard_flag" => or_invalid!(
-                parse_enable_disable(value),
-                "enable|disable",
-                e10_cache_discard_flag
-            ),
-            "cb_config_list" => or_invalid!(
-                value
-                    .strip_prefix("*:")
-                    .and_then(|n| n.trim().parse::<usize>().ok())
-                    .filter(|&n| n > 0),
-                "\"*:N\" with N > 0",
-                cb_config_max_per_node
-            ),
-            "romio_no_indep_rw" => or_invalid!(
-                match value {
-                    "true" | "enable" => Some(true),
-                    "false" | "disable" => Some(false),
-                    _ => None,
-                },
-                "true|false",
-                no_indep_rw
-            ),
-            "e10_cache_read" => {
-                or_invalid!(
-                    parse_enable_disable(value),
-                    "enable|disable",
-                    e10_cache_read
-                )
-            }
-            "e10_cache_evict" => or_invalid!(
-                parse_enable_disable(value),
-                "enable|disable",
-                e10_cache_evict
-            ),
-            "e10_sync_policy" => {
-                or_invalid!(SyncPolicy::parse(value), "greedy|backoff", e10_sync_policy)
-            }
-            "e10_cache_journal" => or_invalid!(
-                parse_enable_disable(value),
-                "enable|disable",
-                e10_cache_journal
-            ),
-            "e10_cache_journal_path" => or_invalid!(
-                Some(value).filter(|v| !v.is_empty()),
-                "non-empty path",
-                e10_cache_journal_path
-            ),
-            "e10_fd_partition" => {
-                or_invalid!(FdStrategy::parse(value), "even|aligned", fd_strategy)
-            }
-            "e10_integrity" => {
-                or_invalid!(parse_enable_disable(value), "enable|disable", e10_integrity)
-            }
-            "e10_integrity_scrub_ms" => or_invalid!(
-                value.trim().parse::<u64>().ok(),
-                "non-negative integer milliseconds",
-                e10_integrity_scrub_ms
-            ),
-            "e10_cache_hiwater" => or_invalid!(
-                value.trim().parse::<u64>().ok().filter(|&n| n <= 100),
-                "percentage 0..=100",
-                e10_cache_hiwater
-            ),
-            "e10_cache_lowater" => or_invalid!(
-                value.trim().parse::<u64>().ok().filter(|&n| n <= 100),
-                "percentage 0..=100",
-                e10_cache_lowater
-            ),
-            "e10_two_phase" => or_invalid!(
-                TwoPhaseAlgo::parse(value),
-                "stock|extended|node_agg",
-                e10_two_phase
-            ),
-            "e10_cache_class" => {
-                or_invalid!(CacheClass::parse(value), "ssd|nvm|hybrid", e10_cache_class)
-            }
-            "e10_nvm_capacity" => or_invalid!(
-                parse_size(value),
-                "byte count (k/m/g suffixes allowed)",
-                e10_nvm_capacity
-            ),
-            "e10_nvm_threshold" => or_invalid!(
-                parse_size(value),
-                "byte count (k/m/g suffixes allowed)",
-                e10_nvm_threshold
-            ),
-            "e10_cache_sync_depth" => or_invalid!(
-                value.parse::<u64>().ok(),
-                "non-negative extent count",
-                e10_cache_sync_depth
-            ),
-            "e10_coll_timeout" => or_invalid!(
-                value.trim().parse::<u64>().ok(),
-                "non-negative integer milliseconds",
-                e10_coll_timeout
-            ),
-            "e10_pfs_max_retries" => or_invalid!(
-                value.trim().parse::<u32>().ok(),
-                "non-negative retry count",
-                e10_pfs_max_retries
-            ),
-            "e10_pfs_retry_base_us" => or_invalid!(
-                value.trim().parse::<u64>().ok().filter(|&n| n > 0),
-                "positive integer microseconds",
-                e10_pfs_retry_base_us
-            ),
-            "e10_trace" => or_invalid!(TraceMode::parse(value), "off|ring|jsonl", e10_trace),
-            "e10_trace_path" => or_invalid!(
-                Some(value).filter(|v| !v.is_empty()),
-                "non-empty path",
-                e10_trace_path
-            ),
-            _ => {} // unknown hints are silently ignored, as in MPI
-        }
-        self
-    }
-
-    /// Finish: the hints, or every violation recorded along the way.
-    pub fn build(mut self) -> Result<RomioHints, HintErrors> {
-        // Cross-field check: a low watermark above the high watermark
-        // would make the hysteresis band negative. Only meaningful once
-        // both are set; `0` keeps its sentinel meaning.
-        if self.hints.e10_cache_lowater > 0
-            && self.hints.e10_cache_hiwater > 0
-            && self.hints.e10_cache_lowater > self.hints.e10_cache_hiwater
-        {
-            let v = self.hints.e10_cache_lowater;
-            self.invalid("e10_cache_lowater", v, "at most e10_cache_hiwater");
-        }
-        if self.errors.is_empty() {
-            Ok(self.hints)
-        } else {
-            let first = self.errors.remove(0);
-            Err(HintErrors::new(first, self.errors))
-        }
-    }
-
-    /// Like [`build`], but non-consuming: the builder stays usable, so
-    /// a caller can report every violation at once and keep layering
-    /// hints (or retry) on the same builder.
-    ///
-    /// [`build`]: RomioHintsBuilder::build
-    pub fn try_build(&self) -> Result<RomioHints, HintErrors> {
-        self.clone().build()
-    }
-}
-
-fn parse_enable_disable(s: &str) -> Option<bool> {
-    match s {
-        "enable" => Some(true),
-        "disable" => Some(false),
-        _ => None,
-    }
+hint_table! {
+    "romio_cb_write" => cb_write = CbMode::Automatic, Choice(CbMode::EXPECTED),
+        Table1(1, "enable or disable collective writes");
+    "romio_cb_read" => cb_read = CbMode::Automatic, Choice(CbMode::EXPECTED),
+        Table1(2, "enable or disable collective reads");
+    "cb_buffer_size" => cb_buffer_size = 16 << 20, Size(POSITIVE, "positive byte count"),
+        Table1(3, "set the collective buffer size [bytes]");
+    "ind_wr_buffer_size" => ind_wr_buffer_size = 512 << 10, Size(POSITIVE, "positive byte count"),
+        Table2(5, "synchronisation buffer size [bytes]");
+    "e10_cache" => e10_cache = CacheMode::Disable, Choice(CacheMode::EXPECTED),
+        Table2(1, "enable, disable, coherent");
+    "e10_cache_path" => e10_cache_path = "/scratch".to_string(), Path(),
+        Table2(2, "cache directory pathname");
+    "e10_cache_flush_flag" => e10_cache_flush_flag = FlushFlag::FlushImmediate,
+        Choice(FlushFlag::EXPECTED),
+        Table2(3, "flush_immediate, flush_onclose");
+    "e10_cache_discard_flag" => e10_cache_discard_flag = false, Flag(ON_OFF),
+        Table2(4, "enable, disable");
+    "cb_nodes" => cb_nodes = None, Uint(POSITIVE, "positive integer"),
+        Table1(4, "set the number of aggregator processes");
+    "striping_factor" => striping_factor = None, Uint(POSITIVE, "positive integer"), Standard;
+    "striping_unit" => striping_unit = None, Size(POSITIVE, "positive byte count"), Standard;
+    "romio_ds_write" => ds_write = CbMode::Disable, Choice(CbMode::EXPECTED),
+        Extension("enable, disable, automatic (data sieving)");
+    "e10_fd_partition" => fd_strategy = FdStrategy::StripeAligned, Choice(FdStrategy::EXPECTED),
+        Extension("even, aligned (footnote 1: BeeGFS driver alignment)");
+    "e10_cache_read" => e10_cache_read = false, Flag(ON_OFF),
+        Extension("enable, disable (§VI future work: cache reads)");
+    "e10_cache_evict" => e10_cache_evict = false, Flag(ON_OFF),
+        Extension("enable, disable (§III: streaming space management)");
+    "e10_sync_policy" => e10_sync_policy = SyncPolicy::Greedy, Choice(SyncPolicy::EXPECTED),
+        Extension("greedy, backoff (§III: congestion-aware sync)");
+    "e10_cache_journal" => e10_cache_journal = false, Flag(ON_OFF),
+        Extension("enable, disable (crash-recoverable cache manifest journal)");
+    "e10_cache_journal_path" => e10_cache_journal_path = None, OptPath(),
+        Extension("journal file pathname (unset = <cache file>.jnl)");
+    "cb_config_list" => cb_config_max_per_node = None, PerNode(),
+        Extension("\"*:N\" (aggregators per node)");
+    "romio_no_indep_rw" => no_indep_rw = false, Flag(TRUE_FALSE),
+        Extension("true, false (deferred open)");
+    "e10_integrity" => e10_integrity = false, Flag(ON_OFF),
+        Extension("enable, disable (end-to-end checksums on the cache path)");
+    "e10_integrity_scrub_ms" => e10_integrity_scrub_ms = 0,
+        Uint(ANY, "non-negative integer milliseconds"),
+        Extension("milliseconds (background scrub interval; 0 = off)");
+    "e10_cache_hiwater" => e10_cache_hiwater = 0, Uint(PERCENT, "percentage 0..=100"),
+        Extension("0..=100 percent (§III: multi-job admission high watermark)");
+    "e10_cache_lowater" => e10_cache_lowater = 0, Uint(PERCENT, "percentage 0..=100"),
+        Extension("0..=100 percent (§III: eviction drains occupancy to here)");
+    "e10_two_phase" => two_phase = TwoPhaseAlgo::Extended, Choice(TwoPhaseAlgo::EXPECTED),
+        Extension("stock, extended, node_agg (collective-write algorithm)");
+    "e10_cache_class" => e10_cache_class = CacheClass::Ssd, Choice(CacheClass::EXPECTED),
+        Extension("ssd, nvm, hybrid (device class backing the cache)");
+    "e10_nvm_capacity" => e10_nvm_capacity = 0, Size(ANY, "byte count (k/m/g suffixes allowed)"),
+        Extension("bytes (hybrid: NVM front-tier budget; 0 = whole mount)");
+    "e10_nvm_threshold" => e10_nvm_threshold = 1 << 20,
+        Size(ANY, "byte count (k/m/g suffixes allowed)"),
+        Extension("bytes (writes at most this take the byte-granular NVM path)");
+    "e10_cache_sync_depth" => e10_cache_sync_depth = 0, Uint(ANY, "non-negative extent count"),
+        Extension("extent count (bound on queued sync extents; 0 = unbounded)");
+    "e10_coll_timeout" => e10_coll_timeout = 0, Uint(ANY, "non-negative integer milliseconds"),
+        Extension("milliseconds (crash-tolerant collectives; 0 = off)");
+    "e10_pfs_max_retries" => e10_pfs_max_retries = None, Uint(ANY, "non-negative retry count"),
+        Extension("count (client I/O RPC retries; unset = PFS default)");
+    "e10_pfs_retry_base_us" => e10_pfs_retry_base_us = None,
+        Uint(POSITIVE, "positive integer microseconds"),
+        Extension("microseconds (client retry backoff base; unset = PFS default)");
+    "e10_trace" => e10_trace = TraceMode::Off, Choice(TraceMode::EXPECTED),
+        Extension("off, ring, jsonl (structured-trace destination)");
+    "e10_trace_path" => e10_trace_path = "results/traces".to_string(), Path(),
+        Extension("directory of the jsonl trace files");
 }
 
 impl RomioHints {
-    /// A fresh [`RomioHintsBuilder`] at the Table I/II defaults.
-    pub fn builder() -> RomioHintsBuilder {
-        RomioHintsBuilder::new()
-    }
-
-    /// Resolve an [`Info`] object: thin adapter over the builder.
-    /// Unknown keys are ignored (MPI semantics); every
-    /// present-but-invalid value is reported.
+    /// Resolve an [`Info`] object through [`HINTS`]. Unknown keys are
+    /// ignored (MPI semantics); every present-but-invalid value is
+    /// reported, in `Info`'s key order.
     pub fn from_info(info: &Info) -> Result<RomioHints, HintErrors> {
-        let mut b = RomioHints::builder();
+        let mut hints = RomioHints::default();
+        let mut errors = Vec::new();
         for (key, value) in info.entries() {
-            b = b.set_str(&key, &value);
+            let spec = HINTS.iter().find(|spec| spec.key == key);
+            if let Some(spec) = spec.filter(|spec| !spec.parse_into(&mut hints, &value)) {
+                let expected = spec.expected();
+                errors.push(HintError {
+                    key,
+                    value,
+                    expected,
+                });
+            }
         }
-        b.build()
+        // Cross-field check: a low watermark above the high watermark
+        // would make the hysteresis band negative. Only meaningful once
+        // both are set; `0` keeps its sentinel meaning.
+        if let Some((_, lo)) = hints.watermarks().filter(|(hi, lo)| lo > hi) {
+            errors.push(HintError {
+                key: "e10_cache_lowater".to_string(),
+                value: lo.to_string(),
+                expected: "at most e10_cache_hiwater",
+            });
+        }
+        if errors.is_empty() {
+            return Ok(hints);
+        }
+        let first = errors.remove(0);
+        Err(HintErrors::new(first, errors))
     }
 
-    /// Compatibility wrapper around [`from_info`] reporting the first
-    /// violation only.
-    ///
-    /// [`from_info`]: RomioHints::from_info
+    /// Compatibility wrapper around [`RomioHints::from_info`] reporting
+    /// the first violation only.
     pub fn parse(info: &Info) -> Result<RomioHints, HintError> {
         RomioHints::from_info(info).map_err(HintError::from)
+    }
+
+    /// The typed path's check. Hints built by setting the public
+    /// fields have bypassed [`RomioHints::from_info`]; this holds them
+    /// to it — the same range checks and the same cross-check, every
+    /// violation at once — by rendering the fields and resolving them
+    /// again.
+    pub fn validate(&self) -> Result<(), HintErrors> {
+        RomioHints::from_info(&self.to_info()).map(drop)
     }
 
     /// Render the resolved hints as `(key, value)` pairs (used by the
     /// Table I / Table II regeneration binary and by introspection à la
     /// `MPI_File_get_info`). Every hint this implementation reads is
-    /// listed, so [`from_info`] on the output reproduces `self`.
-    ///
-    /// [`from_info`]: RomioHints::from_info
+    /// listed, so [`RomioHints::from_info`] on the output reproduces
+    /// `self`.
     pub fn to_pairs(&self) -> Vec<(String, String)> {
-        let onoff = |b: bool| if b { "enable" } else { "disable" };
-        let mut out = vec![
-            ("romio_cb_write".into(), self.cb_write.as_str().into()),
-            ("romio_cb_read".into(), self.cb_read.as_str().into()),
-            ("cb_buffer_size".into(), self.cb_buffer_size.to_string()),
-            (
-                "ind_wr_buffer_size".into(),
-                self.ind_wr_buffer_size.to_string(),
-            ),
-            ("e10_cache".into(), self.e10_cache.as_str().into()),
-            ("e10_cache_path".into(), self.e10_cache_path.clone()),
-            (
-                "e10_cache_flush_flag".into(),
-                self.e10_cache_flush_flag.as_str().into(),
-            ),
-            (
-                "e10_cache_discard_flag".into(),
-                onoff(self.e10_cache_discard_flag).into(),
-            ),
-        ];
-        if let Some(n) = self.cb_nodes {
-            out.push(("cb_nodes".into(), n.to_string()));
-        }
-        if let Some(n) = self.striping_factor {
-            out.push(("striping_factor".into(), n.to_string()));
-        }
-        if let Some(n) = self.striping_unit {
-            out.push(("striping_unit".into(), n.to_string()));
-        }
-        out.push(("romio_ds_write".into(), self.ds_write.as_str().into()));
-        out.push(("e10_fd_partition".into(), self.fd_strategy.as_str().into()));
-        out.push(("e10_cache_read".into(), onoff(self.e10_cache_read).into()));
-        out.push(("e10_cache_evict".into(), onoff(self.e10_cache_evict).into()));
-        out.push((
-            "e10_sync_policy".into(),
-            self.e10_sync_policy.as_str().into(),
-        ));
-        out.push((
-            "e10_cache_journal".into(),
-            onoff(self.e10_cache_journal).into(),
-        ));
-        if let Some(p) = &self.e10_cache_journal_path {
-            out.push(("e10_cache_journal_path".into(), p.clone()));
-        }
-        if let Some(n) = self.cb_config_max_per_node {
-            out.push(("cb_config_list".into(), format!("*:{n}")));
-        }
-        out.push((
-            "romio_no_indep_rw".into(),
-            if self.no_indep_rw { "true" } else { "false" }.into(),
-        ));
-        out.push(("e10_integrity".into(), onoff(self.e10_integrity).into()));
-        out.push((
-            "e10_integrity_scrub_ms".into(),
-            self.e10_integrity_scrub_ms.to_string(),
-        ));
-        out.push((
-            "e10_cache_hiwater".into(),
-            self.e10_cache_hiwater.to_string(),
-        ));
-        out.push((
-            "e10_cache_lowater".into(),
-            self.e10_cache_lowater.to_string(),
-        ));
-        out.push(("e10_two_phase".into(), self.two_phase.as_str().into()));
-        out.push((
-            "e10_cache_class".into(),
-            self.e10_cache_class.as_str().into(),
-        ));
-        out.push(("e10_nvm_capacity".into(), self.e10_nvm_capacity.to_string()));
-        out.push((
-            "e10_nvm_threshold".into(),
-            self.e10_nvm_threshold.to_string(),
-        ));
-        out.push((
-            "e10_cache_sync_depth".into(),
-            self.e10_cache_sync_depth.to_string(),
-        ));
-        out.push(("e10_coll_timeout".into(), self.e10_coll_timeout.to_string()));
-        if let Some(n) = self.e10_pfs_max_retries {
-            out.push(("e10_pfs_max_retries".into(), n.to_string()));
-        }
-        if let Some(n) = self.e10_pfs_retry_base_us {
-            out.push(("e10_pfs_retry_base_us".into(), n.to_string()));
-        }
-        out.push(("e10_trace".into(), self.e10_trace.as_str().into()));
-        out.push(("e10_trace_path".into(), self.e10_trace_path.clone()));
-        out
+        let pair = |spec: &HintSpec| Some((spec.key.to_string(), spec.render(self)?));
+        HINTS.iter().filter_map(pair).collect()
     }
 
     /// Render as an [`Info`] object (`MPI_File_get_info`). The inverse
-    /// of [`from_info`] for every hint.
-    ///
-    /// [`from_info`]: RomioHints::from_info
+    /// of [`RomioHints::from_info`] for every hint.
     pub fn to_info(&self) -> Info {
         let info = Info::new();
         for (k, v) in self.to_pairs() {
@@ -1292,21 +718,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_typed_setters_match_string_parsing() {
-        let typed = RomioHints::builder()
-            .cb_write(CbMode::Enable)
-            .cb_buffer_size(4 << 20)
-            .cb_nodes(16)
-            .striping_unit(4 << 20)
-            .striping_factor(4)
-            .ind_wr_buffer_size(512 << 10)
-            .e10_cache(CacheMode::Coherent)
-            .e10_cache_path("/scratch/e10")
-            .e10_cache_flush_flag(FlushFlag::FlushOnClose)
-            .e10_cache_discard_flag(true)
-            .e10_trace(TraceMode::Ring)
-            .build()
-            .unwrap();
+    fn typed_fields_match_string_parsing() {
+        let typed = RomioHints {
+            cb_write: CbMode::Enable,
+            cb_buffer_size: 4 << 20,
+            cb_nodes: Some(16),
+            striping_unit: Some(4 << 20),
+            striping_factor: Some(4),
+            ind_wr_buffer_size: 512 << 10,
+            e10_cache: CacheMode::Coherent,
+            e10_cache_path: "/scratch/e10".into(),
+            e10_cache_flush_flag: FlushFlag::FlushOnClose,
+            e10_cache_discard_flag: true,
+            e10_trace: TraceMode::Ring,
+            ..RomioHints::default()
+        };
+        typed.validate().unwrap();
         let parsed = RomioHints::from_info(&Info::from_pairs([
             ("romio_cb_write", "enable"),
             ("cb_buffer_size", "4M"),
@@ -1325,13 +752,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_collects_every_violation() {
-        let err = RomioHints::builder()
-            .cb_buffer_size(0)
-            .cb_nodes(0)
-            .e10_cache_path("")
-            .build()
-            .unwrap_err();
+    fn validate_collects_every_violation() {
+        let bad = RomioHints {
+            cb_buffer_size: 0,
+            cb_nodes: Some(0),
+            e10_cache_path: String::new(),
+            ..RomioHints::default()
+        };
+        let err = bad.validate().unwrap_err();
         assert_eq!(err.len(), 3);
         assert!(!err.is_empty());
         assert_eq!(err.first().key, "cb_buffer_size");
@@ -1359,6 +787,17 @@ mod tests {
         assert_eq!(parse_size("4m"), Some(4 << 20));
         assert_eq!(parse_size("2G"), Some(2 << 30));
         assert_eq!(parse_size("x"), None);
+        // A product past u64 is rejected, not wrapped: this one would
+        // wrap to 0, which for `e10_nvm_capacity` means "the whole mount".
+        assert_eq!(parse_size("17179869184G"), None);
+        assert_eq!(parse_size("18446744073709551615K"), None);
+        let info = Info::from_pairs([("e10_nvm_capacity", "17179869184G")]);
+        let e = RomioHints::parse(&info).unwrap_err();
+        assert_eq!(
+            (e.key.as_str(), e.value.as_str()),
+            ("e10_nvm_capacity", "17179869184G")
+        );
+        assert_eq!(e.expected, "byte count (k/m/g suffixes allowed)");
     }
 
     #[test]
@@ -1461,10 +900,15 @@ mod tests {
             assert!(RomioHints::parse(&info).is_err(), "{k}={v} must fail");
         }
         // The typed zero-base rejection matches the string path.
-        assert!(RomioHints::builder()
-            .e10_pfs_retry_base_us(0)
-            .build()
-            .is_err());
+        let typed = RomioHints {
+            e10_pfs_retry_base_us: Some(0),
+            ..RomioHints::default()
+        };
+        let zero_base = Info::from_pairs([("e10_pfs_retry_base_us", "0")]);
+        assert_eq!(
+            typed.validate().unwrap_err().into_first(),
+            RomioHints::parse(&zero_base).unwrap_err()
+        );
 
         // Defaults: tolerance off, file-system retry policy untouched.
         let d = RomioHints::default();
@@ -1487,7 +931,11 @@ mod tests {
         assert_eq!(d.watermarks(), None);
 
         // Zero lowater resolves to the hiwater (no hysteresis band).
-        let h = RomioHints::builder().e10_cache_hiwater(80).build().unwrap();
+        let h = RomioHints {
+            e10_cache_hiwater: 80,
+            ..RomioHints::default()
+        };
+        assert_eq!(h.validate(), Ok(()));
         assert_eq!(h.watermarks(), Some((80, 80)));
 
         // Out-of-range and inverted pairs are rejected with context.
@@ -1500,11 +948,12 @@ mod tests {
             let info = Info::from_pairs([(k, v)]);
             assert!(RomioHints::parse(&info).is_err(), "{k}={v} must fail");
         }
-        let err = RomioHints::builder()
-            .e10_cache_hiwater(60)
-            .e10_cache_lowater(80)
-            .build()
-            .unwrap_err();
+        let inverted = RomioHints {
+            e10_cache_hiwater: 60,
+            e10_cache_lowater: 80,
+            ..RomioHints::default()
+        };
+        let err = inverted.validate().unwrap_err();
         assert_eq!(err.first().key, "e10_cache_lowater");
         assert!(err.first().to_string().contains("at most"));
         // The same inversion through the string surface.
@@ -1524,8 +973,11 @@ mod tests {
             let h = RomioHints::parse(&info).unwrap();
             assert_eq!(h.two_phase, algo);
             assert_eq!(algo.as_str(), s);
-            // The typed setter and the string surface agree.
-            let typed = RomioHints::builder().e10_two_phase(algo).build().unwrap();
+            // The typed field and the string surface agree.
+            let typed = RomioHints {
+                two_phase: algo,
+                ..RomioHints::default()
+            };
             assert_eq!(typed.to_pairs(), h.to_pairs());
             // And `to_info` round-trips the algorithm.
             let h2 = RomioHints::from_info(&h.to_info()).unwrap();
@@ -1553,10 +1005,10 @@ mod tests {
             let h = RomioHints::parse(&info).unwrap();
             assert_eq!(h.e10_cache_class, class);
             assert_eq!(class.as_str(), s);
-            let typed = RomioHints::builder()
-                .e10_cache_class(class)
-                .build()
-                .unwrap();
+            let typed = RomioHints {
+                e10_cache_class: class,
+                ..RomioHints::default()
+            };
             assert_eq!(typed.to_pairs(), h.to_pairs());
             let h2 = RomioHints::from_info(&h.to_info()).unwrap();
             assert_eq!(h2, h);
@@ -1597,11 +1049,8 @@ mod tests {
 
     #[test]
     fn hint_errors_into_iterator_yields_every_violation() {
-        let err = RomioHints::builder()
-            .cb_buffer_size(0)
-            .cb_nodes(0)
-            .build()
-            .unwrap_err();
+        let info = Info::from_pairs([("cb_buffer_size", "0"), ("cb_nodes", "0")]);
+        let err = RomioHints::from_info(&info).unwrap_err();
         // By reference.
         let keys: Vec<&str> = (&err).into_iter().map(|e| e.key.as_str()).collect();
         assert_eq!(keys, ["cb_buffer_size", "cb_nodes"]);
@@ -1614,18 +1063,49 @@ mod tests {
         assert_eq!(n, 2);
     }
 
+    /// The table is sound as data: keys are unique, every row rejects
+    /// the empty string under its own key and `expected` text (so no
+    /// listed key is one the parser ignores), the defaults satisfy
+    /// every row, and exactly the rows that can be unset are absent
+    /// from the default rendering.
     #[test]
-    fn try_build_leaves_the_builder_usable() {
-        let b = RomioHints::builder().cb_nodes(0);
-        let err = b.try_build().unwrap_err();
-        assert_eq!(err.len(), 1);
-        // The builder is still alive: layering more hints accumulates.
-        let err2 = b.cb_buffer_size(0).try_build().unwrap_err();
-        assert_eq!(err2.len(), 2);
-        // And a clean builder try_builds Ok repeatedly.
-        let ok = RomioHints::builder().cb_nodes(4);
-        assert!(ok.try_build().is_ok());
-        assert_eq!(ok.try_build().unwrap().cb_nodes, Some(4));
+    fn every_row_of_the_table_is_live() {
+        let defaults = RomioHints::default();
+        assert_eq!(defaults.validate(), Ok(()));
+        let rendered = defaults.to_pairs();
+        for (i, spec) in HINTS.iter().enumerate() {
+            assert!(
+                HINTS[..i].iter().all(|s| s.key != spec.key),
+                "{} twice",
+                spec.key
+            );
+            let e = RomioHints::parse(&Info::from_pairs([(spec.key, "")])).unwrap_err();
+            assert_eq!((e.key.as_str(), e.expected), (spec.key, spec.expected()));
+            let optional = matches!(spec.kind, OptPath(_))
+                || matches!(&spec.kind, Size(l, ..) | Uint(l, ..) | PerNode(l)
+                    if (l.get)(&defaults).get().is_none());
+            assert_eq!(rendered.iter().any(|(k, _)| k == spec.key), !optional);
+        }
+        assert_eq!(HINTS.len(), 34);
+    }
+
+    /// The numeric kinds ignore surrounding whitespace — all of them,
+    /// `e10_cache_sync_depth` included — and no other kind does.
+    #[test]
+    fn whitespace_is_trimmed_by_the_numeric_kinds_only() {
+        for spec in HINTS {
+            let (padded, numeric) = match &spec.kind {
+                Size(_, range, _) | Uint(_, range, _) => (format!(" {} ", range.start()), true),
+                PerNode(_) => ("*: 3 ".to_string(), true),
+                Choice(_, expected) => {
+                    (format!(" {} ", expected.split('|').next().unwrap()), false)
+                }
+                Flag(_, words) => (format!(" {} ", words[0]), false),
+                Path(_) | OptPath(_) => continue, // a path is taken verbatim
+            };
+            let parsed = RomioHints::parse(&Info::from_pairs([(spec.key, padded.as_str())]));
+            assert_eq!(parsed.is_ok(), numeric, "{}={padded:?}", spec.key);
+        }
     }
 
     #[test]
@@ -1645,26 +1125,27 @@ mod tests {
 
     #[test]
     fn to_info_roundtrips_every_hint() {
-        let h = RomioHints::builder()
-            .cb_write(CbMode::Enable)
-            .cb_nodes(8)
-            .e10_cache(CacheMode::Coherent)
-            .e10_cache_flush_flag(FlushFlag::FlushNone)
-            .cb_config_max_per_node(2)
-            .no_indep_rw(true)
-            .e10_cache_evict(true)
-            .e10_sync_policy(SyncPolicy::Backoff)
-            .e10_trace(TraceMode::Jsonl)
-            .e10_trace_path("results/traces/x")
-            .e10_cache_journal(true)
-            .e10_cache_journal_path("/scratch/j.jnl")
-            .e10_cache_hiwater(85)
-            .e10_cache_lowater(65)
-            .e10_cache_class(CacheClass::Hybrid)
-            .e10_nvm_capacity(1 << 30)
-            .e10_nvm_threshold(64 << 10)
-            .build()
-            .unwrap();
+        let h = RomioHints {
+            cb_write: CbMode::Enable,
+            cb_nodes: Some(8),
+            e10_cache: CacheMode::Coherent,
+            e10_cache_flush_flag: FlushFlag::FlushNone,
+            cb_config_max_per_node: Some(2),
+            no_indep_rw: true,
+            e10_cache_evict: true,
+            e10_sync_policy: SyncPolicy::Backoff,
+            e10_trace: TraceMode::Jsonl,
+            e10_trace_path: "results/traces/x".into(),
+            e10_cache_journal: true,
+            e10_cache_journal_path: Some("/scratch/j.jnl".into()),
+            e10_cache_hiwater: 85,
+            e10_cache_lowater: 65,
+            e10_cache_class: CacheClass::Hybrid,
+            e10_nvm_capacity: 1 << 30,
+            e10_nvm_threshold: 64 << 10,
+            ..RomioHints::default()
+        };
+        h.validate().unwrap();
         let h2 = RomioHints::from_info(&h.to_info()).unwrap();
         assert_eq!(h2, h);
         assert_eq!(h2.to_pairs(), h.to_pairs());

@@ -62,8 +62,8 @@ pub use collective_read::{read_at_all, ReadAllResult, ReadPiece};
 pub use error::Error;
 pub use fd::{node_leaders, select_aggregators, select_aggregators_capped, FileDomains};
 pub use hints::{
-    CacheClass, CacheMode, CbMode, FdStrategy, FlushFlag, HintError, HintErrors, RomioHints,
-    RomioHintsBuilder, SyncPolicy, TraceMode, TwoPhaseAlgo,
+    CacheClass, CacheMode, CbMode, FdStrategy, FlushFlag, HintDoc, HintError, HintErrors, HintSpec,
+    RomioHints, SyncPolicy, TraceMode, TwoPhaseAlgo, HINTS,
 };
 pub use profile::{Breakdown, Phase, Profiler};
 pub use testbed::{IoCtx, Testbed, TestbedSpec};

@@ -3,7 +3,7 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates four
+//! `e10_simcore::alloc_gauge`; this test installs it and gates five
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
@@ -17,7 +17,9 @@
 //!    the paper-scale runs, at most a small multiple of P under the
 //!    crash-tolerant transport, and
 //! 4. that the count *is* reproducible where a hash table with random
-//!    keys would make it not: file churn on a node's volume.
+//!    keys would make it not: file churn on a node's volume, and
+//! 5. what resolving the paper's hint set costs: `AdioFile::open` does
+//!    it once per rank, 512 times per collective open.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -330,4 +332,36 @@ fn file_churn_on_a_volume_costs_the_same_every_time() {
     for run in 1..200 {
         assert_eq!(churn(), first, "run {run} against run 0");
     }
+}
+
+/// `AdioFile::open` resolves its hints once per rank — 512 times per
+/// collective open at paper scale — so `RomioHints::from_info` sits on
+/// a path the repo benchmark bounds at 1 % of allocator calls and
+/// `BENCH_perf.json` counts exactly. On the paper configuration (the
+/// ten pairs of `bench::tables::paper_info`, spelled out because
+/// `romio` cannot depend on `bench`) it cost 24 calls before the hint
+/// table — `Info::entries` (a vector and twenty strings) plus the
+/// three strings the resolved hints own — and that is the ceiling.
+#[test]
+fn resolving_the_paper_hints_allocates_no_more_than_it_did() {
+    let info = e10_mpisim::Info::from_pairs([
+        ("romio_cb_write", "enable"),
+        ("cb_nodes", "64"),
+        ("cb_buffer_size", "4M"),
+        ("striping_unit", "4M"),
+        ("striping_factor", "4"),
+        ("ind_wr_buffer_size", "512K"),
+        ("e10_cache", "enable"),
+        ("e10_cache_path", "/scratch"),
+        ("e10_cache_flush_flag", "flush_immediate"),
+        ("e10_cache_discard_flag", "enable"),
+    ]);
+    let (calls, hints) = alloc_gauge::count(|| e10_romio::RomioHints::from_info(&info));
+    assert_eq!(hints.unwrap().cb_nodes, Some(64));
+    println!("from_info on the paper configuration: {calls} allocator calls");
+    assert!(calls > 0, "the counting allocator is installed");
+    assert!(
+        calls <= 24,
+        "{calls} allocator calls, 24 at the parent commit"
+    );
 }

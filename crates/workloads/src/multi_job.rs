@@ -117,20 +117,20 @@ impl MultiJobSpec {
         self.seed_base + 100 * job as u64 + k as u64
     }
 
-    /// MPI-IO hints every job opens its files with, built through the
-    /// typed builder so watermark validation applies.
+    /// MPI-IO hints every job opens its files with, set as typed fields
+    /// and validated so the watermark checks apply.
     pub fn hints(&self) -> Info {
-        let mut b = RomioHints::builder()
-            .e10_cache(CacheMode::Enable)
-            .e10_cache_flush_flag(FlushFlag::FlushImmediate)
-            .e10_cache_discard_flag(true)
-            .cb_buffer_size(self.cb_buffer_size);
-        if self.hiwater > 0 {
-            b = b
-                .e10_cache_hiwater(self.hiwater)
-                .e10_cache_lowater(self.lowater);
-        }
-        b.build().expect("multi-job hints must validate").to_info()
+        let hints = RomioHints {
+            e10_cache: CacheMode::Enable,
+            e10_cache_flush_flag: FlushFlag::FlushImmediate,
+            e10_cache_discard_flag: true,
+            cb_buffer_size: self.cb_buffer_size,
+            e10_cache_hiwater: self.hiwater,
+            e10_cache_lowater: if self.hiwater > 0 { self.lowater } else { 0 },
+            ..RomioHints::default()
+        };
+        hints.validate().expect("multi-job hints must validate");
+        hints.to_info()
     }
 }
 

@@ -18,28 +18,29 @@
 #      timed_rounds_cost_linear_in_ranks (3 per extra crash-tolerant
 #      round) and steady_state_rounds_allocate_a_constant_under_analytic
 #      (4 per extra round per communicator, at 8 and at 16 ranks, on
-#      the analytic collectives every paper-scale run uses)
+#      the analytic collectives every paper-scale run uses), and the
+#      ceiling on what resolving the paper's hints costs per rank-open
+#      (resolving_the_paper_hints_allocates_no_more_than_it_did, 24)
 #   3. formatting
 #   4. clippy, warnings promoted to errors
 #   5. fault-matrix smoke: stalls/link faults/RPC failures across the
 #      cached and uncached write paths, plus a node crash recovered
 #      from the cache journal (exit != 0 on any data loss); runs with
 #      E10_JOBS=4 so the worker-pool path is exercised under CI
-#   6. bench_baseline smoke: the parallel sweep must produce
-#      byte-identical figures and bit-identical sim times vs the
-#      sequential path (exit != 0 on divergence)
-#   7. multi_job smoke: the fixed-seed multi-tenant cache arms; the
+#   6. multi_job smoke: the fixed-seed multi-tenant cache arms; the
 #      binary itself gates on the contended arm degrading + evicting
 #      while the control arms stay clean, and the JSON output (minus
 #      the host_secs wall-clock field) must be byte-identical at
 #      E10_JOBS=1 and E10_JOBS=8 (identical_across_jobs, as in steps
-#      10-12)
-#   8. node_agg smoke: the three collective-write algorithms on the
+#      9-11; the figure-sweep half of that rule — fig4 byte-identical,
+#      every point's virtual time and bandwidth bit-identical — is
+#      crates/bench/tests/determinism.rs in step 2)
+#   7. node_agg smoke: the three collective-write algorithms on the
 #      test-scale grid; the binary gates on intra-node aggregation
 #      strictly reducing inter-node shuffle bytes AND messages vs the
 #      extended algorithm on every cell (exit != 0 otherwise), with
 #      every run byte-verified
-#   9. chaos-soak smoke: fixed-seed randomized corruption schedules
+#   8. chaos-soak smoke: fixed-seed randomized corruption schedules
 #      (SSD bit-flips/torn sectors, wire corruption, lazy PFS rot,
 #      stalls, RPC failures) against the fault-free oracle; exit != 0
 #      if any seed silently diverges from the oracle's bytes; the seeds
@@ -47,20 +48,20 @@
 #      hybrid split sit under the same oracle. Journal format-version
 #      compat is covered by the test suite in step 2 (v1 journals
 #      without Cksum records must still replay).
-#  10. nvm_sweep smoke: the SSD/NVM/hybrid cache-tier grid; the binary
+#   9. nvm_sweep smoke: the SSD/NVM/hybrid cache-tier grid; the binary
 #      gates on the nvm class strictly reducing cache-write stall per
 #      cached byte on small-buffer cells and on hybrid bandwidth never
 #      losing to the better pure class (exit != 0 otherwise), and the
 #      JSON (minus the worker-count field) must be byte-identical at
 #      E10_JOBS=1 and E10_JOBS=8
-#  11. bench_perf smoke: the quick-scale perf baseline vs the
+#  10. bench_perf smoke: the quick-scale perf baseline vs the
 #      committed BENCH_perf.json — events and allocator-call counts
 #      must match exactly (the sim is deterministic), the densest
 #      cell's median wall-clock per event must stay within the
 #      baseline's tolerance factor, and the JSON minus the
 #      wall-clock/host fields must be byte-identical at E10_JOBS=1
 #      and E10_JOBS=8
-#  12. degraded smoke: the failure-intensity × cache-class ×
+#  11. degraded smoke: the failure-intensity × cache-class ×
 #      algorithm survivability grid; the binary gates on every cell
 #      verifying all acked bytes (device failure, mid-collective node
 #      crash, both), on the zero-failure arms being byte-identical
@@ -69,7 +70,7 @@
 #      The zero-cost-when-off half of the gate is the alloc_count
 #      steady-state test in step 2 (tolerance hints at defaults add
 #      exactly 0 allocator calls per round).
-#  13. repo-benchmark smoke: builds the standalone `benchmark/` crate
+#  12. repo-benchmark smoke: builds the standalone `benchmark/` crate
 #      against this tree (so a rename in crates/ cannot break it
 #      unnoticed) and runs all five workloads at 8 ranks; its
 #      self-checks exit != 0
@@ -119,11 +120,6 @@ echo "==> fault-matrix smoke (E10_JOBS=4)"
 t0=$SECONDS
 E10_JOBS=4 cargo run --release -q -p e10-bench --bin fault_sweep -- --smoke
 echo "    [$(($SECONDS - t0))s] fault-matrix smoke"
-
-echo "==> bench_baseline smoke (parallel vs sequential divergence gate)"
-t0=$SECONDS
-cargo run --release -q -p e10-bench --bin bench_baseline -- --smoke --jobs 4 --out -
-echo "    [$(($SECONDS - t0))s] bench_baseline smoke"
 
 # identical_across_jobs NAME STRIP CMD...: run CMD (JSON on stdout) at
 # E10_JOBS=1 and E10_JOBS=8. Apart from the host-side fields matching

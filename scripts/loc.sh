@@ -3,10 +3,13 @@
 #
 #   scripts/loc.sh [path...]      # default: crates/*/src
 #
-# A file's lines up to its first `#[cfg(test)]` are production, the
-# rest are test; a file named tests.rs, or under a tests/ directory, is
-# test throughout. `wc -l` cannot tell deleted code from code moved
-# into a test module; this can. Columns: production, test, path; then
+# A file's lines up to its first test module (a `#[cfg(test)]` whose
+# next line opens a `mod … {`) are production, the rest are test; a
+# `#[cfg(test)]` on a lone item in the middle of production code, or on
+# a `mod name;` declaration, does not split the file. A file named
+# tests.rs, or under a tests/ directory, is test throughout. `wc -l`
+# cannot tell deleted code from code moved into a test module; this
+# can. Columns: production, test, path; then
 # one total per crate (the directory above src/) and a grand total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,7 +23,9 @@ find "$@" -name '*.rs' -print | LC_ALL=C sort | while IFS= read -r f; do
     */tests.rs | */tests/*) echo "0 $(wc -l < "$f") $f" ;;
     *)
       awk -v f="$f" '
-        !split_at && /^[[:space:]]*#!?\[cfg\(test\)\]/ { split_at = NR }
+        !split_at && attr && /^[[:space:]]*(pub(\([a-z]+\))? +)?mod .*\{[[:space:]]*$/ { split_at = attr }
+        { attr = /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ ? NR : 0 }
+        !split_at && /^[[:space:]]*#!\[cfg\(test\)\]/ { split_at = NR }
         END {
           prod = split_at ? split_at - 1 : NR
           print prod, NR - prod, f

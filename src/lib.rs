@@ -87,8 +87,7 @@ pub mod prelude {
     pub use e10_mpisim::{Comm, FileView, FlatType, Info};
     pub use e10_romio::{
         write_at_all, AdioFile, CacheConfig, CacheLayer, CacheMode, DataSpec, Error, FlushFlag,
-        IoCtx, Phase, RecoverError, RecoveryReport, RomioHints, RomioHintsBuilder, Testbed,
-        TestbedSpec, TraceMode,
+        IoCtx, Phase, RecoverError, RecoveryReport, RomioHints, Testbed, TestbedSpec, TraceMode,
     };
     pub use e10_simcore::{SimDuration, SimTime};
     pub use e10_storesim::Payload;

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use e10_repro::localfs::LocalFs;
 use e10_repro::prelude::*;
-use e10_repro::romio::{Admission, CacheArbiter, FdStrategy, FileDomains, RomioHints};
+use e10_repro::romio::{Admission, CacheArbiter, FdStrategy, FileDomains, RomioHints, HINTS};
 use e10_repro::simcore::resource::water_fill;
 use e10_repro::storesim::{ExtentMap, Payload, Source};
 
@@ -313,11 +313,11 @@ proptest! {
         prop_assert_eq!(h1.e10_cache_discard_flag, h2.e10_cache_discard_flag);
     }
 
-    /// For every Table I/II hint the typed builder and the Info string
-    /// surface resolve to identical hints, and `to_info` inverts
-    /// `from_info`.
+    /// For every Table I/II hint, hints set as typed fields and the
+    /// Info string surface resolve identically, the typed set passes
+    /// `validate`, and `to_info` inverts `from_info`.
     #[test]
-    fn builder_agrees_with_from_info(
+    fn typed_fields_agree_with_from_info(
         cb_write in 0usize..3,
         cb_read in 0usize..3,
         cb_size in 1u64..(1u64 << 32),
@@ -355,27 +355,29 @@ proptest! {
         let jpaths = ["/scratch/a.jnl", "/scratch/deep/b.jnl", "/j"];
         let onoff = |b: bool| if b { "enable" } else { "disable" };
 
-        let mut b = RomioHints::builder()
-            .cb_write(cb_modes[cb_write])
-            .cb_read(cb_modes[cb_read])
-            .cb_buffer_size(cb_size)
-            .ind_wr_buffer_size(ind_wr)
-            .e10_cache(cache_modes[cache])
-            .e10_cache_flush_flag(flush_flags[flush])
-            .e10_cache_discard_flag(discard)
-            .e10_cache_evict(evict)
-            .e10_cache_read(cache_read)
-            .no_indep_rw(no_indep)
-            .e10_sync_policy(sync_pols[sync_pol])
-            .fd_strategy(fds[fd])
-            .e10_trace(traces[trace])
-            .e10_cache_journal(journal);
-        if let Some(p) = journal_path { b = b.e10_cache_journal_path(jpaths[p]); }
-        if let Some(n) = cb_nodes { b = b.cb_nodes(n); }
-        if let Some(n) = striping_factor { b = b.striping_factor(n); }
-        if let Some(n) = striping_unit { b = b.striping_unit(n); }
-        if let Some(n) = max_per_node { b = b.cb_config_max_per_node(n); }
-        let typed = b.build().unwrap();
+        let typed = RomioHints {
+            cb_write: cb_modes[cb_write],
+            cb_read: cb_modes[cb_read],
+            cb_buffer_size: cb_size,
+            ind_wr_buffer_size: ind_wr,
+            e10_cache: cache_modes[cache],
+            e10_cache_flush_flag: flush_flags[flush],
+            e10_cache_discard_flag: discard,
+            e10_cache_evict: evict,
+            e10_cache_read: cache_read,
+            no_indep_rw: no_indep,
+            e10_sync_policy: sync_pols[sync_pol],
+            fd_strategy: fds[fd],
+            e10_trace: traces[trace],
+            e10_cache_journal: journal,
+            e10_cache_journal_path: journal_path.map(|p| jpaths[p].to_string()),
+            cb_nodes,
+            striping_factor,
+            striping_unit,
+            cb_config_max_per_node: max_per_node,
+            ..RomioHints::default()
+        };
+        prop_assert_eq!(typed.validate(), Ok(()));
 
         // The same configuration spelled as Info strings.
         let info = Info::new();
@@ -400,11 +402,143 @@ proptest! {
         if let Some(n) = max_per_node { info.set("cb_config_list", &format!("*:{n}")); }
 
         let parsed = RomioHints::from_info(&info).unwrap();
+        prop_assert_eq!(&typed, &parsed);
         prop_assert_eq!(typed.to_pairs(), parsed.to_pairs());
 
         // to_info is the inverse of from_info.
         let back = RomioHints::from_info(&typed.to_info()).unwrap();
         prop_assert_eq!(typed.to_pairs(), back.to_pairs());
+    }
+}
+
+/// One `(key, value)` pair the fuzz property may draw. Keys come from
+/// the hint table and from noise. Half the values are plausible for
+/// their key (one of the row's `expected` words, or a number, size,
+/// `*:N` or path), so that hint sets resolve often enough to be
+/// rendered back; the rest are numbers of every magnitude with every
+/// suffix, the values on either side of each range check, and strings
+/// that are nobody's syntax.
+fn fuzz_pair() -> impl Strategy<Value = (&'static str, String)> {
+    let keys: Vec<&'static str> = HINTS
+        .iter()
+        .map(|spec| spec.key)
+        .chain(["", "e10_", "cb_nodes ", "E10_CACHE", "some_vendor_hint"])
+        .collect();
+    let garbage = vec![
+        "",
+        " ",
+        "-1",
+        "+5",
+        "0x10",
+        "1e3",
+        "4 K",
+        "K",
+        "k4",
+        "4kk",
+        "Enable",
+        "enable ",
+        "true",
+        "é",
+        "\u{0}",
+        "18446744073709551615",
+        "18446744073709551616",
+        "17179869184G",
+        "*:0",
+        "*:",
+        "18446744073709551615K",
+        "99999999999999999999999999m",
+        "*:18446744073709551616",
+        "*:-1",
+    ];
+    let suffixes = vec!["", "", "k", "K", "m", "M", "g", "G", " ", "q"];
+    let anything = prop_oneof![
+        (
+            0u32..64,
+            0u64..u64::MAX,
+            prop::sample::select(suffixes),
+            any::<bool>()
+        )
+            .prop_map(|(shift, bits, suffix, pad)| {
+                let n = bits >> shift;
+                if pad {
+                    format!(" {n}{suffix} ")
+                } else {
+                    format!("{n}{suffix}")
+                }
+            }),
+        prop::sample::select(vec!["0", "1", "100", "101", "4294967296"]).prop_map(String::from),
+        prop::sample::select(garbage).prop_map(String::from),
+    ];
+    (
+        prop::sample::select(keys),
+        any::<bool>(),
+        0usize..64,
+        anything,
+    )
+        .prop_map(|(key, plausible, pick, anything)| {
+            let spec = HINTS.iter().find(|spec| spec.key == key);
+            let value = match spec.filter(|_| plausible) {
+                Some(spec) => {
+                    let pool: Vec<&str> = spec
+                        .expected()
+                        .split('|')
+                        .chain(["7", " 64 ", "4M", "*:3", "*: 2 ", "/p"])
+                        .collect();
+                    pool[pick % pool.len()].to_string()
+                }
+                None => anything,
+            };
+            (key, value)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 1024, .. ProptestConfig::default() })]
+
+    /// ROADMAP 2(c): whatever strings an `Info` holds (`fuzz_pair`),
+    /// `from_info` never panics. It returns hints, or a non-empty list
+    /// of violations naming keys the `Info` holds — all of them: with
+    /// exactly those keys deleted, what is left resolves. Resolved
+    /// hints are inside every range their consumers rely on, and
+    /// `to_info` is a fixed point: it resolves back to the same hints
+    /// and renders the same again.
+    #[test]
+    fn from_info_survives_arbitrary_strings(
+        pairs in prop::collection::vec(fuzz_pair(), 0..12),
+    ) {
+        let info = Info::new();
+        for (key, value) in &pairs {
+            info.set(key, value);
+        }
+        let h = match RomioHints::from_info(&info) {
+            Ok(hints) => hints,
+            Err(errors) => {
+                prop_assert!(!errors.is_empty() && errors.len() <= info.len() + 1);
+                for e in &errors {
+                    prop_assert!(HINTS.iter().any(|spec| spec.key == e.key));
+                    prop_assert!(info.get(&e.key).is_some(), "{e} names a key not given");
+                }
+                for e in &errors {
+                    info.delete(&e.key);
+                }
+                RomioHints::from_info(&info).map_err(|more| {
+                    TestCaseError::fail(format!("reported only on the second pass: {more}"))
+                })?
+            }
+        };
+        prop_assert!(h.cb_buffer_size > 0 && h.ind_wr_buffer_size > 0);
+        prop_assert!(h.cb_nodes != Some(0) && h.cb_config_max_per_node != Some(0));
+        prop_assert!(h.striping_factor != Some(0) && h.striping_unit != Some(0));
+        prop_assert!(h.e10_pfs_retry_base_us != Some(0));
+        prop_assert!(h.e10_cache_hiwater <= 100 && h.e10_cache_lowater <= 100);
+        prop_assert!(h.watermarks().is_none_or(|(hi, lo)| lo <= hi));
+        prop_assert!(!h.e10_cache_path.is_empty() && !h.e10_trace_path.is_empty());
+        prop_assert!(h.e10_cache_journal_path.as_deref() != Some(""));
+
+        let rendered = h.to_info();
+        let again = RomioHints::from_info(&rendered);
+        prop_assert_eq!(again.as_ref(), Ok(&h));
+        prop_assert_eq!(again.unwrap().to_info().entries(), rendered.entries());
     }
 }
 
