@@ -23,16 +23,18 @@
 //!   simulation running in the counted window.
 //! * `--check PATH` — regression gate: load a committed baseline and
 //!   exit 1 if any cell's events or allocator calls moved at all
-//!   (exact, the sim is deterministic) or the densest cell's median
+//!   (exact, the sim is deterministic) or the densest cell's fastest
 //!   wall-clock per event exceeds `WALL_TOLERANCE ×` the baseline
-//!   (loose: hosts differ, and the median is the only wall sample
+//!   (loose: hosts differ, and those runs are the only wall samples
 //!   taken without pool contention).
 //! * `--pre NS` — record `NS` as the pre-change ns/event anchor for
 //!   the densest cell and gate on the ≥ 20% improvement target.
 //!
 //! The densest Fig-4 cell (most aggregators × largest collective
-//! buffer, extended algorithm, ssd class) is re-run three times and
-//! reported as a median, since single wall-clock samples are noisy.
+//! buffer, extended algorithm, ssd class) is re-run five times and
+//! reported as the minimum: the CI host alternates between a fast
+//! state and one about twice as slow, a median of three straddles the
+//! two, and the fastest of five is the fast state's cost.
 
 use std::time::Instant;
 
@@ -46,10 +48,13 @@ use e10_workloads::{run_workload, RunConfig, Workload};
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// Factor by which the densest cell's median wall-clock per event may
+/// Factor by which the densest cell's fastest wall-clock per event may
 /// exceed the committed baseline before `--check` fails. Loose on
 /// purpose: the baseline host and the CI host differ.
-const WALL_TOLERANCE: f64 = 3.0;
+const WALL_TOLERANCE: f64 = 2.0;
+
+/// Sequential runs of the densest cell; the fastest is reported.
+const DENSEST_RUNS: usize = 5;
 
 /// One grid cell: a Fig-4 combo × algorithm × cache class.
 #[derive(Clone, Copy)]
@@ -124,11 +129,6 @@ fn run_cell(scale: Scale, cell: Cell) -> Measured {
         allocs: 0,
         host_secs: t0.elapsed().as_secs_f64(),
     }
-}
-
-fn median3(mut xs: [f64; 3]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[1]
 }
 
 fn cell_json(m: &Measured) -> Json {
@@ -209,31 +209,33 @@ fn main() {
     }
 
     // Densest-cell probe: most aggregators × largest collective buffer
-    // on the baseline algorithm/class, median of three runs.
+    // on the baseline algorithm/class, fastest of `DENSEST_RUNS`.
     let densest = Cell {
         aggregators: *scale.aggregators().last().unwrap(),
         cb_size: *scale.cb_sizes().last().unwrap(),
         algo: "extended",
         class: "ssd",
     };
-    let runs: Vec<Measured> = (0..3).map(|_| run_cell(scale, densest)).collect();
+    let runs: Vec<Measured> = (0..DENSEST_RUNS)
+        .map(|_| run_cell(scale, densest))
+        .collect();
     let densest_events = runs[0].events;
-    let densest_median_ns = median3([
-        runs[0].host_secs * 1e9 / densest_events.max(1) as f64,
-        runs[1].host_secs * 1e9 / densest_events.max(1) as f64,
-        runs[2].host_secs * 1e9 / densest_events.max(1) as f64,
-    ]);
+    let fastest = runs
+        .iter()
+        .map(|r| r.host_secs)
+        .fold(f64::INFINITY, f64::min);
+    let densest_min_ns = fastest * 1e9 / densest_events.max(1) as f64;
     eprintln!(
-        "bench_perf: densest {} extended/ssd median {:.1} ns/event over {} events",
+        "bench_perf: densest {} extended/ssd min {:.1} ns/event over {} events",
         combo_label(densest.aggregators, densest.cb_size),
-        densest_median_ns,
+        densest_min_ns,
         densest_events
     );
 
     let mut gate_ok = true;
     let mut improvement = Json::Null;
     if let Some(pre) = pre_ns {
-        let pct = (pre - densest_median_ns) / pre * 100.0;
+        let pct = (pre - densest_min_ns) / pre * 100.0;
         eprintln!("bench_perf: vs pre-change {pre:.1} ns/event: {pct:.1}% faster");
         if pct < 20.0 {
             eprintln!("bench_perf: GATE FAIL — improvement {pct:.1}% < 20%");
@@ -282,16 +284,16 @@ fn main() {
                     gate_ok = false;
                 }
             }
-            // Wall-clock gate on the densest median only: every other
+            // Wall-clock gate on the densest cell's minimum only: every other
             // wall sample ran under pool contention and a loaded CI
             // host, so per-cell wall comparisons would only flake.
             let b_wall = base
-                .get("wall_densest_median_ns_per_event")
+                .get("wall_densest_min_ns_per_event")
                 .and_then(|v| v.as_f64())
                 .unwrap_or(f64::INFINITY);
-            if densest_median_ns > b_wall * WALL_TOLERANCE {
+            if densest_min_ns > b_wall * WALL_TOLERANCE {
                 eprintln!(
-                    "bench_perf: CHECK FAIL densest median — {densest_median_ns:.1} \
+                    "bench_perf: CHECK FAIL densest min — {densest_min_ns:.1} \
                      ns/event > {WALL_TOLERANCE}x baseline {b_wall:.1}"
                 );
                 gate_ok = false;
@@ -309,10 +311,7 @@ fn main() {
         // comparison; keep them before a stable field).
         ("jobs", Json::U64(jobs_n as u64)),
         ("host_cpus", Json::U64(host_cpus as u64)),
-        (
-            "wall_densest_median_ns_per_event",
-            Json::F64(densest_median_ns),
-        ),
+        ("wall_densest_min_ns_per_event", Json::F64(densest_min_ns)),
         ("wall_improvement", improvement),
         (
             "densest_combo",

@@ -601,7 +601,6 @@ impl Comm {
     /// both backends) and is charged like a small allgather.
     pub async fn split(&self, color: u32, key: u64) -> Comm {
         use crate::comm::CommState;
-        use std::collections::HashMap;
 
         let opid = self.next_op();
         let net = crate::comm::Comm::network(self);
@@ -610,32 +609,31 @@ impl Comm {
         let contrib: Box<dyn std::any::Any> = Box::new((color, key, self.rank));
         let shared = self
             .sync_slot(opid, contrib, move |contribs| {
-                let mut groups: HashMap<u32, Vec<(u64, usize)>> = HashMap::new();
-                for c in contribs.iter_mut() {
-                    let (color, key, rank) = *c
-                        .take()
-                        .expect("missing contribution")
-                        .downcast::<(u32, u64, usize)>()
-                        .expect("split type mismatch");
-                    groups.entry(color).or_default().push((key, rank));
-                }
-                let mut out: HashMap<u32, (Vec<usize>, Rc<CommState>)> = HashMap::new();
-                let mut colors: Vec<u32> = groups.keys().copied().collect();
-                colors.sort_unstable();
-                for color in colors {
-                    let mut members = groups.remove(&color).unwrap();
-                    members.sort_unstable();
-                    let ranks: Vec<usize> = members.into_iter().map(|(_, r)| r).collect();
+                // Sorted by `(color, key, old rank)`: each run of one
+                // color is a group, already in its new rank order.
+                let mut members: Vec<(u32, u64, usize)> = contribs
+                    .iter_mut()
+                    .map(|c| {
+                        *c.take()
+                            .expect("missing contribution")
+                            .downcast()
+                            .expect("split type mismatch")
+                    })
+                    .collect();
+                members.sort_unstable();
+                let groups = members.chunk_by(|a, b| a.0 == b.0).map(|group| {
+                    let ranks: Vec<usize> = group.iter().map(|&(_, _, r)| r).collect();
                     let node_of = ranks.iter().map(|&r| node_of_parent[r]).collect();
                     let coll = CollShared::new(backend, ranks.len());
                     let state = CommState::new_shared(ranks.len(), node_of, Rc::clone(&net), coll);
-                    out.insert(color, (ranks, state));
-                }
-                out
+                    (group[0].0, ranks, state)
+                });
+                groups.collect::<Vec<_>>()
             })
             .await;
         sleep(self.cost_allgather(16)).await;
-        let (ranks, state) = shared.get(&color).expect("split color vanished");
+        let group = shared.binary_search_by_key(&color, |g| g.0);
+        let (_, ranks, state) = &shared[group.expect("split color vanished")];
         let rank = ranks
             .iter()
             .position(|&r| r == self.rank)

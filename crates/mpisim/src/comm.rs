@@ -36,6 +36,7 @@ use std::rc::Rc;
 use std::task::{Poll, Waker};
 
 use e10_netsim::{Network, NodeId};
+use e10_simcore::alloc_gauge::FixedState;
 use e10_simcore::{current_group, spawn};
 
 /// Message tag.
@@ -424,7 +425,7 @@ pub(crate) struct CommState {
     /// Shrunken survivor communicators, keyed by their sorted live-rank
     /// list ([`Comm::shrink`] is non-blocking: the first survivor to
     /// ask builds the state, the rest share it).
-    pub(crate) shrunk: RefCell<HashMap<Vec<usize>, Rc<CommState>>>,
+    pub(crate) shrunk: RefCell<HashMap<Vec<usize>, Rc<CommState>, FixedState>>,
 }
 
 /// A communicator handle bound to one rank.
@@ -552,7 +553,7 @@ impl CommState {
             // Lazily sized on the first conviction: the default
             // (tolerance off) path must not allocate per communicator.
             dead: RefCell::new(Vec::new()),
-            shrunk: RefCell::new(HashMap::new()),
+            shrunk: RefCell::new(HashMap::default()),
         })
     }
 }

@@ -67,6 +67,14 @@ impl Info {
             .collect()
     }
 
+    /// Visit the `(key, value)` pairs in key order, in place: nothing is
+    /// copied out. `f` must not touch this object (it is borrowed).
+    pub fn for_each(&self, mut f: impl FnMut(&str, &str)) {
+        for (k, v) in self.map.borrow().iter() {
+            f(k, v);
+        }
+    }
+
     /// Build from `(key, value)` pairs.
     pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> Info {
         let info = Info::new();

@@ -28,7 +28,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use e10_mpisim::Info;
@@ -162,8 +162,9 @@ pub fn family_of(path: &str) -> &str {
 pub struct MpiWrap {
     ctx: IoCtx,
     config: WrapConfig,
-    /// family → handle whose close was deferred.
-    outstanding: RefCell<HashMap<String, AdioFile>>,
+    /// family → handle whose close was deferred (ordered: `finalize`
+    /// closes in path order, and no allocator count hangs on a hash).
+    outstanding: RefCell<BTreeMap<String, AdioFile>>,
     deferred_closes: RefCell<u64>,
     real_closes: RefCell<u64>,
 }
@@ -174,7 +175,7 @@ impl MpiWrap {
         Rc::new(MpiWrap {
             ctx,
             config,
-            outstanding: RefCell::new(HashMap::new()),
+            outstanding: RefCell::new(BTreeMap::new()),
             deferred_closes: RefCell::new(0),
             real_closes: RefCell::new(0),
         })
@@ -227,9 +228,8 @@ impl MpiWrap {
     /// The `MPI_Finalize` overload: really close everything still
     /// outstanding (in deterministic path order).
     pub async fn finalize(&self) {
-        let mut files: Vec<(String, AdioFile)> = self.outstanding.borrow_mut().drain().collect();
-        files.sort_by(|a, b| a.0.cmp(&b.0));
-        for (_, f) in files {
+        let files = std::mem::take(&mut *self.outstanding.borrow_mut());
+        for f in files.into_values() {
             f.close().await;
             *self.real_closes.borrow_mut() += 1;
         }

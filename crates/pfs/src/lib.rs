@@ -1079,7 +1079,7 @@ mod tests {
             assert_eq!(chunks[1].len, 100);
             let total: u64 = chunks.iter().map(|c| c.len).sum();
             assert_eq!(total, 300);
-            let targets: std::collections::HashSet<usize> =
+            let targets: std::collections::BTreeSet<usize> =
                 chunks.iter().map(|c| c.target).collect();
             assert_eq!(targets.len(), 4, "round-robin over 4 targets");
         });

@@ -585,17 +585,16 @@ impl RomioHints {
     pub fn from_info(info: &Info) -> Result<RomioHints, HintErrors> {
         let mut hints = RomioHints::default();
         let mut errors = Vec::new();
-        for (key, value) in info.entries() {
+        info.for_each(|key, value| {
             let spec = HINTS.iter().find(|spec| spec.key == key);
-            if let Some(spec) = spec.filter(|spec| !spec.parse_into(&mut hints, &value)) {
-                let expected = spec.expected();
+            if let Some(spec) = spec.filter(|spec| !spec.parse_into(&mut hints, value)) {
                 errors.push(HintError {
-                    key,
-                    value,
-                    expected,
+                    key: key.to_string(),
+                    value: value.to_string(),
+                    expected: spec.expected(),
                 });
             }
-        }
+        });
         // Cross-field check: a low watermark above the high watermark
         // would make the hysteresis band negative. Only meaningful once
         // both are set; `0` keeps its sentinel meaning.

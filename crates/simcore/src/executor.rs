@@ -13,6 +13,14 @@
 //! lets deeply nested model code call [`now`], [`spawn`] or [`schedule_call`]
 //! without threading a handle through every layer — the same pattern a real
 //! MPI implementation gets from its process-global runtime state.
+//!
+//! One thread, so no thread machinery: the ready queue, each task's
+//! queued bit and every counter are plain fields of the kernel, and a
+//! task's waker is its [`TaskId`], salted per kernel, in a `RawWaker`
+//! data word ([`crate::waker`]). What runs next — a ready task or the next event
+//! of the current instant — is decided in one place,
+//! [`Kernel::next_runnable`], which is also where [`run_perturbed`]
+//! permutes delivery.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -20,12 +28,14 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::task::{Context, Poll, Waker};
+use std::thread::{self, ThreadId};
 
+use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{self, Event, EventKind, Layer};
+use crate::waker;
 
 /// Identifier of a spawned task.
 pub type TaskId = u64;
@@ -77,7 +87,7 @@ impl EventHandle {
     /// The event body (boxed callback and its captures) is dropped
     /// *now*, not when the calendar reaches the event's time — a
     /// cancelled timeout scheduled far in the future costs one stale
-    /// 24-byte heap entry instead of retaining its closure for the
+    /// 16-byte heap entry instead of retaining its closure for the
     /// rest of the run.
     pub fn cancel(&self) {
         if !self.cancelled.replace(true) {
@@ -91,40 +101,18 @@ impl EventHandle {
     }
 }
 
-struct TaskWaker {
-    id: TaskId,
-    ready: Arc<Mutex<VecDeque<TaskId>>>,
-    queued: AtomicBool,
-    /// Shared run-wide tally of redundant wakes (wake on an
-    /// already-queued task): the waker is the only place that can see
-    /// the coalescing happen.
-    coalesced: Arc<AtomicU64>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        if !self.queued.swap(true, Ordering::Relaxed) {
-            self.ready.lock().unwrap().push_back(self.id);
-        } else {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// A spawned task's kernel-side state. Tasks live in a slab indexed by
 /// the low 32 bits of their [`TaskId`]; the high 32 bits carry the
 /// slot's generation so stale ready-queue entries and wakers of
 /// completed tasks are detected by a mismatch instead of a hash lookup.
 struct TaskSlot {
     generation: u32,
+    /// Whether the task's id sits in the ready queue; a wake that finds
+    /// it set is absorbed (`wakes_coalesced`).
+    queued: bool,
     /// The parked future. `None` while the task is being polled (the
     /// run loop takes it out) — and permanently for a slot being freed.
     fut: Option<LocalFuture>,
-    waker: Arc<TaskWaker>,
     /// Crash group (0 = ungrouped pool, which can never be killed).
     group: u64,
 }
@@ -137,14 +125,65 @@ fn task_slot(id: TaskId) -> (u32, u32) {
     (id as u32, (id >> 32) as u32)
 }
 
+/// A calendar entry, `(time, seq, slot)` in one word — the instant in
+/// the high 64 bits, then 40 bits of sequence number, then 24 of slot —
+/// so the heap moves 16 bytes per step and orders them with a single
+/// compare. The order is that of `(time, seq)`, the deterministic total
+/// order (a `seq` is never issued twice, so `slot` never decides).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(u128);
+
+impl Entry {
+    const SEQ_BITS: u32 = 40;
+    const SLOT_BITS: u32 = 24;
+
+    fn new(at: SimTime, seq: u64, slot: u32) -> Entry {
+        debug_assert!(seq >> Self::SEQ_BITS == 0 && slot >> Self::SLOT_BITS == 0);
+        Entry((at.as_nanos() as u128) << 64 | (seq as u128) << Self::SLOT_BITS | slot as u128)
+    }
+
+    fn time(self) -> SimTime {
+        SimTime::from_nanos((self.0 >> 64) as u64)
+    }
+
+    fn seq(self) -> u64 {
+        self.0 as u64 >> Self::SLOT_BITS
+    }
+
+    fn slot(self) -> u32 {
+        self.0 as u32 & ((1 << Self::SLOT_BITS) - 1)
+    }
+}
+
+/// What the run loop does next (see [`Kernel::next_runnable`]).
+enum Next {
+    /// Poll this task; its future has been taken out of its slot.
+    Poll(TaskId, LocalFuture),
+    /// Fire this calendar event (outside the kernel borrow: its body
+    /// re-enters the kernel).
+    Fire(ScheduledEvent),
+    /// Nothing is runnable or deliverable at the current instant.
+    Drained,
+}
+
 pub(crate) struct Kernel {
     id: u64,
-    now: SimTime,
+    /// The thread the kernel was built on, which is the only one that
+    /// can reach it (it lives in that thread's `KERNEL`).
+    thread: ThreadId,
+    /// What a task's id is XORed with to make its waker's data word
+    /// (the generation half only), so that a waker which outlives its
+    /// run names no task of a later one: run n+1's first task is
+    /// `(slot 0, generation 0)` just as run n's was. Multiples of the
+    /// golden-ratio constant scatter consecutive kernel ids over the
+    /// 32 bits; two runs' salts would have to agree in every bit above
+    /// their spawn counts for one's wakers to reach the other's tasks.
+    salt: u64,
     seq: u64,
-    /// The calendar: `(time, seq, slot)` min-entries. `(time, seq)` is
-    /// the deterministic total order (identical to the pre-slab
-    /// executor); `slot` indexes the event body in `slots`.
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// The calendar: a min-heap in `(time, seq)` order (identical to
+    /// the pre-slab executor's); an entry's `slot` indexes the event
+    /// body in `slots`.
+    heap: BinaryHeap<Reverse<Entry>>,
     /// Slab of event bodies; `free_slots` recycles vacancies so the
     /// slab's length is bounded by the peak number of *live* events,
     /// not by the number ever scheduled.
@@ -154,11 +193,20 @@ pub(crate) struct Kernel {
     /// Task slab + free list (see [`TaskSlot`]).
     tasks: Vec<Option<TaskSlot>>,
     free_tasks: Vec<u32>,
-    ready: Arc<Mutex<VecDeque<TaskId>>>,
-    events_fired: u64,
+    /// Ids of the tasks woken and not yet polled, FIFO.
+    ready: VecDeque<TaskId>,
+    /// Bodies of the events sharing the current instant that have not
+    /// fired yet, in reverse seq order (so `pop()` yields FIFO).
+    batch: Vec<ScheduledEvent>,
+    /// Set once the main task has completed: the ready queue is still
+    /// drained, the rest of the batch is not delivered.
+    main_done: bool,
+    /// Delivery-order perturbation ([`run_perturbed`]); `None` is FIFO.
+    perturb: Option<SimRng>,
     events_batched: u64,
     heap_peak: usize,
-    wakes_coalesced: Arc<AtomicU64>,
+    /// Wakes that found their task already queued.
+    wakes_coalesced: u64,
     tasks_spawned: u64,
     /// Group of the task currently being polled; new spawns inherit it.
     current_group: u64,
@@ -166,10 +214,12 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    fn new() -> Self {
+    fn new(perturb: Option<u64>) -> Self {
+        let id = KERNEL_IDS.fetch_add(1, Ordering::Relaxed);
         Kernel {
-            id: KERNEL_IDS.fetch_add(1, Ordering::Relaxed),
-            now: SimTime::ZERO,
+            id,
+            thread: thread::current().id(),
+            salt: u64::from((id as u32).wrapping_mul(0x9E37_79B1)) << 32,
             seq: 0,
             heap: BinaryHeap::new(),
             slots: Vec::new(),
@@ -177,11 +227,13 @@ impl Kernel {
             live_events: 0,
             tasks: Vec::new(),
             free_tasks: Vec::new(),
-            ready: Arc::new(Mutex::new(VecDeque::new())),
-            events_fired: 0,
+            ready: VecDeque::new(),
+            batch: Vec::new(),
+            main_done: false,
+            perturb: perturb.map(SimRng::new),
             events_batched: 0,
             heap_peak: 0,
-            wakes_coalesced: Arc::new(AtomicU64::new(0)),
+            wakes_coalesced: 0,
             tasks_spawned: 0,
             current_group: 0,
             next_group: 1,
@@ -194,13 +246,17 @@ impl Kernel {
         action: EventAction,
         cancelled: Option<Rc<Cell<bool>>>,
     ) -> (u64, u32) {
-        debug_assert!(at >= self.now, "event scheduled in the past");
+        debug_assert!(Some(at) >= NOW.get(), "event scheduled in the past");
         let seq = self.seq;
+        assert!(seq >> Entry::SEQ_BITS == 0, "calendar sequence overflow");
         self.seq += 1;
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                assert!(self.slots.len() < u32::MAX as usize, "event slab overflow");
+                assert!(
+                    self.slots.len() >> Entry::SLOT_BITS == 0,
+                    "event slab overflow"
+                );
                 self.slots.push(None);
                 (self.slots.len() - 1) as u32
             }
@@ -211,7 +267,7 @@ impl Kernel {
             cancelled,
         });
         self.live_events += 1;
-        self.heap.push(Reverse((at, seq, slot)));
+        self.heap.push(Reverse(Entry::new(at, seq, slot)));
         if self.heap.len() > self.heap_peak {
             self.heap_peak = self.heap.len();
         }
@@ -241,11 +297,11 @@ impl Kernel {
             return;
         }
         let slots = &self.slots;
-        self.heap.retain(|&Reverse((_, seq, slot))| {
+        self.heap.retain(|&Reverse(entry)| {
             slots
-                .get(slot as usize)
+                .get(entry.slot() as usize)
                 .and_then(|s| s.as_ref())
-                .is_some_and(|ev| ev.seq == seq)
+                .is_some_and(|ev| ev.seq == entry.seq())
         });
     }
 
@@ -260,24 +316,131 @@ impl Kernel {
             }
         };
         // The generation only needs to differ from any id a previous
-        // occupant of this slot may have left in the ready queue; the
-        // strictly-increasing spawn counter guarantees that.
+        // occupant of this slot may have left in the ready queue or in
+        // a waker; the strictly-increasing spawn counter guarantees
+        // that.
         let generation = (self.tasks_spawned - 1) as u32;
         let id = task_id(slot, generation);
-        let waker = Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.ready),
-            queued: AtomicBool::new(true),
-            coalesced: Arc::clone(&self.wakes_coalesced),
-        });
         self.tasks[slot as usize] = Some(TaskSlot {
             generation,
+            queued: true,
             fut: Some(fut),
-            waker,
             group: self.current_group,
         });
-        self.ready.lock().unwrap().push_back(id);
+        self.ready.push_back(id);
         id
+    }
+
+    /// The one place the ready queue and the same-instant batch are
+    /// popped: the next task to poll or event to fire. Ready tasks go
+    /// first, FIFO; with none left (and the main task still running)
+    /// the next event of the batch is delivered, in seq order, the
+    /// clock moving on to the next instant's batch when this one is
+    /// spent. A wake event for one of this kernel's tasks is delivered
+    /// right here — the task would be pushed onto an empty queue and
+    /// popped straight back — and counted in `fired`.
+    ///
+    /// Under [`run_perturbed`] both pops draw a random element instead
+    /// of the first. That reorders only what has no defined order in
+    /// the model: tasks runnable at the same instant, and events
+    /// scheduled for the same instant (every one of them was scheduled
+    /// before any of them fired). Ready tasks still run before the
+    /// next event, and the clock never moves with either pending.
+    fn next_runnable(&mut self, fired: &mut u64) -> Next {
+        loop {
+            let tid = match self.ready.pop_front() {
+                Some(first) => match &mut self.perturb {
+                    None => first,
+                    Some(rng) => match rng.below(self.ready.len() as u64 + 1) {
+                        0 => first,
+                        i => std::mem::replace(&mut self.ready[i as usize - 1], first),
+                    },
+                },
+                None if self.main_done => return Next::Drained,
+                None => {
+                    if self.batch.is_empty() {
+                        self.refill();
+                    }
+                    if let Some(rng) = &mut self.perturb {
+                        if let Some(last) = self.batch.len().checked_sub(1) {
+                            self.batch.swap(rng.below(last as u64 + 1) as usize, last);
+                        }
+                    }
+                    let Some(ev) = self.batch.pop() else {
+                        return Next::Drained;
+                    };
+                    match &ev.action {
+                        EventAction::Wake(w) if ev.cancelled.is_none() => match waker::word_of(w) {
+                            Some(word) => {
+                                *fired += 1;
+                                word ^ self.salt
+                            }
+                            None => return Next::Fire(ev),
+                        },
+                        _ => return Next::Fire(ev),
+                    }
+                }
+            };
+            // A stale id (the task completed or was killed) is skipped.
+            if let Some(t) = self.task_mut(tid) {
+                let fut = t.fut.take().expect("a runnable task is parked");
+                t.queued = false;
+                self.current_group = t.group;
+                return Next::Poll(tid, fut);
+            }
+        }
+    }
+
+    /// Advance the clock to the next live event and drain every event
+    /// sharing that instant into the (empty) `batch` in one heap pass,
+    /// skipping stale calendar entries (events cancelled since they
+    /// were pushed). A body whose cancel flag is set without its slot
+    /// having been vacated (the cancel happened outside this kernel's
+    /// ambient context) neither moves the clock nor counts: it rides
+    /// the batch to the run loop, whose fire-time check drops it where
+    /// its captures' destructors may re-enter the kernel.
+    fn refill(&mut self) {
+        self.purge_stale_heap_entries();
+        let mut batch_time: Option<SimTime> = None;
+        let mut live = 0;
+        while let Some(&Reverse(entry)) = self.heap.peek() {
+            let t = entry.time();
+            if batch_time.is_some_and(|bt| t != bt) {
+                break;
+            }
+            self.heap.pop();
+            let Some(ev) = self.free_event(entry.slot(), entry.seq()) else {
+                continue; // cancelled and already vacated
+            };
+            if !ev.cancelled.as_ref().is_some_and(|c| c.get()) {
+                if batch_time.is_none() {
+                    batch_time = Some(t);
+                    NOW.set(Some(t));
+                }
+                live += 1;
+            }
+            self.batch.push(ev);
+        }
+        if live >= 2 {
+            self.events_batched += live;
+        }
+        // `pop()` must yield ascending seq order.
+        self.batch.reverse();
+    }
+
+    /// Book a finished poll of `tid`: a completed task gives up its
+    /// slot — nothing is left inside a completed future, so dropping it
+    /// here runs no model code — and a pending one is parked again.
+    fn park(&mut self, tid: TaskId, fut: LocalFuture, done: bool) {
+        self.current_group = 0;
+        if done {
+            self.free_task(tid);
+        } else {
+            // `kill_group` spares the task being polled, so the slot
+            // is still this task's.
+            let slot = self.task_mut(tid).expect("a task outlives its own poll");
+            slot.fut = Some(fut);
+        }
     }
 
     /// The slot's occupant, if `id`'s generation still matches.
@@ -316,18 +479,56 @@ impl Kernel {
 }
 
 thread_local! {
-    static CTX: RefCell<Option<Rc<RefCell<Kernel>>>> = const { RefCell::new(None) };
+    /// The kernel of the simulation running on this thread, if any.
+    /// Whoever works on it takes it out of the cell and puts it back
+    /// ([`with_kernel`]) — that is the whole borrow discipline: code
+    /// re-entering while it is out finds none, and no kernel method
+    /// calls out to model code.
+    static KERNEL: Cell<Option<Box<Kernel>>> = const { Cell::new(None) };
+    /// Its clock, kept apart so reading it borrows nothing; `None`
+    /// outside of [`run`].
+    static NOW: Cell<Option<SimTime>> = const { Cell::new(None) };
 }
 
+const OUTSIDE_RUN: &str = "simcore primitive used outside of simcore::run()";
+
 pub(crate) fn with_kernel<R>(f: impl FnOnce(&mut Kernel) -> R) -> R {
-    CTX.with(|ctx| {
-        let guard = ctx.borrow();
-        let rc = guard
-            .as_ref()
-            .expect("simcore primitive used outside of simcore::run()");
-        let mut k = rc.borrow_mut();
-        f(&mut k)
-    })
+    let mut k = KERNEL.take().expect(OUTSIDE_RUN);
+    let r = f(&mut k);
+    put_back(k);
+    r
+}
+
+/// Return the kernel to the cell it was taken from.
+fn put_back(k: Box<Kernel>) {
+    let vacant = KERNEL.replace(Some(k));
+    debug_assert!(vacant.is_none());
+    // Known to be `None`: spare every put-back its drop glue.
+    std::mem::forget(vacant);
+}
+
+/// Wake the task a waker's data `word` names: queue it unless it is
+/// queued already. Called by [`crate::waker`]. The task is looked up
+/// in the *calling thread's* kernel, so a waker that outlived its
+/// task, its run or left its thread finds no such `(slot, generation)`
+/// — or no kernel at all — and does nothing.
+pub(crate) fn wake_task(word: u64) {
+    let Some(mut k) = KERNEL.take() else { return };
+    debug_assert_eq!(k.thread, thread::current().id());
+    let id = word ^ k.salt;
+    let (slot, generation) = task_slot(id);
+    match k.tasks.get_mut(slot as usize) {
+        Some(Some(t)) if t.generation == generation => {
+            if t.queued {
+                k.wakes_coalesced += 1;
+            } else {
+                t.queued = true;
+                k.ready.push_back(id);
+            }
+        }
+        _ => {}
+    }
+    put_back(k);
 }
 
 /// Vacate calendar entry `(seq, slot)` if the ambient kernel is the one
@@ -336,28 +537,23 @@ pub(crate) fn with_kernel<R>(f: impl FnOnce(&mut Kernel) -> R) -> R {
 /// once the entry has fired. Shared by [`EventHandle::cancel`],
 /// fair-share timer re-arming and [`Sleep`]'s drop: it must not panic.
 pub(crate) fn vacate_event(kernel: u64, seq: u64, slot: u32) {
-    // Take the body out under the kernel borrow, drop it after:
-    // captured values may re-enter the kernel from their own Drop.
-    let body = CTX.with(|ctx| {
-        let guard = ctx.borrow();
-        let mut k = guard.as_ref()?.try_borrow_mut().ok()?;
-        if k.id != kernel {
-            return None;
-        }
-        k.free_event(slot, seq)
-    });
+    // Drop the body once the kernel is back in its cell: captured
+    // values may re-enter the kernel from their own Drop.
+    let Some(mut k) = KERNEL.take() else { return };
+    let body = (k.id == kernel).then(|| k.free_event(slot, seq));
+    put_back(k);
     drop(body);
 }
 
 /// Current simulated time. Panics outside of [`run`].
 pub fn now() -> SimTime {
-    with_kernel(|k| k.now)
+    NOW.get().expect(OUTSIDE_RUN)
 }
 
 /// Current simulated time, or `None` outside of [`run`] (for drop
 /// implementations that must not panic during unwinding).
 pub fn try_now() -> Option<SimTime> {
-    CTX.with(|ctx| ctx.borrow().as_ref().map(|rc| rc.borrow().now))
+    NOW.get()
 }
 
 /// Schedule `f` to run at absolute simulated time `at`.
@@ -698,180 +894,112 @@ where
     F: Future<Output = T> + 'static,
     T: 'static,
 {
-    let kernel = Rc::new(RefCell::new(Kernel::new()));
-    CTX.with(|ctx| {
-        let mut guard = ctx.borrow_mut();
-        assert!(
-            guard.is_none(),
-            "nested simcore::run() on the same thread is not supported"
-        );
-        *guard = Some(Rc::clone(&kernel));
-    });
-    // Make sure the TLS slot is cleared even if the simulation panics.
-    struct CtxGuard;
-    impl Drop for CtxGuard {
+    run_perturbed(None, main)
+}
+
+/// [`run_with_stats`] under an adversarial schedule, for tests: with
+/// `Some(seed)`, tasks runnable at the same instant and events
+/// scheduled for the same instant are delivered in a seeded random
+/// order instead of FIFO (see [`Kernel::next_runnable`] for what that
+/// may and may not reorder). A model whose results depend on such an
+/// order has a latent ordering bug. `None` is [`run_with_stats`].
+pub fn run_perturbed<F, T>(seed: Option<u64>, main: F) -> (T, RunStats)
+where
+    F: Future<Output = T> + 'static,
+    T: 'static,
+{
+    assert!(
+        NOW.get().is_none(),
+        "nested simcore::run() on the same thread is not supported"
+    );
+    let kernel = Kernel::new(seed);
+    let salt = kernel.salt;
+    KERNEL.set(Some(Box::new(kernel)));
+    NOW.set(Some(SimTime::ZERO));
+    // Uninstall the kernel even if the simulation panics, and drop it
+    // — with every task still parked — only once it is uninstalled:
+    // destructors that reach for the kernel then find none.
+    struct Uninstall;
+    impl Drop for Uninstall {
         fn drop(&mut self) {
-            CTX.with(|ctx| ctx.borrow_mut().take());
+            NOW.set(None);
+            drop(KERNEL.take());
         }
     }
-    let _guard = CtxGuard;
+    let _uninstall = Uninstall;
 
     let main_handle = spawn(main);
-    let ready = kernel.borrow().ready.clone();
-
-    // Reusable dispatch buffers: `batch` holds the bodies of every
-    // event sharing the current instant (in reverse seq order, so
-    // `pop()` yields FIFO); `skipped` holds cancelled-but-unvacated
-    // bodies until they can be dropped outside the kernel borrow.
-    let mut batch: Vec<ScheduledEvent> = Vec::new();
-    let mut skipped: Vec<ScheduledEvent> = Vec::new();
-
+    let mut events_fired = 0u64;
+    let mut next = with_kernel(|k| k.next_runnable(&mut events_fired));
     loop {
-        // Drain all tasks runnable at the current instant.
-        loop {
-            let tid = ready.lock().unwrap().pop_front();
-            let Some(tid) = tid else { break };
-            let (fut, waker) = {
-                let mut k = kernel.borrow_mut();
-                let Some(t) = k.task_mut(tid) else {
-                    continue; // task already completed or killed
-                };
-                let Some(fut) = t.fut.take() else {
-                    continue; // stale duplicate entry
-                };
-                let w = Arc::clone(&t.waker);
-                let group = t.group;
-                w.queued.store(false, Ordering::Relaxed);
-                k.current_group = group;
-                (fut, w)
-            };
-            let mut fut = fut;
-            let waker_obj: Waker = waker.into();
-            let mut cx = Context::from_waker(&waker_obj);
-            trace::emit(|| {
-                Event::new(Layer::Executor, "task.wake", EventKind::Point).field("task", tid)
-            });
-            trace::counter("executor.polls", 1);
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {
-                    trace::emit(|| {
-                        Event::new(Layer::Executor, "task.finish", EventKind::Point)
-                            .field("task", tid)
-                    });
-                    let mut k = kernel.borrow_mut();
-                    k.free_task(tid);
-                    k.current_group = 0;
-                }
-                Poll::Pending => {
-                    trace::emit(|| {
-                        Event::new(Layer::Executor, "task.block", EventKind::Point)
-                            .field("task", tid)
-                    });
-                    let mut k = kernel.borrow_mut();
-                    // The poll may itself have been the killer of its own
-                    // group: only re-park the task if it wasn't killed.
-                    if let Some(t) = k.task_mut(tid) {
-                        t.fut = Some(fut);
-                    }
-                    k.current_group = 0;
-                }
+        next = match next {
+            Next::Poll(tid, mut fut) => {
+                let waker = waker::from_word(tid ^ salt);
+                let mut cx = Context::from_waker(&waker);
+                trace::emit(|| {
+                    Event::new(Layer::Executor, "task.wake", EventKind::Point).field("task", tid)
+                });
+                trace::counter("executor.polls", 1);
+                let done = fut.as_mut().poll(&mut cx).is_ready();
+                trace::emit(|| {
+                    let name = if done { "task.finish" } else { "task.block" };
+                    Event::new(Layer::Executor, name, EventKind::Point).field("task", tid)
+                });
+                with_kernel(|k| {
+                    k.park(tid, fut, done);
+                    k.main_done |= done && tid == main_handle.id;
+                    k.next_runnable(&mut events_fired)
+                })
             }
-        }
-
-        if main_handle.is_finished() {
-            break;
-        }
-
-        // Deliver the next batched event, if the current instant still
-        // has undelivered ones. Every event is re-checked against its
-        // cancel flag at fire time: a task woken earlier in the batch
-        // may have cancelled an event whose body is already buffered.
-        if let Some(ev) = batch.pop() {
-            if ev.cancelled.as_ref().is_some_and(|c| c.get()) {
-                drop(ev);
-                continue;
-            }
-            match ev.action {
-                EventAction::Wake(w) => {
-                    kernel.borrow_mut().events_fired += 1;
-                    w.wake();
-                }
-                EventAction::Call(f) => {
-                    kernel.borrow_mut().events_fired += 1;
-                    f();
-                }
-                // A superseded fair-share timer (stale seq) must not
-                // count as fired: the unbatched executor would have
-                // found its slot vacated and skipped it silently.
-                EventAction::FsTimer(fs) => {
-                    if crate::resource::fs_timer_fired(fs, ev.seq) {
-                        kernel.borrow_mut().events_fired += 1;
+            Next::Fire(ev) => {
+                // Every event is re-checked against its cancel flag at
+                // fire time: a task woken earlier in the batch may have
+                // cancelled an event whose body is already buffered.
+                // Either way the body is dropped here, with the kernel
+                // in its cell: its captures may re-enter it.
+                if !ev.cancelled.as_ref().is_some_and(|c| c.get()) {
+                    match ev.action {
+                        EventAction::Wake(w) => {
+                            events_fired += 1;
+                            w.wake();
+                        }
+                        EventAction::Call(f) => {
+                            events_fired += 1;
+                            f();
+                        }
+                        // A superseded fair-share timer (stale seq) must
+                        // not count as fired: the unbatched executor
+                        // would have found its slot vacated and skipped
+                        // it silently.
+                        EventAction::FsTimer(fs) => {
+                            if crate::resource::fs_timer_fired(fs, ev.seq) {
+                                events_fired += 1;
+                            }
+                        }
                     }
                 }
+                with_kernel(|k| k.next_runnable(&mut events_fired))
             }
-            continue;
-        }
-
-        // Refill: advance virtual time to the next live event and drain
-        // every event sharing that instant into the dispatch buffer in
-        // one heap pass, skipping stale calendar entries (events
-        // cancelled since they were pushed). Skipped bodies are dropped
-        // outside the kernel borrow: their captures' destructors may
-        // re-enter the kernel.
-        {
-            let mut k = kernel.borrow_mut();
-            k.purge_stale_heap_entries();
-            let mut batch_time: Option<SimTime> = None;
-            while let Some(&Reverse((t, seq, slot))) = k.heap.peek() {
-                if batch_time.is_some_and(|bt| t != bt) {
-                    break;
-                }
-                k.heap.pop();
-                let Some(ev) = k.free_event(slot, seq) else {
-                    continue; // cancelled and already vacated
-                };
-                if ev.cancelled.as_ref().is_some_and(|c| c.get()) {
-                    // Flagged but not vacated (cancel happened outside
-                    // this kernel's ambient context).
-                    skipped.push(ev);
-                    continue;
-                }
-                if batch_time.is_none() {
-                    batch_time = Some(t);
-                    k.now = t;
-                }
-                batch.push(ev);
+            Next::Drained if main_handle.is_finished() => break,
+            Next::Drained => {
+                let blocked = live_counts().tasks;
+                panic!(
+                    "simulation deadlock at {}: main task incomplete, \
+                     {blocked} task(s) blocked, no pending events",
+                    now()
+                );
             }
-            if batch.len() >= 2 {
-                k.events_batched += batch.len() as u64;
-            }
-            // `pop()` must yield ascending seq order.
-            batch.reverse();
-        }
-        skipped.clear();
-
-        if batch.is_empty() {
-            let k = kernel.borrow();
-            let blocked = k.tasks.iter().flatten().filter(|t| t.fut.is_some()).count();
-            panic!(
-                "simulation deadlock at {}: main task incomplete, \
-                 {blocked} task(s) blocked, no pending events",
-                k.now
-            );
         }
     }
 
-    let stats = {
-        let k = kernel.borrow();
-        RunStats {
-            end_time: k.now,
-            events_fired: k.events_fired,
-            tasks_spawned: k.tasks_spawned,
-            events_batched: k.events_batched,
-            heap_peak: k.heap_peak as u64,
-            wakes_coalesced: k.wakes_coalesced.load(Ordering::Relaxed),
-        }
-    };
+    let stats = with_kernel(|k| RunStats {
+        end_time: now(),
+        events_fired,
+        tasks_spawned: k.tasks_spawned,
+        events_batched: k.events_batched,
+        heap_peak: k.heap_peak as u64,
+        wakes_coalesced: k.wakes_coalesced,
+    });
     // Mirror the run's calendar statistics into the ambient metrics
     // registry (no-ops without an installed trace sink), so trace
     // consumers see the executor counters next to the I/O ones.

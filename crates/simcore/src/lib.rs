@@ -37,6 +37,8 @@
 //! assert_eq!(end, 3.0);
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod alloc_gauge;
 pub mod chacha;
 pub mod channel;
@@ -48,12 +50,13 @@ pub mod stats;
 pub mod sync;
 pub mod time;
 pub mod trace;
+mod waker;
 
 pub use channel::{channel, Receiver, Sender};
 pub use executor::{
-    current_group, kill_group, live_counts, new_group, now, run, run_with_stats, schedule_call,
-    schedule_call_at, sleep, sleep_until, spawn, spawn_in_group, yield_now, EventHandle,
-    JoinHandle, LiveCounts, RunStats, TaskId,
+    current_group, kill_group, live_counts, new_group, now, run, run_perturbed, run_with_stats,
+    schedule_call, schedule_call_at, sleep, sleep_until, spawn, spawn_in_group, yield_now,
+    EventHandle, JoinHandle, LiveCounts, RunStats, TaskId,
 };
 pub use pool::{run_jobs, run_jobs_on, worker_threads, Job};
 pub use resource::{water_fill, FairShare, FifoServer, RoundRobin};

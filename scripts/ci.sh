@@ -18,10 +18,19 @@
 #      timed_rounds_cost_linear_in_ranks (3 per extra crash-tolerant
 #      round) and steady_state_rounds_allocate_a_constant_under_analytic
 #      (4 per extra round per communicator, at 8 and at 16 ranks, on
-#      the analytic collectives every paper-scale run uses), and the
+#      the analytic collectives every paper-scale run uses), the
 #      ceiling on what resolving the paper's hints costs per rank-open
-#      (resolving_the_paper_hints_allocates_no_more_than_it_did, 24)
-#   3. formatting
+#      (resolving_the_paper_hints_allocates_no_more_than_it_did, 3)
+#      and the two same-count-every-time gates (file churn on a volume;
+#      an 8-rank open, split_by_node, write, close).
+#      Then the schedule-perturbation properties once more on their
+#      own, for their wall time (budget: under 20 s together): simcore's
+#      tests/perturbation.rs and the three write algorithms under 8
+#      perturbation seeds in tests/properties.rs
+#   3. formatting, `bash -n scripts/profile.sh`, and the `unsafe`
+#      fence: simcore denies unsafe_op_in_unsafe_fn, and the word may
+#      appear in crates/simcore/src only in waker.rs (the task waker's
+#      vtable) and alloc_gauge.rs (the counting allocator)
 #   4. clippy, warnings promoted to errors
 #   5. fault-matrix smoke: stalls/link faults/RPC failures across the
 #      cached and uncached write paths, plus a node crash recovered
@@ -111,8 +120,21 @@ awk '/^test result:/ {
 echo "    [$(($SECONDS - t0))s] cargo test"
 scripts/loc.sh crates/romio/src
 
+perturbation_properties() {
+  cargo test -q -p e10-simcore --test perturbation
+  cargo test -q -p e10-repro --test properties -- under_perturbed_schedules
+}
+step perturbation_properties "(budget: 20 s)"
+
 step cargo fmt --all --check
 step bash -n scripts/profile.sh
+
+unsafe_fence() {
+  grep -q '^#!\[deny(unsafe_op_in_unsafe_fn)\]' crates/simcore/src/lib.rs
+  ! grep -rnw unsafe crates/simcore/src \
+    | grep -v -e '^crates/simcore/src/waker.rs:' -e '^crates/simcore/src/alloc_gauge.rs:'
+}
+step unsafe_fence
 
 step cargo clippy --workspace --all-targets -- -D warnings
 
@@ -157,7 +179,7 @@ step identical_across_jobs nvm-sweep '"jobs"' \
 # --check gates events and allocator calls against the committed
 # baseline (and the densest cell's wall clock within its tolerance).
 step identical_across_jobs bench-perf \
-  '"host_secs"|"wall_ns_per_event"|"jobs"|"host_cpus"|"wall_densest_median_ns_per_event"' \
+  '"host_secs"|"wall_ns_per_event"|"jobs"|"host_cpus"|"wall_densest_min_ns_per_event"' \
   cargo run --release -q -p e10-bench --bin bench_perf -- \
   --check BENCH_perf.json --json --out -
 
