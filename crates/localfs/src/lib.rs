@@ -587,19 +587,22 @@ impl LocalFile {
     /// Byte-granular direct read of `[offset, offset+len)`: always
     /// charges the backing device (direct writes never populate the
     /// page cache, so classifying them through the write-stream
-    /// residency model would be wrong). Returns covered pieces like
-    /// [`read`](Self::read).
-    pub async fn read_direct(
+    /// residency model would be wrong). Appends the covered pieces to
+    /// `out` like [`read_into`](Self::read_into), so the cache's sync
+    /// thread reads its front without allocating.
+    pub async fn read_direct_into(
         &self,
         offset: u64,
         len: u64,
-    ) -> Result<Vec<(Range<u64>, Option<Source>)>, FsError> {
+        out: &mut Vec<(Range<u64>, Option<Source>)>,
+    ) -> Result<(), FsError> {
         self.fs.check_device()?;
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         self.fs.dev.read(len).await;
-        Ok(self.state.borrow().data.lookup(offset, len))
+        self.state.borrow().data.lookup_into(offset, len, out);
+        Ok(())
     }
 
     /// Append raw bytes to the file's byte log (journal substrate).
@@ -715,6 +718,12 @@ impl LocalFile {
     /// Direct access to the extent map (verification in tests).
     pub fn extents(&self) -> ExtentMap {
         self.state.borrow().data.clone()
+    }
+
+    /// How many bytes of `[offset, offset+len)` the file holds — what
+    /// `extents().covered_bytes_in(..)` says, without copying the map.
+    pub fn covered_bytes_in(&self, offset: u64, len: u64) -> u64 {
+        self.state.borrow().data.covered_bytes_in(offset, len)
     }
 }
 
@@ -997,7 +1006,7 @@ mod tests {
             assert!(f.read(0, 100).await.is_err());
             assert!(f.fallocate(0, 200).await.is_err());
             assert!(f.append_bytes(b"x").await.is_err());
-            assert!(f.read_direct(0, 100).await.is_err());
+            assert!(f.read_direct_into(0, 100, &mut Vec::new()).await.is_err());
             // ...while metadata stays available for teardown, and data
             // written before the failure is still accounted.
             assert!(fs.exists("/a"));
@@ -1084,7 +1093,8 @@ mod tests {
             assert_eq!(fs.page_cache().dirty(), 0, "direct writes skip the cache");
             assert_eq!(fs.statfs().1, 50, "allocation is byte-granular");
             assert!(f.extents().verify_gen(7, 100, 50).is_ok());
-            let pieces = f.read_direct(100, 50).await.unwrap();
+            let mut pieces = Vec::new();
+            f.read_direct_into(100, 50, &mut pieces).await.unwrap();
             assert_eq!(pieces.len(), 1);
             assert!(pieces[0].1.is_some());
         });

@@ -30,12 +30,16 @@
 //!   calls per collective, independent of P.
 //! * **Generic collectives** (`bcast`, `allreduce`, `allgather`,
 //!   `alltoall[v]`, `split`) add one boxed contribution per rank, and
-//!   every rank clones its answer out of the shared result after the
-//!   sleep: O(1) per rank for `bcast`/`allreduce`, a P-vector per rank
-//!   for `allgather` (O(P²) words per collective), and for `alltoall`
-//!   a column walk of the P×P matrix — P strided reads and clones per
-//!   rank, 4 allocator calls per rank. Fine for the handful of control
-//!   collectives around an open, a close or an offset exchange.
+//!   after the sleep every rank takes its answer from the shared
+//!   result: a clone for `bcast`/`allreduce` (O(1) per rank); for
+//!   `allgather` the shared `Rc` itself — of the gathered vector, or,
+//!   through [`Comm::allgather_with`], of what the last arrival derives
+//!   from it once for everyone (the offset exchange's summary) — and
+//!   for `split` a handle on its group's shared state, the parent's
+//!   node map borrowed, not copied: O(1) per rank, no P-vector. Only
+//!   `alltoall` still walks a column of the P×P matrix — P strided
+//!   reads and clones per rank, 4 allocator calls per rank — and no
+//!   collective I/O path calls it.
 //! * **The size exchange** ([`Comm::alltoall_u64_sparse`]) runs once
 //!   per two-phase round on every rank, almost always with nothing to
 //!   say (0.49 non-zero entries per rank per round on the paper's
@@ -371,27 +375,41 @@ impl Comm {
     }
 
     /// `MPI_Allgather`: every rank contributes one value, everyone gets
-    /// the full vector indexed by rank.
-    pub async fn allgather<T: Clone + 'static>(&self, v: T, bytes: u64) -> Vec<T> {
+    /// the full vector indexed by rank — under `Analytic`, one vector
+    /// every rank shares.
+    pub async fn allgather<T: Clone + 'static>(&self, v: T, bytes: u64) -> Rc<Vec<T>> {
+        self.allgather_with(v, bytes, |all| all).await
+    }
+
+    /// [`allgather`](Self::allgather), answering every rank with
+    /// `combine` of the gathered vector. Under `Analytic` the last
+    /// arrival applies it once and every rank shares the answer, so
+    /// what each rank would derive from the same P values is derived
+    /// once per collective; under `Algorithmic` each rank applies it to
+    /// the vector its ring built.
+    pub async fn allgather_with<T: Clone + 'static, R: 'static>(
+        &self,
+        v: T,
+        bytes: u64,
+        combine: impl FnOnce(Vec<T>) -> R,
+    ) -> Rc<R> {
         let opid = self.next_op();
         match self.coll().backend {
             CollBackend::Analytic => {
                 let contrib: Box<dyn Any> = Box::new(v);
                 let out = self
                     .sync_slot(opid, contrib, move |contribs| {
-                        contribs
-                            .iter_mut()
-                            .map(|c| {
-                                *c.take()
-                                    .expect("missing contribution")
-                                    .downcast::<T>()
-                                    .expect("allgather type mismatch")
-                            })
-                            .collect::<Vec<T>>()
+                        let all = contribs.iter_mut().map(|c| {
+                            *c.take()
+                                .expect("missing contribution")
+                                .downcast::<T>()
+                                .expect("allgather type mismatch")
+                        });
+                        combine(all.collect())
                     })
                     .await;
                 sleep(self.cost_allgather(bytes)).await;
-                (*out).clone()
+                out
             }
             CollBackend::Algorithmic => {
                 // Ring allgather: P-1 steps, each forwarding one block.
@@ -410,7 +428,8 @@ impl Comm {
                     out[recv_idx] = Some(m);
                     sreq.wait().await;
                 }
-                out.into_iter().map(|x| x.expect("ring hole")).collect()
+                let all = out.into_iter().map(|x| x.expect("ring hole"));
+                Rc::new(combine(all.collect()))
             }
         }
     }
@@ -665,11 +684,7 @@ impl Comm {
         // slightly pessimistic cost for non-roots (acceptable — ROMIO
         // uses gather only for small control data).
         let all = self.allgather(v, bytes).await;
-        if self.rank == root {
-            Some(all)
-        } else {
-            None
-        }
+        (self.rank == root).then(|| Rc::unwrap_or_clone(all))
     }
 }
 
@@ -758,7 +773,7 @@ mod tests {
                 })
                 .await;
                 for v in outs {
-                    assert_eq!(v, vec![0, 10, 20, 30, 40, 50], "{b:?}");
+                    assert_eq!(*v, [0, 10, 20, 30, 40, 50], "{b:?}");
                 }
             });
         });
@@ -828,7 +843,7 @@ mod tests {
                 launch(spec(1, b), |comm| async move {
                     comm.barrier().await;
                     assert_eq!(comm.bcast(0, Some(5u8), 1).await, 5);
-                    assert_eq!(comm.allgather(1u8, 1).await, vec![1]);
+                    assert_eq!(*comm.allgather(1u8, 1).await, [1]);
                     assert_eq!(comm.allreduce(3u8, 1, |a, b| a + b).await, 3);
                     assert_eq!(comm.alltoall(vec![9u8], 1).await, vec![9]);
                 })
@@ -860,7 +875,7 @@ mod tests {
                     } else {
                         vec![7, 5, 3, 1]
                     };
-                    assert_eq!(members, &expect, "{b:?}");
+                    assert_eq!(**members, expect, "{b:?}");
                     assert_eq!(members[*sub_rank], r);
                 }
             });

@@ -594,9 +594,10 @@ impl Comm {
         self.state.node_of[rank]
     }
 
-    /// The full rank → node mapping (used by aggregator selection).
-    pub fn node_map(&self) -> Vec<NodeId> {
-        self.state.node_of.clone()
+    /// The full rank → node mapping (used by aggregator selection),
+    /// borrowed from the communicator every rank shares.
+    pub fn node_map(&self) -> &[NodeId] {
+        &self.state.node_of
     }
 
     /// The underlying fabric (for I/O layers that need to charge

@@ -55,27 +55,53 @@ pub struct AdioFile {
     pub comm: Comm,
     ctx: IoCtx,
     global: PfsHandle,
-    hints: Rc<RomioHints>,
     cache: Option<CacheLayer>,
     profiler: Profiler,
-    aggregators: Rc<Vec<usize>>,
     my_agg_index: Option<usize>,
     deferred_open: bool,
-    atomic: Rc<Cell<bool>>,
-    closed: Rc<Cell<bool>>,
-    io_error: Rc<RefCell<Option<Error>>>,
+    /// What every handle of this rank's open file shares.
+    state: Rc<FileState>,
+    /// A view's own placement ([`AdioFile::with_comm`]); `None` on the
+    /// file itself, whose placement is `state.placement`.
+    view: Option<Rc<Placement>>,
+}
+
+/// What is bound to the communicator a handle coordinates on.
+struct Placement {
+    /// The aggregator ranks, in that communicator's numbering.
+    aggregators: Vec<usize>,
     /// Intra-node subcommunicator, created lazily by the first
-    /// node-agg collective and cached for the file's lifetime.
-    node_comm: Rc<RefCell<Option<Comm>>>,
+    /// node-agg collective and cached for the handle's lifetime.
+    node_comm: RefCell<Option<Comm>>,
+}
+
+/// One rank's open file, in one allocation: the resolved hints, the
+/// flags every clone and view must agree on, and the placement on the
+/// communicator it was opened on.
+struct FileState {
+    hints: RomioHints,
+    atomic: Cell<bool>,
+    closed: Cell<bool>,
+    io_error: RefCell<Option<Error>>,
+    placement: Placement,
+}
+
+impl Placement {
+    fn new(aggregators: Vec<usize>) -> Placement {
+        Placement {
+            aggregators,
+            node_comm: RefCell::new(None),
+        }
+    }
 }
 
 /// The aggregator ranks of `comm` under the `cb_nodes` /
 /// `cb_config_list` placement hints (default: one per node).
 pub(crate) fn elect_aggregators(comm: &Comm, hints: &RomioHints) -> Vec<usize> {
     let node_map = comm.node_map();
-    let nnodes = node_map.iter().copied().max().map(|m| m + 1).unwrap_or(1);
+    let nnodes = node_map.iter().copied().max().map_or(1, |m| m + 1);
     select_aggregators_capped(
-        &node_map,
+        node_map,
         hints.cb_nodes.unwrap_or(nnodes),
         hints.cb_config_max_per_node.unwrap_or(usize::MAX),
     )
@@ -101,7 +127,7 @@ impl AdioFile {
             unit: hints.striping_unit,
             count: hints.striping_factor,
         };
-        let aggregators = Rc::new(elect_aggregators(&comm, &hints));
+        let aggregators = elect_aggregators(&comm, &hints);
         let my_agg_index = aggregators.iter().position(|&r| r == comm.rank());
 
         // Rank 0 creates; everyone else opens after the create is
@@ -157,17 +183,23 @@ impl AdioFile {
             comm,
             ctx: ctx.clone(),
             global,
-            hints: Rc::new(hints),
             cache,
             profiler,
-            aggregators,
             my_agg_index,
             deferred_open: deferred,
-            atomic: Rc::new(Cell::new(false)),
-            closed: Rc::new(Cell::new(false)),
-            io_error: Rc::new(RefCell::new(None)),
-            node_comm: Rc::new(RefCell::new(None)),
+            state: Rc::new(FileState {
+                hints,
+                atomic: Cell::new(false),
+                closed: Cell::new(false),
+                io_error: RefCell::new(None),
+                placement: Placement::new(aggregators),
+            }),
+            view: None,
         })
+    }
+
+    fn placement(&self) -> &Placement {
+        self.view.as_deref().unwrap_or(&self.state.placement)
     }
 
     /// The intra-node subcommunicator
@@ -176,18 +208,19 @@ impl AdioFile {
     /// (every rank of the file's communicator must participate);
     /// cached afterwards.
     pub async fn node_comm(&self) -> Comm {
-        let cached = self.node_comm.borrow().clone();
+        let slot = &self.placement().node_comm;
+        let cached = slot.borrow().clone();
         if let Some(c) = cached {
             return c;
         }
         let c = self.comm.split_by_node().await;
-        *self.node_comm.borrow_mut() = Some(c.clone());
+        *slot.borrow_mut() = Some(c.clone());
         c
     }
 
     /// The resolved hints (`MPI_File_get_info`).
     pub fn hints(&self) -> &RomioHints {
-        &self.hints
+        &self.state.hints
     }
 
     /// This file's profiler.
@@ -197,7 +230,7 @@ impl AdioFile {
 
     /// The aggregator ranks for collective I/O on this file.
     pub fn aggregators(&self) -> &[usize] {
-        &self.aggregators
+        &self.placement().aggregators
     }
 
     /// This rank's index among the aggregators, if it is one.
@@ -239,12 +272,12 @@ impl AdioFile {
     /// the E10 cache, atomic visibility is instead provided by the
     /// `coherent` cache mode.
     pub fn set_atomicity(&self, atomic: bool) {
-        self.atomic.set(atomic);
+        self.state.atomic.set(atomic);
     }
 
     /// Current atomicity flag (`MPI_File_get_atomicity`).
     pub fn atomicity(&self) -> bool {
-        self.atomic.get()
+        self.state.atomic.get()
     }
 
     /// Remember the first I/O error seen on this file (retrievable with
@@ -252,7 +285,7 @@ impl AdioFile {
     /// failure through their exchanged error code; the stored error
     /// keeps the full cause chain for inspection.
     pub fn record_io_error(&self, e: Error) {
-        let mut slot = self.io_error.borrow_mut();
+        let mut slot = self.state.io_error.borrow_mut();
         if slot.is_none() {
             *slot = Some(e);
         }
@@ -260,12 +293,12 @@ impl AdioFile {
 
     /// True if an I/O error has been recorded and not yet taken.
     pub fn has_io_error(&self) -> bool {
-        self.io_error.borrow().is_some()
+        self.state.io_error.borrow().is_some()
     }
 
     /// Take the first recorded I/O error, clearing the slot.
     pub fn take_io_error(&self) -> Option<Error> {
-        self.io_error.borrow_mut().take()
+        self.state.io_error.borrow_mut().take()
     }
 
     /// `ADIOI_GEN_WriteContig` / `ADIO_WriteContig`: one contiguous
@@ -280,7 +313,7 @@ impl AdioFile {
                 Err(_) => {}    // unexpected local error → global path
             }
         }
-        let _guard = if self.atomic.get() && payload.len > 0 {
+        let _guard = if self.state.atomic.get() && payload.len > 0 {
             Some(
                 self.global
                     .lock_extent(
@@ -324,7 +357,7 @@ impl AdioFile {
         offset: u64,
         len: u64,
     ) -> Result<Vec<(std::ops::Range<u64>, Option<e10_storesim::Source>)>, Error> {
-        let _guard = if self.hints.e10_cache == CacheMode::Coherent && len > 0 {
+        let _guard = if self.state.hints.e10_cache == CacheMode::Coherent && len > 0 {
             Some(
                 self.global
                     .lock_extent(
@@ -361,7 +394,7 @@ impl AdioFile {
     /// thread, optionally discard the cache file, close the global
     /// handle and synchronise the communicator.
     pub async fn close(&self) {
-        if self.closed.replace(true) {
+        if self.state.closed.replace(true) {
             return;
         }
         {
@@ -383,30 +416,26 @@ impl AdioFile {
 
     /// True once closed.
     pub fn is_closed(&self) -> bool {
-        self.closed.get()
+        self.state.closed.get()
     }
 
     /// A view of the same open file bound to a sub-communicator, with
     /// its own aggregator set (in sub-rank numbering). Used by the
-    /// partitioned-collective baseline: the global handle, cache layer
-    /// and profiler are shared; only the coordination scope changes.
+    /// partitioned-collective baseline: the global handle, cache layer,
+    /// profiler and file state are shared; only the coordination scope
+    /// — and with it the placement, node split included — changes.
     pub(crate) fn with_comm(&self, sub: Comm, aggregators: Vec<usize>) -> AdioFile {
         let my_agg_index = aggregators.iter().position(|&r| r == sub.rank());
         AdioFile {
             comm: sub,
             ctx: self.ctx.clone(),
             global: self.global.clone(),
-            hints: Rc::clone(&self.hints),
             cache: self.cache.clone(),
             profiler: self.profiler.clone(),
-            aggregators: Rc::new(aggregators),
             my_agg_index,
             deferred_open: self.deferred_open,
-            atomic: Rc::clone(&self.atomic),
-            closed: Rc::clone(&self.closed),
-            io_error: Rc::clone(&self.io_error),
-            // Node split depends on the communicator: never shared.
-            node_comm: Rc::new(RefCell::new(None)),
+            state: Rc::clone(&self.state),
+            view: Some(Rc::new(Placement::new(aggregators))),
         }
     }
 }

@@ -47,7 +47,7 @@ pub async fn write_at_all_partitioned(
     // Spread the file's aggregator budget over the groups (at least
     // one aggregator per group).
     let per_group = (fd.aggregators().len() / ngroups).max(1);
-    let aggregators = select_aggregators(&sub.node_map(), per_group);
+    let aggregators = select_aggregators(sub.node_map(), per_group);
     let gfd = fd.with_comm(sub, aggregators);
     write_at_all(&gfd, view, data).await
 }

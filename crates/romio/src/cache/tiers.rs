@@ -88,6 +88,8 @@ pub(super) struct Tiers {
     /// Writes of at most this many bytes try the front first.
     threshold: u64,
     pub(super) node: NodeId,
+    /// [`read_into`](Self::read_into)'s scratch (empty between reads).
+    split: Cell<Pieces>,
 }
 
 impl Tiers {
@@ -153,6 +155,7 @@ impl Tiers {
             front,
             threshold: cfg.nvm_threshold,
             node: cfg.node,
+            split: Cell::default(),
         })
     }
 
@@ -220,7 +223,7 @@ impl Tiers {
                         f.map.borrow_mut().insert(offset, len, Source::Zero);
                         // Each byte lives in exactly one tier: drop any
                         // stale block-tier copy this write supersedes.
-                        if f.separate && self.block.extents().covered_bytes_in(offset, len) > 0 {
+                        if f.separate && self.block.covered_bytes_in(offset, len) > 0 {
                             self.block.punch(offset, len).await;
                         }
                         trace::counter("cache.front_write_bytes", len);
@@ -270,26 +273,33 @@ impl Tiers {
     /// state must not allocate.
     pub(super) async fn read_into(&self, pos: u64, n: u64, out: &mut Pieces) {
         out.clear();
-        let split = match self.live_front() {
-            Some(f) => f.map.borrow().lookup(pos, n),
-            None => Vec::new(),
-        };
-        if split.iter().all(|(_, owned)| owned.is_none()) {
-            if self.block.read_into(pos, n, out).await.is_err() {
-                out.clear();
-            }
-            return;
+        // The split along the front map goes into the tier set's
+        // scratch, taken out across the awaits and put back after: a
+        // concurrent reader finds it gone and pays for its own.
+        let mut split = self.split.take();
+        let front = self.live_front();
+        if let Some(f) = front {
+            f.map.borrow().lookup_into(pos, n, &mut split);
         }
-        let f = self.live_front().expect("front-owned pieces");
-        for (range, owned) in split {
-            let len = range.end - range.start;
-            if owned.is_some() {
-                let part = f.file.read_direct(range.start, len).await;
-                out.extend(part.unwrap_or_default());
-            } else {
-                let _ = self.block.read_into(range.start, len, out).await;
+        match front {
+            Some(f) if split.iter().any(|(_, owned)| owned.is_some()) => {
+                for (range, owned) in split.drain(..) {
+                    let len = range.end - range.start;
+                    if owned.is_some() {
+                        let _ = f.file.read_direct_into(range.start, len, out).await;
+                    } else {
+                        let _ = self.block.read_into(range.start, len, out).await;
+                    }
+                }
+            }
+            _ => {
+                split.clear();
+                if self.block.read_into(pos, n, out).await.is_err() {
+                    out.clear();
+                }
             }
         }
+        self.split.set(split);
     }
 
     /// [`read_into`](Self::read_into) a fresh buffer.

@@ -40,10 +40,12 @@
 //! exchange and the per-rank round schedule ([`WindowCursors`]) from
 //! here.
 
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::future::Future;
+use std::rc::Rc;
 
 use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag, ViewPiece};
 use e10_simcore::trace::counter;
@@ -104,7 +106,7 @@ pub struct WriteAllResult {
 ///
 /// | step | [`Plain`] | `Timed` |
 /// |---|---|---|
-/// | range gather | `MPI_Allgather` | `ft_coordinate`; abort if a rank is missing |
+/// | range gather | `MPI_Allgather` (the summary built once and shared under analytic collectives) | `ft_coordinate` (the coordinator builds the summary); abort if a rank is missing |
 /// | size exchange | sparse `MPI_Alltoall` (`alltoall_u64_sparse`: dense on the modelled wire, O(sent + received) on the host) | `ft_alltoall_u64_sparse` (one `ft_coordinate` step; sparse rows in, each rank copies its slice of the one shared compressed transpose); abort if a row is missing |
 /// | shuffle receive | post every `irecv`, wait for all | one timed receive per source; a silent source is convicted and dooms the attempt |
 /// | settle | nothing | `ft_coordinate` of (doomed, error) flags; abort if any rank is doomed or missing |
@@ -114,8 +116,9 @@ pub(crate) trait Transport {
     /// one rank's step returns it, every surviving rank's does.
     type Abort;
 
-    /// 1. Every rank's `(start, end)` access range, by rank.
-    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Vec<(u64, u64)>, Self::Abort>;
+    /// 1. The [`AccessRange`] of every rank's `(start, end)`, shared by
+    ///    every rank the step hands one answer to.
+    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Rc<AccessRange>, Self::Abort>;
 
     /// 2. `sends` holds what this rank has to say, `(rank, bytes)`
     ///    with at most one entry per rank and no zeroes; `recvs` comes
@@ -177,8 +180,9 @@ impl Plain<'_> {
 impl Transport for Plain<'_> {
     type Abort = Infallible;
 
-    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Vec<(u64, u64)>, Infallible> {
-        Ok(self.fd.comm.allgather(mine, 16).await)
+    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Rc<AccessRange>, Infallible> {
+        let comm = &self.fd.comm;
+        Ok(comm.allgather_with(mine, 16, AccessRange::of).await)
     }
 
     async fn exchange_sizes(
@@ -298,17 +302,42 @@ impl Provenance {
 }
 
 /// What the offset exchange established about the collective's access
-/// pattern (both directions).
+/// pattern (both directions), and the file domains laid over it. Every
+/// rank derives the same from the same ranges, so a transport that
+/// hands every rank one shared answer builds this once per collective.
 pub(crate) struct AccessRange {
-    /// Lowest byte any rank accesses.
+    /// Lowest byte any rank accesses (`u64::MAX` if none does).
     pub(crate) min_st: u64,
     /// One past the highest.
     pub(crate) max_end: u64,
     /// Whether some rank starts before a lower rank has ended.
     interleaved: bool,
+    /// [`compute_domains`]' answer, built by the first rank to ask:
+    /// every rank asks with the same aggregator count, hints and
+    /// algorithm.
+    domains: OnceCell<(FileDomains, u64, u64)>,
 }
 
 impl AccessRange {
+    /// The summary of every rank's `(start, end)`, in rank order, where
+    /// a rank that accesses nothing says `(u64::MAX, 0)`: one pass, no
+    /// allocation. That sentinel neither lowers the start, raises the
+    /// end nor starts before anything ends.
+    pub(crate) fn of(ranges: impl IntoIterator<Item = (u64, u64)>) -> AccessRange {
+        let (mut min_st, mut max_end, mut interleaved) = (u64::MAX, 0, false);
+        for (st, end) in ranges {
+            interleaved |= st < max_end;
+            min_st = min_st.min(st);
+            max_end = max_end.max(end);
+        }
+        AccessRange {
+            min_st,
+            max_end,
+            interleaved,
+            domains: OnceCell::new(),
+        }
+    }
+
     /// The collective-vs-independent decision under `mode`
     /// (`romio_cb_write` / `romio_cb_read`). Every rank holds the same
     /// ranges, so every rank decides the same.
@@ -326,66 +355,50 @@ pub(crate) async fn exchange_ranges<T: Transport>(
     fd: &AdioFile,
     view: &FileView,
     t: &mut T,
-) -> Result<Option<AccessRange>, T::Abort> {
+) -> Result<Option<Rc<AccessRange>>, T::Abort> {
     let mine = if view.total_bytes() == 0 {
         (u64::MAX, 0)
     } else {
         view.file_range()
     };
-    let st_end: Vec<(u64, u64)> = {
+    let range = {
         let _t = fd.profiler().enter(Phase::OffsetExchange);
         t.gather_ranges(mine).await?
     };
-    let min_st = st_end.iter().filter(|e| e.0 != u64::MAX).map(|e| e.0).min();
-    let Some(min_st) = min_st else {
-        return Ok(None);
-    };
-    let max_end = st_end.iter().map(|e| e.1).max().unwrap_or(0);
-    let mut interleaved = false;
-    let mut running_end = 0u64;
-    for &(st, end) in &st_end {
-        if st == u64::MAX {
-            continue;
-        }
-        if st < running_end {
-            interleaved = true;
-        }
-        running_end = running_end.max(end);
-    }
-    Ok(Some(AccessRange {
-        min_st,
-        max_end,
-        interleaved,
-    }))
+    Ok((range.min_st != u64::MAX).then_some(range))
 }
 
 /// Step 2: split `[min_st, max_end)` into file domains and size the
-/// rounds. [`TwoPhaseAlgo::Stock`] models the original two-phase
-/// protocol, which buffers a whole file domain per aggregator: a
-/// single round with the effective collective buffer as large as the
-/// biggest domain. The extended algorithm (and the node-agg variant
-/// layered on it) bounds aggregator memory with `cb_buffer_size`
-/// rounds.
-pub(crate) fn compute_domains(
+/// rounds: `(domains, cb, rounds)`. [`TwoPhaseAlgo::Stock`] models the
+/// original two-phase protocol, which buffers a whole file domain per
+/// aggregator: a single round with the effective collective buffer as
+/// large as the biggest domain. The extended algorithm (and the
+/// node-agg variant layered on it) bounds aggregator memory with
+/// `cb_buffer_size` rounds. Built once per shared `range`.
+pub(crate) fn compute_domains<'r>(
     fd: &AdioFile,
-    range: &AccessRange,
+    range: &'r AccessRange,
     algo: TwoPhaseAlgo,
-) -> (FileDomains, u64, u64) {
+) -> (&'r FileDomains, u64, u64) {
     let _t = fd.profiler().enter(Phase::FdCalc);
-    let naggs = fd.aggregators().len();
-    let fds = FileDomains::compute(
-        range.min_st,
-        range.max_end,
-        naggs,
-        fd.hints().fd_strategy,
-        fd.stripe_unit(),
-    );
-    let cb = match algo {
-        TwoPhaseAlgo::Stock => fds.max_size().max(1),
-        TwoPhaseAlgo::Extended | TwoPhaseAlgo::NodeAgg => fd.hints().cb_buffer_size,
-    };
-    let ntimes = fds.max_size().div_ceil(cb);
-    (fds, cb, ntimes)
+    let (fds, cb, ntimes) = range.domains.get_or_init(|| {
+        let naggs = fd.aggregators().len();
+        let fds = FileDomains::compute(
+            range.min_st,
+            range.max_end,
+            naggs,
+            fd.hints().fd_strategy,
+            fd.stripe_unit(),
+        );
+        let cb = match algo {
+            TwoPhaseAlgo::Stock => fds.max_size().max(1),
+            TwoPhaseAlgo::Extended | TwoPhaseAlgo::NodeAgg => fd.hints().cb_buffer_size,
+        };
+        let ntimes = fds.max_size().div_ceil(cb);
+        (fds, cb, ntimes)
+    });
+    debug_assert_eq!(fds.len(), fd.aggregators().len(), "another rank's set");
+    (fds, *cb, *ntimes)
 }
 
 /// Step 3, computed once per collective and stepped through per round
@@ -559,7 +572,7 @@ pub(crate) async fn two_phase_write<T: Transport>(
     let mut origins_scratch: Vec<usize> = Vec::new();
     // Only a rank that ships its own pieces steps through its view.
     let mut own =
-        (algo != TwoPhaseAlgo::NodeAgg && my_bytes > 0).then(|| WindowCursors::new(view, &fds, cb));
+        (algo != TwoPhaseAlgo::NodeAgg && my_bytes > 0).then(|| WindowCursors::new(view, fds, cb));
     let contribution = |round, bufs: &mut [Vec<(u64, Payload)>], touched: &mut Touched| match (
         &merged, &mut own,
     ) {

@@ -125,7 +125,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         ..Default::default()
     };
 
-    let mut cursors = WindowCursors::new(view, &fds, cb);
+    let mut cursors = WindowCursors::new(view, fds, cb);
     let mut per_agg_reqs: Vec<Vec<ReqPiece>> = (0..naggs).map(|_| Vec::new()).collect();
     // The aggregators (by index) asked for something this round,
     // ascending.

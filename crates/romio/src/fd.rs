@@ -136,6 +136,14 @@ pub fn select_aggregators(node_of: &[usize], cb_nodes: usize) -> Vec<usize> {
 
 /// Like [`select_aggregators`], with at most `max_per_node` aggregators
 /// placed on any one node (the `cb_config_list = "*:N"` hint).
+///
+/// Layer `k` is every node's `k`-th rank, nodes ascending; the layers
+/// are taken in order until `cb_nodes` ranks are chosen. Every rank of
+/// every open elects, so this is one allocation — the answer — and no
+/// list of ranks per node: layer 0 is found by one pass over the map,
+/// using the answer as the table of each node's lowest rank, and every
+/// later pick is the next rank of the node the previous layer's pick
+/// (same position, one layer back) sits on.
 pub fn select_aggregators_capped(
     node_of: &[usize],
     cb_nodes: usize,
@@ -143,30 +151,33 @@ pub fn select_aggregators_capped(
 ) -> Vec<usize> {
     assert!(cb_nodes > 0);
     assert!(max_per_node > 0);
-    // Ranks of each node, in rank order.
-    let nnodes = node_of.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-    let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); nnodes];
-    for (rank, &n) in node_of.iter().enumerate() {
-        per_node[n].push(rank);
-    }
+    let nnodes = node_of.iter().copied().max().map_or(0, |m| m + 1);
     let cb_nodes = cb_nodes.min(node_of.len());
-    let mut aggs = Vec::with_capacity(cb_nodes);
-    let mut layer = 0;
+    let mut aggs = Vec::with_capacity(nnodes.max(cb_nodes));
+    aggs.resize(nnodes, usize::MAX);
+    for (rank, &n) in node_of.iter().enumerate().rev() {
+        aggs[n] = rank;
+    }
+    // Nodes without ranks have no layer 0.
+    aggs.retain(|&r| r != usize::MAX);
+    aggs.truncate(cb_nodes);
+    let (mut from, mut layer) = (0, 1);
     while aggs.len() < cb_nodes && layer < max_per_node {
-        let mut progressed = false;
-        for ranks in &per_node {
-            if let Some(&r) = ranks.get(layer) {
-                aggs.push(r);
-                progressed = true;
+        let to = aggs.len();
+        for i in from..to {
+            let prev = aggs[i];
+            let n = node_of[prev];
+            if let Some(gap) = node_of[prev + 1..].iter().position(|&m| m == n) {
+                aggs.push(prev + 1 + gap);
                 if aggs.len() == cb_nodes {
                     break;
                 }
             }
         }
-        if !progressed {
+        if aggs.len() == to {
             break;
         }
-        layer += 1;
+        (from, layer) = (to, layer + 1);
     }
     aggs
 }
@@ -190,6 +201,7 @@ pub fn node_leaders(node_of: &[usize]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn node_leaders_are_lowest_rank_per_node() {
@@ -278,5 +290,73 @@ mod tests {
     fn aggregators_clamped_to_comm_size() {
         let node_of = vec![0, 1];
         assert_eq!(select_aggregators(&node_of, 10), vec![0, 1]);
+    }
+
+    /// The election as it was first written — every node's ranks listed
+    /// out, then dealt layer by layer — kept as the oracle.
+    fn reference_election(node_of: &[usize], cb_nodes: usize, max_per_node: usize) -> Vec<usize> {
+        let nnodes = node_of.iter().copied().max().map(|m| m + 1).unwrap_or(0);
+        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); nnodes];
+        for (rank, &n) in node_of.iter().enumerate() {
+            per_node[n].push(rank);
+        }
+        let cb_nodes = cb_nodes.min(node_of.len());
+        let mut aggs = Vec::with_capacity(cb_nodes);
+        let mut layer = 0;
+        while aggs.len() < cb_nodes && layer < max_per_node {
+            let mut progressed = false;
+            for ranks in &per_node {
+                if let Some(&r) = ranks.get(layer) {
+                    aggs.push(r);
+                    progressed = true;
+                    if aggs.len() == cb_nodes {
+                        break;
+                    }
+                }
+            }
+            if !progressed {
+                break;
+            }
+            layer += 1;
+        }
+        aggs
+    }
+
+    proptest! {
+        /// The election picks exactly the reference's ranks in the
+        /// reference's order, on blocked, round-robin and uneven
+        /// placements — some with node ids no rank maps to — for every
+        /// `cb_nodes` from one to past the rank count and per-node caps
+        /// of one to four or none.
+        #[test]
+        fn election_is_the_per_node_reference(
+            p in 1usize..24,
+            nnodes in 1usize..8,
+            shape in 0u8..5,
+            draws in prop::collection::vec(0usize..8, 24..25),
+            cb in 0usize..64,
+            cap in 1usize..6,
+        ) {
+            let node_of: Vec<usize> = match shape {
+                0 => (0..p).map(|r| r * nnodes / p).collect(),
+                1 => (0..p).map(|r| r % nnodes).collect(),
+                // Uneven blocks.
+                2 => {
+                    let mut m: Vec<usize> = draws[..p].iter().map(|d| d % nnodes).collect();
+                    m.sort_unstable();
+                    m
+                }
+                // Scattered, with every other node id (at least) empty.
+                3 => draws[..p].iter().map(|d| 2 * (d % nnodes) + 1).collect(),
+                _ => draws[..p].iter().map(|d| d % nnodes).collect(),
+            };
+            let cb_nodes = 1 + cb % (p + 2);
+            let max_per_node = if cap == 5 { usize::MAX } else { cap };
+            prop_assert_eq!(
+                select_aggregators_capped(&node_of, cb_nodes, max_per_node),
+                reference_election(&node_of, cb_nodes, max_per_node),
+                "map {:?}, cb_nodes {}, cap {}", node_of, cb_nodes, max_per_node
+            );
+        }
     }
 }

@@ -52,7 +52,9 @@ use e10_simcore::SimDuration;
 use e10_storesim::Payload;
 
 use crate::adio::{elect_aggregators, AdioFile, DataSpec};
-use crate::collective::{two_phase_write, Transport, WriteAllResult, FT_TAG_BASE, FT_TAG_SPAN};
+use crate::collective::{
+    two_phase_write, AccessRange, Transport, WriteAllResult, FT_TAG_BASE, FT_TAG_SPAN,
+};
 use crate::profile::Phase;
 
 /// Coordination steps an attempt can take before its step numbers
@@ -77,12 +79,6 @@ fn ft_tag(p: usize, attempt: u32, seq: u32) -> Tag {
 /// An attempt aborted: at least one rank was convicted; retry on the
 /// shrunken communicator.
 struct Aborted;
-
-/// `ft_coordinate` combiner: everyone's contribution by rank, or `None`
-/// (the abort decision) if any rank's is missing.
-fn all_present<T>(contribs: &mut [Option<T>]) -> Option<Vec<T>> {
-    contribs.iter_mut().map(Option::take).collect()
-}
 
 /// Fault-tolerant coordination (the module header's points 1 and 2;
 /// step by step in the table on [`Transport`]) of one attempt, on the
@@ -117,15 +113,18 @@ impl Timed<'_> {
 impl Transport for Timed<'_> {
     type Abort = Aborted;
 
-    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Vec<(u64, u64)>, Aborted> {
+    async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Rc<AccessRange>, Aborted> {
+        // The coordinator summarises, every survivor shares the one
+        // summary; a missing range is the abort.
+        let summarise = |contribs: &mut [Option<(u64, u64)>]| {
+            let all_present = contribs.iter().all(Option::is_some);
+            all_present.then(|| Rc::new(AccessRange::of(contribs.iter().flatten().copied())))
+        };
         let comm = &self.fd.comm;
-        let ranges = comm
-            .ft_coordinate(self.next_tag(), mine, 16, self.timeout, all_present)
+        let range = comm
+            .ft_coordinate(self.next_tag(), mine, 16, self.timeout, summarise)
             .await;
-        match ranges.as_deref() {
-            Some(Some(ranges)) => Ok(ranges.clone()),
-            _ => Err(Aborted),
-        }
+        range.as_deref().cloned().flatten().ok_or(Aborted)
     }
 
     async fn exchange_sizes(
@@ -304,6 +303,7 @@ mod tests {
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::trace::{self, RingSink};
     use e10_simcore::{kill_group, new_group, run, sleep, spawn, spawn_in_group, Flag};
+    use proptest::prelude::*;
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -493,6 +493,129 @@ mod tests {
             assert_eq!(plain.rounds, timed.rounds, "{algo}: rounds");
             assert_eq!(plain.shuffle, timed.shuffle, "{algo}: shuffle traffic");
             assert!(plain == timed, "{algo}: file bytes or read pieces differ");
+        }
+    }
+
+    /// The offset exchange as every rank once computed it: a scan of
+    /// the whole gathered `(start, end)` vector, `(u64::MAX, 0)` for a
+    /// rank with nothing to access — `(min_st, max_end, interleaved)`.
+    fn per_rank_scan(st_end: &[(u64, u64)]) -> Option<(u64, u64, bool)> {
+        let min_st = st_end
+            .iter()
+            .filter(|e| e.0 != u64::MAX)
+            .map(|e| e.0)
+            .min()?;
+        let max_end = st_end.iter().map(|e| e.1).max().unwrap_or(0);
+        let mut interleaved = false;
+        let mut running_end = 0u64;
+        for &(st, end) in st_end {
+            if st == u64::MAX {
+                continue;
+            }
+            if st < running_end {
+                interleaved = true;
+            }
+            running_end = running_end.max(end);
+        }
+        Some((min_st, max_end, interleaved))
+    }
+
+    /// Every rank's answer to the offset exchange, under the timed
+    /// transport or the plain one on `backend`, where rank `r`'s view
+    /// is the one contiguous `(start, len)` of `views[r]` or empty.
+    fn exchange_on_testbed(
+        views: &Rc<Vec<Option<(u64, u64)>>>,
+        backend: e10_mpisim::CollBackend,
+        timed: bool,
+    ) -> Vec<Option<Rc<AccessRange>>> {
+        use crate::collective::{exchange_ranges, Plain};
+        let (p, views) = (views.len(), Rc::clone(views));
+        run(async move {
+            let mut spec = TestbedSpec::small(p, p.div_ceil(2));
+            spec.backend = backend;
+            let tb = spec.build();
+            let ranks = tb.ctxs().into_iter().map(|ctx| {
+                let views = Rc::clone(&views);
+                spawn(async move {
+                    let info = cb_info(&[]);
+                    let f = AdioFile::open(&ctx, "/gfs/ox", &info, true).await.unwrap();
+                    let (disp, len) = views[ctx.comm.rank()].unwrap_or((0, 0));
+                    let view = FileView::new(&FlatType::contiguous(len), disp);
+                    let range = if timed {
+                        let mut t = Timed {
+                            fd: &f,
+                            timeout: ms(40),
+                            p,
+                            attempt: 0,
+                            seq: 1,
+                            doomed: false,
+                            global_err: 0,
+                            row: Rc::default(),
+                        };
+                        let range = exchange_ranges(&f, &view, &mut t).await;
+                        range.ok().expect("nobody is missing")
+                    } else {
+                        let Ok(range) = exchange_ranges(&f, &view, &mut Plain::new(&f)).await;
+                        range
+                    };
+                    f.close().await;
+                    range
+                })
+            });
+            e10_simcore::join_all(ranks.collect()).await
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Every rank's answer to the offset exchange is the scan it
+        /// would have made of every rank's range, under the plain
+        /// transport on algorithmic and analytic collectives and under
+        /// the timed one — with empty views among the ranges, each range
+        /// starting a step before, exactly at or past where the rank's
+        /// predecessor ended, and one case in four a collective nobody
+        /// accesses a byte in. Where the transport shares one answer
+        /// (analytic, timed) every rank holds the same one.
+        #[test]
+        fn offset_exchange_summary_is_the_per_rank_scan(
+            p in 1usize..9,
+            ranges in prop::collection::vec(prop::option::of((0u64..4, 1u64..4)), 8..9),
+            nobody in 0u8..4,
+        ) {
+            use crate::hints::CbMode;
+            use e10_mpisim::CollBackend;
+            let mut end = 1000;
+            let mut chain = |&(step, len): &(u64, u64)| {
+                let start = (end + step * 1000) - 1000;
+                end = start + len * 1000;
+                (start, len * 1000)
+            };
+            let mine: Vec<_> = ranges[..p].iter().map(|r| r.as_ref().map(&mut chain)).collect();
+            let mine = Rc::new(if nobody == 0 { vec![None; p] } else { mine });
+            let st_end: Vec<(u64, u64)> = mine
+                .iter()
+                .map(|m| m.map_or((u64::MAX, 0), |(s, len)| (s, s + len)))
+                .collect();
+            let want = per_rank_scan(&st_end);
+            for (timed, backend) in [
+                (false, CollBackend::Algorithmic),
+                (false, CollBackend::Analytic),
+                (true, CollBackend::Analytic),
+            ] {
+                let answers = exchange_on_testbed(&mine, backend, timed);
+                let label = if timed { "timed" } else { "plain" };
+                for (rank, range) in answers.iter().enumerate() {
+                    let got = range.as_ref().map(|r| {
+                        (r.min_st, r.max_end, r.use_collective(CbMode::Automatic))
+                    });
+                    prop_assert_eq!(got, want, "{} on {:?}, rank {}", label, backend, rank);
+                    if timed || backend == CollBackend::Analytic {
+                        let (a, b) = (range.as_ref(), answers[0].as_ref());
+                        prop_assert!(a.zip(b).is_none_or(|(a, b)| Rc::ptr_eq(a, b)), "not shared");
+                    }
+                }
+            }
         }
     }
 

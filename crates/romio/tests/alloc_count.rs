@@ -3,15 +3,17 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates five
+//! `e10_simcore::alloc_gauge`; this test installs it and gates six
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
-//!    per-piece clone or per-collective `to_vec()` blows the ceiling),
+//!    per-round clone or per-piece copy blows the ceiling),
 //! 2. **zero marginal allocations per steady-state round**: doubling
 //!    the number of two-phase rounds must not change the allocator-call
-//!    count at all. Warm-up rounds may grow scratch buffers to their
-//!    high-water mark; after that, every round reuses them, and
+//!    count at all — without a cache, through the SSD cache and through
+//!    the hybrid cache's NVM front. Warm-up rounds may grow scratch
+//!    buffers to their high-water mark; after that, every round reuses
+//!    them, and
 //! 3. what a round may cost where it cannot be free — the same small
 //!    constant per *communicator* under the analytic collectives of
 //!    the paper-scale runs, at most a small multiple of P under the
@@ -20,7 +22,9 @@
 //!    keys would make it not: file churn on a node's volume, and a
 //!    whole open → split → write → close, and
 //! 5. what resolving the paper's hint set costs: `AdioFile::open` does
-//!    it once per rank, 512 times per collective open.
+//!    it once per rank, 512 times per collective open, and
+//! 6. that an open and close cost every rank the same whatever the
+//!    node count, and each added rank what the one before it did.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -42,13 +46,26 @@ fn install_bt_hook() {
     }
 }
 
+/// What the scenario's writes go through.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Cache {
+    Off,
+    /// The SSD block cache.
+    Ssd,
+    /// The hybrid class: every collective buffer (64 KB at most) is
+    /// small enough for the NVM front, whose two-buffer budget sends
+    /// what it cannot hold to the SSD block tier — so the sync thread
+    /// reads through both, splitting each chunk along the front map.
+    Hybrid,
+}
+
 /// A fixed 8-rank interleaved collective write; `blocks` interleaved
 /// 10 KB blocks per rank (rounds scale with it). Returns rounds.
 /// With `degraded_hints` the three degraded-mode knobs are set
 /// *explicitly at their default values* (`e10_coll_timeout = 0`,
 /// `e10_pfs_max_retries = 4`, `e10_pfs_retry_base_us = 2000`): parsing
 /// and wiring them must not wake any of the tolerance machinery.
-fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> u64 {
+fn collective_write_scenario(blocks: u64, cache: Cache, degraded_hints: bool) -> u64 {
     let timeout = degraded_hints.then_some("0");
     write_scenario(8, blocks, cache, timeout, CollBackend::Algorithmic)
 }
@@ -60,7 +77,7 @@ fn collective_write_scenario(blocks: u64, cache: bool, degraded_hints: bool) -> 
 fn write_scenario(
     procs: usize,
     blocks: u64,
-    cache: bool,
+    cache: Cache,
     coll_timeout: Option<&'static str>,
     backend: CollBackend,
 ) -> u64 {
@@ -83,7 +100,12 @@ fn write_scenario(
                         ("romio_cb_write", "enable"),
                         ("cb_buffer_size", "65536"),
                     ]);
-                    if cache {
+                    if cache == Cache::Hybrid {
+                        info.set("e10_cache_class", "hybrid");
+                        info.set("e10_nvm_threshold", "65536");
+                        info.set("e10_nvm_capacity", "131072");
+                    }
+                    if cache != Cache::Off {
                         info.set("e10_cache", "enable");
                         info.set("e10_cache_flush_flag", "flush_immediate");
                         // Streaming eviction keeps the cache-file extent
@@ -181,22 +203,25 @@ fn other_threads_do_not_leak_into_the_count() {
 fn collective_write_allocation_budget() {
     // Warm-up outside the counted window (lazy statics, first-touch
     // buffers), then the measured run.
-    collective_write_scenario(16, false, false);
-    let (n, _) = alloc_gauge::count(|| collective_write_scenario(16, false, false));
+    collective_write_scenario(16, Cache::Off, false);
+    let (n, _) = alloc_gauge::count(|| collective_write_scenario(16, Cache::Off, false));
     println!("collective_write_scenario allocator calls: {n}");
-    // Seed (pre-optimisation) count: see CHANGES.md. The ceiling is
-    // well above the optimised count; a reintroduced per-round clone
-    // or per-collective to_vec() blows well past it.
-    assert!(n < 80_000, "allocation regression: {n} allocator calls");
+    // The count is 882 (it was ≈ 80 000 before the steady-state work;
+    // CHANGES.md). The margin, 118 calls, is less than one call per
+    // rank per round (8 ranks × 20 rounds): a per-round clone or
+    // per-piece copy blows past it.
+    assert!(n <= 1_000, "allocation regression: {n} allocator calls");
 }
 
 /// The 8-rank steady-state probe: marginal allocations per collective
 /// round must be exactly zero (scratch reaches its high-water mark
-/// during warm-up rounds and is reused thereafter).
+/// during warm-up rounds and is reused thereafter) — without a cache,
+/// through the SSD cache, and through the hybrid cache's NVM front,
+/// whose sync-thread reads split every chunk along the front map.
 #[test]
 fn steady_state_rounds_allocate_nothing() {
     install_bt_hook();
-    for cache in [false, true] {
+    for cache in [Cache::Off, Cache::Ssd, Cache::Hybrid] {
         // Warm-up run (lazy statics, thread-locals).
         collective_write_scenario(16, cache, false);
         let (a1, r1) = alloc_gauge::count(|| collective_write_scenario(16, cache, false));
@@ -204,11 +229,11 @@ fn steady_state_rounds_allocate_nothing() {
         assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
         let marginal = (a2 as i64 - a1 as i64) as f64 / (r2 - r1) as f64;
         println!(
-            "cache={cache}: rounds {r1}->{r2}, allocs {a1}->{a2}, marginal {marginal:.2}/round"
+            "cache={cache:?}: rounds {r1}->{r2}, allocs {a1}->{a2}, marginal {marginal:.2}/round"
         );
         assert_eq!(
             a2, a1,
-            "steady-state rounds must not allocate (cache={cache}): \
+            "steady-state rounds must not allocate (cache={cache:?}): \
              {a1} allocs over {r1} rounds vs {a2} over {r2} ({marginal:.2}/round)"
         );
     }
@@ -221,19 +246,19 @@ fn steady_state_rounds_allocate_nothing() {
 #[test]
 fn steady_state_with_tolerance_hints_off_allocates_nothing() {
     install_bt_hook();
-    for cache in [false, true] {
+    for cache in [Cache::Off, Cache::Ssd] {
         collective_write_scenario(16, cache, true);
         let (a1, r1) = alloc_gauge::count(|| collective_write_scenario(16, cache, true));
         let (a2, r2) = alloc_gauge::count(|| collective_write_scenario(32, cache, true));
         assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
         let marginal = (a2 as i64 - a1 as i64) as f64 / (r2 - r1) as f64;
         println!(
-            "cache={cache} degraded-hints: rounds {r1}->{r2}, allocs {a1}->{a2}, \
+            "cache={cache:?} degraded-hints: rounds {r1}->{r2}, allocs {a1}->{a2}, \
              marginal {marginal:.2}/round"
         );
         assert_eq!(
             a2, a1,
-            "tolerance machinery at defaults must not allocate (cache={cache}): \
+            "tolerance machinery at defaults must not allocate (cache={cache:?}): \
              {a1} allocs over {r1} rounds vs {a2} over {r2} ({marginal:.2}/round)"
         );
     }
@@ -251,13 +276,13 @@ fn steady_state_with_tolerance_hints_off_allocates_nothing() {
 fn steady_state_rounds_allocate_a_constant_under_analytic() {
     const PER_ROUND: f64 = 4.0;
     install_bt_hook();
-    for cache in [false, true] {
+    for cache in [Cache::Off, Cache::Ssd] {
         for procs in [8, 16] {
-            let label = format!("analytic, cache={cache}");
+            let label = format!("analytic, cache={cache:?}");
             let (marginal, _) = marginal_per_round(&label, procs, |blocks| {
                 write_scenario(procs, blocks, cache, None, CollBackend::Analytic)
             });
-            assert_eq!(marginal, PER_ROUND, "cache={cache}, {procs} ranks");
+            assert_eq!(marginal, PER_ROUND, "cache={cache:?}, {procs} ranks");
         }
     }
 }
@@ -280,7 +305,13 @@ fn timed_rounds_cost_linear_in_ranks() {
     install_bt_hook();
     let marginal = |procs: usize| {
         let (marginal, extra) = marginal_per_round("timed", procs, |blocks| {
-            write_scenario(procs, blocks, false, Some("40"), CollBackend::Algorithmic)
+            write_scenario(
+                procs,
+                blocks,
+                Cache::Off,
+                Some("40"),
+                CollBackend::Algorithmic,
+            )
         });
         assert!(
             marginal <= MAX_PER_ROUND,
@@ -380,6 +411,59 @@ fn an_open_split_write_close_costs_the_same_every_time() {
     for run in 1..200 {
         assert_eq!(collective(), first, "run {run} against run 0");
     }
+}
+
+/// Allocator calls of `procs` ranks on `nodes` nodes opening a file and
+/// closing it again, under the analytic collectives of the paper-scale
+/// runs: a run with two opens and closes less the same run with one,
+/// so that what the first pays for the testbed's first use (fabric
+/// queues, communicator pools) is not counted.
+fn open_close_cost(procs: usize, nodes: usize) -> u64 {
+    use e10_mpisim::Info;
+    let run = |opens: usize| {
+        let run = || {
+            e10_simcore::run(async move {
+                let mut spec = e10_romio::TestbedSpec::small(procs, nodes);
+                spec.backend = CollBackend::Analytic;
+                let tb = spec.build();
+                let ranks = tb.ctxs().into_iter().map(|ctx| {
+                    e10_simcore::spawn(async move {
+                        for _ in 0..opens {
+                            let info = Info::from_pairs([("romio_cb_write", "enable")]);
+                            let f = e10_romio::AdioFile::open(&ctx, "/gfs/oc", &info, true)
+                                .await
+                                .unwrap();
+                            f.close().await;
+                        }
+                    })
+                });
+                e10_simcore::join_all(ranks.collect()).await;
+            })
+        };
+        alloc_gauge::count(run).0
+    };
+    run(1); // warm-up: lazy statics, thread-locals
+    run(2) - run(1)
+}
+
+/// Every rank of an open elects the aggregators, so whatever the
+/// election costs per node it costs P times: the per-node rank lists it
+/// once built were 130 allocator calls per rank-open at 64 nodes. An
+/// open + close must cost the same whether 16 ranks sit on 2 nodes or
+/// on 8, and each rank added from 8 to 16 (on 2 nodes) the same as the
+/// one before it.
+#[test]
+fn an_open_and_close_cost_the_same_per_rank_whatever_the_node_count() {
+    let (on2, on8) = (open_close_cost(16, 2), open_close_cost(16, 8));
+    println!("open+close, 16 ranks: {on2} allocator calls on 2 nodes, {on8} on 8");
+    assert_eq!(on2, on8, "the node count must not price an open");
+    let by_ranks: Vec<u64> = (8..=16).step_by(4).map(|p| open_close_cost(p, 2)).collect();
+    println!("open+close on 2 nodes, 8/12/16 ranks: {by_ranks:?}");
+    assert_eq!(
+        by_ranks[1] - by_ranks[0],
+        by_ranks[2] - by_ranks[1],
+        "a rank added must cost what the one before it did: {by_ranks:?}"
+    );
 }
 
 /// `AdioFile::open` resolves its hints once per rank — 512 times per

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Where does a repo-benchmark workload spend its host time? (ROADMAP
-# item 1; the perf recipe is llfree-rs's, see SNIPPETS.md.)
+# Where does a repo-benchmark workload spend its host time, and where
+# does it allocate? (ROADMAP item 1; the perf recipe is llfree-rs's, see
+# SNIPPETS.md.)
 #
-#   scripts/profile.sh <workload> [seconds]      # seconds: default 20
+#   scripts/profile.sh <workload> [seconds]              # seconds: default 20
+#   scripts/profile.sh --allocs N <workload> [seconds]   # allocation sites
 #
 # Runs `benchmark/run.sh --workload W --seed 0 --seconds S --trace 0`
 # (the form the benchmark driver uses, tracing off) twice: under
@@ -26,9 +28,23 @@
 # decimal return addresses per sample, the sampled pc third) for
 # inclusive questions. Each table prints its top 30 rows.
 #
-# With neither, it runs the allocation-backtrace recipe, which needs
-# no tool: one plain run of the workload for its result line (host_s,
-# allocs, peak_rss_mb), then the matching allocation gate of
+# `--allocs N` (needs `cc` and `addr2line`, with or without `perf`)
+# builds the same library to interpose `malloc` and `realloc` instead:
+# every call is counted and every N-th takes a `backtrace(3)` from
+# inside the allocator. Each sampled stack is expanded through the
+# inlining records (`addr2line -i`) and charged to its innermost frame
+# in a `crates/` source file — the counting allocator's own frame
+# excepted — and, in a second table, to that frame's caller, one
+# enclosing frame further out. The count is the whole process's — the
+# benchmark's set-up bursts and verification too, not only the
+# repetitions its `allocs` counts — and the buffer holds 65 536 stacks,
+# so pick N above calls / 65 536 (a 3 s run of `collperf_direct` makes
+# about 1.2 M calls: `--allocs 31`); the script says when it filled.
+# The dump stays in target/profile/<workload>.allocs.
+#
+# With neither tool, it runs the allocation-backtrace recipe, which
+# needs none: one plain run of the workload for its result line
+# (host_s, allocs, peak_rss_mb), then the matching allocation gate of
 # crates/romio/tests/alloc_count.rs under
 # `E10_ALLOC_BT=lo:hi RUST_BACKTRACE=1`, which prints a symbolised
 # backtrace for every counted allocator call whose ordinal falls in
@@ -39,6 +55,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+every=
+if [ "${1:-}" = --allocs ]; then
+  every=${2:-}
+  case $every in
+    '' | *[!0-9]* | 0) echo "profile.sh: --allocs takes a positive count" >&2; exit 2 ;;
+  esac
+  shift 2
+fi
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
   sed -n '2,/^set -euo/{/^set -euo/d;s/^# \{0,1\}//;p}' "$0" >&2
   exit 2
@@ -54,7 +78,7 @@ CARGO_TARGET_DIR="$target" cargo build --offline --release --quiet \
   --manifest-path benchmark/Cargo.toml
 
 out=target/profile
-if command -v perf > /dev/null; then
+if [ -z "$every" ] && command -v perf > /dev/null; then
   mkdir -p "$out"
   echo "==> perf stat -d ${run[*]}" >&2
   perf stat -d -- "${run[@]}"
@@ -69,10 +93,18 @@ if command -v cc > /dev/null && command -v addr2line > /dev/null; then
   mkdir -p "$out"
   bin="$target/release/e10-benchmark"
   pre="$out/$workload"
-  cc -O1 -shared -fPIC -DSAMPLES_OUT="\"$PWD/$pre.samples\"" -o "$out/sampler.so" -x c - << 'SAMPLER'
+  if [ -n "$every" ]; then
+    dump="$pre.allocs"
+    mode=(-DALLOC_EVERY="$every")
+  else
+    dump="$pre.samples"
+    mode=()
+  fi
+  cc -O1 -shared -fPIC -DSAMPLES_OUT="\"$PWD/$dump\"" "${mode[@]}" -o "$out/sampler.so" -x c - << 'SAMPLER'
 #define _GNU_SOURCE
 #include <execinfo.h>
 #include <signal.h>
+#include <stddef.h>
 #include <stdio.h>
 #include <sys/time.h>
 
@@ -82,6 +114,36 @@ static void *stacks[SAMPLES][DEPTH];
 static int depths[SAMPLES];
 static volatile int taken;
 
+#ifdef ALLOC_EVERY
+/* Every ALLOC_EVERY-th malloc/realloc records the stack it was called
+   from (frame 0 is the interposer). glibc's own entry points serve the
+   call, so nothing has to be looked up before the first one. */
+extern void *__libc_malloc(size_t);
+extern void *__libc_realloc(void *, size_t);
+static unsigned long calls;
+static __thread int busy;
+
+static void note(void) {
+  if (busy || __atomic_fetch_add(&calls, 1, __ATOMIC_RELAXED) % ALLOC_EVERY) return;
+  int i = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
+  if (i >= SAMPLES) return;
+  busy = 1; /* backtrace may allocate */
+  depths[i] = backtrace(stacks[i], DEPTH);
+  busy = 0;
+}
+
+void *malloc(size_t n) {
+  note();
+  return __libc_malloc(n);
+}
+
+void *realloc(void *p, size_t n) {
+  note();
+  return __libc_realloc(p, n);
+}
+
+static void every(long us) { (void)us; }
+#else
 /* Frame 0 is this handler, 1 the signal trampoline, 2 the sampled pc. */
 static void on_prof(int sig) {
   (void)sig;
@@ -95,14 +157,17 @@ static void every(long us) {
   struct itimerval it = {{0, us}, {0, us}};
   setitimer(ITIMER_PROF, &it, NULL);
 }
+#endif
 
 __attribute__((constructor)) static void start(void) {
   void *prime[2];
-  backtrace(prime, 2); /* loads the unwinder now, not inside the handler */
+  backtrace(prime, 2); /* loads the unwinder now, not inside a sample */
+#ifndef ALLOC_EVERY
   struct sigaction sa = {0};
   sa.sa_handler = on_prof;
   sa.sa_flags = SA_RESTART;
   sigaction(SIGPROF, &sa, NULL);
+#endif
   every(1000);
 }
 
@@ -110,7 +175,11 @@ __attribute__((destructor)) static void dump(void) {
   every(0);
   FILE *out = fopen(SAMPLES_OUT, "w"), *maps = fopen("/proc/self/maps", "r");
   if (!out || !maps) return;
-  for (int i = 0; i < taken; i++) {
+#ifdef ALLOC_EVERY
+  fprintf(out, "calls %lu every %d\n", calls, ALLOC_EVERY);
+#endif
+  int n = taken < SAMPLES ? taken : SAMPLES;
+  for (int i = 0; i < n; i++) {
     for (int d = 0; d < depths[i]; d++) fprintf(out, "%lu ", (unsigned long)stacks[i][d]);
     fputc('\n', out);
   }
@@ -126,7 +195,7 @@ SAMPLER
   # (mawk reads no hex); an object's base is where its first mapping
   # starts.
   prev=
-  sed '1,/^maps$/d' "$pre.samples" | while read -r range perms _ _ _ object; do
+  sed '1,/^maps$/d' "$dump" | while read -r range perms _ _ _ object; do
     [ -n "$object" ] || continue
     if [ "$object" != "$prev" ]; then
       prev=$object
@@ -136,6 +205,80 @@ SAMPLER
       *x*) echo "$((16#${range%-*})) $((16#${range#*-})) $base $object" ;;
     esac
   done > "$pre.maps"
+
+  if [ -n "$every" ]; then
+    # Every frame of every sampled stack that lies in the binary, as
+    # "sample address-in-binary", innermost first; a return address
+    # less one, so that it resolves to the call and not to what
+    # follows it.
+    sed '1d;/^maps$/,$d' "$dump" | awk -v maps="$pre.maps" -v bin="$bin" '
+      BEGIN {
+        while ((getline line < maps) > 0) {
+          split(line, m, " ")
+          if (m[4] == bin) { n++; lo[n] = m[1]; hi[n] = m[2]; base[n] = m[3] }
+        }
+      }
+      {
+        for (f = 2; f <= NF; f++)
+          for (i = 1; i <= n; i++)
+            if ($f >= lo[i] && $f < hi[i]) { printf "%d %x\n", NR, $f - base[i] - 1; break }
+      }' > "$pre.frames"
+    sampled=$(sed '1d;/^maps$/,$d' "$dump" | wc -l)
+    read -r _ calls _ _ < "$dump"
+
+    # Each address's inlining chain, innermost first:
+    # "address<TAB>function<TAB>file:line", one line per frame.
+    awk '{ print $2 }' "$pre.frames" | sort -u | sed 's/^/0x/' > "$pre.addrs"
+    addr2line -a -i -f -C -e "$bin" < "$pre.addrs" | awk '
+      /^0x/ { addr = $0; sub(/^0x0*/, "", addr); fn = ""; next }
+      fn == "" { fn = $0; next }
+      {
+        file = $0
+        sub(/ \(discriminator [0-9]+\)$/, "", file)
+        sub(/^.*\/crates\//, "crates/", file)
+        sub(/^\/rustc\/[0-9a-f]+\//, "", file)
+        printf "%s\t%s\t%s\n", addr, fn, file
+        fn = ""
+      }' > "$pre.chains"
+
+    # col 1: the innermost crates/ frame of each sample; col 2: the
+    # frame that encloses it.
+    report() {
+      awk -F '\t' -v col="$1" -v total="$sampled" '
+        FNR == NR { k = ++len[$1]; fn[$1, k] = $2; at[$1, k] = $3; next }
+        function close_sample() {
+          if (sample == "") return
+          key = "[no crates/ frame]"
+          for (i = 1; i <= depth; i++) {
+            if (cf[i] ~ /^crates\// && cf[i] !~ /alloc_gauge\.rs/) {
+              j = i + col - 1
+              key = j <= depth ? cn[j] "  " cf[j] : "[outermost frame]"
+              break
+            }
+          }
+          count[key]++
+          depth = 0
+        }
+        {
+          split($0, s, " ")
+          if (s[1] != sample) { close_sample(); sample = s[1] }
+          for (k = 1; k <= len[s[2]]; k++) { depth++; cn[depth] = fn[s[2], k]; cf[depth] = at[s[2], k] }
+        }
+        END {
+          close_sample()
+          for (k in count) printf "%6.2f%%  %s\n", 100 * count[k] / total, k
+        }' "$pre.chains" "$pre.frames" | sort -rn | head -n 30
+    }
+    if [ "$sampled" -ge 65536 ]; then
+      echo "profile.sh: the buffer filled after $((65536 * every)) of $calls calls;" \
+        "the tables cover those only (raise N)" >&2
+    fi
+    echo "==> $sampled stacks, one per $every of $calls allocator calls: by innermost crates/ frame"
+    report 1
+    echo "==> by the frame that encloses it"
+    report 2
+    exit 0
+  fi
 
   # The sampled pc of every sample as "object address-in-object".
   sed '/^maps$/,$d' "$pre.samples" | awk -v maps="$pre.maps" '
@@ -181,6 +324,10 @@ SAMPLER
   exit 0
 fi
 
+if [ -n "$every" ]; then
+  echo "profile.sh: --allocs needs \`cc\` and \`addr2line\`" >&2
+  exit 2
+fi
 echo "profile.sh: no \`perf\` and no \`cc\` + \`addr2line\` on this host: the" >&2
 echo "  allocation-backtrace recipe (E10_ALLOC_BT=lo:hi RUST_BACKTRACE=1)." >&2
 echo "==> ${run[*]}" >&2
