@@ -3,7 +3,7 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates six
+//! `e10_simcore::alloc_gauge`; this test installs it and gates seven
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
@@ -24,7 +24,9 @@
 //! 5. what resolving the paper's hint set costs: `AdioFile::open` does
 //!    it once per rank, 512 times per collective open, and
 //! 6. that an open and close cost every rank the same whatever the
-//!    node count, and each added rank what the one before it did.
+//!    node count, and each added rank what the one before it did, and
+//! 7. what a collective-read round costs, from the global file and from
+//!    the aggregators' caches — pinned, not zero.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -168,6 +170,90 @@ fn marginal_per_round(label: &str, procs: usize, run: impl Fn(u64) -> u64) -> (f
          marginal {marginal:.2}/round"
     );
     (marginal, r2 - r1)
+}
+
+/// 8 ranks on 4 nodes write `blocks` interleaved 10 KB blocks each
+/// collectively and sync them; with `read`, they then read the same
+/// view back collectively in 64 KB rounds — from the global file, or
+/// with `cache_read` from the aggregators' caches (`e10_cache_read =
+/// enable`, whose file domains match the write's). Returns the read's
+/// rounds.
+fn read_scenario(blocks: u64, cache_read: bool, read: bool) -> u64 {
+    use e10_mpisim::{FileView, FlatType, Info};
+    use std::cell::Cell;
+    use std::rc::Rc;
+    let rounds = Rc::new(Cell::new(0u64));
+    let rounds2 = Rc::clone(&rounds);
+    e10_simcore::run(async move {
+        let tb = e10_romio::TestbedSpec::small(8, 4).build();
+        let ranks = tb.ctxs().into_iter().map(|ctx| {
+            let rounds = Rc::clone(&rounds2);
+            e10_simcore::spawn(async move {
+                let info = Info::from_pairs([
+                    ("romio_cb_write", "enable"),
+                    ("romio_cb_read", "enable"),
+                    ("cb_buffer_size", "65536"),
+                    ("striping_unit", "65536"),
+                ]);
+                if cache_read {
+                    info.set("e10_cache", "enable");
+                    info.set("e10_cache_read", "enable");
+                }
+                let f = e10_romio::AdioFile::open(&ctx, "/gfs/readalloc", &info, true)
+                    .await
+                    .unwrap();
+                let rank = ctx.comm.rank() as u64;
+                let blocks = (0..blocks).map(|i| ((i * 8 + rank) * 10_000, 10_000));
+                let view = FileView::new(&FlatType::indexed(blocks.collect()), 0);
+                let data = e10_romio::DataSpec::FileGen { seed: 78 };
+                let w = e10_romio::write_at_all(&f, &view, &data).await;
+                assert_eq!(w.error_code, 0);
+                f.file_sync().await;
+                if read {
+                    let r = e10_romio::read_at_all(&f, &view).await;
+                    assert_eq!((r.error_code, r.bytes), (0, view.total_bytes()));
+                    assert_eq!(r.cache_hits > 0, cache_read && f.my_agg_index().is_some());
+                    rounds.set(r.rounds);
+                }
+                f.close().await;
+            })
+        });
+        e10_simcore::join_all(ranks.collect()).await;
+    });
+    rounds.get()
+}
+
+/// What a collective-read round costs at 8 ranks on 4 aggregators, from
+/// the global file and from the aggregators' caches: `GLOBAL` = 111.8
+/// and `CACHED` = 76.2 allocator calls per extra round, measured as the
+/// read's share of a write-sync-read run (the run less the same run
+/// without the read) at 5 and at 10 rounds. Unlike a write round, a
+/// read round is not free — an aggregator gathers what it read into a
+/// fresh extent map, the global file hands back a fresh piece list per
+/// run, and every lookup answering a request builds one more — but its
+/// cost is pinned exactly, at what it was when the read still ran a
+/// round loop of its own.
+#[test]
+fn read_rounds_cost_what_they_did() {
+    const GLOBAL: f64 = 111.8;
+    const CACHED: f64 = 76.2;
+    install_bt_hook();
+    for (cache_read, want) in [(false, GLOBAL), (true, CACHED)] {
+        let read_cost = |blocks| {
+            let (with, rounds) = alloc_gauge::count(|| read_scenario(blocks, cache_read, true));
+            let (without, _) = alloc_gauge::count(|| read_scenario(blocks, cache_read, false));
+            (with - without, rounds)
+        };
+        read_scenario(16, cache_read, true); // warm-up: lazy statics, thread-locals
+        let ((a1, r1), (a2, r2)) = (read_cost(16), read_cost(32));
+        assert!(r2 > r1, "round doubling failed: {r1} vs {r2}");
+        let marginal = (a2 as f64 - a1 as f64) / (r2 - r1) as f64;
+        println!(
+            "read, cache_read={cache_read}: rounds {r1}->{r2}, allocs {a1}->{a2}, \
+             marginal {marginal:.2}/round"
+        );
+        assert_eq!(marginal, want, "cache_read={cache_read}");
+    }
 }
 
 /// The gauge is per-thread: a window on this thread must not see what

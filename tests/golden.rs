@@ -6,12 +6,14 @@
 //! * `results/tables.txt` is pure hint resolution — no simulation, no
 //!   floats — so it is pinned byte-for-byte against the shared
 //!   renderer in [`e10_bench::tables`].
-//! * `results/fig4_test.json` is a Test-scale run of the Fig. 4 sweep.
-//!   Its numbers are `f64`s produced by the simulation; the comparison
-//!   goes through [`Json::parse`] and [`Json::approx_eq`] with a
-//!   relative tolerance, *not* float string equality, so a future
-//!   change that merely reassociates an addition fails loudly only if
-//!   it moves a figure beyond 1e-9.
+//! * `results/fig4_test.json` is a Test-scale run of the Fig. 4 sweep,
+//!   and `results/ext_cache_read_test.json` one of the cache-read
+//!   extension (the collective read, from the global file system and
+//!   from the aggregators' caches). Their numbers are `f64`s produced
+//!   by the simulation; the comparison goes through [`Json::parse`] and
+//!   [`Json::approx_eq`] with a relative tolerance, *not* float string
+//!   equality, so a future change that merely reassociates an addition
+//!   fails loudly only if it moves a figure beyond 1e-9.
 //!
 //! When a change intentionally shifts these outputs, regenerate them:
 //!
@@ -19,12 +21,15 @@
 //! cargo run -p e10-bench --bin tables > results/tables.txt
 //! E10_SCALE=test cargo run -p e10-bench --bin fig4_collperf_bw -- --json \
 //!     2>/dev/null > results/fig4_test.json
+//! E10_SCALE=test cargo run -p e10-bench --bin ext_cache_read -- --json \
+//!     2>/dev/null > results/ext_cache_read_test.json
 //! ```
 
 use e10_bench::{figure_json, run_full_sweep_on, Case, Json, Scale};
 
 const TABLES_TXT: &str = include_str!("../results/tables.txt");
 const FIG4_TEST_JSON: &str = include_str!("../results/fig4_test.json");
+const EXT_CACHE_READ_TEST_JSON: &str = include_str!("../results/ext_cache_read_test.json");
 
 #[test]
 fn tables_txt_matches_committed_golden() {
@@ -90,6 +95,19 @@ fn fig4_test_scale_sweep_matches_committed_artifact() {
     assert!(
         fresh.approx_eq(&committed, 1e-9),
         "Fig. 4 Test-scale figures drifted from results/fig4_test.json \
+         beyond 1e-9 relative tolerance:\n fresh: {}\n golden: {}",
+        fresh.render(),
+        committed.render()
+    );
+}
+
+#[test]
+fn ext_cache_read_test_scale_matches_committed_artifact() {
+    let committed = Json::parse(EXT_CACHE_READ_TEST_JSON).expect("committed artifact must parse");
+    let fresh = e10_bench::cache_read_json(Scale::Test, &e10_bench::cache_read_rows(Scale::Test));
+    assert!(
+        fresh.approx_eq(&committed, 1e-9),
+        "cache-read Test-scale figures drifted from results/ext_cache_read_test.json \
          beyond 1e-9 relative tolerance:\n fresh: {}\n golden: {}",
         fresh.render(),
         committed.render()

@@ -761,7 +761,11 @@ fn promoted_seed_file_domains_stripe_aligned_interior_boundaries() {
 /// (`run_perturbed`: tasks runnable at one instant and events due at
 /// one instant delivered in a seeded random order): virtual times may
 /// move, the file may not — eight ranks, cache off and on, write the
-/// generator's bytes under every seed.
+/// generator's bytes under every seed. And the collective read, which
+/// runs the same round loop the other way, reads them back: after a
+/// sync every rank's read of its own view returns the generator's
+/// bytes, tiling its buffer exactly — from the global file, and on the
+/// cache arm from the aggregators' caches (`e10_cache_read`).
 #[test]
 fn three_algorithms_write_identical_files_under_perturbed_schedules() {
     let total = 150_000u64;
@@ -782,6 +786,7 @@ fn three_algorithms_write_identical_files_under_perturbed_schedules() {
                         e10_simcore::spawn(async move {
                             let info = Info::from_pairs([
                                 ("romio_cb_write", "enable"),
+                                ("romio_cb_read", "enable"),
                                 ("striping_unit", "8192"),
                                 ("cb_buffer_size", "8192"),
                                 ("e10_two_phase", algo),
@@ -789,12 +794,24 @@ fn three_algorithms_write_identical_files_under_perturbed_schedules() {
                             if cache {
                                 info.set("e10_cache", "enable");
                                 info.set("e10_cache_discard_flag", "enable");
+                                info.set("e10_cache_read", "enable");
                             }
                             let f = AdioFile::open(&ctx, "/gfs/perturbed", &info, true)
                                 .await
                                 .unwrap();
                             let view = FileView::new(&FlatType::indexed(blocks), 0);
                             write_at_all(&f, &view, &DataSpec::FileGen { seed: 91 }).await;
+                            f.file_sync().await;
+                            let r = e10_repro::romio::read_at_all(&f, &view).await;
+                            let at = format!("{algo}, cache {cache}, perturbation seed {seed}");
+                            r.verify_gen(91)
+                                .unwrap_or_else(|e| panic!("{at}: wrong bytes read: {e}"));
+                            let mut pos = 0;
+                            for p in &r.pieces {
+                                assert_eq!(p.buf_off, pos, "{at}: buffer not tiled");
+                                pos += p.payload.len;
+                            }
+                            assert_eq!(pos, view.total_bytes(), "{at}: buffer not tiled");
                             f.close().await;
                             f.global().extents().clone()
                         })
