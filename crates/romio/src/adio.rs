@@ -291,6 +291,22 @@ impl AdioFile {
         }
     }
 
+    /// `outcome`'s value, or `None` if it failed: the error is then
+    /// recorded as by [`AdioFile::record_io_error`] and `*code` — the
+    /// error code a collective exchanges — set to 1.
+    pub(crate) fn io_ok<T>(
+        &self,
+        outcome: Result<T, impl Into<Error>>,
+        code: &mut u32,
+    ) -> Option<T> {
+        outcome
+            .map_err(|e| {
+                *code = 1;
+                self.record_io_error(e.into());
+            })
+            .ok()
+    }
+
     /// True if an I/O error has been recorded and not yet taken.
     pub fn has_io_error(&self) -> bool {
         self.state.io_error.borrow().is_some()

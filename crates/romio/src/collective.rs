@@ -1,6 +1,7 @@
-//! The two-phase collective write
+//! The two-phase collective engine: the collective write
 //! (`ADIOI_GEN_WriteStridedColl` → `ADIOI_Exch_and_write` →
-//! `ADIOI_W_Exchange_data`, Fig. 2 of the paper).
+//! `ADIOI_W_Exchange_data`, Fig. 2 of the paper) and, run the other
+//! way, the collective read (`ADIOI_GEN_ReadStridedColl`).
 //!
 //! Steps (paper §II-A):
 //!
@@ -17,8 +18,8 @@
 //!    "post_write" global synchronisation, bottlenecked by the slowest
 //!    writer.
 //!
-//! There is one implementation of these steps, [`two_phase_write`],
-//! with two orthogonal parameters:
+//! There is one round loop, [`two_phase_rounds`], with three
+//! orthogonal parameters:
 //!
 //! * the `e10_two_phase` hint ([`TwoPhaseAlgo`]) sizes the rounds and
 //!   selects the optional pre-stage: `stock` buffers an entire file
@@ -32,13 +33,14 @@
 //!   points where a crash-tolerant collective must differ from a plain
 //!   one. [`Plain`] (this module) is stock MPI; `Timed`
 //!   ([`crate::tolerant`], selected by `e10_coll_timeout > 0`) bounds
-//!   every wait and can abort the attempt.
-//!
-//! The collective read ([`crate::collective_read`]) keeps its own
-//! round body (request → read → reply) but takes the offset exchange,
-//! the collective-vs-independent decision, the file domains, the size
-//! exchange and the per-rank round schedule ([`WindowCursors`]) from
-//! here.
+//!   every wait and can abort the attempt;
+//! * a [`Direction`] decides *which way the data moves* at the five
+//!   points where a read differs from a write. [`Writing`] (this
+//!   module, [`two_phase_write`]) ships data to the aggregators, which
+//!   assemble and write it; `Reading` ([`crate::collective_read`],
+//!   [`read_at_all`]) ships requests, which the aggregators read and
+//!   answer. A read always runs [`Plain`] with `cb_buffer_size`
+//!   rounds.
 
 use std::cell::OnceCell;
 use std::cmp::Reverse;
@@ -52,6 +54,7 @@ use e10_simcore::trace::counter;
 use e10_storesim::Payload;
 
 use crate::adio::{AdioFile, DataSpec};
+use crate::collective_read::{independent_read, ReadAllResult, Reading};
 use crate::fd::FileDomains;
 use crate::hints::{CbMode, TwoPhaseAlgo};
 use crate::node_agg::{gather_to_leader, stage_into_cache};
@@ -99,7 +102,7 @@ pub struct WriteAllResult {
 /// How the ranks of a collective coordinate: the five points where the
 /// crash-tolerant write differs from the plain one. Everything else —
 /// window maths, shuffle sends, counters, assembly, the write itself —
-/// is [`two_phase_write`], once. A transport is built for one
+/// is [`two_phase_write`] and its [`Direction`], once. A transport is built for one
 /// collective on one communicator (`fd.comm`) and every step runs
 /// there, so whatever a step learns about a peer it learns on the
 /// communicator the next step — and the caller — will use.
@@ -129,20 +132,21 @@ pub(crate) trait Transport {
         recvs: &mut Vec<(usize, u64)>,
     ) -> Result<(), Self::Abort>;
 
-    /// 3. One piece list from each rank of `srcs`, handed to `got` in
-    ///    `srcs` order. The one step that also serves the pre-stage,
-    ///    so it names where the lists travel: `on` is the transport's
-    ///    own communicator, or (only ever under [`Plain`], which
-    ///    learns nothing from a receive) this rank's node communicator.
-    ///    `pending` is request storage the caller keeps across calls
-    ///    and gets back empty, so steady-state rounds allocate nothing.
-    async fn recv_each(
+    /// 3. One list from each rank of `srcs`, handed to `got` with its
+    ///    source in `srcs` order. The one step that also serves the
+    ///    pre-stage and a read's replies, so it names where the lists
+    ///    travel: `on` is the transport's own communicator, or (only
+    ///    ever under [`Plain`], which learns nothing from a receive)
+    ///    this rank's node communicator. `pending` is request storage
+    ///    the caller keeps across calls and gets back empty, so
+    ///    steady-state rounds allocate nothing.
+    async fn recv_each<P: 'static>(
         &mut self,
         on: &Comm,
         srcs: impl Iterator<Item = usize>,
         tag: Tag,
         pending: &mut Vec<Request>,
-        got: impl FnMut(Vec<(u64, Payload)>),
+        got: impl FnMut(usize, Vec<P>),
     );
 
     /// True once a receive of step 3 came up empty: whatever this
@@ -196,18 +200,18 @@ impl Transport for Plain<'_> {
         Ok(())
     }
 
-    async fn recv_each(
+    async fn recv_each<P: 'static>(
         &mut self,
         on: &Comm,
         srcs: impl Iterator<Item = usize>,
         tag: Tag,
         pending: &mut Vec<Request>,
-        mut got: impl FnMut(Vec<(u64, Payload)>),
+        mut got: impl FnMut(usize, Vec<P>),
     ) {
         pending.extend(srcs.map(|src| on.irecv(SourceSel::Rank(src), tag)));
         for r in pending.drain(..) {
             if let Some(m) = r.wait().await {
-                got(m.into_data());
+                got(m.src, m.into_data());
             }
         }
     }
@@ -227,37 +231,63 @@ impl Transport for Plain<'_> {
     }
 }
 
-/// A maximal contiguous group of shuffled pieces in an aggregator's
-/// collective buffer. Test-only oracle: the round engine detects runs
-/// inline over its sorted scratch buffer without building them.
-#[cfg(test)]
-pub(crate) struct Run {
-    pub(crate) start: u64,
-    pub(crate) end: u64,
-    pub(crate) pieces: Vec<(u64, Payload)>,
-}
+/// Which way a collective moves data: the five points where a read
+/// differs from a write. Everything else — the round schedule, the size
+/// exchange, shipping the lists, receiving them through the transport,
+/// the settle and the finish — is [`two_phase_rounds`], once; it never
+/// asks which direction it runs. Steps 4 and 5 default to the write's.
+///
+/// | point | [`Writing`] | `Reading` ([`crate::collective_read`]) |
+/// |---|---|---|
+/// | 1. list element ([`Direction::Piece`]) | `(offset, Payload)`: data | `(offset, len, buf_off)`: a request |
+/// | 2. list wire size ([`Direction::wire_bytes`]) | payload + 32 + 16 per piece, in `coll.shuffle.*` | 32 + 24 per piece, uncounted |
+/// | 3. the aggregator's part ([`Direction::keep_own`], [`Direction::keep`], [`Direction::serve`]) | assemble, write | read the union, answer each source |
+/// | 4. reply leg ([`Direction::reply`]) | none | receive the answers |
+/// | 5. list sends awaited ([`Direction::lists_sent`]) | before serving | after the answers |
+pub(crate) trait Direction {
+    /// 1. An element of the list a rank sends an aggregator, on the
+    ///    `LIST_TAGS` tag range; `piece_len` is the bytes it stands for
+    ///    in the size exchange.
+    type Piece: 'static;
+    const LIST_TAGS: Tag;
+    fn piece_len(piece: &Self::Piece) -> u64;
 
-/// Coalesce sorted pieces into contiguous runs (test-only oracle for
-/// the engine's inline run detection).
-#[cfg(test)]
-pub(crate) fn coalesce_runs(mut pieces: Vec<(u64, Payload)>) -> Vec<Run> {
-    pieces.sort_by_key(|&(off, _)| off);
-    let mut runs: Vec<Run> = Vec::with_capacity(pieces.len());
-    for (off, p) in pieces {
-        let end = off + p.len;
-        match runs.last_mut() {
-            Some(r) if off <= r.end => {
-                r.end = r.end.max(end);
-                r.pieces.push((off, p));
-            }
-            _ => runs.push(Run {
-                start: off,
-                end,
-                pieces: vec![(off, p)],
-            }),
+    /// 2. The wire size of `list` on its way to another rank (`remote`:
+    ///    on another node), its pieces standing for `provenance`.
+    fn wire_bytes(list: &[Self::Piece], remote: bool, provenance: Provenance) -> u64;
+
+    /// 3. Take delivery of this rank's own list, leaving `list` empty
+    ///    (its capacity stays with the caller), or of the one `src`
+    ///    sent; then, on an aggregator whose round is not doomed, serve
+    ///    what `round` delivered, keeping nothing. `serve` returns this
+    ///    rank's error code.
+    fn keep_own(&mut self, fd: &AdioFile, list: &mut Vec<Self::Piece>);
+    fn keep(&mut self, fd: &AdioFile, src: usize, list: Vec<Self::Piece>);
+    async fn serve(&mut self, fd: &AdioFile, round: u64) -> u32;
+
+    /// 4. After the serve, whatever `round` sends back from the ranks
+    ///    `asked` (the list destinations), received through `t` with
+    ///    `pending` as request storage; `sends` holds the list sends
+    ///    step 5 left.
+    async fn reply<T: Transport>(
+        &mut self,
+        _fd: &AdioFile,
+        _t: &mut T,
+        _round: u64,
+        _asked: impl Iterator<Item = usize>,
+        _pending: &mut Vec<Request>,
+        _sends: &mut Vec<Request>,
+    ) {
+    }
+
+    /// 5. Once this rank's lists are in: await its list `sends` (they
+    ///    complete on arrival whatever the receiver's fate), or leave
+    ///    them to step 4.
+    async fn lists_sent(&mut self, sends: &mut Vec<Request>) {
+        for r in sends.drain(..) {
+            r.wait().await;
         }
     }
-    runs
 }
 
 /// Merge adjacent pieces whose sources continue each other, so one
@@ -289,16 +319,6 @@ pub(crate) struct Provenance {
     pub(crate) msgs: u64,
     /// Piece count before intra-node merging.
     pub(crate) pieces: u64,
-}
-
-impl Provenance {
-    /// A contribution that stands for itself (no pre-aggregation).
-    pub(crate) fn plain(npieces: u64) -> Provenance {
-        Provenance {
-            msgs: u64::from(npieces > 0),
-            pieces: npieces,
-        }
-    }
 }
 
 /// What the offset exchange established about the collective's access
@@ -462,13 +482,21 @@ impl<'v> WindowCursors<'v> {
         }
     }
 
-    /// Visit, aggregators ascending, every aggregator whose window of
-    /// `round` holds pieces of the view, handing `f` the aggregator and
-    /// each piece in order, clipped to the window — the non-empty
+    /// The rank's own contribution to `round`: for every aggregator `a`
+    /// whose window of `round` holds pieces of the view, aggregators
+    /// ascending, `piece(vp)` of each such piece in order, clipped to
+    /// the window, into `lists[a]` (empty on entry) — the non-empty
     /// answers [`FileView::pieces_in_window`] gives for the round's
-    /// windows. Rounds must be visited in order; a round with nothing
-    /// in it costs one look at the schedule.
-    pub(crate) fn for_each_piece(&mut self, round: u64, mut f: impl FnMut(usize, ViewPiece)) {
+    /// windows — and `a` into `touched`, standing for itself. Rounds
+    /// must be visited in order; a round with nothing in it costs one
+    /// look at the schedule.
+    pub(crate) fn fill<P>(
+        &mut self,
+        round: u64,
+        lists: &mut [Vec<P>],
+        touched: &mut Touched,
+        mut piece: impl FnMut(ViewPiece) -> P,
+    ) {
         while let Some(&Reverse((due, a, mut i))) = self.due.peek() {
             debug_assert!(due >= round, "rounds must be visited in order");
             if due != round {
@@ -479,19 +507,20 @@ impl<'v> WindowCursors<'v> {
             while let Some(p) = self.pieces.get(i).filter(|p| p.file_off < we) {
                 // It ends past `ws`: that is where the cursor stands.
                 let (s, end) = (p.file_off.max(ws), p.file_off + p.len);
-                f(
-                    a,
-                    ViewPiece {
-                        file_off: s,
-                        len: end.min(we) - s,
-                        buf_off: p.buf_off + (s - p.file_off),
-                    },
-                );
+                let buf_off = p.buf_off + (s - p.file_off);
+                let len = end.min(we) - s;
+                lists[a].push(piece(ViewPiece {
+                    file_off: s,
+                    len,
+                    buf_off,
+                }));
                 if end > we {
                     break; // the rest of it is the next window's
                 }
                 i += 1;
             }
+            let pieces = lists[a].len() as u64;
+            touched.push((a, Provenance { msgs: 1, pieces }));
             self.schedule(a, i, we);
         }
     }
@@ -525,18 +554,11 @@ pub(crate) async fn two_phase_write<T: Transport>(
     gather_comm: impl Future<Output = Comm>,
 ) -> Result<WriteAllResult, T::Abort> {
     let my_bytes = view.total_bytes();
-    let Some(range) = exchange_ranges(fd, view, t).await? else {
-        // Nobody wrote anything.
-        return Ok(WriteAllResult {
-            bytes: 0,
-            rounds: 0,
-            used_collective: false,
-            error_code: 0,
-        });
-    };
-    if !range.use_collective(fd.hints().cb_write) {
-        // Independent strided writes involve no peer communication, so
-        // no transport is needed (and no later death can stall them).
+    let range = exchange_ranges(fd, view, t).await?;
+    let Some(range) = range.filter(|r| r.use_collective(fd.hints().cb_write)) else {
+        // Independent strided writes (of nothing, if nobody writes a
+        // byte) involve no peer communication, so no transport is
+        // needed (and no later death can stall them).
         let (bytes, error_code) = crate::sieve::write_strided(fd, view, data).await;
         return Ok(WriteAllResult {
             bytes,
@@ -544,7 +566,7 @@ pub(crate) async fn two_phase_write<T: Transport>(
             used_collective: false,
             error_code,
         });
-    }
+    };
 
     // Optional pre-stage: aggregate this node's requests at the node
     // leader. Afterwards only leaders contribute pieces to the
@@ -585,19 +607,13 @@ pub(crate) async fn two_phase_write<T: Transport>(
                 }
             }
         }
-        (None, Some(cursors)) => {
-            cursors.for_each_piece(round, |a, vp| {
-                bufs[a].push((vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)));
-                // An aggregator's pieces come in one go.
-                match touched.last_mut() {
-                    Some((last, provenance)) if *last == a => provenance.pieces += 1,
-                    _ => touched.push((a, Provenance::plain(1))),
-                }
-            });
-        }
+        (None, Some(cursors)) => cursors.fill(round, bufs, touched, |vp| {
+            (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len))
+        }),
         (None, None) => {}
     };
-    let error_code = exchange_and_write(fd, t, ntimes, contribution).await?;
+    let writing = &mut Writing::default();
+    let error_code = two_phase_rounds(fd, t, writing, ntimes, contribution).await?;
     Ok(WriteAllResult {
         bytes: my_bytes,
         rounds: ntimes,
@@ -606,86 +622,93 @@ pub(crate) async fn two_phase_write<T: Transport>(
     })
 }
 
+/// `MPI_File_read_all`: collective read of this rank's `view` — the
+/// write's rounds run the other way, always under [`Plain`] with
+/// `cb_buffer_size` rounds.
+pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
+    let t = &mut Plain::new(fd);
+    let Ok(range) = exchange_ranges(fd, view, t).await;
+    let Some(range) = range.filter(|r| r.use_collective(fd.hints().cb_read)) else {
+        return independent_read(fd, view).await;
+    };
+    let (fds, cb, ntimes) = compute_domains(fd, &range, TwoPhaseAlgo::Extended);
+    let mut cursors = WindowCursors::new(view, fds, cb);
+    let mut reading = Reading::default();
+    let contribution = |round, lists: &mut [Vec<_>], touched: &mut Touched| {
+        cursors.fill(round, lists, touched, |vp| {
+            (vp.file_off, vp.len, vp.buf_off)
+        });
+    };
+    let Ok(error_code) = two_phase_rounds(fd, t, &mut reading, ntimes, contribution).await;
+    reading.finish(ntimes, error_code)
+}
+
 /// The aggregators (by index) a round's contribution is non-empty for,
 /// ascending, each with its provenance.
-type Touched = Vec<(usize, Provenance)>;
+pub(crate) type Touched = Vec<(usize, Provenance)>;
 
-/// Steps 3–5, the round loop: per-round size exchange, point-to-point
-/// data shuffle, collective-buffer assembly and write, a settle per
-/// round, then the finish. `contribution(round, bufs, touched)` fills
-/// `bufs[a]` — empty on entry — with what this rank sends into
-/// aggregator `a`'s window of `round` — `(file_offset, payload)` pieces
-/// sorted by offset: the rank's own, the node-merged request list on a
-/// node leader, nothing on the ranks it speaks for — and lists in
-/// `touched` every aggregator it filled, ascending, with the
-/// contribution's pre-aggregation provenance. It is called once per
-/// round, rounds in order. Returns the global error code.
+/// Steps 3–5, the round loop, moving data in direction `dir`: per-round
+/// size exchange, the lists out to the aggregators, their serve and the
+/// reply leg, a settle per round, then the finish; returns the global
+/// error code. `contribution(round, lists, touched)` fills `lists[a]` —
+/// empty on entry — with what this rank lists for aggregator `a`'s
+/// window of `round`, sorted by offset (a write's own pieces, the
+/// node-merged list on a node leader, nothing on the ranks it speaks
+/// for; a read's requests), and lists every aggregator it filled in
+/// `touched`, ascending, with its provenance. It is called once per
+/// round, rounds in order.
 ///
-/// A round costs what the rank sends and receives, and a rank with
-/// neither a constant: the contribution consults a schedule instead of
-/// trying every aggregator, the size exchange is sparse, the shuffle
-/// visits only the aggregators touched and the sources heard from.
-/// Steady-state rounds are allocation-free under [`Plain`] over
-/// algorithmic collectives and cost the communicator — not each rank —
-/// a small constant over analytic ones (`e10-romio`'s `alloc_count`
-/// test asserts both): every per-round buffer is hoisted scratch that
-/// reaches its high-water capacity in the first rounds (one
-/// contribution buffer per aggregator, refilled in place), shuffled
-/// payload vectors circulate through the communicator's recycling pool
-/// ([`e10_mpisim::Comm::send_buf`]), and assembly sorts/merges in place
-/// instead of building run structures.
-async fn exchange_and_write<T, S>(
+/// A round costs what the rank sends and receives: the contribution
+/// consults a schedule, the size exchange is sparse, lists go only to
+/// the aggregators touched and come only from the sources heard from.
+/// Per-round buffers — here and in `dir` — are hoisted scratch, and
+/// shipped lists circulate through the communicator's recycling pool
+/// ([`e10_mpisim::Comm::send_buf`]), so a steady-state write round
+/// allocates nothing under [`Plain`] over algorithmic collectives and
+/// costs the communicator a small constant over analytic ones
+/// (`e10-romio`'s `alloc_count` test asserts both, and pins what a read
+/// round costs).
+async fn two_phase_rounds<T, D, S>(
     fd: &AdioFile,
     t: &mut T,
+    dir: &mut D,
     ntimes: u64,
     mut contribution: S,
 ) -> Result<u32, T::Abort>
 where
     T: Transport,
-    S: FnMut(u64, &mut [Vec<(u64, Payload)>], &mut Touched),
+    D: Direction,
+    S: FnMut(u64, &mut [Vec<D::Piece>], &mut Touched),
 {
     let comm = fd.comm.clone();
     let prof = fd.profiler().clone();
-    let me = comm.rank();
-    let my_node = comm.node();
-    // Borrow the aggregator set for the whole collective — the
-    // historical per-call `to_vec()` cost one Vec per collective and
-    // carried no exclusivity the slice doesn't.
+    let (me, my_node) = (comm.rank(), comm.node());
+    // Borrow the aggregator set for the whole collective.
     let aggregators: &[usize] = fd.aggregators();
-    let naggs = aggregators.len();
     let my_agg = fd.my_agg_index();
-    let net = comm.network();
     let mut local_err: u32 = 0;
 
     // Per-round scratch, allocated once and reused across rounds.
-    let mut agg_bufs: Vec<Vec<(u64, Payload)>> = (0..naggs).map(|_| Vec::new()).collect();
-    // The shuffle drains exactly the touched buffers, so every buffer
-    // is empty again when the next round fills it.
+    let mut lists: Vec<Vec<D::Piece>> = aggregators.iter().map(|_| Vec::new()).collect();
+    // Shipping drains exactly the touched lists, so every list is
+    // empty again when the next round fills it.
     let mut touched: Touched = Vec::new();
-    // The size exchange: what this rank sends each touched aggregator,
-    // `(rank, bytes)`, and what each source sends it — room for every
-    // rank on an aggregator, nothing elsewhere.
+    // The size exchange: what this rank lists for each touched
+    // aggregator, `(rank, bytes)`, and what each source lists for it —
+    // room for every rank on an aggregator, nothing elsewhere.
     let mut sends: Vec<(usize, u64)> = Vec::new();
     let mut recvs: Vec<(usize, u64)> = Vec::with_capacity(my_agg.map_or(0, |_| comm.size()));
     let mut sreqs: Vec<Request> = Vec::new();
     let mut rreqs: Vec<Request> = Vec::new();
-    let mut recvd: Vec<(u64, Payload)> = Vec::new();
-    // Assembly scratch: offsets decorated with arrival index so an
-    // unstable (allocation-free) sort reproduces the stable order the
-    // historical `coalesce_runs` sort gave overlapping pieces.
-    let mut order: Vec<(u64, u32)> = Vec::new();
-    let mut sorted: Vec<(u64, Payload)> = Vec::new();
 
     // --- 3–4. the two-phase rounds ----------------------------------------
     for round in 0..ntimes {
-        let tag = round_tag(DATA_TAG_BASE, round);
-
-        // My contribution to each aggregator this round.
+        let tag = round_tag(D::LIST_TAGS, round);
         touched.clear();
-        contribution(round, &mut agg_bufs, &mut touched);
+        contribution(round, &mut lists, &mut touched);
         sends.clear();
         sends.extend(touched.iter().map(|&(a, _)| {
-            let bytes: u64 = agg_bufs[a].iter().map(|(_, p)| p.len).sum();
+            let bytes: u64 = lists[a].iter().map(D::piece_len).sum();
             (aggregators[a], bytes)
         }));
 
@@ -696,142 +719,153 @@ where
             t.exchange_sizes(&sends, &mut recvs).await?;
         }
 
-        // Data shuffle: post sends, receive, wait for the sends (which
-        // complete on arrival whatever the receiver's fate). The wire
-        // size of a shuffle message is its payload plus a 32-byte
-        // envelope and a 16-byte (offset, length) header per piece —
-        // the footprint the node-agg pre-stage shrinks.
-        recvd.clear();
+        // The lists out: post the sends, keep my own.
         for &(a, provenance) in &touched {
-            let c = &mut agg_bufs[a];
-            let dst = aggregators[a];
+            let (dst, list) = (aggregators[a], &mut lists[a]);
             if dst == me {
-                recvd.append(c);
+                dir.keep_own(fd, list);
             } else {
-                let npieces = c.len() as u64;
-                let bytes: u64 = c.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * npieces;
-                counter("coll.shuffle.msgs", 1);
-                counter("coll.shuffle.bytes", bytes);
-                if comm.node_of(dst) != my_node {
-                    counter("coll.shuffle.remote_msgs", 1);
-                    counter("coll.shuffle.remote_bytes", bytes);
-                    let saved = 32 * provenance.msgs.saturating_sub(1)
-                        + 16 * provenance.pieces.saturating_sub(npieces);
-                    if saved > 0 {
-                        counter("coll.node_agg.shuffle_bytes_saved", saved);
-                    }
-                }
+                let bytes = D::wire_bytes(list, comm.node_of(dst) != my_node, provenance);
                 // Ship a pooled vector so the receiver's recycle refills
                 // the next sender.
-                let mut payload = comm.send_buf::<(u64, Payload)>();
-                payload.append(c);
-                sreqs.push(comm.isend(dst, tag, bytes, payload));
+                let mut shipped = comm.send_buf::<D::Piece>();
+                shipped.append(list);
+                sreqs.push(comm.isend(dst, tag, bytes, shipped));
             }
         }
         {
             let _t = prof.enter(Phase::ShuffleWaitall);
             // Only an aggregator is ever sent to.
             let srcs = recvs.iter().map(|&(src, _)| src).filter(|&src| src != me);
-            t.recv_each(&comm, srcs, tag, &mut rreqs, |mut v| {
-                recvd.append(&mut v);
-                comm.recycle_buf(v);
-            })
-            .await;
-            for r in sreqs.drain(..) {
-                r.wait().await;
-            }
+            let keep = |src, list| dir.keep(fd, src, list);
+            t.recv_each(&comm, srcs, tag, &mut rreqs, keep).await;
+            dir.lists_sent(&mut sreqs).await;
         }
-
-        // Collective-buffer assembly + write (aggregators only).
-        if !t.doomed() && my_agg.is_some() && !recvd.is_empty() {
-            let total: u64 = recvd.iter().map(|(_, p)| p.len).sum();
-            {
-                let _t = prof.enter(Phase::CollBufAssembly);
-                net.local_copy(comm.node(), total).await;
-            }
-            // Sort by offset, ties by arrival order (matching the
-            // stable sort the run-building assembly used), then detect
-            // holes in one pass over the sorted pieces.
-            order.clear();
-            order.extend(
-                recvd
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(off, _))| (off, i as u32)),
-            );
-            order.sort_unstable();
-            sorted.clear();
-            sorted.extend(
-                order.iter().map(|&(_, i)| {
-                    std::mem::replace(&mut recvd[i as usize], (0, Payload::zero(0)))
-                }),
-            );
-            let mut holes = false;
-            let mut run_end = 0u64;
-            for (i, &(off, ref pl)) in sorted.iter().enumerate() {
-                if i > 0 && off > run_end {
-                    holes = true;
-                }
-                run_end = run_end.max(off + pl.len);
-            }
-            if holes && !fd.cache_active() {
-                // Data sieving in the collective buffer: read the whole
-                // window span, then write it back in one spanning I/O.
-                let span_start = sorted.first().unwrap().0;
-                let span_end = run_end;
-                {
-                    let _t = prof.enter(Phase::Write);
-                    if let Err(e) = fd
-                        .global()
-                        .read(comm.node(), span_start, span_end - span_start)
-                        .await
-                    {
-                        local_err = 1;
-                        fd.record_io_error(e.into());
-                    }
-                }
-                if let Err(e) = fd
-                    .write_span(
-                        span_start,
-                        span_end - span_start,
-                        std::mem::take(&mut sorted),
-                    )
-                    .await
-                {
-                    local_err = 1;
-                    fd.record_io_error(e);
-                }
-            } else {
-                // Merge continuing neighbours on the fly (run gaps can
-                // never satisfy the contiguity test, so per-run merging
-                // and whole-buffer merging write identical sequences).
-                let mut it = sorted.drain(..);
-                if let Some((mut coff, mut cp)) = it.next() {
-                    for (off, pl) in it {
-                        if coff + cp.len == off && cp.src.continues(cp.len, &pl.src) {
-                            cp.len += pl.len;
-                        } else {
-                            if let Err(e) = fd.write_contig(coff, cp).await {
-                                local_err = 1;
-                                fd.record_io_error(e);
-                            }
-                            coff = off;
-                            cp = pl;
-                        }
-                    }
-                    if let Err(e) = fd.write_contig(coff, cp).await {
-                        local_err = 1;
-                        fd.record_io_error(e);
-                    }
-                }
-            }
+        if !t.doomed() && my_agg.is_some() {
+            local_err |= dir.serve(fd, round).await;
         }
+        let asked = sends.iter().map(|&(dst, _)| dst).filter(|&dst| dst != me);
+        dir.reply(fd, t, round, asked, &mut rreqs, &mut sreqs).await;
 
-        // Each round's fate is settled before the next round's shuffle.
+        // Each round's fate is settled before the next round's lists.
         t.settle(Some(Phase::PostWrite), local_err).await?;
     }
     // --- 5. post-write error exchange -------------------------------------
     Ok(t.finish(local_err).await)
+}
+
+/// The write direction: data to the aggregators, which assemble what
+/// they receive into their collective buffer and write it.
+#[derive(Default)]
+struct Writing {
+    /// The pieces this aggregator holds this round: its own first,
+    /// then each source's in turn.
+    recvd: Vec<(u64, Payload)>,
+    /// Assembly scratch: offsets decorated with arrival index so an
+    /// unstable (allocation-free) sort reproduces the stable order the
+    /// historical `coalesce_runs` sort gave overlapping pieces.
+    order: Vec<(u64, u32)>,
+    sorted: Vec<(u64, Payload)>,
+}
+
+impl Direction for Writing {
+    type Piece = (u64, Payload);
+    const LIST_TAGS: Tag = DATA_TAG_BASE;
+
+    fn piece_len((_, p): &(u64, Payload)) -> u64 {
+        p.len
+    }
+
+    /// A shuffle message is its payload plus a 32-byte envelope and a
+    /// 16-byte (offset, length) header per piece — the footprint the
+    /// node-agg pre-stage shrinks.
+    fn wire_bytes(list: &[(u64, Payload)], remote: bool, provenance: Provenance) -> u64 {
+        let npieces = list.len() as u64;
+        let bytes: u64 = list.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * npieces;
+        counter("coll.shuffle.msgs", 1);
+        counter("coll.shuffle.bytes", bytes);
+        if remote {
+            counter("coll.shuffle.remote_msgs", 1);
+            counter("coll.shuffle.remote_bytes", bytes);
+            let saved = 32 * provenance.msgs.saturating_sub(1)
+                + 16 * provenance.pieces.saturating_sub(npieces);
+            if saved > 0 {
+                counter("coll.node_agg.shuffle_bytes_saved", saved);
+            }
+        }
+        bytes
+    }
+
+    fn keep_own(&mut self, _: &AdioFile, list: &mut Vec<(u64, Payload)>) {
+        self.recvd.append(list);
+    }
+
+    fn keep(&mut self, fd: &AdioFile, _: usize, mut list: Vec<(u64, Payload)>) {
+        self.recvd.append(&mut list);
+        fd.comm.recycle_buf(list);
+    }
+
+    /// Collective-buffer assembly + write.
+    async fn serve(&mut self, fd: &AdioFile, _: u64) -> u32 {
+        let sorted = &mut self.sorted;
+        if self.recvd.is_empty() {
+            return 0;
+        }
+        let (node, prof, mut err) = (fd.comm.node(), fd.profiler(), 0);
+        let total: u64 = self.recvd.iter().map(|(_, p)| p.len).sum();
+        {
+            let _t = prof.enter(Phase::CollBufAssembly);
+            fd.comm.network().local_copy(node, total).await;
+        }
+        // Sort by offset, ties by arrival order (matching the stable
+        // sort the run-building assembly used), then detect holes in
+        // one pass over the sorted pieces.
+        let (recvd, order) = (&mut self.recvd, &mut self.order);
+        order.clear();
+        order.extend(
+            recvd
+                .iter()
+                .enumerate()
+                .map(|(i, &(off, _))| (off, i as u32)),
+        );
+        order.sort_unstable();
+        sorted.clear();
+        let take =
+            |&(_, i): &(u64, u32)| std::mem::replace(&mut recvd[i as usize], (0, Payload::zero(0)));
+        sorted.extend(order.iter().map(take));
+        recvd.clear();
+        let (holes, run_end) = sorted
+            .iter()
+            .fold((false, sorted[0].0), |(holes, end), (off, p)| {
+                (holes || *off > end, end.max(off + p.len))
+            });
+        if holes && !fd.cache_active() {
+            // Data sieving in the collective buffer: read the whole
+            // window span, then write it back in one spanning I/O.
+            let (start, len) = (sorted[0].0, run_end - sorted[0].0);
+            {
+                let _t = prof.enter(Phase::Write);
+                fd.io_ok(fd.global().read(node, start, len).await, &mut err);
+            }
+            let pieces = std::mem::take(sorted);
+            fd.io_ok(fd.write_span(start, len, pieces).await, &mut err);
+        } else {
+            // Merge continuing neighbours (run gaps can never satisfy
+            // the contiguity test, so per-run merging and whole-buffer
+            // merging write identical sequences), then write.
+            sorted.dedup_by(|(off, p), (coff, cp)| {
+                let continues = *coff + cp.len == *off && cp.src.continues(cp.len, &p.src);
+                if continues {
+                    cp.len += p.len;
+                }
+                continues
+            });
+            for (off, piece) in sorted.drain(..) {
+                fd.io_ok(fd.write_contig(off, piece).await, &mut err);
+            }
+        }
+        err
+    }
 }
 
 #[cfg(test)]
@@ -841,6 +875,37 @@ mod tests {
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;
     use proptest::prelude::*;
+
+    /// A maximal contiguous group of shuffled pieces in an aggregator's
+    /// collective buffer. An oracle: the round engine detects runs inline
+    /// over its sorted scratch buffer without building them.
+    struct Run {
+        start: u64,
+        end: u64,
+        pieces: Vec<(u64, Payload)>,
+    }
+
+    /// Coalesce sorted pieces into contiguous runs (the oracle for the
+    /// engine's inline run detection).
+    fn coalesce_runs(mut pieces: Vec<(u64, Payload)>) -> Vec<Run> {
+        pieces.sort_by_key(|&(off, _)| off);
+        let mut runs: Vec<Run> = Vec::with_capacity(pieces.len());
+        for (off, p) in pieces {
+            let end = off + p.len;
+            match runs.last_mut() {
+                Some(r) if off <= r.end => {
+                    r.end = r.end.max(end);
+                    r.pieces.push((off, p));
+                }
+                _ => runs.push(Run {
+                    start: off,
+                    end,
+                    pieces: vec![(off, p)],
+                }),
+            }
+        }
+        runs
+    }
 
     /// The core oracle: an interleaved collective write from P ranks
     /// produces a byte-perfect file.
@@ -1118,7 +1183,8 @@ mod tests {
         /// Stepping the schedule through the rounds visits exactly the
         /// (aggregator, round) pairs whose window the windowed view
         /// query finds something in, aggregators ascending, with the
-        /// pieces it finds — on views with touching and far-apart
+        /// pieces it finds (and counts them as the contribution's
+        /// provenance) — on views with touching and far-apart
         /// pieces (so pieces straddle window edges), over the domains
         /// ROMIO would compute and over arbitrary ones (zero-length,
         /// starting past the view's first byte so pieces lie before
@@ -1154,13 +1220,18 @@ mod tests {
                 }
             };
             let mut cursors = WindowCursors::new(&view, &fds, cb);
+            let mut lists = vec![Vec::new(); fds.len()];
             // One round past the last: every window empty by then.
             for round in 0..fds.max_size().div_ceil(cb) + 1 {
-                let mut walked: Vec<(usize, Vec<ViewPiece>)> = Vec::new();
-                cursors.for_each_piece(round, |a, vp| match walked.last_mut() {
-                    Some((last, pieces)) if *last == a => pieces.push(vp),
-                    _ => walked.push((a, vec![vp])),
-                });
+                let mut touched = Vec::new();
+                cursors.fill(round, &mut lists, &mut touched, |vp| vp);
+                for &(a, provenance) in &touched {
+                    prop_assert_eq!(provenance.pieces, lists[a].len() as u64, "round {}", round);
+                }
+                let walked: Vec<(usize, Vec<ViewPiece>)> = touched
+                    .iter()
+                    .map(|&(a, _)| (a, std::mem::take(&mut lists[a])))
+                    .collect();
                 let windows = (0..fds.len()).map(|a| {
                     let (ws, we) = fds.window(a, cb, round);
                     (a, view.pieces_in_window(ws, we))

@@ -1,4 +1,5 @@
-//! The two-phase collective read (`ADIOI_GEN_ReadStridedColl`).
+//! The read direction of the two-phase engine
+//! (`ADIOI_GEN_ReadStridedColl`) and the read's result types.
 //!
 //! The paper implements only the write path and names cache reads as
 //! future work, observing that "a collective read that matches the
@@ -14,24 +15,21 @@
 //!   otherwise. With matching aggregator count and file domains this is
 //!   exactly the safe case the paper describes.
 //!
-//! The preamble is the write path's, not a copy of it: the offset
-//! exchange, the collective-vs-independent decision, the file domains,
-//! the per-round size exchange and the per-aggregator view cursors
-//! come from [`crate::collective`] (always under the plain transport
-//! and `cb_buffer_size` rounds — no caller asks for a crash-tolerant
-//! or node-aggregated read). The round body
-//! — request lists out, aggregator read, data back — is this module's
-//! own, because it runs the shuffle in the opposite direction.
+//! It holds no round loop: [`crate::collective::read_at_all`] runs the
+//! write's rounds the other way with [`Reading`] as their direction —
+//! request lists out, the aggregators' read as the serve step, the data
+//! back as the reply leg — or, when the collective-vs-independent
+//! decision says so, [`independent_read`].
 
-use e10_mpisim::{FileView, Request, SourceSel};
+use std::ops::Range;
+
+use e10_mpisim::{FileView, Request, Tag};
 use e10_storesim::{ExtentMap, Payload, Source};
 
 use crate::adio::AdioFile;
 use crate::collective::{
-    compute_domains, exchange_ranges, round_tag, Plain, Transport, WindowCursors,
-    READ_DATA_TAG_BASE, READ_REQ_TAG_BASE,
+    round_tag, Direction, Provenance, Transport, READ_DATA_TAG_BASE, READ_REQ_TAG_BASE,
 };
-use crate::hints::TwoPhaseAlgo;
 use crate::profile::Phase;
 
 /// One piece of data returned by a collective read.
@@ -43,6 +41,20 @@ pub struct ReadPiece {
     pub buf_off: u64,
     /// The data (holes in the file read back as zeroes).
     pub payload: Payload,
+}
+
+impl ReadPiece {
+    /// The extent `r` of a read's answer (`None`: a hole), bound for
+    /// `buf_off` in the caller's buffer.
+    fn of(r: Range<u64>, src: Option<Source>, buf_off: u64) -> ReadPiece {
+        let (src, len) = (src.unwrap_or(Source::Zero), r.end - r.start);
+        let payload = Payload { src, len };
+        ReadPiece {
+            file_off: r.start,
+            buf_off,
+            payload,
+        }
+    }
 }
 
 /// Outcome of a collective read.
@@ -96,237 +108,164 @@ impl ReadAllResult {
 /// A request one rank sends an aggregator: give me these file ranges.
 type ReqPiece = (u64, u64, u64); // (file_off, len, buf_off)
 
-/// `MPI_File_read_all`: collective read of this rank's `view`.
-pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
-    let comm = fd.comm.clone();
-    let prof = fd.profiler().clone();
-    let me = comm.rank();
+/// The read direction: requests to the aggregators, which read the
+/// union of what they were asked for and answer every source.
+#[derive(Default)]
+pub(crate) struct Reading {
+    /// What this rank has been answered so far.
+    out: ReadAllResult,
+    /// The request lists this aggregator holds this round, by source.
+    requests: Vec<(usize, Vec<ReqPiece>)>,
+    /// The requested ranges, sorted, and their union as merged runs.
+    ranges: Vec<(u64, u64)>,
+    runs: Vec<(u64, u64)>,
+    /// This aggregator's answers of the round, in flight.
+    replies: Vec<Request>,
+}
 
-    let mut plain = Plain::new(fd);
-    let Ok(Some(range)) = exchange_ranges(fd, view, &mut plain).await else {
-        return ReadAllResult::default();
-    };
-    if !range.use_collective(fd.hints().cb_read) {
-        return independent_read(fd, view).await;
+impl Reading {
+    /// The result of `rounds` rounds that agreed on `error_code`.
+    pub(crate) fn finish(mut self, rounds: u64, error_code: u32) -> ReadAllResult {
+        let out = &mut self.out;
+        (out.used_collective, out.rounds, out.error_code) = (true, rounds, error_code);
+        out.pieces.sort_by_key(|p| p.buf_off);
+        self.out
     }
-    let (fds, cb, ntimes) = compute_domains(fd, &range, TwoPhaseAlgo::Extended);
-    // Mirrors the write path: borrow the aggregator set, exchange the
-    // sizes sparsely, step through the view by the round schedule, and
-    // keep every per-round list as scratch hoisted across the rounds —
-    // the lists that travel circulate through the communicator's pool.
-    let aggregators: &[usize] = fd.aggregators();
-    let naggs = aggregators.len();
-    let my_agg = fd.my_agg_index();
-    let mut local_err: u32 = 0;
+}
 
-    let mut out = ReadAllResult {
-        used_collective: true,
-        rounds: ntimes,
-        ..Default::default()
-    };
+impl Direction for Reading {
+    type Piece = ReqPiece;
+    const LIST_TAGS: Tag = READ_REQ_TAG_BASE;
 
-    let mut cursors = WindowCursors::new(view, fds, cb);
-    let mut per_agg_reqs: Vec<Vec<ReqPiece>> = (0..naggs).map(|_| Vec::new()).collect();
-    // The aggregators (by index) asked for something this round,
-    // ascending.
-    let mut asked: Vec<usize> = Vec::new();
-    let mut sends: Vec<(usize, u64)> = Vec::new();
-    let mut recvs: Vec<(usize, u64)> = Vec::with_capacity(my_agg.map_or(0, |_| comm.size()));
-    let mut sreqs: Vec<Request> = Vec::new();
-    let mut rreqs: Vec<Request> = Vec::new();
-    let mut reply_reqs: Vec<Request> = Vec::new();
-    let mut requests: Vec<(usize, Vec<ReqPiece>)> = Vec::new();
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    let mut runs: Vec<(u64, u64)> = Vec::new();
+    fn piece_len(&(_, len, _): &ReqPiece) -> u64 {
+        len
+    }
 
-    for round in 0..ntimes {
-        let req_tag = round_tag(READ_REQ_TAG_BASE, round);
-        let data_tag = round_tag(READ_DATA_TAG_BASE, round);
+    /// A 32-byte envelope and 24 bytes per request.
+    fn wire_bytes(list: &[ReqPiece], _: bool, _: Provenance) -> u64 {
+        32 + 24 * list.len() as u64
+    }
 
-        // What I want from each aggregator this round.
-        asked.clear();
-        cursors.for_each_piece(round, |a, vp| {
-            if asked.last() != Some(&a) {
-                asked.push(a);
-            }
-            per_agg_reqs[a].push((vp.file_off, vp.len, vp.buf_off));
-        });
-        sends.clear();
-        sends.extend(asked.iter().map(|&a| {
-            let bytes: u64 = per_agg_reqs[a].iter().map(|&(_, len, _)| len).sum();
-            (aggregators[a], bytes)
-        }));
+    fn keep_own(&mut self, fd: &AdioFile, list: &mut Vec<ReqPiece>) {
+        let mut reqs = fd.comm.send_buf::<ReqPiece>();
+        reqs.append(list);
+        self.requests.push((fd.comm.rank(), reqs));
+    }
 
-        // `recvs` now holds what each rank asks of me.
-        {
-            let _t = prof.enter(Phase::ShuffleAlltoall);
-            let Ok(()) = plain.exchange_sizes(&sends, &mut recvs).await;
+    fn keep(&mut self, _: &AdioFile, src: usize, list: Vec<ReqPiece>) {
+        self.requests.push((src, list));
+    }
+
+    /// Read the union of the requests, then answer each source.
+    async fn serve(&mut self, fd: &AdioFile, round: u64) -> u32 {
+        let (comm, mut err) = (&fd.comm, 0);
+        self.requests.sort_unstable_by_key(|&(src, _)| src);
+        if self.requests.is_empty() {
+            return 0;
         }
-
-        // Send request lists; keep my own local.
-        for &a in &asked {
-            let mut reqs = comm.send_buf::<ReqPiece>();
-            reqs.append(&mut per_agg_reqs[a]);
-            let dst = aggregators[a];
-            if dst == me {
-                requests.push((me, reqs));
+        // Union of requested ranges → merged runs.
+        let (ranges, runs) = (&mut self.ranges, &mut self.runs);
+        ranges.clear();
+        let requested = self.requests.iter().flat_map(|(_, rs)| rs.iter());
+        ranges.extend(requested.map(|&(o, l, _)| (o, l)));
+        ranges.sort_unstable();
+        runs.clear();
+        for &(o, l) in ranges.iter() {
+            match runs.last_mut() {
+                Some(r) if o <= r.0 + r.1 => r.1 = r.1.max(o + l - r.0),
+                _ => runs.push((o, l)),
+            }
+        }
+        // Read each run — from the local cache when the extension
+        // allows and the run is fully cached there.
+        let mut window_data = ExtentMap::new();
+        {
+            let _t = fd.profiler().enter(Phase::Write); // the data-I/O phase
+            for &(o, l) in runs.iter() {
+                let cache = fd.cache().filter(|c| !c.is_degraded());
+                let cached = fd.hints().e10_cache_read && cache.is_some_and(|c| c.covers(o, l));
+                // A cache hit is served only after its bytes pass
+                // digest verification (`e10_integrity`); an
+                // unrepairable mismatch is answered from the in-memory
+                // copy and degrades the cache. A failed global read
+                // answers as holes (the requesters read back zeroes)
+                // and flags the collective error.
+                let pieces = if cached {
+                    self.out.cache_hits += l;
+                    fd.cache().unwrap().read_verified(o, l).await
+                } else {
+                    let read = fd.global().read(comm.node(), o, l).await;
+                    fd.io_ok(read, &mut err).unwrap_or_default()
+                };
+                for (r, src) in pieces {
+                    window_data.insert(r.start, r.end - r.start, src.unwrap_or(Source::Zero));
+                }
+            }
+        }
+        // Scatter the pieces back.
+        let tag = round_tag(READ_DATA_TAG_BASE, round);
+        for (src, mut reqs) in self.requests.drain(..) {
+            let mut reply = comm.send_buf::<ReadPiece>();
+            let mut bytes = 32u64;
+            for (o, l, buf_off) in reqs.drain(..) {
+                for (r, s) in window_data.lookup(o, l) {
+                    let at = buf_off + (r.start - o);
+                    bytes += r.end - r.start + 24;
+                    reply.push(ReadPiece::of(r, s, at));
+                }
+            }
+            comm.recycle_buf(reqs);
+            if src == comm.rank() {
+                self.out.take(&mut reply);
+                comm.recycle_buf(reply);
             } else {
-                let bytes = 32 + 24 * reqs.len() as u64;
-                sreqs.push(comm.isend(dst, req_tag, bytes, reqs));
+                self.replies.push(comm.isend(src, tag, bytes, reply));
             }
         }
+        err
+    }
 
-        // Aggregator: gather requests, read the union, reply.
-        if my_agg.is_some() {
-            {
-                let _t = prof.enter(Phase::ShuffleWaitall);
-                let srcs = recvs.iter().map(|&(src, _)| src).filter(|&src| src != me);
-                rreqs.extend(srcs.map(|src| comm.irecv(SourceSel::Rank(src), req_tag)));
-                for r in rreqs.drain(..) {
-                    if let Some(m) = r.wait().await {
-                        requests.push((m.src, m.into_data::<Vec<ReqPiece>>()));
-                    }
-                }
-                requests.sort_unstable_by_key(|&(src, _)| src);
-            }
-            if !requests.is_empty() {
-                // Union of requested ranges → merged runs.
-                ranges.clear();
-                ranges.extend(
-                    requests
-                        .iter()
-                        .flat_map(|(_, rs)| rs.iter().map(|&(o, l, _)| (o, l))),
-                );
-                ranges.sort_unstable();
-                runs.clear();
-                for &(o, l) in &ranges {
-                    match runs.last_mut() {
-                        Some(r) if o <= r.0 + r.1 => r.1 = r.1.max(o + l - r.0),
-                        _ => runs.push((o, l)),
-                    }
-                }
-                // Read each run — from the local cache when the
-                // extension allows and the run is fully cached there.
-                let mut window_data = ExtentMap::new();
-                {
-                    let _t = prof.enter(Phase::Write); // the data-I/O phase
-                    for &(o, l) in &runs {
-                        let cached = fd.hints().e10_cache_read
-                            && fd
-                                .cache()
-                                .filter(|c| !c.is_degraded())
-                                .is_some_and(|c| c.covers(o, l));
-                        // A cache hit is served only after its bytes
-                        // pass digest verification (`e10_integrity`);
-                        // an unrepairable mismatch is answered from the
-                        // in-memory copy and degrades the cache.
-                        let pieces = if cached {
-                            out.cache_hits += l;
-                            fd.cache().unwrap().read_verified(o, l).await
-                        } else {
-                            match fd.global().read(comm.node(), o, l).await {
-                                Ok(pieces) => pieces,
-                                Err(e) => {
-                                    // Failed reads answer as holes (the
-                                    // requesters read back zeroes) and
-                                    // flag the collective error.
-                                    local_err = 1;
-                                    fd.record_io_error(e.into());
-                                    Vec::new()
-                                }
-                            }
-                        };
-                        for (r, src) in pieces {
-                            let len = r.end - r.start;
-                            window_data.insert(r.start, len, src.unwrap_or(Source::Zero));
-                        }
-                    }
-                }
-                // Scatter the pieces back.
-                for (src, mut reqs) in requests.drain(..) {
-                    let mut reply = comm.send_buf::<ReadPiece>();
-                    let mut bytes = 32u64;
-                    for (o, l, buf_off) in reqs.drain(..) {
-                        for (r, s) in window_data.lookup(o, l) {
-                            let len = r.end - r.start;
-                            reply.push(ReadPiece {
-                                file_off: r.start,
-                                buf_off: buf_off + (r.start - o),
-                                payload: Payload {
-                                    src: s.unwrap_or(Source::Zero),
-                                    len,
-                                },
-                            });
-                            bytes += len + 24;
-                        }
-                    }
-                    comm.recycle_buf(reqs);
-                    if src == me {
-                        out.take(&mut reply);
-                        comm.recycle_buf(reply);
-                    } else {
-                        reply_reqs.push(comm.isend(src, data_tag, bytes, reply));
-                    }
-                }
-            }
-        }
-
-        // Everyone: wait for requested data.
-        {
-            let _t = prof.enter(Phase::ShuffleWaitall);
-            let srcs = asked.iter().map(|&a| aggregators[a]);
-            rreqs.extend(
-                srcs.filter(|&agg| agg != me)
-                    .map(|agg| comm.irecv(SourceSel::Rank(agg), data_tag)),
-            );
-            for r in rreqs.drain(..) {
-                if let Some(m) = r.wait().await {
-                    let mut reply = m.into_data::<Vec<ReadPiece>>();
-                    out.take(&mut reply);
-                    comm.recycle_buf(reply);
-                }
-            }
-            for r in sreqs.drain(..).chain(reply_reqs.drain(..)) {
-                r.wait().await;
-            }
+    /// Everyone: receive the data asked for, then await every send.
+    async fn reply<T: Transport>(
+        &mut self,
+        fd: &AdioFile,
+        t: &mut T,
+        round: u64,
+        asked: impl Iterator<Item = usize>,
+        pending: &mut Vec<Request>,
+        sends: &mut Vec<Request>,
+    ) {
+        let (comm, out) = (&fd.comm, &mut self.out);
+        let _t = fd.profiler().enter(Phase::ShuffleWaitall);
+        let tag = round_tag(READ_DATA_TAG_BASE, round);
+        t.recv_each(comm, asked, tag, pending, |_, mut reply| {
+            out.take(&mut reply);
+            comm.recycle_buf(reply);
+        })
+        .await;
+        for r in sends.drain(..).chain(self.replies.drain(..)) {
+            r.wait().await;
         }
     }
 
-    {
-        let _t = prof.enter(Phase::PostWrite);
-        out.error_code = comm.allreduce(local_err, 4, |a, b| (*a).max(*b)).await;
-    }
-    out.pieces.sort_by_key(|p| p.buf_off);
-    out
+    /// Left to the reply leg, which awaits them after the answers: a
+    /// request list is delivered before its answer can be.
+    async fn lists_sent(&mut self, _: &mut Vec<Request>) {}
 }
 
 /// Independent strided read: each rank reads its own pieces.
-async fn independent_read(fd: &AdioFile, view: &FileView) -> ReadAllResult {
+pub(crate) async fn independent_read(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     let mut out = ReadAllResult::default();
     let buf = fd.hints().ind_wr_buffer_size.max(1);
     for vp in view.pieces() {
         let mut off = 0;
         while off < vp.len {
             let n = buf.min(vp.len - off);
-            let pieces = match fd.read_contig(vp.file_off + off, n).await {
-                Ok(pieces) => pieces,
-                Err(e) => {
-                    out.error_code = 1;
-                    fd.record_io_error(e);
-                    Vec::new()
-                }
-            };
-            for (r, s) in pieces {
-                let len = r.end - r.start;
-                out.pieces.push(ReadPiece {
-                    file_off: r.start,
-                    buf_off: vp.buf_off + off + (r.start - (vp.file_off + off)),
-                    payload: Payload {
-                        src: s.unwrap_or(Source::Zero),
-                        len,
-                    },
-                });
-                out.bytes += len;
+            let read = fd.read_contig(vp.file_off + off, n).await;
+            for (r, s) in fd.io_ok(read, &mut out.error_code).unwrap_or_default() {
+                out.bytes += r.end - r.start;
+                let buf_off = vp.buf_off + (r.start - vp.file_off);
+                out.pieces.push(ReadPiece::of(r, s, buf_off));
             }
             off += n;
         }
@@ -338,7 +277,7 @@ async fn independent_read(fd: &AdioFile, view: &FileView) -> ReadAllResult {
 mod tests {
     use super::*;
     use crate::adio::DataSpec;
-    use crate::collective::write_at_all;
+    use crate::collective::{read_at_all, write_at_all};
     use crate::test_util::{cb_info, on_testbed, strided_view};
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;

@@ -11,18 +11,18 @@
 //!   `e10_*` extensions) with parsing and validation.
 //! * [`adio`] — the ADIO file object: collective open, `write_contig`
 //!   with cache redirection, flush/sync/close semantics.
-//! * [`collective`] — the two-phase collective write
+//! * [`collective`] — two-phase collective I/O
 //!   (`ADIOI_Exch_and_write`), the one implementation of it: offset
 //!   exchange, file domains, per-round `Alltoall` + data shuffle +
-//!   collective-buffer write, final error `Allreduce`, generic over
-//!   how the ranks coordinate.
+//!   collective-buffer I/O, final error `Allreduce`, generic over how
+//!   the ranks coordinate and which way the data moves.
 //! * [`node_agg`] — the intra-node request-aggregation pre-stage
 //!   (`e10_two_phase = node_agg`): node leaders merge their node's
 //!   requests before the inter-node exchange.
 //! * [`tolerant`] — the crash-tolerant coordination
 //!   (`e10_coll_timeout > 0`): the same write under timed,
 //!   abortable steps, in a shrink-and-redo attempt loop.
-//! * [`collective_read`] — the two-phase collective read.
+//! * [`collective_read`] — the collective read's direction and results.
 //! * [`sieve`] — independent strided writes with optional data sieving.
 //! * [`cache`] — the E10 cache layer: cache file, `fallocate`
 //!   allocation, sync thread, generalized-request completion, coherent
@@ -57,8 +57,8 @@ pub use adio::{AdioError, AdioFile, DataSpec};
 pub use arbiter::{job_family, Admission, CacheArbiter};
 pub use baselines::{group_of, write_at_all_multifile, write_at_all_partitioned};
 pub use cache::{CacheConfig, CacheLayer, Health, RecoverError, RecoveryReport};
-pub use collective::{write_at_all, WriteAllResult};
-pub use collective_read::{read_at_all, ReadAllResult, ReadPiece};
+pub use collective::{read_at_all, write_at_all, WriteAllResult};
+pub use collective_read::{ReadAllResult, ReadPiece};
 pub use error::Error;
 pub use fd::{node_leaders, select_aggregators, select_aggregators_capped, FileDomains};
 pub use hints::{

@@ -170,10 +170,9 @@ pub(crate) async fn gather_to_leader<T: Transport>(
     let n = members.clone().count();
     let mut lists: Vec<Vec<(u64, Payload)>> = Vec::with_capacity(n);
     let mut pending = Vec::with_capacity(n);
-    t.recv_each(comm, members, GATHER_TAG, &mut pending, |list| {
-        lists.push(list)
-    })
-    .await;
+    let keep = |_, list| lists.push(list);
+    t.recv_each(comm, members, GATHER_TAG, &mut pending, keep)
+        .await;
     if t.doomed() {
         return None;
     }

@@ -57,19 +57,14 @@ pub async fn write_strided(fd: &AdioFile, view: &FileView, data: &DataSpec) -> (
                 // Sieved read-modify-write of the whole window.
                 let span_end = pieces[j - 1].file_off + pieces[j - 1].len;
                 let span = span_end - start;
-                if let Err(e) = fd.global().read(fd.comm.node(), start, span).await {
-                    err = 1;
-                    fd.record_io_error(e.into());
-                }
+                let read = fd.global().read(fd.comm.node(), start, span).await;
+                fd.io_ok(read, &mut err);
                 let payload_pieces: Vec<(u64, e10_storesim::Payload)> = pieces[i..j]
                     .iter()
                     .map(|p| (p.file_off, data.piece(p.buf_off, p.file_off, p.len)))
                     .collect();
                 total += covered;
-                if let Err(e) = fd.write_span(start, span, payload_pieces).await {
-                    err = 1;
-                    fd.record_io_error(e);
-                }
+                fd.io_ok(fd.write_span(start, span, payload_pieces).await, &mut err);
                 i = j;
                 continue;
             }
@@ -80,10 +75,7 @@ pub async fn write_strided(fd: &AdioFile, view: &FileView, data: &DataSpec) -> (
         while off < p.len {
             let n = buf.min(p.len - off);
             let payload = data.piece(p.buf_off + off, p.file_off + off, n);
-            if let Err(e) = fd.write_contig(p.file_off + off, payload).await {
-                err = 1;
-                fd.record_io_error(e);
-            }
+            fd.io_ok(fd.write_contig(p.file_off + off, payload).await, &mut err);
             off += n;
         }
         total += p.len;

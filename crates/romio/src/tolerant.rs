@@ -49,7 +49,6 @@ use std::rc::Rc;
 use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag};
 use e10_simcore::trace::counter;
 use e10_simcore::SimDuration;
-use e10_storesim::Payload;
 
 use crate::adio::{elect_aggregators, AdioFile, DataSpec};
 use crate::collective::{
@@ -139,13 +138,13 @@ impl Transport for Timed<'_> {
             .ok_or(Aborted)
     }
 
-    async fn recv_each(
+    async fn recv_each<P: 'static>(
         &mut self,
         on: &Comm,
         srcs: impl Iterator<Item = usize>,
         tag: Tag,
         _: &mut Vec<Request>,
-        mut got: impl FnMut(Vec<(u64, Payload)>),
+        mut got: impl FnMut(usize, Vec<P>),
     ) {
         // A silent sender is convicted without skipping the step's
         // remaining receives or the coordination that follows. `on` is
@@ -156,7 +155,7 @@ impl Transport for Timed<'_> {
                 .recv_timeout(SourceSel::Rank(src), tag, self.timeout)
                 .await
             {
-                Some(m) => got(m.into_data()),
+                Some(m) => got(src, m.into_data()),
                 None => {
                     on.mark_failed(src);
                     self.doomed = true;

@@ -10,7 +10,7 @@
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines, then scripts/loc.sh over crates/romio/src:
 #      production vs test lines per file (informational, no gate).
-#      The suite holds the four exact allocator-call gates of
+#      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
 #      steady_state_with_tolerance_hints_off_allocates_nothing (0 per
@@ -20,13 +20,19 @@
 #      (4 per extra round per communicator, at 8 and at 16 ranks, on
 #      the analytic collectives every paper-scale run uses), the
 #      ceiling on what resolving the paper's hints costs per rank-open
-#      (resolving_the_paper_hints_allocates_no_more_than_it_did, 3)
-#      and the two same-count-every-time gates (file churn on a volume;
-#      an 8-rank open, split_by_node, write, close).
+#      (resolving_the_paper_hints_allocates_no_more_than_it_did, 3),
+#      the two same-count-every-time gates (file churn on a volume;
+#      an 8-rank open, split_by_node, write, close) and the read-round
+#      gate read_rounds_cost_what_they_did (111.8 per extra collective-
+#      read round from the global file, 76.2 from the aggregators'
+#      caches, both pinned exactly). The suite also holds the goldens
+#      of tests/golden.rs: results/tables.txt, results/fig4_test.json
+#      and the collective read's results/ext_cache_read_test.json.
 #      Then the schedule-perturbation properties once more on their
 #      own, for their wall time (budget: under 20 s together): simcore's
 #      tests/perturbation.rs and the three write algorithms under 8
-#      perturbation seeds in tests/properties.rs
+#      perturbation seeds in tests/properties.rs, each file then synced
+#      and read back collectively (from the caches on the cache arm)
 #   3. formatting, `bash -n scripts/profile.sh`, and the `unsafe`
 #      fence: simcore denies unsafe_op_in_unsafe_fn, and the word may
 #      appear in crates/simcore/src only in waker.rs (the task waker's
