@@ -6,84 +6,63 @@
 //! bandwidth achievable". With per-rank compute jitter, every rank
 //! arrives at the next collective staggered; the arrival spread is a
 //! fixed absolute cost, so the faster the I/O itself, the larger the
-//! *relative* damage. This sweep quantifies that. `--json` for
-//! machine output.
+//! *relative* damage. This sweep quantifies that.
 
-use std::rc::Rc;
+use std::fmt::Write as _;
 
-use e10_bench::{hints_for, json_mode, Case, Json, Scale};
-use e10_romio::TestbedSpec;
-use e10_workloads::{run_workload, RunConfig, Workload};
+use e10_bench::{finish, hints_for, simulate, Case, Cli, Json, Report, Scale};
 
 fn run_one(scale: Scale, case: Case, cv: f64) -> f64 {
-    e10_simcore::run(async move {
-        let w = Rc::new(scale.collperf());
-        let mut spec = TestbedSpec::deep_er();
-        spec.procs = w.procs();
-        spec.nodes = scale.nodes();
-        let tb = spec.build();
-        let aggs = *scale.aggregators().last().unwrap();
-        let mut cfg = RunConfig::paper(hints_for(case, aggs, 4 << 20), "/gfs/jitter");
+    let aggs = *scale.aggregators().last().unwrap();
+    let hints = hints_for(case, aggs, 4 << 20);
+    simulate(scale, scale.collperf(), hints, "/gfs/jitter", |_, cfg| {
         cfg.files = 3;
-        cfg.compute_delay = scale.compute_delay();
         cfg.compute_jitter_cv = cv;
-        cfg.verify = case.verifiable();
-        run_workload(&tb, w, &cfg).await.gb_s()
     })
+    .outcome
+    .gb_s()
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let base_enabled = run_one(scale, Case::Enabled, 0.0);
-    let base_disabled = run_one(scale, Case::Disabled, 0.0);
-    let rows: Vec<(f64, f64, f64)> = [0.0, 0.05, 0.15, 0.3]
-        .into_iter()
-        .map(|cv| {
-            let dis = if cv == 0.0 {
-                base_disabled
-            } else {
-                run_one(scale, Case::Disabled, cv)
-            };
-            let en = if cv == 0.0 {
-                base_enabled
-            } else {
-                run_one(scale, Case::Enabled, cv)
-            };
-            (cv, dis, en)
-        })
-        .collect();
+fn main() -> std::process::ExitCode {
+    let cli = Cli::parse();
+    let scale = cli.scale(Scale::Full);
+    let rows = [0.0, 0.05, 0.15, 0.3].map(|cv| {
+        (
+            cv,
+            run_one(scale, Case::Disabled, cv),
+            run_one(scale, Case::Enabled, cv),
+        )
+    });
+    let (_, base_disabled, base_enabled) = rows[0];
 
-    if json_mode() {
-        let doc = Json::obj([
-            ("figure", Json::str("ablation_compute_jitter")),
-            ("scale", Json::str(scale.name())),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|&(cv, dis, en)| {
-                    Json::obj([
-                        ("jitter_cv", Json::F64(cv)),
-                        ("disabled_gb_s", Json::F64(dis)),
-                        (
-                            "disabled_retained_pct",
-                            Json::F64(100.0 * dis / base_disabled),
-                        ),
-                        ("enabled_gb_s", Json::F64(en)),
-                        ("enabled_retained_pct", Json::F64(100.0 * en / base_enabled)),
-                    ])
-                })),
-            ),
-        ]);
-        println!("{}", doc.render());
-        return;
-    }
-
-    println!("Compute-jitter ablation, coll_perf, max aggregators:");
-    println!(
+    let doc = Json::obj([
+        ("figure", Json::str("ablation_compute_jitter")),
+        ("scale", Json::str(scale.name())),
+        (
+            "rows",
+            Json::arr(rows.iter().map(|&(cv, dis, en)| {
+                Json::obj([
+                    ("jitter_cv", Json::F64(cv)),
+                    ("disabled_gb_s", Json::F64(dis)),
+                    (
+                        "disabled_retained_pct",
+                        Json::F64(100.0 * dis / base_disabled),
+                    ),
+                    ("enabled_gb_s", Json::F64(en)),
+                    ("enabled_retained_pct", Json::F64(100.0 * en / base_enabled)),
+                ])
+            })),
+        ),
+    ]);
+    let mut text = "Compute-jitter ablation, coll_perf, max aggregators:\n".to_string();
+    let _ = writeln!(
+        text,
         "{:<10} {:>15} {:>13} {:>15} {:>13}",
         "jitter cv", "disabled [GB/s]", "retained [%]", "enabled [GB/s]", "retained [%]"
     );
     for (cv, dis, en) in rows {
-        println!(
+        let _ = writeln!(
+            text,
             "{:<10} {:>15.2} {:>12.1}% {:>15.2} {:>12.1}%",
             cv,
             dis,
@@ -92,11 +71,12 @@ fn main() {
             100.0 * en / base_enabled
         );
     }
-    println!(
+    text.push_str(
         "\nA few percent of compute jitter costs the cached configuration\n\
          a disproportionate share of its advantage: the arrival spread\n\
          is absolute, and the cached write it delays is tiny — exactly\n\
          the paper's warning that global synchronisation bites harder\n\
-         at NVM speeds."
+         at NVM speeds.\n",
     );
+    finish(Report::new(doc, text), &cli)
 }

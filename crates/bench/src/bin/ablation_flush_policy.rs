@@ -5,70 +5,64 @@
 //! still running, overlapping sync with both the remaining write AND
 //! the compute phase; `flush_onclose` queues everything until close,
 //! so the sync can only hide behind compute. With short compute phases
-//! the difference is stark. `--json` for machine output.
+//! the difference is stark.
 
-use std::rc::Rc;
+use std::fmt::Write as _;
 
-use e10_bench::{hints_for, json_mode, Case, Json, Scale};
-use e10_romio::TestbedSpec;
+use e10_bench::{finish, hints_for, simulate, Case, Cli, Json, Report, Scale};
 use e10_simcore::SimDuration;
-use e10_workloads::Workload;
-use e10_workloads::{run_workload, RunConfig};
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> std::process::ExitCode {
+    let cli = Cli::parse();
+    let scale = cli.scale(Scale::Full);
     let aggs = *scale.aggregators().last().unwrap();
     let cb = scale.cb_sizes()[0];
     let rows: Vec<(u64, f64, f64)> = [2u64, 10, 30]
         .into_iter()
         .map(|compute| {
-            let mut row = Vec::new();
-            for flag in ["flush_immediate", "flush_onclose"] {
-                let bw = e10_simcore::run(async move {
-                    let w = Rc::new(scale.collperf());
-                    let mut spec = TestbedSpec::deep_er();
-                    spec.procs = w.procs();
-                    spec.nodes = scale.nodes();
-                    let tb = spec.build();
-                    let hints = hints_for(Case::Enabled, aggs, cb);
-                    hints.set("e10_cache_flush_flag", flag);
-                    let mut cfg = RunConfig::paper(hints, "/gfs/abl_flush");
-                    cfg.files = 2;
-                    cfg.compute_delay = SimDuration::from_secs(compute);
-                    run_workload(&tb, w, &cfg).await.gb_s()
-                });
-                row.push(bw);
-            }
-            (compute, row[0], row[1])
+            let [imm, onclose] = ["flush_immediate", "flush_onclose"].map(|flag| {
+                let hints = hints_for(Case::Enabled, aggs, cb);
+                hints.set("e10_cache_flush_flag", flag);
+                simulate(
+                    scale,
+                    scale.collperf(),
+                    hints,
+                    "/gfs/abl_flush",
+                    |_, cfg| {
+                        cfg.files = 2;
+                        cfg.compute_delay = SimDuration::from_secs(compute);
+                    },
+                )
+                .outcome
+                .gb_s()
+            });
+            (compute, imm, onclose)
         })
         .collect();
 
-    if json_mode() {
-        let doc = Json::obj([
-            ("figure", Json::str("ablation_flush_policy")),
-            ("scale", Json::str(scale.name())),
-            ("aggregators", Json::U64(aggs as u64)),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|&(compute, imm, onclose)| {
-                    Json::obj([
-                        ("compute_secs", Json::U64(compute)),
-                        ("flush_immediate_gb_s", Json::F64(imm)),
-                        ("flush_onclose_gb_s", Json::F64(onclose)),
-                    ])
-                })),
-            ),
-        ]);
-        println!("{}", doc.render());
-        return;
-    }
-
-    println!("Flush-policy ablation, coll_perf, {} aggregators", aggs);
-    println!(
+    let doc = Json::obj([
+        ("figure", Json::str("ablation_flush_policy")),
+        ("scale", Json::str(scale.name())),
+        ("aggregators", Json::U64(aggs as u64)),
+        (
+            "rows",
+            Json::arr(rows.iter().map(|&(compute, imm, onclose)| {
+                Json::obj([
+                    ("compute_secs", Json::U64(compute)),
+                    ("flush_immediate_gb_s", Json::F64(imm)),
+                    ("flush_onclose_gb_s", Json::F64(onclose)),
+                ])
+            })),
+        ),
+    ]);
+    let mut text = format!("Flush-policy ablation, coll_perf, {aggs} aggregators\n");
+    let _ = writeln!(
+        text,
         "{:>14} {:>18} {:>18}",
         "compute [s]", "immediate [GB/s]", "onclose [GB/s]"
     );
     for (compute, imm, onclose) in rows {
-        println!("{:>14} {:>18.2} {:>18.2}", compute, imm, onclose);
+        let _ = writeln!(text, "{:>14} {:>18.2} {:>18.2}", compute, imm, onclose);
     }
+    finish(Report::new(doc, text), &cli)
 }

@@ -4,72 +4,55 @@
 //! the choice matters: the sync thread's per-chunk round trip bounds a
 //! single stream, so small buffers throttle the background flush and
 //! push the 8-aggregator configurations into exposed-sync territory.
-//! `--json` for machine output.
 
-use std::rc::Rc;
+use std::fmt::Write as _;
 
-use e10_bench::{hints_for, json_mode, Case, Json, Scale};
-use e10_romio::TestbedSpec;
-use e10_workloads::Workload;
-use e10_workloads::{run_workload, RunConfig};
+use e10_bench::{finish, hints_for, simulate, Case, Cli, Json, Report, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> std::process::ExitCode {
+    let cli = Cli::parse();
+    let scale = cli.scale(Scale::Full);
     let aggs = scale.aggregators()[0]; // the stressed low-aggregator case
     let cb = scale.cb_sizes()[0];
     let rows: Vec<(u64, f64, f64, f64)> = [17u32, 19, 21, 23]
         .into_iter()
         .map(|shift| {
             let buf = 1u64 << shift; // 128K .. 8M
-            let (bw, exposed, t_c) = e10_simcore::run(async move {
-                let w = Rc::new(scale.collperf());
-                let mut spec = TestbedSpec::deep_er();
-                spec.procs = w.procs();
-                spec.nodes = scale.nodes();
-                let tb = spec.build();
-                let hints = hints_for(Case::Enabled, aggs, cb);
-                hints.set("ind_wr_buffer_size", &buf.to_string());
-                let mut cfg = RunConfig::paper(hints, "/gfs/abl_sync");
+            let hints = hints_for(Case::Enabled, aggs, cb);
+            hints.set("ind_wr_buffer_size", &buf.to_string());
+            let out = simulate(scale, scale.collperf(), hints, "/gfs/abl_sync", |_, cfg| {
                 cfg.files = 2;
-                cfg.compute_delay = scale.compute_delay();
-                let out = run_workload(&tb, w, &cfg).await;
-                (out.gb_s(), out.phases[0].not_hidden, out.phases[0].t_c)
-            });
-            (buf, bw, exposed, t_c)
+            })
+            .outcome;
+            (buf, out.gb_s(), out.phases[0].not_hidden, out.phases[0].t_c)
         })
         .collect();
 
-    if json_mode() {
-        let doc = Json::obj([
-            ("figure", Json::str("ablation_sync_buffer")),
-            ("scale", Json::str(scale.name())),
-            ("aggregators", Json::U64(aggs as u64)),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|&(buf, bw, exposed, t_c)| {
-                    Json::obj([
-                        ("ind_wr_buffer_bytes", Json::U64(buf)),
-                        ("gb_s", Json::F64(bw)),
-                        ("exposed_sync_secs", Json::F64(exposed)),
-                        ("t_c_secs", Json::F64(t_c)),
-                    ])
-                })),
-            ),
-        ]);
-        println!("{}", doc.render());
-        return;
-    }
-
-    println!(
-        "Sync-buffer ablation, coll_perf, cache enabled, {} aggregators",
-        aggs
-    );
-    println!(
+    let doc = Json::obj([
+        ("figure", Json::str("ablation_sync_buffer")),
+        ("scale", Json::str(scale.name())),
+        ("aggregators", Json::U64(aggs as u64)),
+        (
+            "rows",
+            Json::arr(rows.iter().map(|&(buf, bw, exposed, t_c)| {
+                Json::obj([
+                    ("ind_wr_buffer_bytes", Json::U64(buf)),
+                    ("gb_s", Json::F64(bw)),
+                    ("exposed_sync_secs", Json::F64(exposed)),
+                    ("t_c_secs", Json::F64(t_c)),
+                ])
+            })),
+        ),
+    ]);
+    let mut text = format!("Sync-buffer ablation, coll_perf, cache enabled, {aggs} aggregators\n");
+    let _ = writeln!(
+        text,
         "{:>16} {:>12} {:>18} {:>12}",
         "ind_wr_buffer", "BW [GB/s]", "exposed sync [s]", "T_c [s]"
     );
     for (buf, bw, exposed, t_c) in rows {
-        println!(
+        let _ = writeln!(
+            text,
             "{:>13}KiB {:>12.2} {:>18.2} {:>12.2}",
             buf >> 10,
             bw,
@@ -77,4 +60,5 @@ fn main() {
             t_c
         );
     }
+    finish(Report::new(doc, text), &cli)
 }

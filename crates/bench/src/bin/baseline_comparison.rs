@@ -14,16 +14,14 @@
 //! parcoll/multifile write group-contiguous segments — their intended
 //! pattern.
 
-use std::rc::Rc;
+use std::fmt::Write as _;
 
-use e10_bench::{hints_for, paper_base_hints, Case, Scale};
-use e10_mpisim::{FileView, FlatType, Info};
+use e10_bench::{finish, hints_for, simulate, Case, Cli, Json, Report, Scale};
+use e10_mpisim::{FileView, FlatType};
 use e10_romio::{
-    group_of, write_at_all_multifile, write_at_all_partitioned, AdioFile, DataSpec, IoCtx,
-    TestbedSpec,
+    write_at_all_multifile, write_at_all_partitioned, AdioFile, DataSpec, TestbedSpec,
 };
 use e10_simcore::{join_all, now, spawn};
-use e10_workloads::{run_workload, RunConfig, Workload};
 
 fn block_bytes(scale: Scale) -> u64 {
     scale.ior().block_size * scale.ior().segments
@@ -31,26 +29,21 @@ fn block_bytes(scale: Scale) -> u64 {
 
 /// Driver-based variants (plain and both staging flavours).
 fn run_driver_variant(scale: Scale, variant: &'static str, aggs: usize) -> f64 {
-    e10_simcore::run(async move {
-        let w = Rc::new(scale.ior());
-        let mut spec = TestbedSpec::deep_er();
-        spec.procs = w.procs();
-        spec.nodes = scale.nodes();
+    let case = if variant == "plain" {
+        Case::Disabled
+    } else {
+        Case::Enabled
+    };
+    let hints = hints_for(case, aggs, 16 << 20);
+    simulate(scale, scale.ior(), hints, "/gfs/bcd", |spec, cfg| {
         if variant == "ram_staging" {
             spec.ram_scratch = Some(2 << 30);
         }
-        let tb = spec.build();
-        let case = if variant == "plain" {
-            Case::Disabled
-        } else {
-            Case::Enabled
-        };
-        let mut cfg = RunConfig::paper(hints_for(case, aggs, 16 << 20), "/gfs/bcd");
         cfg.files = 2;
-        cfg.compute_delay = scale.compute_delay();
         cfg.include_last_sync = true;
-        run_workload(&tb, w, &cfg).await.gb_s()
     })
+    .outcome
+    .gb_s()
 }
 
 /// Hand-driven variants (group-based algorithms the driver doesn't
@@ -63,26 +56,13 @@ fn run_grouped_variant(scale: Scale, variant: &'static str, aggs: usize) -> f64 
         spec.procs = procs;
         spec.nodes = scale.nodes();
         let tb = spec.build();
-        let hints: Info = paper_base_hints();
-        hints.set("cb_nodes", &aggs.to_string());
-        hints.set("cb_buffer_size", &(16u64 << 20).to_string());
+        let hints = hints_for(Case::Disabled, aggs, 16 << 20);
         let files = 2usize;
         let ngroups = (aggs / 2).clamp(1, procs);
-        let pfs = Rc::clone(&tb.pfs);
-        let localfs = Rc::clone(&tb.localfs);
-        let nvmfs = Rc::clone(&tb.nvmfs);
-
         let handles: Vec<_> = tb
-            .world
-            .comms
-            .iter()
-            .map(|comm| {
-                let ctx = IoCtx {
-                    comm: comm.clone(),
-                    pfs: Rc::clone(&pfs),
-                    localfs: Rc::clone(&localfs),
-                    nvmfs: Rc::clone(&nvmfs),
-                };
+            .ctxs()
+            .into_iter()
+            .map(|ctx| {
                 let hints = hints.clone();
                 spawn(async move {
                     let rank = ctx.comm.rank();
@@ -118,7 +98,6 @@ fn run_grouped_variant(scale: Scale, variant: &'static str, aggs: usize) -> f64 
                         }
                         t_io += now().since(t0).as_secs_f64();
                     }
-                    let _ = group_of(rank, ctx.comm.size(), ngroups);
                     t_io
                 })
             })
@@ -129,8 +108,9 @@ fn run_grouped_variant(scale: Scale, variant: &'static str, aggs: usize) -> f64 
     })
 }
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> std::process::ExitCode {
+    let cli = Cli::parse();
+    let scale = cli.scale(Scale::Full);
     let rows: Vec<(usize, [f64; 5])> = scale
         .aggregators()
         .into_iter()
@@ -144,44 +124,41 @@ fn main() {
         })
         .collect();
 
-    if e10_bench::json_mode() {
-        use e10_bench::Json;
-        let doc = Json::obj([
-            ("figure", Json::str("baseline_comparison")),
-            ("scale", Json::str(scale.name())),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|&(aggs, bw)| {
-                    Json::obj([
-                        ("aggregators", Json::U64(aggs as u64)),
-                        ("plain_gb_s", Json::F64(bw[0])),
-                        ("parcoll_gb_s", Json::F64(bw[1])),
-                        ("multifile_gb_s", Json::F64(bw[2])),
-                        ("ram_staging_gb_s", Json::F64(bw[3])),
-                        ("e10_cache_gb_s", Json::F64(bw[4])),
-                    ])
-                })),
-            ),
-        ]);
-        println!("{}", doc.render());
-        return;
-    }
-
-    println!("Baseline comparison (IOR-shaped workload, Eq. 2 GB/s):");
-    println!(
+    let doc = Json::obj([
+        ("figure", Json::str("baseline_comparison")),
+        ("scale", Json::str(scale.name())),
+        (
+            "rows",
+            Json::arr(rows.iter().map(|&(aggs, bw)| {
+                Json::obj([
+                    ("aggregators", Json::U64(aggs as u64)),
+                    ("plain_gb_s", Json::F64(bw[0])),
+                    ("parcoll_gb_s", Json::F64(bw[1])),
+                    ("multifile_gb_s", Json::F64(bw[2])),
+                    ("ram_staging_gb_s", Json::F64(bw[3])),
+                    ("e10_cache_gb_s", Json::F64(bw[4])),
+                ])
+            })),
+        ),
+    ]);
+    let mut text = "Baseline comparison (IOR-shaped workload, Eq. 2 GB/s):\n".to_string();
+    let _ = writeln!(
+        text,
         "{:<8} {:>10} {:>10} {:>11} {:>13} {:>11}",
         "aggs", "plain", "parcoll", "multifile", "ram_staging", "e10_cache"
     );
     for (aggs, bw) in rows {
-        println!(
+        let _ = writeln!(
+            text,
             "{:<8} {:>10.2} {:>10.2} {:>11.2} {:>13.2} {:>11.2}",
             aggs, bw[0], bw[1], bw[2], bw[3], bw[4]
         );
     }
-    println!(
+    text.push_str(
         "\nram_staging (ABT/RFS) tracks the NVM cache while per-node\n\
          bursts fit in the 2 GiB of free memory and degrades toward the\n\
          plain path when they do not; parcoll and multifile shrink the\n\
-         synchronisation span without changing the storage ceiling."
+         synchronisation span without changing the storage ceiling.\n",
     );
+    finish(Report::new(doc, text), &cli)
 }

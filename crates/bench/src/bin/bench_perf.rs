@@ -1,334 +1,10 @@
-//! Raw-speed baseline: host wall-clock per simulated event and
-//! allocator calls per event across the Fig-4 grid × collective-write
-//! algorithm {extended, node_agg} × cache class {ssd, nvm}.
-//!
-//! The emitted `BENCH_perf.json` is the machine-readable perf baseline
-//! future PRs regress against: the simulation is deterministic and
-//! single-threaded, so events fired, simulated wall time, bandwidth
-//! and allocator-call counts are bit-stable for a fixed scale — only
-//! the `wall_*`/`host_*` fields depend on the host.
-//!
-//! `bench_perf [--smoke] [--json] [--out PATH] [--jobs N]
-//!             [--check PATH] [--pre NS]`
-//!
-//! * `--smoke` — test scale (8 ranks) instead of quick; for fast
-//!   iteration. The CI gate runs the default quick scale so the
-//!   committed baseline and the gate measure the same grid.
-//! * `--json` — also print the document to stdout.
-//! * `--out PATH` — where to write the JSON (default
-//!   `BENCH_perf.json`; `-` skips the file).
-//! * `--jobs N` — worker count for the wall-clock pass (default
-//!   `E10_JOBS`). The allocation pass always runs sequentially on the
-//!   main thread: allocator-call counts are only meaningful with one
-//!   simulation running in the counted window.
-//! * `--check PATH` — regression gate: load a committed baseline and
-//!   exit 1 if any cell's events or allocator calls moved at all
-//!   (exact, the sim is deterministic) or the densest cell's fastest
-//!   wall-clock per event exceeds `WALL_TOLERANCE ×` the baseline
-//!   (loose: hosts differ, and those runs are the only wall samples
-//!   taken without pool contention).
-//! * `--pre NS` — record `NS` as the pre-change ns/event anchor for
-//!   the densest cell and gate on the ≥ 20% improvement target.
-//!
-//! The densest Fig-4 cell (most aggregators × largest collective
-//! buffer, extended algorithm, ssd class) is re-run five times and
-//! reported as the minimum: the CI host alternates between a fast
-//! state and one about twice as slow, a median of three straddles the
-//! two, and the fastest of five is the fast state's cost.
-
-use std::time::Instant;
-
-use e10_bench::{combo_label, hints_for, Case, Json, Scale};
-use e10_romio::TestbedSpec;
-use e10_simcore::alloc_gauge::{self, CountingAlloc};
-use e10_simcore::pool::{run_jobs_on, worker_threads};
-use e10_simcore::Job;
-use e10_workloads::{run_workload, RunConfig, Workload};
+//! Raw-speed baseline: host wall-clock and allocator calls per simulated
+//! event over the Fig-4 grid; committed as `BENCH_perf.json`.
+//! The experiment and its gate are `bench_perf` in `e10_bench::GATES`.
 
 #[global_allocator]
-static A: CountingAlloc = CountingAlloc;
+static A: e10_simcore::alloc_gauge::CountingAlloc = e10_simcore::alloc_gauge::CountingAlloc;
 
-/// Factor by which the densest cell's fastest wall-clock per event may
-/// exceed the committed baseline before `--check` fails. Loose on
-/// purpose: the baseline host and the CI host differ.
-const WALL_TOLERANCE: f64 = 2.0;
-
-/// Sequential runs of the densest cell; the fastest is reported.
-const DENSEST_RUNS: usize = 5;
-
-/// One grid cell: a Fig-4 combo × algorithm × cache class.
-#[derive(Clone, Copy)]
-struct Cell {
-    aggregators: usize,
-    cb_size: u64,
-    algo: &'static str,
-    class: &'static str,
-}
-
-/// One measured cell.
-struct Measured {
-    cell: Cell,
-    /// Calendar events fired (deterministic).
-    events: u64,
-    /// Simulated seconds (deterministic).
-    sim_wall_secs: f64,
-    /// Perceived bandwidth, GB/s (deterministic).
-    gb_s: f64,
-    /// Allocator calls over the whole run (deterministic; 0 until the
-    /// sequential allocation pass fills it in).
-    allocs: u64,
-    /// Host seconds for this run (noisy).
-    host_secs: f64,
-}
-
-fn grid(scale: Scale) -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for algo in ["extended", "node_agg"] {
-        for class in ["ssd", "nvm"] {
-            for aggregators in scale.aggregators() {
-                for cb_size in scale.cb_sizes() {
-                    cells.push(Cell {
-                        aggregators,
-                        cb_size,
-                        algo,
-                        class,
-                    });
-                }
-            }
-        }
-    }
-    cells
-}
-
-/// Run one cell in a fresh simulated cluster, returning the outcome
-/// plus executor stats. Deterministic for a fixed scale and cell.
-fn run_cell(scale: Scale, cell: Cell) -> Measured {
-    let t0 = Instant::now();
-    let (outcome, stats) = e10_simcore::run_with_stats(async move {
-        let workload: e10_workloads::CollPerf = scale.workload();
-        let workload = std::rc::Rc::new(workload);
-        let mut spec = TestbedSpec::deep_er();
-        spec.procs = workload.procs();
-        spec.nodes = scale.nodes();
-        let tb = spec.build();
-        let info = hints_for(Case::Enabled, cell.aggregators, cell.cb_size);
-        info.set("e10_two_phase", cell.algo);
-        info.set("e10_cache_class", cell.class);
-        let mut cfg = RunConfig::paper(info, &format!("/gfs/{}", workload.name()));
-        cfg.files = scale.files();
-        cfg.compute_delay = scale.compute_delay();
-        cfg.include_last_sync = false;
-        cfg.verify = true;
-        run_workload(&tb, workload, &cfg).await
-    });
-    Measured {
-        cell,
-        events: stats.events_fired,
-        sim_wall_secs: outcome.wall_time,
-        gb_s: outcome.gb_s(),
-        allocs: 0,
-        host_secs: t0.elapsed().as_secs_f64(),
-    }
-}
-
-fn cell_json(m: &Measured) -> Json {
-    let wall_ns_per_event = m.host_secs * 1e9 / m.events.max(1) as f64;
-    let allocs_per_event = m.allocs as f64 / m.events.max(1) as f64;
-    Json::obj([
-        (
-            "combo",
-            Json::str(combo_label(m.cell.aggregators, m.cell.cb_size)),
-        ),
-        ("aggregators", Json::U64(m.cell.aggregators as u64)),
-        ("cb_size", Json::U64(m.cell.cb_size)),
-        ("algo", Json::str(m.cell.algo)),
-        ("class", Json::str(m.cell.class)),
-        // Host-dependent fields first (never last in the object, so
-        // the CI byte-identity strip can remove `"key":value,`).
-        ("wall_ns_per_event", Json::F64(wall_ns_per_event)),
-        ("host_secs", Json::F64(m.host_secs)),
-        ("events", Json::U64(m.events)),
-        ("sim_wall_secs", Json::F64(m.sim_wall_secs)),
-        ("gb_s", Json::F64(m.gb_s)),
-        ("allocs", Json::U64(m.allocs)),
-        ("allocs_per_event", Json::F64(allocs_per_event)),
-    ])
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json = args.iter().any(|a| a == "--json") || e10_bench::json_mode();
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_perf.json".to_string());
-    let jobs_n: usize = flag_value(&args, "--jobs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(worker_threads)
-        .max(1);
-    let check_path = flag_value(&args, "--check");
-    let pre_ns: Option<f64> = flag_value(&args, "--pre").and_then(|s| s.parse().ok());
-    let scale = if smoke {
-        Scale::Test
-    } else if std::env::var("E10_SCALE").is_ok() {
-        Scale::from_env()
-    } else {
-        Scale::Quick
-    };
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cells = grid(scale);
-    eprintln!(
-        "bench_perf: scale={} cells={} jobs={jobs_n} host_cpus={host_cpus}",
-        scale.name(),
-        cells.len()
-    );
-
-    // Wall-clock pass: one pool job per cell, results in grid order.
-    let wall_jobs: Vec<Job<Measured>> = cells
-        .iter()
-        .map(|&cell| {
-            let job: Job<Measured> = Box::new(move || run_cell(scale, cell));
-            job
-        })
-        .collect();
-    let mut measured = run_jobs_on(jobs_n, wall_jobs);
-
-    // Allocation pass: sequential on the main thread, in grid order.
-    // One uncounted warm-up run first, so main-thread lazy statics and
-    // thread-locals are in the same state whether the wall pass above
-    // ran inline (jobs=1) or entirely on pool workers.
-    run_cell(scale, cells[0]);
-    for (i, &cell) in cells.iter().enumerate() {
-        let (allocs, _) = alloc_gauge::count(|| run_cell(scale, cell));
-        measured[i].allocs = allocs;
-    }
-
-    // Densest-cell probe: most aggregators × largest collective buffer
-    // on the baseline algorithm/class, fastest of `DENSEST_RUNS`.
-    let densest = Cell {
-        aggregators: *scale.aggregators().last().unwrap(),
-        cb_size: *scale.cb_sizes().last().unwrap(),
-        algo: "extended",
-        class: "ssd",
-    };
-    let runs: Vec<Measured> = (0..DENSEST_RUNS)
-        .map(|_| run_cell(scale, densest))
-        .collect();
-    let densest_events = runs[0].events;
-    let fastest = runs
-        .iter()
-        .map(|r| r.host_secs)
-        .fold(f64::INFINITY, f64::min);
-    let densest_min_ns = fastest * 1e9 / densest_events.max(1) as f64;
-    eprintln!(
-        "bench_perf: densest {} extended/ssd min {:.1} ns/event over {} events",
-        combo_label(densest.aggregators, densest.cb_size),
-        densest_min_ns,
-        densest_events
-    );
-
-    let mut gate_ok = true;
-    let mut improvement = Json::Null;
-    if let Some(pre) = pre_ns {
-        let pct = (pre - densest_min_ns) / pre * 100.0;
-        eprintln!("bench_perf: vs pre-change {pre:.1} ns/event: {pct:.1}% faster");
-        if pct < 20.0 {
-            eprintln!("bench_perf: GATE FAIL — improvement {pct:.1}% < 20%");
-            gate_ok = false;
-        }
-        improvement = Json::obj([
-            ("pre_ns_per_event", Json::F64(pre)),
-            ("wall_improvement_pct", Json::F64(pct)),
-            ("gate_min_pct", Json::F64(20.0)),
-        ]);
-    }
-
-    // Regression check against a committed baseline.
-    if let Some(path) = &check_path {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("bench_perf --check: cannot read {path}: {e}"));
-        let base = Json::parse(&text)
-            .unwrap_or_else(|e| panic!("bench_perf --check: cannot parse {path}: {e}"));
-        let base_cells = match base.get("cells") {
-            Some(Json::Arr(v)) => v.clone(),
-            _ => panic!("bench_perf --check: {path} has no cells array"),
-        };
-        if base.get("scale").and_then(|s| s.as_f64()).is_some()
-            || base.get("scale") != Some(&Json::str(scale.name()))
-        {
-            eprintln!(
-                "bench_perf: CHECK SKIPPED — baseline scale {:?} != run scale {}",
-                base.get("scale"),
-                scale.name()
-            );
-        } else {
-            for (m, b) in measured.iter().zip(base_cells.iter()) {
-                let label = format!(
-                    "{} {}/{}",
-                    combo_label(m.cell.aggregators, m.cell.cb_size),
-                    m.cell.algo,
-                    m.cell.class
-                );
-                let b_events = b.get("events").and_then(|v| v.as_f64()).unwrap_or(0.0);
-                let b_allocs = b.get("allocs").and_then(|v| v.as_f64()).unwrap_or(0.0);
-                if (m.events as f64, m.allocs as f64) != (b_events, b_allocs) {
-                    eprintln!(
-                        "bench_perf: CHECK FAIL {label} — events/allocs {}/{} vs baseline {}/{}",
-                        m.events, m.allocs, b_events, b_allocs
-                    );
-                    gate_ok = false;
-                }
-            }
-            // Wall-clock gate on the densest cell's minimum only: every other
-            // wall sample ran under pool contention and a loaded CI
-            // host, so per-cell wall comparisons would only flake.
-            let b_wall = base
-                .get("wall_densest_min_ns_per_event")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(f64::INFINITY);
-            if densest_min_ns > b_wall * WALL_TOLERANCE {
-                eprintln!(
-                    "bench_perf: CHECK FAIL densest min — {densest_min_ns:.1} \
-                     ns/event > {WALL_TOLERANCE}x baseline {b_wall:.1}"
-                );
-                gate_ok = false;
-            }
-        }
-    }
-
-    let doc = Json::obj([
-        ("bench", Json::str("perf_baseline")),
-        ("workload", Json::str("coll_perf")),
-        ("scale", Json::str(scale.name())),
-        ("procs", Json::U64(scale.procs() as u64)),
-        ("nodes", Json::U64(scale.nodes() as u64)),
-        // Host-dependent fields (stripped for the CI byte-identity
-        // comparison; keep them before a stable field).
-        ("jobs", Json::U64(jobs_n as u64)),
-        ("host_cpus", Json::U64(host_cpus as u64)),
-        ("wall_densest_min_ns_per_event", Json::F64(densest_min_ns)),
-        ("wall_improvement", improvement),
-        (
-            "densest_combo",
-            Json::str(combo_label(densest.aggregators, densest.cb_size)),
-        ),
-        ("densest_events", Json::U64(densest_events)),
-        ("wall_tolerance", Json::F64(WALL_TOLERANCE)),
-        ("cells", Json::arr(measured.iter().map(cell_json))),
-    ]);
-    if json {
-        println!("{}", doc.pretty());
-    }
-    if out_path != "-" {
-        std::fs::write(&out_path, doc.pretty() + "\n").expect("write BENCH_perf.json");
-        eprintln!("bench_perf: wrote {out_path}");
-    }
-    if !gate_ok {
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    e10_bench::gate_main("bench_perf")
 }

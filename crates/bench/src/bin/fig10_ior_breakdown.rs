@@ -1,11 +1,14 @@
 //! Figure 10: IOR collective-I/O contribution breakdown with the cache
 //! enabled — the `not_hidden_sync` term of the final write phase is
 //! clearly visible (the `T_s(k) - C(k+1)` of Eq. 1 with C = 0).
-//! `--json` for machine output.
-use e10_bench::{emit_breakdown_figure, run_sweep, Case, Scale};
+use e10_bench::{figure_main, Case, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    let points = run_sweep(scale, move || scale.ior(), Case::Enabled, true);
-    emit_breakdown_figure("fig10", "Fig. 10 — IOR breakdown, cache ENABLED", &points);
+fn main() -> std::process::ExitCode {
+    figure_main(
+        "fig10",
+        "Fig. 10 — IOR breakdown, cache ENABLED",
+        Scale::ior,
+        &[Case::Enabled],
+        true,
+    )
 }

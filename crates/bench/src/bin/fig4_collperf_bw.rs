@@ -1,17 +1,13 @@
 //! Figure 4: coll_perf perceived write bandwidth for all
 //! `<aggregators>_<coll_bufsize>` combinations, three cases.
-//!
-//! Grid points run on the `E10_JOBS` worker pool; `--json` emits the
-//! machine-readable form.
-use e10_bench::{emit_bandwidth_figure, run_full_sweep, Scale};
-use e10_workloads::CollPerf;
+use e10_bench::{figure_main, Case, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    let points = run_full_sweep(scale, move || scale.workload::<CollPerf>(), false);
-    emit_bandwidth_figure(
+fn main() -> std::process::ExitCode {
+    figure_main(
         "fig4",
         "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)",
-        &points,
-    );
+        Scale::collperf,
+        &Case::ALL,
+        false,
+    )
 }

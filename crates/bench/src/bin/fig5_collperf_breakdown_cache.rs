@@ -1,13 +1,13 @@
 //! Figure 5: coll_perf collective-I/O contribution breakdown with the
-//! E10 cache enabled. `--json` for machine output.
-use e10_bench::{emit_breakdown_figure, run_sweep, Case, Scale};
+//! E10 cache enabled.
+use e10_bench::{figure_main, Case, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    let points = run_sweep(scale, move || scale.collperf(), Case::Enabled, false);
-    emit_breakdown_figure(
+fn main() -> std::process::ExitCode {
+    figure_main(
         "fig5",
         "Fig. 5 — coll_perf breakdown, cache ENABLED",
-        &points,
-    );
+        Scale::collperf,
+        &[Case::Enabled],
+        false,
+    )
 }

@@ -1,14 +1,13 @@
 //! Figure 6: coll_perf collective-I/O contribution breakdown with the
 //! cache disabled (writes straight to the global file system).
-//! `--json` for machine output.
-use e10_bench::{emit_breakdown_figure, run_sweep, Case, Scale};
+use e10_bench::{figure_main, Case, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    let points = run_sweep(scale, move || scale.collperf(), Case::Disabled, false);
-    emit_breakdown_figure(
+fn main() -> std::process::ExitCode {
+    figure_main(
         "fig6",
         "Fig. 6 — coll_perf breakdown, cache DISABLED",
-        &points,
-    );
+        Scale::collperf,
+        &[Case::Disabled],
+        false,
+    )
 }

@@ -1,14 +1,12 @@
 //! Figure 7: Flash-IO perceived write bandwidth for all combinations.
-//! Runs on the `E10_JOBS` worker pool; `--json` for machine output.
-use e10_bench::{emit_bandwidth_figure, run_full_sweep, Scale};
-use e10_workloads::FlashIo;
+use e10_bench::{figure_main, Case, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    let points = run_full_sweep(scale, move || scale.workload::<FlashIo>(), false);
-    emit_bandwidth_figure(
+fn main() -> std::process::ExitCode {
+    figure_main(
         "fig7",
         "Fig. 7 — Flash-IO perceived bandwidth (aggregators_collbuf)",
-        &points,
-    );
+        Scale::flashio,
+        &Case::ALL,
+        false,
+    )
 }

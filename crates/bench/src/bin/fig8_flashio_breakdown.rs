@@ -1,13 +1,13 @@
 //! Figure 8: Flash-IO collective-I/O contribution breakdown with the
-//! E10 cache enabled. `--json` for machine output.
-use e10_bench::{emit_breakdown_figure, run_sweep, Case, Scale};
+//! E10 cache enabled.
+use e10_bench::{figure_main, Case, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    let points = run_sweep(scale, move || scale.flashio(), Case::Enabled, false);
-    emit_breakdown_figure(
+fn main() -> std::process::ExitCode {
+    figure_main(
         "fig8",
         "Fig. 8 — Flash-IO breakdown, cache ENABLED",
-        &points,
-    );
+        Scale::flashio,
+        &[Case::Enabled],
+        false,
+    )
 }

@@ -1,16 +1,14 @@
 //! Figure 9: IOR perceived write bandwidth. Unlike coll_perf and
 //! Flash-IO, IOR charges the non-hidden synchronisation of the LAST
 //! write phase (paper §IV-D), which caps the cache-enabled peak.
-//! Runs on the `E10_JOBS` worker pool; `--json` for machine output.
-use e10_bench::{emit_bandwidth_figure, run_full_sweep, Scale};
-use e10_workloads::Ior;
+use e10_bench::{figure_main, Case, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    let points = run_full_sweep(scale, move || scale.workload::<Ior>(), true);
-    emit_bandwidth_figure(
+fn main() -> std::process::ExitCode {
+    figure_main(
         "fig9",
         "Fig. 9 — IOR perceived bandwidth, incl. last-phase sync",
-        &points,
-    );
+        Scale::ior,
+        &Case::ALL,
+        true,
+    )
 }

@@ -1,134 +1,6 @@
-//! Multi-job cache contention figures: N jobs time-sharing the same
-//! nodes' cache devices under the per-node arbiter. Three arms:
-//!
-//! * `single`      — one job on the contended node shape (baseline).
-//! * `uncontended` — four jobs, cache sized generously: everything
-//!   admits, nothing degrades.
-//! * `contended`   — four jobs, cache sized for ~1.5 jobs: the
-//!   acceptance scenario. At least one job must degrade to
-//!   write-through and at least one watermark eviction must fire, or
-//!   the binary exits non-zero.
-//!
-//! Every arm's global files are byte-verified inside the harness
-//! before figures are reported, so a passing run proves contention
-//! never corrupted any job's output.
-//!
-//! `multi_job [--json]` — each arm is an independent simulation built
-//! inside its pool job, so runs parallelise over `E10_JOBS` and the
-//! output is bit-identical at any worker count. The arms are already
-//! test-sized (sub-second each), so there is no separate smoke scale.
-use e10_bench::{json_mode, Json};
-use e10_workloads::{run_multi_job, MultiJobOutcome, MultiJobSpec};
+//! Multi-job cache contention under the per-node arbiter.
+//! The experiment and its gate are `multi_job` in `e10_bench::GATES`.
 
-type Arm = (&'static str, fn() -> MultiJobSpec);
-
-fn main() {
-    let json = json_mode();
-    let arms: Vec<Arm> = vec![
-        ("single", MultiJobSpec::single),
-        ("uncontended", MultiJobSpec::uncontended),
-        ("contended", MultiJobSpec::contended),
-    ];
-    if !json {
-        println!("# multi_job arms={}", arms.len());
-    }
-    let host0 = std::time::Instant::now();
-    let jobs: Vec<e10_simcore::Job<MultiJobOutcome>> = arms
-        .iter()
-        .map(|&(_, make)| {
-            Box::new(move || run_multi_job(&make())) as e10_simcore::Job<MultiJobOutcome>
-        })
-        .collect();
-    let outcomes = e10_simcore::run_jobs(jobs);
-    let host_secs = host0.elapsed().as_secs_f64();
-
-    if json {
-        let doc = Json::obj([
-            ("figure", Json::str("multi_job")),
-            ("host_secs", Json::F64(host_secs)),
-            (
-                "arms",
-                Json::arr(arms.iter().zip(&outcomes).map(|(&(name, make), out)| {
-                    let spec = make();
-                    Json::obj([
-                        ("arm", Json::str(name)),
-                        ("jobs", Json::U64(spec.jobs as u64)),
-                        ("nodes", Json::U64(spec.nodes as u64)),
-                        ("capacity", Json::U64(spec.capacity)),
-                        ("wall_secs", Json::F64(out.wall_secs)),
-                        ("admitted", Json::U64(out.admitted)),
-                        ("refused", Json::U64(out.refused)),
-                        ("evicted", Json::U64(out.evicted)),
-                        ("degrades", Json::U64(out.degrades)),
-                        ("fair_grants", Json::U64(out.fair_grants)),
-                        ("bytes_cached", Json::U64(out.bytes_cached)),
-                        (
-                            "per_job",
-                            Json::arr(out.jobs.iter().map(|j| {
-                                Json::obj([
-                                    ("job", Json::U64(j.job as u64)),
-                                    ("bytes", Json::U64(j.bytes)),
-                                    ("secs", Json::F64(j.secs)),
-                                    ("gb_s", Json::F64(j.gb_s)),
-                                ])
-                            })),
-                        ),
-                    ])
-                })),
-            ),
-        ]);
-        println!("{}", doc.render());
-    } else {
-        for (&(name, _), out) in arms.iter().zip(&outcomes) {
-            println!(
-                "arm={name:>12} wall={:.3}s admitted={} refused={} evicted={} degrades={} \
-                 fair_grants={} cached={}",
-                out.wall_secs,
-                out.admitted,
-                out.refused,
-                out.evicted,
-                out.degrades,
-                out.fair_grants,
-                out.bytes_cached,
-            );
-            for j in &out.jobs {
-                println!(
-                    "  job{} bytes={} secs={:.3} gb_s={:.4}",
-                    j.job, j.bytes, j.secs, j.gb_s
-                );
-            }
-        }
-        println!("host_secs={host_secs:.1}");
-    }
-
-    // The acceptance gate: contention must demonstrably engage the
-    // arbiter, and the control arms must stay clean.
-    let by_name = |n: &str| {
-        arms.iter()
-            .position(|&(name, _)| name == n)
-            .map(|i| &outcomes[i])
-            .expect("arm present")
-    };
-    let contended = by_name("contended");
-    let mut failed = false;
-    if contended.degrades == 0 || contended.evicted == 0 {
-        eprintln!(
-            "multi_job: contended arm must degrade (got {}) and evict (got {})",
-            contended.degrades, contended.evicted
-        );
-        failed = true;
-    }
-    for arm in ["single", "uncontended"] {
-        let out = by_name(arm);
-        if out.degrades != 0 || out.evicted != 0 {
-            eprintln!(
-                "multi_job: {arm} arm must stay clean: degrades={} evicted={}",
-                out.degrades, out.evicted
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    e10_bench::gate_main("multi_job")
 }

@@ -1,249 +1,7 @@
-//! Machine-readable comparison of the three collective-write
-//! algorithms (`e10_two_phase = stock | extended | node_agg`) on the
-//! Fig. 4 coll_perf grid.
-//!
-//! Every grid cell runs all three algorithms with Ring tracing and
-//! verification enabled, then reports the shuffle-traffic counters the
-//! collective engine emits: total and *inter-node* message counts and
-//! bytes, plus the node-agg pre-phase telemetry (requests merged,
-//! envelope/header bytes saved). The emitted `BENCH_node_agg.json` is
-//! the committed evidence that intra-node aggregation reduces
-//! inter-node shuffle traffic while writing byte-identical files.
-//!
-//! `node_agg [--smoke] [--json] [--out PATH] [--jobs N]`
-//!
-//! * `--smoke` — test scale, used by `scripts/ci.sh` as the traffic-
-//!   reduction gate (exit 1 if node_agg does not strictly reduce
-//!   inter-node shuffle bytes AND messages vs extended on every cell).
-//! * `--out PATH` — where to write the JSON (default
-//!   `BENCH_node_agg.json`; `-` skips the file).
-//! * `--jobs N` — parallel worker count (default `E10_JOBS` /
-//!   available parallelism).
-//! * `--json` — also print the document to stdout.
-//!
-//! Scale follows `E10_SCALE` but defaults to `quick`: this is a
-//! traffic probe, not a figure regeneration.
+//! The three collective-write algorithms' shuffle traffic on the Fig. 4
+//! grid; committed as `BENCH_node_agg.json`.
+//! The experiment and its gate are `node_agg` in `e10_bench::GATES`.
 
-use std::rc::Rc;
-
-use e10_bench::{combo_label, json_mode, paper_base_hints, Json, Scale};
-use e10_romio::{TestbedSpec, TraceMode};
-use e10_simcore::pool::{run_jobs_on, worker_threads};
-use e10_simcore::Job;
-use e10_workloads::{run_workload, CollPerf, RunConfig, Workload};
-
-/// The three collective-write algorithms, in presentation order.
-const ALGOS: [&str; 3] = ["stock", "extended", "node_agg"];
-
-/// Shuffle-traffic counters of one (cell, algorithm) run.
-#[derive(Clone)]
-struct AlgoStats {
-    algo: &'static str,
-    gb_s: f64,
-    sim_wall_secs: f64,
-    shuffle_msgs: u64,
-    shuffle_bytes: u64,
-    remote_msgs: u64,
-    remote_bytes: u64,
-    merged_reqs: u64,
-    bytes_saved: u64,
-}
-
-/// One grid cell: the same workload under all three algorithms.
-struct Cell {
-    combo: String,
-    aggregators: usize,
-    cb_size: u64,
-    stats: Vec<AlgoStats>,
-}
-
-fn counter(snap: &e10_simcore::trace::MetricsSnapshot, name: &str) -> u64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0, |&(_, v)| v)
-}
-
-/// Run one cell × algorithm: cache disabled (the traffic comparison is
-/// about the exchange, not the write target), verification on, Ring
-/// tracing to collect the engine's counters.
-fn run_algo(scale: Scale, algo: &'static str, aggs: usize, cb: u64) -> AlgoStats {
-    let outcome = e10_simcore::run(async move {
-        let workload = Rc::new(scale.workload::<CollPerf>());
-        let mut spec = TestbedSpec::deep_er();
-        spec.procs = workload.procs();
-        spec.nodes = scale.nodes();
-        let tb = spec.build();
-        let hints = paper_base_hints();
-        hints.set("cb_nodes", &aggs.to_string());
-        hints.set("cb_buffer_size", &cb.to_string());
-        hints.set("e10_two_phase", algo);
-        let mut cfg = RunConfig::paper(hints, &format!("/gfs/node_agg_{algo}"));
-        cfg.files = scale.files();
-        cfg.compute_delay = scale.compute_delay();
-        cfg.trace.mode = TraceMode::Ring;
-        run_workload(&tb, workload, &cfg).await
-    });
-    let snap = outcome
-        .metrics
-        .clone()
-        .expect("ring tracing always snapshots metrics");
-    AlgoStats {
-        algo,
-        gb_s: outcome.gb_s(),
-        sim_wall_secs: outcome.wall_time,
-        shuffle_msgs: counter(&snap, "coll.shuffle.msgs"),
-        shuffle_bytes: counter(&snap, "coll.shuffle.bytes"),
-        remote_msgs: counter(&snap, "coll.shuffle.remote_msgs"),
-        remote_bytes: counter(&snap, "coll.shuffle.remote_bytes"),
-        merged_reqs: counter(&snap, "coll.node_agg.merged_reqs"),
-        bytes_saved: counter(&snap, "coll.node_agg.shuffle_bytes_saved"),
-    }
-}
-
-fn make_jobs(scale: Scale) -> Vec<Job<AlgoStats>> {
-    let mut jobs: Vec<Job<AlgoStats>> = Vec::new();
-    for aggs in scale.aggregators() {
-        for cb in scale.cb_sizes() {
-            for algo in ALGOS {
-                jobs.push(Box::new(move || {
-                    eprintln!("  running {} {algo} ...", combo_label(aggs, cb));
-                    run_algo(scale, algo, aggs, cb)
-                }));
-            }
-        }
-    }
-    jobs
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_node_agg.json".to_string());
-    let jobs_n = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(worker_threads)
-        .max(1);
-    let scale = if smoke {
-        Scale::Test
-    } else if std::env::var("E10_SCALE").is_ok() {
-        Scale::from_env()
-    } else {
-        Scale::Quick
-    };
-    eprintln!("node_agg: scale={} jobs={jobs_n}", scale.name());
-
-    let flat = run_jobs_on(jobs_n, make_jobs(scale));
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut it = flat.into_iter();
-    for aggs in scale.aggregators() {
-        for cb in scale.cb_sizes() {
-            let stats: Vec<AlgoStats> = (0..ALGOS.len()).map(|_| it.next().unwrap()).collect();
-            cells.push(Cell {
-                combo: combo_label(aggs, cb),
-                aggregators: aggs,
-                cb_size: cb,
-                stats,
-            });
-        }
-    }
-
-    // The gate: on a testbed where ranks share nodes, intra-node
-    // aggregation must strictly reduce inter-node shuffle traffic —
-    // both bytes and message count — against the extended algorithm,
-    // in every grid cell. (Verification inside each run already proved
-    // all three algorithms write byte-identical files.)
-    let mut gate_ok = true;
-    for cell in &cells {
-        let ext = &cell.stats[1];
-        let na = &cell.stats[2];
-        let bytes_ok = na.remote_bytes < ext.remote_bytes;
-        let msgs_ok = na.remote_msgs < ext.remote_msgs;
-        if !bytes_ok || !msgs_ok {
-            gate_ok = false;
-            eprintln!(
-                "GATE FAIL at {}: node_agg remote {} msgs / {} B vs extended {} msgs / {} B",
-                cell.combo, na.remote_msgs, na.remote_bytes, ext.remote_msgs, ext.remote_bytes
-            );
-        }
-    }
-
-    let doc = Json::obj([
-        ("bench", Json::str("node_agg_traffic")),
-        ("workload", Json::str("coll_perf")),
-        ("scale", Json::str(scale.name())),
-        ("procs", Json::U64(scale.procs() as u64)),
-        ("nodes", Json::U64(scale.nodes() as u64)),
-        ("jobs", Json::U64(jobs_n as u64)),
-        (
-            "gate",
-            Json::obj([
-                (
-                    "node_agg_reduces_internode_traffic_vs_extended",
-                    Json::Bool(gate_ok),
-                ),
-                ("files_verified_byte_identical", Json::Bool(true)),
-            ]),
-        ),
-        (
-            "cells",
-            Json::arr(cells.iter().map(|cell| {
-                Json::obj([
-                    ("combo", Json::str(&cell.combo)),
-                    ("aggregators", Json::U64(cell.aggregators as u64)),
-                    ("cb_size", Json::U64(cell.cb_size)),
-                    (
-                        "algorithms",
-                        Json::arr(cell.stats.iter().map(|s| {
-                            Json::obj([
-                                ("algo", Json::str(s.algo)),
-                                ("gb_s", Json::F64(s.gb_s)),
-                                ("sim_wall_secs", Json::F64(s.sim_wall_secs)),
-                                ("shuffle_msgs", Json::U64(s.shuffle_msgs)),
-                                ("shuffle_bytes", Json::U64(s.shuffle_bytes)),
-                                ("remote_msgs", Json::U64(s.remote_msgs)),
-                                ("remote_bytes", Json::U64(s.remote_bytes)),
-                                ("merged_reqs", Json::U64(s.merged_reqs)),
-                                ("shuffle_bytes_saved", Json::U64(s.bytes_saved)),
-                            ])
-                        })),
-                    ),
-                ])
-            })),
-        ),
-    ]);
-    let rendered = doc.pretty();
-    if out_path != "-" {
-        std::fs::write(&out_path, format!("{rendered}\n")).expect("write node_agg json");
-        eprintln!("node_agg: wrote {out_path}");
-    }
-    if json_mode() {
-        println!("{rendered}");
-    } else {
-        println!(
-            "{:<10} {:>10} {:>14} {:>14} {:>12} {:>12}",
-            "combo", "algo", "remote_msgs", "remote_bytes", "merged", "saved_B"
-        );
-        for cell in &cells {
-            for s in &cell.stats {
-                println!(
-                    "{:<10} {:>10} {:>14} {:>14} {:>12} {:>12}",
-                    cell.combo, s.algo, s.remote_msgs, s.remote_bytes, s.merged_reqs, s.bytes_saved
-                );
-            }
-        }
-        println!("gate (node_agg < extended inter-node traffic, every cell): {gate_ok}");
-    }
-    if !gate_ok {
-        eprintln!("node_agg: intra-node aggregation did NOT reduce inter-node traffic");
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    e10_bench::gate_main("node_agg")
 }

@@ -1,345 +1,7 @@
-//! SSD-vs-NVM-vs-hybrid cache-tier sweep on the Fig. 4 coll_perf grid.
-//!
-//! Every grid cell runs both collective-write algorithms
-//! (`e10_two_phase = extended | node_agg`) under all three
-//! `e10_cache_class` values, with Ring tracing and verification
-//! enabled. The grid is the Fig. 4 aggregator × buffer matrix with one
-//! extra small-buffer column (16 KiB) so every scale exercises the
-//! regime the byte-granular front-end targets, and the NVM mount is
-//! deliberately sized to *half* the densest aggregator's per-file
-//! footprint: the pure nvm class must overflow and degrade to
-//! write-through, while hybrid spills its block tier to the SSD and
-//! keeps caching.
-//!
-//! Two metrics drive the gate:
-//!
-//! * `cache.write_stall_ns / cache.write_bytes` — virtual stall per
-//!   cached byte inside cache writes (fallocate metadata + page-cache
-//!   copy on the SSD path; byte-granular device writes on the NVM
-//!   front). Normalising per byte keeps the comparison honest when a
-//!   capacity-pressured class caches fewer bytes. The nvm class must
-//!   strictly reduce it on every small-buffer cell.
-//! * aggregate bandwidth (`gb_s`) — hybrid must stay within 2 % of the
-//!   better pure class on every cell: graceful spill must never lose
-//!   to either a pure tier or a degraded one.
-//!
-//! The emitted `BENCH_nvm.json` is the committed evidence for both.
-//!
-//! `nvm_sweep [--smoke] [--json] [--out PATH] [--jobs N]`
-//!
-//! * `--smoke` — test scale, used by `scripts/ci.sh` as the gate
-//!   (exit 1 on any gate failure).
-//! * `--out PATH` — where to write the JSON (default `BENCH_nvm.json`;
-//!   `-` skips the file).
-//! * `--jobs N` — parallel worker count (default `E10_JOBS` /
-//!   available parallelism).
-//! * `--json` — also print the document to stdout.
-//!
-//! Scale follows `E10_SCALE` but defaults to `quick`: this is a device
-//! probe, not a figure regeneration.
+//! SSD-vs-NVM-vs-hybrid cache-tier sweep on the Fig. 4 grid; committed
+//! as `BENCH_nvm.json`.
+//! The experiment and its gate are `nvm_sweep` in `e10_bench::GATES`.
 
-use std::rc::Rc;
-
-use e10_bench::{combo_label, json_mode, paper_base_hints, Json, Scale};
-use e10_romio::{TestbedSpec, TraceMode};
-use e10_simcore::pool::{run_jobs_on, worker_threads};
-use e10_simcore::Job;
-use e10_workloads::{run_workload, CollPerf, RunConfig, Workload};
-
-/// The two cache-friendly collective-write algorithms (stock bypasses
-/// the cache entirely, so it has no cache-write stall to compare).
-const ALGOS: [&str; 2] = ["extended", "node_agg"];
-
-/// Cache classes in presentation order; `ssd` is the baseline.
-const CLASSES: [&str; 3] = ["ssd", "nvm", "hybrid"];
-
-/// The sweep pins `e10_nvm_threshold` to the device crossover: below
-/// ~20 KiB a byte-granular single-channel NVM write (~1 µs + b/0.575
-/// GB/s) undercuts the SSD staging path (~30 µs fallocate + b/3 GB/s);
-/// above it the block path wins. A cell is "small-buffer" when its
-/// collective buffer is at most this, i.e. when its cache writes take
-/// the front-end.
-const SMALL_BUFFER: u64 = 16 << 10;
-
-/// Hybrid's bandwidth may trail the better pure class by at most this
-/// factor (device jitter plus the front file's metadata ops).
-const HYBRID_TOLERANCE: f64 = 0.98;
-
-/// The Fig. 4 buffer column plus a 16 KiB small-buffer column when the
-/// scale's own grid has none (quick/full start at 1 MiB).
-fn sweep_cbs(scale: Scale) -> Vec<u64> {
-    let mut cbs = scale.cb_sizes();
-    if !cbs.iter().any(|&c| c <= SMALL_BUFFER) {
-        cbs.insert(0, SMALL_BUFFER);
-    }
-    cbs
-}
-
-/// Stall metrics of one (cell, algorithm, class) run.
-#[derive(Clone)]
-struct ClassStats {
-    class: &'static str,
-    gb_s: f64,
-    sim_wall_secs: f64,
-    /// Total virtual nanoseconds ranks spent blocked in cache writes.
-    write_stall_ns: u64,
-    /// Bytes staged through the byte-granular NVM front-end.
-    front_write_bytes: u64,
-    /// Bytes that entered the cache at all (front + block tiers).
-    cache_write_bytes: u64,
-}
-
-/// One grid point: the same workload and algorithm under all three
-/// cache classes.
-struct Cell {
-    combo: String,
-    aggregators: usize,
-    cb_size: u64,
-    algo: &'static str,
-    stats: Vec<ClassStats>,
-}
-
-fn counter(snap: &e10_simcore::trace::MetricsSnapshot, name: &str) -> u64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0, |&(_, v)| v)
-}
-
-/// Run one cell × algorithm × class: cache enabled with immediate
-/// flush (the paper's configuration), verification on, Ring tracing to
-/// collect the cache layer's stall counters.
-fn run_class(
-    scale: Scale,
-    algo: &'static str,
-    class: &'static str,
-    aggs: usize,
-    cb: u64,
-) -> ClassStats {
-    let outcome = e10_simcore::run(async move {
-        let workload = Rc::new(scale.workload::<CollPerf>());
-        let mut spec = TestbedSpec::deep_er();
-        spec.procs = workload.procs();
-        spec.nodes = scale.nodes();
-        // Capacity pressure: the NVM mount holds half of what the
-        // densest aggregator layout stages per file, so the pure nvm
-        // class runs out mid-file (arbiter degrades it to
-        // write-through) while hybrid overflows its block tier to the
-        // SSD and keeps absorbing writes.
-        let max_aggs = *scale.aggregators().last().unwrap() as u64;
-        spec.nvm_localfs.capacity = (workload.file_size() / (2 * max_aggs)).max(8 << 10);
-        let tb = spec.build();
-        let hints = paper_base_hints();
-        hints.set("cb_nodes", &aggs.to_string());
-        hints.set("cb_buffer_size", &cb.to_string());
-        hints.set("e10_two_phase", algo);
-        hints.set("e10_cache", "enable");
-        hints.set("e10_cache_flush_flag", "flush_immediate");
-        hints.set("e10_cache_discard_flag", "enable");
-        hints.set("e10_cache_class", class);
-        hints.set("e10_nvm_threshold", &SMALL_BUFFER.to_string());
-        let mut cfg = RunConfig::paper(hints, &format!("/gfs/nvm_sweep_{algo}_{class}"));
-        cfg.files = scale.files();
-        cfg.compute_delay = scale.compute_delay();
-        cfg.trace.mode = TraceMode::Ring;
-        run_workload(&tb, workload, &cfg).await
-    });
-    let snap = outcome
-        .metrics
-        .clone()
-        .expect("ring tracing always snapshots metrics");
-    ClassStats {
-        class,
-        gb_s: outcome.gb_s(),
-        sim_wall_secs: outcome.wall_time,
-        write_stall_ns: counter(&snap, "cache.write_stall_ns"),
-        front_write_bytes: counter(&snap, "cache.front_write_bytes"),
-        cache_write_bytes: counter(&snap, "cache.write_bytes"),
-    }
-}
-
-fn make_jobs(scale: Scale) -> Vec<Job<ClassStats>> {
-    let mut jobs: Vec<Job<ClassStats>> = Vec::new();
-    for aggs in scale.aggregators() {
-        for cb in sweep_cbs(scale) {
-            for algo in ALGOS {
-                for class in CLASSES {
-                    jobs.push(Box::new(move || {
-                        eprintln!("  running {} {algo} {class} ...", combo_label(aggs, cb));
-                        run_class(scale, algo, class, aggs, cb)
-                    }));
-                }
-            }
-        }
-    }
-    jobs
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_nvm.json".to_string());
-    let jobs_n = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(worker_threads)
-        .max(1);
-    let scale = if smoke {
-        Scale::Test
-    } else if std::env::var("E10_SCALE").is_ok() {
-        Scale::from_env()
-    } else {
-        Scale::Quick
-    };
-    eprintln!("nvm_sweep: scale={} jobs={jobs_n}", scale.name());
-
-    let flat = run_jobs_on(jobs_n, make_jobs(scale));
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut it = flat.into_iter();
-    for aggs in scale.aggregators() {
-        for cb in sweep_cbs(scale) {
-            for algo in ALGOS {
-                let stats: Vec<ClassStats> =
-                    (0..CLASSES.len()).map(|_| it.next().unwrap()).collect();
-                cells.push(Cell {
-                    combo: combo_label(aggs, cb),
-                    aggregators: aggs,
-                    cb_size: cb,
-                    algo,
-                    stats,
-                });
-            }
-        }
-    }
-
-    // The gate. (Verification inside each run already proved all three
-    // classes write byte-identical global files.)
-    //
-    // 1. On every small-buffer cell the nvm class must stage bytes
-    //    through the byte-granular front and strictly reduce the
-    //    cache-write stall *per cached byte* vs ssd: byte-granular
-    //    device writes beat fallocate + page-cache staging for writes
-    //    under the threshold, and the per-byte normalisation stops a
-    //    capacity-degraded run (which caches less, so stalls less in
-    //    total) from passing by accident.
-    // 2. On every cell hybrid bandwidth must stay within
-    //    `HYBRID_TOLERANCE` of the better pure class: routing each
-    //    piece to its better tier — and spilling to the SSD instead of
-    //    degrading when the NVM mount fills — must never lose.
-    let stall_per_byte =
-        |s: &ClassStats| s.write_stall_ns as f64 / s.cache_write_bytes.max(1) as f64;
-    let mut gate_nvm = true;
-    let mut gate_hybrid = true;
-    for cell in &cells {
-        let (ssd, nvm, hy) = (&cell.stats[0], &cell.stats[1], &cell.stats[2]);
-        if cell.cb_size <= SMALL_BUFFER
-            && (nvm.front_write_bytes == 0 || stall_per_byte(nvm) >= stall_per_byte(ssd))
-        {
-            gate_nvm = false;
-            eprintln!(
-                "GATE FAIL at {} {}: nvm {:.3} ns/B (front {} B) !< ssd {:.3} ns/B",
-                cell.combo,
-                cell.algo,
-                stall_per_byte(nvm),
-                nvm.front_write_bytes,
-                stall_per_byte(ssd)
-            );
-        }
-        let best = ssd.gb_s.max(nvm.gb_s);
-        if hy.gb_s < best * HYBRID_TOLERANCE {
-            gate_hybrid = false;
-            eprintln!(
-                "GATE FAIL at {} {}: hybrid {:.3} GB/s < best pure {:.3} GB/s - 2%",
-                cell.combo, cell.algo, hy.gb_s, best
-            );
-        }
-    }
-    let gate_ok = gate_nvm && gate_hybrid;
-
-    let doc = Json::obj([
-        ("bench", Json::str("nvm_cache_tier")),
-        ("workload", Json::str("coll_perf")),
-        ("scale", Json::str(scale.name())),
-        ("procs", Json::U64(scale.procs() as u64)),
-        ("nodes", Json::U64(scale.nodes() as u64)),
-        ("jobs", Json::U64(jobs_n as u64)),
-        ("small_buffer_bytes", Json::U64(SMALL_BUFFER)),
-        ("nvm_threshold_bytes", Json::U64(SMALL_BUFFER)),
-        ("hybrid_tolerance", Json::F64(HYBRID_TOLERANCE)),
-        (
-            "gate",
-            Json::obj([
-                (
-                    "nvm_reduces_write_stall_per_byte_on_small_buffers_vs_ssd",
-                    Json::Bool(gate_nvm),
-                ),
-                (
-                    "hybrid_bandwidth_never_worse_than_best_pure_class",
-                    Json::Bool(gate_hybrid),
-                ),
-                ("files_verified_byte_identical", Json::Bool(true)),
-            ]),
-        ),
-        (
-            "cells",
-            Json::arr(cells.iter().map(|cell| {
-                Json::obj([
-                    ("combo", Json::str(&cell.combo)),
-                    ("aggregators", Json::U64(cell.aggregators as u64)),
-                    ("cb_size", Json::U64(cell.cb_size)),
-                    ("algo", Json::str(cell.algo)),
-                    ("small_buffer", Json::Bool(cell.cb_size <= SMALL_BUFFER)),
-                    (
-                        "classes",
-                        Json::arr(cell.stats.iter().map(|s| {
-                            Json::obj([
-                                ("class", Json::str(s.class)),
-                                ("gb_s", Json::F64(s.gb_s)),
-                                ("sim_wall_secs", Json::F64(s.sim_wall_secs)),
-                                ("write_stall_ns", Json::U64(s.write_stall_ns)),
-                                ("front_write_bytes", Json::U64(s.front_write_bytes)),
-                                ("cache_write_bytes", Json::U64(s.cache_write_bytes)),
-                            ])
-                        })),
-                    ),
-                ])
-            })),
-        ),
-    ]);
-    let rendered = doc.pretty();
-    if out_path != "-" {
-        std::fs::write(&out_path, format!("{rendered}\n")).expect("write nvm_sweep json");
-        eprintln!("nvm_sweep: wrote {out_path}");
-    }
-    if json_mode() {
-        println!("{rendered}");
-    } else {
-        println!(
-            "{:<10} {:>9} {:>7} {:>16} {:>16} {:>10}",
-            "combo", "algo", "class", "write_stall_ns", "front_bytes", "gb_s"
-        );
-        for cell in &cells {
-            for s in &cell.stats {
-                println!(
-                    "{:<10} {:>9} {:>7} {:>16} {:>16} {:>10.3}",
-                    cell.combo, cell.algo, s.class, s.write_stall_ns, s.front_write_bytes, s.gb_s
-                );
-            }
-        }
-        println!(
-            "gate: nvm stall/byte < ssd on small buffers: {gate_nvm}; \
-             hybrid bandwidth never worse: {gate_hybrid}"
-        );
-    }
-    if !gate_ok {
-        eprintln!("nvm_sweep: the NVM tier did NOT hold its stall-reduction gate");
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    e10_bench::gate_main("nvm_sweep")
 }

@@ -5,41 +5,34 @@
 //! chunk granularities — if the substitution is sound, the bandwidths
 //! must be insensitive to the choice.
 
-use std::rc::Rc;
+use std::fmt::Write as _;
 
-use e10_bench::{hints_for, Case, Scale};
-use e10_romio::TestbedSpec;
-use e10_workloads::{run_workload, CollPerf, RunConfig, Workload};
+use e10_bench::{finish, hints_for, simulate, Case, Cli, Json, Report, Scale};
+use e10_workloads::CollPerf;
 
 fn run_one(scale: Scale, chunk: u64, case: Case, aggs: usize) -> f64 {
-    e10_simcore::run(async move {
-        // Hold the block size at 64 MB/rank by trading side³ against
-        // chunk: side = (64 MiB / chunk)^(1/3).
-        let block = 64u64 << 20;
-        let side = ((block / chunk) as f64).cbrt().round() as u64;
-        assert_eq!(side * side * side * chunk, block, "chunk must cube-divide");
-        let w = Rc::new(CollPerf {
-            grid: [8, 8, 8],
-            side,
-            chunk,
-        });
-        let mut spec = TestbedSpec::deep_er();
-        spec.procs = w.procs();
-        spec.nodes = scale.nodes();
-        let tb = spec.build();
-        let mut cfg = RunConfig::paper(hints_for(case, aggs, 4 << 20), "/gfs/sens");
-        cfg.files = 2;
-        cfg.compute_delay = scale.compute_delay();
-        cfg.verify = case.verifiable();
-        run_workload(&tb, w, &cfg).await.gb_s()
-    })
+    // Hold the block size at 64 MB/rank by trading side³ against
+    // chunk: side = (64 MiB / chunk)^(1/3).
+    let block = 64u64 << 20;
+    let side = ((block / chunk) as f64).cbrt().round() as u64;
+    assert_eq!(side * side * side * chunk, block, "chunk must cube-divide");
+    let w = CollPerf {
+        grid: [8, 8, 8],
+        side,
+        chunk,
+    };
+    let hints = hints_for(case, aggs, 4 << 20);
+    simulate(scale, w, hints, "/gfs/sens", |_, cfg| cfg.files = 2)
+        .outcome
+        .gb_s()
 }
 
-fn main() {
-    let scale = Scale::from_env();
+fn main() -> std::process::ExitCode {
+    let cli = Cli::parse();
+    let scale = cli.scale(Scale::Full);
     // Chunks that cube-divide 64 MiB: side ∈ {16, 8, 4} → 16 KiB,
     // 128 KiB, 1 MiB.
-    let chunks: &[(u64, &str)] = &[(16 << 10, "16K"), (128 << 10, "128K"), (1 << 20, "1M")];
+    let chunks: [u64; 3] = [16 << 10, 128 << 10, 1 << 20];
     let points = [
         ("disabled 64_4M", Case::Disabled, 64usize),
         ("enabled 64_4M", Case::Enabled, 64),
@@ -50,56 +43,49 @@ fn main() {
         .map(|(label, case, aggs)| {
             let bws = chunks
                 .iter()
-                .map(|&(chunk, _)| (chunk, run_one(scale, chunk, case, aggs)))
+                .map(|&chunk| (chunk, run_one(scale, chunk, case, aggs)))
                 .collect();
             (label, bws)
         })
         .collect();
 
-    if e10_bench::json_mode() {
-        use e10_bench::Json;
-        let doc = Json::obj([
-            ("figure", Json::str("sensitivity_granularity")),
-            ("scale", Json::str(scale.name())),
-            (
-                "rows",
-                Json::arr(rows.iter().map(|(label, bws)| {
-                    Json::obj([
-                        ("point", Json::str(*label)),
-                        (
-                            "chunks",
-                            Json::arr(bws.iter().map(|&(chunk, bw)| {
-                                Json::obj([
-                                    ("chunk_bytes", Json::U64(chunk)),
-                                    ("gb_s", Json::F64(bw)),
-                                ])
-                            })),
-                        ),
-                    ])
-                })),
-            ),
-        ]);
-        println!("{}", doc.render());
-        return;
-    }
-
-    println!("coll_perf granularity sensitivity (Fig. 4 anchor points, GB/s):");
-    println!(
+    let doc = Json::obj([
+        ("figure", Json::str("sensitivity_granularity")),
+        ("scale", Json::str(scale.name())),
+        (
+            "rows",
+            Json::arr(rows.iter().map(|(label, bws)| {
+                Json::obj([
+                    ("point", Json::str(*label)),
+                    (
+                        "chunks",
+                        Json::arr(bws.iter().map(|&(chunk, bw)| {
+                            Json::obj([("chunk_bytes", Json::U64(chunk)), ("gb_s", Json::F64(bw))])
+                        })),
+                    ),
+                ])
+            })),
+        ),
+    ]);
+    let mut text = "coll_perf granularity sensitivity (Fig. 4 anchor points, GB/s):\n".to_string();
+    let _ = writeln!(
+        text,
         "{:<22} {:>10} {:>10} {:>10}",
         "point", "16K chunks", "128K (used)", "1M chunks"
     );
     for (label, bws) in rows {
-        print!("{label:<22}");
+        let _ = write!(text, "{label:<22}");
         for (_, bw) in bws {
-            print!(" {bw:>10.2}");
+            let _ = write!(text, " {bw:>10.2}");
         }
-        println!();
+        text.push('\n');
     }
-    println!(
+    text.push_str(
         "\nMoving FINER than the 128 KiB used for the figures (toward the\n\
          real benchmark's KB-scale runs) leaves every point unchanged,\n\
          so the substitution does not drive the results; only much\n\
          coarser chunks would inflate the cached numbers by cutting\n\
-         shuffle message counts."
+         shuffle message counts.\n",
     );
+    finish(Report::new(doc, text), &cli)
 }

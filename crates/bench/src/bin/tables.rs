@@ -1,15 +1,11 @@
 //! Tables I and II: the ROMIO collective-I/O hints and the proposed
 //! E10 MPI-IO hint extensions, as resolved by this implementation.
-//! `--json` for machine output.
 //!
 //! Rendering lives in [`e10_bench::tables`] so the golden regression
 //! test pins the same bytes this binary prints.
-use e10_bench::json_mode;
+use e10_bench::tables::{tables_json, tables_text};
+use e10_bench::{finish, Cli, Report};
 
-fn main() {
-    if json_mode() {
-        println!("{}", e10_bench::tables::tables_json().render());
-    } else {
-        print!("{}", e10_bench::tables::tables_text());
-    }
+fn main() -> std::process::ExitCode {
+    finish(Report::new(tables_json(), tables_text()), &Cli::parse())
 }

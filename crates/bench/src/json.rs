@@ -1,5 +1,5 @@
-//! Minimal JSON emission and parsing for the bench binaries' `--json`
-//! mode.
+//! Minimal JSON emission and parsing for the bench binaries' documents
+//! (`--json`, `--out`, `--check`).
 //!
 //! The workspace builds offline (no serde); this is the small subset
 //! the machine-readable outputs need: a value tree, a deterministic
@@ -114,18 +114,20 @@ impl Json {
     /// Render compactly (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
     /// Render with two-space indentation, one key or element per line.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, Some(0));
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// `depth` is `None` for the compact form, else the nesting depth
+    /// of this value in the indented one.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -137,64 +139,48 @@ impl Json {
             }
             Json::F64(x) => write_f64(out, *x),
             Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Json::Arr(items) => write_members(out, depth, "[]", items.iter().map(|v| (None, v))),
+            Json::Obj(pairs) => write_members(
+                out,
+                depth,
+                "{}",
+                pairs.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-            other => other.write(out),
+/// An array's elements or an object's members between `brackets`,
+/// one per line at `depth + 1` when indenting (empty ones stay `[]` /
+/// `{}`).
+fn write_members<'a>(
+    out: &mut String,
+    depth: Option<usize>,
+    brackets: &str,
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    let depth = depth.filter(|_| members.len() > 0);
+    out.push_str(open);
+    for (i, (key, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        if let Some(d) = depth {
+            out.push('\n');
+            push_indent(out, d + 1);
+        }
+        if let Some(k) = key {
+            write_escaped(out, k);
+            out.push_str(if depth.is_some() { ": " } else { ":" });
+        }
+        value.write(out, depth.map(|d| d + 1));
     }
+    if let Some(d) = depth {
+        out.push('\n');
+        push_indent(out, d);
+    }
+    out.push_str(close);
 }
 
 fn push_indent(out: &mut String, levels: usize) {
@@ -429,11 +415,6 @@ impl Parser<'_> {
             .map(Json::F64)
             .map_err(|_| format!("bad number '{s}' at offset {start}"))
     }
-}
-
-/// Whether the binary was invoked with `--json`.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
 }
 
 #[cfg(test)]

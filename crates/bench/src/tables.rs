@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 /// and TABLE II (the paper's proposed E10 extensions) in the paper's
 /// row order, then the hints this implementation adds beyond them, in
 /// table order. Each row is `(key, description)`.
-pub fn listings() -> [Vec<(&'static str, &'static str)>; 3] {
+fn listings() -> [Vec<(&'static str, &'static str)>; 3] {
     let mut out = [Vec::new(), Vec::new(), Vec::new()];
     for spec in HINTS {
         let (listing, row, text) = match spec.doc {
@@ -34,7 +34,7 @@ pub fn listings() -> [Vec<(&'static str, &'static str)>; 3] {
 }
 
 /// The paper's experiment configuration (§IV) as an Info object.
-pub fn paper_info() -> Info {
+fn paper_info() -> Info {
     Info::from_pairs([
         ("romio_cb_write", "enable"),
         ("cb_nodes", "64"),

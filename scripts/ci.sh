@@ -38,54 +38,25 @@
 #      appear in crates/simcore/src only in waker.rs (the task waker's
 #      vtable) and alloc_gauge.rs (the counting allocator)
 #   4. clippy, warnings promoted to errors
-#   5. fault-matrix smoke: stalls/link faults/RPC failures across the
-#      cached and uncached write paths, plus a node crash recovered
-#      from the cache journal (exit != 0 on any data loss); runs with
-#      E10_JOBS=4 so the worker-pool path is exercised under CI
-#   6. multi_job smoke: the fixed-seed multi-tenant cache arms; the
-#      binary itself gates on the contended arm degrading + evicting
-#      while the control arms stay clean, and the JSON output (minus
-#      the host_secs wall-clock field) must be byte-identical at
-#      E10_JOBS=1 and E10_JOBS=8 (identical_across_jobs, as in steps
-#      9-11; the figure-sweep half of that rule — fig4 byte-identical,
-#      every point's virtual time and bandwidth bit-identical — is
-#      crates/bench/tests/determinism.rs in step 2)
-#   7. node_agg smoke: the three collective-write algorithms on the
-#      test-scale grid; the binary gates on intra-node aggregation
-#      strictly reducing inter-node shuffle bytes AND messages vs the
-#      extended algorithm on every cell (exit != 0 otherwise), with
-#      every run byte-verified
-#   8. chaos-soak smoke: fixed-seed randomized corruption schedules
-#      (SSD bit-flips/torn sectors, wire corruption, lazy PFS rot,
-#      stalls, RPC failures) against the fault-free oracle; exit != 0
-#      if any seed silently diverges from the oracle's bytes; the seeds
-#      cycle through all three cache classes so the NVM front and the
-#      hybrid split sit under the same oracle. Journal format-version
-#      compat is covered by the test suite in step 2 (v1 journals
-#      without Cksum records must still replay).
-#   9. nvm_sweep smoke: the SSD/NVM/hybrid cache-tier grid; the binary
-#      gates on the nvm class strictly reducing cache-write stall per
-#      cached byte on small-buffer cells and on hybrid bandwidth never
-#      losing to the better pure class (exit != 0 otherwise), and the
-#      JSON (minus the worker-count field) must be byte-identical at
-#      E10_JOBS=1 and E10_JOBS=8
-#  10. bench_perf smoke: the quick-scale perf baseline vs the
-#      committed BENCH_perf.json — events and allocator-call counts
-#      must match exactly (the sim is deterministic), the densest
-#      cell's median wall-clock per event must stay within the
-#      baseline's tolerance factor, and the JSON minus the
-#      wall-clock/host fields must be byte-identical at E10_JOBS=1
-#      and E10_JOBS=8
-#  11. degraded smoke: the failure-intensity × cache-class ×
-#      algorithm survivability grid; the binary gates on every cell
-#      verifying all acked bytes (device failure, mid-collective node
-#      crash, both), on the zero-failure arms being byte-identical
-#      with the crash-tolerant engine forced on, and the JSON (minus
-#      host_secs) must be byte-identical at E10_JOBS=1 and E10_JOBS=8.
-#      The zero-cost-when-off half of the gate is the alloc_count
-#      steady-state test in step 2 (tolerance hints at defaults add
-#      exactly 0 allocator calls per round).
-#  12. repo-benchmark smoke: builds the standalone `benchmark/` crate
+#   5. the bench gates: one table, GATES below, run at E10_JOBS=4 with
+#      each row's seconds and the total. A row fails on a non-zero
+#      exit: a failed gate, or a failed `--check FILE`, which runs at
+#      FILE's committed scale (the binary's default) and requires the
+#      document minus its "host" object to equal FILE exactly
+#      (bench_perf also holds its densest cell's fastest wall clock per
+#      event within 2x of FILE's).
+#        row                                   gate
+#        bench_perf --check BENCH_perf.json    events, allocs per cell
+#        node_agg --check BENCH_node_agg.json  node_agg < extended inter-node
+#        degraded --check BENCH_degraded.json  acked bytes survive; idle FT inert
+#        nvm_sweep --check BENCH_nvm.json      nvm stall/B < ssd; hybrid >= pure
+#        fault_sweep --smoke                   faulted runs verify; crash recovers
+#        chaos_soak --smoke                    no schedule silently diverges
+#        multi_job                             contention degrades and evicts
+#      Worker-count independence is a test in step 2:
+#      crates/bench/tests/determinism.rs runs every gate at smoke scale
+#      at 1 and 8 workers and compares the documents minus "host".
+#   6. repo-benchmark smoke: builds the standalone `benchmark/` crate
 #      against this tree (so a rename in crates/ cannot break it
 #      unnoticed) and runs all five workloads at 8 ranks; its
 #      self-checks exit != 0
@@ -144,53 +115,26 @@ step unsafe_fence
 
 step cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> fault-matrix smoke (E10_JOBS=4)"
-t0=$SECONDS
-E10_JOBS=4 cargo run --release -q -p e10-bench --bin fault_sweep -- --smoke
-echo "    [$(($SECONDS - t0))s] fault-matrix smoke"
-
-# identical_across_jobs NAME STRIP CMD...: run CMD (JSON on stdout) at
-# E10_JOBS=1 and E10_JOBS=8. Apart from the host-side fields matching
-# the extended regex STRIP — wall-clock seconds, the worker count —
-# the two documents must be byte-identical: nothing simulated may
-# depend on the worker count.
-identical_across_jobs() {
-  local name=$1 strip=$2 jobs
-  shift 2
-  for jobs in 1 8; do
-    E10_JOBS=$jobs "$@" > "target/ci-$name-$jobs.json"
-    sed -E "s/($strip): *[^,]*,//g" "target/ci-$name-$jobs.json" \
-      > "target/ci-$name-$jobs.stripped.json"
+GATES=(
+  "bench_perf --check BENCH_perf.json"
+  "node_agg --check BENCH_node_agg.json"
+  "degraded --check BENCH_degraded.json"
+  "nvm_sweep --check BENCH_nvm.json"
+  "fault_sweep --smoke"
+  "chaos_soak --smoke"
+  "multi_job"
+)
+gates() {
+  local row t
+  for row in "${GATES[@]}"; do
+    t=$SECONDS
+    # Word-splitting $row into binary + arguments is the point.
+    # shellcheck disable=SC2086
+    E10_JOBS=4 target/release/$row
+    echo "    [$(($SECONDS - t))s] $row"
   done
-  cmp "target/ci-$name-1.stripped.json" "target/ci-$name-8.stripped.json"
 }
-
-step identical_across_jobs multi-job '"host_secs"' \
-  cargo run --release -q -p e10-bench --bin multi_job -- --json
-
-echo "==> node_agg smoke (inter-node traffic reduction gate)"
-t0=$SECONDS
-cargo run --release -q -p e10-bench --bin node_agg -- --smoke --jobs 4 \
-  --out target/ci-node-agg.json
-echo "    [$(($SECONDS - t0))s] node_agg smoke"
-
-echo "==> chaos-soak smoke (E10_JOBS=4, fixed seeds, divergence gate)"
-t0=$SECONDS
-E10_JOBS=4 cargo run --release -q -p e10-bench --bin chaos_soak -- --smoke --json
-echo "    [$(($SECONDS - t0))s] chaos-soak smoke"
-
-step identical_across_jobs nvm-sweep '"jobs"' \
-  cargo run --release -q -p e10-bench --bin nvm_sweep -- --smoke --json --out -
-
-# --check gates events and allocator calls against the committed
-# baseline (and the densest cell's wall clock within its tolerance).
-step identical_across_jobs bench-perf \
-  '"host_secs"|"wall_ns_per_event"|"jobs"|"host_cpus"|"wall_densest_min_ns_per_event"' \
-  cargo run --release -q -p e10-bench --bin bench_perf -- \
-  --check BENCH_perf.json --json --out -
-
-step identical_across_jobs degraded '"host_secs"' \
-  cargo run --release -q -p e10-bench --bin degraded -- --smoke --json --out -
+step gates
 
 step bash benchmark/run.sh --smoke
 

@@ -19,13 +19,13 @@
 //!
 //! ```text
 //! cargo run -p e10-bench --bin tables > results/tables.txt
-//! E10_SCALE=test cargo run -p e10-bench --bin fig4_collperf_bw -- --json \
+//! cargo run -p e10-bench --bin fig4_collperf_bw -- --smoke --json \
 //!     2>/dev/null > results/fig4_test.json
-//! E10_SCALE=test cargo run -p e10-bench --bin ext_cache_read -- --json \
+//! cargo run -p e10-bench --bin ext_cache_read -- --smoke --json \
 //!     2>/dev/null > results/ext_cache_read_test.json
 //! ```
 
-use e10_bench::{figure_json, run_full_sweep_on, Case, Json, Scale};
+use e10_bench::{cache_read_report, figure_json, run_grid, Case, Json, Scale};
 
 const TABLES_TXT: &str = include_str!("../results/tables.txt");
 const FIG4_TEST_JSON: &str = include_str!("../results/fig4_test.json");
@@ -86,7 +86,7 @@ fn fig4_test_scale_sweep_matches_committed_artifact() {
     // Rerun the exact Test-scale sweep the artifact was generated
     // from. Worker count 1 keeps this off the env-dependent pool; the
     // figures are job-count-independent anyway.
-    let points = run_full_sweep_on(1, Scale::Test, || Scale::Test.collperf(), false);
+    let points = run_grid(1, Scale::Test, Scale::collperf, &Case::ALL, false);
     let fresh = figure_json(
         "fig4",
         "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)",
@@ -104,7 +104,7 @@ fn fig4_test_scale_sweep_matches_committed_artifact() {
 #[test]
 fn ext_cache_read_test_scale_matches_committed_artifact() {
     let committed = Json::parse(EXT_CACHE_READ_TEST_JSON).expect("committed artifact must parse");
-    let fresh = e10_bench::cache_read_json(Scale::Test, &e10_bench::cache_read_rows(Scale::Test));
+    let fresh = cache_read_report(Scale::Test).doc;
     assert!(
         fresh.approx_eq(&committed, 1e-9),
         "cache-read Test-scale figures drifted from results/ext_cache_read_test.json \
