@@ -24,17 +24,14 @@ pub mod lock;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::future::Future;
 use std::ops::Range;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll};
 
 use e10_netsim::{Network, NodeId};
 use e10_simcore::alloc_gauge::FixedState;
 use e10_simcore::rng::Jitter;
 use e10_simcore::trace::{self, Event, EventKind, Layer};
-use e10_simcore::{join_all, spawn, FairShare, FifoServer, SimDuration, SimRng, Tally};
+use e10_simcore::{join_all, spawn, FairShare, FifoServer, FixedJoin, SimDuration, SimRng, Tally};
 use e10_storesim::{
     Disk, DiskParams, ExtentMap, PageCache, PageCacheParams, Payload, Raid, RaidParams, Source,
 };
@@ -526,63 +523,6 @@ struct Chunk {
 /// futures fall back to spawned tasks (which allocate).
 const CHUNK_JOIN_SLOTS: usize = 8;
 
-/// Join up to `N` same-typed futures without allocating — the shape of
-/// a striped request's per-chunk fan-out, which historically spawned
-/// one task per chunk (several allocator calls each). Slots are polled
-/// in push order, matching the ready-queue order the spawned chunk
-/// tasks used to start in.
-struct FixedJoin<F: Future, const N: usize> {
-    slots: [Option<F>; N],
-    results: [Option<F::Output>; N],
-    len: usize,
-}
-
-impl<F: Future, const N: usize> FixedJoin<F, N> {
-    fn new() -> Self {
-        FixedJoin {
-            slots: std::array::from_fn(|_| None),
-            results: std::array::from_fn(|_| None),
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, f: F) {
-        self.slots[self.len] = Some(f);
-        self.len += 1;
-    }
-}
-
-impl<F: Future, const N: usize> Future for FixedJoin<F, N> {
-    type Output = [Option<F::Output>; N];
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // Structural pinning of `slots`: the futures are never moved
-        // once the join is pinned; completed slots are dropped in
-        // place by the `None` assignment.
-        let this = unsafe { self.get_unchecked_mut() };
-        let mut pending = false;
-        for i in 0..this.len {
-            if let Some(f) = &mut this.slots[i] {
-                match unsafe { Pin::new_unchecked(f) }.poll(cx) {
-                    Poll::Ready(v) => {
-                        this.results[i] = Some(v);
-                        this.slots[i] = None;
-                    }
-                    Poll::Pending => pending = true,
-                }
-            }
-        }
-        if pending {
-            Poll::Pending
-        } else {
-            Poll::Ready(std::mem::replace(
-                &mut this.results,
-                std::array::from_fn(|_| None),
-            ))
-        }
-    }
-}
-
 /// An open file handle.
 #[derive(Clone)]
 pub struct PfsHandle {
@@ -872,9 +812,13 @@ impl PfsHandle {
         let lend = (chunk.dev_offset + chunk.len).div_ceil(unit) * unit;
         let _lock = t.stripe_locks.lock(lstart..lend, LockMode::Shared).await;
         t.handler.serve(pfs.params.rpc_overhead).await;
-        let raid = t.raid.clone();
+        // The media read is a task of its own, not a future inlined
+        // here: inlined, the array's member join would sit inside every
+        // rank task's read future (DESIGN §14). The task reaches the
+        // array through the shared file system, copying nothing.
+        let (fs, target) = (Rc::clone(pfs), chunk.target);
         let (off, l) = (chunk.dev_offset, chunk.len);
-        let h = spawn(async move { raid.read(off, l).await });
+        let h = spawn(async move { fs.targets[target].raid.read(off, l).await });
         pfs.backend.serve(chunk.len as f64).await;
         h.await;
         pfs.net.transfer(t.node, client, chunk.len + 64).await;
@@ -969,8 +913,23 @@ impl PfsHandle {
         offset: u64,
         len: u64,
     ) -> Result<Vec<(Range<u64>, Option<Source>)>, PfsError> {
+        let mut out = Vec::new();
+        self.read_into(client, offset, len, &mut out).await?;
+        Ok(out)
+    }
+
+    /// [`Self::read`] into `out`, which is cleared first and left empty
+    /// on error: a caller that reads every round keeps one buffer.
+    pub async fn read_into(
+        &self,
+        client: NodeId,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<(Range<u64>, Option<Source>)>,
+    ) -> Result<(), PfsError> {
+        out.clear();
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let mut chunks = self.take_chunk_buf();
         self.chunks_into(offset, len, &mut chunks);
@@ -991,7 +950,8 @@ impl PfsHandle {
         if !rot.is_empty() {
             Self::apply_corruption(&mut self.state.borrow_mut(), rot);
         }
-        Ok(self.state.borrow().data.lookup(offset, len))
+        self.state.borrow().data.lookup_into(offset, len, out);
+        Ok(())
     }
 
     /// Take a byte-range lock on the file (used by the E10 `coherent`
@@ -1056,6 +1016,28 @@ mod tests {
             let pieces = f.read(1, 0, 1 << 20).await.unwrap();
             assert!(pieces.iter().all(|(_, s)| s.is_some()));
             assert!(f.extents().verify_gen(5, 0, 1 << 20).is_ok());
+        });
+    }
+
+    /// Every rank task holds a `read` or `write` future across the
+    /// request, so their sizes are paid once per rank. Both nest the
+    /// per-chunk join (eight chunk futures), not the media read under
+    /// each chunk: inlining that read puts the array's member join in
+    /// every chunk slot, and the read future grows to 104 936 bytes (a
+    /// smaller such join raised peak RSS from 48 to 113 MB on every
+    /// benchmark workload). The bound allows a few words of drift.
+    #[test]
+    fn read_and_write_futures_stay_their_size() {
+        const READ: usize = 15_976;
+        const WRITE: usize = 16_352;
+        const MARGIN: usize = 256;
+        run(async {
+            let (_net, pfs) = small_cluster();
+            let f = pfs.create(0, "/gfs/size", Striping::default()).await;
+            let read = size_of_val(&f.read(0, 0, 0));
+            let write = size_of_val(&f.write(0, 0, Payload::zero(0)));
+            assert!(read <= READ + MARGIN, "read future: {read} bytes");
+            assert!(write <= WRITE + MARGIN, "write future: {write} bytes");
         });
     }
 

@@ -327,7 +327,7 @@ impl CacheArbiter {
                 }
             };
             let Some(v) = victim else { return };
-            let freed = v.file.extents().covered_bytes_in(v.offset, v.len);
+            let freed = v.file.covered_bytes_in(v.offset, v.len);
             if freed == 0 {
                 continue;
             }

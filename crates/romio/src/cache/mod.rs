@@ -390,18 +390,18 @@ impl CacheLayer {
     /// is always something to serve, and no fall-through to the global
     /// file. With integrity disabled (or no in-memory copy to compare
     /// against: a recovered cache, whose journal digests recovery
-    /// already verified) the bytes are served as stored.
-    pub async fn read_verified(&self, offset: u64, len: u64) -> Pieces {
+    /// already verified) the bytes are served as stored. The pieces go
+    /// to `out`, which is cleared first.
+    pub async fn read_verified(&self, offset: u64, len: u64, out: &mut Pieces) {
         let vol = &self.inner.vol;
-        let mut pieces = vol.tiers.read(offset, len).await;
+        vol.tiers.read_into(offset, len, out).await;
         if vol
             .integrity
-            .verify(&vol.tiers, Stage::Read, offset, len, &mut pieces)
+            .verify(&vol.tiers, Stage::Read, offset, len, out)
             .await
         {
             vol.degraded.set(true);
         }
-        pieces
     }
 
     /// Post one extent to the sync thread. Fails with a recoverable
@@ -508,7 +508,7 @@ impl CacheLayer {
             // bytes this write actually allocates stay charged
             // (computed before the fallocate await so no concurrent
             // task can skew it).
-            grow = len - file.extents().covered_bytes_in(offset, len);
+            grow = len - file.covered_bytes_in(offset, len);
         }
         // Watermark-managed jobs keep the block path so the arbiter's
         // volume accounting and eviction candidates stay exact. Of

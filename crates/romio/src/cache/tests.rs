@@ -461,9 +461,10 @@ fn read_verified_serves_repaired_bytes() {
         raw.write(100, Payload::literal(vec![0u8; 64]))
             .await
             .unwrap();
-        let pieces = layer.read_verified(0, 512 << 10).await;
+        let mut pieces = Vec::new();
+        layer.read_verified(0, 512 << 10, &mut pieces).await;
         let mut m = ExtentMap::new();
-        for (r, src) in pieces {
+        for (r, src) in pieces.drain(..) {
             m.insert(r.start, r.end - r.start, src.unwrap_or(Source::Zero));
         }
         assert!(m.verify_gen(14, 0, 512 << 10).is_ok());
@@ -471,7 +472,7 @@ fn read_verified_serves_repaired_bytes() {
         assert!(layer.integrity_repairs() >= 1);
         // A second read sees the repaired file: no new mismatch.
         let before = layer.integrity_mismatches();
-        layer.read_verified(0, 512 << 10).await;
+        layer.read_verified(0, 512 << 10, &mut pieces).await;
         assert_eq!(layer.integrity_mismatches(), before);
         layer.close().await.unwrap();
     });

@@ -334,22 +334,23 @@ impl Tiers {
     /// reports `false`, so callers cannot be lured into serving reads
     /// at offsets the cache has never seen.
     pub(super) fn covers(&self, offset: u64, len: u64) -> bool {
-        let ext = self.block.extents();
+        // The empty range asks about the byte at `offset`.
+        let end = offset + len.max(1);
+        let in_block = |s: u64, e: u64| self.block.covered_bytes_in(s, e - s) == e - s;
         let Some(f) = self.live_front() else {
-            if len == 0 {
-                return ext.covered_bytes_in(offset, 1) == 1;
-            }
-            return ext.covered(offset, len);
+            return in_block(offset, end);
         };
         // Front-owned ranges plus whatever the block tier holds in the
         // gaps.
         let fm = f.map.borrow();
-        if len == 0 {
-            return ext.covered_bytes_in(offset, 1) == 1 || fm.covered_bytes_in(offset, 1) == 1;
+        let mut pos = offset;
+        while let Some(gap) = fm.next_hole(pos, end) {
+            if !in_block(gap.start, gap.end) {
+                return false;
+            }
+            pos = gap.end;
         }
-        fm.lookup(offset, len).iter().all(|(range, owned)| {
-            owned.is_some() || ext.covered(range.start, range.end - range.start)
-        })
+        true
     }
 
     /// Drop a globally persistent range from both tiers.

@@ -333,7 +333,7 @@ impl Volume {
             // as soon as it is persistent globally.
             if self.cfg.evict {
                 let freed = if self.managed() {
-                    self.tiers.block.extents().covered_bytes_in(pos, n)
+                    self.tiers.block.covered_bytes_in(pos, n)
                 } else {
                     0
                 };

@@ -51,7 +51,7 @@ use std::rc::Rc;
 
 use e10_mpisim::{Comm, FileView, Request, SourceSel, Tag, ViewPiece};
 use e10_simcore::trace::counter;
-use e10_storesim::Payload;
+use e10_storesim::{Payload, Source};
 
 use crate::adio::{AdioFile, DataSpec};
 use crate::collective_read::{independent_read, ReadAllResult, Reading};
@@ -766,6 +766,9 @@ struct Writing {
     /// historical `coalesce_runs` sort gave overlapping pieces.
     order: Vec<(u64, u32)>,
     sorted: Vec<(u64, Payload)>,
+    /// What a sieving read of a window with holes returns: its bytes
+    /// are written straight back over, so only its time counts.
+    sieved: Vec<(std::ops::Range<u64>, Option<Source>)>,
 }
 
 impl Direction for Writing {
@@ -807,7 +810,7 @@ impl Direction for Writing {
 
     /// Collective-buffer assembly + write.
     async fn serve(&mut self, fd: &AdioFile, _: u64) -> u32 {
-        let sorted = &mut self.sorted;
+        let (sorted, sieved) = (&mut self.sorted, &mut self.sieved);
         if self.recvd.is_empty() {
             return 0;
         }
@@ -845,7 +848,8 @@ impl Direction for Writing {
             let (start, len) = (sorted[0].0, run_end - sorted[0].0);
             {
                 let _t = prof.enter(Phase::Write);
-                fd.io_ok(fd.global().read(node, start, len).await, &mut err);
+                let read = fd.global().read_into(node, start, len, sieved).await;
+                fd.io_ok(read, &mut err);
             }
             let pieces = std::mem::take(sorted);
             fd.io_ok(fd.write_span(start, len, pieces).await, &mut err);

@@ -119,6 +119,11 @@ pub(crate) struct Reading {
     /// The requested ranges, sorted, and their union as merged runs.
     ranges: Vec<(u64, u64)>,
     runs: Vec<(u64, u64)>,
+    /// What this aggregator read this round, by file offset; one run's
+    /// pieces before they go in; one request's answer.
+    window: ExtentMap,
+    read: Vec<(Range<u64>, Option<Source>)>,
+    lookup: Vec<(Range<u64>, Option<Source>)>,
     /// This aggregator's answers of the round, in flight.
     replies: Vec<Request>,
 }
@@ -165,6 +170,7 @@ impl Direction for Reading {
         }
         // Union of requested ranges → merged runs.
         let (ranges, runs) = (&mut self.ranges, &mut self.runs);
+        let (window, read, lookup) = (&mut self.window, &mut self.read, &mut self.lookup);
         ranges.clear();
         let requested = self.requests.iter().flat_map(|(_, rs)| rs.iter());
         ranges.extend(requested.map(|&(o, l, _)| (o, l)));
@@ -178,7 +184,7 @@ impl Direction for Reading {
         }
         // Read each run — from the local cache when the extension
         // allows and the run is fully cached there.
-        let mut window_data = ExtentMap::new();
+        window.clear();
         {
             let _t = fd.profiler().enter(Phase::Write); // the data-I/O phase
             for &(o, l) in runs.iter() {
@@ -190,15 +196,15 @@ impl Direction for Reading {
                 // copy and degrades the cache. A failed global read
                 // answers as holes (the requesters read back zeroes)
                 // and flags the collective error.
-                let pieces = if cached {
+                if cached {
                     self.out.cache_hits += l;
-                    fd.cache().unwrap().read_verified(o, l).await
+                    fd.cache().unwrap().read_verified(o, l, read).await;
                 } else {
-                    let read = fd.global().read(comm.node(), o, l).await;
-                    fd.io_ok(read, &mut err).unwrap_or_default()
-                };
-                for (r, src) in pieces {
-                    window_data.insert(r.start, r.end - r.start, src.unwrap_or(Source::Zero));
+                    let outcome = fd.global().read_into(comm.node(), o, l, read).await;
+                    fd.io_ok(outcome, &mut err);
+                }
+                for (r, src) in read.drain(..) {
+                    window.insert(r.start, r.end - r.start, src.unwrap_or(Source::Zero));
                 }
             }
         }
@@ -208,7 +214,8 @@ impl Direction for Reading {
             let mut reply = comm.send_buf::<ReadPiece>();
             let mut bytes = 32u64;
             for (o, l, buf_off) in reqs.drain(..) {
-                for (r, s) in window_data.lookup(o, l) {
+                window.lookup_into(o, l, lookup);
+                for (r, s) in lookup.drain(..) {
                     let at = buf_off + (r.start - o);
                     bytes += r.end - r.start + 24;
                     reply.push(ReadPiece::of(r, s, at));

@@ -32,6 +32,9 @@ pub async fn write_strided(fd: &AdioFile, view: &FileView, data: &DataSpec) -> (
 
     let mut total = 0u64;
     let mut err: u32 = 0;
+    // A sieving read's pieces: written straight back over, so only
+    // the read's time counts.
+    let mut sieved = Vec::new();
     let mut i = 0;
     while i < pieces.len() {
         if ds {
@@ -57,7 +60,10 @@ pub async fn write_strided(fd: &AdioFile, view: &FileView, data: &DataSpec) -> (
                 // Sieved read-modify-write of the whole window.
                 let span_end = pieces[j - 1].file_off + pieces[j - 1].len;
                 let span = span_end - start;
-                let read = fd.global().read(fd.comm.node(), start, span).await;
+                let read = fd
+                    .global()
+                    .read_into(fd.comm.node(), start, span, &mut sieved)
+                    .await;
                 fd.io_ok(read, &mut err);
                 let payload_pieces: Vec<(u64, e10_storesim::Payload)> = pieces[i..j]
                     .iter()

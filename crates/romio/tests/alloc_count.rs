@@ -3,7 +3,7 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates seven
+//! `e10_simcore::alloc_gauge`; this test installs it and gates eight
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
@@ -26,7 +26,9 @@
 //! 6. that an open and close cost every rank the same whatever the
 //!    node count, and each added rank what the one before it did, and
 //! 7. what a collective-read round costs, from the global file and from
-//!    the aggregators' caches — pinned, not zero.
+//!    the aggregators' caches — pinned, not zero, and
+//! 8. that asking a cache whether it covers a range costs nothing,
+//!    however many extents its file holds.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -224,19 +226,18 @@ fn read_scenario(blocks: u64, cache_read: bool, read: bool) -> u64 {
 }
 
 /// What a collective-read round costs at 8 ranks on 4 aggregators, from
-/// the global file and from the aggregators' caches: `GLOBAL` = 111.8
-/// and `CACHED` = 76.2 allocator calls per extra round, measured as the
+/// the global file and from the aggregators' caches: `GLOBAL` = 38.2
+/// and `CACHED` = 30.4 allocator calls per extra round, measured as the
 /// read's share of a write-sync-read run (the run less the same run
 /// without the read) at 5 and at 10 rounds. Unlike a write round, a
-/// read round is not free — an aggregator gathers what it read into a
-/// fresh extent map, the global file hands back a fresh piece list per
-/// run, and every lookup answering a request builds one more — but its
-/// cost is pinned exactly, at what it was when the read still ran a
-/// round loop of its own.
+/// read round is not free — each PFS chunk's media read is a task of
+/// its own, the request and reply lists miss the communicator's
+/// recycling pool, and the answer grows the caller's result — but its
+/// cost is pinned exactly.
 #[test]
-fn read_rounds_cost_what_they_did() {
-    const GLOBAL: f64 = 111.8;
-    const CACHED: f64 = 76.2;
+fn read_rounds_cost_what_is_pinned() {
+    const GLOBAL: f64 = 38.2;
+    const CACHED: f64 = 30.4;
     install_bt_hook();
     for (cache_read, want) in [(false, GLOBAL), (true, CACHED)] {
         let read_cost = |blocks| {
@@ -254,6 +255,41 @@ fn read_rounds_cost_what_they_did() {
         );
         assert_eq!(marginal, want, "cache_read={cache_read}");
     }
+}
+
+/// An aggregator serving a cache read asks its cache whether each run it
+/// reads is all there. The answer walks the cache file's extent index
+/// in place: on a file of 10 000 extents it makes no allocator call.
+#[test]
+fn asking_a_cache_what_it_covers_allocates_nothing() {
+    use e10_romio::{CacheConfig, CacheLayer, FlushFlag};
+    use e10_storesim::Payload;
+    const EXTENTS: u64 = 10_000;
+    e10_simcore::run(async {
+        let tb = e10_romio::TestbedSpec::small(2, 1).build();
+        let striping = e10_pfs::Striping::default();
+        let global = tb.pfs.create(0, "/gfs/covers", striping).await;
+        let mut cfg = CacheConfig::new("/scratch", "covers", 0, 0);
+        cfg.flush_flag = FlushFlag::FlushNone; // keep every extent local
+        let fs = tb.localfs[0].clone();
+        let layer = CacheLayer::open(fs, global, cfg).await.unwrap();
+        // 512 bytes every KiB: no two extents merge.
+        for i in 0..EXTENTS {
+            let payload = Payload::gen(1, i * 1024, 512);
+            layer.write(i * 1024, payload).await.unwrap();
+        }
+        let mid = EXTENTS / 2 * 1024;
+        let (calls, answers) = alloc_gauge::count(|| {
+            [
+                layer.covers(mid, 512),
+                layer.covers(mid + 256, 512),
+                layer.covers(0, EXTENTS * 1024),
+            ]
+        });
+        assert_eq!(answers, [true, false, false]);
+        assert_eq!(calls, 0, "covers() on {EXTENTS} extents");
+        layer.close().await.unwrap();
+    });
 }
 
 /// The gauge is per-thread: a window on this thread must not see what

@@ -587,7 +587,9 @@ pub fn schedule_call(delay: SimDuration, f: impl FnOnce() + 'static) -> EventHan
 
 struct JoinState<T> {
     result: Option<T>,
-    waiters: Vec<Waker>,
+    /// The owner's waker. A handle has one owner, so a re-poll replaces
+    /// it instead of queueing a second wake.
+    waiter: Option<Waker>,
     finished: bool,
 }
 
@@ -623,7 +625,7 @@ impl<T> Future for JoinHandle<T> {
                 None => panic!("JoinHandle polled after completion was taken"),
             }
         } else {
-            st.waiters.push(cx.waker().clone());
+            st.waiter = Some(cx.waker().clone());
             Poll::Pending
         }
     }
@@ -637,7 +639,7 @@ where
 {
     let state = Rc::new(RefCell::new(JoinState {
         result: None,
-        waiters: Vec::new(),
+        waiter: None,
         finished: false,
     }));
     let st2 = Rc::clone(&state);
@@ -646,7 +648,7 @@ where
         let mut st = st2.borrow_mut();
         st.result = Some(out);
         st.finished = true;
-        for w in st.waiters.drain(..) {
+        if let Some(w) = st.waiter.take() {
             w.wake();
         }
     });
@@ -1059,6 +1061,32 @@ mod tests {
             now()
         });
         assert_eq!(t.as_secs_f64(), 7.0);
+    }
+
+    #[test]
+    fn a_handle_polled_repeatedly_wakes_its_owner_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        struct CountWakes(AtomicUsize);
+        impl std::task::Wake for CountWakes {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let wakes = run(async {
+            let counter = Arc::new(CountWakes(AtomicUsize::new(0)));
+            let waker = Waker::from(Arc::clone(&counter));
+            let mut h = spawn(async { sleep(SimDuration::from_secs(1)).await });
+            for _ in 0..3 {
+                let mut cx = Context::from_waker(&waker);
+                assert!(Pin::new(&mut h).poll(&mut cx).is_pending());
+            }
+            sleep(SimDuration::from_secs(2)).await;
+            assert!(h.is_finished());
+            h.await;
+            counter.0.load(Ordering::Relaxed)
+        });
+        assert_eq!(wakes, 1, "one owner, one wake");
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod alloc_gauge;
 pub mod chacha;
 pub mod channel;
 pub mod executor;
+mod join;
 pub mod pool;
 pub mod resource;
 pub mod rng;
@@ -58,6 +59,7 @@ pub use executor::{
     schedule_call, schedule_call_at, sleep, sleep_until, spawn, spawn_in_group, yield_now,
     EventHandle, JoinHandle, LiveCounts, RunStats, TaskId,
 };
+pub use join::{join_all, FixedJoin};
 pub use pool::{run_jobs, run_jobs_on, worker_threads, Job};
 pub use resource::{water_fill, FairShare, FifoServer, RoundRobin};
 pub use rng::{Jitter, SimRng};
@@ -65,39 +67,9 @@ pub use stats::{LogHistogram, Tally};
 pub use sync::{Barrier, Flag, Semaphore, SemaphoreGuard};
 pub use time::{transfer_time, SimDuration, SimTime};
 
-/// Await all join handles in a vector, returning their outputs in order.
-///
-/// The await order is sequential but, because tasks run concurrently in
-/// virtual time, the completion instant is the max over all handles.
-pub async fn join_all<T: 'static>(handles: Vec<JoinHandle<T>>) -> Vec<T> {
-    let mut out = Vec::with_capacity(handles.len());
-    for h in handles {
-        out.push(h.await);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn join_all_waits_for_slowest() {
-        let (vals, end) = run(async {
-            let hs = (0..5u64)
-                .map(|i| {
-                    spawn(async move {
-                        sleep(SimDuration::from_secs(i)).await;
-                        i * 10
-                    })
-                })
-                .collect();
-            let vals = join_all(hs).await;
-            (vals, now().as_secs_f64())
-        });
-        assert_eq!(vals, vec![0, 10, 20, 30, 40]);
-        assert_eq!(end, 4.0);
-    }
 
     #[test]
     fn runs_are_reproducible() {

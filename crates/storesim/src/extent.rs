@@ -130,6 +130,13 @@ impl ExtentMap {
         covered
     }
 
+    /// Remove every extent but keep the emptied root node, which
+    /// `BTreeMap::clear` would free: a map refilled every round with at
+    /// most a node's worth of extents (eleven) then allocates nothing.
+    pub fn clear(&mut self) {
+        self.map.retain(|_, _| false);
+    }
+
     /// Write `src` over `[start, start + len)`.
     pub fn insert(&mut self, start: u64, len: u64, src: Source) {
         if len == 0 {
@@ -277,7 +284,7 @@ impl ExtentMap {
 
     /// True if every byte of `[start, start + len)` is covered.
     pub fn covered(&self, start: u64, len: u64) -> bool {
-        self.lookup(start, len).iter().all(|(_, s)| s.is_some())
+        self.covered_bytes_in(start, len) == len
     }
 
     /// The uncovered sub-ranges of `[start, start + len)`.

@@ -7,7 +7,12 @@
 //! file system so much more than large aligned ones.
 
 use crate::disk::Disk;
-use e10_simcore::{join_all, spawn};
+use e10_simcore::FixedJoin;
+
+/// Most member disks (data plus parity) an array may have: a request
+/// joins one future per member inline, in a fixed set of this many
+/// slots. The DEEP-ER targets are 8+2.
+const MAX_MEMBERS: usize = 10;
 
 /// RAID geometry.
 #[derive(Debug, Clone)]
@@ -38,14 +43,29 @@ pub struct Raid {
     disks: Vec<Disk>,
 }
 
+/// One member disk's share of an array write; `rmw` reads the piece
+/// first (a parity drive under a partial-stripe write).
+async fn member_write(disk: &Disk, (off, len): (u64, u64), rmw: bool) {
+    if rmw {
+        disk.read(off, len).await;
+    }
+    disk.write(off, len).await;
+}
+
 impl Raid {
-    /// Build an array; `disks.len()` must exceed `params.parity`.
+    /// Build an array; `disks.len()` must exceed `params.parity` and be
+    /// at most ten (the member join's slots).
     pub fn new(params: RaidParams, disks: Vec<Disk>) -> Self {
         assert!(
             disks.len() > params.parity,
             "need at least one data disk ({} disks, {} parity)",
             disks.len(),
             params.parity
+        );
+        assert!(
+            disks.len() <= MAX_MEMBERS,
+            "{} member disks, at most {MAX_MEMBERS}",
+            disks.len()
         );
         Raid { params, disks }
     }
@@ -60,35 +80,27 @@ impl Raid {
         self.params.chunk * self.data_disks() as u64
     }
 
-    /// Split `[offset, offset+len)` into per-data-disk `(disk, disk_off,
-    /// len)` pieces, merging contiguous chunks per disk.
-    fn layout(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
-        let nd = self.data_disks() as u64;
-        let chunk = self.params.chunk;
-        let mut per_disk: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nd as usize];
-        let mut pos = offset;
+    /// Data disk `disk`'s `(disk_off, len)` piece of `[offset,
+    /// offset+len)`, if it holds any byte of it. Chunks go round-robin
+    /// over the data disks, so the chunks of a contiguous range that
+    /// land on one disk sit back to back there: every disk's share is
+    /// one contiguous piece, from its first chunk in the range to its
+    /// last.
+    fn piece(&self, disk: usize, offset: u64, len: u64) -> Option<(u64, u64)> {
+        let (nd, chunk) = (self.data_disks() as u64, self.params.chunk);
+        let d = disk as u64;
         let end = offset + len;
-        while pos < end {
-            let c = pos / chunk;
-            let within = pos % chunk;
-            let take = (chunk - within).min(end - pos);
-            let disk = (c % nd) as usize;
-            let disk_off = (c / nd) * chunk + within;
-            if let Some(last) = per_disk[disk].last_mut() {
-                if last.0 + last.1 == disk_off {
-                    last.1 += take;
-                    pos += take;
-                    continue;
-                }
-            }
-            per_disk[disk].push((disk_off, take));
-            pos += take;
+        let (c0, c1) = (offset / chunk, (end - 1) / chunk);
+        // The disk's first and last chunk inside [c0, c1].
+        let first = c0 + (d + nd - c0 % nd) % nd;
+        if first > c1 {
+            return None;
         }
-        per_disk
-            .into_iter()
-            .enumerate()
-            .flat_map(|(d, v)| v.into_iter().map(move |(o, l)| (d, o, l)))
-            .collect()
+        let last = c1 - (c1 % nd + nd - d) % nd;
+        let disk_off = |c: u64, within: u64| (c / nd) * chunk + within;
+        let start = disk_off(first, if first == c0 { offset % chunk } else { 0 });
+        let stop = disk_off(last, if last == c1 { end - c1 * chunk } else { chunk });
+        Some((start, stop - start))
     }
 
     /// Write `len` bytes at array offset `offset`.
@@ -96,29 +108,24 @@ impl Raid {
         if len == 0 {
             return;
         }
-        let pieces = self.layout(offset, len);
-        let max_piece = pieces.iter().map(|&(_, _, l)| l).max().unwrap_or(0);
+        let nd = self.data_disks();
         let stripe = self.stripe_bytes();
         let partial = !offset.is_multiple_of(stripe) || !len.is_multiple_of(stripe);
-        let mut hs = Vec::new();
-        for (d, o, l) in pieces {
-            let disk = self.disks[d].clone();
-            hs.push(spawn(async move { disk.write(o, l).await }));
+        let mut join: FixedJoin<_, MAX_MEMBERS> = FixedJoin::new();
+        let mut max_piece = 0;
+        for d in 0..nd {
+            if let Some(piece) = self.piece(d, offset, len) {
+                max_piece = max_piece.max(piece.1);
+                join.push(member_write(&self.disks[d], piece, false));
+            }
         }
         // Parity drives mirror the heaviest data drive; partial stripes
         // must read old parity first (RMW).
-        let nd = self.data_disks();
         let parity_off = (offset / stripe) * self.params.chunk;
-        for p in 0..self.params.parity {
-            let disk = self.disks[nd + p].clone();
-            hs.push(spawn(async move {
-                if partial {
-                    disk.read(parity_off, max_piece).await;
-                }
-                disk.write(parity_off, max_piece).await;
-            }));
+        for disk in &self.disks[nd..] {
+            join.push(member_write(disk, (parity_off, max_piece), partial));
         }
-        join_all(hs).await;
+        std::pin::pin!(join).await;
     }
 
     /// Read `len` bytes at array offset `offset` (data disks only).
@@ -126,12 +133,13 @@ impl Raid {
         if len == 0 {
             return;
         }
-        let mut hs = Vec::new();
-        for (d, o, l) in self.layout(offset, len) {
-            let disk = self.disks[d].clone();
-            hs.push(spawn(async move { disk.read(o, l).await }));
+        let mut join: FixedJoin<_, MAX_MEMBERS> = FixedJoin::new();
+        for d in 0..self.data_disks() {
+            if let Some((off, l)) = self.piece(d, offset, len) {
+                join.push(self.disks[d].read(off, l));
+            }
         }
-        join_all(hs).await;
+        std::pin::pin!(join).await;
     }
 }
 
@@ -155,33 +163,80 @@ mod tests {
         Raid::new(RaidParams::raid6(), (0..n as u64).map(quiet_disk).collect())
     }
 
+    /// Every data disk's closed-form piece, as `(disk, disk_off, len)`.
+    fn pieces(r: &Raid, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
+        let piece = |d| Some((d, r.piece(d, offset, len)?));
+        let on_disks = (0..r.data_disks()).filter_map(piece);
+        on_disks.map(|(d, (o, l))| (d, o, l)).collect()
+    }
+
+    /// The oracle: walk `[offset, offset+len)` chunk by chunk and merge
+    /// the contiguous pieces of each data disk, in disk order.
+    fn layout(r: &Raid, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
+        let (nd, chunk) = (r.data_disks() as u64, r.params.chunk);
+        let mut per_disk: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nd as usize];
+        let (mut pos, end) = (offset, offset + len);
+        while pos < end {
+            let (c, within) = (pos / chunk, pos % chunk);
+            let take = (chunk - within).min(end - pos);
+            let disk_off = (c / nd) * chunk + within;
+            let v = &mut per_disk[(c % nd) as usize];
+            match v.last_mut() {
+                Some(last) if last.0 + last.1 == disk_off => last.1 += take,
+                _ => v.push((disk_off, take)),
+            }
+            pos += take;
+        }
+        let per_disk = per_disk.into_iter().enumerate();
+        per_disk
+            .flat_map(|(d, v)| v.into_iter().map(move |(o, l)| (d, o, l)))
+            .collect()
+    }
+
     #[test]
-    fn layout_round_robins_chunks() {
+    fn pieces_round_robin_chunks() {
         let r = array(10); // 8 data + 2 parity
         let chunk = r.params.chunk;
-        let pieces = r.layout(0, chunk * 3);
-        assert_eq!(pieces, vec![(0, 0, chunk), (1, 0, chunk), (2, 0, chunk)]);
+        assert_eq!(
+            pieces(&r, 0, chunk * 3),
+            vec![(0, 0, chunk), (1, 0, chunk), (2, 0, chunk)]
+        );
         // Second full stripe wraps to disk 0 at chunk offset `chunk`.
-        let pieces = r.layout(chunk * 8, chunk);
-        assert_eq!(pieces, vec![(0, chunk, chunk)]);
+        assert_eq!(pieces(&r, chunk * 8, chunk), vec![(0, chunk, chunk)]);
     }
 
     #[test]
-    fn layout_merges_contiguous_same_disk_chunks() {
+    fn pieces_merge_contiguous_same_disk_chunks() {
         let r = array(3); // 1 data disk
         let chunk = r.params.chunk;
-        let pieces = r.layout(0, chunk * 4);
-        assert_eq!(pieces, vec![(0, 0, chunk * 4)]);
+        assert_eq!(pieces(&r, 0, chunk * 4), vec![(0, 0, chunk * 4)]);
     }
 
     #[test]
-    fn layout_handles_unaligned_offsets() {
+    fn pieces_handle_unaligned_offsets() {
         let r = array(10);
         let chunk = r.params.chunk;
-        let pieces = r.layout(chunk / 2, chunk);
-        assert_eq!(pieces, vec![(0, chunk / 2, chunk / 2), (1, 0, chunk / 2)]);
-        let total: u64 = pieces.iter().map(|p| p.2).sum();
+        let got = pieces(&r, chunk / 2, chunk);
+        assert_eq!(got, vec![(0, chunk / 2, chunk / 2), (1, 0, chunk / 2)]);
+        let total: u64 = got.iter().map(|p| p.2).sum();
         assert_eq!(total, chunk);
+    }
+
+    proptest::proptest! {
+        /// The closed-form piece of every data disk is what walking the
+        /// range chunk by chunk gives, whatever the disk count, chunk,
+        /// offset and length.
+        #[test]
+        fn closed_form_pieces_are_the_chunk_walk(
+            members in 3usize..MAX_MEMBERS + 1,
+            chunk in 1u64..64,
+            offset in 0u64..4_096,
+            len in 1u64..4_096,
+        ) {
+            let disks = (0..members as u64).map(quiet_disk).collect();
+            let r = Raid::new(RaidParams { chunk, parity: 2 }, disks);
+            proptest::prop_assert_eq!(pieces(&r, offset, len), layout(&r, offset, len));
+        }
     }
 
     #[test]
