@@ -24,22 +24,26 @@
 //! closed-form cost — so it is 1 timer event and P polls whatever it
 //! carries. On the *host* it costs what its ranks hand over:
 //!
-//! * **The rendezvous** (`sync_slot`): the first arrival builds the
-//!   slot — contribution table, flag, waiter list sized for the
-//!   communicator — and the last one the shared result: 4 allocator
-//!   calls per collective, independent of P.
+//! * **The rendezvous** (`sync_slot`): each rank drops its
+//!   contribution, unboxed, into a table of the collective's
+//!   contribution type, the last arrival builds the result into a box
+//!   of its type, and the first arrival of the next collective finds
+//!   all of it again — the slot and its waiter list (sized for the
+//!   communicator) stay with the communicator, the table and the result
+//!   box return to its pool. So a rendezvous allocates only the first
+//!   time a communicator runs a collective of its types, whatever P.
 //! * **Generic collectives** (`bcast`, `allreduce`, `allgather`,
-//!   `alltoall[v]`, `split`) add one boxed contribution per rank, and
-//!   after the sleep every rank takes its answer from the shared
-//!   result: a clone for `bcast`/`allreduce` (O(1) per rank); for
-//!   `allgather` the shared `Rc` itself — of the gathered vector, or,
-//!   through [`Comm::allgather_with`], of what the last arrival derives
-//!   from it once for everyone (the offset exchange's summary) — and
-//!   for `split` a handle on its group's shared state, the parent's
-//!   node map borrowed, not copied: O(1) per rank, no P-vector. Only
-//!   `alltoall` still walks a column of the P×P matrix — P strided
-//!   reads and clones per rank, 4 allocator calls per rank — and no
-//!   collective I/O path calls it.
+//!   `alltoall[v]`, `split`) take their answer from the one result:
+//!   a clone for `bcast`/`allreduce` (O(1) per rank); for `allgather`
+//!   a shared `Rc` — of the gathered vector, or, through
+//!   [`Comm::allgather_with`], of what the last arrival derives from
+//!   the contributions once for everyone (the offset exchange's
+//!   summary: that `Rc` is the one allocation such a collective makes)
+//!   — and for `split` a handle on its group's shared state, the
+//!   parent's node map borrowed, not copied: O(1) per rank, no
+//!   P-vector. Only `alltoall` still walks a column of the P×P matrix —
+//!   P strided reads and clones per rank — and no collective I/O path
+//!   calls it.
 //! * **The size exchange** ([`Comm::alltoall_u64_sparse`]) runs once
 //!   per two-phase round on every rank, almost always with nothing to
 //!   say (0.49 non-zero entries per rank per round on the paper's
@@ -50,16 +54,18 @@
 //!   O(sent + received) per rank, O(1) for a rank with neither, and
 //!   nothing boxed. A row exists only for a destination that has ever
 //!   been sent to (the aggregators: ≤ naggs·P·16 B per communicator,
-//!   reserved once), and the exchange allocates nothing beyond the
-//!   rendezvous' 4 calls. The modelled `MPI_Alltoall` stays dense: the
-//!   virtual cost is that of P words per rank whatever they hold. The
-//!   dense [`Comm::alltoall_u64_inplace`] is an adapter over it.
+//!   reserved once), and a warm exchange allocates nothing. The
+//!   modelled `MPI_Alltoall` stays dense: the virtual cost is that of P
+//!   words per rank whatever they hold. The dense
+//!   [`Comm::alltoall_u64_inplace`] is an adapter over it.
 
 use std::any::Any;
 use std::cell::RefCell;
+use std::future::poll_fn;
 use std::rc::Rc;
+use std::task::{Poll, Waker};
 
-use e10_simcore::{sleep, yield_now, Flag, SimDuration};
+use e10_simcore::{sleep, yield_now, SimDuration};
 
 use crate::comm::{waitall, Comm, SourceSel, Tag};
 
@@ -75,20 +81,31 @@ pub enum CollBackend {
 
 const COLL_TAG_BASE: Tag = 0x4000_0000;
 
+/// One collective in flight under `Analytic`, or a spare one. Slots are
+/// never freed: a finished collective leaves its slot, with the
+/// capacity of its waiter list, to the next one, and its contribution
+/// table and result box to the communicator's pool.
+#[derive(Default)]
 struct Slot {
-    opid: u64,
-    contribs: Vec<Option<Box<dyn Any>>>,
+    /// The collective this slot serves; `None` on a spare.
+    opid: Option<u64>,
     arrived: usize,
-    flag: Flag,
-    result: Option<Rc<dyn Any>>,
     taken: usize,
+    /// The ranks parked until the last one arrives.
+    waiters: Vec<Waker>,
+    /// A pooled `Vec<Option<T>>` of the collective's contribution type,
+    /// indexed by rank.
+    contribs: Option<Box<dyn Any>>,
+    /// A pooled `Option<R>`: the last arrival's result.
+    result: Option<Box<dyn Any>>,
 }
 
 pub(crate) struct CollShared {
     pub(crate) backend: CollBackend,
-    /// The collectives in flight. Ranks join them in one order, so
-    /// these are the one every rank is leaving and the one the first
-    /// are entering: found by scanning, no hashing.
+    /// The collectives in flight, and spare slots. Ranks join them in
+    /// one order, so there are at most two in flight — the one every
+    /// rank is leaving and the one the first are entering: found by
+    /// scanning, no hashing.
     slots: RefCell<Vec<Slot>>,
     counters: RefCell<Vec<u64>>,
     /// The analytic size exchange's mailboxes: `rows[dst]` holds the
@@ -130,64 +147,95 @@ impl Comm {
         COLL_TAG_BASE + ((opid % 4096) as Tag) * 64 + phase
     }
 
-    /// Rendezvous all ranks on `opid`, contribute a value, and have the
-    /// last arrival build the shared result. Returns after every rank
-    /// has arrived (synchronisation semantics), with the shared result.
-    async fn sync_slot<R: 'static>(
+    /// Rendezvous all ranks on `opid`: each contributes a value, the
+    /// last arrival builds the result from all of them, and every rank
+    /// returns — after every rank has arrived (synchronisation
+    /// semantics) — with its `answer` from that one result. Once the
+    /// communicator has run a collective of the same contribution and
+    /// result types, this allocates nothing.
+    async fn sync_slot<T: 'static, R: 'static, O>(
         &self,
         opid: u64,
-        contrib: Box<dyn Any>,
-        build: impl FnOnce(&mut Vec<Option<Box<dyn Any>>>) -> R,
-    ) -> Rc<R> {
-        let coll = self.coll();
-        let size = self.size();
-        let flag = {
+        contrib: T,
+        build: impl FnOnce(&mut [Option<T>]) -> R,
+        answer: impl FnOnce(&R) -> O,
+    ) -> O {
+        let (coll, pool, size) = (self.coll(), &self.state.pool, self.size());
+        let find = |slots: &[Slot]| slots.iter().position(|s| s.opid == Some(opid));
+        {
             let mut slots = coll.slots.borrow_mut();
-            let i = match slots.iter().position(|s| s.opid == opid) {
-                Some(i) => i,
-                None => {
+            let i = find(&slots).unwrap_or_else(|| {
+                let spare = slots.iter().position(|s| s.opid.is_none());
+                let i = spare.unwrap_or_else(|| {
+                    // Room for every rank but the last to park.
+                    let waiters = Vec::with_capacity(size - 1);
                     slots.push(Slot {
-                        opid,
-                        contribs: (0..size).map(|_| None).collect(),
-                        arrived: 0,
-                        flag: Flag::with_capacity(size - 1),
-                        result: None,
-                        taken: 0,
+                        waiters,
+                        ..Slot::default()
                     });
                     slots.len() - 1
-                }
-            };
+                });
+                let mut contribs: Box<Vec<Option<T>>> = pool.take_box();
+                contribs.resize_with(size, || None);
+                let slot = &mut slots[i];
+                (slot.opid, slot.arrived, slot.taken) = (Some(opid), 0, 0);
+                slot.contribs = Some(contribs);
+                i
+            });
             let slot = &mut slots[i];
+            let contribs = slot.contribs.as_mut().and_then(|c| c.downcast_mut());
+            let contribs: &mut Vec<Option<T>> = contribs.expect("collective type mismatch");
             assert!(
-                slot.contribs[self.rank].is_none(),
+                contribs[self.rank].is_none(),
                 "rank {} joined collective op {opid} twice — mismatched collective order",
                 self.rank
             );
-            slot.contribs[self.rank] = Some(contrib);
+            contribs[self.rank] = Some(contrib);
             slot.arrived += 1;
             if slot.arrived == size {
-                let r = build(&mut slot.contribs);
-                slot.result = Some(Rc::new(r));
-                slot.flag.set();
+                let mut result: Box<Option<R>> = pool.take_box();
+                *result = Some(build(contribs));
+                slot.result = Some(result);
+                for w in slot.waiters.drain(..) {
+                    w.wake();
+                }
             }
-            slot.flag.clone()
-        };
-        flag.wait().await;
+        }
+        poll_fn(|cx| {
+            let mut slots = coll.slots.borrow_mut();
+            let i = find(&slots).expect("collective slot vanished");
+            let slot = &mut slots[i];
+            if slot.result.is_some() {
+                Poll::Ready(())
+            } else {
+                slot.waiters.push(cx.waker().clone());
+                Poll::Pending
+            }
+        })
+        .await;
         let mut slots = coll.slots.borrow_mut();
-        let i = (slots.iter().position(|s| s.opid == opid)).expect("collective slot vanished");
+        let i = find(&slots).expect("collective slot vanished");
         let slot = &mut slots[i];
-        let result = slot
-            .result
-            .as_ref()
-            .expect("collective result missing")
-            .clone()
-            .downcast::<R>()
-            .expect("collective result type mismatch");
+        let result = slot.result.as_ref().and_then(|r| r.downcast_ref());
+        let result: &Option<R> = result.expect("collective result type mismatch");
+        let out = answer(result.as_ref().expect("collective result missing"));
         slot.taken += 1;
         if slot.taken == size {
-            slots.swap_remove(i);
+            slot.opid = None;
+            let (contribs, result) = (slot.contribs.take(), slot.result.take());
+            drop(slots);
+            // Both go back to the pool empty, for the next collective of
+            // these types.
+            let contribs = contribs.and_then(|c| c.downcast::<Vec<Option<T>>>().ok());
+            let mut contribs = contribs.expect("collective contributions vanished");
+            contribs.clear();
+            pool.put_box(contribs);
+            let result = result.and_then(|r| r.downcast::<Option<R>>().ok());
+            let mut result = result.expect("collective result vanished");
+            *result = None;
+            pool.put_box(result);
         }
-        result
+        out
     }
 
     // ---- cost model (Analytic backend) -------------------------------
@@ -232,7 +280,7 @@ impl Comm {
         let opid = self.next_op();
         match self.coll().backend {
             CollBackend::Analytic => {
-                self.sync_slot(opid, Box::new(()), |_| ()).await;
+                self.sync_slot(opid, (), |_| (), |_| ()).await;
                 sleep(self.cost_barrier()).await;
             }
             CollBackend::Algorithmic => {
@@ -265,19 +313,13 @@ impl Comm {
         }
         match self.coll().backend {
             CollBackend::Analytic => {
-                let contrib: Box<dyn Any> = Box::new(v);
-                let out = self
-                    .sync_slot(opid, contrib, move |contribs| {
-                        contribs[root]
-                            .take()
-                            .expect("root contribution missing")
-                            .downcast::<Option<T>>()
-                            .expect("bcast type mismatch")
-                            .expect("bcast root must supply the value")
-                    })
-                    .await;
+                let root_value = move |contribs: &mut [Option<Option<T>>]| {
+                    let v = contribs[root].take().expect("root contribution missing");
+                    v.expect("bcast root must supply the value")
+                };
+                let out = self.sync_slot(opid, v, root_value, T::clone).await;
                 sleep(self.cost_bcast(bytes)).await;
-                (*out).clone()
+                out
             }
             CollBackend::Algorithmic => {
                 let p = self.size();
@@ -325,27 +367,16 @@ impl Comm {
         let opid = self.next_op();
         match self.coll().backend {
             CollBackend::Analytic => {
-                let contrib: Box<dyn Any> = Box::new(v);
-                let op2 = op.clone();
-                let out = self
-                    .sync_slot(opid, contrib, move |contribs| {
-                        let mut acc: Option<T> = None;
-                        for c in contribs.iter_mut() {
-                            let x = c
-                                .take()
-                                .expect("missing contribution")
-                                .downcast::<T>()
-                                .expect("allreduce type mismatch");
-                            acc = Some(match acc {
-                                None => *x,
-                                Some(a) => op2(&a, &x),
-                            });
-                        }
-                        acc.expect("empty communicator")
-                    })
-                    .await;
+                let reduce = |contribs: &mut [Option<T>]| {
+                    let mut all = contribs
+                        .iter_mut()
+                        .map(|c| c.take().expect("missing contribution"));
+                    let first = all.next().expect("empty communicator");
+                    all.fold(first, |acc, x| op(&acc, &x))
+                };
+                let out = self.sync_slot(opid, v, reduce, T::clone).await;
                 sleep(self.cost_allreduce(bytes)).await;
-                (*out).clone()
+                out
             }
             CollBackend::Algorithmic => {
                 // Binomial reduce to rank 0, then broadcast.
@@ -378,36 +409,32 @@ impl Comm {
     /// the full vector indexed by rank — under `Analytic`, one vector
     /// every rank shares.
     pub async fn allgather<T: Clone + 'static>(&self, v: T, bytes: u64) -> Rc<Vec<T>> {
-        self.allgather_with(v, bytes, |all| all).await
+        self.allgather_with(v, bytes, |all| all.collect()).await
     }
 
     /// [`allgather`](Self::allgather), answering every rank with
-    /// `combine` of the gathered vector. Under `Analytic` the last
-    /// arrival applies it once and every rank shares the answer, so
-    /// what each rank would derive from the same P values is derived
-    /// once per collective; under `Algorithmic` each rank applies it to
-    /// the vector its ring built.
+    /// `combine` of the gathered values, in rank order. Under
+    /// `Analytic` the last arrival applies it once and every rank
+    /// shares the answer, so what each rank would derive from the same
+    /// P values is derived once per collective, from the contributions
+    /// where they lie; under `Algorithmic` each rank applies it to the
+    /// vector its ring built.
     pub async fn allgather_with<T: Clone + 'static, R: 'static>(
         &self,
         v: T,
         bytes: u64,
-        combine: impl FnOnce(Vec<T>) -> R,
+        combine: impl FnOnce(&mut dyn Iterator<Item = T>) -> R,
     ) -> Rc<R> {
         let opid = self.next_op();
         match self.coll().backend {
             CollBackend::Analytic => {
-                let contrib: Box<dyn Any> = Box::new(v);
-                let out = self
-                    .sync_slot(opid, contrib, move |contribs| {
-                        let all = contribs.iter_mut().map(|c| {
-                            *c.take()
-                                .expect("missing contribution")
-                                .downcast::<T>()
-                                .expect("allgather type mismatch")
-                        });
-                        combine(all.collect())
-                    })
-                    .await;
+                let gather = |contribs: &mut [Option<T>]| {
+                    let mut all = contribs
+                        .iter_mut()
+                        .map(|c| c.take().expect("missing contribution"));
+                    Rc::new(combine(&mut all))
+                };
+                let out = self.sync_slot(opid, v, gather, Rc::clone).await;
                 sleep(self.cost_allgather(bytes)).await;
                 out
             }
@@ -428,8 +455,8 @@ impl Comm {
                     out[recv_idx] = Some(m);
                     sreq.wait().await;
                 }
-                let all = out.into_iter().map(|x| x.expect("ring hole"));
-                Rc::new(combine(all.collect()))
+                let mut all = out.into_iter().map(|x| x.expect("ring hole"));
+                Rc::new(combine(&mut all))
             }
         }
     }
@@ -452,24 +479,18 @@ impl Comm {
         match self.coll().backend {
             CollBackend::Analytic => {
                 let total: u64 = bytes.iter().sum();
-                let contrib: Box<dyn Any> = Box::new(v);
-                let out = self
-                    .sync_slot(opid, contrib, move |contribs| {
-                        // Build the full matrix once; each rank extracts
-                        // its column below (shared as Vec<Vec<T>>).
-                        contribs
-                            .iter_mut()
-                            .map(|c| {
-                                *c.take()
-                                    .expect("missing contribution")
-                                    .downcast::<Vec<T>>()
-                                    .expect("alltoall type mismatch")
-                            })
-                            .collect::<Vec<Vec<T>>>()
-                    })
-                    .await;
+                // Build the full matrix once; each rank copies out its
+                // column.
+                let matrix = |contribs: &mut [Option<Vec<T>>]| {
+                    let rows = contribs
+                        .iter_mut()
+                        .map(|c| c.take().expect("missing contribution"));
+                    rows.collect::<Vec<Vec<T>>>()
+                };
+                let column = |m: &Vec<Vec<T>>| m.iter().map(|row| row[self.rank].clone()).collect();
+                let out = self.sync_slot(opid, v, matrix, column).await;
                 sleep(self.cost_alltoall(total)).await;
-                (0..p).map(|src| out[src][self.rank].clone()).collect()
+                out
             }
             CollBackend::Algorithmic => {
                 let tag = self.op_tag(opid, 0);
@@ -508,10 +529,10 @@ impl Comm {
     ///   then the `cost_alltoall` sleep of a dense exchange) around
     ///   O(sent + received) host work: a rank pushes its entries onto
     ///   the destinations' shared rows on arrival and moves its own row
-    ///   out after the rendezvous. The communicator pays the
-    ///   rendezvous' 4 allocator calls per exchange (plus one per row
-    ///   the first time a destination is sent to), a rank none once
-    ///   `recvs` has grown to what it receives; `sreqs` is unused.
+    ///   out after the rendezvous. Once the communicator has run one
+    ///   exchange (and a row has its capacity, the first time its
+    ///   destination is sent to) and `recvs` has grown to what the rank
+    ///   receives, an exchange allocates nothing; `sreqs` is unused.
     pub async fn alltoall_u64_sparse(
         &self,
         sends: &[(usize, u64)],
@@ -537,7 +558,7 @@ impl Comm {
                     row.push((self.rank, v));
                 }
             }
-            self.sync_slot(opid, Box::new(()), |_| ()).await;
+            self.sync_slot(opid, (), |_| (), |_| ()).await;
             // Take the row *before* the cost sleep. Every rank wakes
             // from the sleep at the same instant, and one with nothing
             // to send or receive runs from there straight into the next
@@ -625,42 +646,37 @@ impl Comm {
         let net = crate::comm::Comm::network(self);
         let node_of_parent = self.node_map();
         let backend = self.coll().backend;
-        let contrib: Box<dyn std::any::Any> = Box::new((color, key, self.rank));
-        let shared = self
-            .sync_slot(opid, contrib, move |contribs| {
-                // Sorted by `(color, key, old rank)`: each run of one
-                // color is a group, already in its new rank order.
-                let mut members: Vec<(u32, u64, usize)> = contribs
-                    .iter_mut()
-                    .map(|c| {
-                        *c.take()
-                            .expect("missing contribution")
-                            .downcast()
-                            .expect("split type mismatch")
-                    })
-                    .collect();
-                members.sort_unstable();
-                let groups = members.chunk_by(|a, b| a.0 == b.0).map(|group| {
-                    let ranks: Vec<usize> = group.iter().map(|&(_, _, r)| r).collect();
-                    let node_of = ranks.iter().map(|&r| node_of_parent[r]).collect();
-                    let coll = CollShared::new(backend, ranks.len());
-                    let state = CommState::new_shared(ranks.len(), node_of, Rc::clone(&net), coll);
-                    (group[0].0, ranks, state)
-                });
-                groups.collect::<Vec<_>>()
-            })
+        // Sorted by `(color, key, old rank)`: each run of one color is a
+        // group, already in its new rank order.
+        let groups = move |contribs: &mut [Option<(u32, u64, usize)>]| {
+            let members = contribs
+                .iter_mut()
+                .map(|c| c.take().expect("missing contribution"));
+            let mut members: Vec<(u32, u64, usize)> = members.collect();
+            members.sort_unstable();
+            let groups = members.chunk_by(|a, b| a.0 == b.0).map(|group| {
+                let ranks: Vec<usize> = group.iter().map(|&(_, _, r)| r).collect();
+                let node_of = ranks.iter().map(|&r| node_of_parent[r]).collect();
+                let coll = CollShared::new(backend, ranks.len());
+                let state = CommState::new_shared(ranks.len(), node_of, Rc::clone(&net), coll);
+                (group[0].0, ranks, state)
+            });
+            groups.collect::<Vec<_>>()
+        };
+        let mine = |groups: &Vec<(u32, Vec<usize>, Rc<CommState>)>| {
+            let group = groups.binary_search_by_key(&color, |g| g.0);
+            let (_, ranks, state) = &groups[group.expect("split color vanished")];
+            let rank = ranks.iter().position(|&r| r == self.rank);
+            Comm {
+                state: Rc::clone(state),
+                rank: rank.expect("rank missing from its own split group"),
+            }
+        };
+        let comm = self
+            .sync_slot(opid, (color, key, self.rank), groups, mine)
             .await;
         sleep(self.cost_allgather(16)).await;
-        let group = shared.binary_search_by_key(&color, |g| g.0);
-        let (_, ranks, state) = &shared[group.expect("split color vanished")];
-        let rank = ranks
-            .iter()
-            .position(|&r| r == self.rank)
-            .expect("rank missing from its own split group");
-        Comm {
-            state: Rc::clone(state),
-            rank,
-        }
+        comm
     }
 
     /// `MPI_Comm_split_type(MPI_COMM_TYPE_SHARED)`: split into

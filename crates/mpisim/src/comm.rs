@@ -121,6 +121,17 @@ impl AnyPool {
     }
 }
 
+/// The pool's spare payload vectors of one element type, most recently
+/// recycled last: a stack as deep as the most ever recycled before a
+/// sender took them back.
+struct Spares<T>(Vec<Vec<T>>);
+
+impl<T> Default for Spares<T> {
+    fn default() -> Self {
+        Spares(Vec::new())
+    }
+}
+
 /// A received message. The payload travels as a pooled
 /// `Box<Option<T>>`; consuming or dropping the message returns the box
 /// to the communicator's pool.
@@ -414,7 +425,7 @@ pub(crate) struct CommState {
     pub(crate) p2p_msgs: RefCell<u64>,
     reqs: ReqTable,
     couriers: Couriers,
-    pool: Rc<AnyPool>,
+    pub(crate) pool: Rc<AnyPool>,
     /// Ranks suspected dead (ULFM-style failure knowledge, see
     /// [`crate::ft`]). Shared communicator state plays the role of a
     /// perfect failure detector: once any rank's timeout convicts a
@@ -619,21 +630,24 @@ impl Comm {
     /// [recycled](Comm::recycle_buf) refills the next sender, so
     /// steady-state rounds build their payloads without allocating.
     pub fn send_buf<T: 'static>(&self) -> Vec<T> {
-        let mut b: Box<Option<Vec<T>>> = self.state.pool.take_box();
-        let mut v = b.take().unwrap_or_default();
-        self.state.pool.put_box(b);
-        v.clear();
+        let mut spares: Box<Spares<T>> = self.state.pool.take_box();
+        let v = spares.0.pop().unwrap_or_default();
+        self.state.pool.put_box(spares);
         v
     }
 
-    /// Return a spent payload vector's capacity to the pool.
+    /// Return a spent payload vector's capacity to the pool. Every
+    /// vector recycled is kept until a sender takes it, so a rank that
+    /// recycles several in a row (an aggregator's request lists, a
+    /// rank's replies) loses none of them.
     pub fn recycle_buf<T: 'static>(&self, mut v: Vec<T>) {
-        v.clear();
-        let mut b: Box<Option<Vec<T>>> = self.state.pool.take_box();
-        if b.is_none() {
-            *b = Some(v);
+        if v.capacity() == 0 {
+            return;
         }
-        self.state.pool.put_box(b);
+        v.clear();
+        let mut spares: Box<Spares<T>> = self.state.pool.take_box();
+        spares.0.push(v);
+        self.state.pool.put_box(spares);
     }
 
     fn match_waiter(state: &Rc<CommState>, mb: &mut RankMailbox, msg: Message) {
@@ -996,6 +1010,23 @@ mod tests {
                         comm.recycle_buf(v);
                     }
                 }
+            })
+            .await;
+        });
+    }
+
+    /// Back-to-back recycles keep every vector: three recycled in a row
+    /// come back as three senders' buffers, none of them empty.
+    #[test]
+    fn back_to_back_recycles_keep_their_capacity() {
+        run(async {
+            launch(WorldSpec::for_tests(1, 1), |comm| async move {
+                for n in [10, 20, 30] {
+                    comm.recycle_buf(Vec::<u8>::with_capacity(n));
+                }
+                let caps: Vec<usize> = (0..3).map(|_| comm.send_buf::<u8>().capacity()).collect();
+                assert_eq!(caps, [30, 20, 10]);
+                assert_eq!(comm.send_buf::<u8>().capacity(), 0, "the pool is empty");
             })
             .await;
         });

@@ -10,6 +10,7 @@ use e10_pfs::{PfsHandle, Striping};
 use e10_storesim::Payload;
 
 use crate::cache::{CacheConfig, CacheLayer};
+use crate::collective::RoundScratch;
 use crate::error::Error;
 use crate::fd::select_aggregators_capped;
 use crate::hints::{CacheMode, RomioHints};
@@ -84,6 +85,9 @@ struct FileState {
     closed: Cell<bool>,
     io_error: RefCell<Option<Error>>,
     placement: Placement,
+    /// The collectives' scratch between calls: taken by a collective,
+    /// put back when it ends.
+    scratch: Cell<RoundScratch>,
 }
 
 impl Placement {
@@ -193,6 +197,7 @@ impl AdioFile {
                 closed: Cell::new(false),
                 io_error: RefCell::new(None),
                 placement: Placement::new(aggregators),
+                scratch: Cell::default(),
             }),
             view: None,
         })
@@ -236,6 +241,21 @@ impl AdioFile {
     /// This rank's index among the aggregators, if it is one.
     pub fn my_agg_index(&self) -> Option<usize> {
         self.my_agg_index
+    }
+
+    /// The round scratch of this rank's open file, emptied, for a
+    /// collective to work in and hand back ([`AdioFile::put_scratch`]).
+    /// An attempt that ends early may drop it; the next collective then
+    /// starts cold.
+    pub(crate) fn take_scratch(&self) -> RoundScratch {
+        let mut s = self.state.scratch.take();
+        s.clear();
+        s
+    }
+
+    /// Keep `s` for the file's next collective.
+    pub(crate) fn put_scratch(&self, s: RoundScratch) {
+        self.state.scratch.set(s);
     }
 
     /// True if the E10 cache is active (requested, opened and not
@@ -413,6 +433,9 @@ impl AdioFile {
         if self.state.closed.replace(true) {
             return;
         }
+        // A deferred close (Fig. 3) overlaps the next file's collectives:
+        // hold one file's scratch at a time.
+        drop(self.state.scratch.take());
         {
             let _t = self.profiler.enter(Phase::FlushWait);
             if let Some(c) = &self.cache {

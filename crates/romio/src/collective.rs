@@ -57,7 +57,7 @@ use crate::adio::{AdioFile, DataSpec};
 use crate::collective_read::{independent_read, ReadAllResult, Reading};
 use crate::fd::FileDomains;
 use crate::hints::{CbMode, TwoPhaseAlgo};
-use crate::node_agg::{gather_to_leader, stage_into_cache};
+use crate::node_agg::{gather_to_leader, stage_into_cache, MergedNode};
 use crate::profile::Phase;
 
 // Point-to-point tag ranges of the collective engines, one table so
@@ -186,7 +186,9 @@ impl Transport for Plain<'_> {
 
     async fn gather_ranges(&mut self, mine: (u64, u64)) -> Result<Rc<AccessRange>, Infallible> {
         let comm = &self.fd.comm;
-        Ok(comm.allgather_with(mine, 16, AccessRange::of).await)
+        Ok(comm
+            .allgather_with(mine, 16, |ranges| AccessRange::of(ranges))
+            .await)
     }
 
     async fn exchange_sizes(
@@ -256,12 +258,15 @@ pub(crate) trait Direction {
     ///    on another node), its pieces standing for `provenance`.
     fn wire_bytes(list: &[Self::Piece], remote: bool, provenance: Provenance) -> u64;
 
-    /// 3. Take delivery of this rank's own list, leaving `list` empty
-    ///    (its capacity stays with the caller), or of the one `src`
-    ///    sent; then, on an aggregator whose round is not doomed, serve
-    ///    what `round` delivered, keeping nothing. `serve` returns this
-    ///    rank's error code.
-    fn keep_own(&mut self, fd: &AdioFile, list: &mut Vec<Self::Piece>);
+    /// 3. The lists a round fills, one per aggregator (the round loop
+    ///    sizes them), each empty between rounds. Take delivery of this
+    ///    rank's own list for aggregator `a`, leaving it empty (its
+    ///    capacity stays), or of the one `src` sent; then, on an
+    ///    aggregator whose round is not doomed, serve what `round`
+    ///    delivered, keeping nothing. `serve` returns this rank's error
+    ///    code.
+    fn lists(&mut self) -> &mut Vec<Vec<Self::Piece>>;
+    fn keep_own(&mut self, fd: &AdioFile, a: usize);
     fn keep(&mut self, fd: &AdioFile, src: usize, list: Vec<Self::Piece>);
     async fn serve(&mut self, fd: &AdioFile, round: u64) -> u32;
 
@@ -290,21 +295,40 @@ pub(crate) trait Direction {
     }
 }
 
-/// Merge adjacent pieces whose sources continue each other, so one
-/// assembled collective buffer becomes a handful of `write_contig`
-/// calls instead of thousands.
-pub(crate) fn merge_continuing(pieces: Vec<(u64, Payload)>) -> Vec<(u64, Payload)> {
-    let mut out: Vec<(u64, Payload)> = Vec::with_capacity(pieces.len());
-    for (off, p) in pieces {
-        if let Some((loff, lp)) = out.last_mut() {
-            if *loff + lp.len == off && lp.src.continues(lp.len, &p.src) {
-                lp.len += p.len;
-                continue;
-            }
+/// Move `from`'s pieces into `into` (emptied first) sorted by offset,
+/// ties in `from`'s order — what a stable sort would give, with the
+/// offsets decorated by position in `order` so that an unstable sort,
+/// which needs no buffer, gives it.
+pub(crate) fn sort_by_offset(
+    from: &mut Vec<(u64, Payload)>,
+    order: &mut Vec<(u64, u32)>,
+    into: &mut Vec<(u64, Payload)>,
+) {
+    order.clear();
+    order.extend(
+        from.iter()
+            .enumerate()
+            .map(|(i, &(off, _))| (off, i as u32)),
+    );
+    order.sort_unstable();
+    into.clear();
+    let take =
+        |&(_, i): &(u64, u32)| std::mem::replace(&mut from[i as usize], (0, Payload::zero(0)));
+    into.extend(order.iter().map(take));
+    from.clear();
+}
+
+/// Merge adjacent pieces of `sorted` whose sources continue each other,
+/// in place, so one assembled collective buffer becomes a handful of
+/// `write_contig` calls instead of thousands.
+pub(crate) fn merge_continuing(sorted: &mut Vec<(u64, Payload)>) {
+    sorted.dedup_by(|(off, p), (coff, cp)| {
+        let continues = *coff + cp.len == *off && cp.src.continues(cp.len, &p.src);
+        if continues {
+            cp.len += p.len;
         }
-        out.push((off, p));
-    }
-    out
+        continues
+    });
 }
 
 /// Provenance of one rank's contribution to a single aggregator
@@ -437,24 +461,33 @@ pub(crate) struct WindowCursors<'v> {
     pieces: &'v [ViewPiece],
     fds: &'v FileDomains,
     cb: u64,
-    /// The round schedule, earliest first: `(round, aggregator,
-    /// cursor)` — in `round`, and in none before it, `aggregator`'s
-    /// window holds a piece of the view, and `cursor` is the first
-    /// piece that ends past the start of that window. An aggregator
-    /// with nothing left is not on it.
-    due: BinaryHeap<Reverse<(u64, usize, usize)>>,
+    due: &'v mut Schedule,
 }
+
+/// The round schedule of [`WindowCursors`], earliest first: `(round,
+/// aggregator, cursor)` — in `round`, and in none before it,
+/// `aggregator`'s window holds a piece of the view, and `cursor` is the
+/// first piece that ends past the start of that window. An aggregator
+/// with nothing left is not on it.
+pub(crate) type Schedule = BinaryHeap<Reverse<(u64, usize, usize)>>;
 
 impl<'v> WindowCursors<'v> {
     /// Cursors at every domain's start (round 0), for rounds of `cb`
-    /// bytes.
-    pub(crate) fn new(view: &'v FileView, fds: &'v FileDomains, cb: u64) -> WindowCursors<'v> {
+    /// bytes, scheduled in `due` (emptied first).
+    pub(crate) fn new(
+        view: &'v FileView,
+        fds: &'v FileDomains,
+        cb: u64,
+        due: &'v mut Schedule,
+    ) -> WindowCursors<'v> {
         let pieces = view.pieces();
+        due.clear();
+        due.reserve(fds.len());
         let mut cursors = WindowCursors {
             pieces,
             fds,
             cb,
-            due: BinaryHeap::with_capacity(fds.len()),
+            due,
         };
         for (a, &s) in fds.starts.iter().enumerate() {
             let i = pieces.partition_point(|p| p.file_off + p.len <= s);
@@ -571,49 +604,54 @@ pub(crate) async fn two_phase_write<T: Transport>(
     // Optional pre-stage: aggregate this node's requests at the node
     // leader. Afterwards only leaders contribute pieces to the
     // inter-node exchange; everyone still joins its collectives.
+    let mut s = fd.take_scratch();
     let algo = fd.hints().two_phase;
-    let merged = if algo == TwoPhaseAlgo::NodeAgg {
+    let leads = if algo == TwoPhaseAlgo::NodeAgg {
         let gather_comm = gather_comm.await;
-        let merged = {
+        let leads = {
             let _t = fd.profiler().enter(Phase::NodeAggGather);
-            let m = gather_to_leader(t, &gather_comm, view, data).await;
-            if let Some(m) = &m {
-                stage_into_cache(fd, m).await;
+            let leads = gather_to_leader(t, &gather_comm, view, data, &mut s.leader).await;
+            if leads {
+                stage_into_cache(fd, &mut s.leader).await;
             }
-            m
+            leads
         };
         // Only a leader can observe a silent member; the settle makes
         // its verdict everybody's before the rounds build on it.
         t.settle(None, 0).await?;
-        merged
+        leads
     } else {
-        None
+        false
     };
 
     let (fds, cb, ntimes) = compute_domains(fd, &range, algo);
-    let mut origins_scratch: Vec<usize> = Vec::new();
+    let RoundScratch {
+        rounds,
+        due,
+        writing,
+        leader,
+        ..
+    } = &mut s;
     // Only a rank that ships its own pieces steps through its view.
-    let mut own =
-        (algo != TwoPhaseAlgo::NodeAgg && my_bytes > 0).then(|| WindowCursors::new(view, fds, cb));
-    let contribution = |round, bufs: &mut [Vec<(u64, Payload)>], touched: &mut Touched| match (
-        &merged, &mut own,
-    ) {
-        (Some(m), _) => {
+    let mut own = (algo != TwoPhaseAlgo::NodeAgg && my_bytes > 0)
+        .then(|| WindowCursors::new(view, fds, cb, due));
+    let contribution = |round, bufs: &mut [Vec<(u64, Payload)>], touched: &mut Touched| {
+        if leads {
             for (a, buf) in bufs.iter_mut().enumerate() {
                 let (ws, we) = fds.window(a, cb, round);
-                let provenance = m.window_into(ws, we, buf, &mut origins_scratch);
+                let provenance = leader.window_into(ws, we, buf);
                 if !buf.is_empty() {
                     touched.push((a, provenance));
                 }
             }
+        } else if let Some(cursors) = &mut own {
+            cursors.fill(round, bufs, touched, |vp| {
+                (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len))
+            });
         }
-        (None, Some(cursors)) => cursors.fill(round, bufs, touched, |vp| {
-            (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len))
-        }),
-        (None, None) => {}
     };
-    let writing = &mut Writing::default();
-    let error_code = two_phase_rounds(fd, t, writing, ntimes, contribution).await?;
+    let error_code = two_phase_rounds(fd, t, rounds, writing, ntimes, contribution).await?;
+    fd.put_scratch(s);
     Ok(WriteAllResult {
         bytes: my_bytes,
         rounds: ntimes,
@@ -632,20 +670,74 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         return independent_read(fd, view).await;
     };
     let (fds, cb, ntimes) = compute_domains(fd, &range, TwoPhaseAlgo::Extended);
-    let mut cursors = WindowCursors::new(view, fds, cb);
-    let mut reading = Reading::default();
+    let mut s = fd.take_scratch();
+    let RoundScratch {
+        rounds,
+        due,
+        reading,
+        ..
+    } = &mut s;
+    let mut cursors = WindowCursors::new(view, fds, cb, due);
     let contribution = |round, lists: &mut [Vec<_>], touched: &mut Touched| {
         cursors.fill(round, lists, touched, |vp| {
             (vp.file_off, vp.len, vp.buf_off)
         });
     };
-    let Ok(error_code) = two_phase_rounds(fd, t, &mut reading, ntimes, contribution).await;
-    reading.finish(ntimes, error_code)
+    let Ok(error_code) = two_phase_rounds(fd, t, rounds, reading, ntimes, contribution).await;
+    let out = reading.finish(ntimes, error_code);
+    fd.put_scratch(s);
+    out
 }
 
 /// The aggregators (by index) a round's contribution is non-empty for,
 /// ascending, each with its provenance.
 pub(crate) type Touched = Vec<(usize, Provenance)>;
+
+/// What a rank's collectives on one open file reuse from one call to
+/// the next: the round loop's buffers, the cursors' schedule, each
+/// direction's lists and serve scratch, and the node leader's
+/// pre-stage. It stays with the file between collectives
+/// ([`AdioFile::take_scratch`]), so that once a call has grown it to
+/// the file's high-water mark a warm call allocates nothing for it.
+#[derive(Default)]
+pub(crate) struct RoundScratch {
+    rounds: Rounds,
+    due: Schedule,
+    writing: Writing,
+    reading: Reading,
+    leader: MergedNode,
+}
+
+impl RoundScratch {
+    /// Empty every buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        let r = &mut self.rounds;
+        r.touched.clear();
+        r.sends.clear();
+        r.recvs.clear();
+        r.sreqs.clear();
+        r.rreqs.clear();
+        self.due.clear();
+        self.writing.clear();
+        self.reading.clear();
+        self.leader.clear();
+    }
+}
+
+/// The round loop's per-round buffers, each empty between rounds.
+#[derive(Default)]
+struct Rounds {
+    /// Shipping drains exactly the touched lists, so every list is
+    /// empty again when the next round fills it.
+    touched: Touched,
+    /// The size exchange: what this rank lists for each touched
+    /// aggregator, `(rank, bytes)`, and what each source lists for it.
+    sends: Vec<(usize, u64)>,
+    recvs: Vec<(usize, u64)>,
+    /// The list sends and receives in flight.
+    sreqs: Vec<Request>,
+    rreqs: Vec<Request>,
+}
 
 /// Steps 3–5, the round loop, moving data in direction `dir`: per-round
 /// size exchange, the lists out to the aggregators, their serve and the
@@ -661,16 +753,16 @@ pub(crate) type Touched = Vec<(usize, Provenance)>;
 /// A round costs what the rank sends and receives: the contribution
 /// consults a schedule, the size exchange is sparse, lists go only to
 /// the aggregators touched and come only from the sources heard from.
-/// Per-round buffers — here and in `dir` — are hoisted scratch, and
-/// shipped lists circulate through the communicator's recycling pool
-/// ([`e10_mpisim::Comm::send_buf`]), so a steady-state write round
-/// allocates nothing under [`Plain`] over algorithmic collectives and
-/// costs the communicator a small constant over analytic ones
-/// (`e10-romio`'s `alloc_count` test asserts both, and pins what a read
-/// round costs).
+/// Its buffers — `r` and those of `dir` — are the file's
+/// [`RoundScratch`], and shipped lists circulate through the
+/// communicator's recycling pool ([`e10_mpisim::Comm::send_buf`]), so
+/// neither a steady-state write round nor, once warm, a whole call
+/// allocates under [`Plain`] (`e10-romio`'s `alloc_count` test asserts
+/// both, and pins what a read round costs).
 async fn two_phase_rounds<T, D, S>(
     fd: &AdioFile,
     t: &mut T,
+    r: &mut Rounds,
     dir: &mut D,
     ntimes: u64,
     mut contribution: S,
@@ -687,27 +779,21 @@ where
     let aggregators: &[usize] = fd.aggregators();
     let my_agg = fd.my_agg_index();
     let mut local_err: u32 = 0;
-
-    // Per-round scratch, allocated once and reused across rounds.
-    let mut lists: Vec<Vec<D::Piece>> = aggregators.iter().map(|_| Vec::new()).collect();
-    // Shipping drains exactly the touched lists, so every list is
-    // empty again when the next round fills it.
-    let mut touched: Touched = Vec::new();
-    // The size exchange: what this rank lists for each touched
-    // aggregator, `(rank, bytes)`, and what each source lists for it —
-    // room for every rank on an aggregator, nothing elsewhere.
-    let mut sends: Vec<(usize, u64)> = Vec::new();
-    let mut recvs: Vec<(usize, u64)> = Vec::with_capacity(my_agg.map_or(0, |_| comm.size()));
-    let mut sreqs: Vec<Request> = Vec::new();
-    let mut rreqs: Vec<Request> = Vec::new();
+    // One list per aggregator of this handle: a redo of a
+    // crash-tolerant write runs on a survivor view whose aggregator set
+    // is elected anew.
+    let lists = dir.lists();
+    lists.truncate(aggregators.len());
+    lists.resize_with(aggregators.len(), Vec::new);
 
     // --- 3–4. the two-phase rounds ----------------------------------------
     for round in 0..ntimes {
         let tag = round_tag(D::LIST_TAGS, round);
-        touched.clear();
-        contribution(round, &mut lists, &mut touched);
-        sends.clear();
-        sends.extend(touched.iter().map(|&(a, _)| {
+        r.touched.clear();
+        contribution(round, dir.lists(), &mut r.touched);
+        let lists = dir.lists();
+        r.sends.clear();
+        r.sends.extend(r.touched.iter().map(|&(a, _)| {
             let bytes: u64 = lists[a].iter().map(D::piece_len).sum();
             (aggregators[a], bytes)
         }));
@@ -716,36 +802,38 @@ where
         // the per-source byte counts this rank will receive.
         {
             let _t = prof.enter(Phase::ShuffleAlltoall);
-            t.exchange_sizes(&sends, &mut recvs).await?;
+            t.exchange_sizes(&r.sends, &mut r.recvs).await?;
         }
 
         // The lists out: post the sends, keep my own.
-        for &(a, provenance) in &touched {
-            let (dst, list) = (aggregators[a], &mut lists[a]);
+        for &(a, provenance) in &r.touched {
+            let dst = aggregators[a];
             if dst == me {
-                dir.keep_own(fd, list);
+                dir.keep_own(fd, a);
             } else {
+                let list = &mut dir.lists()[a];
                 let bytes = D::wire_bytes(list, comm.node_of(dst) != my_node, provenance);
                 // Ship a pooled vector so the receiver's recycle refills
                 // the next sender.
                 let mut shipped = comm.send_buf::<D::Piece>();
                 shipped.append(list);
-                sreqs.push(comm.isend(dst, tag, bytes, shipped));
+                r.sreqs.push(comm.isend(dst, tag, bytes, shipped));
             }
         }
         {
             let _t = prof.enter(Phase::ShuffleWaitall);
             // Only an aggregator is ever sent to.
-            let srcs = recvs.iter().map(|&(src, _)| src).filter(|&src| src != me);
+            let srcs = r.recvs.iter().map(|&(src, _)| src).filter(|&src| src != me);
             let keep = |src, list| dir.keep(fd, src, list);
-            t.recv_each(&comm, srcs, tag, &mut rreqs, keep).await;
-            dir.lists_sent(&mut sreqs).await;
+            t.recv_each(&comm, srcs, tag, &mut r.rreqs, keep).await;
+            dir.lists_sent(&mut r.sreqs).await;
         }
         if !t.doomed() && my_agg.is_some() {
             local_err |= dir.serve(fd, round).await;
         }
-        let asked = sends.iter().map(|&(dst, _)| dst).filter(|&dst| dst != me);
-        dir.reply(fd, t, round, asked, &mut rreqs, &mut sreqs).await;
+        let asked = r.sends.iter().map(|&(dst, _)| dst).filter(|&dst| dst != me);
+        dir.reply(fd, t, round, asked, &mut r.rreqs, &mut r.sreqs)
+            .await;
 
         // Each round's fate is settled before the next round's lists.
         t.settle(Some(Phase::PostWrite), local_err).await?;
@@ -758,6 +846,8 @@ where
 /// they receive into their collective buffer and write it.
 #[derive(Default)]
 struct Writing {
+    /// What this rank ships to each aggregator in a round.
+    lists: Vec<Vec<(u64, Payload)>>,
     /// The pieces this aggregator holds this round: its own first,
     /// then each source's in turn.
     recvd: Vec<(u64, Payload)>,
@@ -769,6 +859,16 @@ struct Writing {
     /// What a sieving read of a window with holes returns: its bytes
     /// are written straight back over, so only its time counts.
     sieved: Vec<(std::ops::Range<u64>, Option<Source>)>,
+}
+
+impl Writing {
+    fn clear(&mut self) {
+        self.lists.iter_mut().for_each(Vec::clear);
+        self.recvd.clear();
+        self.order.clear();
+        self.sorted.clear();
+        self.sieved.clear();
+    }
 }
 
 impl Direction for Writing {
@@ -799,8 +899,12 @@ impl Direction for Writing {
         bytes
     }
 
-    fn keep_own(&mut self, _: &AdioFile, list: &mut Vec<(u64, Payload)>) {
-        self.recvd.append(list);
+    fn lists(&mut self) -> &mut Vec<Vec<(u64, Payload)>> {
+        &mut self.lists
+    }
+
+    fn keep_own(&mut self, _: &AdioFile, a: usize) {
+        self.recvd.append(&mut self.lists[a]);
     }
 
     fn keep(&mut self, fd: &AdioFile, _: usize, mut list: Vec<(u64, Payload)>) {
@@ -823,20 +927,7 @@ impl Direction for Writing {
         // Sort by offset, ties by arrival order (matching the stable
         // sort the run-building assembly used), then detect holes in
         // one pass over the sorted pieces.
-        let (recvd, order) = (&mut self.recvd, &mut self.order);
-        order.clear();
-        order.extend(
-            recvd
-                .iter()
-                .enumerate()
-                .map(|(i, &(off, _))| (off, i as u32)),
-        );
-        order.sort_unstable();
-        sorted.clear();
-        let take =
-            |&(_, i): &(u64, u32)| std::mem::replace(&mut recvd[i as usize], (0, Payload::zero(0)));
-        sorted.extend(order.iter().map(take));
-        recvd.clear();
+        sort_by_offset(&mut self.recvd, &mut self.order, sorted);
         let (holes, run_end) = sorted
             .iter()
             .fold((false, sorted[0].0), |(holes, end), (off, p)| {
@@ -857,13 +948,7 @@ impl Direction for Writing {
             // Merge continuing neighbours (run gaps can never satisfy
             // the contiguity test, so per-run merging and whole-buffer
             // merging write identical sequences), then write.
-            sorted.dedup_by(|(off, p), (coff, cp)| {
-                let continues = *coff + cp.len == *off && cp.src.continues(cp.len, &p.src);
-                if continues {
-                    cp.len += p.len;
-                }
-                continues
-            });
+            merge_continuing(sorted);
             for (off, piece) in sorted.drain(..) {
                 fd.io_ok(fd.write_contig(off, piece).await, &mut err);
             }
@@ -1223,7 +1308,8 @@ mod tests {
                     ends: bounds[1..].to_vec(),
                 }
             };
-            let mut cursors = WindowCursors::new(&view, &fds, cb);
+            let mut due = Schedule::new();
+            let mut cursors = WindowCursors::new(&view, &fds, cb, &mut due);
             let mut lists = vec![Vec::new(); fds.len()];
             // One round past the last: every window empty by then.
             for round in 0..fds.max_size().div_ceil(cb) + 1 {
@@ -1246,6 +1332,137 @@ mod tests {
         }
     }
 
+    /// One collective of a [`reuse_run`]: a write (or with `read`, a
+    /// read) of each rank's blocks.
+    #[derive(Clone, Debug)]
+    struct Call {
+        read: bool,
+        blocks: Vec<Vec<(u64, u64)>>,
+    }
+
+    /// What a sequence of collectives leaves: the file's first `LEN`
+    /// bytes, and every read's pieces per rank as `(file_off, buf_off,
+    /// payload)`, in call order.
+    type Reused = (Vec<u8>, Vec<Vec<Vec<(u64, u64, Payload)>>>);
+
+    const LEN: u64 = 60_000;
+
+    /// `procs` ranks on `procs / 2` nodes make `calls` on one file —
+    /// through one handle, or with `fresh` through one handle per call
+    /// (opened and closed around it) — under `e10_two_phase = algo` and
+    /// `e10_coll_timeout = timeout`, 8 KB rounds and stripes.
+    fn reuse_run(
+        procs: usize,
+        (algo, timeout, analytic): (&'static str, &'static str, bool),
+        calls: &Rc<Vec<Call>>,
+        fresh: bool,
+    ) -> Reused {
+        let calls = Rc::clone(calls);
+        run(async move {
+            let mut spec = crate::testbed::TestbedSpec::small(procs, (procs / 2).max(1));
+            if analytic {
+                spec.backend = e10_mpisim::CollBackend::Analytic;
+            }
+            let tb = spec.build();
+            let ranks = tb.ctxs().into_iter().map(|ctx| {
+                let calls = Rc::clone(&calls);
+                e10_simcore::spawn(async move {
+                    let info = cb_info(&[
+                        ("romio_cb_read", "enable"),
+                        ("cb_buffer_size", "8192"),
+                        ("striping_unit", "8192"),
+                        ("e10_two_phase", algo),
+                        ("e10_coll_timeout", timeout),
+                    ]);
+                    let open = |create| AdioFile::open(&ctx, "/gfs/reuse", &info, create);
+                    let (rank, mut reads) = (ctx.comm.rank(), Vec::new());
+                    let mut f = open(true).await.unwrap();
+                    for (i, call) in calls.iter().enumerate() {
+                        if fresh && i > 0 {
+                            f.close().await;
+                            f = open(false).await.unwrap();
+                        }
+                        let view = FileView::new(&FlatType::indexed(call.blocks[rank].clone()), 0);
+                        if call.read {
+                            let r = read_at_all(&f, &view).await;
+                            assert_eq!((r.error_code, r.bytes), (0, view.total_bytes()));
+                            let pieces = r.pieces.into_iter();
+                            reads
+                                .push(pieces.map(|p| (p.file_off, p.buf_off, p.payload)).collect());
+                        } else {
+                            let w = write_at_all(&f, &view, &DataSpec::FileGen { seed: i as u64 })
+                                .await;
+                            assert_eq!((w.error_code, w.bytes), (0, view.total_bytes()));
+                        }
+                    }
+                    f.close().await;
+                    reads
+                })
+            });
+            let reads = e10_simcore::join_all(ranks.collect()).await;
+            let file = tb.pfs.file_extents("/gfs/reuse").unwrap();
+            (file.materialize(0, LEN), reads)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// A handle's collectives reuse the round scratch the file keeps
+        /// between calls — lists, received pieces, request lists, the
+        /// cursors' schedule, the node leader's merge. Nothing of one
+        /// call may leak into the next: back-to-back writes and reads
+        /// whose views grow, shrink, leave holes and go empty (on some
+        /// ranks, or on all), under every algorithm, both transports and
+        /// both collective backends, produce the same file and read the
+        /// same pieces as the same calls through a fresh handle each.
+        #[test]
+        fn a_reused_handle_matches_a_fresh_handle_per_call(
+            procs in 2usize..7,
+            algo in 0usize..3,
+            timed in any::<bool>(),
+            analytic in any::<bool>(),
+            calls in prop::collection::vec(
+                (
+                    any::<bool>(),
+                    0u64..3,
+                    0u64..LEN / 2,
+                    prop::collection::vec((1u64..4000, 0usize..8), 1..12),
+                ),
+                2..6,
+            ),
+        ) {
+            let algo = ["stock", "extended", "node_agg"][algo];
+            let timeout = if timed { "40" } else { "0" };
+            // Each call covers an extent of 0, 6 000 or `LEN / 2` bytes
+            // from `start`, cut into segments owned by a rank each — or,
+            // for an owner past the last rank, by nobody (a hole).
+            let calls: Vec<Call> = calls
+                .into_iter()
+                .map(|(read, size, start, segs)| {
+                    let mut blocks = vec![Vec::new(); procs];
+                    let end = start + [0, 6_000, LEN / 2][size as usize];
+                    let (mut at, mut i) = (start, 0);
+                    while at < end {
+                        let (len, owner) = segs[i % segs.len()];
+                        let len = len.min(end - at);
+                        if owner < procs {
+                            blocks[owner].push((at, len));
+                        }
+                        (at, i) = (at + len, i + 1);
+                    }
+                    Call { read, blocks }
+                })
+                .collect();
+            let calls = Rc::new(calls);
+            let how = (algo, timeout, analytic);
+            let reused = reuse_run(procs, how, &calls, false);
+            let fresh = reuse_run(procs, how, &calls, true);
+            prop_assert!(reused.0 == fresh.0, "file bytes differ");
+            prop_assert_eq!(reused.1, fresh.1, "read pieces differ");
+        }
+    }
+
     #[test]
     fn coalesce_and_merge_helpers() {
         let p1 = Payload::gen(1, 0, 10);
@@ -1255,13 +1472,19 @@ mod tests {
         assert_eq!(runs.len(), 2);
         assert_eq!((runs[0].start, runs[0].end), (0, 20));
         assert_eq!((runs[1].start, runs[1].end), (30, 35));
-        let merged = merge_continuing(vec![(0, p1), (10, p2)]);
+        let mut merged = vec![(0, p1), (10, p2)];
+        merge_continuing(&mut merged);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].1.len, 20);
-        let unmerged = merge_continuing(vec![
-            (0, Payload::gen(1, 0, 10)),
-            (10, Payload::gen(9, 0, 10)),
-        ]);
+        let mut unmerged = vec![(0, Payload::gen(1, 0, 10)), (10, Payload::gen(9, 0, 10))];
+        merge_continuing(&mut unmerged);
         assert_eq!(unmerged.len(), 2);
+        // Sorted by offset, ties in arrival order.
+        let (mut order, mut sorted) = (Vec::new(), Vec::new());
+        let (a, b) = (Payload::gen(7, 0, 1), Payload::gen(8, 0, 1));
+        let mut from = vec![(30, p3.clone()), (0, a.clone()), (0, b.clone())];
+        sort_by_offset(&mut from, &mut order, &mut sorted);
+        assert_eq!(sorted, [(0, a), (0, b), (30, p3)]);
+        assert!(from.is_empty());
     }
 }

@@ -112,6 +112,8 @@ type ReqPiece = (u64, u64, u64); // (file_off, len, buf_off)
 /// union of what they were asked for and answer every source.
 #[derive(Default)]
 pub(crate) struct Reading {
+    /// What this rank asks each aggregator for in a round.
+    lists: Vec<Vec<ReqPiece>>,
     /// What this rank has been answered so far.
     out: ReadAllResult,
     /// The request lists this aggregator holds this round, by source.
@@ -129,12 +131,26 @@ pub(crate) struct Reading {
 }
 
 impl Reading {
-    /// The result of `rounds` rounds that agreed on `error_code`.
-    pub(crate) fn finish(mut self, rounds: u64, error_code: u32) -> ReadAllResult {
-        let out = &mut self.out;
+    /// Empty every buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.lists.iter_mut().for_each(Vec::clear);
+        self.out = ReadAllResult::default();
+        self.requests.clear();
+        self.ranges.clear();
+        self.runs.clear();
+        self.window.clear();
+        self.read.clear();
+        self.lookup.clear();
+        self.replies.clear();
+    }
+
+    /// The result of `rounds` rounds that agreed on `error_code`; the
+    /// scratch stays behind for the next call.
+    pub(crate) fn finish(&mut self, rounds: u64, error_code: u32) -> ReadAllResult {
+        let mut out = std::mem::take(&mut self.out);
         (out.used_collective, out.rounds, out.error_code) = (true, rounds, error_code);
         out.pieces.sort_by_key(|p| p.buf_off);
-        self.out
+        out
     }
 }
 
@@ -151,9 +167,13 @@ impl Direction for Reading {
         32 + 24 * list.len() as u64
     }
 
-    fn keep_own(&mut self, fd: &AdioFile, list: &mut Vec<ReqPiece>) {
+    fn lists(&mut self) -> &mut Vec<Vec<ReqPiece>> {
+        &mut self.lists
+    }
+
+    fn keep_own(&mut self, fd: &AdioFile, a: usize) {
         let mut reqs = fd.comm.send_buf::<ReqPiece>();
-        reqs.append(list);
+        reqs.append(&mut self.lists[a]);
         self.requests.push((fd.comm.rank(), reqs));
     }
 

@@ -17,8 +17,8 @@
 //!    the survivor communicator itself on the crash-tolerant one, so
 //!    a conviction made during the gather shrinks the redo,
 //! 2. the leader sorts the union by file offset and merges adjacent
-//!    continuing pieces into one per-node aggregated request list
-//!    ([`crate::collective::merge_continuing`]) — when the E10 cache
+//!    continuing pieces, in place, into one per-node aggregated request
+//!    list ([`crate::collective::merge_continuing`]) — when the E10 cache
 //!    is enabled the aggregated buffer is staged straight into the
 //!    node-local cache device on the way ([`stage_into_cache`]),
 //! 3. the rounds then run over the reduced request set
@@ -39,45 +39,81 @@
 //! `coll.node_agg.staged_bytes` what the leader staged into the
 //! node-local cache.
 
-use e10_mpisim::{waitall, Comm, FileView};
+use std::fmt::Write;
+
+use e10_mpisim::{Comm, FileView, Request};
 use e10_simcore::trace::counter;
 use e10_storesim::Payload;
 
 use crate::adio::{AdioFile, DataSpec};
-use crate::collective::{merge_continuing, Provenance, Transport, GATHER_TAG};
+use crate::collective::{merge_continuing, sort_by_offset, Provenance, Transport, GATHER_TAG};
 
-/// The node's aggregated request list, held by the node leader.
+/// The node's aggregated request list, held by the node leader, and
+/// the buffers it is built in. Part of the file's round scratch
+/// ([`crate::collective::RoundScratch`]), so a warm call's pre-stage
+/// allocates nothing for it.
+#[derive(Default)]
 pub(crate) struct MergedNode {
     /// Merged `(file_offset, payload)` pieces, sorted by offset.
     pieces: Vec<(u64, Payload)>,
     /// Prefix maximum of merged piece end offsets (window stabbing).
     pmax: Vec<u64>,
-    /// Raw pre-merge extents `(offset, length, node_rank)`, sorted by
-    /// offset — the provenance behind the savings counters.
+    /// Raw pre-merge extents `(offset, length, rank)`, sorted by offset
+    /// — the provenance behind the savings counters.
     raw: Vec<(u64, u64, usize)>,
     /// Prefix maximum of raw extent end offsets.
     rmax: Vec<u64>,
+    /// What the gather brought in, in gather order, and its sort keys.
+    gathered: Vec<(u64, Payload)>,
+    order: Vec<(u64, u32)>,
+    /// The gather's receives.
+    pending: Vec<Request>,
+    /// The distinct ranks behind one window ([`MergedNode::window_into`]).
+    origins: Vec<usize>,
+    /// The staging file's path.
+    stage_path: String,
 }
 
-fn prefix_max(ends: impl Iterator<Item = u64>) -> Vec<u64> {
+/// `out` filled with the running maximum of `ends`.
+fn prefix_max_into(out: &mut Vec<u64>, ends: impl Iterator<Item = u64>) {
     let mut max = 0u64;
-    ends.map(|e| {
+    out.clear();
+    out.extend(ends.map(|e| {
         max = max.max(e);
         max
-    })
-    .collect()
+    }));
 }
 
 impl MergedNode {
-    pub(crate) fn new(pieces: Vec<(u64, Payload)>, raw: Vec<(u64, u64, usize)>) -> MergedNode {
-        let pmax = prefix_max(pieces.iter().map(|&(off, ref p)| off + p.len));
-        let rmax = prefix_max(raw.iter().map(|&(off, len, _)| off + len));
-        MergedNode {
-            pieces,
-            pmax,
-            raw,
-            rmax,
-        }
+    /// Empty every buffer, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.pieces.clear();
+        self.pmax.clear();
+        self.raw.clear();
+        self.rmax.clear();
+        self.gathered.clear();
+        self.order.clear();
+        self.pending.clear();
+        self.origins.clear();
+    }
+
+    /// Sort what was gathered by offset — ties in gather order, so the
+    /// merged list is deterministic for any arrival interleaving — and
+    /// merge continuing neighbours into the aggregated list; sort the
+    /// raw extents and index both lists for window queries. Returns how
+    /// many pieces the merge eliminated.
+    fn merge(&mut self) -> u64 {
+        sort_by_offset(&mut self.gathered, &mut self.order, &mut self.pieces);
+        let raw_count = self.pieces.len();
+        merge_continuing(&mut self.pieces);
+        // Which of two extents at one offset comes first changes no
+        // window's provenance.
+        self.raw.sort_unstable();
+        let pieces = self.pieces.iter();
+        prefix_max_into(&mut self.pmax, pieces.map(|&(off, ref p)| off + p.len));
+        let raw = self.raw.iter();
+        prefix_max_into(&mut self.rmax, raw.map(|&(off, len, _)| off + len));
+        (raw_count - self.pieces.len()) as u64
     }
 
     /// Total payload bytes of the aggregated request.
@@ -89,14 +125,12 @@ impl MergedNode {
     /// clipped to it, and return the pre-aggregation provenance for the
     /// same window: how many distinct ranks (= shuffle messages under
     /// the extended algorithm) and raw pieces the window's data came
-    /// from. `origins` is caller-owned scratch for the distinct-rank
-    /// count, so per-round window queries allocate nothing.
+    /// from.
     pub(crate) fn window_into(
-        &self,
+        &mut self,
         lo: u64,
         hi: u64,
         out: &mut Vec<(u64, Payload)>,
-        origins: &mut Vec<usize>,
     ) -> Provenance {
         if lo >= hi {
             return Provenance::default();
@@ -115,6 +149,7 @@ impl MergedNode {
             out.push((s, p.slice(s - off, e - s)));
         }
         let mut origin_pieces = 0u64;
+        let origins = &mut self.origins;
         origins.clear();
         let start = self.rmax.partition_point(|&e| e <= lo);
         for &(off, len, who) in &self.raw[start..] {
@@ -141,64 +176,61 @@ impl MergedNode {
 /// of `comm` on this rank's node and the lowest of them leads: rank 0
 /// and everybody else on a node communicator, the node's lowest *live*
 /// rank on a survivor communicator (a leader that died in an earlier
-/// attempt is already replaced). Returns the merged request list on
-/// the leader, `None` elsewhere — and on a leader whose transport is
-/// doomed because a member stayed silent.
+/// attempt is already replaced). True on the leader, once `node` holds
+/// the merged request list; false elsewhere — and on a leader whose
+/// transport is doomed because a member stayed silent.
 pub(crate) async fn gather_to_leader<T: Transport>(
     t: &mut T,
     comm: &Comm,
     view: &FileView,
     data: &DataSpec,
-) -> Option<MergedNode> {
-    let mine: Vec<(u64, Payload)> = view
+    node: &mut MergedNode,
+) -> bool {
+    let mine = view
         .pieces()
         .iter()
-        .map(|vp| (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)))
-        .collect();
+        .map(|vp| (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len)));
     let mut members = (0..comm.size()).filter(|&r| comm.node_of(r) == comm.node());
     let leader = members.next().expect("a rank is on its own node");
     if comm.rank() != leader {
         // Same wire model as the shuffle: payload + 32-byte envelope +
         // 16-byte header per piece — but over the intra-node fabric.
-        // The send completes on arrival whatever the leader's fate.
-        let bytes: u64 = mine.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * mine.len() as u64;
-        waitall(vec![comm.isend(leader, GATHER_TAG, bytes, mine)]).await;
-        return None;
+        // The send completes on arrival whatever the leader's fate; the
+        // leader recycles the list.
+        let mut list = comm.send_buf::<(u64, Payload)>();
+        list.extend(mine);
+        let bytes: u64 = list.iter().map(|(_, p)| p.len).sum::<u64>() + 32 + 16 * list.len() as u64;
+        comm.isend(leader, GATHER_TAG, bytes, list).wait().await;
+        return false;
     }
     // Merge only once every member has answered: a silent one dooms
     // the attempt and the lists are dropped unmerged.
-    let n = members.clone().count();
-    let mut lists: Vec<Vec<(u64, Payload)>> = Vec::with_capacity(n);
-    let mut pending = Vec::with_capacity(n);
-    let keep = |_, list| lists.push(list);
-    t.recv_each(comm, members, GATHER_TAG, &mut pending, keep)
-        .await;
+    let MergedNode {
+        gathered,
+        raw,
+        pending,
+        ..
+    } = node;
+    gathered.extend(mine);
+    let me = comm.rank();
+    raw.extend(gathered.iter().map(|&(off, ref p)| (off, p.len, me)));
+    let keep = |src, mut list: Vec<(u64, Payload)>| {
+        raw.extend(list.iter().map(|&(off, ref p)| (off, p.len, src)));
+        gathered.append(&mut list);
+        comm.recycle_buf(list);
+    };
+    t.recv_each(comm, members, GATHER_TAG, pending, keep).await;
     if t.doomed() {
-        return None;
+        return false;
     }
-    let mut raw: Vec<(u64, u64, usize)> =
-        mine.iter().map(|&(off, ref p)| (off, p.len, 0)).collect();
-    let mut pieces = mine;
-    for (i, list) in lists.into_iter().enumerate() {
-        for (off, p) in list {
-            raw.push((off, p.len, i + 1));
-            pieces.push((off, p));
-        }
-    }
-    // Stable sorts: ties keep node-rank order, so the merged list is
-    // deterministic for any arrival interleaving.
-    raw.sort_by_key(|&(off, _, _)| off);
-    pieces.sort_by_key(|&(off, _)| off);
-    let raw_count = pieces.len() as u64;
-    let merged = merge_continuing(pieces);
-    counter("coll.node_agg.merged_reqs", raw_count - merged.len() as u64);
-    Some(MergedNode::new(merged, raw))
+    counter("coll.node_agg.merged_reqs", node.merge());
+    true
 }
 
 /// Stage the leader's aggregated buffer into the node-local cache
 /// device (paper §III: the pre-phase feeds the E10 NVM directly).
 /// Best-effort: a full or failing device just skips the staging.
-pub(crate) async fn stage_into_cache(fd: &AdioFile, merged: &MergedNode) {
+pub(crate) async fn stage_into_cache(fd: &AdioFile, merged: &mut MergedNode) {
     if !fd.cache_active() {
         return;
     }
@@ -206,8 +238,10 @@ pub(crate) async fn stage_into_cache(fd: &AdioFile, merged: &MergedNode) {
     if total == 0 {
         return;
     }
-    let path = format!("/scratch/e10_nodeagg_stage.{}", fd.comm.rank());
-    let Ok(f) = fd.ctx().my_localfs().create(&path).await else {
+    let path = &mut merged.stage_path;
+    path.clear();
+    let _ = write!(path, "/scratch/e10_nodeagg_stage.{}", fd.comm.rank());
+    let Ok(f) = fd.ctx().my_localfs().create(path).await else {
         return;
     };
     let mut cursor = 0u64;
@@ -218,7 +252,7 @@ pub(crate) async fn stage_into_cache(fd: &AdioFile, merged: &MergedNode) {
         cursor += p.len;
     }
     counter("coll.node_agg.staged_bytes", cursor);
-    let _ = fd.ctx().my_localfs().unlink(&path).await;
+    let _ = fd.ctx().my_localfs().unlink(path).await;
 }
 
 #[cfg(test)]
@@ -289,12 +323,14 @@ mod tests {
     fn merged_node_window_clips_and_counts_origins() {
         // Two ranks' adjacent generator pieces merge into one; the
         // window query clips it and reports the raw provenance.
-        let pieces = vec![(0u64, Payload::gen(5, 0, 20))];
-        let raw = vec![(0u64, 10u64, 0usize), (10, 10, 1)];
-        let m = MergedNode::new(pieces, raw);
+        let mut m = MergedNode {
+            gathered: vec![(10, Payload::gen(5, 10, 10)), (0, Payload::gen(5, 0, 10))],
+            raw: vec![(10, 10, 1), (0, 10, 0)],
+            ..MergedNode::default()
+        };
+        assert_eq!(m.merge(), 1, "two pieces merged into one");
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        let w = m.window_into(5, 15, &mut out, &mut scratch);
+        let w = m.window_into(5, 15, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 5);
         assert_eq!(out[0].1.len, 10);
@@ -302,7 +338,7 @@ mod tests {
         assert_eq!(w.pieces, 2);
         // A window past the data is empty.
         out.clear();
-        let e = m.window_into(25, 40, &mut out, &mut scratch);
+        let e = m.window_into(25, 40, &mut out);
         assert!(out.is_empty());
         assert_eq!(e.msgs, 0);
     }

@@ -3,7 +3,7 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates eight
+//! `e10_simcore::alloc_gauge`; this test installs it and gates nine
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
@@ -14,27 +14,32 @@
 //!    the hybrid cache's NVM front. Warm-up rounds may grow scratch
 //!    buffers to their high-water mark; after that, every round reuses
 //!    them, and
-//! 3. what a round may cost where it cannot be free — the same small
-//!    constant per *communicator* under the analytic collectives of
-//!    the paper-scale runs, at most a small multiple of P under the
-//!    crash-tolerant transport, and
-//! 4. that the count *is* reproducible where a hash table with random
+//! 3. what a round may cost where it cannot be free — at most a small
+//!    multiple of P under the crash-tolerant transport — and that it
+//!    is free under the analytic collectives of the paper-scale runs
+//!    too, and
+//! 4. what a warm collective *call* costs on one open file under the
+//!    analytic collectives: a constant per communicator, plus each node
+//!    leader's staging file under `node_agg`, and
+//! 5. that the count *is* reproducible where a hash table with random
 //!    keys would make it not: file churn on a node's volume, and a
 //!    whole open → split → write → close, and
-//! 5. what resolving the paper's hint set costs: `AdioFile::open` does
+//! 6. what resolving the paper's hint set costs: `AdioFile::open` does
 //!    it once per rank, 512 times per collective open, and
-//! 6. that an open and close cost every rank the same whatever the
+//! 7. that an open and close cost every rank the same whatever the
 //!    node count, and each added rank what the one before it did, and
-//! 7. what a collective-read round costs, from the global file and from
+//! 8. what a collective-read round costs, from the global file and from
 //!    the aggregators' caches — pinned, not zero, and
-//! 8. that asking a cache whether it covers a range costs nothing,
+//! 9. that asking a cache whether it covers a range costs nothing,
 //!    however many extents its file holds.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
 //! in `[lo, hi)` — see `alloc_gauge::trace_range`.
 
-use e10_mpisim::CollBackend;
+use std::rc::Rc;
+
+use e10_mpisim::{CollBackend, FileView};
 use e10_simcore::alloc_gauge::{self, CountingAlloc};
 
 #[global_allocator]
@@ -63,6 +68,33 @@ enum Cache {
     Hybrid,
 }
 
+/// The write scenarios' hints: collective buffering in 64 KB rounds,
+/// through `cache`.
+fn scenario_info(cache: Cache) -> e10_mpisim::Info {
+    let info =
+        e10_mpisim::Info::from_pairs([("romio_cb_write", "enable"), ("cb_buffer_size", "65536")]);
+    if cache == Cache::Hybrid {
+        info.set("e10_cache_class", "hybrid");
+        info.set("e10_nvm_threshold", "65536");
+        info.set("e10_nvm_capacity", "131072");
+    }
+    if cache != Cache::Off {
+        info.set("e10_cache", "enable");
+        info.set("e10_cache_flush_flag", "flush_immediate");
+        // Streaming eviction keeps the cache-file extent index and
+        // stream log bounded; without it the cache metadata grows with
+        // every round and no zero-allocation steady state can exist.
+        info.set("e10_cache_evict", "enable");
+        // Bounded sync queue: without it the staging backlog (queued
+        // extents, in-flight messages, cache-file extent churn) grows
+        // with run length and its containers keep doubling — bounded
+        // backlog is what makes a zero-allocation steady state
+        // well-defined.
+        info.set("e10_cache_sync_depth", "4");
+    }
+    info
+}
+
 /// A fixed 8-rank interleaved collective write; `blocks` interleaved
 /// 10 KB blocks per rank (rounds scale with it). Returns rounds.
 /// With `degraded_hints` the three degraded-mode knobs are set
@@ -85,9 +117,8 @@ fn write_scenario(
     coll_timeout: Option<&'static str>,
     backend: CollBackend,
 ) -> u64 {
-    use e10_mpisim::{FlatType, Info};
+    use e10_mpisim::FlatType;
     use std::cell::Cell;
-    use std::rc::Rc;
     let rounds = Rc::new(Cell::new(0u64));
     let rounds2 = Rc::clone(&rounds);
     e10_simcore::run(async move {
@@ -100,31 +131,7 @@ fn write_scenario(
             .map(|ctx| {
                 let rounds = Rc::clone(&rounds2);
                 e10_simcore::spawn(async move {
-                    let info = Info::from_pairs([
-                        ("romio_cb_write", "enable"),
-                        ("cb_buffer_size", "65536"),
-                    ]);
-                    if cache == Cache::Hybrid {
-                        info.set("e10_cache_class", "hybrid");
-                        info.set("e10_nvm_threshold", "65536");
-                        info.set("e10_nvm_capacity", "131072");
-                    }
-                    if cache != Cache::Off {
-                        info.set("e10_cache", "enable");
-                        info.set("e10_cache_flush_flag", "flush_immediate");
-                        // Streaming eviction keeps the cache-file extent
-                        // index and stream log bounded; without it the
-                        // cache metadata grows with every round and no
-                        // zero-allocation steady state can exist.
-                        info.set("e10_cache_evict", "enable");
-                        // Bounded sync queue: without it the staging
-                        // backlog (queued extents, in-flight messages,
-                        // cache-file extent churn) grows with run
-                        // length and its containers keep doubling —
-                        // bounded backlog is what makes a
-                        // zero-allocation steady state well-defined.
-                        info.set("e10_cache_sync_depth", "4");
-                    }
+                    let info = scenario_info(cache);
                     if let Some(timeout) = coll_timeout {
                         info.set("e10_coll_timeout", timeout);
                         info.set("e10_pfs_max_retries", "4");
@@ -137,7 +144,7 @@ fn write_scenario(
                     let blocks: Vec<(u64, u64)> = (0..blocks)
                         .map(|i| ((i * procs as u64 + rank as u64) * 10_000, 10_000))
                         .collect();
-                    let view = e10_mpisim::FileView::new(&FlatType::indexed(blocks), 0);
+                    let view = FileView::new(&FlatType::indexed(blocks), 0);
                     let r = e10_romio::write_at_all(
                         &f,
                         &view,
@@ -154,6 +161,105 @@ fn write_scenario(
         e10_simcore::join_all(handles).await;
     });
     rounds.get()
+}
+
+/// Every rank's views, `[rank][call]`.
+type CallViews = Rc<Vec<Vec<FileView>>>;
+
+/// Every rank's view of each of `calls` collective writes by `procs`
+/// ranks: 2 interleaved 8 KB blocks per rank, in a region of the file
+/// of its own per call — like Flash-IO's one `MPI_File_write_all` per
+/// variable. Built before a count starts: the views are the caller's,
+/// not the collective's.
+fn call_views(procs: usize, calls: u64) -> CallViews {
+    use e10_mpisim::FlatType;
+    let p = procs as u64;
+    let views = (0..p).map(|rank| {
+        let call = |call| {
+            let blocks = (0..2).map(|i| (call * 2 * p * 8192 + (i * p + rank) * 8192, 8192));
+            FileView::new(&FlatType::indexed(blocks.collect()), 0)
+        };
+        (0..calls).map(call).collect()
+    });
+    Rc::new(views.collect())
+}
+
+/// `procs` ranks, two to a node, under the analytic collectives of the
+/// paper-scale runs, open one file, make a collective write of each of
+/// their `views` on it, and close it. With 32 KB stripes every
+/// aggregator's file domain is one whole stripe — one 64 KB round per
+/// call whatever `procs` is, and no two aggregators contend for an
+/// extent lock; `node_agg` runs the writes through the node leaders'
+/// pre-stage.
+fn calls_scenario(views: &CallViews, cache: Cache, node_agg: bool) {
+    let views = Rc::clone(views);
+    e10_simcore::run(async move {
+        let procs = views.len();
+        let mut spec = e10_romio::TestbedSpec::small(procs, procs / 2);
+        spec.backend = CollBackend::Analytic;
+        let tb = spec.build();
+        let ranks = tb.ctxs().into_iter().map(|ctx| {
+            let views = Rc::clone(&views);
+            e10_simcore::spawn(async move {
+                let info = scenario_info(cache);
+                info.set("striping_unit", "32768");
+                if node_agg {
+                    info.set("e10_two_phase", "node_agg");
+                }
+                let f = e10_romio::AdioFile::open(&ctx, "/gfs/calls", &info, true)
+                    .await
+                    .unwrap();
+                let data = e10_romio::DataSpec::FileGen { seed: 79 };
+                for view in &views[ctx.comm.rank()] {
+                    let r = e10_romio::write_at_all(&f, view, &data).await;
+                    assert_eq!((r.error_code, r.rounds), (0, 1));
+                }
+                f.close().await;
+            })
+        });
+        e10_simcore::join_all(ranks.collect()).await;
+    });
+}
+
+/// What a warm collective write costs, the paper's Flash-IO shape (one
+/// `MPI_File_write_all` per variable, 25 per file): allocator calls
+/// per extra call on one open file, at 16 and at 32 ranks. Through the
+/// extended algorithm, with the cache off and through the SSD cache,
+/// a call costs 3 whatever the rank count — the round loop's scratch
+/// stays with the open file and a rendezvous boxes nothing per rank,
+/// so what is left is the communicator's: the offset exchange's shared
+/// summary and the two vectors of its file domains. Through `node_agg`
+/// and the hybrid cache, each node leader adds 5 (8 leaders at 16
+/// ranks, 16 at 32): it stages its node's data through a file it
+/// creates, writes and unlinks on the node-local volume, simulated
+/// metadata work. `(ranks, extended off, extended SSD, node_agg
+/// hybrid)`.
+#[test]
+fn a_warm_collective_call_costs_what_is_pinned() {
+    const PINNED: [(usize, f64, f64, f64); 2] = [(16, 3.0, 3.0, 43.0), (32, 3.0, 3.0, 83.0)];
+    install_bt_hook();
+    for (procs, off, ssd, hybrid) in PINNED {
+        let (short, long) = (call_views(procs, 12), call_views(procs, 24));
+        for (cache, node_agg, want) in [
+            (Cache::Off, false, off),
+            (Cache::Ssd, false, ssd),
+            (Cache::Hybrid, true, hybrid),
+        ] {
+            calls_scenario(&short, cache, node_agg); // warm-up: lazy statics, thread-locals
+            let (a1, ()) = alloc_gauge::count(|| calls_scenario(&short, cache, node_agg));
+            let (a2, ()) = alloc_gauge::count(|| calls_scenario(&long, cache, node_agg));
+            let marginal = (a2 as f64 - a1 as f64) / 12.0;
+            println!(
+                "{procs} ranks, cache={cache:?}, node_agg={node_agg}: calls 12->24, \
+                 allocs {a1}->{a2}, marginal {marginal:.2}/call ({:.2}/rank-call)",
+                marginal / procs as f64
+            );
+            assert_eq!(
+                marginal, want,
+                "{procs} ranks, cache={cache:?}, node_agg={node_agg}"
+            );
+        }
+    }
 }
 
 /// Allocator calls per extra round of `run(blocks)` (which returns its
@@ -181,9 +287,8 @@ fn marginal_per_round(label: &str, procs: usize, run: impl Fn(u64) -> u64) -> (f
 /// enable`, whose file domains match the write's). Returns the read's
 /// rounds.
 fn read_scenario(blocks: u64, cache_read: bool, read: bool) -> u64 {
-    use e10_mpisim::{FileView, FlatType, Info};
+    use e10_mpisim::{FlatType, Info};
     use std::cell::Cell;
-    use std::rc::Rc;
     let rounds = Rc::new(Cell::new(0u64));
     let rounds2 = Rc::clone(&rounds);
     e10_simcore::run(async move {
@@ -226,18 +331,18 @@ fn read_scenario(blocks: u64, cache_read: bool, read: bool) -> u64 {
 }
 
 /// What a collective-read round costs at 8 ranks on 4 aggregators, from
-/// the global file and from the aggregators' caches: `GLOBAL` = 38.2
-/// and `CACHED` = 30.4 allocator calls per extra round, measured as the
+/// the global file and from the aggregators' caches: `GLOBAL` = 9.8
+/// and `CACHED` = 2.0 allocator calls per extra round, measured as the
 /// read's share of a write-sync-read run (the run less the same run
 /// without the read) at 5 and at 10 rounds. Unlike a write round, a
 /// read round is not free — each PFS chunk's media read is a task of
-/// its own, the request and reply lists miss the communicator's
-/// recycling pool, and the answer grows the caller's result — but its
-/// cost is pinned exactly.
+/// its own, the aggregator indexes what it read in an extent map, and
+/// the answer grows the caller's result — but its cost is pinned
+/// exactly.
 #[test]
 fn read_rounds_cost_what_is_pinned() {
-    const GLOBAL: f64 = 38.2;
-    const CACHED: f64 = 30.4;
+    const GLOBAL: f64 = 9.8;
+    const CACHED: f64 = 2.0;
     install_bt_hook();
     for (cache_read, want) in [(false, GLOBAL), (true, CACHED)] {
         let read_cost = |blocks| {
@@ -388,15 +493,14 @@ fn steady_state_with_tolerance_hints_off_allocates_nothing() {
 
 /// The backend the paper-scale runs use: `TestbedSpec::deep_er` (and
 /// every benchmark workload) is `Analytic`, the gates above are
-/// `Algorithmic`. An analytic round cannot be free — its size exchange
-/// is a rendezvous, and a rendezvous builds a slot (contribution
-/// table, flag, waiter list) and a shared result — but that is
-/// `PER_ROUND` = 4 allocator calls per *communicator*: the same at 8
-/// and at 16 ranks, where a boxed contribution and a cloned-out column
-/// per rank made it ≈ 4.2 per rank per round.
+/// `Algorithmic`. An analytic round's size exchange is a rendezvous,
+/// and a rendezvous reuses its communicator's slot, waiter list,
+/// contribution table and result box, so the constant a round costs
+/// per *communicator* is `PER_ROUND` = 0 allocator calls, at 8 and at
+/// 16 ranks alike.
 #[test]
 fn steady_state_rounds_allocate_a_constant_under_analytic() {
-    const PER_ROUND: f64 = 4.0;
+    const PER_ROUND: f64 = 0.0;
     install_bt_hook();
     for cache in [Cache::Off, Cache::Ssd] {
         for procs in [8, 16] {
@@ -496,7 +600,7 @@ fn file_churn_on_a_volume_costs_the_same_every_time() {
 /// the same count every time.
 #[test]
 fn an_open_split_write_close_costs_the_same_every_time() {
-    use e10_mpisim::{FileView, FlatType, Info};
+    use e10_mpisim::{FlatType, Info};
     let collective = || {
         let run = || {
             e10_simcore::run(async {

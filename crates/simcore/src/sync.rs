@@ -32,18 +32,6 @@ impl Flag {
         Self::default()
     }
 
-    /// A new, unset flag with room for `waiters` parked tasks: a
-    /// rendezvous that knows its participant count parks them in one
-    /// allocation instead of growing the list as they arrive.
-    pub fn with_capacity(waiters: usize) -> Self {
-        Flag {
-            inner: Rc::new(RefCell::new(FlagState {
-                set: false,
-                waiters: Vec::with_capacity(waiters),
-            })),
-        }
-    }
-
     /// Set the flag, waking all current waiters. Idempotent.
     pub fn set(&self) {
         let mut st = self.inner.borrow_mut();

@@ -17,14 +17,17 @@
 #      extra round, algorithmic collectives),
 #      timed_rounds_cost_linear_in_ranks (3 per extra crash-tolerant
 #      round) and steady_state_rounds_allocate_a_constant_under_analytic
-#      (4 per extra round per communicator, at 8 and at 16 ranks, on
-#      the analytic collectives every paper-scale run uses), the
+#      (0 per extra round, at 8 and at 16 ranks, on the analytic
+#      collectives every paper-scale run uses), the per-call gate
+#      a_warm_collective_call_costs_what_is_pinned (3 per extra
+#      write_at_all on an open file at 16 and 32 ranks, plus 5 per node
+#      leader under node_agg, all pinned exactly), the
 #      ceiling on what resolving the paper's hints costs per rank-open
 #      (resolving_the_paper_hints_allocates_no_more_than_it_did, 3),
 #      the two same-count-every-time gates (file churn on a volume;
 #      an 8-rank open, split_by_node, write, close) and the read-round
-#      gate read_rounds_cost_what_is_pinned (38.2 per extra collective-
-#      read round from the global file, 30.4 from the aggregators'
+#      gate read_rounds_cost_what_is_pinned (9.8 per extra collective-
+#      read round from the global file, 2.0 from the aggregators'
 #      caches, both pinned exactly), and
 #      asking_a_cache_what_it_covers_allocates_nothing (0 on a cache
 #      file of 10 000 extents). The suite also holds the goldens

@@ -35,12 +35,16 @@
 # inlining records (`addr2line -i`) and charged to its innermost frame
 # in a `crates/` source file — the counting allocator's own frame
 # excepted — and, in a second table, to that frame's caller, one
-# enclosing frame further out. The count is the whole process's — the
-# benchmark's set-up bursts and verification too, not only the
-# repetitions its `allocs` counts — and the buffer holds 65 536 stacks,
-# so pick N above calls / 65 536 (a 3 s run of `collperf_direct` makes
-# about 1.2 M calls: `--allocs 31`); the script says when it filled.
-# The dump stays in target/profile/<workload>.allocs.
+# enclosing frame further out. The tables show what the benchmark's
+# `allocs` metric counts: a stack that passes through the set-up burst
+# (`e10_benchmark::run::set_up`, `e10_benchmark::workloads::inputs`)
+# or the byte verification (`e10_benchmark::workloads::untimed`), both
+# outside the timed window, is dropped, and the script prints how many
+# were. The call count is the whole process's, and the buffer holds
+# 65 536 stacks, so pick N above calls / 65 536 (a 3 s run of
+# `collperf_direct` makes about 1.2 M calls: `--allocs 31`); the script
+# says when it filled. The dump stays in
+# target/profile/<workload>.allocs.
 #
 # With neither tool, it runs the allocation-backtrace recipe, which
 # needs none: one plain run of the workload for its result line
@@ -241,10 +245,20 @@ SAMPLER
         fn = ""
       }' > "$pre.chains"
 
+    # Drop the samples the `allocs` metric never sees: any whose stack
+    # passes through the set-up burst or the verification.
+    untimed='e10_benchmark::(run::set_up|workloads::(inputs|untimed))'
+    awk -F '\t' -v fn="$untimed" '$2 ~ fn { print $1 }' "$pre.chains" > "$pre.untimed"
+    awk 'FNR == NR { untimed[$1] = 1; next } $2 in untimed { print $1 }' \
+      "$pre.untimed" "$pre.frames" | sort -u > "$pre.dropped"
+    awk 'FNR == NR { drop[$1] = 1; next } !($1 in drop)' "$pre.dropped" "$pre.frames" > "$pre.kept"
+    dropped=$(wc -l < "$pre.dropped")
+    kept=$((sampled - dropped))
+
     # col 1: the innermost crates/ frame of each sample; col 2: the
     # frame that encloses it.
     report() {
-      awk -F '\t' -v col="$1" -v total="$sampled" '
+      awk -F '\t' -v col="$1" -v total="$kept" '
         FNR == NR { k = ++len[$1]; fn[$1, k] = $2; at[$1, k] = $3; next }
         function close_sample() {
           if (sample == "") return
@@ -267,13 +281,15 @@ SAMPLER
         END {
           close_sample()
           for (k in count) printf "%6.2f%%  %s\n", 100 * count[k] / total, k
-        }' "$pre.chains" "$pre.frames" | sort -rn | head -n 30
+        }' "$pre.chains" "$pre.kept" | sort -rn | head -n 30
     }
     if [ "$sampled" -ge 65536 ]; then
       echo "profile.sh: the buffer filled after $((65536 * every)) of $calls calls;" \
         "the tables cover those only (raise N)" >&2
     fi
-    echo "==> $sampled stacks, one per $every of $calls allocator calls: by innermost crates/ frame"
+    echo "==> $sampled stacks, one per $every of $calls allocator calls;" \
+      "$dropped under the set-up burst or the verification dropped"
+    echo "==> the other $kept: by innermost crates/ frame"
     report 1
     echo "==> by the frame that encloses it"
     report 2
