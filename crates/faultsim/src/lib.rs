@@ -419,8 +419,8 @@ pub fn injected_count() -> u64 {
 /// Record an externally-executed fault in the installed schedule's
 /// injection count and the trace. The sampling hooks below call
 /// [`record`] themselves; this is for faults that need an *owner*
-/// outside the hooks — e.g. the crash harnesses, which cut power and
-/// kill the task tree themselves and would otherwise leave the
+/// outside the hooks — the crash executor, which cuts power and kills
+/// the task tree itself and would otherwise leave the
 /// schedule's `node_crash` specs invisible to [`injected_count`].
 pub fn note_injected(kind: &'static str, node: usize) {
     record(kind, node, 0);

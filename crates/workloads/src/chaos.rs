@@ -30,20 +30,15 @@
 //! bit-identical verdicts regardless of how many soak jobs run in
 //! parallel (each case builds its own testbed on its own thread).
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use e10_faultsim::{always, injected_count, DeviceClass, FaultPlan, FaultSchedule, FaultSpec};
+use e10_faultsim::{always, DeviceClass, FaultPlan, FaultSpec};
 use e10_mpisim::Info;
-use e10_romio::{
-    write_at_all, AdioFile, CacheClass, CacheConfig, CacheLayer, DataSpec, IoCtx, RecoverError,
-    RomioHints, Testbed, TestbedSpec, TwoPhaseAlgo,
-};
+use e10_romio::{CacheClass, RecoverError, Testbed, TestbedSpec, TwoPhaseAlgo};
 use e10_simcore::trace;
-use e10_simcore::{
-    kill_group, new_group, now, sleep, spawn, spawn_in_group, Flag, SimDuration, SimRng, SimTime,
-};
+use e10_simcore::{SimDuration, SimRng, SimTime};
 
+use crate::crash::{self, Gate};
 use crate::{CollPerf, FlashIo, Ior, Workload};
 
 /// Which write kernel a chaos case replays.
@@ -204,10 +199,9 @@ fn at_ms(ms: u64) -> SimTime {
 
 /// Draw a randomized fault schedule from `seed`: 1–4 specs over the
 /// corruption/stall/RPC/device-failure kinds, plus (for roughly a
-/// quarter of the seeds) one mid-run node crash — executed by the
-/// soak's own degraded-mode runner, which turns on the crash-tolerant
-/// collective engine, recovers the crashed node's cache journals and
-/// verifies every acknowledged byte. Probabilities are bounded so
+/// quarter of the seeds) one mid-run node crash, under which the soak
+/// turns on the crash-tolerant collectives, recovers the crashed node's
+/// journals and verifies every acknowledged byte. Probabilities are bounded so
 /// retries and retransmissions *usually* absorb the faults, which is
 /// exactly the regime where silent corruption would hide.
 pub fn random_plan(seed: u64, nodes: usize) -> FaultPlan {
@@ -235,10 +229,8 @@ pub fn random_plan(seed: u64, nodes: usize) -> FaultPlan {
             _ => plan.sync_thread_kill(node, at_ms(rng.below(80))),
         };
     }
-    // At most one mid-run crash per plan. The runner gates the cut on
-    // every rank having opened the last file (a collective open missing
-    // the dead ranks could never complete), so it lands inside the last
-    // file's write/flush window — mid-collective included.
+    // At most one mid-run crash per plan, cut inside the last file's
+    // write/flush window (`Gate::LastOpen`).
     if rng.below(4) == 0 {
         let node = rng.below(nodes.max(1) as u64) as usize;
         plan = plan.node_crash(node, at_ms(1 + rng.below(60)));
@@ -302,31 +294,13 @@ struct RunDigest {
 
 /// The soak's own non-panicking mini-driver: unlike
 /// [`crate::run_workload`] it must survive corrupted final state (the
-/// whole point is to *observe* divergence, not die on it), so nothing
-/// here asserts on verification.
-///
-/// Crash-bearing plans run degraded-mode, mirroring
-/// [`crate::run_crash_recovery`]: victims live in a crash group, the
-/// cut powers the node's local mounts off *first* (torn in-flight
-/// writes must survive exactly as a real power loss leaves them) and
-/// kills the task tree second, survivors finish on the crash-tolerant
-/// collective path (`e10_coll_timeout`) and drain with the
-/// non-collective `file_sync` (a `close()` barrier would hang on the
-/// dead ranks), and the crashed ranks' caches are recovered from their
-/// manifest journals before verification.
+/// whole point is to *observe* divergence, not die on it). The ranks,
+/// the cuts and the journal recovery are [`crash::execute`]'s; a
+/// crash-bearing plan adds the crash-tolerant collectives.
 async fn run_once(tb: &Testbed, case: &ChaosCase, plan: Option<FaultPlan>) -> RunDigest {
     let workload = case.workload.build();
-    let procs = workload.procs();
-    // Deduped crash list, one cut per node, in firing order.
-    let mut crashes: Vec<(usize, SimTime)> = Vec::new();
-    for (node, at) in plan.as_ref().map_or(Vec::new(), |p| p.crashes()) {
-        if !crashes.iter().any(|&(n, _)| n == node) {
-            crashes.push((node, at));
-        }
-    }
-    crashes.sort_by_key(|&(node, at)| (at, node));
-    let has_crash = !crashes.is_empty();
-    let timeout_ms = if has_crash {
+    let crashed = plan.as_ref().is_some_and(|p| !p.crashes().is_empty());
+    let timeout_ms = if crashed {
         case.coll_timeout_ms.max(40)
     } else {
         case.coll_timeout_ms
@@ -335,214 +309,48 @@ async fn run_once(tb: &Testbed, case: &ChaosCase, plan: Option<FaultPlan>) -> Ru
     if workload.force_collective() && hints.get("romio_cb_write").is_none() {
         hints.set("romio_cb_write", "enable");
     }
-    let _guard = plan.map(FaultSchedule::install);
-    let files = case.files;
     let seed = case.seed;
-
-    // Shared accumulators: victims record errors and acknowledged
-    // writes right up to the instant they die, so the acked-byte
-    // oracle judges exactly what the application was promised.
-    let errors: Rc<RefCell<Vec<(usize, String)>>> = Rc::new(RefCell::new(Vec::new()));
-    let acked: Rc<RefCell<Vec<(usize, usize, usize)>>> = Rc::new(RefCell::new(Vec::new()));
-    let opened_last = Rc::new(Cell::new(0usize));
-    let all_open = Flag::new();
-    let crash_gid = new_group();
-
-    let mut survivor_handles = Vec::new();
-    for rank in 0..procs {
-        let ctx = IoCtx {
-            comm: tb.world.comms[rank].clone(),
-            pfs: Rc::clone(&tb.pfs),
-            localfs: Rc::clone(&tb.localfs),
-            nvmfs: Rc::clone(&tb.nvmfs),
-        };
-        let wl = Rc::clone(&workload);
-        let hints = hints.clone();
-        let errors = Rc::clone(&errors);
-        let acked = Rc::clone(&acked);
-        let opened_last = Rc::clone(&opened_last);
-        let all_open = all_open.clone();
-        let body = async move {
-            let rank = ctx.comm.rank();
-            let views = wl.writes(rank);
-            for k in 0..files {
-                let path = format!("/gfs/chaos.{}.{k}", seed);
-                let opened = AdioFile::open(&ctx, &path, &hints, true).await;
-                if k + 1 == files {
-                    // Crash gate: count the last file's opens whether
-                    // they succeeded or not — the killer must never
-                    // wait on a rank that already failed past open.
-                    opened_last.set(opened_last.get() + 1);
-                    if opened_last.get() == procs {
-                        all_open.set();
-                    }
-                }
-                match opened {
-                    Ok(fd) => {
-                        for (vi, view) in views.iter().enumerate() {
-                            let r = write_at_all(
-                                &fd,
-                                view,
-                                &DataSpec::FileGen {
-                                    seed: 1000 + seed + k as u64,
-                                },
-                            )
-                            .await;
-                            if r.error_code != 0 {
-                                errors.borrow_mut().push((
-                                    rank,
-                                    match fd.take_io_error() {
-                                        Some(e) => e.to_string(),
-                                        None => format!("collective error code {}", r.error_code),
-                                    },
-                                ));
-                            } else {
-                                acked.borrow_mut().push((rank, k, vi));
-                            }
-                        }
-                        // Idle gap before the flush: lets the
-                        // background sync (and the scrubber between
-                        // its rounds) touch staged extents.
-                        sleep(SimDuration::from_millis(50)).await;
-                        if has_crash {
-                            // `close()` is collective; its barrier
-                            // would hang on the dead ranks. Drain this
-                            // rank alone.
-                            fd.file_sync().await;
-                        } else {
-                            fd.close().await;
-                        }
-                        if let Some(e) = fd.take_io_error() {
-                            errors.borrow_mut().push((rank, e.to_string()));
-                        }
-                    }
-                    Err(e) => errors.borrow_mut().push((rank, e.to_string())),
-                }
-            }
-        };
-        if crashes
-            .iter()
-            .any(|&(n, _)| n == tb.world.comms[rank].node())
-        {
-            // Killed handles never complete; spawn and forget.
-            #[allow(clippy::let_underscore_future)]
-            let _ = spawn_in_group(crash_gid, body);
-        } else {
-            survivor_handles.push(spawn(body));
-        }
-    }
-
-    // The killer: waits for the crash gate, then cuts power (power
-    // first, kill second — killing first would run the in-flight write
-    // guards and discard the torn prefixes power loss must keep) and
-    // destroys the crashed nodes' task trees.
-    let killer = has_crash.then(|| {
-        let localfs = Rc::clone(&tb.localfs);
-        let nvmfs = Rc::clone(&tb.nvmfs);
-        let crashes = crashes.clone();
-        let all_open = all_open.clone();
-        let class = case.cache_class;
-        spawn(async move {
-            all_open.wait().await;
-            for &(node, at) in &crashes {
-                if now() < at {
-                    sleep(at.since(now())).await;
-                }
-                let mut tear_rng = SimRng::stream(seed, 910_000 + node as u64);
-                localfs[node].power_loss(4096, &mut tear_rng);
-                if class != CacheClass::Ssd {
-                    // The NVM mount loses power with the node too;
-                    // byte-granular in-flight writes tear at the
-                    // cache-line flush unit.
-                    let mut nvm_tear_rng = SimRng::stream(seed, 911_000 + node as u64);
-                    nvmfs[node].power_loss(64, &mut nvm_tear_rng);
-                }
-                e10_faultsim::note_injected("node_crash", node);
-            }
-            kill_group(crash_gid);
-        })
-    });
-
-    for h in survivor_handles {
-        h.await;
-    }
-    if let Some(k) = killer {
-        k.await;
-    }
-
-    // Journal recovery of every crashed rank's caches, per file: acked
-    // bytes stranded on the dead nodes must reach the global file.
-    // (This also recovers a dead *aggregator's* stage holding bytes
-    // that surviving ranks were acked for.)
-    if has_crash {
-        let romio_hints = RomioHints::parse(&hints).expect("chaos hints parse");
-        for &(node, _) in &crashes {
-            for rank in (0..procs).filter(|&r| tb.world.comms[r].node() == node) {
-                for k in 0..files {
-                    let path = format!("/gfs/chaos.{}.{k}", seed);
-                    let basename = path.rsplit('/').next().unwrap_or(&path);
-                    let Ok(global) = tb.pfs.attach(&path) else {
-                        continue;
-                    };
-                    let ccfg = CacheConfig::from_hints(&romio_hints, basename, rank, node);
-                    let (store, front) = tb.ctx(rank).cache_mounts(romio_hints.e10_cache_class);
-                    let recovery = CacheLayer::recover_with_front(store, front, global, ccfg).await;
-                    match recovery {
-                        Ok((layer, _report)) => {
-                            if let Err(e) = layer.close().await {
-                                errors.borrow_mut().push((rank, e.to_string()));
-                            }
-                        }
-                        // An empty cache with no journal is a rank
-                        // that never staged anything for this file —
-                        // benign. Stranded bytes are a detected loss.
-                        Err(RecoverError::NoJournal { cached_bytes: 0 }) => {}
-                        Err(e) => errors.borrow_mut().push((rank, e.to_string())),
-                    }
-                }
-            }
-        }
-    }
-
-    // The acked-byte oracle for crash runs: every collective write
-    // that returned success must read back as the generator bytes it
-    // wrote, piece by piece.
-    let mut acked_bad = Vec::new();
-    if has_crash {
-        let exts: Vec<_> = (0..files)
-            .map(|k| tb.pfs.file_extents(&format!("/gfs/chaos.{}.{k}", seed)))
-            .collect();
-        for &(rank, k, vi) in acked.borrow().iter() {
-            let Some(ext) = &exts[k] else {
-                acked_bad.push(format!("rank {rank} file {k}: global file missing"));
-                continue;
-            };
-            let gen_seed = 1000 + seed + k as u64;
-            for p in workload.writes(rank)[vi].pieces() {
-                if let Err(e) = ext.verify_gen(gen_seed, p.file_off, p.len) {
-                    acked_bad.push(format!(
-                        "rank {rank} file {k} write {vi} [{}, +{}): {e}",
-                        p.file_off, p.len
-                    ));
-                }
-            }
-        }
-    }
-
-    let file_bytes = workload.file_size();
-    let digests = (0..files)
-        .map(|k| {
-            tb.pfs
-                .file_extents(&format!("/gfs/chaos.{}.{k}", seed))
-                .map(|ext| ext.digest(0, file_bytes))
-        })
+    let files: Vec<(String, u64)> = (0..case.files as u64)
+        .map(|k| (format!("/gfs/chaos.{seed}.{k}"), 1000 + seed + k))
         .collect();
-    let collected_errors = errors.borrow().clone();
+    let idle = SimDuration::from_millis(50);
+    let run = crash::execute(tb, &workload, &hints, plan, &files, Gate::LastOpen { idle }).await;
+
+    // A journal-less cache that staged nothing for a file is benign;
+    // stranded bytes are a detected loss.
+    let mut errors = run.errors;
+    errors.extend(run.failed);
+    for (rank, cached_bytes) in run.lost.into_iter().filter(|l| l.1 > 0) {
+        errors.push((rank, RecoverError::NoJournal { cached_bytes }.to_string()));
+    }
+    // The acked-byte oracle, crash runs only (crash-free runs are judged
+    // by their digests): every collective write that returned success
+    // must read back as the generator bytes it wrote, piece by piece.
+    let exts: Vec<_> = files.iter().map(|(p, _)| tb.pfs.file_extents(p)).collect();
+    let mut acked_bad = Vec::new();
+    for &(rank, k, vi, _) in run.acked.iter().filter(|_| crashed) {
+        let Some(ext) = &exts[k] else {
+            acked_bad.push(format!("rank {rank} file {k}: global file missing"));
+            continue;
+        };
+        for p in workload.writes(rank)[vi].pieces() {
+            if let Err(e) = ext.verify_gen(files[k].1, p.file_off, p.len) {
+                let (off, len) = (p.file_off, p.len);
+                acked_bad.push(format!(
+                    "rank {rank} file {k} write {vi} [{off}, +{len}): {e}"
+                ));
+            }
+        }
+    }
+    let size = workload.file_size();
     RunDigest {
-        digests,
-        errors: collected_errors,
-        injected: injected_count(),
-        crashed: has_crash,
+        digests: exts
+            .iter()
+            .map(|e| e.as_ref().map(|e| e.digest(0, size)))
+            .collect(),
+        errors,
+        injected: run.injected,
+        crashed,
         acked_bad,
     }
 }
@@ -582,21 +390,14 @@ fn verdict_of(oracle: &RunDigest, faulted: &RunDigest) -> (ChaosVerdict, Vec<usi
 /// oracle and the faulted run execute inside fresh simulations) and
 /// judge it against the gold invariant. Does not shrink.
 pub fn probe_with_plan(case: &ChaosCase, plan: &FaultPlan) -> ChaosReport {
-    let oracle = {
+    let run = |plan: Option<FaultPlan>| {
         let case = *case;
         e10_simcore::run(async move {
             let tb = TestbedSpec::small(case.workload.build().procs(), case.nodes).build();
-            run_once(&tb, &case, None).await
+            run_once(&tb, &case, plan).await
         })
     };
-    let faulted = {
-        let case = *case;
-        let plan = plan.clone();
-        e10_simcore::run(async move {
-            let tb = TestbedSpec::small(case.workload.build().procs(), case.nodes).build();
-            run_once(&tb, &case, Some(plan)).await
-        })
-    };
+    let (oracle, faulted) = (run(None), run(Some(plan.clone())));
     let (verdict, mismatched_files) = verdict_of(&oracle, &faulted);
     trace::counter("chaos.runs", 1);
     match verdict {

@@ -4,13 +4,15 @@
 //! faults ambiently, but a node crash needs an owner: somebody must cut
 //! power to the node's local file system *before* killing its task
 //! tree (torn in-flight writes would otherwise be silently discarded),
-//! then drive the crash-consistent recovery. This module is that owner.
+//! then drive the crash-consistent recovery. This module is that owner:
+//! [`run_crash_recovery`] and the chaos soak both run their crashes
+//! through its one executor, [`execute`].
 //!
 //! The sequence mirrors a real failure of the paper's setup:
 //!
 //! 1. every rank performs its collective writes; the E10 cache holds
 //!    the acknowledged data on the node-local NVM device,
-//! 2. the declared node loses power — in-flight device writes are torn
+//! 2. each declared node loses power — in-flight device writes are torn
 //!    at the atomicity unit, the page cache comes back cold, and the
 //!    node's whole task tree (ranks, sync threads) dies,
 //! 3. surviving ranks finish on their own (`MPI_File_sync` is not
@@ -23,21 +25,27 @@
 //! file is byte-identical to a fault-free run; with it disabled the
 //! same crash is detected and reported as data loss.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use e10_faultsim::{FaultPlan, FaultSchedule};
+use e10_faultsim::{injected_count, FaultPlan, FaultSchedule};
 use e10_mpisim::Info;
 use e10_romio::{
-    write_at_all, AdioFile, CacheClass, CacheConfig, CacheLayer, DataSpec, IoCtx, RecoverError,
+    write_at_all, AdioFile, CacheClass, CacheConfig, CacheLayer, DataSpec, RecoverError,
     RecoveryReport, RomioHints, Testbed,
 };
-use e10_simcore::trace::{self, Event, EventKind, Layer};
 use e10_simcore::{
-    kill_group, new_group, now, sleep, spawn, spawn_in_group, Flag, SimRng, SimTime,
+    kill_group, new_group, now, sleep, spawn, spawn_in_group, Flag, SimDuration, SimRng, SimTime,
 };
 
 use crate::Workload;
+
+/// Torn-write atomicity unit of a node's SSD at a power cut, bytes.
+const SSD_TEAR_UNIT: u64 = 4096;
+/// Torn-write atomicity unit of a node's NVM device, bytes:
+/// byte-addressable persistent memory tears at the cache-line flush
+/// unit, not the block size.
+const NVM_TEAR_UNIT: u64 = 64;
 
 /// Configuration of one crash/recovery experiment.
 #[derive(Clone)]
@@ -48,17 +56,10 @@ pub struct CrashConfig {
     pub path: String,
     /// Generator seed for the written data (the verification oracle).
     pub seed: u64,
-    /// The fault plan; its *first* node-crash spec is executed. The
-    /// remaining specs (stalls, link faults, RPC failures) stay
-    /// installed ambiently for the whole run, recovery included.
+    /// The fault plan; every node-crash spec is executed, one cut per
+    /// node. The remaining specs (stalls, link faults, RPC failures)
+    /// stay installed ambiently for the whole run, recovery included.
     pub faults: FaultPlan,
-    /// Torn-write atomicity unit of the node's SSD, bytes.
-    pub atomicity: u64,
-    /// Torn-write atomicity unit of the node's NVM device, bytes
-    /// (byte-addressable persistent memory tears at the cache-line
-    /// flush unit, not the block size). Used when `e10_cache_class`
-    /// stages data on the NVM mount.
-    pub nvm_atomicity: u64,
 }
 
 impl CrashConfig {
@@ -71,8 +72,6 @@ impl CrashConfig {
             path: path.to_string(),
             seed,
             faults: FaultPlan::new(seed).node_crash(node, SimTime::ZERO),
-            atomicity: 4096,
-            nvm_atomicity: 64,
         }
     }
 }
@@ -80,15 +79,18 @@ impl CrashConfig {
 /// What a crash/recovery run did and found.
 #[derive(Debug)]
 pub struct CrashOutcome {
-    /// The node that lost power.
+    /// The node that lost power first.
     pub crashed_node: usize,
-    /// Virtual instant of the power cut.
+    /// Virtual instant of that first power cut.
     pub crash_time: SimTime,
-    /// Tasks destroyed by the crash (ranks, sync threads, …).
+    /// Tasks destroyed by the crashes (ranks, sync threads, …).
     pub killed_tasks: usize,
-    /// Bytes acknowledged by collective writes across all ranks.
+    /// Bytes acknowledged by collective writes on the surviving ranks.
     pub written_bytes: u64,
-    /// Per-rank journal recovery reports for the crashed node.
+    /// Faults the installed plan injected, the crashes included — what
+    /// the chaos soak's `ChaosReport::injected` counts.
+    pub injected: u64,
+    /// Per-rank journal recovery reports for the crashed nodes.
     pub recovered: Vec<(usize, RecoveryReport)>,
     /// Ranks whose staged bytes were unrecoverable (no journal), with
     /// the number of bytes stranded in their cache files.
@@ -108,7 +110,7 @@ pub struct CrashOutcome {
 pub enum CrashConfigError {
     /// The fault plan contains no `node_crash` spec to execute.
     NoCrashDeclared,
-    /// The declared crash node hosts no rank of the workload — the
+    /// A declared crash node hosts no rank of the workload — the
     /// crash would be a no-op and the experiment meaningless.
     NoRankOnNode {
         /// The empty node.
@@ -144,14 +146,14 @@ impl CrashOutcome {
     }
 }
 
-/// Run `workload` once with a mid-run crash of the planned node, then
-/// recover the node's caches and verify the global file.
+/// Run `workload` once with a crash of every planned node, then
+/// recover the nodes' caches and verify the global file.
 ///
-/// The crash fires once every rank has finished its collective writes
-/// (event trigger) and no earlier than the plan's declared instant
+/// The crashes fire once every rank has finished its collective writes
+/// (event trigger) and no earlier than the plan's declared instants
 /// (time trigger) — acknowledged data is exactly the data a recovery
 /// must reproduce. Returns a [`CrashConfigError`] (instead of
-/// panicking) if the plan declares no node crash or the crashed node
+/// panicking) if the plan declares no node crash or a crashed node
 /// hosts no rank.
 pub async fn run_crash_recovery(
     tb: &Testbed,
@@ -164,153 +166,241 @@ pub async fn run_crash_recovery(
         procs,
         "testbed rank count must match the workload"
     );
+    let node_of = |rank: usize| tb.world.comms[rank].node();
     let crashes = cfg.faults.crashes();
-    let Some(&(crash_node, crash_at)) = crashes.first() else {
+    if crashes.is_empty() {
         return Err(CrashConfigError::NoCrashDeclared);
-    };
-    let victims: Vec<usize> = (0..procs)
-        .filter(|&r| tb.world.comms[r].node() == crash_node)
-        .collect();
-    if victims.is_empty() {
-        return Err(CrashConfigError::NoRankOnNode { node: crash_node });
     }
-
-    let _guard = FaultSchedule::install(cfg.faults.clone());
-    let crash_gid = new_group();
-    let writes_done = Rc::new(Cell::new(0usize));
-    let all_written = Flag::new();
-    let crashed = Flag::new();
-
-    // --- phase 1+3: the ranks -----------------------------------------
-    let mut survivor_handles = Vec::new();
-    for rank in 0..procs {
-        let ctx = IoCtx {
-            comm: tb.world.comms[rank].clone(),
-            pfs: Rc::clone(&tb.pfs),
-            localfs: Rc::clone(&tb.localfs),
-            nvmfs: Rc::clone(&tb.nvmfs),
-        };
-        let wl = Rc::clone(&workload);
-        let hints = cfg.hints.dup();
-        let path = cfg.path.clone();
-        let seed = cfg.seed;
-        let writes_done = Rc::clone(&writes_done);
-        let all_written = all_written.clone();
-        let crashed = crashed.clone();
-        let body = async move {
-            let fd = AdioFile::open(&ctx, &path, &hints, true)
-                .await
-                .expect("collective open failed");
-            let mut bytes = 0u64;
-            for view in &wl.writes(ctx.comm.rank()) {
-                let r = write_at_all(&fd, view, &DataSpec::FileGen { seed }).await;
-                assert_eq!(r.error_code, 0, "pre-crash write failed");
-                bytes += r.bytes;
-            }
-            writes_done.set(writes_done.get() + 1);
-            if writes_done.get() == procs {
-                all_written.set();
-            }
-            // Hold here until the crash: victims die in this wait, the
-            // survivors then drain their own caches (`MPI_File_sync` is
-            // not collective, so the dead node blocks nobody). No
-            // `close()`: its barrier would hang on the dead ranks.
-            crashed.wait().await;
-            fd.file_sync().await;
-            bytes
-        };
-        if tb.world.comms[rank].node() == crash_node {
-            // Killed handles never complete; spawn and forget.
-            #[allow(clippy::let_underscore_future)]
-            let _ = spawn_in_group(crash_gid, body);
-        } else {
-            survivor_handles.push(spawn(body));
-        }
+    let hosts_ranks = |node| (0..procs).any(|r| node_of(r) == node);
+    if let Some(&(node, _)) = crashes.iter().find(|c| !hosts_ranks(c.0)) {
+        return Err(CrashConfigError::NoRankOnNode { node });
     }
-
-    // --- phase 2: the crash --------------------------------------------
-    all_written.wait().await;
-    if now() < crash_at {
-        sleep(crash_at.since(now())).await;
-    }
-    let crash_time = now();
-    // Power first, kill second: killing first would run the in-flight
-    // write guards and discard the torn prefixes power-loss must keep.
-    let mut tear_rng = SimRng::stream(cfg.faults.seed, 910_000);
-    tb.localfs[crash_node].power_loss(cfg.atomicity, &mut tear_rng);
-    // The NVM mount loses power with the node too; byte-granular
-    // in-flight writes tear at the cache-line flush unit. A separate
-    // stream keeps the SSD tear draws unchanged for ssd-class runs.
-    let romio_hints = RomioHints::parse(&cfg.hints).expect("hints parsed at open");
-    if romio_hints.e10_cache_class != CacheClass::Ssd {
-        let mut nvm_tear_rng = SimRng::stream(cfg.faults.seed, 911_000);
-        tb.nvmfs[crash_node].power_loss(cfg.nvm_atomicity, &mut nvm_tear_rng);
-    }
-    let killed_tasks = kill_group(crash_gid);
-    trace::emit(|| {
-        Event::new(Layer::Faultsim, "fault.injected", EventKind::Point)
-            .node(crash_node)
-            .field("fault", "node_crash")
-            .field("killed_tasks", killed_tasks as u64)
-    });
-    trace::counter("faultsim.injected", 1);
-    crashed.set();
-
-    let mut written_bytes = 0u64;
-    for h in survivor_handles {
-        written_bytes += h.await;
-    }
-
-    // --- phase 4: recovery ----------------------------------------------
-    let recovery_t0 = now();
-    let basename = cfg.path.rsplit('/').next().unwrap_or(&cfg.path);
-    let mut recovered = Vec::new();
-    let mut lost = Vec::new();
-    let mut failed = Vec::new();
-    for &rank in &victims {
-        let ccfg = CacheConfig::from_hints(&romio_hints, basename, rank, crash_node);
-        let global = tb.pfs.attach(&cfg.path).expect("global file exists");
-        // Recover from whichever mount(s) the cache class staged on.
-        let (store, front) = tb.ctx(rank).cache_mounts(romio_hints.e10_cache_class);
-        let recovery = CacheLayer::recover_with_front(store, front, global, ccfg).await;
-        match recovery {
-            Ok((layer, report)) => {
-                // A recovery-stage integrity failure (staged bytes that
-                // rotted while the node was down) surfaces here as a
-                // typed error and counts as a failed rank.
-                match layer.close().await {
-                    Ok(()) => recovered.push((rank, report)),
-                    Err(e) => {
-                        failed.push((rank, e.to_string()));
-                        recovered.push((rank, report));
-                    }
-                }
-            }
-            Err(RecoverError::NoJournal { cached_bytes }) => lost.push((rank, cached_bytes)),
-            Err(e) => failed.push((rank, e.to_string())),
-        }
-    }
-
-    let recovery_secs = now().since(recovery_t0).as_secs_f64();
-
+    let files = [(cfg.path.clone(), cfg.seed)];
+    let plan = Some(cfg.faults.clone());
+    let run = execute(tb, &workload, &cfg.hints, plan, &files, Gate::AfterWrites).await;
+    let views: usize = (0..procs).map(|r| workload.writes(r).len()).sum();
+    assert_eq!(run.acked.len(), views, "pre-crash write failed");
+    let alive = |rank: usize| run.cuts.iter().all(|&(node, _)| node != node_of(rank));
     let verified = match tb.pfs.file_extents(&cfg.path) {
         Some(ext) => ext
             .verify_gen(cfg.seed, 0, workload.file_size())
             .map_err(|e| e.to_string()),
         None => Err(format!("global file {} missing", cfg.path)),
     };
-
     Ok(CrashOutcome {
-        crashed_node: crash_node,
-        crash_time,
+        crashed_node: run.cuts[0].0,
+        crash_time: run.cuts[0].1,
+        killed_tasks: run.killed_tasks,
+        written_bytes: run.acked.iter().filter(|a| alive(a.0)).map(|a| a.3).sum(),
+        injected: run.injected,
+        recovered: run.recovered,
+        lost: run.lost,
+        failed: run.failed,
+        recovery_secs: run.recovery_secs,
+        verified,
+    })
+}
+
+/// When an [`execute`] run's crashes may fire.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// Once every rank has opened the last file, so the cut lands in its
+    /// write/flush window; ranks idle `idle` between writes and flush.
+    LastOpen { idle: SimDuration },
+    /// Once every rank's writes are acked; ranks hold their flush until
+    /// the cut, so victims die with all their staged bytes cached.
+    AfterWrites,
+}
+
+/// What one [`execute`] run did and found.
+pub(crate) struct Executed {
+    /// Every acked write, victims' too, as `(rank, file, view, bytes)`:
+    /// indices into the run's files and the rank's `Workload::writes`.
+    pub acked: Vec<(usize, usize, usize, u64)>,
+    /// Typed errors the ranks were told, `(rank, message)`, in order.
+    pub errors: Vec<(usize, String)>,
+    /// The cuts as they fired, `(node, instant)`.
+    pub cuts: Vec<(usize, SimTime)>,
+    pub killed_tasks: usize,
+    /// Per crashed rank and file, as in [`CrashOutcome`]: a close that
+    /// fails to flush what the replay re-queued is in both lists.
+    pub recovered: Vec<(usize, RecoveryReport)>,
+    pub lost: Vec<(usize, u64)>,
+    pub failed: Vec<(usize, String)>,
+    /// Virtual seconds the recovery of every crashed rank took.
+    pub recovery_secs: f64,
+    /// Faults the plan injected, crashes included.
+    pub injected: u64,
+}
+
+/// The one node-crash executor. Under `plan`, every rank writes each of
+/// `files` (`(path, generator seed)`): open, every view, then
+/// `file_sync` if a node crashes (a `close()` barrier would hang on the
+/// dead ranks) or `close`, recording each ack and error. Once `gate`
+/// opens, each crashed node, at its earliest declared instant, loses
+/// SSD and (if the cache class stages there) NVM power *before* its
+/// task group is killed, so torn in-flight writes keep their prefixes.
+/// After the survivors, every crashed rank's cache of every file is
+/// recovered from its journal.
+pub(crate) async fn execute(
+    tb: &Testbed,
+    workload: &Rc<dyn Workload>,
+    hints: &Info,
+    plan: Option<FaultPlan>,
+    files: &[(String, u64)],
+    gate: Gate,
+) -> Executed {
+    let procs = workload.procs();
+    let node_of = |rank: usize| tb.world.comms[rank].node();
+    let romio_hints = RomioHints::parse(hints).expect("crash run hints parse");
+    // One cut per node, in firing order.
+    let mut cuts = plan.as_ref().map_or(Vec::new(), FaultPlan::crashes);
+    cuts.sort_by_key(|&(node, at)| (node, at));
+    cuts.dedup_by_key(|c| c.0);
+    cuts.sort_by_key(|&(node, at)| (at, node));
+    let tear_seed = plan.as_ref().map_or(0, |p| p.seed);
+    let _guard = plan.map(FaultSchedule::install);
+    let groups: Vec<u64> = cuts.iter().map(|_| new_group()).collect();
+    let crashing = !cuts.is_empty();
+    let files: Rc<[(String, u64)]> = files.into();
+    let acked = Rc::new(RefCell::new(Vec::new()));
+    let errors = Rc::new(RefCell::new(Vec::new()));
+    let arrived = Rc::new(Cell::new(0usize));
+    let (gate_open, cut_done) = (Flag::new(), Flag::new());
+
+    let mut survivors = Vec::new();
+    for rank in 0..procs {
+        let ctx = tb.ctx(rank);
+        let (wl, files, hints) = (Rc::clone(workload), Rc::clone(&files), hints.clone());
+        let (acked, errors, arrived) = (Rc::clone(&acked), Rc::clone(&errors), Rc::clone(&arrived));
+        let (gate_open, cut_done) = (gate_open.clone(), cut_done.clone());
+        let body = async move {
+            let arrive = || {
+                arrived.set(arrived.get() + 1);
+                if arrived.get() == procs {
+                    gate_open.set();
+                }
+            };
+            let views = wl.writes(rank);
+            for (k, (path, seed)) in files.iter().enumerate() {
+                let last = k + 1 == files.len();
+                let opened = AdioFile::open(&ctx, path, &hints, true).await;
+                // Count the last file's opens whether they succeeded or
+                // not: the cut must never wait on a rank that already
+                // failed past open.
+                if last && gate != Gate::AfterWrites {
+                    arrive();
+                }
+                let fd = match opened {
+                    Ok(fd) => fd,
+                    Err(e) => {
+                        errors.borrow_mut().push((rank, e.to_string()));
+                        if last && gate == Gate::AfterWrites {
+                            arrive();
+                        }
+                        continue;
+                    }
+                };
+                for (vi, view) in views.iter().enumerate() {
+                    let r = write_at_all(&fd, view, &DataSpec::FileGen { seed: *seed }).await;
+                    if r.error_code == 0 {
+                        acked.borrow_mut().push((rank, k, vi, r.bytes));
+                    } else {
+                        let e = fd.take_io_error().map_or_else(
+                            || format!("collective error code {}", r.error_code),
+                            |e| e.to_string(),
+                        );
+                        errors.borrow_mut().push((rank, e));
+                    }
+                }
+                match gate {
+                    Gate::LastOpen { idle } => sleep(idle).await,
+                    Gate::AfterWrites if last => {
+                        arrive();
+                        cut_done.wait().await;
+                    }
+                    Gate::AfterWrites => {}
+                }
+                if crashing {
+                    fd.file_sync().await;
+                } else {
+                    fd.close().await;
+                }
+                if let Some(e) = fd.take_io_error() {
+                    errors.borrow_mut().push((rank, e.to_string()));
+                }
+            }
+        };
+        match cuts.iter().position(|&(node, _)| node == node_of(rank)) {
+            // Killed handles never complete; spawn and forget.
+            Some(i) => drop(spawn_in_group(groups[i], body)),
+            None => survivors.push(spawn(body)),
+        }
+    }
+
+    let mut fired = Vec::new();
+    let mut killed_tasks = 0;
+    if crashing {
+        gate_open.wait().await;
+    }
+    for (&(node, at), &gid) in cuts.iter().zip(&groups) {
+        if now() < at {
+            sleep(at.since(now())).await;
+        }
+        let mut tear = SimRng::stream(tear_seed, 910_000 + node as u64);
+        tb.localfs[node].power_loss(SSD_TEAR_UNIT, &mut tear);
+        if romio_hints.e10_cache_class != CacheClass::Ssd {
+            let mut tear = SimRng::stream(tear_seed, 911_000 + node as u64);
+            tb.nvmfs[node].power_loss(NVM_TEAR_UNIT, &mut tear);
+        }
+        e10_faultsim::note_injected("node_crash", node);
+        killed_tasks += kill_group(gid);
+        fired.push((node, now()));
+    }
+    cut_done.set();
+    for h in survivors {
+        h.await;
+    }
+
+    // Acked bytes stranded on the dead nodes must reach the global file
+    // (a dead aggregator's stage may hold survivors' acked bytes).
+    let recovery_t0 = now();
+    let (mut recovered, mut lost, mut failed) = (Vec::new(), Vec::new(), Vec::new());
+    for &(node, _) in &cuts {
+        for rank in (0..procs).filter(|&r| node_of(r) == node) {
+            for (path, _) in files.iter() {
+                let Ok(global) = tb.pfs.attach(path) else {
+                    continue;
+                };
+                let basename = path.rsplit('/').next().unwrap_or(path);
+                let ccfg = CacheConfig::from_hints(&romio_hints, basename, rank, node);
+                let (store, front) = tb.ctx(rank).cache_mounts(romio_hints.e10_cache_class);
+                match CacheLayer::recover_with_front(store, front, global, ccfg).await {
+                    Ok((layer, report)) => {
+                        if let Err(e) = layer.close().await {
+                            failed.push((rank, e.to_string()));
+                        }
+                        recovered.push((rank, report));
+                    }
+                    Err(RecoverError::NoJournal { cached_bytes }) => {
+                        lost.push((rank, cached_bytes))
+                    }
+                    Err(e) => failed.push((rank, e.to_string())),
+                }
+            }
+        }
+    }
+    Executed {
+        acked: acked.take(),
+        errors: errors.take(),
+        cuts: fired,
         killed_tasks,
-        written_bytes,
         recovered,
         lost,
         failed,
-        recovery_secs,
-        verified,
-    })
+        recovery_secs: now().since(recovery_t0).as_secs_f64(),
+        injected: injected_count(),
+    }
 }
 
 #[cfg(test)]
@@ -347,6 +437,59 @@ mod tests {
             assert!(out.lost.is_empty() && out.failed.is_empty());
             assert!(out.requeued_bytes() > 0, "crash landed before the sync");
             out.verified.expect("recovered file must verify");
+        });
+    }
+
+    #[test]
+    fn the_harness_crash_counts_as_an_injected_fault() {
+        run(async {
+            let w = Rc::new(CollPerf::tiny([2, 2, 2]));
+            let tb = TestbedSpec::small(w.procs(), 2).build();
+            let cfg = CrashConfig::after_writes(crash_hints(true), "/gfs/crash_inj", 83, 1);
+            let out = run_crash_recovery(&tb, w, &cfg).await.unwrap();
+            // The plan holds the crash alone, so it is the one fault.
+            assert_eq!(out.injected, 1);
+        });
+    }
+
+    #[test]
+    fn every_declared_crash_is_cut_and_recovered() {
+        run(async {
+            let w = Rc::new(CollPerf::tiny([2, 2, 2]));
+            let tb = TestbedSpec::small(w.procs(), 4).build();
+            let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+            let mut cfg = CrashConfig::after_writes(crash_hints(true), "/gfs/crash_two", 84, 3);
+            // Declared out of firing order, node 3 twice, all after the
+            // writes are acked (~2.3 ms): one cut per node, node 1 first.
+            cfg.faults = FaultPlan::new(84)
+                .node_crash(3, at(6))
+                .node_crash(1, at(4))
+                .node_crash(3, at(9));
+            let victims: Vec<usize> = (0..w.procs())
+                .filter(|&r| [1, 3].contains(&tb.world.comms[r].node()))
+                .collect();
+            let out = run_crash_recovery(&tb, w, &cfg).await.unwrap();
+            assert_eq!((out.crashed_node, out.crash_time), (1, at(4)));
+            assert_eq!(out.injected, 2, "one cut per crashed node");
+            let mut recovered: Vec<usize> = out.recovered.iter().map(|&(r, _)| r).collect();
+            recovered.sort_unstable();
+            assert_eq!(recovered, victims, "every victim rank is recovered");
+            assert!(out.killed_tasks >= victims.len());
+            assert!(out.lost.is_empty() && out.failed.is_empty());
+            assert!(out.requeued_bytes() > 0);
+            out.verified.expect("both nodes' acked bytes must survive");
+        });
+    }
+
+    #[test]
+    fn a_second_crash_on_an_unpopulated_node_is_a_config_error() {
+        run(async {
+            let w = Rc::new(CollPerf::tiny([2, 2, 2]));
+            let tb = TestbedSpec::small(w.procs(), 2).build();
+            let mut cfg = CrashConfig::after_writes(crash_hints(true), "/gfs/crash_2nd", 85, 1);
+            cfg.faults = cfg.faults.node_crash(7, SimTime::ZERO);
+            let err = run_crash_recovery(&tb, w, &cfg).await.unwrap_err();
+            assert_eq!(err, CrashConfigError::NoRankOnNode { node: 7 });
         });
     }
 

@@ -8,8 +8,9 @@
 #   1. release build of every crate, bins included
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
-#      "test result:" lines, then scripts/loc.sh over crates/romio/src:
-#      production vs test lines per file (informational, no gate).
+#      "test result:" lines, then scripts/loc.sh over crates/romio/src
+#      and crates/workloads/src: production vs test lines per file
+#      (informational, no gate).
 #      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
@@ -101,7 +102,7 @@ awk '/^test result:/ {
               suites, passed, failed
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
-scripts/loc.sh crates/romio/src
+scripts/loc.sh crates/romio/src crates/workloads/src
 
 perturbation_properties() {
   cargo test -q -p e10-simcore --test perturbation

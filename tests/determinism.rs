@@ -199,8 +199,8 @@ fn installed_but_silent_fault_plan_leaves_runs_bit_identical() {
 #[test]
 fn crash_recovery_is_deterministic() {
     use e10_repro::workloads::run_crash_recovery;
-    let once = |n: u64| {
-        e10_simcore::run(async move {
+    let once = || {
+        e10_simcore::run(async {
             let w = Rc::new(CollPerf::tiny([2, 2, 2]));
             let tb = TestbedSpec::small(w.procs(), 2).build();
             let hints = Info::from_pairs([
@@ -215,16 +215,12 @@ fn crash_recovery_is_deterministic() {
                 .await
                 .unwrap();
             out.verified.as_ref().unwrap();
-            let _ = n;
-            (
-                out.crash_time,
-                out.killed_tasks,
-                out.requeued_bytes(),
-                out.written_bytes,
-            )
+            // The whole outcome, per-rank recovery reports included,
+            // and the recovery time to the bit.
+            (format!("{out:?}"), out.recovery_secs.to_bits())
         })
     };
-    assert_eq!(once(0), once(1));
+    assert_eq!(once(), once());
 }
 
 /// The determinism anchor for the NVM device model: an `nvm` cache
