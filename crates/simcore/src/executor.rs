@@ -246,10 +246,6 @@ impl Kernel {
         action: EventAction,
         cancelled: Option<Rc<Cell<bool>>>,
     ) -> (u64, u32) {
-        debug_assert!(Some(at) >= NOW.get(), "event scheduled in the past");
-        let seq = self.seq;
-        assert!(seq >> Entry::SEQ_BITS == 0, "calendar sequence overflow");
-        self.seq += 1;
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
@@ -261,17 +257,28 @@ impl Kernel {
                 (self.slots.len() - 1) as u32
             }
         };
+        let seq = self.push_entry(at, slot);
         self.slots[slot as usize] = Some(ScheduledEvent {
             seq,
             action,
             cancelled,
         });
         self.live_events += 1;
+        (seq, slot)
+    }
+
+    /// Put the body in `slot` on the calendar at `at` under the next
+    /// seq, which it returns.
+    fn push_entry(&mut self, at: SimTime, slot: u32) -> u64 {
+        debug_assert!(Some(at) >= NOW.get(), "event scheduled in the past");
+        let seq = self.seq;
+        assert!(seq >> Entry::SEQ_BITS == 0, "calendar sequence overflow");
+        self.seq += 1;
         self.heap.push(Reverse(Entry::new(at, seq, slot)));
         if self.heap.len() > self.heap_peak {
             self.heap_peak = self.heap.len();
         }
-        (seq, slot)
+        seq
     }
 
     /// Vacate `slot` if it still holds the event scheduled as `seq`,
@@ -452,15 +459,31 @@ impl Kernel {
             .filter(|t| t.generation == generation)
     }
 
-    /// Schedule a [`FairShare`](crate::resource::FairShare) completion
-    /// timer, returning `(kernel id, seq, slot)` for the owner's
-    /// staleness bookkeeping.
-    pub(crate) fn schedule_fs_timer(
+    /// Arm a [`FairShare`](crate::resource::FairShare) completion timer
+    /// for `at`, returning `(kernel id, seq, slot)` for the owner's
+    /// staleness bookkeeping. The timer it supersedes, `pending`, is
+    /// moved instead when it is still on this calendar: its body keeps
+    /// its slot under a fresh seq and entry. That is the state vacating
+    /// it and scheduling anew leaves — the vacated slot is the next one
+    /// handed out — without dropping and cloning the body.
+    pub(crate) fn arm_fs_timer(
         &mut self,
+        pending: Option<(u64, u64, u32)>,
         at: SimTime,
-        fs: Rc<RefCell<crate::resource::FsState>>,
+        fs: &Rc<RefCell<crate::resource::FsState>>,
     ) -> (u64, u64, u32) {
-        let (seq, slot) = self.schedule(at, EventAction::FsTimer(fs), None);
+        if let Some((kernel, seq, slot)) = pending {
+            let live = kernel == self.id
+                && matches!(&self.slots[slot as usize], Some(ev) if ev.seq == seq);
+            if live {
+                let moved = self.push_entry(at, slot);
+                if let Some(ev) = &mut self.slots[slot as usize] {
+                    ev.seq = moved;
+                }
+                return (self.id, moved, slot);
+            }
+        }
+        let (seq, slot) = self.schedule(at, EventAction::FsTimer(Rc::clone(fs)), None);
         (self.id, seq, slot)
     }
 
@@ -535,7 +558,7 @@ pub(crate) fn wake_task(word: u64) {
 /// that scheduled it, dropping the event body now. Inert outside
 /// [`run`], inside another simulation (whose indices may collide) and
 /// once the entry has fired. Shared by [`EventHandle::cancel`],
-/// fair-share timer re-arming and [`Sleep`]'s drop: it must not panic.
+/// fair-share timer cancelling and [`Sleep`]'s drop: it must not panic.
 pub(crate) fn vacate_event(kernel: u64, seq: u64, slot: u32) {
     // Drop the body once the kernel is back in its cell: captured
     // values may re-enter the kernel from their own Drop.

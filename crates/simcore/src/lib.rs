@@ -17,9 +17,9 @@
 //!   without plumbing a handle through ten layers — mirroring how real
 //!   MPI/ROMIO code relies on process-global runtime state.
 //! * **Queueing resources.** [`resource::FifoServer`] and
-//!   [`resource::FairShare`] model request-at-a-time devices and
-//!   bandwidth-shared links/targets respectively; device models in
-//!   `e10-storesim` and `e10-netsim` compose them.
+//!   [`resource::FairShare`] model request-at-a-time devices and links
+//!   or targets whose bandwidth in-flight streams share evenly; device
+//!   models in `e10-storesim` and `e10-netsim` compose them.
 //!
 //! ## Example
 //!
@@ -61,7 +61,7 @@ pub use executor::{
 };
 pub use join::{join_all, FixedJoin};
 pub use pool::{run_jobs, run_jobs_on, worker_threads, Job};
-pub use resource::{water_fill, FairShare, FifoServer, RoundRobin};
+pub use resource::{FairShare, FifoServer, RoundRobin};
 pub use rng::{Jitter, SimRng};
 pub use stats::{LogHistogram, Tally};
 pub use sync::{Barrier, Flag, Semaphore, SemaphoreGuard};

@@ -5,10 +5,11 @@
 //! * [`FifoServer`] — `k` identical servers, one job at a time each,
 //!   FIFO queue. Matches request-at-a-time devices (a disk head, an RPC
 //!   handler thread).
-//! * [`FairShare`] — a capacity shared among all in-flight jobs
-//!   (processor sharing), with optional per-job rate caps resolved by
-//!   water-filling. Matches links and storage targets where concurrent
-//!   streams split bandwidth.
+//! * [`FairShare`] — a capacity shared evenly among all in-flight jobs
+//!   (processor sharing). Matches links and storage targets where
+//!   concurrent streams split bandwidth. It keeps the least remaining
+//!   work over its jobs, so a join at the instant of the last settle
+//!   costs O(1) plus re-arming the completion timer.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -92,7 +93,6 @@ struct FsJob {
     /// order, so `jobs` is always sorted by id.
     id: u64,
     remaining: f64,
-    cap: Option<f64>,
     /// Waker of the serving task, stored intrusively — no per-job
     /// `Flag` (and its `Rc<RefCell<..>>` + waiter vector) is allocated.
     /// Waking a task that was killed mid-transfer is a harmless stale
@@ -104,10 +104,12 @@ struct FsJob {
 pub(crate) struct FsState {
     rate: f64,
     jobs: Vec<FsJob>,
-    /// Whether some job may be down to `WORK_EPS`: a settle saw one
-    /// get there, or one joined with no more than that. The completion
-    /// sweep has nothing to find otherwise.
-    any_done: bool,
+    /// The least `remaining` over `jobs`, infinite when there are
+    /// none. A join takes the minimum with its work; the two passes
+    /// that change remainders — the advance and the completion sweep —
+    /// recompute it. The minimum does not depend on join order, so
+    /// nothing derived from it does either.
+    least: f64,
     last_settle: SimTime,
     /// `(kernel id, seq, slot)` of the armed completion timer (an
     /// unboxed `EventAction::FsTimer` calendar entry). A firing timer
@@ -119,18 +121,13 @@ pub(crate) struct FsState {
     /// Total work units completed (stats).
     work_done: f64,
     jobs_done: u64,
-    /// Scratch for the general (mixed-caps) water-fill; reused across
-    /// settles so the steady state allocates nothing.
-    rates: Vec<f64>,
-    open: Vec<u32>,
-    open_next: Vec<u32>,
 }
 
 /// A processor-sharing resource of fixed total capacity (work units per
 /// second — typically bytes/s).
 ///
-/// All in-flight jobs progress simultaneously, each at the water-filling
-/// fair share of the capacity subject to its optional per-job rate cap.
+/// All in-flight jobs progress simultaneously, each at an equal share
+/// of the capacity.
 #[derive(Clone)]
 pub struct FairShare {
     inner: Rc<RefCell<FsState>>,
@@ -141,40 +138,21 @@ impl FairShare {
     pub fn new(rate: f64) -> Self {
         assert!(rate > 0.0, "FairShare capacity must be positive");
         FairShare {
-            inner: Rc::new(RefCell::new(FsState {
-                rate,
-                jobs: Vec::new(),
-                any_done: false,
-                last_settle: SimTime::ZERO,
-                pending: None,
-                next_job: 0,
-                work_done: 0.0,
-                jobs_done: 0,
-                rates: Vec::new(),
-                open: Vec::new(),
-                open_next: Vec::new(),
-            })),
+            inner: Rc::new(RefCell::new(FsState::new(rate))),
         }
     }
 
     /// Process `work` units, sharing capacity with concurrent jobs.
-    pub fn serve(&self, work: f64) -> FsServe {
-        self.serve_capped(work, None)
-    }
-
-    /// Process `work` units, never exceeding `cap` units/second for this
-    /// job even when spare capacity exists.
     ///
     /// The returned future registers the job at its first poll (like
     /// any lazy future) and completes when the job's work has drained.
     /// Dropping the future after the first poll does *not* withdraw the
     /// job: the transfer keeps consuming bandwidth to completion, which
     /// is how crash-kill of a client mid-transfer is modelled.
-    pub fn serve_capped(&self, work: f64, cap: Option<f64>) -> FsServe {
+    pub fn serve(&self, work: f64) -> FsServe {
         FsServe {
             fs: Rc::clone(&self.inner),
             work,
-            cap,
             job: None,
         }
     }
@@ -201,83 +179,32 @@ impl FairShare {
 }
 
 impl FsState {
-    /// Per-job service rates under water-filling fair sharing.
-    ///
-    /// Returns `Some(r)` — the **bulk fast path** — when every active
-    /// job has the same cap, which is the shape every collective
-    /// shuffle round produces (N identical streams joining and leaving
-    /// together): the allocation is then the single analytic value
-    /// `min(cap, rate/n)` instead of an O(active) water-fill. The
-    /// expressions are the very ones [`water_fill`]'s first round
-    /// evaluates, so the fast path is bit-identical to the oracle.
-    ///
-    /// Returns `None` for mixed caps, with `self.rates` filled by a
-    /// scratch-buffer water-fill (same arithmetic, same order, no
-    /// allocation in steady state).
-    fn compute_rates(&mut self) -> Option<f64> {
-        let n = self.jobs.len();
-        debug_assert!(n > 0);
-        let share = self.rate / n as f64;
-        let cap0 = self.jobs[0].cap;
-        if self.jobs.iter().all(|j| j.cap == cap0) {
-            return Some(match cap0 {
-                Some(c) if c < share => c,
-                _ => share,
-            });
-        }
-        let FsState {
+    fn new(rate: f64) -> Self {
+        FsState {
             rate,
-            jobs,
-            rates,
-            open,
-            open_next,
-            ..
-        } = self;
-        rates.clear();
-        rates.resize(n, 0.0);
-        open.clear();
-        open.extend(0..n as u32);
-        let mut remaining = *rate;
-        loop {
-            let share = remaining / open.len() as f64;
-            open_next.clear();
-            let mut any_capped = false;
-            // Cap everyone whose limit is below the current equal
-            // share; subtraction order matches `water_fill`'s
-            // partition order (both preserve job order).
-            for &i in open.iter() {
-                match jobs[i as usize].cap {
-                    Some(c) if c < share => {
-                        rates[i as usize] = c;
-                        remaining -= c;
-                        any_capped = true;
-                    }
-                    _ => open_next.push(i),
-                }
-            }
-            if !any_capped {
-                for &i in open_next.iter() {
-                    rates[i as usize] = share;
-                }
-                break;
-            }
-            if open_next.is_empty() {
-                break;
-            }
-            std::mem::swap(open, open_next);
+            jobs: Vec::new(),
+            least: f64::INFINITY,
+            last_settle: SimTime::ZERO,
+            pending: None,
+            next_job: 0,
+            work_done: 0.0,
+            jobs_done: 0,
         }
-        None
+    }
+
+    /// Each active job's rate: the capacity split evenly.
+    fn share(&self) -> f64 {
+        self.rate / self.jobs.len() as f64
     }
 
     /// Register a job of `work` units; returns its id.
-    fn join(&mut self, work: f64, cap: Option<f64>, waker: Waker) -> u64 {
+    fn join(&mut self, work: f64, waker: Waker) -> u64 {
         let id = self.next_job;
         self.next_job += 1;
-        self.any_done |= work <= WORK_EPS;
+        self.least = self.least.min(work);
         self.jobs.push(FsJob {
             id,
             remaining: work,
-            cap,
             waker,
         });
         id
@@ -289,71 +216,54 @@ impl FsState {
         let dt = to.since(self.last_settle).as_secs_f64();
         self.last_settle = to;
         if dt > 0.0 && !self.jobs.is_empty() {
-            let uniform = self.compute_rates();
-            let FsState {
-                jobs,
-                rates,
-                work_done,
-                any_done,
-                ..
-            } = self;
-            let mut advance = |job: &mut FsJob, r: f64| {
-                let step = r * dt;
+            let step = self.share() * dt;
+            let mut least = f64::INFINITY;
+            for job in &mut self.jobs {
                 let used = step.min(job.remaining);
                 job.remaining -= used;
-                *work_done += used;
-                *any_done |= job.remaining <= WORK_EPS;
-            };
-            match uniform {
-                Some(r) => jobs.iter_mut().for_each(|job| advance(job, r)),
-                None => (jobs.iter_mut().zip(rates.iter())).for_each(|(job, &r)| advance(job, r)),
+                self.work_done += used;
+                least = least.min(job.remaining);
             }
+            self.least = least;
         }
-        // Complete finished jobs (preserving order for determinism).
-        if std::mem::take(&mut self.any_done) {
-            for job in self.jobs.extract_if(.., |job| job.remaining <= WORK_EPS) {
+        // Complete finished jobs (preserving order for determinism);
+        // with none down to `WORK_EPS` there is nothing to find.
+        if self.least <= WORK_EPS {
+            let mut least = f64::INFINITY;
+            let done = self.jobs.extract_if(.., |job| {
+                let done = job.remaining <= WORK_EPS;
+                if !done {
+                    least = least.min(job.remaining);
+                }
+                done
+            });
+            for job in done {
                 self.jobs_done += 1;
                 job.waker.wake();
             }
+            self.least = least;
         }
     }
 
-    /// Seconds until the first job completes at the current rates.
-    fn horizon(&mut self) -> f64 {
-        let mut horizon = f64::INFINITY;
-        match self.compute_rates() {
-            // Dividing by a positive rate is monotone, rounding
-            // included, so the least quotient is the quotient of the
-            // least remainder: one division, not one per job.
-            Some(r) => {
-                if r > 0.0 {
-                    let least = self.jobs.iter().map(|job| job.remaining);
-                    horizon = least.fold(horizon, f64::min) / r;
-                }
-            }
-            None => {
-                for (job, r) in self.jobs.iter().zip(self.rates.iter()) {
-                    if *r > 0.0 {
-                        horizon = horizon.min(job.remaining / r);
-                    }
-                }
-            }
-        }
-        horizon
+    /// Seconds until the first job completes at the current share.
+    /// Dividing by a positive rate is monotone, rounding included, so
+    /// the least quotient is the quotient of the least remainder.
+    fn horizon(&self) -> f64 {
+        self.least / self.share()
     }
 
-    /// Schedule the next completion event. The cancel + re-arm cycle
-    /// runs on every job join/leave, so it is allocation-free: the
-    /// timer body is an `Rc` clone carried by a dedicated calendar
-    /// variant, and cancellation is a direct slab vacate.
+    /// Schedule the next completion event. The re-arm runs on every
+    /// job join/leave, so it is allocation-free: the timer body is an
+    /// `Rc` clone carried by a dedicated calendar variant, a live timer
+    /// is moved in place, and cancellation is a direct slab vacate.
     fn reschedule(&mut self, me: &Rc<RefCell<FsState>>, t: SimTime) {
-        if let Some((kernel, seq, slot)) = self.pending.take() {
-            // The vacated body is just an `Rc<RefCell<FsState>>`
-            // clone; dropping it under our own borrow is fine (no
-            // destructor re-enters this RefCell).
-            vacate_event(kernel, seq, slot);
-        }
         if self.jobs.is_empty() {
+            if let Some((kernel, seq, slot)) = self.pending.take() {
+                // The vacated body is just an `Rc<RefCell<FsState>>`
+                // clone; dropping it under our own borrow is fine (no
+                // destructor re-enters this RefCell).
+                vacate_event(kernel, seq, slot);
+            }
             return;
         }
         let horizon = self.horizon();
@@ -361,13 +271,15 @@ impl FsState {
             horizon.is_finite(),
             "FairShare stalled: all jobs have zero rate"
         );
-        // Round up to a whole nanosecond so virtual time always advances.
+        // `from_secs_f64` rounds to the nearest nanosecond; only a zero
+        // becomes 1 ns, so virtual time always advances.
         let mut dt = SimDuration::from_secs_f64(horizon);
         if dt.is_zero() {
             dt = SimDuration::from_nanos(1);
         }
         let at = t + dt;
-        self.pending = Some(with_kernel(|k| k.schedule_fs_timer(at, Rc::clone(me))));
+        let pending = self.pending.take();
+        self.pending = Some(with_kernel(|k| k.arm_fs_timer(pending, at, me)));
     }
 }
 
@@ -389,11 +301,10 @@ pub(crate) fn fs_timer_fired(fs: Rc<RefCell<FsState>>, seq: u64) -> bool {
     true
 }
 
-/// Future returned by [`FairShare::serve`] / [`FairShare::serve_capped`].
+/// Future returned by [`FairShare::serve`].
 pub struct FsServe {
     fs: Rc<RefCell<FsState>>,
     work: f64,
-    cap: Option<f64>,
     /// Id of the registered job; `None` until first poll.
     job: Option<u64>,
 }
@@ -411,7 +322,7 @@ impl Future for FsServe {
                 let t = now();
                 let mut st = this.fs.borrow_mut();
                 st.settle(t);
-                let id = st.join(this.work, this.cap, cx.waker().clone());
+                let id = st.join(this.work, cx.waker().clone());
                 st.reschedule(&this.fs, t);
                 drop(st);
                 this.job = Some(id);
@@ -490,69 +401,10 @@ impl RoundRobin {
     }
 }
 
-/// Water-filling allocation: distribute `total` capacity over jobs with
-/// optional caps so every job gets `min(cap, fair share)`, with spare
-/// capacity from capped jobs re-distributed among the rest.
-pub fn water_fill(total: f64, caps: &[Option<f64>]) -> Vec<f64> {
-    let n = caps.len();
-    let mut rates = vec![0.0; n];
-    if n == 0 {
-        return rates;
-    }
-    let mut remaining = total;
-    let mut open: Vec<usize> = (0..n).collect();
-    loop {
-        let share = remaining / open.len() as f64;
-        // Cap everyone whose limit is below the current equal share.
-        let (capped, uncapped): (Vec<usize>, Vec<usize>) = open
-            .iter()
-            .partition(|&&i| caps[i].is_some_and(|c| c < share));
-        if capped.is_empty() {
-            for &i in &open {
-                rates[i] = share;
-            }
-            break;
-        }
-        for &i in &capped {
-            let c = caps[i].unwrap();
-            rates[i] = c;
-            remaining -= c;
-        }
-        if uncapped.is_empty() {
-            break;
-        }
-        open = uncapped;
-    }
-    rates
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::executor::{run, sleep, spawn};
-
-    #[test]
-    fn water_fill_no_caps_is_equal_split() {
-        let r = water_fill(12.0, &[None, None, None]);
-        assert_eq!(r, vec![4.0, 4.0, 4.0]);
-    }
-
-    #[test]
-    fn water_fill_redistributes_capped_slack() {
-        let r = water_fill(12.0, &[Some(2.0), None, None]);
-        assert_eq!(r, vec![2.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn water_fill_all_capped_below_share() {
-        let r = water_fill(100.0, &[Some(1.0), Some(2.0)]);
-        assert_eq!(r, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn water_fill_empty() {
-        assert!(water_fill(5.0, &[]).is_empty());
-    }
 
     #[test]
     fn fifo_server_serialises_jobs() {
@@ -652,16 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_respects_per_job_cap() {
-        let end = run(async {
-            let link = FairShare::new(1000.0);
-            link.serve_capped(100.0, Some(10.0)).await;
-            now().as_secs_f64()
-        });
-        assert!((end - 10.0).abs() < 1e-6, "end={end}");
-    }
-
-    #[test]
     fn fair_share_zero_work_is_instant() {
         run(async {
             let link = FairShare::new(1.0);
@@ -671,157 +513,30 @@ mod tests {
         });
     }
 
-    /// Build a probe state with the given caps (work amounts are
-    /// irrelevant to rate computation).
-    fn probe_state(rate: f64, caps: &[Option<f64>]) -> FsState {
-        FsState {
-            rate,
-            jobs: caps
-                .iter()
-                .enumerate()
-                .map(|(i, &cap)| FsJob {
-                    id: i as u64,
-                    remaining: 1.0,
-                    cap,
-                    waker: Waker::noop().clone(),
-                })
-                .collect(),
-            any_done: false,
-            last_settle: SimTime::ZERO,
-            pending: None,
-            next_job: caps.len() as u64,
-            work_done: 0.0,
-            jobs_done: 0,
-            rates: Vec::new(),
-            open: Vec::new(),
-            open_next: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn compute_rates_is_bit_identical_to_water_fill_oracle() {
-        // Random join/leave sequences over a mixed cap population: at
-        // every step the incremental computation (fast path or scratch
-        // water-fill) must match the allocating oracle bit for bit —
-        // this is the property that keeps every committed golden
-        // byte-identical across the fast-path rewrite.
-        let mut rng = crate::rng::SimRng::new(0xE10);
-        let mut caps: Vec<Option<f64>> = Vec::new();
-        let total = 256.0;
-        let mut fast = 0u32;
-        let mut general = 0u32;
-        // Phase 1: uniform populations — the shape every shuffle round
-        // produces — must take the O(1) path and still match the oracle.
-        for step in 0..300 {
-            let n = 1 + rng.below(32) as usize;
-            let cap = match rng.below(4) {
-                0 => None,
-                1 => Some(64.0),
-                2 => Some(1e9),
-                _ => Some(rng.uniform_range(0.1, 90.0)),
-            };
-            let uniform = vec![cap; n];
-            let oracle = water_fill(total, &uniform);
-            let mut st = probe_state(total, &uniform);
-            let r = st
-                .compute_rates()
-                .unwrap_or_else(|| panic!("uniform caps {cap:?} x{n} must take the fast path"));
-            fast += 1;
-            for (i, o) in oracle.iter().enumerate() {
-                assert_eq!(
-                    r.to_bits(),
-                    o.to_bits(),
-                    "fast path diverged at uniform step {step}, job {i}: {r} vs {o}"
-                );
-            }
-        }
-        // Phase 2: random join/leave walk over a mixed cap population.
-        for step in 0..2_000 {
-            if caps.is_empty() || rng.below(100) < 55 {
-                caps.push(match rng.below(4) {
-                    0 => None,
-                    // A uniform candidate below and above the share.
-                    1 => Some(64.0),
-                    2 => Some(1e9),
-                    _ => Some(rng.uniform_range(0.1, 90.0)),
-                });
-            } else {
-                let i = rng.below(caps.len() as u64) as usize;
-                caps.remove(i);
-            }
-            if caps.is_empty() {
-                continue;
-            }
-            let oracle = water_fill(total, &caps);
-            let mut st = probe_state(total, &caps);
-            match st.compute_rates() {
-                Some(r) => {
-                    fast += 1;
-                    for (i, o) in oracle.iter().enumerate() {
-                        assert_eq!(
-                            r.to_bits(),
-                            o.to_bits(),
-                            "fast path diverged at step {step}, job {i}: {r} vs {o} (caps {caps:?})"
-                        );
-                    }
-                }
-                None => {
-                    general += 1;
-                    assert_eq!(st.rates.len(), oracle.len());
-                    for (i, (a, o)) in st.rates.iter().zip(&oracle).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            o.to_bits(),
-                            "water-fill scratch diverged at step {step}, job {i}: {a} vs {o} (caps {caps:?})"
-                        );
-                    }
-                }
-            }
-        }
-        // The sequence must actually exercise both paths.
-        assert!(fast > 100, "fast path untested ({fast})");
-        assert!(general > 100, "general path untested ({general})");
-    }
-
-    #[test]
-    fn uniform_caps_fast_path_applies_to_identical_streams() {
-        // The shape every shuffle round produces: N identical streams.
-        for cap in [None, Some(10.0), Some(1e9)] {
-            let mut st = probe_state(100.0, &[cap; 8]);
-            assert!(
-                st.compute_rates().is_some(),
-                "identical caps {cap:?} must take the O(1) path"
-            );
-        }
-        let mut st = probe_state(100.0, &[Some(10.0), None]);
-        assert!(st.compute_rates().is_none(), "mixed caps need water-fill");
-    }
-
     /// The fair share spelled out, for the production passes to be
-    /// held against: rates from the allocating [`water_fill`] oracle,
-    /// one division per job for the horizon, every job tried for
-    /// completion at every settle.
+    /// held against: one division per job for the horizon, every job
+    /// tried for completion at every settle, the least remainder found
+    /// by a scan.
     struct Reference {
         rate: f64,
-        /// `(id, remaining, cap)` in join order.
-        jobs: Vec<(u64, f64, Option<f64>)>,
+        /// `(id, remaining)` in join order.
+        jobs: Vec<(u64, f64)>,
         last_settle: SimTime,
         work_done: f64,
         done: Vec<u64>,
     }
 
     impl Reference {
-        fn rates(&self) -> Vec<f64> {
-            let caps: Vec<_> = self.jobs.iter().map(|j| j.2).collect();
-            water_fill(self.rate, &caps)
+        fn rate(&self) -> f64 {
+            self.rate / self.jobs.len() as f64
         }
 
         fn settle(&mut self, to: SimTime) {
             let dt = to.since(self.last_settle).as_secs_f64();
             self.last_settle = to;
             if dt > 0.0 {
-                let rates = self.rates();
-                for (job, r) in self.jobs.iter_mut().zip(rates) {
+                let r = self.rate();
+                for job in &mut self.jobs {
                     let used = (r * dt).min(job.1);
                     job.1 -= used;
                     self.work_done += used;
@@ -829,13 +544,17 @@ mod tests {
             }
             let (done, live) = self.jobs.iter().partition(|j| j.1 <= WORK_EPS);
             self.jobs = live;
-            self.done.extend(done.iter().map(|j: &(u64, f64, _)| j.0));
+            self.done.extend(done.iter().map(|j: &(u64, f64)| j.0));
         }
 
         fn horizon(&self) -> f64 {
-            let per_job = self.jobs.iter().zip(self.rates());
-            let finite = per_job.filter(|&(_, r)| r > 0.0).map(|(j, r)| j.1 / r);
-            finite.fold(f64::INFINITY, f64::min)
+            let r = self.rate();
+            let per_job = self.jobs.iter().map(|j| j.1 / r);
+            per_job.fold(f64::INFINITY, f64::min)
+        }
+
+        fn least(&self) -> f64 {
+            self.jobs.iter().map(|j| j.1).fold(f64::INFINITY, f64::min)
         }
     }
 
@@ -849,30 +568,28 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// One division per reschedule and a completion sweep only
-        /// when due change nothing: over random job mixes — uniform
-        /// caps (the single-rate path) and mixed ones, work from below
-        /// `WORK_EPS` to millions of units — joining at the instant of
-        /// a settle or between two, and time stepped to the horizon or
-        /// short of it, the horizon, every job's remaining work and
-        /// the work done agree bit for bit with the per-job-division
-        /// reference after every step, and jobs complete in the same
-        /// order.
+        /// One division per reschedule, a kept least remainder and a
+        /// completion sweep only when due change nothing: over random
+        /// job mixes — work from nothing and `WORK_EPS` to millions of
+        /// units — joining alone or up to 64 at one instant, at the
+        /// instant of a settle or between two, and time stepped to the
+        /// horizon or short of it, the least remainder, the horizon,
+        /// every job's remaining work and the work done agree bit for
+        /// bit with the per-job-division reference after every join
+        /// and every step, and jobs complete in the same order. Bursts
+        /// of tiny jobs empty the job list and refill it.
         #[test]
         fn fair_share_passes_match_the_per_job_reference(
-            uniform in proptest::any::<bool>(),
-            jobs in proptest::collection::vec((0u8..4, 0.0f64..1.0, 0u8..4, 0.1f64..90.0), 1..40),
-            steps in proptest::collection::vec((0u8..4, 0.0f64..1.0), 1..120),
+            works in proptest::collection::vec((0u8..5, 0.0f64..1.0), 1..400),
+            steps in proptest::collection::vec((0u8..5, 0.0f64..1.0, 1usize..65), 1..120),
         ) {
             use proptest::{prop_assert, prop_assert_eq};
             let rate = 256.0;
-            let mut jobs = jobs.into_iter().map(|(scale, work, kind, cap)| {
-                let work = [1e-6 * work, 1.0 + work, 1e3 * (work + 0.01), 1e7 * work + 1e-9][scale as usize];
-                let cap = [None, Some(64.0), Some(1e9), Some(cap)][if uniform { 1 } else { kind as usize }];
-                (work, cap)
+            let mut works = works.into_iter().map(|(scale, work)| {
+                [1e-6 * work, WORK_EPS, 1.0 + work, 1e3 * (work + 0.01), 1e7 * work + 1e-9][scale as usize]
             });
             let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let mut real = probe_state(rate, &[]);
+            let mut real = FsState::new(rate);
             let mut reference = Reference {
                 rate,
                 jobs: Vec::new(),
@@ -880,7 +597,7 @@ mod tests {
                 work_done: 0.0,
                 done: Vec::new(),
             };
-            for (kind, frac) in steps {
+            for (kind, frac, burst) in steps {
                 let mut to = real.last_settle;
                 if !real.jobs.is_empty() {
                     let horizon = real.horizon();
@@ -888,26 +605,35 @@ mod tests {
                     prop_assert!(horizon.is_finite());
                     // Kinds 0 and 1 bring a job, at this instant or
                     // short of the horizon; 2 and 3 are the timer, which
-                    // always moves time on, at the horizon or short of it.
-                    let dt = [0.0, horizon * frac, horizon, horizon * frac][kind as usize];
-                    let least = SimDuration::from_nanos(u64::from(kind >= 2));
+                    // always moves time on, at the horizon or short of
+                    // it; 4 brings a burst short of the horizon.
+                    let dt = [0.0, horizon * frac, horizon, horizon * frac, horizon * frac][kind as usize];
+                    let least = SimDuration::from_nanos(u64::from(kind == 2 || kind == 3));
                     to += SimDuration::from_secs_f64(dt).max(least);
                 }
                 real.settle(to);
                 reference.settle(to);
-                if let Some((work, cap)) = (kind < 2).then(|| jobs.next()).flatten() {
+                let joins = [1, 1, 0, 0, burst][kind as usize];
+                for work in works.by_ref().take(joins) {
+                    // Each join settles at its instant first, as
+                    // `FsServe` does.
+                    real.settle(to);
+                    reference.settle(to);
                     let id = real.next_job;
                     let waker = Waker::from(std::sync::Arc::new(Completion(id, log.clone())));
-                    prop_assert_eq!(real.join(work, cap, waker), id);
-                    reference.jobs.push((id, work, cap));
+                    prop_assert_eq!(real.join(work, waker), id);
+                    reference.jobs.push((id, work));
+                    prop_assert_eq!(real.least.to_bits(), reference.least().to_bits());
+                    prop_assert_eq!(real.horizon().to_bits(), reference.horizon().to_bits());
                 }
                 let state = |jobs: &mut dyn Iterator<Item = (u64, f64)>| -> Vec<(u64, u64)> {
                     jobs.map(|(id, remaining)| (id, remaining.to_bits())).collect()
                 };
                 prop_assert_eq!(
                     state(&mut real.jobs.iter().map(|j| (j.id, j.remaining))),
-                    state(&mut reference.jobs.iter().map(|j| (j.0, j.1)))
+                    state(&mut reference.jobs.iter().copied())
                 );
+                prop_assert_eq!(real.least.to_bits(), reference.least().to_bits());
                 prop_assert_eq!(real.work_done.to_bits(), reference.work_done.to_bits());
                 prop_assert_eq!(&*log.lock().unwrap(), &reference.done);
                 prop_assert_eq!(real.jobs_done, reference.done.len() as u64);

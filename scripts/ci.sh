@@ -8,9 +8,9 @@
 #   1. release build of every crate, bins included
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
-#      "test result:" lines, then scripts/loc.sh over crates/romio/src
-#      and crates/workloads/src: production vs test lines per file
-#      (informational, no gate).
+#      "test result:" lines, then scripts/loc.sh over crates/romio/src,
+#      crates/workloads/src and crates/simcore/src: production vs test
+#      lines per file (informational, no gate).
 #      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
@@ -76,8 +76,10 @@
 #      repo-benchmark workload: perf stat + perf record -g with the
 #      Firefox-profiler conversion; without `perf`, an LD_PRELOAD
 #      SIGPROF sampler + addr2line (self time by function and by
-#      source file); without `cc`/`addr2line`, the E10_ALLOC_BT
-#      allocation-backtrace recipe
+#      source file, untimed set-up and verification dropped; with
+#      `--incl REGEX`, the share of samples with a matching frame);
+#      without `cc`/`addr2line`, the E10_ALLOC_BT allocation-backtrace
+#      recipe
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -102,7 +104,7 @@ awk '/^test result:/ {
               suites, passed, failed
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
-scripts/loc.sh crates/romio/src crates/workloads/src
+scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src
 
 perturbation_properties() {
   cargo test -q -p e10-simcore --test perturbation

@@ -5,6 +5,7 @@
 #
 #   scripts/profile.sh <workload> [seconds]              # seconds: default 20
 #   scripts/profile.sh --allocs N <workload> [seconds]   # allocation sites
+#   scripts/profile.sh --incl REGEX ... <workload> [seconds]
 #
 # Runs `benchmark/run.sh --workload W --seed 0 --seconds S --trace 0`
 # (the form the benchmark driver uses, tracing off) twice: under
@@ -24,9 +25,20 @@
 # frame against the release line tables: self time by function (the
 # innermost inlined one) and by source file, as shares of the samples
 # taken. Samples outside the binary are charged to their shared object.
-# The dump stays in target/profile/<workload>.samples (one line of
-# decimal return addresses per sample, the sampled pc third) for
-# inclusive questions. Each table prints its top 30 rows.
+# Like `--allocs` below, the tables count only what `host_s` times: a
+# sample whose stack passes through the set-up burst or the
+# verification is dropped, and the script prints how many were. The
+# dump stays in target/profile/<workload>.samples (one line of decimal
+# return addresses per sample, the sampled pc third). Each table prints
+# its top 30 rows.
+#
+# `--incl REGEX` (repeatable; takes the sampler path even where `perf`
+# exists) adds one line per REGEX after the tables: the share of the
+# counted samples whose stack has a frame, inlined ones included
+# (`addr2line -i`), whose function matches REGEX (an awk ERE over
+# demangled names), e.g. `--incl 'FsState|FsServe|fs_timer_fired'`
+# for everything under `FairShare`. With `--allocs` the share is of the
+# counted allocation stacks.
 #
 # `--allocs N` (needs `cc` and `addr2line`, with or without `perf`)
 # builds the same library to interpose `malloc` and `realloc` instead:
@@ -60,13 +72,24 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 every=
-if [ "${1:-}" = --allocs ]; then
-  every=${2:-}
-  case $every in
-    '' | *[!0-9]* | 0) echo "profile.sh: --allocs takes a positive count" >&2; exit 2 ;;
+incl=()
+while [ $# -gt 0 ]; do
+  case $1 in
+    --allocs)
+      every=${2:-}
+      case $every in
+        '' | *[!0-9]* | 0) echo "profile.sh: --allocs takes a positive count" >&2; exit 2 ;;
+      esac
+      shift 2
+      ;;
+    --incl)
+      [ -n "${2:-}" ] || { echo "profile.sh: --incl takes a regex" >&2; exit 2; }
+      incl+=("$2")
+      shift 2
+      ;;
+    *) break ;;
   esac
-  shift 2
-fi
+done
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
   sed -n '2,/^set -euo/{/^set -euo/d;s/^# \{0,1\}//;p}' "$0" >&2
   exit 2
@@ -82,7 +105,7 @@ CARGO_TARGET_DIR="$target" cargo build --offline --release --quiet \
   --manifest-path benchmark/Cargo.toml
 
 out=target/profile
-if [ -z "$every" ] && command -v perf > /dev/null; then
+if [ -z "$every" ] && [ ${#incl[@]} -eq 0 ] && command -v perf > /dev/null; then
   mkdir -p "$out"
   echo "==> perf stat -d ${run[*]}" >&2
   perf stat -d -- "${run[@]}"
@@ -210,53 +233,81 @@ SAMPLER
     esac
   done > "$pre.maps"
 
+  # The dump's stacks, one a line: an allocation stack's frame 0 is the
+  # interposer (after a header line), a CPU sample's frames 0 and 1 are
+  # the handler and the signal trampoline and frame 2 the sampled pc.
   if [ -n "$every" ]; then
-    # Every frame of every sampled stack that lies in the binary, as
-    # "sample address-in-binary", innermost first; a return address
-    # less one, so that it resolves to the call and not to what
-    # follows it.
-    sed '1d;/^maps$/,$d' "$dump" | awk -v maps="$pre.maps" -v bin="$bin" '
-      BEGIN {
-        while ((getline line < maps) > 0) {
-          split(line, m, " ")
-          if (m[4] == bin) { n++; lo[n] = m[1]; hi[n] = m[2]; base[n] = m[3] }
-        }
+    stacks() { sed '1d;/^maps$/,$d' "$dump"; }
+    first=2 pc=0
+  else
+    stacks() { sed '/^maps$/,$d' "$dump"; }
+    first=3 pc=3
+  fi
+  sampled=$(stacks | wc -l)
+
+  # Every frame of every stack that lies in the binary, as "sample
+  # address-in-binary", innermost first; a return address less one,
+  # so that it resolves to the call and not to what follows it.
+  stacks | awk -v maps="$pre.maps" -v bin="$bin" -v first="$first" -v pc="$pc" '
+    BEGIN {
+      while ((getline line < maps) > 0) {
+        split(line, m, " ")
+        if (m[4] == bin) { n++; lo[n] = m[1]; hi[n] = m[2]; base[n] = m[3] }
       }
-      {
-        for (f = 2; f <= NF; f++)
-          for (i = 1; i <= n; i++)
-            if ($f >= lo[i] && $f < hi[i]) { printf "%d %x\n", NR, $f - base[i] - 1; break }
-      }' > "$pre.frames"
-    sampled=$(sed '1d;/^maps$/,$d' "$dump" | wc -l)
+    }
+    {
+      for (f = first; f <= NF; f++)
+        for (i = 1; i <= n; i++)
+          if ($f >= lo[i] && $f < hi[i]) { printf "%d %x\n", NR, $f - base[i] - (f != pc); break }
+    }' > "$pre.frames"
+
+  # Each address's inlining chain, innermost first:
+  # "address<TAB>function<TAB>file:line", one line per frame.
+  awk '{ print $2 }' "$pre.frames" | sort -u | sed 's/^/0x/' > "$pre.addrs"
+  addr2line -a -i -f -C -e "$bin" < "$pre.addrs" | awk '
+    /^0x/ { addr = $0; sub(/^0x0*/, "", addr); fn = ""; next }
+    fn == "" { fn = $0; next }
+    {
+      file = $0
+      sub(/ \(discriminator [0-9]+\)$/, "", file)
+      sub(/^.*\/crates\//, "crates/", file)
+      sub(/^\/rustc\/[0-9a-f]+\//, "", file)
+      printf "%s\t%s\t%s\n", addr, fn, file
+      fn = ""
+    }' > "$pre.chains"
+
+  # The samples with a frame whose function matches $1, one a line.
+  matching() {
+    awk -F '\t' -v fn="$1" '$2 ~ fn { print $1 }' "$pre.chains" > "$pre.match"
+    awk 'FILENAME == ARGV[1] { hit[$1] = 1; next } $2 in hit { print $1 }' \
+      "$pre.match" "$pre.frames" | sort -u
+  }
+
+  # Drop what the `host_s` and `allocs` metrics never see: any stack
+  # that passes through the set-up burst or the verification.
+  matching 'e10_benchmark::(run::set_up|workloads::(inputs|untimed))' > "$pre.dropped"
+  awk 'FILENAME == ARGV[1] { drop[$1] = 1; next } !($1 in drop)' "$pre.dropped" "$pre.frames" > "$pre.kept"
+  dropped=$(wc -l < "$pre.dropped")
+  kept=$((sampled - dropped))
+
+  # One line per --incl REGEX: the share of the kept stacks with a
+  # frame whose function matches it.
+  inclusive() {
+    [ ${#incl[@]} -gt 0 ] || return 0
+    echo "==> inclusive: the share of those $kept with a matching frame"
+    local re hits
+    for re in "${incl[@]}"; do
+      hits=$(matching "$re" | awk 'FILENAME == ARGV[1] { drop[$1] = 1; next } !($1 in drop)' "$pre.dropped" - | wc -l)
+      awk -v h="$hits" -v t="$kept" -v re="$re" 'BEGIN { printf "%6.2f%%  %s\n", 100 * h / t, re }'
+    done
+  }
+
+  if [ -n "$every" ]; then
     read -r _ calls _ _ < "$dump"
-
-    # Each address's inlining chain, innermost first:
-    # "address<TAB>function<TAB>file:line", one line per frame.
-    awk '{ print $2 }' "$pre.frames" | sort -u | sed 's/^/0x/' > "$pre.addrs"
-    addr2line -a -i -f -C -e "$bin" < "$pre.addrs" | awk '
-      /^0x/ { addr = $0; sub(/^0x0*/, "", addr); fn = ""; next }
-      fn == "" { fn = $0; next }
-      {
-        file = $0
-        sub(/ \(discriminator [0-9]+\)$/, "", file)
-        sub(/^.*\/crates\//, "crates/", file)
-        sub(/^\/rustc\/[0-9a-f]+\//, "", file)
-        printf "%s\t%s\t%s\n", addr, fn, file
-        fn = ""
-      }' > "$pre.chains"
-
-    # Drop the samples the `allocs` metric never sees: any whose stack
-    # passes through the set-up burst or the verification.
-    untimed='e10_benchmark::(run::set_up|workloads::(inputs|untimed))'
-    awk -F '\t' -v fn="$untimed" '$2 ~ fn { print $1 }' "$pre.chains" > "$pre.untimed"
-    awk 'FNR == NR { untimed[$1] = 1; next } $2 in untimed { print $1 }' \
-      "$pre.untimed" "$pre.frames" | sort -u > "$pre.dropped"
-    awk 'FNR == NR { drop[$1] = 1; next } !($1 in drop)' "$pre.dropped" "$pre.frames" > "$pre.kept"
-    dropped=$(wc -l < "$pre.dropped")
-    kept=$((sampled - dropped))
-
     # col 1: the innermost crates/ frame of each sample; col 2: the
-    # frame that encloses it.
+    # frame that encloses it. (The tables end in `awk 'NR <= 30'`, not
+    # `head`, which would leave `sort` to die of SIGPIPE under
+    # pipefail once a table outgrows the pipe.)
     report() {
       awk -F '\t' -v col="$1" -v total="$kept" '
         FNR == NR { k = ++len[$1]; fn[$1, k] = $2; at[$1, k] = $3; next }
@@ -281,7 +332,7 @@ SAMPLER
         END {
           close_sample()
           for (k in count) printf "%6.2f%%  %s\n", 100 * count[k] / total, k
-        }' "$pre.chains" "$pre.kept" | sort -rn | head -n 30
+        }' "$pre.chains" "$pre.kept" | sort -rn | awk 'NR <= 30'
     }
     if [ "$sampled" -ge 65536 ]; then
       echo "profile.sh: the buffer filled after $((65536 * every)) of $calls calls;" \
@@ -293,23 +344,24 @@ SAMPLER
     report 1
     echo "==> by the frame that encloses it"
     report 2
+    inclusive
     exit 0
   fi
 
-  # The sampled pc of every sample as "object address-in-object".
-  sed '/^maps$/,$d' "$pre.samples" | awk -v maps="$pre.maps" '
+  # The sampled pc of every kept sample as "object address-in-object".
+  stacks | awk -v maps="$pre.maps" -v dropped="$pre.dropped" '
     BEGIN {
+      while ((getline line < dropped) > 0) drop[line] = 1
       while ((getline line < maps) > 0) {
         n++; split(line, m, " ")
         lo[n] = m[1]; hi[n] = m[2]; base[n] = m[3]; object[n] = m[4]
       }
     }
-    NF >= 3 {
+    !(NR in drop) {
       for (i = 1; i <= n; i++)
         if ($3 >= lo[i] && $3 < hi[i]) { printf "%s %x\n", object[i], $3 - base[i]; next }
       print "[unmapped] 0"
     }' > "$pre.leaves"
-  total=$(wc -l < "$pre.leaves")
 
   # The binary's own addresses, resolved: "address<TAB>function<TAB>file:line".
   awk -v bin="$bin" '$1 == bin { print $2 }' "$pre.leaves" | sort -u > "$pre.addrs"
@@ -317,7 +369,7 @@ SAMPLER
     | paste "$pre.addrs" - > "$pre.syms"
 
   report() { # $1: 2 = by function, 3 = by source file
-    awk -F '\t' -v bin="$bin" -v col="$1" -v total="$total" '
+    awk -F '\t' -v bin="$bin" -v col="$1" -v total="$kept" '
       FNR == NR {
         sub(/:[0-9?]+( \(discriminator [0-9]+\))?$/, "", $3)
         sub(/^.*\/crates\//, "crates/", $3)
@@ -331,12 +383,15 @@ SAMPLER
         count[key]++
       }
       END { for (k in count) printf "%6.2f%%  %s\n", 100 * count[k] / total, k }' \
-      "$pre.syms" "$pre.leaves" | sort -rn | head -n 30
+      "$pre.syms" "$pre.leaves" | sort -rn | awk 'NR <= 30'
   }
-  echo "==> $total samples, one per ms of CPU time: self time by function"
+  echo "==> $sampled samples, one per ms of CPU time;" \
+    "$dropped under the set-up burst or the verification dropped"
+  echo "==> the other $kept: self time by function"
   report 2
   echo "==> self time by source file"
   report 3
+  inclusive
   exit 0
 fi
 

@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use e10_repro::localfs::LocalFs;
 use e10_repro::prelude::*;
 use e10_repro::romio::{Admission, CacheArbiter, FdStrategy, FileDomains, RomioHints, HINTS};
-use e10_repro::simcore::resource::water_fill;
 use e10_repro::storesim::{ExtentMap, Payload, Source};
 
 /// A one-node testbed's local volume with the given cache capacity —
@@ -249,30 +248,6 @@ proptest! {
                 if b != min_st && b != min_st + len {
                     prop_assert_eq!(b % unit, 0, "interior boundary {} unaligned", b);
                 }
-            }
-        }
-    }
-
-    /// Water-filling: conserves capacity, respects caps, never
-    /// starves an uncapped job while others exceed the fair share.
-    #[test]
-    fn water_fill_invariants(
-        total in 1.0f64..1e6,
-        caps in prop::collection::vec(prop::option::of(1.0f64..1e5), 1..20),
-    ) {
-        let rates = water_fill(total, &caps);
-        let sum: f64 = rates.iter().sum();
-        prop_assert!(sum <= total * (1.0 + 1e-9));
-        for (r, c) in rates.iter().zip(&caps) {
-            prop_assert!(*r >= 0.0);
-            if let Some(c) = c {
-                prop_assert!(*r <= c * (1.0 + 1e-9));
-            }
-        }
-        // If anything was left unallocated, every job must be capped.
-        if sum < total * (1.0 - 1e-6) {
-            for (r, c) in rates.iter().zip(&caps) {
-                prop_assert!(c.is_some() && *r >= c.unwrap() * (1.0 - 1e-9));
             }
         }
     }
