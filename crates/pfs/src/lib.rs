@@ -668,11 +668,15 @@ impl PfsHandle {
     /// allocating; oversized ones fall back to spawned tasks.
     async fn run_write_chunks(&self, client: NodeId, chunks: &[Chunk]) -> Result<(), PfsError> {
         if chunks.len() <= CHUNK_JOIN_SLOTS {
-            let mut join: FixedJoin<_, CHUNK_JOIN_SLOTS> = FixedJoin::new();
-            for &chunk in chunks {
-                join.push(self.write_chunk(client, chunk));
+            let results = {
+                let mut join: FixedJoin<_, CHUNK_JOIN_SLOTS> = FixedJoin::new();
+                for &chunk in chunks {
+                    join.push(self.write_chunk(client, chunk));
+                }
+                join
             }
-            for r in std::pin::pin!(join).await.into_iter().flatten() {
+            .await;
+            for r in results.into_iter().flatten() {
                 r?;
             }
         } else {
@@ -773,11 +777,15 @@ impl PfsHandle {
     /// Read-side analogue of [`Self::run_write_chunks`].
     async fn run_read_chunks(&self, client: NodeId, chunks: &[Chunk]) -> Result<(), PfsError> {
         if chunks.len() <= CHUNK_JOIN_SLOTS {
-            let mut join: FixedJoin<_, CHUNK_JOIN_SLOTS> = FixedJoin::new();
-            for &chunk in chunks {
-                join.push(self.read_chunk(client, chunk));
+            let results = {
+                let mut join: FixedJoin<_, CHUNK_JOIN_SLOTS> = FixedJoin::new();
+                for &chunk in chunks {
+                    join.push(self.read_chunk(client, chunk));
+                }
+                join
             }
-            for r in std::pin::pin!(join).await.into_iter().flatten() {
+            .await;
+            for r in results.into_iter().flatten() {
                 r?;
             }
         } else {

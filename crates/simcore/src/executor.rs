@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::task::{Context, Poll, Waker};
 use std::thread::{self, ThreadId};
 
+use crate::join::Spawned;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{self, Event, EventKind, Layer};
@@ -608,12 +609,23 @@ pub fn schedule_call(delay: SimDuration, f: impl FnOnce() + 'static) -> EventHan
     schedule_call_at(at, f)
 }
 
-struct JoinState<T> {
+pub(crate) struct JoinState<T> {
     result: Option<T>,
     /// The owner's waker. A handle has one owner, so a re-poll replaces
     /// it instead of queueing a second wake.
     waiter: Option<Waker>,
     finished: bool,
+}
+
+impl<T> JoinState<T> {
+    /// Store the task's output and wake its joiner.
+    pub(crate) fn finish(&mut self, out: T) {
+        self.result = Some(out);
+        self.finished = true;
+        if let Some(w) = self.waiter.take() {
+            w.wake();
+        }
+    }
 }
 
 /// Handle to a spawned task; awaiting it yields the task's output.
@@ -655,6 +667,12 @@ impl<T> Future for JoinHandle<T> {
 }
 
 /// Spawn a new simulated task. The task starts at the current virtual time.
+///
+/// Besides the join state it shares with its [`JoinHandle`], a task
+/// costs one box the size of its future: the box holds the future once,
+/// plus at most 16 bytes (the join state's pointer and the tag that
+/// marks the future dropped). The future is dropped as soon as it
+/// completes, before its output reaches the handle.
 pub fn spawn<F>(fut: F) -> JoinHandle<F::Output>
 where
     F: Future + 'static,
@@ -665,16 +683,7 @@ where
         waiter: None,
         finished: false,
     }));
-    let st2 = Rc::clone(&state);
-    let wrapped = Box::pin(async move {
-        let out = fut.await;
-        let mut st = st2.borrow_mut();
-        st.result = Some(out);
-        st.finished = true;
-        if let Some(w) = st.waiter.take() {
-            w.wake();
-        }
-    });
+    let wrapped = Box::pin(Spawned::new(fut, Rc::clone(&state)));
     let id = with_kernel(|k| k.spawn_raw(wrapped));
     // Outside the kernel borrow: event construction reads the clock.
     trace::emit(|| Event::new(Layer::Executor, "task.spawn", EventKind::Point).field("task", id));

@@ -1,12 +1,17 @@
-//! Joining concurrent work: [`join_all`] over spawned tasks, and
+//! Joining concurrent work: [`join_all`] over spawned tasks,
 //! [`FixedJoin`], which polls a bounded fan-out inline without
-//! allocating. This module holds the one `unsafe` outside the waker and
-//! the counting allocator: `FixedJoin`'s pin projection.
+//! allocating, and `Spawned`, the future a spawned task's box holds.
+//! This module holds the `unsafe` outside the waker and the counting
+//! allocator: two pin projections, `FixedJoin`'s onto its slots and
+//! `Spawned`'s onto its future, each with its `SAFETY` note.
 
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::rc::Rc;
+use std::task::{ready, Context, Poll};
 
+use crate::executor::JoinState;
 use crate::JoinHandle;
 
 /// Await all join handles in a vector, returning their outputs in order.
@@ -27,6 +32,12 @@ pub async fn join_all<T: 'static>(handles: Vec<JoinHandle<T>>) -> Vec<T> {
 /// several allocator calls each. Slots are polled in push order,
 /// matching the ready-queue order spawned tasks would start in, and a
 /// finished slot's future is dropped in place at once.
+///
+/// Build it, then await it by value (`join.await`, the local moved
+/// into the await). Never keep a pinned copy beside the local, as
+/// `std::pin::pin!(join).await` does: the enclosing future then holds
+/// the join twice, the moved-from local and the pinned one, and a join
+/// is `N` futures wide.
 pub struct FixedJoin<F: Future, const N: usize> {
     slots: [Option<F>; N],
     results: [Option<F::Output>; N],
@@ -93,12 +104,59 @@ impl<F: Future, const N: usize> Future for FixedJoin<F, N> {
     }
 }
 
+/// What a spawned task's box holds: the task's future, once, and its
+/// join state. When the future is ready it is dropped in place first;
+/// only then is its output stored, the joiner woken and the join state
+/// released. A hand-written future, because an
+/// `async move { let out = fut.await; … }` block would keep `fut` twice,
+/// as a captured upvar and as the awaitee, doubling every task's box.
+pub(crate) struct Spawned<F: Future> {
+    fut: Option<F>,
+    /// `None` once the output has been handed over: the last reference
+    /// to the state (a detached task's) is dropped inside the task's
+    /// own poll, where the output's destructor may reach the kernel,
+    /// not when the kernel frees the finished box.
+    state: Option<Rc<RefCell<JoinState<F::Output>>>>,
+}
+
+impl<F: Future> Spawned<F> {
+    pub(crate) fn new(fut: F, state: Rc<RefCell<JoinState<F::Output>>>) -> Self {
+        Spawned {
+            fut: Some(fut),
+            state: Some(state),
+        }
+    }
+}
+
+impl<F: Future> Future for Spawned<F> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned. Nothing here moves the
+        // future out: it is only polled through a pin of its place, and
+        // once ready it is dropped in that place by the `None`
+        // assignment. The type implements neither `Drop` nor `Unpin` by
+        // hand. `state` is never pinned.
+        let this = unsafe { self.get_unchecked_mut() };
+        let fut = this
+            .fut
+            .as_mut()
+            .expect("a spawned task polled after completion");
+        // SAFETY: see above; `fut` stays in its place until dropped.
+        let out = ready!(unsafe { Pin::new_unchecked(fut) }.poll(cx));
+        this.fut = None;
+        if let Some(state) = this.state.take() {
+            state.borrow_mut().finish(out);
+        }
+        Poll::Ready(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alloc_gauge::{self, CountingAlloc};
     use crate::{now, run, sleep, spawn, SimDuration};
-    use std::cell::RefCell;
     use std::task::Waker;
 
     #[global_allocator]
@@ -178,6 +236,30 @@ mod tests {
         };
         assert_eq!(out, [Some(0), Some(1), Some(2), None]);
         assert_eq!(log.borrow().as_slice(), [(2, "poll"), (2, "drop")]);
+    }
+
+    /// A future holding 4 KiB across an await.
+    async fn holds_4_kib() -> u8 {
+        let buf = [7u8; 4096];
+        sleep(SimDuration::from_secs(1)).await;
+        std::hint::black_box(&buf)[4095]
+    }
+
+    fn spawned_size<F: Future>(_: &F) -> usize {
+        std::mem::size_of::<Spawned<F>>()
+    }
+
+    #[test]
+    fn a_spawned_task_holds_its_future_once() {
+        let fut = holds_4_kib();
+        let (inner, boxed) = (std::mem::size_of_val(&fut), spawned_size(&fut));
+        eprintln!("future size: Spawned<F> {boxed} B for an F of {inner} B");
+        assert!(inner >= 4096, "the array is held across the await");
+        assert!(
+            boxed <= inner + 16,
+            "a spawned task's box ({boxed} B) must not hold its future ({inner} B) twice"
+        );
+        assert_eq!(run(async { spawn(fut).await }), 7);
     }
 
     #[test]

@@ -111,21 +111,24 @@ impl Raid {
         let nd = self.data_disks();
         let stripe = self.stripe_bytes();
         let partial = !offset.is_multiple_of(stripe) || !len.is_multiple_of(stripe);
-        let mut join: FixedJoin<_, MAX_MEMBERS> = FixedJoin::new();
-        let mut max_piece = 0;
-        for d in 0..nd {
-            if let Some(piece) = self.piece(d, offset, len) {
-                max_piece = max_piece.max(piece.1);
-                join.push(member_write(&self.disks[d], piece, false));
+        {
+            let mut join: FixedJoin<_, MAX_MEMBERS> = FixedJoin::new();
+            let mut max_piece = 0;
+            for d in 0..nd {
+                if let Some(piece) = self.piece(d, offset, len) {
+                    max_piece = max_piece.max(piece.1);
+                    join.push(member_write(&self.disks[d], piece, false));
+                }
             }
+            // Parity drives mirror the heaviest data drive; partial
+            // stripes must read old parity first (RMW).
+            let parity_off = (offset / stripe) * self.params.chunk;
+            for disk in &self.disks[nd..] {
+                join.push(member_write(disk, (parity_off, max_piece), partial));
+            }
+            join
         }
-        // Parity drives mirror the heaviest data drive; partial stripes
-        // must read old parity first (RMW).
-        let parity_off = (offset / stripe) * self.params.chunk;
-        for disk in &self.disks[nd..] {
-            join.push(member_write(disk, (parity_off, max_piece), partial));
-        }
-        std::pin::pin!(join).await;
+        .await;
     }
 
     /// Read `len` bytes at array offset `offset` (data disks only).
@@ -133,13 +136,16 @@ impl Raid {
         if len == 0 {
             return;
         }
-        let mut join: FixedJoin<_, MAX_MEMBERS> = FixedJoin::new();
-        for d in 0..self.data_disks() {
-            if let Some((off, l)) = self.piece(d, offset, len) {
-                join.push(self.disks[d].read(off, l));
+        {
+            let mut join: FixedJoin<_, MAX_MEMBERS> = FixedJoin::new();
+            for d in 0..self.data_disks() {
+                if let Some((off, l)) = self.piece(d, offset, len) {
+                    join.push(self.disks[d].read(off, l));
+                }
             }
+            join
         }
-        std::pin::pin!(join).await;
+        .await;
     }
 }
 

@@ -10,7 +10,11 @@
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines, then scripts/loc.sh over crates/romio/src,
 #      crates/workloads/src and crates/simcore/src: production vs test
-#      lines per file (informational, no gate).
+#      lines per file (informational, no gate), then the sizes the
+#      future-size gates hold (informational here; the gates ran in the
+#      suite): a spawned task's box against its future, in simcore's
+#      join.rs, and the collective write/read, PFS write and RAID
+#      write/read futures, in crates/romio/tests/future_sizes.rs.
 #      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
@@ -43,7 +47,8 @@
 #      fence: simcore denies unsafe_op_in_unsafe_fn, and the word may
 #      appear in crates/simcore/src only in waker.rs (the task waker's
 #      vtable), alloc_gauge.rs (the counting allocator) and join.rs
-#      (FixedJoin's pin projection)
+#      (two pin projections: FixedJoin's onto its slots and Spawned's,
+#      a spawned task's box, onto its future)
 #   4. clippy, warnings promoted to errors
 #   5. the bench gates: one table, GATES below, run at E10_JOBS=4 with
 #      each row's seconds and the total. A row fails on a non-zero
@@ -105,6 +110,12 @@ awk '/^test result:/ {
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
 scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src
+future_sizes() {
+  { cargo test -q -p e10-simcore --lib a_spawned_task_holds_its_future_once -- --nocapture
+    cargo test -q -p e10-romio --test future_sizes -- --nocapture
+  } 2>&1 | grep '^future size:'
+}
+future_sizes
 
 perturbation_properties() {
   cargo test -q -p e10-simcore --test perturbation
