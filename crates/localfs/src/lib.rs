@@ -535,10 +535,10 @@ impl LocalFile {
     /// prior `fallocate` required (allocation grows here, charged at
     /// byte granularity). This is the write shape of a byte-addressable
     /// NVM front-end; on a block SSD it would be `O_DIRECT` and slow,
-    /// so callers gate it on [`DeviceModel::byte_granular`]. Durability
-    /// and corruption semantics match [`write`](Self::write): completed
-    /// calls survive power loss, in-flight calls are torn, injected
-    /// device corruption lands in the extent map.
+    /// so callers gate it on [`e10_storesim::Device::byte_granular`].
+    /// Durability and corruption semantics match [`write`](Self::write):
+    /// completed calls survive power loss, in-flight calls are torn,
+    /// injected device corruption lands in the extent map.
     pub async fn write_direct(&self, offset: u64, payload: Payload) -> Result<(), FsError> {
         self.fs.check_device()?;
         let len = payload.len;
@@ -557,7 +557,7 @@ impl LocalFile {
             offset,
             payload: payload.clone(),
         });
-        self.fs.dev.stall_point().await;
+        // The device's command path samples the stall hook itself.
         self.fs.dev.write(len).await;
         self.state
             .borrow_mut()
@@ -1098,6 +1098,26 @@ mod tests {
             assert_eq!(pieces.len(), 1);
             assert!(pieces[0].1.is_some());
         });
+    }
+
+    #[test]
+    fn a_stalled_direct_write_pays_one_stall() {
+        let elapsed = |stall: bool| {
+            run(async move {
+                let mut plan = e10_faultsim::FaultPlan::new(5);
+                if stall {
+                    let three = SimDuration::from_secs(3);
+                    plan = plan.ssd_stall(0, e10_faultsim::always(), 1.0, three);
+                }
+                let _g = e10_faultsim::FaultSchedule::install(plan);
+                let f = small_nvm_fs().create("/nvm/a").await.unwrap();
+                let t0 = now();
+                f.write_direct(0, Payload::zero(4096)).await.unwrap();
+                now().since(t0).as_secs_f64()
+            })
+        };
+        let extra = elapsed(true) - elapsed(false);
+        assert!((extra - 3.0).abs() < 1e-9, "extra={extra}");
     }
 
     #[test]

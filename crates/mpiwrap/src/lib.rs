@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use e10_mpisim::Info;
-use e10_romio::{AdioError, AdioFile, IoCtx};
+use e10_romio::{job_family, AdioError, AdioFile, IoCtx};
 
 /// One configuration rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,19 +145,6 @@ impl WrapConfig {
     }
 }
 
-/// The base name of a file family: the path with one trailing
-/// `.<digits>` component stripped (`/gfs/chk.3` → `/gfs/chk`), so the
-/// phase-numbered files of one application stream share a family.
-pub fn family_of(path: &str) -> &str {
-    if let Some(dot) = path.rfind('.') {
-        let suffix = &path[dot + 1..];
-        if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) {
-            return &path[..dot];
-        }
-    }
-    path
-}
-
 /// Per-process wrapper state (the PMPI layer).
 pub struct MpiWrap {
     ctx: IoCtx,
@@ -191,7 +178,7 @@ impl MpiWrap {
         user_info: &Info,
         create: bool,
     ) -> Result<AdioFile, AdioError> {
-        let family = family_of(path).to_string();
+        let family = job_family(path).to_string();
         let prev = self.outstanding.borrow_mut().remove(&family);
         if let Some(f) = prev {
             f.close().await;
@@ -218,7 +205,7 @@ impl MpiWrap {
             *self.deferred_closes.borrow_mut() += 1;
             self.outstanding
                 .borrow_mut()
-                .insert(family_of(&path).to_string(), file);
+                .insert(job_family(&path).to_string(), file);
         } else {
             file.close().await;
             *self.real_closes.borrow_mut() += 1;
@@ -287,15 +274,6 @@ file: /gfs/plain.dat
         assert!(e.message.contains("empty"));
         // Comments and blanks are fine.
         assert!(WrapConfig::parse("# hi\n\n").unwrap().rules.is_empty());
-    }
-
-    #[test]
-    fn family_stripping() {
-        assert_eq!(family_of("/gfs/chk.0"), "/gfs/chk");
-        assert_eq!(family_of("/gfs/chk.123"), "/gfs/chk");
-        assert_eq!(family_of("/gfs/chk.dat"), "/gfs/chk.dat");
-        assert_eq!(family_of("/gfs/chk"), "/gfs/chk");
-        assert_eq!(family_of("/gfs/chk."), "/gfs/chk.");
     }
 
     #[test]

@@ -170,16 +170,6 @@ impl RangeLock {
         })
     }
 
-    /// Number of locks currently held.
-    pub fn held_count(&self) -> usize {
-        self.inner.borrow().held.len()
-    }
-
-    /// Number of requests currently waiting.
-    pub fn waiting(&self) -> usize {
-        self.inner.borrow().queue.len()
-    }
-
     /// Total grants, and how many of them had to wait (a direct measure
     /// of stripe-lock contention).
     pub fn contention_stats(&self) -> (u64, u64) {

@@ -327,11 +327,6 @@ impl AdioFile {
             .ok()
     }
 
-    /// True if an I/O error has been recorded and not yet taken.
-    pub fn has_io_error(&self) -> bool {
-        self.state.io_error.borrow().is_some()
-    }
-
     /// Take the first recorded I/O error, clearing the slot.
     pub fn take_io_error(&self) -> Option<Error> {
         self.state.io_error.borrow_mut().take()

@@ -42,17 +42,19 @@ use e10_simcore::trace::{self, Event, EventKind, Layer};
 use e10_simcore::{channel, Sender};
 use e10_storesim::ExtentMap;
 
-/// The tenant identity of a cache file: files of one application
-/// stream share a job. Phase-numbered files (`chk.0`, `chk.1`) map to
-/// the same family, mirroring the MPIWRAP close-on-reopen rule.
-pub fn job_family(basename: &str) -> &str {
-    match basename.rsplit_once('.') {
+/// The family of a file name or path: one trailing `.<digits>` is
+/// stripped (`chk.3` → `chk`, `/gfs/chk.3` → `/gfs/chk`), so the
+/// phase-numbered files of one application stream share a family. It
+/// is a cache file's tenant identity here and the key of MPIWRAP's
+/// close-on-reopen rule.
+pub fn job_family(name: &str) -> &str {
+    match name.rsplit_once('.') {
         Some((stem, suffix))
             if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) =>
         {
             stem
         }
-        _ => basename,
+        _ => name,
     }
 }
 
@@ -197,15 +199,6 @@ impl CacheArbiter {
         if let Some(st) = self.jobs.borrow_mut().get_mut(job) {
             st.files_open = st.files_open.saturating_sub(1);
         }
-    }
-
-    /// Registered jobs with at least one open cache file.
-    pub fn active_jobs(&self) -> usize {
-        self.jobs
-            .borrow()
-            .values()
-            .filter(|s| s.files_open > 0)
-            .count()
     }
 
     /// Bytes currently staged by `job`.
@@ -567,6 +560,12 @@ mod tests {
         assert_eq!(job_family("data.bin"), "data.bin");
         assert_eq!(job_family("a.b.7"), "a.b");
         assert_eq!(job_family("trailingdot."), "trailingdot.");
+        // Whole paths, as MPIWRAP's deferred close keys them.
+        assert_eq!(job_family("/gfs/chk.0"), "/gfs/chk");
+        assert_eq!(job_family("/gfs/chk.123"), "/gfs/chk");
+        assert_eq!(job_family("/gfs/chk.dat"), "/gfs/chk.dat");
+        assert_eq!(job_family("/gfs/chk"), "/gfs/chk");
+        assert_eq!(job_family("/gfs/chk."), "/gfs/chk.");
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! workers never leak allocations into each other's counts.
 //!
 //! When `CountingAlloc` is *not* installed as the global allocator the
-//! helpers still run the closure; they just report 0 — callers that
-//! require real numbers can check [`is_installed`].
+//! helpers still run the closure; they just report 0.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hash::{BuildHasherDefault, DefaultHasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SipHash under fixed keys, for a `HashMap` a simulation both inserts
 /// into and removes from. A table that has seen removals grows when
@@ -43,7 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// repetition check reports as a failed run).
 pub type FixedState = BuildHasherDefault<DefaultHasher>;
 
-static INSTALLED: AtomicBool = AtomicBool::new(false);
 static BT_LO: AtomicU64 = AtomicU64::new(u64::MAX);
 static BT_HI: AtomicU64 = AtomicU64::new(u64::MAX);
 
@@ -121,18 +119,6 @@ impl Default for CountingAlloc {
     }
 }
 
-/// Record that a `CountingAlloc` is the process allocator. Called by
-/// [`count`]'s self-check; bins may call it once at startup.
-pub fn mark_installed() {
-    INSTALLED.store(true, Ordering::Relaxed);
-}
-
-/// Whether counting observed any traffic yet (a proxy for "the gauge
-/// allocator is really installed").
-pub fn is_installed() -> bool {
-    INSTALLED.load(Ordering::Relaxed)
-}
-
 /// Allocator calls this thread has counted since its last [`reset`].
 pub fn allocs() -> u64 {
     ALLOCS.get()
@@ -162,9 +148,5 @@ pub fn count<R>(f: impl FnOnce() -> R) -> (u64, R) {
     enable();
     let out = f();
     disable();
-    let n = allocs();
-    if n > 0 {
-        mark_installed();
-    }
-    (n, out)
+    (allocs(), out)
 }

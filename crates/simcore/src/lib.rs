@@ -61,7 +61,7 @@ pub use executor::{
 };
 pub use join::{join_all, FixedJoin};
 pub use pool::{run_jobs, run_jobs_on, worker_threads, Job};
-pub use resource::{FairShare, FifoServer, RoundRobin};
+pub use resource::{FairShare, FifoServer};
 pub use rng::{Jitter, SimRng};
 pub use stats::{LogHistogram, Tally};
 pub use sync::{Barrier, Flag, Semaphore, SemaphoreGuard};

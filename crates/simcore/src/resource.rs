@@ -11,7 +11,7 @@
 //!   work over its jobs, so a join at the instant of the last settle
 //!   costs O(1) plus re-arming the completion timer.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -344,63 +344,6 @@ impl Future for FsServe {
     }
 }
 
-/// A precomputed round-robin dispatch schedule over a channel group.
-///
-/// Multi-channel device models pick a channel per command in issue
-/// order. The cycle is laid out once at construction (today the
-/// identity rotation `0..n`; the table is the extension point for
-/// weighted or striped schedules), so the steady-state pick is a table
-/// read plus a compare-and-wrap — no modulo and no `RefCell` borrow on
-/// the hot path. Clones share the cursor, matching device handles that
-/// share the underlying hardware.
-#[derive(Clone)]
-pub struct RoundRobin {
-    inner: Rc<RrInner>,
-}
-
-struct RrInner {
-    schedule: Box<[u32]>,
-    cursor: Cell<u32>,
-}
-
-impl RoundRobin {
-    /// The identity rotation over `n` channels.
-    pub fn new(n: usize) -> Self {
-        Self::from_schedule((0..n as u32).collect())
-    }
-
-    /// A custom dispatch cycle (entries are channel indices).
-    pub fn from_schedule(schedule: Vec<u32>) -> Self {
-        assert!(!schedule.is_empty(), "empty dispatch schedule");
-        RoundRobin {
-            inner: Rc::new(RrInner {
-                schedule: schedule.into_boxed_slice(),
-                cursor: Cell::new(0),
-            }),
-        }
-    }
-
-    /// Next channel in the cycle.
-    pub fn next(&self) -> usize {
-        let c = self.inner.cursor.get();
-        let pick = self.inner.schedule[c as usize];
-        let c1 = c + 1;
-        self.inner
-            .cursor
-            .set(if c1 as usize == self.inner.schedule.len() {
-                0
-            } else {
-                c1
-            });
-        pick as usize
-    }
-
-    /// Length of the dispatch cycle.
-    pub fn cycle_len(&self) -> usize {
-        self.inner.schedule.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,17 +582,6 @@ mod tests {
                 prop_assert_eq!(real.jobs_done, reference.done.len() as u64);
             }
         }
-    }
-
-    #[test]
-    fn round_robin_cycles_deterministically_and_shares_cursor() {
-        let rr = RoundRobin::new(3);
-        let rr2 = rr.clone();
-        let picks: Vec<usize> = (0..7)
-            .map(|i| if i % 2 == 0 { rr.next() } else { rr2.next() })
-            .collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(rr.cycle_len(), 3);
     }
 
     #[test]

@@ -10,28 +10,26 @@
 //!   (the BeeGFS data-target media and the source of the response-time
 //!   variance that drives collective I/O's global-sync cost).
 //! * [`raid`] — chunked RAID with parity and partial-stripe RMW.
-//! * [`ssd`] — node-local SATA SSD with low-variance service.
-//! * [`nvm`] — byte-addressable persistent memory: asymmetric
-//!   read/write latency, byte-granular commands, N-channel internal
-//!   concurrency; shares the faultsim stall hook with the SSD via the
-//!   [`nvm::Device`] trait / [`nvm::DeviceModel`] enum.
+//! * [`device`] — the node-local device: one low-variance service
+//!   model of N round-robin fair-share channels. The SATA SSD is its
+//!   one-channel case; byte-addressable persistent memory adds
+//!   asymmetric read/write latency, byte-granular commands and four
+//!   channels. Both share the faultsim stall hook.
 //! * [`pagecache`] — dirty-limit write absorption and writeback, which
 //!   gives the cache-enabled runs their memory-speed burst behaviour.
 
 pub mod bytes;
+pub mod device;
 pub mod disk;
 pub mod extent;
-pub mod nvm;
 pub mod pagecache;
 pub mod pattern;
 pub mod raid;
-pub mod ssd;
 
 pub use bytes::Bytes;
+pub use device::{Device, DeviceModel, Nvm, NvmParams, Ssd, SsdParams};
 pub use disk::{Disk, DiskParams};
 pub use extent::{pieces_digest, ExtentMap, VerifyError};
-pub use nvm::{Device, DeviceModel, Nvm, NvmParams};
 pub use pagecache::{PageCache, PageCacheParams};
 pub use pattern::{gen_byte, Payload, Source};
 pub use raid::{Raid, RaidParams};
-pub use ssd::{Ssd, SsdParams};

@@ -9,12 +9,12 @@
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines, then scripts/loc.sh over crates/romio/src,
-#      crates/workloads/src and crates/simcore/src: production vs test
-#      lines per file (informational, no gate), then the sizes the
-#      future-size gates hold (informational here; the gates ran in the
-#      suite): a spawned task's box against its future, in simcore's
-#      join.rs, and the collective write/read, PFS write and RAID
-#      write/read futures, in crates/romio/tests/future_sizes.rs.
+#      crates/workloads/src, crates/simcore/src and crates/storesim/src:
+#      production vs test lines per file (informational, no gate), then
+#      the sizes the future-size gates hold (informational here; the
+#      gates ran in the suite): a spawned task's box against its future,
+#      in simcore's join.rs, and the collective write/read, PFS write
+#      and RAID write/read futures, in crates/romio/tests/future_sizes.rs.
 #      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
@@ -109,7 +109,8 @@ awk '/^test result:/ {
               suites, passed, failed
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
-scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src
+scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src \
+  crates/storesim/src
 future_sizes() {
   { cargo test -q -p e10-simcore --lib a_spawned_task_holds_its_future_once -- --nocapture
     cargo test -q -p e10-romio --test future_sizes -- --nocapture
