@@ -15,7 +15,6 @@
 
 use std::fmt::Write as _;
 
-use e10_romio::TraceMode;
 use e10_simcore::pool::run_jobs_on;
 use e10_simcore::Job;
 
@@ -46,7 +45,7 @@ fn run_algo(scale: Scale, algo: &'static str, aggs: usize, cb: u64) -> AlgoStats
     hints.set("e10_two_phase", algo);
     let path = format!("/gfs/node_agg_{algo}");
     let outcome = simulate(scale, scale.collperf(), hints, &path, |_, cfg| {
-        cfg.trace.mode = TraceMode::Ring;
+        cfg.hints.set("e10_trace", "ring");
     })
     .outcome;
     let snap = outcome

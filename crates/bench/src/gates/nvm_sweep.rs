@@ -28,7 +28,6 @@
 
 use std::fmt::Write as _;
 
-use e10_romio::TraceMode;
 use e10_simcore::pool::run_jobs_on;
 use e10_simcore::Job;
 use e10_workloads::Workload;
@@ -110,7 +109,7 @@ fn run_class(
     let path = format!("/gfs/nvm_sweep_{algo}_{class}");
     let outcome = simulate(scale, scale.collperf(), hints, &path, |spec, cfg| {
         spec.nvm_localfs.capacity = nvm_capacity;
-        cfg.trace.mode = TraceMode::Ring;
+        cfg.hints.set("e10_trace", "ring");
     })
     .outcome;
     let snap = outcome

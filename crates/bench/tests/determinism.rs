@@ -75,8 +75,6 @@ fn fig4_output_is_byte_identical_at_1_and_8_jobs() {
 /// snapshots (the `node_agg` gate's document holds only six counters).
 #[test]
 fn node_agg_sweep_is_bit_identical_at_1_and_8_jobs() {
-    use e10_romio::TraceMode;
-
     let scale = Scale::Test;
     let sweep = |jobs: usize| -> Vec<String> {
         let mut grid: Vec<e10_simcore::Job<String>> = Vec::new();
@@ -87,7 +85,7 @@ fn node_agg_sweep_is_bit_identical_at_1_and_8_jobs() {
                     hints.set("e10_two_phase", "node_agg");
                     let outcome =
                         simulate(scale, scale.collperf(), hints, "/gfs/na_det", |_, cfg| {
-                            cfg.trace.mode = TraceMode::Ring;
+                            cfg.hints.set("e10_trace", "ring");
                         })
                         .outcome;
                     format!(

@@ -337,25 +337,13 @@ impl FaultPlan {
             })
             .collect()
     }
-
-    /// The declared device failures as `(node, class, at)` triples, in
-    /// plan order.
-    pub fn device_fails(&self) -> Vec<(usize, DeviceClass, SimTime)> {
-        self.specs
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::DeviceFail { node, class, at } => Some((*node, *class, *at)),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 struct Installed {
     plan: FaultPlan,
     /// One sampling stream per spec, so adding a spec never shifts the
     /// draws of the others.
-    rngs: Vec<RefCell<SimRng>>,
+    rngs: Vec<SimRng>,
     injected: Cell<u64>,
 }
 
@@ -390,7 +378,7 @@ impl FaultSchedule {
     /// Panics if a schedule is already installed (fault runs don't nest).
     pub fn install(plan: FaultPlan) -> FaultGuard {
         let rngs = (0..plan.specs.len())
-            .map(|i| RefCell::new(SimRng::stream(plan.seed, FAULT_STREAM_BASE + i as u64)))
+            .map(|i| SimRng::stream(plan.seed, FAULT_STREAM_BASE + i as u64))
             .collect();
         ACTIVE.with(|a| {
             let mut slot = a.borrow_mut();
@@ -441,74 +429,67 @@ fn record(kind: &'static str, node: usize, extra_ns: u64) {
     trace::counter("faultsim.injected", 1);
 }
 
-fn in_window(w: &Range<SimTime>) -> bool {
+/// Fold `f` over every installed spec and its own sampling stream, in
+/// plan order; `init` when no schedule is installed. Every query is one
+/// call of this with one match arm per spec kind it answers for.
+fn fold<T>(init: T, mut f: impl FnMut(T, &FaultSpec, &mut SimRng) -> T) -> T {
+    if !active() {
+        return init;
+    }
+    ACTIVE.with(|a| {
+        let mut guard = a.borrow_mut();
+        let inst = guard.as_mut().expect("enabled without schedule");
+        let specs = inst.plan.specs.iter().zip(&mut inst.rngs);
+        specs.fold(init, |acc, (spec, rng)| f(acc, spec, rng))
+    })
+}
+
+/// The draw rule: a spec whose filter matched draws once from its
+/// stream, and only inside its window.
+fn fires(window: &Range<SimTime>, prob: f64, rng: &mut SimRng) -> bool {
     let t = e10_simcore::now();
-    t >= w.start && t < w.end
+    t >= window.start && t < window.end && rng.uniform() < prob
 }
 
 /// Extra service delay for an SSD command on `node`, if a stall fires.
 pub fn ssd_stall(node: usize) -> Option<SimDuration> {
-    if !active() {
-        return None;
-    }
-    let mut total = SimDuration::ZERO;
-    ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        for (spec, rng) in inst.plan.specs.iter().zip(&inst.rngs) {
-            if let FaultSpec::SsdStall {
-                node: n,
-                window,
-                prob,
-                stall,
-            } = spec
-            {
-                if *n == node && in_window(window) && rng.borrow_mut().uniform() < *prob {
-                    total += *stall;
-                }
-            }
-        }
+    let total = fold(SimDuration::ZERO, |total, spec, rng| match spec {
+        FaultSpec::SsdStall {
+            node: n,
+            window,
+            prob,
+            stall,
+        } if *n == node && fires(window, *prob, rng) => total + *stall,
+        _ => total,
     });
-    if total > SimDuration::ZERO {
+    (total > SimDuration::ZERO).then(|| {
         record("ssd_stall", node, total.as_nanos());
-        Some(total)
-    } else {
-        None
-    }
+        total
+    })
 }
 
 /// Extra delivery delay for a fabric message `src → dst`, if a link
 /// fault fires.
 pub fn link_fault(src: usize, dst: usize) -> Option<SimDuration> {
-    if !active() {
-        return None;
-    }
-    let mut total = SimDuration::ZERO;
-    ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        for (spec, rng) in inst.plan.specs.iter().zip(&inst.rngs) {
-            if let FaultSpec::LinkFault {
-                src: s,
-                dst: d,
-                window,
-                prob,
-                delay,
-            } = spec
-            {
-                let hit = s.is_none_or(|s| s == src) && d.is_none_or(|d| d == dst);
-                if hit && in_window(window) && rng.borrow_mut().uniform() < *prob {
-                    total += *delay;
-                }
-            }
+    let total = fold(SimDuration::ZERO, |total, spec, rng| match spec {
+        FaultSpec::LinkFault {
+            src: s,
+            dst: d,
+            window,
+            prob,
+            delay,
+        } if s.is_none_or(|s| s == src)
+            && d.is_none_or(|d| d == dst)
+            && fires(window, *prob, rng) =>
+        {
+            total + *delay
         }
+        _ => total,
     });
-    if total > SimDuration::ZERO {
+    (total > SimDuration::ZERO).then(|| {
         record("link", src, total.as_nanos());
-        Some(total)
-    } else {
-        None
-    }
+        total
+    })
 }
 
 /// Sample a bit flip for an I/O of `len` bytes from `rng`.
@@ -525,43 +506,31 @@ fn sample_bitflip(rng: &mut SimRng, len: u64) -> Corruption {
 /// `sector`-aligned run (clamped to the write). Deterministic per plan
 /// seed: each spec draws from its own stream.
 pub fn ssd_corruption(node: usize, len: u64) -> Vec<Corruption> {
-    if !active() || len == 0 {
+    if len == 0 {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        for (spec, rng) in inst.plan.specs.iter().zip(&inst.rngs) {
-            match spec {
-                FaultSpec::CacheBitFlip {
-                    node: n,
-                    window,
-                    prob,
-                } if *n == node && in_window(window) => {
-                    let mut rng = rng.borrow_mut();
-                    if rng.uniform() < *prob {
-                        out.push(sample_bitflip(&mut rng, len));
-                    }
-                }
-                FaultSpec::CacheTorn {
-                    node: n,
-                    window,
-                    prob,
-                    sector,
-                } if *n == node && in_window(window) => {
-                    let mut rng = rng.borrow_mut();
-                    if rng.uniform() < *prob {
-                        let offset = rng.below(len.div_ceil(*sector)) * *sector;
-                        out.push(Corruption::TornSector {
-                            offset,
-                            len: (*sector).min(len - offset),
-                        });
-                    }
-                }
-                _ => {}
+    let out = fold(Vec::new(), |mut out, spec, rng| {
+        match spec {
+            FaultSpec::CacheBitFlip {
+                node: n,
+                window,
+                prob,
+            } if *n == node && fires(window, *prob, rng) => out.push(sample_bitflip(rng, len)),
+            FaultSpec::CacheTorn {
+                node: n,
+                window,
+                prob,
+                sector,
+            } if *n == node && fires(window, *prob, rng) => {
+                let offset = rng.below(len.div_ceil(*sector)) * *sector;
+                out.push(Corruption::TornSector {
+                    offset,
+                    len: (*sector).min(len - offset),
+                });
             }
+            _ => {}
         }
+        out
     });
     for c in &out {
         let kind = match c {
@@ -575,30 +544,25 @@ pub fn ssd_corruption(node: usize, len: u64) -> Vec<Corruption> {
 
 /// Corruptions hitting a `len`-byte payload on the link `src → dst`.
 pub fn link_corrupt(src: usize, dst: usize, len: u64) -> Vec<Corruption> {
-    if !active() || len == 0 {
+    if len == 0 {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        for (spec, rng) in inst.plan.specs.iter().zip(&inst.rngs) {
-            if let FaultSpec::LinkCorrupt {
+    let out = fold(Vec::new(), |mut out, spec, rng| {
+        match spec {
+            FaultSpec::LinkCorrupt {
                 src: s,
                 dst: d,
                 window,
                 prob,
-            } = spec
+            } if s.is_none_or(|s| s == src)
+                && d.is_none_or(|d| d == dst)
+                && fires(window, *prob, rng) =>
             {
-                let hit = s.is_none_or(|s| s == src) && d.is_none_or(|d| d == dst);
-                if hit && in_window(window) {
-                    let mut rng = rng.borrow_mut();
-                    if rng.uniform() < *prob {
-                        out.push(sample_bitflip(&mut rng, len));
-                    }
-                }
+                out.push(sample_bitflip(rng, len))
             }
+            _ => {}
         }
+        out
     });
     for _ in &out {
         record("link_corrupt", src, 0);
@@ -609,23 +573,17 @@ pub fn link_corrupt(src: usize, dst: usize, len: u64) -> Vec<Corruption> {
 /// Corruptions exposed by a `len`-byte read of a PFS object (lazy media
 /// rot, materialised at read time).
 pub fn pfs_corrupt(len: u64) -> Vec<Corruption> {
-    if !active() || len == 0 {
+    if len == 0 {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        for (spec, rng) in inst.plan.specs.iter().zip(&inst.rngs) {
-            if let FaultSpec::PfsCorrupt { window, prob } = spec {
-                if in_window(window) {
-                    let mut rng = rng.borrow_mut();
-                    if rng.uniform() < *prob {
-                        out.push(sample_bitflip(&mut rng, len));
-                    }
-                }
+    let out = fold(Vec::new(), |mut out, spec, rng| {
+        match spec {
+            FaultSpec::PfsCorrupt { window, prob } if fires(window, *prob, rng) => {
+                out.push(sample_bitflip(rng, len))
             }
+            _ => {}
         }
+        out
     });
     for _ in &out {
         record("pfs_corrupt", 0, 0);
@@ -639,16 +597,13 @@ pub fn pfs_corrupt(len: u64) -> Vec<Corruption> {
 /// error. Deterministic: a pure time comparison, no stream draw, so
 /// querying it never perturbs the probabilistic specs.
 pub fn device_failed(node: usize, class: DeviceClass) -> bool {
-    if !active() {
-        return false;
-    }
-    let hit = ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        inst.plan.specs.iter().any(|spec| {
-            matches!(spec, FaultSpec::DeviceFail { node: n, class: c, at }
-                if *n == node && *c == class && e10_simcore::now() >= *at)
-        })
+    let hit = fold(false, |hit, spec, _| match spec {
+        FaultSpec::DeviceFail {
+            node: n,
+            class: c,
+            at,
+        } if *n == node && *c == class && e10_simcore::now() >= *at => true,
+        _ => hit,
     });
     if hit {
         record("device_fail", node, 0);
@@ -662,16 +617,11 @@ pub fn device_failed(node: usize, class: DeviceClass) -> bool {
 /// the sync loop itself; like [`device_failed`] this is a pure time
 /// trigger.
 pub fn sync_thread_killed(node: usize) -> bool {
-    if !active() {
-        return false;
-    }
-    let hit = ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        inst.plan.specs.iter().any(|spec| {
-            matches!(spec, FaultSpec::SyncThreadKill { node: n, at }
-                if *n == node && e10_simcore::now() >= *at)
-        })
+    let hit = fold(false, |hit, spec, _| match spec {
+        FaultSpec::SyncThreadKill { node: n, at } if *n == node && e10_simcore::now() >= *at => {
+            true
+        }
+        _ => hit,
     });
     if hit {
         record("sync_thread_kill", node, 0);
@@ -682,28 +632,13 @@ pub fn sync_thread_killed(node: usize) -> bool {
 
 /// True if the next PFS RPC served by data target `target` must fail.
 pub fn rpc_fails(target: usize) -> bool {
-    if !active() {
-        return false;
-    }
-    let mut fails = false;
-    ACTIVE.with(|a| {
-        let guard = a.borrow();
-        let inst = guard.as_ref().expect("enabled without schedule");
-        for (spec, rng) in inst.plan.specs.iter().zip(&inst.rngs) {
-            if let FaultSpec::RpcFail {
-                target: t,
-                window,
-                prob,
-            } = spec
-            {
-                if t.is_none_or(|t| t == target)
-                    && in_window(window)
-                    && rng.borrow_mut().uniform() < *prob
-                {
-                    fails = true;
-                }
-            }
-        }
+    let fails = fold(false, |fails, spec, rng| match spec {
+        FaultSpec::RpcFail {
+            target: t,
+            window,
+            prob,
+        } if t.is_none_or(|t| t == target) && fires(window, *prob, rng) => true,
+        _ => fails,
     });
     if fails {
         record("rpc", target, 0);
@@ -914,11 +849,10 @@ mod tests {
     }
 
     #[test]
-    fn device_fails_accessor_reports_declared_specs() {
+    fn crashes_accessor_skips_other_specs() {
         let plan = FaultPlan::new(1)
             .device_fail(2, DeviceClass::Nvm, secs(3))
             .node_crash(1, secs(5));
-        assert_eq!(plan.device_fails(), vec![(2, DeviceClass::Nvm, secs(3))]);
         assert_eq!(plan.crashes(), vec![(1, secs(5))]);
     }
 

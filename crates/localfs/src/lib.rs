@@ -436,13 +436,7 @@ impl LocalFile {
     /// time efficiency").
     pub async fn fallocate(&self, offset: u64, len: u64) -> Result<(), FsError> {
         self.fs.check_device()?;
-        let grow = {
-            let st = self.state.borrow();
-            len - st.data.covered_bytes_in(offset, len)
-        };
-        if grow > 0 {
-            self.fs.reserve(grow)?;
-        }
+        let grow = self.reserve_holes(offset, len)?;
         e10_simcore::sleep(self.fs.params.meta_op).await;
         if grow == 0 {
             return Ok(());
@@ -476,57 +470,62 @@ impl LocalFile {
         self.state.borrow_mut().stream_log.insert(offset, pos);
     }
 
+    /// Reserve the bytes of `[offset, offset + len)` the file does not
+    /// hold yet; returns how many that was.
+    fn reserve_holes(&self, offset: u64, len: u64) -> Result<u64, FsError> {
+        let grow = len - self.state.borrow().data.covered_bytes_in(offset, len);
+        if grow > 0 {
+            self.fs.reserve(grow)?;
+        }
+        Ok(grow)
+    }
+
+    /// What both extent writes do before their device charge: refuse on
+    /// a dead device, reserve the bytes the write newly covers, and
+    /// register it as in flight (torn by a power loss) until the
+    /// returned guard drops. `None` for an empty write.
+    fn begin_write(
+        &self,
+        offset: u64,
+        payload: &Payload,
+    ) -> Result<Option<InFlightGuard>, FsError> {
+        self.fs.check_device()?;
+        if payload.len == 0 {
+            return Ok(None);
+        }
+        self.reserve_holes(offset, payload.len)?;
+        Ok(Some(self.fs.register_in_flight(InFlight::Write {
+            state: Rc::clone(&self.state),
+            offset,
+            payload: payload.clone(),
+        })))
+    }
+
+    /// What both extent writes do once the device has acked: the payload
+    /// lands in the extent map, then any injected silent corruption
+    /// lands on it (the device acked, but the medium holds a flipped bit
+    /// or a torn sector).
+    fn land(&self, offset: u64, payload: Payload) {
+        let len = payload.len;
+        let mut st = self.state.borrow_mut();
+        st.data.insert(offset, len, payload.src);
+        for c in e10_faultsim::ssd_corruption(self.fs.dev.node(), len) {
+            st.data.corrupt(offset, len, &c);
+        }
+    }
+
     /// Write `payload` at `offset`. Charges page-cache time and updates
     /// the extent map; grows the allocation (and fails with `NoSpace`)
     /// as needed.
     pub async fn write(&self, offset: u64, payload: Payload) -> Result<(), FsError> {
-        self.fs.check_device()?;
-        let len = payload.len;
-        if len == 0 {
+        let Some(_in_flight) = self.begin_write(offset, &payload)? else {
             return Ok(());
-        }
-        let grow = {
-            let st = self.state.borrow();
-            len - st.data.covered_bytes_in(offset, len)
         };
-        if grow > 0 {
-            self.fs.reserve(grow)?;
-        }
-        let _in_flight = self.fs.register_in_flight(InFlight::Write {
-            state: Rc::clone(&self.state),
-            offset,
-            payload: payload.clone(),
-        });
         // A stalled device back-pressures the page cache it drains into.
         self.fs.dev.stall_point().await;
-        self.fs.cache.write(len).await;
-        self.write_extent_bookkeeping(offset, len);
-        self.state
-            .borrow_mut()
-            .data
-            .insert(offset, len, payload.src);
-        // Injected silent corruption: the device acks the write but the
-        // medium holds a flipped bit or a torn sector. The extent map
-        // mutation breaks generator identity and structural digests,
-        // exactly like real bit rot under a checksumming reader.
-        for c in e10_faultsim::ssd_corruption(self.fs.dev.node(), len) {
-            let mut st = self.state.borrow_mut();
-            match c {
-                e10_faultsim::Corruption::BitFlip { offset: rel, mask } => {
-                    let pos = offset + rel;
-                    if let Some(b) = st.data.byte_at(pos) {
-                        st.data.insert(pos, 1, Source::literal(vec![b ^ mask]));
-                    }
-                }
-                e10_faultsim::Corruption::TornSector {
-                    offset: rel,
-                    len: tlen,
-                } => {
-                    st.data
-                        .insert(offset + rel, tlen.min(len - rel), Source::Zero);
-                }
-            }
-        }
+        self.fs.cache.write(payload.len).await;
+        self.write_extent_bookkeeping(offset, payload.len);
+        self.land(offset, payload);
         Ok(())
     }
 
@@ -540,47 +539,12 @@ impl LocalFile {
     /// completed calls survive power loss, in-flight calls are torn,
     /// injected device corruption lands in the extent map.
     pub async fn write_direct(&self, offset: u64, payload: Payload) -> Result<(), FsError> {
-        self.fs.check_device()?;
-        let len = payload.len;
-        if len == 0 {
+        let Some(_in_flight) = self.begin_write(offset, &payload)? else {
             return Ok(());
-        }
-        let grow = {
-            let st = self.state.borrow();
-            len - st.data.covered_bytes_in(offset, len)
         };
-        if grow > 0 {
-            self.fs.reserve(grow)?;
-        }
-        let _in_flight = self.fs.register_in_flight(InFlight::Write {
-            state: Rc::clone(&self.state),
-            offset,
-            payload: payload.clone(),
-        });
         // The device's command path samples the stall hook itself.
-        self.fs.dev.write(len).await;
-        self.state
-            .borrow_mut()
-            .data
-            .insert(offset, len, payload.src);
-        for c in e10_faultsim::ssd_corruption(self.fs.dev.node(), len) {
-            let mut st = self.state.borrow_mut();
-            match c {
-                e10_faultsim::Corruption::BitFlip { offset: rel, mask } => {
-                    let pos = offset + rel;
-                    if let Some(b) = st.data.byte_at(pos) {
-                        st.data.insert(pos, 1, Source::literal(vec![b ^ mask]));
-                    }
-                }
-                e10_faultsim::Corruption::TornSector {
-                    offset: rel,
-                    len: tlen,
-                } => {
-                    st.data
-                        .insert(offset + rel, tlen.min(len - rel), Source::Zero);
-                }
-            }
-        }
+        self.fs.dev.write(payload.len).await;
+        self.land(offset, payload);
         Ok(())
     }
 

@@ -31,11 +31,6 @@ impl Info {
         self.map.borrow().get(key).cloned()
     }
 
-    /// Parse a hint as an integer, if present and valid.
-    pub fn get_int(&self, key: &str) -> Option<i64> {
-        self.get(key).and_then(|v| v.trim().parse().ok())
-    }
-
     /// Remove a hint (`MPI_Info_delete`).
     pub fn delete(&self, key: &str) -> bool {
         self.map.borrow_mut().remove(key).is_some()
@@ -101,8 +96,6 @@ mod tests {
         assert!(i.is_empty());
         i.set("cb_nodes", "16").set("e10_cache", "enable");
         assert_eq!(i.get("cb_nodes").as_deref(), Some("16"));
-        assert_eq!(i.get_int("cb_nodes"), Some(16));
-        assert_eq!(i.get_int("e10_cache"), None);
         assert!(i.delete("cb_nodes"));
         assert!(!i.delete("cb_nodes"));
         assert_eq!(i.len(), 1);

@@ -839,15 +839,6 @@ impl PfsHandle {
         Ok(())
     }
 
-    /// Apply lazy media-rot bit flips to the stored object.
-    fn apply_corruption(st: &mut PfsFileState, hits: Vec<(u64, u8)>) {
-        for (pos, mask) in hits {
-            if let Some(b) = st.data.byte_at(pos) {
-                st.data.insert(pos, 1, Source::literal(vec![b ^ mask]));
-            }
-        }
-    }
-
     /// Write `payload` at `offset`; returns when all stripe chunks are
     /// committed. Chunks to different targets proceed in parallel. On
     /// error nothing is recorded in the file map: the client cannot
@@ -946,17 +937,8 @@ impl PfsHandle {
         outcome?;
         // Lazy media rot: corruption of the stored object materialises
         // at read time (undetected until somebody looks), and persists.
-        let rot: Vec<(u64, u8)> = e10_faultsim::pfs_corrupt(len)
-            .into_iter()
-            .filter_map(|c| match c {
-                e10_faultsim::Corruption::BitFlip { offset: rel, mask } => {
-                    Some((offset + rel, mask))
-                }
-                e10_faultsim::Corruption::TornSector { .. } => None,
-            })
-            .collect();
-        if !rot.is_empty() {
-            Self::apply_corruption(&mut self.state.borrow_mut(), rot);
+        for c in e10_faultsim::pfs_corrupt(len) {
+            self.state.borrow_mut().data.corrupt(offset, len, &c);
         }
         self.state.borrow().data.lookup_into(offset, len, out);
         Ok(())

@@ -210,11 +210,6 @@ impl Breakdown {
         self.ranks
     }
 
-    /// Sum of means across all phases (the stacked-bar height).
-    pub fn stacked_total(&self) -> f64 {
-        Phase::ALL.iter().map(|&p| self.mean(p)).sum()
-    }
-
     /// Render an aligned text table of `(phase, mean, max)` rows —
     /// what the breakdown figure bins print.
     pub fn table(&self) -> String {
@@ -284,7 +279,6 @@ mod tests {
             assert_eq!(b.mean(Phase::Write), 1.5);
             assert_eq!(b.max(Phase::Write), 3.0);
             assert_eq!(b.mean(Phase::PostWrite), 0.0);
-            assert_eq!(b.stacked_total(), 1.5);
             let table = b.table();
             assert!(table.contains("write"));
             assert!(!table.contains("post_write"));

@@ -65,13 +65,6 @@ impl SimRng {
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.standard_normal()).exp()
     }
-
-    /// Bounded Pareto-ish heavy tail with minimum `xm` and shape `alpha`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        assert!(xm > 0.0 && alpha > 0.0);
-        let u = 1.0 - self.uniform();
-        xm / u.powf(1.0 / alpha)
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -173,14 +166,6 @@ mod tests {
         let mut j = Jitter::new(SimRng::new(4), 0.0);
         for _ in 0..10 {
             assert_eq!(j.sample(), 1.0);
-        }
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let mut r = SimRng::new(5);
-        for _ in 0..1000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
         }
     }
 

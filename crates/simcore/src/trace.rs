@@ -454,15 +454,18 @@ pub fn emit(build: impl FnOnce() -> Event) {
 }
 
 /// Emit a `Begin` event and return a guard that emits the matching
-/// `End` (same layer/span/rank/node) when dropped. When tracing is
-/// disabled this is a no-op carrying no allocation.
+/// `End` (same layer and span) when dropped. When tracing is disabled
+/// this is a no-op carrying no allocation.
 pub fn span(layer: Layer, name: &'static str) -> SpanGuard {
-    SpanGuard::begin(layer, name, None, None, Vec::new())
-}
-
-/// [`span`] attributed to a rank.
-pub fn span_for_rank(layer: Layer, name: &'static str, rank: usize) -> SpanGuard {
-    SpanGuard::begin(layer, name, Some(rank as u32), None, Vec::new())
+    let active = enabled();
+    if active {
+        emit(|| Event::new(layer, name, EventKind::Begin));
+    }
+    SpanGuard {
+        active,
+        layer,
+        name,
+    }
 }
 
 /// RAII span: emits `End` on drop.
@@ -470,48 +473,13 @@ pub struct SpanGuard {
     active: bool,
     layer: Layer,
     name: &'static str,
-    rank: Option<u32>,
-    node: Option<u32>,
-}
-
-impl SpanGuard {
-    fn begin(
-        layer: Layer,
-        name: &'static str,
-        rank: Option<u32>,
-        node: Option<u32>,
-        fields: Vec<(&'static str, Value)>,
-    ) -> SpanGuard {
-        let active = enabled();
-        if active {
-            emit(|| {
-                let mut e = Event::new(layer, name, EventKind::Begin);
-                e.rank = rank;
-                e.node = node;
-                e.fields = fields;
-                e
-            });
-        }
-        SpanGuard {
-            active,
-            layer,
-            name,
-            rank,
-            node,
-        }
-    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.active {
-            let (layer, name, rank, node) = (self.layer, self.name, self.rank, self.node);
-            emit(|| {
-                let mut e = Event::new(layer, name, EventKind::End);
-                e.rank = rank;
-                e.node = node;
-                e
-            });
+            let (layer, name) = (self.layer, self.name);
+            emit(|| Event::new(layer, name, EventKind::End));
         }
     }
 }
@@ -675,7 +643,7 @@ mod tests {
         let ring = Rc::new(RingSink::new(16));
         let _g = install(ring.clone());
         run(async {
-            let _s = span_for_rank(Layer::Romio, "phase", 3);
+            let _s = span(Layer::Romio, "phase");
             sleep(SimDuration::from_secs(2)).await;
         });
         // The executor's own task events land on the sink too; look at
@@ -688,7 +656,6 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].kind, EventKind::Begin);
         assert_eq!(evs[1].kind, EventKind::End);
-        assert_eq!(evs[0].rank, Some(3));
         assert_eq!(
             evs[1].sim_time.since(evs[0].sim_time),
             SimDuration::from_secs(2)

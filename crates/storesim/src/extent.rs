@@ -8,6 +8,7 @@
 //! writes a 32 GB file in millions of pieces.
 
 use crate::pattern::{splitmix64, Source};
+use e10_faultsim::Corruption;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -335,6 +336,24 @@ impl ExtentMap {
             }
         }
         None
+    }
+
+    /// Land one injected corruption on the `len` bytes at `base` it was
+    /// sampled for: a flipped bit becomes a one-byte literal patch (over
+    /// a covered byte only), a torn sector reads back as zeroes. Either
+    /// edit breaks generator identity and the structural digest, like
+    /// bit rot under a checksumming reader.
+    pub fn corrupt(&mut self, base: u64, len: u64, c: &Corruption) {
+        match *c {
+            Corruption::BitFlip { offset, mask } => {
+                if let Some(b) = self.byte_at(base + offset) {
+                    self.insert(base + offset, 1, Source::literal(vec![b ^ mask]));
+                }
+            }
+            Corruption::TornSector { offset, len: torn } => {
+                self.insert(base + offset, torn.min(len - offset), Source::Zero);
+            }
+        }
     }
 
     /// Materialise `[start, start+len)`; holes read as zero (test sizes

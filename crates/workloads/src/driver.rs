@@ -7,6 +7,12 @@
 //! the compute), so cache synchronisation overlaps computation and the
 //! close only waits for whatever is *not hidden* — exactly the
 //! `max(0, T_s(k) − C(k+1))` term of Eq. 1.
+//!
+//! Tracing is set by hints only: `e10_trace` picks the sink (off, an
+//! in-memory ring of 65 536 events, or a JSONL file) and
+//! `e10_trace_path` the JSONL directory. [`RunConfig`] has no trace
+//! field; a caller that wants a traced run sets the hint on its
+//! `hints`.
 
 use std::rc::Rc;
 
@@ -22,46 +28,8 @@ use e10_simcore::{now, sleep, SimDuration};
 
 use crate::Workload;
 
-/// The `trace` section of an experiment configuration: whether and
-/// where a run records structured trace events. The `e10_trace` /
-/// `e10_trace_path` hints, when present, override this section so a
-/// single sweep binary can turn tracing on for one configuration only.
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Event destination (default [`TraceMode::Off`]).
-    pub mode: TraceMode,
-    /// Directory for `jsonl` traces.
-    pub path: String,
-    /// Capacity of the in-memory ring for [`TraceMode::Ring`].
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            mode: TraceMode::Off,
-            path: "results/traces".to_string(),
-            ring_capacity: 1 << 16,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Resolve the effective configuration: hint keys present in
-    /// `hints` win over the config section.
-    pub fn effective(&self, hints: &Info) -> TraceConfig {
-        let mut t = self.clone();
-        if let Ok(h) = e10_romio::RomioHints::from_info(hints) {
-            if hints.get("e10_trace").is_some() {
-                t.mode = h.e10_trace;
-            }
-            if hints.get("e10_trace_path").is_some() {
-                t.path = h.e10_trace_path;
-            }
-        }
-        t
-    }
-}
+/// Capacity of the in-memory ring a [`TraceMode::Ring`] run records into.
+const TRACE_RING_CAPACITY: usize = 1 << 16;
 
 /// What tracing recorded during a run.
 #[derive(Debug, Clone)]
@@ -104,8 +72,6 @@ pub struct RunConfig {
     /// the paper (via Damaris [16]) notes becomes *more* prominent the
     /// faster the I/O itself is.
     pub compute_jitter_cv: f64,
-    /// Structured-trace destination for this run (hints override).
-    pub trace: TraceConfig,
     /// Fault plan installed for the duration of the run (default
     /// empty: no schedule is installed and the run is bit-identical
     /// to a build without fault injection). Node-crash specs are not
@@ -126,7 +92,6 @@ impl RunConfig {
             path_prefix: prefix.to_string(),
             seed_base: 1000,
             compute_jitter_cv: 0.0,
-            trace: TraceConfig::default(),
             faults: e10_faultsim::FaultPlan::default(),
         }
     }
@@ -196,23 +161,27 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         hints.set("romio_cb_write", "enable");
     }
 
-    // Install the run's trace sink; every instrumented layer emits to
-    // it for the duration. Nothing in the simulation reads trace
-    // state, so virtual-time outcomes are identical traced or not.
-    let trace_cfg = cfg.trace.effective(&hints);
+    // Install the run's trace sink, where the `e10_trace` and
+    // `e10_trace_path` hints say; every instrumented layer emits to it
+    // for the duration. Nothing in the simulation reads trace state, so
+    // virtual-time outcomes are identical traced or not.
+    let (mode, trace_dir) = e10_romio::RomioHints::from_info(&hints)
+        .map_or((TraceMode::Off, String::new()), |h| {
+            (h.e10_trace, h.e10_trace_path)
+        });
     let metrics = Rc::new(MetricsRegistry::new());
     let mut ring: Option<Rc<RingSink>> = None;
     let mut jsonl: Option<(Rc<JsonlSink>, String)> = None;
-    let trace_guard: Option<TraceGuard> = match trace_cfg.mode {
+    let trace_guard: Option<TraceGuard> = match mode {
         TraceMode::Off => None,
         TraceMode::Ring => {
-            let s = Rc::new(RingSink::new(trace_cfg.ring_capacity));
+            let s = Rc::new(RingSink::new(TRACE_RING_CAPACITY));
             ring = Some(Rc::clone(&s));
             Some(install_with_metrics(s, Rc::clone(&metrics)))
         }
         TraceMode::Jsonl => {
             let base = cfg.path_prefix.rsplit('/').next().unwrap_or("run");
-            let path = format!("{}/{base}.jsonl", trace_cfg.path);
+            let path = format!("{trace_dir}/{base}.jsonl");
             match JsonlSink::create(&path) {
                 Ok(s) => {
                     let s = Rc::new(s);

@@ -25,7 +25,7 @@ pub use chaos::{
 };
 pub use collperf::CollPerf;
 pub use crash::{run_crash_recovery, CrashConfig, CrashConfigError, CrashOutcome};
-pub use driver::{run_workload, PhaseOutcome, RunConfig, RunOutcome, TraceConfig, TraceReport};
+pub use driver::{run_workload, PhaseOutcome, RunConfig, RunOutcome, TraceReport};
 pub use flashio::{FlashFile, FlashIo};
 pub use ior::Ior;
 pub use multi_job::{run_multi_job, JobOutcome, MultiJobOutcome, MultiJobSpec};
@@ -155,7 +155,6 @@ mod tests {
             path_prefix: prefix.to_string(),
             seed_base: 50,
             compute_jitter_cv: 0.0,
-            trace: TraceConfig::default(),
             faults: e10_faultsim::FaultPlan::default(),
         }
     }
@@ -269,8 +268,8 @@ mod tests {
                 ("e10_cache_journal", "enable"),
                 ("e10_integrity", "enable"),
             ]);
-            let mut cfg = quick_cfg(hints, "/gfs/degrade", 2);
-            cfg.trace.mode = e10_romio::TraceMode::Ring;
+            let cfg = quick_cfg(hints, "/gfs/degrade", 2);
+            cfg.hints.set("e10_trace", "ring");
             let out = run_workload(&tb, Rc::clone(&w) as Rc<dyn Workload>, &cfg).await;
             let metrics = out.metrics.expect("ring mode records metrics");
             let cached = metrics

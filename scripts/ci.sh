@@ -9,8 +9,9 @@
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines, then scripts/loc.sh over crates/romio/src,
-#      crates/workloads/src, crates/simcore/src and crates/storesim/src:
-#      production vs test lines per file (informational, no gate), then
+#      crates/workloads/src, crates/simcore/src, crates/storesim/src,
+#      crates/faultsim/src and crates/localfs/src: production vs test
+#      lines per file (informational, no gate), then
 #      the sizes the future-size gates hold (informational here; the
 #      gates ran in the suite): a spawned task's box against its future,
 #      in simcore's join.rs, and the collective write/read, PFS write
@@ -75,6 +76,10 @@
 #
 # Each step prints its wall-clock seconds.
 #
+# Not run here (each takes minutes and gates nothing in this file):
+#   scripts/results.sh [--check]   # rewrite (or diff, exit 1 on drift)
+#      every results/<bin>.txt from <bin> at its default scale,
+#      ignoring host_secs= lines; about 110 s on 2 CPUs
 # Only syntax-checked (`bash -n`, with the formatting step): it gates
 # nothing and takes a workload's run time.
 #   scripts/profile.sh <workload> [seconds]   # host profile of one
@@ -110,7 +115,7 @@ awk '/^test result:/ {
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
 scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src \
-  crates/storesim/src
+  crates/storesim/src crates/faultsim/src crates/localfs/src
 future_sizes() {
   { cargo test -q -p e10-simcore --lib a_spawned_task_holds_its_future_once -- --nocapture
     cargo test -q -p e10-romio --test future_sizes -- --nocapture

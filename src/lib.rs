@@ -93,6 +93,6 @@ pub mod prelude {
     pub use e10_storesim::Payload;
     pub use e10_workloads::{
         run_crash_recovery, run_workload, CollPerf, CrashConfig, CrashOutcome, FlashIo, Ior,
-        RunConfig, TraceConfig, Workload,
+        RunConfig, Workload,
     };
 }

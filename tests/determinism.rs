@@ -34,7 +34,7 @@ fn run_once_traced(seed: u64, trace: TraceMode) -> (Timings, Vec<e10_simcore::tr
         cfg.files = 2;
         cfg.compute_delay = SimDuration::from_secs(2);
         cfg.include_last_sync = true;
-        cfg.trace.mode = trace;
+        cfg.hints.set("e10_trace", trace.as_str());
         let out = run_workload(&tb, w, &cfg).await;
         (
             (
