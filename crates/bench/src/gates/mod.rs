@@ -90,11 +90,3 @@ fn mode(scale: Scale) -> &'static str {
         "full"
     }
 }
-
-/// A counter of a traced run's metrics snapshot (0 when never bumped).
-fn counter(snap: &e10_simcore::trace::MetricsSnapshot, name: &str) -> u64 {
-    snap.counters
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0, |&(_, v)| v)
-}

@@ -18,7 +18,6 @@ use std::fmt::Write as _;
 use e10_simcore::pool::run_jobs_on;
 use e10_simcore::Job;
 
-use super::counter;
 use crate::{combo_label, hints_for, simulate, Case, Cli, Json, Report, Scale};
 
 /// The three collective-write algorithms, in presentation order.
@@ -56,12 +55,12 @@ fn run_algo(scale: Scale, algo: &'static str, aggs: usize, cb: u64) -> AlgoStats
         algo,
         gb_s: outcome.gb_s(),
         sim_wall_secs: outcome.wall_time,
-        shuffle_msgs: counter(snap, "coll.shuffle.msgs"),
-        shuffle_bytes: counter(snap, "coll.shuffle.bytes"),
-        remote_msgs: counter(snap, "coll.shuffle.remote_msgs"),
-        remote_bytes: counter(snap, "coll.shuffle.remote_bytes"),
-        merged_reqs: counter(snap, "coll.node_agg.merged_reqs"),
-        bytes_saved: counter(snap, "coll.node_agg.shuffle_bytes_saved"),
+        shuffle_msgs: snap.counter("coll.shuffle.msgs"),
+        shuffle_bytes: snap.counter("coll.shuffle.bytes"),
+        remote_msgs: snap.counter("coll.shuffle.remote_msgs"),
+        remote_bytes: snap.counter("coll.shuffle.remote_bytes"),
+        merged_reqs: snap.counter("coll.node_agg.merged_reqs"),
+        bytes_saved: snap.counter("coll.node_agg.shuffle_bytes_saved"),
     }
 }
 

@@ -32,7 +32,6 @@ use e10_simcore::pool::run_jobs_on;
 use e10_simcore::Job;
 use e10_workloads::Workload;
 
-use super::counter;
 use crate::{combo_label, hints_for, simulate, Case, Cli, Json, Report, Scale};
 
 /// The two cache-friendly collective-write algorithms (stock bypasses
@@ -120,9 +119,9 @@ fn run_class(
         class,
         gb_s: outcome.gb_s(),
         sim_wall_secs: outcome.wall_time,
-        write_stall_ns: counter(snap, "cache.write_stall_ns"),
-        front_write_bytes: counter(snap, "cache.front_write_bytes"),
-        cache_write_bytes: counter(snap, "cache.write_bytes"),
+        write_stall_ns: snap.counter("cache.write_stall_ns"),
+        front_write_bytes: snap.counter("cache.front_write_bytes"),
+        cache_write_bytes: snap.counter("cache.write_bytes"),
     }
 }
 

@@ -3,8 +3,9 @@
 //! Two interchangeable backends:
 //!
 //! * [`CollBackend::Algorithmic`] — real message-passing algorithms
-//!   (dissemination barrier, binomial broadcast/reduce/gather, pairwise
-//!   all-to-all) built on the point-to-point layer. Costs emerge from
+//!   (dissemination barrier, binomial broadcast, binomial reduce then
+//!   broadcast for allreduce, ring allgather, pairwise size exchange)
+//!   built on the point-to-point layer. Costs emerge from
 //!   the network model. Used at small scale and to validate the
 //!   analytic model.
 //! * [`CollBackend::Analytic`] — LogGP-style closed-form cost with
@@ -33,7 +34,7 @@
 //!   box return to its pool. So a rendezvous allocates only the first
 //!   time a communicator runs a collective of its types, whatever P.
 //! * **Generic collectives** (`bcast`, `allreduce`, `allgather`,
-//!   `alltoall[v]`, `split`) take their answer from the one result:
+//!   `split`) take their answer from the one result:
 //!   a clone for `bcast`/`allreduce` (O(1) per rank); for `allgather`
 //!   a shared `Rc` — of the gathered vector, or, through
 //!   [`Comm::allgather_with`], of what the last arrival derives from
@@ -41,9 +42,7 @@
 //!   summary: that `Rc` is the one allocation such a collective makes)
 //!   — and for `split` a handle on its group's shared state, the
 //!   parent's node map borrowed, not copied: O(1) per rank, no
-//!   P-vector. Only `alltoall` still walks a column of the P×P matrix —
-//!   P strided reads and clones per rank — and no collective I/O path
-//!   calls it.
+//!   P-vector.
 //! * **The size exchange** ([`Comm::alltoall_u64_sparse`]) runs once
 //!   per two-phase round on every rank, almost always with nothing to
 //!   say (0.49 non-zero entries per rank per round on the paper's
@@ -67,7 +66,7 @@ use std::task::{Poll, Waker};
 
 use e10_simcore::{sleep, yield_now, SimDuration};
 
-use crate::comm::{waitall, Comm, SourceSel, Tag};
+use crate::comm::{Comm, SourceSel, Tag};
 
 /// Which collective implementation to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -461,58 +460,6 @@ impl Comm {
         }
     }
 
-    /// `MPI_Alltoall`: `v[i]` goes to rank `i`; returns the vector of
-    /// values received (index = source rank). `bytes_each` is the wire
-    /// size of one element.
-    pub async fn alltoall<T: Clone + 'static>(&self, v: Vec<T>, bytes_each: u64) -> Vec<T> {
-        let sizes = vec![bytes_each; v.len()];
-        self.alltoallv(v, &sizes).await
-    }
-
-    /// `MPI_Alltoallv`: like [`alltoall`](Self::alltoall) with per-
-    /// destination wire sizes.
-    pub async fn alltoallv<T: Clone + 'static>(&self, v: Vec<T>, bytes: &[u64]) -> Vec<T> {
-        let p = self.size();
-        assert_eq!(v.len(), p, "alltoallv needs one element per rank");
-        assert_eq!(bytes.len(), p);
-        let opid = self.next_op();
-        match self.coll().backend {
-            CollBackend::Analytic => {
-                let total: u64 = bytes.iter().sum();
-                // Build the full matrix once; each rank copies out its
-                // column.
-                let matrix = |contribs: &mut [Option<Vec<T>>]| {
-                    let rows = contribs
-                        .iter_mut()
-                        .map(|c| c.take().expect("missing contribution"));
-                    rows.collect::<Vec<Vec<T>>>()
-                };
-                let column = |m: &Vec<Vec<T>>| m.iter().map(|row| row[self.rank].clone()).collect();
-                let out = self.sync_slot(opid, v, matrix, column).await;
-                sleep(self.cost_alltoall(total)).await;
-                out
-            }
-            CollBackend::Algorithmic => {
-                let tag = self.op_tag(opid, 0);
-                let mut v: Vec<Option<T>> = v.into_iter().map(Some).collect();
-                let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
-                out[self.rank] = v[self.rank].take();
-                let mut reqs = Vec::new();
-                for s in 1..p {
-                    let dst = (self.rank + s) % p;
-                    reqs.push(self.isend(dst, tag, bytes[dst], v[dst].take().unwrap()));
-                }
-                for _ in 1..p {
-                    let m = self.recv(SourceSel::Any, tag).await;
-                    let src = m.src;
-                    out[src] = Some(m.into_data::<T>());
-                }
-                waitall(reqs).await;
-                out.into_iter().map(|x| x.expect("alltoall hole")).collect()
-            }
-        }
-    }
-
     /// `MPI_Alltoall` of one `u64` per rank, the shape of the two-phase
     /// round loop's size dissemination, for a matrix that is almost all
     /// zeroes: `sends` holds this rank's non-zero entries as
@@ -520,13 +467,12 @@ impl Comm {
     /// comes back holding the non-zero entries sent here as
     /// `(source, value)`, ascending by source. A zero value is no entry.
     ///
-    /// * `Algorithmic`: the pairwise exchange of
-    ///   `alltoall(v, bytes_each)` — P−1 messages per rank whatever
-    ///   they carry, same send order, per-message size and matching —
-    ///   with `sreqs` as caller-owned scratch (drained on return), so
+    /// * `Algorithmic`: a pairwise exchange — P−1 messages of
+    ///   `bytes_each` per rank whatever they carry, rank `r` sending to
+    ///   `r+1, r+2, …` in turn — with `sreqs` as caller-owned scratch (drained on return), so
     ///   steady-state rounds touch the allocator zero times.
-    /// * `Analytic`: the same two awaits as `alltoall` (rendezvous,
-    ///   then the `cost_alltoall` sleep of a dense exchange) around
+    /// * `Analytic`: two awaits (rendezvous, then the
+    ///   `cost_alltoall` sleep of a dense exchange) around
     ///   O(sent + received) host work: a rank pushes its entries onto
     ///   the destinations' shared rows on arrival and moves its own row
     ///   out after the rendezvous. Once the communicator has run one
@@ -687,21 +633,6 @@ impl Comm {
     pub async fn split_by_node(&self) -> Comm {
         self.split(self.node() as u32, self.rank() as u64).await
     }
-
-    /// `MPI_Gather` to `root`: returns `Some(vec)` on the root, `None`
-    /// elsewhere.
-    pub async fn gather<T: Clone + 'static>(
-        &self,
-        root: usize,
-        v: T,
-        bytes: u64,
-    ) -> Option<Vec<T>> {
-        // Implemented over allgather: same synchronisation semantics,
-        // slightly pessimistic cost for non-roots (acceptable — ROMIO
-        // uses gather only for small control data).
-        let all = self.allgather(v, bytes).await;
-        (self.rank == root).then(|| Rc::unwrap_or_clone(all))
-    }
 }
 
 #[cfg(test)]
@@ -796,39 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_transposes() {
-        both_backends(|b| {
-            run(async move {
-                let outs = launch(spec(5, b), |comm| async move {
-                    let p = comm.size();
-                    let v: Vec<(usize, usize)> = (0..p).map(|dst| (comm.rank(), dst)).collect();
-                    comm.alltoall(v, 16).await
-                })
-                .await;
-                for (me, row) in outs.into_iter().enumerate() {
-                    for (src, cell) in row.into_iter().enumerate() {
-                        assert_eq!(cell, (src, me), "{b:?}");
-                    }
-                }
-            });
-        });
-    }
-
-    #[test]
-    fn gather_collects_on_root_only() {
-        both_backends(|b| {
-            run(async move {
-                let outs = launch(spec(4, b), |comm| async move {
-                    comm.gather(2, comm.rank() as u32, 4).await
-                })
-                .await;
-                assert!(outs[0].is_none());
-                assert_eq!(outs[2], Some(vec![0, 1, 2, 3]));
-            });
-        });
-    }
-
-    #[test]
     fn analytic_and_algorithmic_costs_agree_in_magnitude() {
         // The analytic model should land within ~4x of the algorithmic
         // implementation for small control collectives.
@@ -861,7 +759,6 @@ mod tests {
                     assert_eq!(comm.bcast(0, Some(5u8), 1).await, 5);
                     assert_eq!(*comm.allgather(1u8, 1).await, [1]);
                     assert_eq!(comm.allreduce(3u8, 1, |a, b| a + b).await, 3);
-                    assert_eq!(comm.alltoall(vec![9u8], 1).await, vec![9]);
                 })
                 .await;
             });

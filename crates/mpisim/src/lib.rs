@@ -23,7 +23,6 @@ pub mod coll;
 pub mod comm;
 pub mod datatype;
 pub mod ft;
-pub mod grequest;
 pub mod info;
 
 use std::future::Future;
@@ -32,7 +31,6 @@ use std::rc::Rc;
 pub use coll::CollBackend;
 pub use comm::{waitall, Comm, Message, Request, SourceSel, Tag};
 pub use datatype::{FileView, FlatType, ViewPiece};
-pub use grequest::{grequest_waitall, Grequest, GrequestCompleter};
 pub use info::Info;
 
 use e10_netsim::{NetConfig, Network, NodeId};

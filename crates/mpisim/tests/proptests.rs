@@ -82,18 +82,12 @@ proptest! {
                             .allreduce(me * salt + 1, 8, |a, c| a.wrapping_add(*c))
                             .await;
                         let gath = comm.allgather(me ^ salt, 8).await;
-                        let a2a = comm
-                            .alltoall(
-                                (0..comm.size() as u64).map(|d| me * 1000 + d).collect(),
-                                8,
-                            )
-                            .await;
                         let b = comm
                             .bcast((p / 2).min(comm.size() - 1), Some(salt).filter(|_| {
                                 comm.rank() == (p / 2).min(comm.size() - 1)
                             }), 8)
                             .await;
-                        (sum, gath, a2a, b)
+                        (sum, gath, b)
                     })
                     .await
                 })

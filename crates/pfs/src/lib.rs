@@ -319,17 +319,15 @@ impl Pfs {
     /// Client side of one I/O RPC submission: ship the request to the
     /// target and, if the server fails it (injected via
     /// `e10_faultsim::rpc_fails`), back off exponentially with jitter
-    /// and retry per `policy` — `(max_retries, retry_base)`, normally
-    /// the [`PfsParams`] defaults unless the handle overrides them.
+    /// and retry per [`PfsParams::max_retries`] and
+    /// [`PfsParams::retry_base`].
     async fn submit_rpc(
         &self,
         client: NodeId,
         target: usize,
         op: &'static str,
         req_bytes: u64,
-        policy: (u32, SimDuration),
     ) -> Result<(), PfsError> {
-        let (max_retries, retry_base) = policy;
         let t = &self.targets[target];
         let mut attempt: u32 = 0;
         loop {
@@ -345,7 +343,7 @@ impl Pfs {
             t.handler.serve(self.params.rpc_overhead).await;
             self.net.transfer(t.node, client, 64).await;
             attempt += 1;
-            if attempt > max_retries {
+            if attempt > self.params.max_retries {
                 return Err(PfsError::RpcExhausted {
                     op,
                     target,
@@ -354,7 +352,8 @@ impl Pfs {
                 });
             }
             let stretch = 1.0 + self.retry_rng.borrow_mut().uniform();
-            let backoff = retry_base.mul_f64((1u64 << (attempt - 1)) as f64 * stretch);
+            let doubling = (1u64 << (attempt - 1)) as f64;
+            let backoff = self.params.retry_base.mul_f64(doubling * stretch);
             trace::emit(|| {
                 Event::new(Layer::Pfs, "rpc.retry", EventKind::Point)
                     .node(client)
@@ -408,7 +407,6 @@ impl Pfs {
             path: path.to_string(),
             state: st,
             epoch: std::cell::Cell::new(0),
-            retry: std::cell::Cell::new(None),
             fence_exempt: std::cell::Cell::new(false),
         }
     }
@@ -428,7 +426,6 @@ impl Pfs {
             path: path.to_string(),
             state: st,
             epoch: std::cell::Cell::new(0),
-            retry: std::cell::Cell::new(None),
             fence_exempt: std::cell::Cell::new(false),
         })
     }
@@ -451,7 +448,6 @@ impl Pfs {
             path: path.to_string(),
             state: st,
             epoch: std::cell::Cell::new(0),
-            retry: std::cell::Cell::new(None),
             fence_exempt: std::cell::Cell::new(false),
         })
     }
@@ -532,9 +528,6 @@ pub struct PfsHandle {
     /// Write epoch this handle stamps on its requests (see
     /// [`PfsFileState::fence`]). Clones inherit the current value.
     epoch: std::cell::Cell<u64>,
-    /// Per-handle retry-policy override (`e10_pfs_max_retries` /
-    /// `e10_pfs_retry_base_us` hints); `None` uses [`PfsParams`].
-    retry: std::cell::Cell<Option<(u32, SimDuration)>>,
     /// Exempt this handle (and its clones) from the write-epoch fence.
     /// Set by the cache layer before spawning sync threads: a cached
     /// byte was acked to the application and its content is stable, so
@@ -547,19 +540,6 @@ impl PfsHandle {
     /// File path.
     pub fn path(&self) -> &str {
         &self.path
-    }
-
-    /// Override the client retry policy for I/O RPCs issued through
-    /// this handle (and handles cloned from it afterwards).
-    pub fn set_retry_policy(&self, max_retries: u32, retry_base: SimDuration) {
-        self.retry.set(Some((max_retries, retry_base)));
-    }
-
-    /// Effective `(max_retries, retry_base)` for this handle.
-    fn retry_policy(&self) -> (u32, SimDuration) {
-        self.retry
-            .get()
-            .unwrap_or((self.pfs.params.max_retries, self.pfs.params.retry_base))
     }
 
     /// The write epoch this handle stamps on its requests.
@@ -705,10 +685,9 @@ impl PfsHandle {
         });
         trace::counter("pfs.write_chunks", 1);
         trace::counter("pfs.write_bytes", chunk.len);
-        let policy = self.retry_policy();
         // Client → server wire transfer (data + header), with retry on
         // injected RPC failures.
-        pfs.submit_rpc(client, chunk.target, "write", chunk.len + 128, policy)
+        pfs.submit_rpc(client, chunk.target, "write", chunk.len + 128)
             .await?;
         // Bulk-payload checksum (as in Lustre's bulk RPC checksums):
         // injected wire corruption is caught by the server, which asks
@@ -728,7 +707,7 @@ impl PfsHandle {
             });
             trace::counter("pfs.wire_retransmits", 1);
             attempts += 1;
-            if attempts > policy.0 + 1 {
+            if attempts > pfs.params.max_retries + 1 {
                 return Err(PfsError::WireChecksum {
                     target: chunk.target,
                     attempts,
@@ -813,8 +792,7 @@ impl PfsHandle {
         });
         trace::counter("pfs.read_chunks", 1);
         trace::counter("pfs.read_bytes", chunk.len);
-        pfs.submit_rpc(client, chunk.target, "read", 128, self.retry_policy())
-            .await?;
+        pfs.submit_rpc(client, chunk.target, "read", 128).await?;
         let unit = self.state.borrow().stripe_unit;
         let lstart = (chunk.dev_offset / unit) * unit;
         let lend = (chunk.dev_offset + chunk.len).div_ceil(unit) * unit;
@@ -1446,14 +1424,19 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_override_changes_the_exhaustion_point() {
+    fn retry_params_set_the_exhaustion_point() {
         run(async {
-            let (_net, pfs) = small_cluster();
+            let net = Rc::new(Network::new(NetConfig::ib_qdr(13), 13));
+            let mut params = PfsParams::deep_er();
+            params.disk.jitter_cv = 0.0;
+            params.max_retries = 1;
+            params.retry_base = SimDuration::from_micros(100);
+            let pfs = Pfs::new(params, Rc::clone(&net), 8, (9..13).collect(), 42);
             let f = pfs.create(0, "/gfs/rp", Striping::default()).await;
-            f.set_retry_policy(1, SimDuration::from_micros(100));
             let _g = e10_faultsim::FaultSchedule::install(
                 e10_faultsim::FaultPlan::new(3).rpc_fail(None, e10_faultsim::always(), 1.0),
             );
+            let t0 = now();
             let err = f
                 .write(0, 0, Payload::gen(1, 0, 4096))
                 .await
@@ -1461,18 +1444,11 @@ mod tests {
             let PfsError::RpcExhausted { attempts, .. } = err else {
                 panic!("unexpected error {err:?}");
             };
-            assert_eq!(attempts, 2, "override allows one retry, not the default 4");
-        });
-    }
-
-    #[test]
-    fn retry_policy_survives_handle_clones() {
-        run(async {
-            let (_net, pfs) = small_cluster();
-            let f = pfs.create(0, "/gfs/rpc2", Striping::default()).await;
-            f.set_retry_policy(0, SimDuration::from_micros(50));
-            let clone = f.clone();
-            assert_eq!(clone.retry_policy(), (0, SimDuration::from_micros(50)));
+            assert_eq!(attempts, 2, "one retry allowed, not the default 4");
+            // One backoff of retry_base, stretched by at most 2x.
+            let elapsed = now().since(t0);
+            assert!(elapsed >= SimDuration::from_micros(100), "{elapsed:?}");
+            assert!(elapsed < SimDuration::from_millis(2), "{elapsed:?}");
         });
     }
 

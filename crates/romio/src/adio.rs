@@ -155,20 +155,6 @@ impl AdioFile {
             }
         };
 
-        // Per-handle PFS retry override (`e10_pfs_max_retries` /
-        // `e10_pfs_retry_base_us`), installed before the cache layer
-        // clones the handle so the sync thread inherits the policy.
-        if hints.e10_pfs_max_retries.is_some() || hints.e10_pfs_retry_base_us.is_some() {
-            let p = ctx.pfs.params();
-            global.set_retry_policy(
-                hints.e10_pfs_max_retries.unwrap_or(p.max_retries),
-                hints
-                    .e10_pfs_retry_base_us
-                    .map(e10_simcore::SimDuration::from_micros)
-                    .unwrap_or(p.retry_base),
-            );
-        }
-
         let cache = if hints.cache_requested() {
             let basename = path.rsplit('/').next().unwrap_or(path);
             let cfg = CacheConfig::from_hints(&hints, basename, comm.rank(), comm.node());

@@ -299,15 +299,6 @@ pub struct RomioHints {
     /// the pre-tolerance behaviour (the determinism anchor relies on
     /// this).
     pub e10_coll_timeout: u64,
-    /// `e10_pfs_max_retries` (extension): client-side retries after a
-    /// failed PFS I/O RPC before the operation surfaces a typed error.
-    /// `None` (the default) uses the file system's own configuration.
-    pub e10_pfs_max_retries: Option<u32>,
-    /// `e10_pfs_retry_base_us` (extension): base client backoff, in
-    /// simulated microseconds, after a failed PFS RPC (doubles per
-    /// attempt, jitter-stretched). `None` (the default) uses the file
-    /// system's own configuration.
-    pub e10_pfs_retry_base_us: Option<u64>,
     /// `e10_trace` (extension): structured-trace destination.
     pub e10_trace: TraceMode,
     /// `e10_trace_path` (extension): directory for `jsonl` traces
@@ -567,11 +558,6 @@ hint_table! {
         Extension("extent count (bound on queued sync extents; 0 = unbounded)");
     "e10_coll_timeout" => e10_coll_timeout = 0, Uint(ANY, "non-negative integer milliseconds"),
         Extension("milliseconds (crash-tolerant collectives; 0 = off)");
-    "e10_pfs_max_retries" => e10_pfs_max_retries = None, Uint(ANY, "non-negative retry count"),
-        Extension("count (client I/O RPC retries; unset = PFS default)");
-    "e10_pfs_retry_base_us" => e10_pfs_retry_base_us = None,
-        Uint(POSITIVE, "positive integer microseconds"),
-        Extension("microseconds (client retry backoff base; unset = PFS default)");
     "e10_trace" => e10_trace = TraceMode::Off, Choice(TraceMode::EXPECTED),
         Extension("off, ring, jsonl (structured-trace destination)");
     "e10_trace_path" => e10_trace_path = "results/traces".to_string(), Path(),
@@ -877,43 +863,20 @@ mod tests {
 
     #[test]
     fn degraded_mode_hints_parse_validate_and_default_off() {
-        let info = Info::from_pairs([
-            ("e10_coll_timeout", "500"),
-            ("e10_pfs_max_retries", "2"),
-            ("e10_pfs_retry_base_us", "750"),
-        ]);
+        let info = Info::from_pairs([("e10_coll_timeout", "500")]);
         let h = RomioHints::parse(&info).unwrap();
         assert_eq!(h.e10_coll_timeout, 500);
-        assert_eq!(h.e10_pfs_max_retries, Some(2));
-        assert_eq!(h.e10_pfs_retry_base_us, Some(750));
 
-        for (k, v) in [
-            ("e10_coll_timeout", "soon"),
-            ("e10_coll_timeout", "-1"),
-            ("e10_pfs_max_retries", "-1"),
-            ("e10_pfs_max_retries", "many"),
-            ("e10_pfs_retry_base_us", "0"),
-            ("e10_pfs_retry_base_us", "2ms"),
-        ] {
-            let info = Info::from_pairs([(k, v)]);
-            assert!(RomioHints::parse(&info).is_err(), "{k}={v} must fail");
+        for v in ["soon", "-1"] {
+            let info = Info::from_pairs([("e10_coll_timeout", v)]);
+            assert!(
+                RomioHints::parse(&info).is_err(),
+                "e10_coll_timeout={v} must fail"
+            );
         }
-        // The typed zero-base rejection matches the string path.
-        let typed = RomioHints {
-            e10_pfs_retry_base_us: Some(0),
-            ..RomioHints::default()
-        };
-        let zero_base = Info::from_pairs([("e10_pfs_retry_base_us", "0")]);
-        assert_eq!(
-            typed.validate().unwrap_err().into_first(),
-            RomioHints::parse(&zero_base).unwrap_err()
-        );
 
-        // Defaults: tolerance off, file-system retry policy untouched.
-        let d = RomioHints::default();
-        assert_eq!(d.e10_coll_timeout, 0);
-        assert_eq!(d.e10_pfs_max_retries, None);
-        assert_eq!(d.e10_pfs_retry_base_us, None);
+        // Default: tolerance off.
+        assert_eq!(RomioHints::default().e10_coll_timeout, 0);
     }
 
     #[test]
@@ -1085,7 +1048,7 @@ mod tests {
                     if (l.get)(&defaults).get().is_none());
             assert_eq!(rendered.iter().any(|(k, _)| k == spec.key), !optional);
         }
-        assert_eq!(HINTS.len(), 34);
+        assert_eq!(HINTS.len(), 32);
     }
 
     /// The numeric kinds ignore surrounding whitespace — all of them,

@@ -97,18 +97,17 @@ fn scenario_info(cache: Cache) -> e10_mpisim::Info {
 
 /// A fixed 8-rank interleaved collective write; `blocks` interleaved
 /// 10 KB blocks per rank (rounds scale with it). Returns rounds.
-/// With `degraded_hints` the three degraded-mode knobs are set
-/// *explicitly at their default values* (`e10_coll_timeout = 0`,
-/// `e10_pfs_max_retries = 4`, `e10_pfs_retry_base_us = 2000`): parsing
-/// and wiring them must not wake any of the tolerance machinery.
+/// With `degraded_hints` the crash-tolerance knob is set *explicitly
+/// at its default value* (`e10_coll_timeout = 0`): parsing and wiring
+/// it must not wake any of the tolerance machinery.
 fn collective_write_scenario(blocks: u64, cache: Cache, degraded_hints: bool) -> u64 {
     let timeout = degraded_hints.then_some("0");
     write_scenario(8, blocks, cache, timeout, CollBackend::Algorithmic)
 }
 
 /// The same write by `procs` ranks, two to a node (so the rounds per
-/// block do not depend on `procs`); `coll_timeout` sets the
-/// degraded-mode knobs with that `e10_coll_timeout`, `backend` is the
+/// block do not depend on `procs`); `coll_timeout` sets
+/// `e10_coll_timeout`, `backend` is the
 /// testbed's collective backend.
 fn write_scenario(
     procs: usize,
@@ -134,8 +133,6 @@ fn write_scenario(
                     let info = scenario_info(cache);
                     if let Some(timeout) = coll_timeout {
                         info.set("e10_coll_timeout", timeout);
-                        info.set("e10_pfs_max_retries", "4");
-                        info.set("e10_pfs_retry_base_us", "2000");
                     }
                     let f = e10_romio::AdioFile::open(&ctx, "/gfs/alloc", &info, true)
                         .await
@@ -466,10 +463,10 @@ fn steady_state_rounds_allocate_nothing() {
     }
 }
 
-/// The same steady-state gate with the degraded-mode hints explicitly
-/// at their defaults: crash tolerance off (`e10_coll_timeout = 0`) and
-/// the PFS retry policy pinned to its built-in values. The tolerance
-/// machinery must add exactly zero allocator calls per round when off.
+/// The same steady-state gate with the degraded-mode hint explicitly
+/// at its default: crash tolerance off (`e10_coll_timeout = 0`). The
+/// tolerance machinery must add exactly zero allocator calls per round
+/// when off.
 #[test]
 fn steady_state_with_tolerance_hints_off_allocates_nothing() {
     install_bt_hook();

@@ -60,8 +60,6 @@ proptest! {
         watermarks in prop::option::of((0u64..101, 0u64..101)),
         two_phase in prop::option::of(sel(&["stock", "extended", "node_agg"])),
         coll_timeout in prop::option::of(0u64..10_000),
-        pfs_max_retries in prop::option::of(0u64..16),
-        pfs_retry_base_us in prop::option::of(1u64..1_000_000),
         cache_class in prop::option::of(sel(&["ssd", "nvm", "hybrid"])),
         nvm_capacity in prop::option::of((0u64..(1 << 12), sel(&["", "k", "K", "m", "M", "g"]))),
         nvm_threshold in prop::option::of((0u64..(1 << 12), sel(&["", "k", "K", "m", "M"]))),
@@ -105,8 +103,6 @@ proptest! {
         set("e10_cache_lowater", watermarks.map(|_| lo.to_string()));
         set("e10_two_phase", two_phase.map(String::from));
         set("e10_coll_timeout", coll_timeout.map(|n| n.to_string()));
-        set("e10_pfs_max_retries", pfs_max_retries.map(|n| n.to_string()));
-        set("e10_pfs_retry_base_us", pfs_retry_base_us.map(|n| n.to_string()));
         set("e10_cache_class", cache_class.map(String::from));
         set("e10_nvm_capacity", nvm_capacity.map(|(n, s)| size_str(n, s)));
         set("e10_nvm_threshold", nvm_threshold.map(|(n, s)| size_str(n, s)));
@@ -147,8 +143,6 @@ proptest! {
                 ("e10_nvm_threshold", "-1"),
                 ("e10_trace", "loud"),
                 ("e10_coll_timeout", "soon"),
-                ("e10_pfs_max_retries", "-1"),
-                ("e10_pfs_retry_base_us", "0"),
             ]),
             1..7,
         ),

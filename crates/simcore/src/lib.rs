@@ -64,7 +64,7 @@ pub use pool::{run_jobs, run_jobs_on, worker_threads, Job};
 pub use resource::{FairShare, FifoServer};
 pub use rng::{Jitter, SimRng};
 pub use stats::{LogHistogram, Tally};
-pub use sync::{Barrier, Flag, Semaphore, SemaphoreGuard};
+pub use sync::{Flag, Semaphore, SemaphoreGuard};
 pub use time::{transfer_time, SimDuration, SimTime};
 
 #[cfg(test)]

@@ -250,83 +250,6 @@ impl Drop for SemaphoreGuard {
     }
 }
 
-/// A reusable rendezvous barrier for a fixed party count.
-///
-/// The `n`-th arriving task releases everyone; the barrier then resets for
-/// the next generation, so it can be used in loops.
-#[derive(Clone)]
-pub struct Barrier {
-    inner: Rc<RefCell<BarrierState>>,
-    parties: usize,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    waiters: Vec<Waker>,
-}
-
-impl Barrier {
-    /// Create a barrier for `parties` tasks. `parties` must be > 0.
-    pub fn new(parties: usize) -> Self {
-        assert!(parties > 0, "Barrier requires at least one party");
-        Barrier {
-            inner: Rc::new(RefCell::new(BarrierState {
-                arrived: 0,
-                generation: 0,
-                waiters: Vec::new(),
-            })),
-            parties,
-        }
-    }
-
-    /// Arrive and wait for all parties. Returns `true` for the task that
-    /// tripped the barrier (the "leader" of this generation).
-    pub async fn wait(&self) -> bool {
-        let (gen, leader) = {
-            let mut st = self.inner.borrow_mut();
-            st.arrived += 1;
-            if st.arrived == self.parties {
-                st.arrived = 0;
-                st.generation += 1;
-                for w in st.waiters.drain(..) {
-                    w.wake();
-                }
-                (st.generation, true)
-            } else {
-                (st.generation, false)
-            }
-        };
-        if !leader {
-            BarrierWait {
-                inner: self.inner.clone(),
-                generation: gen,
-            }
-            .await;
-        }
-        leader
-    }
-}
-
-struct BarrierWait {
-    inner: Rc<RefCell<BarrierState>>,
-    generation: u64,
-}
-
-impl Future for BarrierWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.inner.borrow_mut();
-        if st.generation != self.generation {
-            Poll::Ready(())
-        } else {
-            st.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,30 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_releases_all_and_reuses() {
-        run(async {
-            let bar = Barrier::new(4);
-            let mut hs = Vec::new();
-            for i in 0..4u64 {
-                let bar = bar.clone();
-                hs.push(spawn(async move {
-                    for round in 0..3u64 {
-                        sleep(SimDuration::from_secs(i + 1)).await;
-                        bar.wait().await;
-                        // Everyone leaves the barrier at the time the
-                        // slowest participant arrived.
-                        assert_eq!(now().as_secs_f64() % 4.0, 0.0, "round {round}");
-                    }
-                }));
-            }
-            for h in hs {
-                h.await;
-            }
-            assert_eq!(now().as_secs_f64(), 12.0);
-        });
-    }
-
-    #[test]
     fn killed_semaphore_waiter_leaks_nothing() {
         run(async {
             let sem = Semaphore::new(1);
@@ -517,28 +416,5 @@ mod tests {
             let t = small.await;
             assert_eq!(t, 2.0, "small request must be granted when head dies");
         });
-    }
-
-    #[test]
-    fn barrier_reports_exactly_one_leader() {
-        let leaders = run(async {
-            let bar = Barrier::new(3);
-            let mut hs = Vec::new();
-            for i in 0..3u64 {
-                let bar = bar.clone();
-                hs.push(spawn(async move {
-                    sleep(SimDuration::from_secs(i)).await;
-                    bar.wait().await
-                }));
-            }
-            let mut n = 0;
-            for h in hs {
-                if h.await {
-                    n += 1;
-                }
-            }
-            n
-        });
-        assert_eq!(leaders, 1);
     }
 }

@@ -543,6 +543,14 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The counter `name`, or 0 if the run never bumped it.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
     /// Render as aligned text (for bench binaries' stdout reports).
     pub fn render(&self) -> String {
         let mut s = String::new();

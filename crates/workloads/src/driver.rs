@@ -16,7 +16,7 @@
 
 use std::rc::Rc;
 
-use e10_mpisim::Info;
+use e10_mpisim::{FileView, Info};
 use e10_romio::bwmodel::{total_bandwidth, PhaseMeasure};
 use e10_romio::{
     write_at_all, AdioFile, Breakdown, DataSpec, IoCtx, Phase, Profiler, Testbed, TraceMode,
@@ -214,7 +214,10 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
     let pfs = Rc::clone(&tb.pfs);
     let localfs = Rc::clone(&tb.localfs);
     let nvmfs = Rc::clone(&tb.nvmfs);
-    let cfg_shared = Rc::new(cfg.clone());
+    let cfg_shared = Rc::new(RunConfig {
+        hints,
+        ..cfg.clone()
+    });
 
     let per_rank = tb
         .world
@@ -227,108 +230,17 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
             };
             let wl = Rc::clone(&workload);
             let cfg = Rc::clone(&cfg_shared);
-            let hints = hints.clone();
             async move {
-                let rank = ctx.comm.rank();
-                let views = wl.writes(rank);
-                let mut prev: Option<AdioFile> = None;
-                let mut phases: Vec<(u64, f64)> = Vec::new();
-                let mut not_hidden = vec![0.0f64; cfg.files];
-                let rank_prof = Profiler::new();
-                let mut is_agg = false;
-                let mut jitter = e10_simcore::rng::Jitter::new(
-                    e10_simcore::SimRng::stream(0xC0FFEE, rank as u64),
-                    cfg.compute_jitter_cv,
-                );
-
-                for k in 0..cfg.files {
-                    // Fig. 3: close file k-1 right before opening file k.
-                    if let Some(f) = prev.take() {
-                        let t0 = now();
-                        f.close().await;
-                        not_hidden[k - 1] = now().since(t0).as_secs_f64();
-                        let p = f.profiler();
-                        p.take(Phase::FlushWait); // re-attributed:
-                        p.add(
-                            Phase::NotHiddenSync,
-                            SimDuration::from_secs_f64(not_hidden[k - 1]),
-                        );
-                        rank_prof.merge_from(p);
-                    }
-                    // T_c is measured from when THIS rank becomes
-                    // ready: under compute jitter the collective's
-                    // synchronisation absorbs the arrival spread and
-                    // it shows up in the perceived write time, as on a
-                    // real machine.
-                    let t0 = now();
-                    ctx.comm.barrier().await;
-                    e10_simcore::trace::emit(|| {
-                        e10_simcore::trace::Event::new(
-                            e10_simcore::trace::Layer::Workload,
-                            "io_phase",
-                            e10_simcore::trace::EventKind::Begin,
-                        )
-                        .rank(rank)
-                        .field("file", k)
-                    });
-                    let path = format!("{}.{k}", cfg.path_prefix);
-                    let fd = AdioFile::open(&ctx, &path, &hints, true)
-                        .await
-                        .expect("collective open failed");
-                    is_agg = fd.my_agg_index().is_some();
-                    let mut bytes = 0;
-                    for view in &views {
-                        let r = write_at_all(
-                            &fd,
-                            view,
-                            &DataSpec::FileGen {
-                                seed: cfg.seed_base + k as u64,
-                            },
-                        )
-                        .await;
-                        bytes += r.bytes;
-                    }
-                    phases.push((bytes, now().since(t0).as_secs_f64()));
-                    e10_simcore::trace::emit(|| {
-                        e10_simcore::trace::Event::new(
-                            e10_simcore::trace::Layer::Workload,
-                            "io_phase",
-                            e10_simcore::trace::EventKind::End,
-                        )
-                        .rank(rank)
-                        .field("file", k)
-                        .field("bytes", bytes)
-                    });
-                    if k + 1 < cfg.files {
-                        // The compute phase C(k+1): background sync of
-                        // file k proceeds meanwhile. Per-rank jitter
-                        // staggers the arrivals at phase k+1.
-                        sleep(cfg.compute_delay.mul_f64(jitter.sample())).await;
-                    }
-                    prev = Some(fd);
-                }
-                // Final close: nothing left to hide behind.
-                if let Some(f) = prev.take() {
-                    let t0 = now();
-                    f.close().await;
-                    let wait = now().since(t0).as_secs_f64();
-                    let p = f.profiler();
-                    p.take(Phase::FlushWait);
-                    if cfg.include_last_sync {
-                        not_hidden[cfg.files - 1] = wait;
-                        p.add(Phase::NotHiddenSync, SimDuration::from_secs_f64(wait));
-                    }
-                    rank_prof.merge_from(p);
-                }
-                (phases, not_hidden, rank_prof, is_agg)
+                let views = wl.writes(ctx.comm.rank());
+                write_files(&ctx, &views, &cfg).await
             }
         })
         .await;
 
-    let (phase_times, not_hidden, _, _) = &per_rank[0];
-    let phases: Vec<PhaseOutcome> = phase_times
+    let phases: Vec<PhaseOutcome> = per_rank[0]
+        .phases
         .iter()
-        .zip(not_hidden)
+        .zip(&per_rank[0].not_hidden)
         .map(|(&(_, t_c), &nh)| PhaseOutcome {
             bytes: file_bytes,
             t_c,
@@ -346,25 +258,17 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         })
         .collect();
     let bandwidth = total_bandwidth(&measures);
-    let profs: Vec<Profiler> = per_rank.iter().map(|(_, _, p, _)| p.clone()).collect();
+    let profs: Vec<Profiler> = per_rank.iter().map(|r| r.prof.clone()).collect();
     let breakdown = Breakdown::from_profilers(&profs);
     let agg_profs: Vec<Profiler> = per_rank
         .iter()
-        .filter(|(_, _, _, is_agg)| *is_agg)
-        .map(|(_, _, p, _)| p.clone())
+        .filter(|r| r.is_agg)
+        .map(|r| r.prof.clone())
         .collect();
     let breakdown_aggs = Breakdown::from_profilers(&agg_profs);
 
     if cfg.verify {
-        for k in 0..cfg.files {
-            let path = format!("{}.{k}", cfg.path_prefix);
-            let ext = tb
-                .pfs
-                .file_extents(&path)
-                .unwrap_or_else(|| panic!("file {path} missing after run"));
-            ext.verify_gen(cfg.seed_base + k as u64, 0, file_bytes)
-                .unwrap_or_else(|e| panic!("verification of {path} failed: {e}"));
-        }
+        verify_files(tb, cfg, file_bytes);
     }
 
     let (metrics_snap, trace_report) = if trace_guard.is_some() {
@@ -403,5 +307,142 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         metrics: metrics_snap,
         trace: trace_report,
         faults_injected,
+    }
+}
+
+/// What one rank's pass through the Fig.-3 loop measured.
+pub(crate) struct RankPhases {
+    /// Per file: the bytes this rank wrote and its `T_c(k)`, seconds.
+    pub(crate) phases: Vec<(u64, f64)>,
+    /// Per file: the close wait charged as not hidden, seconds.
+    pub(crate) not_hidden: Vec<f64>,
+    /// The rank's phase costs over every file.
+    pub(crate) prof: Profiler,
+    /// Whether the rank aggregated the last file.
+    pub(crate) is_agg: bool,
+    /// The first non-zero collective-write error code, or 0.
+    pub(crate) error_code: u32,
+}
+
+/// One rank's Fig.-3 loop: for each of `cfg.files` files, close the
+/// previous file, open `<prefix>.<k>` with `cfg.hints`, write every
+/// view of `views` collectively from file `k`'s generator, then compute
+/// for `cfg.compute_delay` (jittered per rank) while the file's sync
+/// runs in the background; close the last file at the end.
+pub(crate) async fn write_files(ctx: &IoCtx, views: &[FileView], cfg: &RunConfig) -> RankPhases {
+    let rank = ctx.comm.rank();
+    let mut prev: Option<AdioFile> = None;
+    let mut phases: Vec<(u64, f64)> = Vec::new();
+    let mut not_hidden = vec![0.0f64; cfg.files];
+    let rank_prof = Profiler::new();
+    let mut is_agg = false;
+    let mut error_code = 0;
+    let mut jitter = e10_simcore::rng::Jitter::new(
+        e10_simcore::SimRng::stream(0xC0FFEE, rank as u64),
+        cfg.compute_jitter_cv,
+    );
+
+    for k in 0..cfg.files {
+        // Fig. 3: close file k-1 right before opening file k.
+        if let Some(f) = prev.take() {
+            let t0 = now();
+            f.close().await;
+            not_hidden[k - 1] = now().since(t0).as_secs_f64();
+            let p = f.profiler();
+            p.take(Phase::FlushWait); // re-attributed:
+            p.add(
+                Phase::NotHiddenSync,
+                SimDuration::from_secs_f64(not_hidden[k - 1]),
+            );
+            rank_prof.merge_from(p);
+        }
+        // T_c is measured from when THIS rank becomes ready: under
+        // compute jitter the collective's synchronisation absorbs the
+        // arrival spread and it shows up in the perceived write time,
+        // as on a real machine.
+        let t0 = now();
+        ctx.comm.barrier().await;
+        e10_simcore::trace::emit(|| {
+            e10_simcore::trace::Event::new(
+                e10_simcore::trace::Layer::Workload,
+                "io_phase",
+                e10_simcore::trace::EventKind::Begin,
+            )
+            .rank(rank)
+            .field("file", k)
+        });
+        let path = format!("{}.{k}", cfg.path_prefix);
+        let fd = AdioFile::open(ctx, &path, &cfg.hints, true)
+            .await
+            .expect("collective open failed");
+        is_agg = fd.my_agg_index().is_some();
+        let mut bytes = 0;
+        for view in views {
+            let r = write_at_all(
+                &fd,
+                view,
+                &DataSpec::FileGen {
+                    seed: cfg.seed_base + k as u64,
+                },
+            )
+            .await;
+            bytes += r.bytes;
+            if error_code == 0 {
+                error_code = r.error_code;
+            }
+        }
+        phases.push((bytes, now().since(t0).as_secs_f64()));
+        e10_simcore::trace::emit(|| {
+            e10_simcore::trace::Event::new(
+                e10_simcore::trace::Layer::Workload,
+                "io_phase",
+                e10_simcore::trace::EventKind::End,
+            )
+            .rank(rank)
+            .field("file", k)
+            .field("bytes", bytes)
+        });
+        if k + 1 < cfg.files {
+            // The compute phase C(k+1): background sync of file k
+            // proceeds meanwhile. Per-rank jitter staggers the arrivals
+            // at phase k+1.
+            sleep(cfg.compute_delay.mul_f64(jitter.sample())).await;
+        }
+        prev = Some(fd);
+    }
+    // Final close: nothing left to hide behind.
+    if let Some(f) = prev.take() {
+        let t0 = now();
+        f.close().await;
+        let wait = now().since(t0).as_secs_f64();
+        let p = f.profiler();
+        p.take(Phase::FlushWait);
+        if cfg.include_last_sync {
+            not_hidden[cfg.files - 1] = wait;
+            p.add(Phase::NotHiddenSync, SimDuration::from_secs_f64(wait));
+        }
+        rank_prof.merge_from(p);
+    }
+    RankPhases {
+        phases,
+        not_hidden,
+        prof: rank_prof,
+        is_agg,
+        error_code,
+    }
+}
+
+/// Check that each of `cfg`'s files on `tb`'s PFS holds exactly
+/// `file_bytes` of its generator's bytes. Panics on a missing file or
+/// a mismatch.
+pub(crate) fn verify_files(tb: &Testbed, cfg: &RunConfig, file_bytes: u64) {
+    for k in 0..cfg.files {
+        let path = format!("{}.{k}", cfg.path_prefix);
+        let ext = tb
+            .pfs
+            .file_extents(&path)
+            .unwrap_or_else(|| panic!("file {path} missing after run"));
+        ext.verify_gen(cfg.seed_base + k as u64, 0, file_bytes)
+            .unwrap_or_else(|e| panic!("verification of {path} failed: {e}"));
     }
 }

@@ -272,11 +272,7 @@ mod tests {
             cfg.hints.set("e10_trace", "ring");
             let out = run_workload(&tb, Rc::clone(&w) as Rc<dyn Workload>, &cfg).await;
             let metrics = out.metrics.expect("ring mode records metrics");
-            let cached = metrics
-                .counters
-                .iter()
-                .find(|(k, _)| *k == "cache.bytes_cached")
-                .map_or(0, |(_, v)| *v);
+            let cached = metrics.counter("cache.bytes_cached");
             let total = w.file_size() * cfg.files as u64;
             assert!(cached > 0, "cache must absorb extents before filling");
             assert!(

@@ -23,12 +23,12 @@
 
 use std::rc::Rc;
 
-use e10_mpisim::{FileView, FlatType, Info};
-use e10_romio::{
-    write_at_all, AdioFile, CacheMode, DataSpec, FlushFlag, IoCtx, RomioHints, TestbedSpec,
-};
+use e10_mpisim::{FileView, FlatType};
+use e10_romio::{CacheMode, FlushFlag, IoCtx, RomioHints, TestbedSpec};
 use e10_simcore::trace::{install_with_metrics, MetricsRegistry, MetricsSnapshot, RingSink};
 use e10_simcore::{now, sleep, SimDuration};
+
+use crate::driver::{verify_files, write_files, RunConfig};
 
 /// Shape of one multi-job run. Plain data (`Clone + Send`) so the
 /// bench binary can build specs inside worker-pool job closures.
@@ -106,20 +106,13 @@ impl MultiJobSpec {
         self.jobs * self.procs_per_job
     }
 
-    /// Global-file path of job `job`, file `k`. The basename
-    /// (`job<j>.<k>`) makes `job<j>` the arbiter's job family.
-    pub fn path(&self, job: usize, k: usize) -> String {
-        format!("/gfs/mj/job{job}.{k}")
-    }
-
-    /// Generator seed of job `job`, file `k`.
-    pub fn seed(&self, job: usize, k: usize) -> u64 {
-        self.seed_base + 100 * job as u64 + k as u64
-    }
-
-    /// MPI-IO hints every job opens its files with, set as typed fields
-    /// and validated so the watermark checks apply.
-    pub fn hints(&self) -> Info {
+    /// The run configuration of job `job`: its files are
+    /// `/gfs/mj/job<j>.<k>` (the basename stem `job<j>` is the
+    /// arbiter's job family), file `k` is generated from
+    /// `seed_base + 100*j + k`, and every file is opened with the
+    /// cache hints below, set as typed fields and validated so the
+    /// watermark checks apply.
+    pub fn run_config(&self, job: usize) -> RunConfig {
         let hints = RomioHints {
             e10_cache: CacheMode::Enable,
             e10_cache_flush_flag: FlushFlag::FlushImmediate,
@@ -130,7 +123,12 @@ impl MultiJobSpec {
             ..RomioHints::default()
         };
         hints.validate().expect("multi-job hints must validate");
-        hints.to_info()
+        RunConfig {
+            files: self.files_per_job,
+            compute_delay: self.compute_delay,
+            seed_base: self.seed_base + 100 * job as u64,
+            ..RunConfig::paper(hints.to_info(), &format!("/gfs/mj/job{job}"))
+        }
     }
 }
 
@@ -170,13 +168,6 @@ pub struct MultiJobOutcome {
     pub bytes_cached: u64,
     /// Full counter snapshot for anything else a caller wants.
     pub metrics: MetricsSnapshot,
-}
-
-fn counter(m: &MetricsSnapshot, name: &str) -> u64 {
-    m.counters
-        .iter()
-        .find(|(k, _)| *k == name)
-        .map_or(0, |(_, v)| *v)
 }
 
 /// Run the multi-job workload in its own simulation and return the
@@ -224,43 +215,15 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
                     };
                     sleep(sp.stagger * job as u64).await;
                     let t0 = now();
-                    let hints = sp.hints();
                     let block = sp.file_bytes / sp.procs_per_job as u64;
                     let view =
                         FileView::new(&FlatType::contiguous(block), ctx.comm.rank() as u64 * block);
-                    let mut bytes = 0u64;
-                    let mut prev: Option<AdioFile> = None;
-                    for k in 0..sp.files_per_job {
-                        // Fig. 3: close file k-1 at the start of phase
-                        // k, so its sync hid behind the compute delay
-                        // — and its extents stay cache-resident (and
-                        // evictable) through the contention window.
-                        if let Some(f) = prev.take() {
-                            f.close().await;
-                        }
-                        ctx.comm.barrier().await;
-                        let path = sp.path(job, k);
-                        let fd = AdioFile::open(&ctx, &path, &hints, true)
-                            .await
-                            .expect("collective open failed");
-                        let r = write_at_all(
-                            &fd,
-                            &view,
-                            &DataSpec::FileGen {
-                                seed: sp.seed(job, k),
-                            },
-                        )
-                        .await;
-                        assert_eq!(r.error_code, 0, "collective write failed");
-                        bytes += r.bytes;
-                        if k + 1 < sp.files_per_job {
-                            sleep(sp.compute_delay).await;
-                        }
-                        prev = Some(fd);
-                    }
-                    if let Some(f) = prev.take() {
-                        f.close().await;
-                    }
+                    // The deferred close keeps file k's extents
+                    // cache-resident (and evictable) through the
+                    // contention window of phase k+1.
+                    let r = write_files(&ctx, &[view], &sp.run_config(job)).await;
+                    assert_eq!(r.error_code, 0, "collective write failed");
+                    let bytes = r.phases.iter().map(|&(b, _)| b).sum::<u64>();
                     (job, bytes, now().since(t0).as_secs_f64())
                 }
             })
@@ -270,15 +233,7 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
         // generator — contention may change *where* bytes travelled,
         // never what arrived.
         for job in 0..spec.jobs {
-            for k in 0..spec.files_per_job {
-                let path = spec.path(job, k);
-                let ext = tb
-                    .pfs
-                    .file_extents(&path)
-                    .unwrap_or_else(|| panic!("file {path} missing after run"));
-                ext.verify_gen(spec.seed(job, k), 0, spec.file_bytes)
-                    .unwrap_or_else(|e| panic!("verification of {path} failed: {e}"));
-            }
+            verify_files(&tb, &spec.run_config(job), spec.file_bytes);
         }
 
         let mut jobs: Vec<JobOutcome> = (0..spec.jobs)
@@ -310,12 +265,12 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
         MultiJobOutcome {
             jobs,
             wall_secs: now().as_secs_f64(),
-            admitted: counter(&snap, "cache.admit"),
-            refused: counter(&snap, "cache.admit_refused"),
-            evicted: counter(&snap, "cache.evict_pressure"),
-            degrades: counter(&snap, "cache.degrade"),
-            fair_grants: counter(&snap, "flush.fair_share"),
-            bytes_cached: counter(&snap, "cache.bytes_cached"),
+            admitted: snap.counter("cache.admit"),
+            refused: snap.counter("cache.admit_refused"),
+            evicted: snap.counter("cache.evict_pressure"),
+            degrades: snap.counter("cache.degrade"),
+            fair_grants: snap.counter("flush.fair_share"),
+            bytes_cached: snap.counter("cache.bytes_cached"),
             metrics: snap,
         }
     })

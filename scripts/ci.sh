@@ -69,6 +69,9 @@
 #      Worker-count independence is a test in step 2:
 #      crates/bench/tests/determinism.rs runs every gate at smoke scale
 #      at 1 and 8 workers and compares the documents minus "host".
+#      Then `scripts/results.sh --check multi_job`: the paper-scale
+#      multi_job output against the committed results/multi_job.txt
+#      (under a second)
 #   6. repo-benchmark smoke: builds the standalone `benchmark/` crate
 #      against this tree (so a rename in crates/ cannot break it
 #      unnoticed) and runs all five workloads at 8 ranks; its
@@ -79,7 +82,8 @@
 # Not run here (each takes minutes and gates nothing in this file):
 #   scripts/results.sh [--check]   # rewrite (or diff, exit 1 on drift)
 #      every results/<bin>.txt from <bin> at its default scale,
-#      ignoring host_secs= lines; about 110 s on 2 CPUs
+#      ignoring host_secs= lines; about 110 s on 2 CPUs (step 5 checks
+#      only multi_job's)
 # Only syntax-checked (`bash -n`, with the formatting step): it gates
 # nothing and takes a workload's run time.
 #   scripts/profile.sh <workload> [seconds]   # host profile of one
@@ -162,6 +166,7 @@ gates() {
   done
 }
 step gates
+step scripts/results.sh --check multi_job
 
 step bash benchmark/run.sh --smoke
 

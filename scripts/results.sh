@@ -3,8 +3,9 @@
 # is the standard output of the bench binary <bin> at its default
 # (paper) scale.
 #
-#   scripts/results.sh           # rewrite every results/*.txt
-#   scripts/results.sh --check   # diff each against a fresh run; exit 1 on drift
+#   scripts/results.sh                     # rewrite every results/*.txt
+#   scripts/results.sh --check             # diff each against a fresh run; exit 1 on drift
+#   scripts/results.sh [--check] BIN...    # only results/BIN.txt for each BIN
 #
 # The comparison ignores only `host_secs=` lines (host wall time, which
 # no two runs share). The seconds each file took are printed, then the
@@ -13,15 +14,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+usage() {
+  echo "usage: scripts/results.sh [--check] [BIN...]" >&2
+  exit 2
+}
+
 check=0
-case "${1-}" in
-  --check) check=1 ;;
-  "") ;;
-  *)
-    echo "usage: scripts/results.sh [--check]" >&2
-    exit 2
-    ;;
-esac
+if [ "${1-}" = --check ]; then
+  check=1
+  shift
+fi
+files=()
+for bin in "$@"; do
+  [[ $bin != -* && -f results/$bin.txt ]] || usage
+  files+=("results/$bin.txt")
+done
+if [ ${#files[@]} -eq 0 ]; then
+  files=(results/*.txt)
+fi
 
 cargo build -q --release -p e10-bench --bins
 tmp=$(mktemp -d)
@@ -31,7 +41,7 @@ strip() { grep -v '^host_secs=' "$1" || true; }
 
 drift=0
 t_all=$SECONDS
-for file in results/*.txt; do
+for file in "${files[@]}"; do
   bin=$(basename "$file" .txt)
   t=$SECONDS
   if ! "target/release/$bin" >"$tmp/out" 2>"$tmp/err"; then

@@ -118,15 +118,9 @@ fn crash_run_emits_fault_and_recovery_telemetry() {
         assert!(spans.contains("fault.injected"), "got {spans:?}");
         assert!(spans.contains("cache.recovered"), "got {spans:?}");
         let snap = metrics.snapshot();
-        let counter = |k: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| *n == k)
-                .map_or(0, |&(_, v)| v)
-        };
-        assert!(counter("faultsim.injected") >= 1);
-        assert!(counter("cache.recoveries") >= 1);
-        assert!(counter("cache.recovered_bytes") > 0);
+        assert!(snap.counter("faultsim.injected") >= 1);
+        assert!(snap.counter("cache.recoveries") >= 1);
+        assert!(snap.counter("cache.recovered_bytes") > 0);
     });
 }
 

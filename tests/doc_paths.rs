@@ -1,0 +1,70 @@
+//! The prose documents name only source files that exist: every
+//! backticked `*.rs` path in README.md, DESIGN.md and EXPERIMENTS.md
+//! must be the tail of a file in the tree (`coll.rs`,
+//! `tests/perturbation.rs` and `crates/romio/src/hints.rs` all resolve).
+//! Paths into the standard library (`std/`, `alloc/`, `core/`) are
+//! exempt.
+
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under `dir`, as `/`-separated paths relative to
+/// `root`, skipping build output and hidden directories.
+fn rust_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy();
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                rust_files(root, &path, out);
+            }
+        } else if name.ends_with(".rs") {
+            let rel = path.strip_prefix(root).unwrap();
+            out.push(rel.to_string_lossy().replace('\\', "/"));
+        }
+    }
+}
+
+/// The single-line code spans of `text` that look like a Rust source
+/// path: no whitespace, ending in `.rs`.
+fn rs_spans(text: &str) -> Vec<&str> {
+    let mut spans = Vec::new();
+    for line in text.lines() {
+        let parts: Vec<&str> = line.split('`').collect();
+        // Odd parts are inside a span; the last part of a line with an
+        // odd number of backticks is an unclosed one.
+        for (i, part) in parts.iter().enumerate() {
+            let closed = i % 2 == 1 && i + 1 < parts.len();
+            if closed && part.ends_with(".rs") && !part.contains(char::is_whitespace) {
+                spans.push(*part);
+            }
+        }
+    }
+    spans
+}
+
+#[test]
+fn backticked_rust_paths_in_the_docs_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root, &root, &mut files);
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for span in rs_spans(&text) {
+            if ["std/", "alloc/", "core/"]
+                .iter()
+                .any(|p| span.starts_with(p))
+            {
+                continue;
+            }
+            checked += 1;
+            let tail = format!("/{span}");
+            if !files.iter().any(|f| f == span || f.ends_with(&tail)) {
+                missing.push(format!("{doc}: `{span}`"));
+            }
+        }
+    }
+    assert!(checked > 0, "no backticked .rs paths found");
+    assert!(missing.is_empty(), "docs name missing files: {missing:#?}");
+}

@@ -148,21 +148,15 @@ fn sweep() -> Sweep {
             })
             .collect();
         let snap = metrics.snapshot();
-        let counter = |k: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| *n == k)
-                .map_or(0, |(_, v)| *v)
-        };
         Sweep {
             fired: t.fired,
             digest: t.digest,
             injected: injected_count(),
             events,
             counters: [
-                counter("faultsim.injected"),
-                counter("fault.device_fail"),
-                counter("fault.sync_thread_kill"),
+                snap.counter("faultsim.injected"),
+                snap.counter("fault.device_fail"),
+                snap.counter("fault.sync_thread_kill"),
             ],
         }
     })

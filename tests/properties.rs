@@ -504,7 +504,6 @@ proptest! {
         prop_assert!(h.cb_buffer_size > 0 && h.ind_wr_buffer_size > 0);
         prop_assert!(h.cb_nodes != Some(0) && h.cb_config_max_per_node != Some(0));
         prop_assert!(h.striping_factor != Some(0) && h.striping_unit != Some(0));
-        prop_assert!(h.e10_pfs_retry_base_us != Some(0));
         prop_assert!(h.e10_cache_hiwater <= 100 && h.e10_cache_lowater <= 100);
         prop_assert!(h.watermarks().is_none_or(|(hi, lo)| lo <= hi));
         prop_assert!(!h.e10_cache_path.is_empty() && !h.e10_trace_path.is_empty());
