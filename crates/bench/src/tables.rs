@@ -147,7 +147,7 @@ mod tests {
             ]
         );
         assert_eq!(keys(&table2).last(), Some(&"ind_wr_buffer_size"));
-        assert_eq!((table2.len(), extensions.len()), (5, 21));
+        assert_eq!((table2.len(), extensions.len()), (5, 20));
         for spec in HINTS {
             let listed = [&table1, &table2, &extensions]
                 .iter()

@@ -1,7 +1,7 @@
 //! # e10-netsim
 //!
-//! Cluster interconnect model for the E10 reproduction: an
-//! InfiniBand-like fat-tree abstracted to per-node NIC resources plus a
+//! Cluster interconnect model for the E10 reproduction: one flat,
+//! InfiniBand-like switch abstracted to per-node NIC resources plus a
 //! shared switch-core (bisection) resource, with LogGP-style per-message
 //! latency and software overhead.
 //!
@@ -16,68 +16,11 @@
 //! memory bus resource instead (the paper's point (e): collective I/O
 //! stresses node memory bandwidth during the shuffle).
 
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
-
-use e10_simcore::resource::FsServe;
 use e10_simcore::trace::{self, Event, EventKind, Layer};
-use e10_simcore::{FairShare, SimDuration};
-
-/// Inline join over the (at most five) bandwidth streams a transfer
-/// occupies concurrently: TX NIC, RX NIC, switch core and the two leaf
-/// uplinks. Replaces one spawned task per stream + `join_all`: the
-/// serve futures are polled in place from the transfer's own task, so
-/// a message costs no heap allocation and no task churn. Streams
-/// register with their resources in push order at the first poll —
-/// the same order the spawned couriers used to register in.
-#[derive(Default)]
-struct StreamJoin {
-    streams: [Option<FsServe>; 5],
-    len: usize,
-}
-
-impl StreamJoin {
-    fn push(&mut self, f: FsServe) {
-        self.streams[self.len] = Some(f);
-        self.len += 1;
-    }
-}
-
-impl Future for StreamJoin {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        let mut pending = false;
-        for slot in this.streams[..this.len].iter_mut() {
-            if let Some(f) = slot {
-                match Pin::new(f).poll(cx) {
-                    Poll::Ready(()) => *slot = None,
-                    Poll::Pending => pending = true,
-                }
-            }
-        }
-        if pending {
-            Poll::Pending
-        } else {
-            Poll::Ready(())
-        }
-    }
-}
+use e10_simcore::{FairShare, FixedJoin, SimDuration};
 
 /// Index of a node in the cluster.
 pub type NodeId = usize;
-
-/// Optional two-level fat-tree: groups of nodes hang off leaf switches
-/// whose uplinks to the core can be oversubscribed.
-#[derive(Debug, Clone)]
-pub struct LeafConfig {
-    /// Nodes per leaf switch.
-    pub nodes_per_leaf: usize,
-    /// Per-leaf uplink bandwidth to the core, bytes/s, each direction.
-    pub uplink_bw: f64,
-}
 
 /// Fabric and node parameters.
 #[derive(Debug, Clone)]
@@ -94,8 +37,6 @@ pub struct NetConfig {
     /// Per-node memory-copy bandwidth in bytes/s for intra-node
     /// transfers and buffer packing.
     pub mem_bw: f64,
-    /// Two-level topology (None = one flat, non-blocking switch).
-    pub leaf: Option<LeafConfig>,
 }
 
 impl NetConfig {
@@ -108,7 +49,6 @@ impl NetConfig {
             node_bw: 3.2e9,
             bisection_bw: 3.2e9 * (nodes as f64 / 2.0).max(1.0),
             mem_bw: 6.0e9,
-            leaf: None,
         }
     }
 }
@@ -120,40 +60,18 @@ pub struct Network {
     rx: Vec<FairShare>,
     core: FairShare,
     mem: Vec<FairShare>,
-    /// Per-leaf (uplink, downlink) resources when a two-level topology
-    /// is configured.
-    leaves: Vec<(FairShare, FairShare)>,
 }
 
 impl Network {
     /// Build a fabric connecting `nodes` nodes.
     pub fn new(cfg: NetConfig, nodes: usize) -> Self {
         assert!(nodes > 0);
-        let leaves = match &cfg.leaf {
-            Some(l) => {
-                assert!(l.nodes_per_leaf > 0);
-                let n_leaves = nodes.div_ceil(l.nodes_per_leaf);
-                (0..n_leaves)
-                    .map(|_| (FairShare::new(l.uplink_bw), FairShare::new(l.uplink_bw)))
-                    .collect()
-            }
-            None => Vec::new(),
-        };
         Network {
             tx: (0..nodes).map(|_| FairShare::new(cfg.node_bw)).collect(),
             rx: (0..nodes).map(|_| FairShare::new(cfg.node_bw)).collect(),
             core: FairShare::new(cfg.bisection_bw),
             mem: (0..nodes).map(|_| FairShare::new(cfg.mem_bw)).collect(),
-            leaves,
             cfg,
-        }
-    }
-
-    /// Leaf switch of a node (0 when the topology is flat).
-    pub fn leaf_of(&self, node: NodeId) -> usize {
-        match &self.cfg.leaf {
-            Some(l) => node / l.nodes_per_leaf,
-            None => 0,
         }
     }
 
@@ -206,22 +124,17 @@ impl Network {
         if bytes == 0 {
             return;
         }
-        // The stream occupies TX NIC, switch core, RX NIC — and, when
-        // it crosses leaf switches, the two uplinks — concurrently;
-        // completion is gated by the slowest.
+        // The stream occupies TX NIC, RX NIC and switch core
+        // concurrently; completion is gated by the slowest.
         let work = bytes as f64;
-        let mut join = StreamJoin::default();
-        join.push(self.tx[src].serve(work));
-        join.push(self.rx[dst].serve(work));
-        let (sl, dl) = (self.leaf_of(src), self.leaf_of(dst));
-        if self.leaves.is_empty() || sl != dl {
+        {
+            let mut join: FixedJoin<_, 3> = FixedJoin::new();
+            join.push(self.tx[src].serve(work));
+            join.push(self.rx[dst].serve(work));
             join.push(self.core.serve(work));
-            if !self.leaves.is_empty() {
-                join.push(self.leaves[sl].0.serve(work));
-                join.push(self.leaves[dl].1.serve(work));
-            }
+            join
         }
-        join.await;
+        .await;
     }
 
     /// Charge a local memory copy of `bytes` on `node` (e.g. packing
@@ -259,7 +172,6 @@ mod tests {
             node_bw: 1000.0, // bytes per second, easy arithmetic
             bisection_bw: 10_000.0,
             mem_bw: 4000.0,
-            leaf: None,
         }
     }
 
@@ -359,61 +271,6 @@ mod tests {
             assert_eq!(net.core_bytes(), 1000.0);
             assert_eq!(net.tx_jobs(0), 2);
         });
-    }
-
-    #[test]
-    fn intra_leaf_traffic_skips_uplinks() {
-        let mut cfg = test_cfg();
-        cfg.leaf = Some(LeafConfig {
-            nodes_per_leaf: 2,
-            uplink_bw: 10.0, // nearly useless uplink
-        });
-        let t = run(async move {
-            let net = Network::new(cfg, 4);
-            assert_eq!(net.leaf_of(1), 0);
-            assert_eq!(net.leaf_of(2), 1);
-            net.transfer(0, 1, 1000).await; // same leaf
-            now().as_secs_f64()
-        });
-        // Full NIC rate despite the throttled uplink.
-        assert!((t - 1.000001).abs() < 1e-5, "t={t}");
-    }
-
-    #[test]
-    fn cross_leaf_traffic_is_gated_by_the_uplink() {
-        let mut cfg = test_cfg();
-        cfg.leaf = Some(LeafConfig {
-            nodes_per_leaf: 2,
-            uplink_bw: 100.0, // 10% of the NIC rate
-        });
-        let t = run(async move {
-            let net = Network::new(cfg, 4);
-            net.transfer(0, 2, 1000).await; // leaf 0 → leaf 1
-            now().as_secs_f64()
-        });
-        assert!((t - 10.000001).abs() < 1e-4, "t={t}");
-    }
-
-    #[test]
-    fn oversubscribed_uplink_is_shared_by_leaf_peers() {
-        let mut cfg = test_cfg();
-        cfg.leaf = Some(LeafConfig {
-            nodes_per_leaf: 2,
-            uplink_bw: 1000.0,
-        });
-        let t = run(async move {
-            let net = std::rc::Rc::new(Network::new(cfg, 4));
-            // Both nodes of leaf 0 send cross-leaf at once: they share
-            // the single 1000 B/s uplink.
-            let mut hs = Vec::new();
-            for (s, d) in [(0usize, 2usize), (1, 3)] {
-                let net = std::rc::Rc::clone(&net);
-                hs.push(spawn(async move { net.transfer(s, d, 1000).await }));
-            }
-            join_all(hs).await;
-            now().as_secs_f64()
-        });
-        assert!((t - 2.0).abs() < 0.01, "t={t}");
     }
 
     #[test]

@@ -486,7 +486,7 @@ impl Pfs {
     /// larger of (a) the controller write-back cache's fill fraction
     /// (destage backlog) and (b) requests queued behind the RPC
     /// handler pool relative to its size (arrival pressure); averaged
-    /// over targets. Cheap to poll — used by congestion-aware sync.
+    /// over targets. Reported as the repo benchmark's `pfs.server_load`.
     pub fn server_load(&self) -> f64 {
         let per_target = |t: &Target| {
             let backlog = t.wbc.dirty() as f64 / self.params.controller_cache as f64;
@@ -952,11 +952,6 @@ impl PfsHandle {
     pub fn extents(&self) -> ExtentMap {
         self.state.borrow().data.clone()
     }
-
-    /// See [`Pfs::server_load`].
-    pub fn server_load(&self) -> f64 {
-        self.pfs.server_load()
-    }
 }
 
 #[cfg(test)]
@@ -996,8 +991,8 @@ mod tests {
     /// benchmark workload). The bound allows a few words of drift.
     #[test]
     fn read_and_write_futures_stay_their_size() {
-        const READ: usize = 15_976;
-        const WRITE: usize = 16_352;
+        const READ: usize = 4_760;
+        const WRITE: usize = 4_816;
         const MARGIN: usize = 256;
         run(async {
             let (_net, pfs) = small_cluster();

@@ -48,7 +48,7 @@ use e10_storesim::Payload;
 
 use crate::arbiter::{Admission, CacheArbiter};
 use crate::error::Error;
-use crate::hints::{FlushFlag, RomioHints, SyncPolicy};
+use crate::hints::{FlushFlag, RomioHints};
 use crate::journal::Record;
 use integrity::{Integrity, Stage};
 use tiers::{Attach, Pieces, Tiers};
@@ -100,8 +100,6 @@ pub struct CacheConfig {
     pub discard: bool,
     /// Punch synced chunks out of the cache file (`e10_cache_evict`).
     pub evict: bool,
-    /// Sync-thread scheduling policy (`e10_sync_policy`).
-    pub sync_policy: SyncPolicy,
     /// Keep the crash-recovery manifest journal (`e10_cache_journal`).
     pub journal: bool,
     /// Journal file override (`e10_cache_journal_path`); `None` puts it
@@ -159,7 +157,6 @@ impl CacheConfig {
             coherent: hints.e10_cache == crate::hints::CacheMode::Coherent,
             discard: hints.e10_cache_discard_flag,
             evict: hints.e10_cache_evict,
-            sync_policy: hints.e10_sync_policy,
             journal: hints.e10_cache_journal,
             journal_path: hints.e10_cache_journal_path.clone(),
             integrity: hints.e10_integrity,
@@ -644,10 +641,8 @@ impl CacheLayer {
             }
             let deferred: Vec<_> = vol.deferred.borrow_mut().drain(..).collect();
             for mut msg in deferred {
-                // The caller is about to wait: drain at full speed
-                // (still honouring the bounded-queue depth).
+                // Requeued extents honour the bounded-queue depth too.
                 msg._slot = self.reserve_sync_slot().await;
-                msg.urgent = true;
                 self.enqueue_sync(msg)?;
             }
             trace::emit(|| {

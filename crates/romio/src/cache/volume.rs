@@ -16,7 +16,6 @@ use super::integrity::{Integrity, Stage};
 use super::tiers::{Pieces, Tiers};
 use super::{CacheConfig, Health};
 use crate::arbiter::CacheArbiter;
-use crate::hints::SyncPolicy;
 use crate::journal::Record;
 
 /// One extent on its way to the global file: queued to the sync
@@ -29,9 +28,6 @@ pub(super) struct SyncMsg {
     /// Cache-file write epoch when the extent was staged (see
     /// [`CacheArbiter::note_write`]); 0 for unmanaged jobs.
     pub(super) epoch: u64,
-    /// Set when the application is blocked waiting (flush/close):
-    /// overrides the backoff policy.
-    pub(super) urgent: bool,
     /// Bounded-queue slot (`e10_cache_sync_depth`), held only for its
     /// drop: releasing it after the extent is drained readmits one
     /// waiting writer.
@@ -48,7 +44,6 @@ impl SyncMsg {
             len,
             lock: None,
             epoch: 0,
-            urgent: false,
             _slot: None,
         }
     }
@@ -166,7 +161,6 @@ impl Volume {
                     .node(node)
                     .field("offset", msg.offset)
                     .field("bytes", msg.len)
-                    .field("urgent", msg.urgent)
             });
             let end = msg.offset + msg.len;
             let mut pos = msg.offset;
@@ -212,21 +206,6 @@ impl Volume {
                     Some(mirror) => self.tiers.spill_front(mirror).await,
                     None => self.retire("front_fail").await,
                 }
-            }
-        }
-        // Congestion-aware policy (§III's "synchronisation could take
-        // into account the level of congestion of the I/O servers"):
-        // back off while the storage targets are saturated by
-        // foreground traffic, unless the application is already waiting
-        // on this request (then drain greedily).
-        if self.cfg.sync_policy == SyncPolicy::Backoff
-            && !msg.urgent
-            && self.health.get() == Health::Healthy
-        {
-            let mut backoffs = 0;
-            while self.global.server_load() > 0.7 && backoffs < 1_000 {
-                e10_simcore::sleep(SimDuration::from_millis(20)).await;
-                backoffs += 1;
             }
         }
         let n = self.cfg.ind_wr.min(end - pos);

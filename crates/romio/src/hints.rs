@@ -126,18 +126,6 @@ hint_enums! {
         FlushNone = "flush_none",
     }
 
-    /// Cache synchronisation scheduling policy (`e10_sync_policy`,
-    /// extension; §III names congestion awareness as a possible richer
-    /// policy).
-    SyncPolicy {
-        /// Stream to the global file as fast as the path allows (default).
-        #[default]
-        Greedy = "greedy",
-        /// Back off while the storage servers are saturated by foreground
-        /// traffic, yielding the bandwidth to whoever is actively waiting.
-        Backoff = "backoff",
-    }
-
     /// `e10_two_phase` values: which collective-write algorithm
     /// `MPI_File_write_all` runs. Replaces the per-variant boolean
     /// toggles older revisions would have needed — one typed knob selects
@@ -231,9 +219,6 @@ pub struct RomioHints {
     /// it is synchronised, so the cache works as a streaming staging
     /// area and files larger than `/scratch` still fit.
     pub e10_cache_evict: bool,
-    /// `e10_sync_policy` (extension): congestion awareness of the sync
-    /// thread.
-    pub e10_sync_policy: SyncPolicy,
     /// `e10_cache_journal` (extension): keep an append-only manifest
     /// journal next to the cache file so the cache can be recovered
     /// after a node crash (crash consistency for the staged data).
@@ -526,8 +511,6 @@ hint_table! {
         Extension("enable, disable (§VI future work: cache reads)");
     "e10_cache_evict" => e10_cache_evict = false, Flag(ON_OFF),
         Extension("enable, disable (§III: streaming space management)");
-    "e10_sync_policy" => e10_sync_policy = SyncPolicy::Greedy, Choice(SyncPolicy::EXPECTED),
-        Extension("greedy, backoff (§III: congestion-aware sync)");
     "e10_cache_journal" => e10_cache_journal = false, Flag(ON_OFF),
         Extension("enable, disable (crash-recoverable cache manifest journal)");
     "e10_cache_journal_path" => e10_cache_journal_path = None, OptPath(),
@@ -812,7 +795,6 @@ mod tests {
         let info = Info::from_pairs([
             ("e10_cache_read", "enable"),
             ("e10_cache_evict", "enable"),
-            ("e10_sync_policy", "backoff"),
             ("cb_config_list", "*:2"),
             ("romio_no_indep_rw", "true"),
             ("e10_trace", "jsonl"),
@@ -827,7 +809,6 @@ mod tests {
         assert_eq!(h.e10_integrity_scrub_ms, 250);
         assert!(h.e10_cache_read);
         assert!(h.e10_cache_evict);
-        assert_eq!(h.e10_sync_policy, SyncPolicy::Backoff);
         assert_eq!(h.cb_config_max_per_node, Some(2));
         assert!(h.no_indep_rw);
         assert_eq!(h.e10_trace, TraceMode::Jsonl);
@@ -840,7 +821,6 @@ mod tests {
         for (k, v) in [
             ("e10_cache_read", "yes"),
             ("e10_cache_evict", "on"),
-            ("e10_sync_policy", "polite"),
             ("cb_config_list", "2"),
             ("cb_config_list", "*:0"),
             ("romio_no_indep_rw", "1"),
@@ -855,7 +835,6 @@ mod tests {
         // Defaults are all off.
         let d = RomioHints::default();
         assert!(!d.e10_cache_read && !d.e10_cache_evict && !d.no_indep_rw);
-        assert_eq!(d.e10_sync_policy, SyncPolicy::Greedy);
         assert_eq!(d.cb_config_max_per_node, None);
         assert!(!d.e10_cache_journal);
         assert_eq!(d.e10_cache_journal_path, None);
@@ -1048,7 +1027,7 @@ mod tests {
                     if (l.get)(&defaults).get().is_none());
             assert_eq!(rendered.iter().any(|(k, _)| k == spec.key), !optional);
         }
-        assert_eq!(HINTS.len(), 32);
+        assert_eq!(HINTS.len(), 31);
     }
 
     /// The numeric kinds ignore surrounding whitespace — all of them,
@@ -1095,7 +1074,6 @@ mod tests {
             cb_config_max_per_node: Some(2),
             no_indep_rw: true,
             e10_cache_evict: true,
-            e10_sync_policy: SyncPolicy::Backoff,
             e10_trace: TraceMode::Jsonl,
             e10_trace_path: "results/traces/x".into(),
             e10_cache_journal: true,

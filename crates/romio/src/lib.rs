@@ -63,7 +63,7 @@ pub use error::Error;
 pub use fd::{node_leaders, select_aggregators, select_aggregators_capped, FileDomains};
 pub use hints::{
     CacheClass, CacheMode, CbMode, FdStrategy, FlushFlag, HintDoc, HintError, HintErrors, HintSpec,
-    RomioHints, SyncPolicy, TraceMode, TwoPhaseAlgo, HINTS,
+    RomioHints, TraceMode, TwoPhaseAlgo, HINTS,
 };
 pub use profile::{Breakdown, Phase, Profiler};
 pub use testbed::{IoCtx, Testbed, TestbedSpec};

@@ -66,9 +66,9 @@ fn measure() -> Sizes {
 /// The gate of each future, in bytes.
 fn bound(name: &str) -> usize {
     match name {
-        "write_at_all" => 9_600,
-        "read_at_all" => 8_300,
-        "PfsHandle::write" => 7_300,
+        "write_at_all" => 7_400,
+        "read_at_all" => 6_200,
+        "PfsHandle::write" => 5_000,
         "Raid::write" => 3_300,
         "Raid::read" => 2_700,
         _ => unreachable!("{name} has no bound"),

@@ -52,7 +52,6 @@ proptest! {
         cb_config in prop::option::of(1u64..9),
         no_indep in prop::option::of(sel(&["true", "false", "enable", "disable"])),
         evict in prop::option::of(onoff()),
-        sync_policy in prop::option::of(sel(&["greedy", "backoff"])),
         journal in prop::option::of(onoff()),
         journal_path in prop::option::of(sel(&["/scratch/j.jnl", "/nvm/j.jnl"])),
         integrity in prop::option::of(onoff()),
@@ -89,7 +88,6 @@ proptest! {
         set("cb_config_list", cb_config.map(|n| format!("*:{n}")));
         set("romio_no_indep_rw", no_indep.map(String::from));
         set("e10_cache_evict", evict.map(String::from));
-        set("e10_sync_policy", sync_policy.map(String::from));
         set("e10_cache_journal", journal.map(String::from));
         set("e10_cache_journal_path", journal_path.map(String::from));
         set("e10_integrity", integrity.map(String::from));
@@ -135,7 +133,6 @@ proptest! {
                 ("striping_unit", "64q"),
                 ("e10_cache", "maybe"),
                 ("e10_cache_flush_flag", "flush_later"),
-                ("e10_sync_policy", "polite"),
                 ("e10_cache_hiwater", "120"),
                 ("e10_two_phase", "threephase"),
                 ("e10_cache_class", "optane"),

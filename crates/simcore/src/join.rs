@@ -27,8 +27,8 @@ pub async fn join_all<T: 'static>(handles: Vec<JoinHandle<T>>) -> Vec<T> {
 }
 
 /// Join up to `N` same-typed futures without allocating — the shape of
-/// a striped request's per-chunk fan-out and of a RAID request's
-/// per-member fan-out, where a spawned task per piece would cost
+/// a striped request's per-chunk fan-out, of a RAID request's
+/// per-member fan-out and of a fabric transfer's three streams, where a spawned task per piece would cost
 /// several allocator calls each. Slots are polled in push order,
 /// matching the ready-queue order spawned tasks would start in, and a
 /// finished slot's future is dropped in place at once.

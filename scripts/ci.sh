@@ -10,8 +10,9 @@
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines, then scripts/loc.sh over crates/romio/src,
 #      crates/workloads/src, crates/simcore/src, crates/storesim/src,
-#      crates/faultsim/src and crates/localfs/src: production vs test
-#      lines per file (informational, no gate), then
+#      crates/faultsim/src, crates/localfs/src, crates/netsim/src and
+#      crates/pfs/src: production vs test lines per file
+#      (informational, no gate), then
 #      the sizes the future-size gates hold (informational here; the
 #      gates ran in the suite): a spawned task's box against its future,
 #      in simcore's join.rs, and the collective write/read, PFS write
@@ -119,7 +120,8 @@ awk '/^test result:/ {
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
 scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src \
-  crates/storesim/src crates/faultsim/src crates/localfs/src
+  crates/storesim/src crates/faultsim/src crates/localfs/src crates/netsim/src \
+  crates/pfs/src
 future_sizes() {
   { cargo test -q -p e10-simcore --lib a_spawned_task_holds_its_future_once -- --nocapture
     cargo test -q -p e10-romio --test future_sizes -- --nocapture

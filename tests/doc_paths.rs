@@ -1,9 +1,9 @@
-//! The prose documents name only source files that exist: every
-//! backticked `*.rs` path in README.md, DESIGN.md and EXPERIMENTS.md
-//! must be the tail of a file in the tree (`coll.rs`,
-//! `tests/perturbation.rs` and `crates/romio/src/hints.rs` all resolve).
-//! Paths into the standard library (`std/`, `alloc/`, `core/`) are
-//! exempt.
+//! The prose documents name only source files and hints that exist:
+//! every backticked `*.rs` path in README.md, DESIGN.md and
+//! EXPERIMENTS.md must be the tail of a file in the tree (`coll.rs`,
+//! `tests/perturbation.rs` and `crates/romio/src/hints.rs` all resolve),
+//! and every backticked hint-shaped name must be a `HINTS` key. Paths
+//! into the standard library (`std/`, `alloc/`, `core/`) are exempt.
 
 use std::path::{Path, PathBuf};
 
@@ -24,9 +24,11 @@ fn rust_files(root: &Path, dir: &Path, out: &mut Vec<String>) {
     }
 }
 
-/// The single-line code spans of `text` that look like a Rust source
-/// path: no whitespace, ending in `.rs`.
-fn rs_spans(text: &str) -> Vec<&str> {
+/// The documents whose spans are checked.
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// The single-line code spans of `text` that satisfy `keep`.
+fn spans(text: &str, keep: impl Fn(&str) -> bool) -> Vec<&str> {
     let mut spans = Vec::new();
     for line in text.lines() {
         let parts: Vec<&str> = line.split('`').collect();
@@ -34,12 +36,30 @@ fn rs_spans(text: &str) -> Vec<&str> {
         // odd number of backticks is an unclosed one.
         for (i, part) in parts.iter().enumerate() {
             let closed = i % 2 == 1 && i + 1 < parts.len();
-            if closed && part.ends_with(".rs") && !part.contains(char::is_whitespace) {
+            if closed && keep(part) {
                 spans.push(*part);
             }
         }
     }
     spans
+}
+
+/// A span that looks like a Rust source path: no whitespace, ending in
+/// `.rs`.
+fn is_rs_path(span: &str) -> bool {
+    span.ends_with(".rs") && !span.contains(char::is_whitespace)
+}
+
+/// A span shaped like a hint key:
+/// `^(e10|romio|cb|striping|ind_wr)_[a-z_]+$`.
+fn is_hint_name(span: &str) -> bool {
+    ["e10_", "romio_", "cb_", "striping_", "ind_wr_"]
+        .iter()
+        .any(|p| {
+            span.strip_prefix(p).is_some_and(|rest| {
+                !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_lowercase() || b == b'_')
+            })
+        })
 }
 
 #[test]
@@ -49,9 +69,9 @@ fn backticked_rust_paths_in_the_docs_exist() {
     rust_files(&root, &root, &mut files);
     let mut missing = Vec::new();
     let mut checked = 0;
-    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+    for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).unwrap();
-        for span in rs_spans(&text) {
+        for span in spans(&text, is_rs_path) {
             if ["std/", "alloc/", "core/"]
                 .iter()
                 .any(|p| span.starts_with(p))
@@ -67,4 +87,22 @@ fn backticked_rust_paths_in_the_docs_exist() {
     }
     assert!(checked > 0, "no backticked .rs paths found");
     assert!(missing.is_empty(), "docs name missing files: {missing:#?}");
+}
+
+#[test]
+fn backticked_hint_names_in_the_docs_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut unknown = Vec::new();
+    let mut checked = 0;
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for span in spans(&text, is_hint_name) {
+            checked += 1;
+            if !e10_repro::romio::HINTS.iter().any(|h| h.key == span) {
+                unknown.push(format!("{doc}: `{span}`"));
+            }
+        }
+    }
+    assert!(checked > 0, "no backticked hint names found");
+    assert!(unknown.is_empty(), "docs name unknown hints: {unknown:#?}");
 }

@@ -1,8 +1,5 @@
 //! Tests for the future-work extensions (paper §III "more complex
-//! policies" and §VI): streaming cache eviction, congestion-aware
-//! synchronisation and cache reads.
-
-use std::rc::Rc;
+//! policies" and §VI): streaming cache eviction and cache reads.
 
 use e10_repro::prelude::*;
 
@@ -65,111 +62,6 @@ fn evict_turns_cache_into_streaming_stage() {
             );
         });
     }
-}
-
-/// The backoff sync policy defers to a saturated backend: while a
-/// heavy foreground writer keeps the targets busy, the background
-/// synchronisation makes measurably less progress than under the
-/// greedy policy (it is yielding the bandwidth), yet still completes
-/// once the burst ends.
-#[test]
-fn backoff_policy_yields_to_foreground_traffic() {
-    let synced_during_burst = |policy: &'static str| {
-        e10_simcore::run(async move {
-            let tb = TestbedSpec::small(4, 2).build();
-            let handles: Vec<_> = tb
-                .ctxs()
-                .into_iter()
-                .map(|ctx| {
-                    e10_simcore::spawn(async move {
-                        let rank = ctx.comm.rank();
-                        let sub = ctx.comm.split((rank > 0) as u32, rank as u64).await;
-                        let ctx = e10_repro::romio::IoCtx {
-                            comm: sub,
-                            pfs: Rc::clone(&ctx.pfs),
-                            localfs: Rc::clone(&ctx.localfs),
-                            nvmfs: Rc::clone(&ctx.nvmfs),
-                        };
-                        if rank == 0 {
-                            // Cached writer: 16 MiB to sync in background.
-                            let info = base_hints(&[("e10_sync_policy", policy)]);
-                            let f = AdioFile::open(&ctx, "/gfs/bg", &info, true).await.unwrap();
-                            f.write_contig(0, Payload::gen(81, 0, 16 << 20))
-                                .await
-                                .unwrap();
-                            // Sample sync progress mid-burst.
-                            e10_simcore::sleep(SimDuration::from_millis(400)).await;
-                            let progressed = f.cache().unwrap().bytes_synced();
-                            // Let the burst end, then drain fully.
-                            e10_simcore::sleep(SimDuration::from_secs(120)).await;
-                            f.close().await;
-                            f.global().extents().verify_gen(81, 0, 16 << 20).unwrap();
-                            progressed
-                        } else {
-                            // Foreground: hammer the backend with big
-                            // fine-striped writes (many concurrent
-                            // chunks per call) for ~0.5 s.
-                            let info = Info::from_pairs([("striping_unit", "64K")]);
-                            let f = AdioFile::open(&ctx, "/gfs/fg", &info, true).await.unwrap();
-                            let t_end = e10_simcore::now() + SimDuration::from_millis(500);
-                            let mut off = 0u64;
-                            while e10_simcore::now() < t_end {
-                                f.write_contig(off, Payload::gen(82, off, 8 << 20))
-                                    .await
-                                    .unwrap();
-                                off += 8 << 20;
-                            }
-                            f.close().await;
-                            0
-                        }
-                    })
-                })
-                .collect();
-            let outs = e10_simcore::join_all(handles).await;
-            outs[0]
-        })
-    };
-    let greedy = synced_during_burst("greedy");
-    let backoff = synced_during_burst("backoff");
-    assert!(
-        backoff < greedy,
-        "backoff must defer sync under load: {backoff} vs {greedy} bytes synced mid-burst"
-    );
-}
-
-/// Urgency override: a flush/close drains at full speed even under the
-/// backoff policy while the backend is busy.
-#[test]
-fn backoff_policy_drains_urgently_on_flush() {
-    e10_simcore::run(async {
-        let tb = TestbedSpec::small(2, 1).build();
-        let handles: Vec<_> = tb
-            .ctxs()
-            .into_iter()
-            .map(|ctx| {
-                e10_simcore::spawn(async move {
-                    let info = base_hints(&[
-                        ("e10_sync_policy", "backoff"),
-                        ("e10_cache_flush_flag", "flush_onclose"),
-                    ]);
-                    let f = AdioFile::open(&ctx, "/gfs/urgent", &info, true)
-                        .await
-                        .unwrap();
-                    let off = ctx.comm.rank() as u64 * (1 << 20);
-                    f.write_contig(off, Payload::gen(83, off, 1 << 20))
-                        .await
-                        .unwrap();
-                    // Close must not stall behind the backoff loop.
-                    let t0 = e10_simcore::now();
-                    f.close().await;
-                    let dt = e10_simcore::now().since(t0).as_secs_f64();
-                    assert!(dt < 30.0, "urgent drain took {dt}s");
-                    f.global().extents().verify_gen(83, off, 1 << 20).unwrap();
-                })
-            })
-            .collect();
-        e10_simcore::join_all(handles).await;
-    });
 }
 
 /// Eviction and cache reads compose: an evicted extent is no longer a

@@ -306,14 +306,13 @@ proptest! {
         evict in any::<bool>(),
         cache_read in any::<bool>(),
         no_indep in any::<bool>(),
-        sync_pol in 0usize..2,
         fd in 0usize..2,
         max_per_node in prop::option::of(1usize..8),
         trace in 0usize..3,
         journal in any::<bool>(),
         journal_path in prop::option::of(0usize..3),
     ) {
-        use e10_repro::romio::{CacheMode, CbMode, FlushFlag, SyncPolicy, TraceMode};
+        use e10_repro::romio::{CacheMode, CbMode, FlushFlag, TraceMode};
 
         let cb_modes = [CbMode::Enable, CbMode::Disable, CbMode::Automatic];
         let cb_strs = ["enable", "disable", "automatic"];
@@ -321,8 +320,6 @@ proptest! {
         let cache_strs = ["enable", "disable", "coherent"];
         let flush_flags = [FlushFlag::FlushImmediate, FlushFlag::FlushOnClose, FlushFlag::FlushNone];
         let flush_strs = ["flush_immediate", "flush_onclose", "flush_none"];
-        let sync_pols = [SyncPolicy::Greedy, SyncPolicy::Backoff];
-        let sync_strs = ["greedy", "backoff"];
         let fds = [FdStrategy::Even, FdStrategy::StripeAligned];
         let fd_strs = ["even", "aligned"];
         let traces = [TraceMode::Off, TraceMode::Ring, TraceMode::Jsonl];
@@ -341,7 +338,6 @@ proptest! {
             e10_cache_evict: evict,
             e10_cache_read: cache_read,
             no_indep_rw: no_indep,
-            e10_sync_policy: sync_pols[sync_pol],
             fd_strategy: fds[fd],
             e10_trace: traces[trace],
             e10_cache_journal: journal,
@@ -366,7 +362,6 @@ proptest! {
         info.set("e10_cache_evict", onoff(evict));
         info.set("e10_cache_read", onoff(cache_read));
         info.set("romio_no_indep_rw", if no_indep { "true" } else { "false" });
-        info.set("e10_sync_policy", sync_strs[sync_pol]);
         info.set("e10_fd_partition", fd_strs[fd]);
         info.set("e10_trace", trace_strs[trace]);
         info.set("e10_cache_journal", onoff(journal));
