@@ -51,9 +51,11 @@
 //!   onto the destination's row of `CollShared::rows` tagged with its
 //!   source, and after the rendezvous the rank moves its own row out —
 //!   O(sent + received) per rank, O(1) for a rank with neither, and
-//!   nothing boxed. A row exists only for a destination that has ever
-//!   been sent to (the aggregators: ≤ naggs·P·16 B per communicator,
-//!   reserved once), and a warm exchange allocates nothing. The
+//!   nothing boxed. A row has room only for a destination that has been
+//!   sent to (the aggregators), and only for the most senders it has
+//!   had in one exchange, rounded up by doubling (16 B each; the outer
+//!   table is one empty row per rank, 24·P B per communicator), and a
+//!   warm exchange allocates nothing. The
 //!   modelled `MPI_Alltoall` stays dense: the virtual cost is that of P
 //!   words per rank whatever they hold. The dense
 //!   [`Comm::alltoall_u64_inplace`] is an adapter over it.
@@ -110,8 +112,9 @@ pub(crate) struct CollShared {
     /// The analytic size exchange's mailboxes: `rows[dst]` holds the
     /// `(src, value)` pairs sent to `dst` in the exchange in flight, in
     /// arrival order, and is empty between exchanges. No rows until the
-    /// first pair is sent; a row gets its capacity (one pair per rank)
-    /// the first time its destination is sent to.
+    /// first pair is sent; a row grows, by doubling, to hold the most
+    /// pairs one exchange has sent its destination, and keeps that
+    /// capacity.
     rows: RefCell<Vec<Vec<(usize, u64)>>>,
 }
 
@@ -475,9 +478,9 @@ impl Comm {
     ///   `cost_alltoall` sleep of a dense exchange) around
     ///   O(sent + received) host work: a rank pushes its entries onto
     ///   the destinations' shared rows on arrival and moves its own row
-    ///   out after the rendezvous. Once the communicator has run one
-    ///   exchange (and a row has its capacity, the first time its
-    ///   destination is sent to) and `recvs` has grown to what the rank
+    ///   out after the rendezvous. A row grows only to the most senders
+    ///   its destination has had in one exchange, not to P; once the
+    ///   rows and `recvs` have grown to what an exchange sends and
     ///   receives, an exchange allocates nothing; `sreqs` is unused.
     pub async fn alltoall_u64_sparse(
         &self,
@@ -497,11 +500,7 @@ impl Comm {
                     rows.resize_with(p, Vec::new);
                 }
                 for &(dst, v) in sends.iter().filter(|&&(_, v)| v != 0) {
-                    let row = &mut rows[dst];
-                    if row.capacity() == 0 {
-                        row.reserve_exact(p);
-                    }
-                    row.push((self.rank, v));
+                    rows[dst].push((self.rank, v));
                 }
             }
             self.sync_slot(opid, (), |_| (), |_| ()).await;
@@ -552,6 +551,12 @@ impl Comm {
         for r in sreqs.drain(..) {
             r.wait().await;
         }
+    }
+
+    /// The entries the analytic size exchange's rows hold room for,
+    /// over the whole communicator ([`Comm::alltoall_u64_sparse`]).
+    pub fn exchange_row_capacity(&self) -> usize {
+        self.coll().rows.borrow().iter().map(Vec::capacity).sum()
     }
 
     /// The dense form of [`alltoall_u64_sparse`](Self::alltoall_u64_sparse),

@@ -239,6 +239,18 @@ impl AdioFile {
         s
     }
 
+    /// What this rank's round scratch keeps, between collectives on
+    /// this file, for the aggregators it touches: entries of room per
+    /// structure ([`RoundScratch`]'s schedule, list slots, touched and
+    /// size-exchange lists), each sized by the domains this rank's views
+    /// met, not by the aggregator count.
+    pub fn round_scratch_capacity(&self) -> [(&'static str, usize); 5] {
+        let s = self.state.scratch.take();
+        let capacity = s.per_aggregator_capacity();
+        self.state.scratch.set(s);
+        capacity
+    }
+
     /// Keep `s` for the file's next collective.
     pub(crate) fn put_scratch(&self, s: RoundScratch) {
         self.state.scratch.set(s);

@@ -258,15 +258,17 @@ pub(crate) trait Direction {
     ///    on another node), its pieces standing for `provenance`.
     fn wire_bytes(list: &[Self::Piece], remote: bool, provenance: Provenance) -> u64;
 
-    /// 3. The lists a round fills, one per aggregator (the round loop
-    ///    sizes them), each empty between rounds. Take delivery of this
-    ///    rank's own list for aggregator `a`, leaving it empty (its
-    ///    capacity stays), or of the one `src` sent; then, on an
-    ///    aggregator whose round is not doomed, serve what `round`
-    ///    delivered, keeping nothing. `serve` returns this rank's error
-    ///    code.
+    /// 3. The lists a round fills, a dense slab: slot `i` holds this
+    ///    rank's list for the aggregator `touched[i]` of the round,
+    ///    and the round loop grows it to as many slots as the domains
+    ///    this rank's contribution meets, not one per aggregator; every
+    ///    list is empty between rounds. Take delivery of this rank's
+    ///    own list, in `slot`, leaving it empty (its capacity stays),
+    ///    or of the one `src` sent; then, on an aggregator whose round
+    ///    is not doomed, serve what `round` delivered, keeping nothing.
+    ///    `serve` returns this rank's error code.
     fn lists(&mut self) -> &mut Vec<Vec<Self::Piece>>;
-    fn keep_own(&mut self, fd: &AdioFile, a: usize);
+    fn keep_own(&mut self, fd: &AdioFile, slot: usize);
     fn keep(&mut self, fd: &AdioFile, src: usize, list: Vec<Self::Piece>);
     async fn serve(&mut self, fd: &AdioFile, round: u64) -> u32;
 
@@ -456,12 +458,16 @@ pub(crate) fn compute_domains<'r>(
 /// aggregator at all — against one binary search of the view per
 /// aggregator per round for [`FileView::pieces_in_window`], which a
 /// 512-rank, 64-aggregator collective would pay 64 times a round on
-/// every rank to find, almost always, nothing.
+/// every rank to find, almost always, nothing. An aggregator whose
+/// domain the view misses is never scheduled: what the cursors hold is
+/// sized by the domains the view meets, not by the aggregator count.
 pub(crate) struct WindowCursors<'v> {
     pieces: &'v [ViewPiece],
     fds: &'v FileDomains,
     cb: u64,
     due: &'v mut Schedule,
+    /// How many domains the view meets: no round touches more.
+    pub(crate) met: usize,
 }
 
 /// The round schedule of [`WindowCursors`], earliest first: `(round,
@@ -471,9 +477,33 @@ pub(crate) struct WindowCursors<'v> {
 /// with nothing left is not on it.
 pub(crate) type Schedule = BinaryHeap<Reverse<(u64, usize, usize)>>;
 
+/// `met(a, i)` for every non-empty domain `a` of `fds` that `pieces`
+/// (a view's, sorted, disjoint) meet, ascending, with `i` the first
+/// piece that ends past the domain's start: a merge walk that jumps
+/// over the domains between two pieces and over the pieces inside one
+/// domain by binary search, so it costs a few searches per domain met
+/// and nothing per domain missed.
+fn domains_met(pieces: &[ViewPiece], fds: &FileDomains, mut met: impl FnMut(usize, usize)) {
+    let (starts, ends) = (&fds.starts, &fds.ends);
+    let (mut a, mut i) = (0, 0);
+    while a < starts.len() {
+        i += pieces[i..].partition_point(|p| p.file_off + p.len <= starts[a]);
+        let Some(p) = pieces.get(i) else { break };
+        if p.file_off < ends[a] && starts[a] < ends[a] {
+            met(a, i);
+            a += 1;
+        } else {
+            // The domains ending by the piece's start hold none of it,
+            // nor of any later piece.
+            a += 1 + ends[a + 1..].partition_point(|&e| e <= p.file_off);
+        }
+    }
+}
+
 impl<'v> WindowCursors<'v> {
-    /// Cursors at every domain's start (round 0), for rounds of `cb`
-    /// bytes, scheduled in `due` (emptied first).
+    /// Cursors at the start (round 0) of every domain the view meets,
+    /// for rounds of `cb` bytes, scheduled in `due` (emptied first,
+    /// then reserved for exactly those domains).
     pub(crate) fn new(
         view: &'v FileView,
         fds: &'v FileDomains,
@@ -481,18 +511,18 @@ impl<'v> WindowCursors<'v> {
         due: &'v mut Schedule,
     ) -> WindowCursors<'v> {
         let pieces = view.pieces();
+        let mut met = 0;
+        domains_met(pieces, fds, |_, _| met += 1);
         due.clear();
-        due.reserve(fds.len());
+        due.reserve(met);
         let mut cursors = WindowCursors {
             pieces,
             fds,
             cb,
             due,
+            met,
         };
-        for (a, &s) in fds.starts.iter().enumerate() {
-            let i = pieces.partition_point(|p| p.file_off + p.len <= s);
-            cursors.schedule(a, i, s);
-        }
+        domains_met(pieces, fds, |a, i| cursors.schedule(a, i, fds.starts[a]));
         cursors
     }
 
@@ -518,11 +548,12 @@ impl<'v> WindowCursors<'v> {
     /// The rank's own contribution to `round`: for every aggregator `a`
     /// whose window of `round` holds pieces of the view, aggregators
     /// ascending, `piece(vp)` of each such piece in order, clipped to
-    /// the window, into `lists[a]` (empty on entry) — the non-empty
-    /// answers [`FileView::pieces_in_window`] gives for the round's
-    /// windows — and `a` into `touched`, standing for itself. Rounds
-    /// must be visited in order; a round with nothing in it costs one
-    /// look at the schedule.
+    /// the window, into the next slot of `lists` (slot `i` for
+    /// `touched[i]`, empty on entry; [`WindowCursors::met`] slots are
+    /// enough) — the non-empty answers [`FileView::pieces_in_window`]
+    /// gives for the round's windows — and `a` into `touched`, standing
+    /// for itself. Rounds must be visited in order; a round with
+    /// nothing in it costs one look at the schedule.
     pub(crate) fn fill<P>(
         &mut self,
         round: u64,
@@ -537,12 +568,13 @@ impl<'v> WindowCursors<'v> {
             }
             self.due.pop();
             let (ws, we) = self.fds.window(a, self.cb, round);
+            let list = &mut lists[touched.len()];
             while let Some(p) = self.pieces.get(i).filter(|p| p.file_off < we) {
                 // It ends past `ws`: that is where the cursor stands.
                 let (s, end) = (p.file_off.max(ws), p.file_off + p.len);
                 let buf_off = p.buf_off + (s - p.file_off);
                 let len = end.min(we) - s;
-                lists[a].push(piece(ViewPiece {
+                list.push(piece(ViewPiece {
                     file_off: s,
                     len,
                     buf_off,
@@ -552,7 +584,7 @@ impl<'v> WindowCursors<'v> {
                 }
                 i += 1;
             }
-            let pieces = lists[a].len() as u64;
+            let pieces = list.len() as u64;
             touched.push((a, Provenance { msgs: 1, pieces }));
             self.schedule(a, i, we);
         }
@@ -635,9 +667,18 @@ pub(crate) async fn two_phase_write<T: Transport>(
     // Only a rank that ships its own pieces steps through its view.
     let mut own = (algo != TwoPhaseAlgo::NodeAgg && my_bytes > 0)
         .then(|| WindowCursors::new(view, fds, cb, due));
+    let slots = if leads {
+        leader.domains_met(fds)
+    } else {
+        own.as_ref().map_or(0, |cursors| cursors.met)
+    };
     let contribution = |round, bufs: &mut [Vec<(u64, Payload)>], touched: &mut Touched| {
         if leads {
-            for (a, buf) in bufs.iter_mut().enumerate() {
+            for a in 0..fds.len() {
+                // Every slot taken: the merged list meets no more domains.
+                let Some(buf) = bufs.get_mut(touched.len()) else {
+                    break;
+                };
                 let (ws, we) = fds.window(a, cb, round);
                 let provenance = leader.window_into(ws, we, buf);
                 if !buf.is_empty() {
@@ -650,7 +691,7 @@ pub(crate) async fn two_phase_write<T: Transport>(
             });
         }
     };
-    let error_code = two_phase_rounds(fd, t, rounds, writing, ntimes, contribution).await?;
+    let error_code = two_phase_rounds(fd, t, rounds, writing, ntimes, slots, contribution).await?;
     fd.put_scratch(s);
     Ok(WriteAllResult {
         bytes: my_bytes,
@@ -678,12 +719,14 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         ..
     } = &mut s;
     let mut cursors = WindowCursors::new(view, fds, cb, due);
+    let slots = cursors.met;
     let contribution = |round, lists: &mut [Vec<_>], touched: &mut Touched| {
         cursors.fill(round, lists, touched, |vp| {
             (vp.file_off, vp.len, vp.buf_off)
         });
     };
-    let Ok(error_code) = two_phase_rounds(fd, t, rounds, reading, ntimes, contribution).await;
+    let Ok(error_code) =
+        two_phase_rounds(fd, t, rounds, reading, ntimes, slots, contribution).await;
     let out = reading.finish(ntimes, error_code);
     fd.put_scratch(s);
     out
@@ -709,6 +752,19 @@ pub(crate) struct RoundScratch {
 }
 
 impl RoundScratch {
+    /// The room kept for the aggregators a rank touches, by structure:
+    /// the schedule's entries, the write's and the read's list slots,
+    /// and a round's touched and size-exchange entries.
+    pub(crate) fn per_aggregator_capacity(&self) -> [(&'static str, usize); 5] {
+        [
+            ("schedule", self.due.capacity()),
+            ("write lists", self.writing.lists.capacity()),
+            ("read lists", self.reading.lists.capacity()),
+            ("touched", self.rounds.touched.capacity()),
+            ("sizes sent", self.rounds.sends.capacity()),
+        ]
+    }
+
     /// Empty every buffer, keeping its capacity.
     pub(crate) fn clear(&mut self) {
         let r = &mut self.rounds;
@@ -742,13 +798,15 @@ struct Rounds {
 /// Steps 3–5, the round loop, moving data in direction `dir`: per-round
 /// size exchange, the lists out to the aggregators, their serve and the
 /// reply leg, a settle per round, then the finish; returns the global
-/// error code. `contribution(round, lists, touched)` fills `lists[a]` —
-/// empty on entry — with what this rank lists for aggregator `a`'s
-/// window of `round`, sorted by offset (a write's own pieces, the
+/// error code. `contribution(round, lists, touched)` lists every
+/// aggregator `a` whose window of `round` it has something for in
+/// `touched`, ascending, with its provenance, and fills slot `i` of
+/// `lists` — empty on entry — with what this rank lists for the
+/// aggregator `touched[i]`, sorted by offset (a write's own pieces, the
 /// node-merged list on a node leader, nothing on the ranks it speaks
-/// for; a read's requests), and lists every aggregator it filled in
-/// `touched`, ascending, with its provenance. It is called once per
-/// round, rounds in order.
+/// for; a read's requests). It is called once per round, rounds in
+/// order, and fills at most `slots` lists a round: as many as the
+/// domains the contribution meets.
 ///
 /// A round costs what the rank sends and receives: the contribution
 /// consults a schedule, the size exchange is sparse, lists go only to
@@ -765,6 +823,7 @@ async fn two_phase_rounds<T, D, S>(
     r: &mut Rounds,
     dir: &mut D,
     ntimes: u64,
+    slots: usize,
     mut contribution: S,
 ) -> Result<u32, T::Abort>
 where
@@ -779,12 +838,11 @@ where
     let aggregators: &[usize] = fd.aggregators();
     let my_agg = fd.my_agg_index();
     let mut local_err: u32 = 0;
-    // One list per aggregator of this handle: a redo of a
-    // crash-tolerant write runs on a survivor view whose aggregator set
-    // is elected anew.
+    // The slab of lists, grown once to the file's high-water mark.
     let lists = dir.lists();
-    lists.truncate(aggregators.len());
-    lists.resize_with(aggregators.len(), Vec::new);
+    if lists.len() < slots {
+        lists.resize_with(slots, Vec::new);
+    }
 
     // --- 3–4. the two-phase rounds ----------------------------------------
     for round in 0..ntimes {
@@ -793,10 +851,11 @@ where
         contribution(round, dir.lists(), &mut r.touched);
         let lists = dir.lists();
         r.sends.clear();
-        r.sends.extend(r.touched.iter().map(|&(a, _)| {
-            let bytes: u64 = lists[a].iter().map(D::piece_len).sum();
+        let sizes = r.touched.iter().zip(lists).map(|(&(a, _), list)| {
+            let bytes: u64 = list.iter().map(D::piece_len).sum();
             (aggregators[a], bytes)
-        }));
+        });
+        r.sends.extend(sizes);
 
         // Size dissemination ("shuffle_all2all"): `recvs` now holds
         // the per-source byte counts this rank will receive.
@@ -806,12 +865,12 @@ where
         }
 
         // The lists out: post the sends, keep my own.
-        for &(a, provenance) in &r.touched {
+        for (slot, &(a, provenance)) in r.touched.iter().enumerate() {
             let dst = aggregators[a];
             if dst == me {
-                dir.keep_own(fd, a);
+                dir.keep_own(fd, slot);
             } else {
-                let list = &mut dir.lists()[a];
+                let list = &mut dir.lists()[slot];
                 let bytes = D::wire_bytes(list, comm.node_of(dst) != my_node, provenance);
                 // Ship a pooled vector so the receiver's recycle refills
                 // the next sender.
@@ -846,7 +905,8 @@ where
 /// they receive into their collective buffer and write it.
 #[derive(Default)]
 struct Writing {
-    /// What this rank ships to each aggregator in a round.
+    /// What this rank ships to each aggregator it touches in a round,
+    /// by slot.
     lists: Vec<Vec<(u64, Payload)>>,
     /// The pieces this aggregator holds this round: its own first,
     /// then each source's in turn.
@@ -903,8 +963,8 @@ impl Direction for Writing {
         &mut self.lists
     }
 
-    fn keep_own(&mut self, _: &AdioFile, a: usize) {
-        self.recvd.append(&mut self.lists[a]);
+    fn keep_own(&mut self, _: &AdioFile, slot: usize) {
+        self.recvd.append(&mut self.lists[slot]);
     }
 
     fn keep(&mut self, fd: &AdioFile, _: usize, mut list: Vec<(u64, Payload)>) {
@@ -1274,30 +1334,36 @@ mod tests {
         /// query finds something in, aggregators ascending, with the
         /// pieces it finds (and counts them as the contribution's
         /// provenance) — on views with touching and far-apart
-        /// pieces (so pieces straddle window edges), over the domains
-        /// ROMIO would compute and over arbitrary ones (zero-length,
-        /// starting past the view's first byte so pieces lie before
-        /// the first domain, ending short of or past its last so the
-        /// view ends mid-window), with windows clipped at a domain's
-        /// end and the empty windows of an exhausted one.
+        /// pieces (so pieces straddle window edges, and gaps skip
+        /// whole domains), over the domains ROMIO would compute (with
+        /// the empty trailing domains `FdStrategy::Even` leaves when
+        /// aggregators outnumber the bytes) and over arbitrary ones
+        /// (zero-length, starting past the view's first byte so pieces
+        /// lie before the first domain, ending short of or past its
+        /// last so the view ends mid-window), with windows clipped at
+        /// a domain's end and the empty windows of an exhausted one.
+        /// The schedule starts with exactly the domains the view meets,
+        /// in room reserved for that many, and never holds one it
+        /// misses.
         #[test]
         fn cursor_walk_is_the_windowed_view_query(
-            blocks in prop::collection::vec((0u64..40, 1u64..60), 0..40),
+            blocks in prop::collection::vec((0u64..40, 1u64..60, any::<bool>()), 0..40),
             disp in 0u64..200,
             computed in any::<bool>(),
             first in 0u64..300,
             sizes in prop::collection::vec(0u64..300, 1..9),
+            naggs in 1usize..200,
             cb in 1u64..200,
         ) {
             let mut at = 0;
-            let blocks = blocks.into_iter().map(|(gap, len)| {
-                at += gap + len;
+            let blocks = blocks.into_iter().map(|(gap, len, skip)| {
+                at += gap + if skip { 400 } else { 0 } + len;
                 (at - len, len)
             });
             let view = FileView::new(&FlatType::indexed(blocks.collect()), disp);
             let fds = if computed {
                 let (st, end) = view.file_range();
-                FileDomains::compute(st, end, sizes.len(), crate::hints::FdStrategy::Even, 1)
+                FileDomains::compute(st, end, naggs, crate::hints::FdStrategy::Even, 1)
             } else {
                 let mut bounds = vec![first];
                 for &s in &sizes {
@@ -1308,19 +1374,30 @@ mod tests {
                     ends: bounds[1..].to_vec(),
                 }
             };
+            let meets = |a: usize| !view.pieces_in_window(fds.starts[a], fds.ends[a]).is_empty();
             let mut due = Schedule::new();
             let mut cursors = WindowCursors::new(&view, &fds, cb, &mut due);
-            let mut lists = vec![Vec::new(); fds.len()];
+            let met = cursors.met;
+            prop_assert_eq!(met, (0..fds.len()).filter(|&a| meets(a)).count());
+            prop_assert_eq!(cursors.due.len(), met);
+            // Reserved for the domains met alone (a vector's least
+            // non-zero room is 4 of these entries).
+            prop_assert!(cursors.due.capacity() <= met.max(4) * usize::from(met > 0));
+            let mut lists = vec![Vec::new(); met];
             // One round past the last: every window empty by then.
             for round in 0..fds.max_size().div_ceil(cb) + 1 {
+                for &Reverse((_, a, _)) in cursors.due.iter() {
+                    prop_assert!(meets(a), "domain {} scheduled, round {}", a, round);
+                }
                 let mut touched = Vec::new();
                 cursors.fill(round, &mut lists, &mut touched, |vp| vp);
-                for &(a, provenance) in &touched {
-                    prop_assert_eq!(provenance.pieces, lists[a].len() as u64, "round {}", round);
+                for (slot, &(_, provenance)) in touched.iter().enumerate() {
+                    prop_assert_eq!(provenance.pieces, lists[slot].len() as u64, "round {}", round);
                 }
                 let walked: Vec<(usize, Vec<ViewPiece>)> = touched
                     .iter()
-                    .map(|&(a, _)| (a, std::mem::take(&mut lists[a])))
+                    .zip(&mut lists)
+                    .map(|(&(a, _), list)| (a, std::mem::take(list)))
                     .collect();
                 let windows = (0..fds.len()).map(|a| {
                     let (ws, we) = fds.window(a, cb, round);

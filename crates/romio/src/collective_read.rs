@@ -112,8 +112,9 @@ type ReqPiece = (u64, u64, u64); // (file_off, len, buf_off)
 /// union of what they were asked for and answer every source.
 #[derive(Default)]
 pub(crate) struct Reading {
-    /// What this rank asks each aggregator for in a round.
-    lists: Vec<Vec<ReqPiece>>,
+    /// What this rank asks each aggregator it touches for in a round,
+    /// by slot.
+    pub(crate) lists: Vec<Vec<ReqPiece>>,
     /// What this rank has been answered so far.
     out: ReadAllResult,
     /// The request lists this aggregator holds this round, by source.
@@ -171,9 +172,9 @@ impl Direction for Reading {
         &mut self.lists
     }
 
-    fn keep_own(&mut self, fd: &AdioFile, a: usize) {
+    fn keep_own(&mut self, fd: &AdioFile, slot: usize) {
         let mut reqs = fd.comm.send_buf::<ReqPiece>();
-        reqs.append(&mut self.lists[a]);
+        reqs.append(&mut self.lists[slot]);
         self.requests.push((fd.comm.rank(), reqs));
     }
 

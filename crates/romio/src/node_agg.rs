@@ -47,6 +47,7 @@ use e10_storesim::Payload;
 
 use crate::adio::{AdioFile, DataSpec};
 use crate::collective::{merge_continuing, sort_by_offset, Provenance, Transport, GATHER_TAG};
+use crate::fd::FileDomains;
 
 /// The node's aggregated request list, held by the node leader, and
 /// the buffers it is built in. Part of the file's round scratch
@@ -119,6 +120,21 @@ impl MergedNode {
     /// Total payload bytes of the aggregated request.
     pub(crate) fn total_bytes(&self) -> u64 {
         self.pieces.iter().map(|(_, p)| p.len).sum()
+    }
+
+    /// How many non-empty domains of `fds` the aggregated pieces meet:
+    /// no round has more windows with pieces in them. One search per
+    /// domain, as a round's walk over the windows costs.
+    pub(crate) fn domains_met(&self, fds: &FileDomains) -> usize {
+        let domains = fds.starts.iter().zip(&fds.ends);
+        domains
+            .filter(|&(&start, &end)| {
+                // The first piece ending past `start` starts first of
+                // those that do.
+                let first = self.pmax.partition_point(|&e| e <= start);
+                start < end && self.pieces.get(first).is_some_and(|&(off, _)| off < end)
+            })
+            .count()
     }
 
     /// Fill `out` with the aggregated pieces intersecting `[lo, hi)`,

@@ -16,7 +16,14 @@
 #      the sizes the future-size gates hold (informational here; the
 #      gates ran in the suite): a spawned task's box against its future,
 #      in simcore's join.rs, and the collective write/read, PFS write
-#      and RAID write/read futures, in crates/romio/tests/future_sizes.rs.
+#      and RAID write/read futures, in crates/romio/tests/future_sizes.rs,
+#      and beside them the capacity gate's numbers
+#      (crates/romio/tests/round_state.rs,
+#      round_state_is_sized_by_the_aggregators_a_rank_touches: a
+#      64-rank write and read of one view at 8 and at 64 aggregators;
+#      what a rank's round scratch keeps and what the size exchange's
+#      rows hold are at most 4 entries per aggregator the rank touched,
+#      and the two runs are within 25 % of each other).
 #      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
@@ -125,7 +132,8 @@ scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src \
 future_sizes() {
   { cargo test -q -p e10-simcore --lib a_spawned_task_holds_its_future_once -- --nocapture
     cargo test -q -p e10-romio --test future_sizes -- --nocapture
-  } 2>&1 | grep '^future size:'
+    cargo test -q -p e10-romio --test round_state -- --nocapture
+  } 2>&1 | grep -e '^future size:' -e '^round state:'
 }
 future_sizes
 
