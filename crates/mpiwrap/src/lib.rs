@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use e10_mpisim::Info;
-use e10_romio::{job_family, AdioError, AdioFile, IoCtx};
+use e10_romio::{job_family, AdioFile, Error, IoCtx};
 
 /// One configuration rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,7 +177,7 @@ impl MpiWrap {
         path: &str,
         user_info: &Info,
         create: bool,
-    ) -> Result<AdioFile, AdioError> {
+    ) -> Result<AdioFile, Error> {
         let family = job_family(path).to_string();
         let prev = self.outstanding.borrow_mut().remove(&family);
         if let Some(f) = prev {

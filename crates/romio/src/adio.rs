@@ -17,10 +17,6 @@ use crate::hints::{CacheMode, RomioHints};
 use crate::profile::{Phase, Profiler};
 use crate::testbed::IoCtx;
 
-/// Alias kept so pre-unification code (`AdioError::Hint(..)` matches
-/// and all) keeps compiling; new code should name [`Error`].
-pub type AdioError = Error;
-
 /// What a write call's buffer logically contains.
 ///
 /// Benchmarks use [`DataSpec::FileGen`]: the buffer holds the bytes
@@ -121,7 +117,7 @@ impl AdioFile {
         path: &str,
         info: &Info,
         create: bool,
-    ) -> Result<AdioFile, AdioError> {
+    ) -> Result<AdioFile, Error> {
         let hints = RomioHints::parse(info)?;
         let profiler = Profiler::new();
         let timer = profiler.enter(Phase::OpenColl);
@@ -769,7 +765,7 @@ mod tests {
             on_testbed(1, 1, |ctx| async move {
                 let info = info_with(&[("e10_cache", "bogus")]);
                 let r = AdioFile::open(&ctx, "/gfs/x", &info, true).await;
-                assert!(matches!(r, Err(AdioError::Hint(_))));
+                assert!(matches!(r, Err(Error::Hint(_))));
             })
             .await;
         });

@@ -16,8 +16,9 @@
 
 use e10_mpisim::{FileView, Info};
 
-use crate::adio::{AdioError, AdioFile, DataSpec};
+use crate::adio::{AdioFile, DataSpec};
 use crate::collective::{write_at_all, WriteAllResult};
+use crate::error::Error;
 use crate::fd::select_aggregators;
 use crate::testbed::IoCtx;
 
@@ -64,7 +65,7 @@ pub async fn write_at_all_multifile(
     view: &FileView,
     data: &DataSpec,
     ngroups: usize,
-) -> Result<(WriteAllResult, String), AdioError> {
+) -> Result<(WriteAllResult, String), Error> {
     let comm = &ctx.comm;
     let group = group_of(comm.rank(), comm.size(), ngroups);
     let sub = comm.split(group as u32, comm.rank() as u64).await;

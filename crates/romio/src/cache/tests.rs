@@ -1,6 +1,6 @@
 use super::*;
 use crate::journal;
-use crate::testbed::TestbedSpec;
+use crate::testbed::{Testbed, TestbedSpec};
 use e10_pfs::Striping;
 use e10_simcore::{run, SimDuration};
 use e10_storesim::{ExtentMap, Source};
@@ -147,6 +147,15 @@ fn reservation_exhaustion_degrades_managed_job_only() {
         // The other tenant keeps its own reservation.
         assert!(lb.write(0, Payload::gen(2, 0, 64 << 10)).await.unwrap());
         assert!(!lb.is_degraded());
+        // An unmanaged cache on the volume is never checked: it stages
+        // past any reservation and is charged to no tenant.
+        let gc = tb.pfs.create(0, "/gfs/jobc", Striping::default()).await;
+        let cc = CacheConfig::new("/scratch", "jobc", 0, 0);
+        let lc = CacheLayer::open(tb.localfs[0].clone(), gc, cc)
+            .await
+            .unwrap();
+        assert!(lc.write(0, Payload::gen(3, 0, 450 << 10)).await.unwrap());
+        assert_eq!(lc.tenant_staged(), 0);
         la.close().await.unwrap();
         lb.close().await.unwrap();
         assert!(ga.extents().verify_gen(1, 0, 400 << 10).is_ok());
@@ -211,6 +220,147 @@ fn watermark_pressure_evicts_synced_extents_across_jobs() {
             assert!(g.extents().verify_gen(seed, 0, 270 << 10).is_ok());
         }
         let _ = gc;
+    });
+}
+
+/// A watermark-managed (80 % / 50 %) cache of job `job` on `tb`'s
+/// node-0 volume, writing to `/gfs/<job>`.
+async fn managed_layer(tb: &Testbed, job: &str, flush: FlushFlag) -> CacheLayer {
+    let global = tb
+        .pfs
+        .create(0, &format!("/gfs/{job}"), Striping::default())
+        .await;
+    let mut c = CacheConfig::new("/scratch", job, 0, 0);
+    c.hiwater = 80;
+    c.lowater = 50;
+    c.flush_flag = flush;
+    CacheLayer::open(tb.localfs[0].clone(), global, c)
+        .await
+        .unwrap()
+}
+
+fn scratch_testbed(capacity: u64) -> Testbed {
+    let mut spec = TestbedSpec::small(1, 1);
+    spec.localfs.capacity = capacity;
+    spec.build()
+}
+
+/// The volume owns its arbiter and the arbiter holds no share of the
+/// volume's attachment slot, nor of the cache volumes whose synced
+/// extents it may evict: once the last handle goes, so does the
+/// arbiter (and with it the volume — a cycle here leaked every node's
+/// cache volume per run).
+#[test]
+fn arbiter_dies_with_its_volume() {
+    run(async {
+        let tb = scratch_testbed(1 << 20);
+        let mut c = CacheConfig::new("/scratch", "a", 0, 0);
+        c.hiwater = 80;
+        c.lowater = 50;
+        c.journal = true;
+        c.integrity = true;
+        let global = tb.pfs.create(0, "/gfs/a", Striping::default()).await;
+        let layer = CacheLayer::open(tb.localfs[0].clone(), global, c)
+            .await
+            .unwrap();
+        layer.write(0, Payload::gen(1, 0, 4096)).await.unwrap();
+        layer.close().await.unwrap();
+        let arb = CacheArbiter::of(&tb.localfs[0]);
+        assert_eq!(arb.evictable_bytes(), 4096);
+        let weak = Rc::downgrade(&arb);
+        drop((arb, layer, tb));
+        assert!(weak.upgrade().is_none(), "the arbiter outlived its volume");
+    });
+}
+
+#[test]
+fn pressure_evicts_synced_lru_then_admits() {
+    run(async {
+        let tb = scratch_testbed(1_000_000);
+        let fs = tb.localfs[0].clone();
+        let arb = CacheArbiter::of(&fs);
+        let la = managed_layer(&tb, "a", FlushFlag::FlushImmediate).await;
+        let b = arb.register("b", 80, 50, 4096, 0);
+        // Job a stages 390k (within its 400k reservation) in two
+        // extents, each synced and evictable, the older one first.
+        la.write(0, Payload::gen(1, 0, 200_000)).await.unwrap();
+        la.flush().await.unwrap();
+        la.write(200_000, Payload::gen(1, 200_000, 190_000))
+            .await
+            .unwrap();
+        la.flush().await.unwrap();
+        assert_eq!(la.tenant_staged(), 390_000);
+        assert_eq!(arb.evictable_bytes(), 390_000);
+        // Job b stages 290k unsynced (not evictable), and 200k of
+        // non-tenant data occupies the volume besides.
+        let fb = fs.create("/scratch/b.0.e10").await.unwrap();
+        fb.fallocate(0, 290_000).await.unwrap();
+        fb.write(0, Payload::gen(2, 0, 290_000)).await.unwrap();
+        arb.note_staged(b, 290_000);
+        let junk = fs.create("/scratch/junk.dat").await.unwrap();
+        junk.fallocate(0, 200_000).await.unwrap();
+        let (admitted0, refused0, evicted0, _) = arb.stats();
+        // used = 880k; +100k crosses hi (800k): pressure trips and
+        // the arbiter evicts a's synced extents oldest-first, but
+        // 490k of unsynced/non-tenant bytes remain — still above
+        // the 400k drain target, so this write is refused.
+        assert_eq!(arb.admit(b, 100_000).await, Admission::Refused);
+        assert!(arb.under_pressure(b));
+        assert_eq!(fs.statfs().1, 490_000);
+        assert_eq!(la.tenant_staged(), 0);
+        // Once the non-tenant bytes go, the latched retry drains
+        // below the low watermark and admission resumes.
+        junk.punch(0, 200_000).await;
+        assert_eq!(arb.admit(b, 100_000).await, Admission::Granted);
+        assert!(!arb.under_pressure(b));
+        let (admitted, refused, evicted, _) = arb.stats();
+        assert_eq!(admitted - admitted0, 100_000);
+        assert_eq!(refused - refused0, 100_000);
+        assert_eq!(evicted - evicted0, 390_000);
+    });
+}
+
+#[test]
+fn invalidate_and_stale_epochs_protect_dirty_bytes() {
+    run(async {
+        let tb = scratch_testbed(1 << 30);
+        let arb = CacheArbiter::of(&tb.localfs[0]);
+        let la = managed_layer(&tb, "a", FlushFlag::FlushOnClose).await;
+        // Two writes of one range, then one flush: the first sync
+        // completes at a stale epoch (the second write came after it
+        // was posted) and must not become a candidate; the second is
+        // current and does.
+        la.write(0, Payload::gen(1, 0, 100_000)).await.unwrap();
+        la.write(0, Payload::gen(2, 0, 100_000)).await.unwrap();
+        la.flush().await.unwrap();
+        assert_eq!(arb.evictable_bytes(), 100_000);
+        // A rewrite overlapping the candidate drops it whole.
+        la.write(50_000, Payload::gen(3, 50_000, 1_000))
+            .await
+            .unwrap();
+        assert_eq!(arb.evictable_bytes(), 0);
+        // Eviction really leaves non-candidate bytes alone.
+        arb.evict_down_to(0).await;
+        let file = tb.localfs[0].open(la.cache_file_path()).await.unwrap();
+        assert_eq!(file.extents().covered_bytes(), 100_000);
+    });
+}
+
+#[test]
+fn release_file_forgets_candidates() {
+    run(async {
+        let tb = scratch_testbed(1 << 30);
+        let arb = CacheArbiter::of(&tb.localfs[0]);
+        let la = managed_layer(&tb, "a", FlushFlag::FlushImmediate).await;
+        la.write(0, Payload::gen(1, 0, 10_000)).await.unwrap();
+        la.flush().await.unwrap();
+        assert_eq!(arb.evictable_bytes(), 10_000);
+        arb.release_file(&la.inner.vol);
+        assert_eq!(arb.evictable_bytes(), 0);
+        // Eviction after release is a no-op even at target 0 with the
+        // file's bytes still on the volume.
+        arb.evict_down_to(0).await;
+        assert_eq!(la.inner.vol.resident(0, 10_000), 10_000);
     });
 }
 

@@ -25,8 +25,8 @@ pub(super) struct SyncMsg {
     pub(super) len: u64,
     /// The coherent-mode range lock, held until the extent is synced.
     pub(super) lock: Option<RangeLockGuard>,
-    /// Cache-file write epoch when the extent was staged (see
-    /// [`CacheArbiter::note_write`]); 0 for unmanaged jobs.
+    /// The volume's write epoch when the extent was staged (see
+    /// [`Volume::epoch`]); 0 for unmanaged caches.
     pub(super) epoch: u64,
     /// Bounded-queue slot (`e10_cache_sync_depth`), held only for its
     /// drop: releasing it after the extent is drained readmits one
@@ -52,14 +52,21 @@ impl SyncMsg {
 /// State shared by the foreground layer and the sync thread. The
 /// channel's sending end is *not* here: it stays with the foreground,
 /// so dropping the layer closes the channel and ends the thread.
-pub(super) struct Volume {
+pub(crate) struct Volume {
     pub(super) cfg: CacheConfig,
     pub(super) tiers: Tiers,
-    pub(super) journal: Option<LocalFile>,
+    pub(crate) journal: Option<LocalFile>,
     pub(super) journal_file_path: String,
     pub(super) global: PfsHandle,
-    /// The node's shared multi-tenant arbiter (one per mount).
-    pub(super) arbiter: Rc<CacheArbiter>,
+    /// The node's shared multi-tenant arbiter (one per mount) and this
+    /// cache's tenant id in it; `None` for an unmanaged cache
+    /// (`e10_cache_hiwater = 0`), which never talks to the arbiter.
+    pub(super) tenant: Option<(Rc<CacheArbiter>, usize)>,
+    /// Bumped by every staged write of a managed cache. A sync posted
+    /// at an older epoch yields no eviction candidate (conservatively
+    /// whole-file), so a sync racing a rewrite can never make dirty
+    /// bytes evictable.
+    pub(super) epoch: Cell<u64>,
     /// The write-through gate: set on any condition that stops the
     /// cache admitting new extents (full, reservation exhausted,
     /// persistently corrupting, sync thread gone, device failed).
@@ -87,10 +94,27 @@ pub(super) struct Volume {
 }
 
 impl Volume {
-    /// True for watermark-managed jobs; unmanaged ones skip every
-    /// arbiter check.
-    pub(super) fn managed(&self) -> bool {
-        self.cfg.hiwater > 0
+    /// Bytes of `[pos, pos+n)` resident on the block tier.
+    pub(crate) fn resident(&self, pos: u64, n: u64) -> u64 {
+        self.tiers.block.covered_bytes_in(pos, n)
+    }
+
+    /// Drop the synced `[pos, pos+n)` from the cache: punch it out of
+    /// the tiers, prune the integrity mirror in lock-step (so later
+    /// verifies compare like with like, and scrub repair does not
+    /// resurrect the punched bytes) and return the block bytes freed to
+    /// the tenant. Returns those bytes. The sync thread's streaming
+    /// eviction and the arbiter's pressure eviction both end here.
+    pub(crate) async fn evict(&self, pos: u64, n: u64) -> u64 {
+        let freed = self.resident(pos, n);
+        self.tiers.evict(pos, n).await;
+        if let Some(mirror) = self.integrity.mirror() {
+            mirror.borrow_mut().remove(pos, n);
+        }
+        if let Some((arbiter, t)) = &self.tenant {
+            arbiter.note_freed(*t, freed);
+        }
+        freed
     }
 
     /// `Draining → Retired`: nothing is pending any more.
@@ -124,10 +148,9 @@ impl Volume {
         }
         self.health.set(Health::Draining);
         self.degraded.set(true);
-        self.arbiter.release_file(self.tiers.block.path());
-        if self.managed() {
-            let resident = self.tiers.block.extents().covered_bytes();
-            self.arbiter.note_freed(&self.cfg.job, resident);
+        if let Some((arbiter, t)) = &self.tenant {
+            arbiter.release_file(self);
+            arbiter.note_freed(*t, self.tiers.block.extents().covered_bytes());
         }
         trace::counter("cache.draining", 1);
         trace::emit(|| {
@@ -189,7 +212,13 @@ impl Volume {
 
     /// Push the chunk of `msg` starting at `pos` to the global file;
     /// returns its length. `pieces` is scratch.
-    async fn sync_chunk(&self, msg: &SyncMsg, pos: u64, end: u64, pieces: &mut Pieces) -> u64 {
+    async fn sync_chunk(
+        self: &Rc<Self>,
+        msg: &SyncMsg,
+        pos: u64,
+        end: u64,
+        pieces: &mut Pieces,
+    ) -> u64 {
         let node = self.cfg.node;
         // Degraded-mode survivability: notice a dead cache device or a
         // killed sync pipeline before touching the chunk — from here on
@@ -212,10 +241,9 @@ impl Volume {
         // Fair flush scheduling: with two or more watermark-managed
         // jobs on the node, each chunk takes a deficit-round-robin turn
         // so one job cannot monopolise the sync path.
-        let metered = if self.managed() {
-            self.arbiter.flush_begin(&self.cfg.job, n).await
-        } else {
-            false
+        let metered = match &self.tenant {
+            Some((arbiter, t)) if arbiter.flush_begin(*t, n).await => Some(arbiter),
+            _ => None,
         };
         // Read back from the owning tier(s)...
         self.tiers.read_into(pos, n, pieces).await;
@@ -311,37 +339,22 @@ impl Volume {
             // Streaming space management: drop the chunk from the cache
             // as soon as it is persistent globally.
             if self.cfg.evict {
-                let freed = if self.managed() {
-                    self.tiers.block.covered_bytes_in(pos, n)
-                } else {
-                    0
-                };
-                self.tiers.evict(pos, n).await;
-                // Keep the mirror in lock-step with the cache file so
-                // later verifies compare like with like.
-                if let Some(mirror) = self.integrity.mirror() {
-                    mirror.borrow_mut().remove(pos, n);
-                }
-                if self.managed() {
-                    self.arbiter.note_freed(&self.cfg.job, freed);
-                }
-            } else if self.managed() && self.health.get() == Health::Healthy {
+                self.evict(pos, n).await;
+            } else if let Some((arbiter, _)) = &self.tenant {
                 // The chunk stays resident but is globally persistent:
-                // offer it to the arbiter as an eviction candidate
-                // under pressure.
-                self.arbiter.note_synced(
-                    &self.cfg.job,
-                    &self.tiers.block,
-                    pos,
-                    n,
-                    msg.epoch,
-                    self.integrity.mirror.clone(),
-                    self.journal.clone(),
-                );
+                // unless the volume was written since the chunk was
+                // posted (or is draining), offer it to the arbiter as
+                // an eviction candidate under pressure.
+                let current = msg.epoch != 0 && msg.epoch == self.epoch.get();
+                if current && self.health.get() == Health::Healthy {
+                    arbiter.note_synced(Rc::downgrade(self), pos, n);
+                }
             }
             self.bytes_synced.set(self.bytes_synced.get() + n);
         }
-        self.arbiter.flush_end(metered);
+        if let Some(arbiter) = metered {
+            arbiter.flush_end();
+        }
         n
     }
 }

@@ -3,11 +3,8 @@
 //! Every fallible surface of the crate — hint resolution, the global
 //! parallel file system, the node-local cache file system — converges
 //! on [`Error`], so callers match on a single enum instead of juggling
-//! the per-layer types. [`AdioError`] remains as an alias for existing
-//! code. What hint resolution itself reports, [`HintError`] and
-//! [`HintErrors`], is defined here too.
-//!
-//! [`AdioError`]: crate::adio::AdioError
+//! the per-layer types. What hint resolution itself reports,
+//! [`HintError`] and [`HintErrors`], is defined here too.
 
 use e10_localfs::FsError;
 use e10_pfs::PfsError;

@@ -53,7 +53,7 @@ mod test_util;
 pub mod testbed;
 pub mod tolerant;
 
-pub use adio::{AdioError, AdioFile, DataSpec};
+pub use adio::{AdioFile, DataSpec};
 pub use arbiter::{job_family, Admission, CacheArbiter};
 pub use baselines::{group_of, write_at_all_multifile, write_at_all_partitioned};
 pub use cache::{CacheConfig, CacheLayer, Health, RecoverError, RecoveryReport};

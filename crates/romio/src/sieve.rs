@@ -28,7 +28,8 @@ pub async fn write_strided(fd: &AdioFile, view: &FileView, data: &DataSpec) -> (
         return (0, 0);
     }
     let buf = fd.hints().ind_wr_buffer_size.max(1);
-    let ds = fd.hints().ds_write == CbMode::Enable && !fd.cache_active();
+    // ROMIO sieves unless the hint says `disable` (`automatic` too).
+    let ds = fd.hints().ds_write != CbMode::Disable && !fd.cache_active();
 
     let mut total = 0u64;
     let mut err: u32 = 0;
@@ -97,6 +98,34 @@ mod tests {
     use crate::testbed::TestbedSpec;
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;
+    use e10_simcore::trace::{install_with_metrics, MetricsRegistry, RingSink};
+    use std::rc::Rc;
+
+    /// Write `flat` at offset 0 of `path` independently with generator
+    /// `seed` and the given hints, and return the open file and the
+    /// global-file read chunks the write issued: a sieving
+    /// read-modify-write reads, a direct write does not.
+    async fn write_counting_reads(
+        path: &str,
+        hints: &[(&str, &str)],
+        flat: &FlatType,
+        seed: u64,
+    ) -> (AdioFile, u64) {
+        let tb = TestbedSpec::small(1, 1).build();
+        let info = Info::new();
+        for &(k, v) in hints {
+            info.set(k, v);
+        }
+        let f = AdioFile::open(&tb.ctx(0), path, &info, true).await.unwrap();
+        let metrics = Rc::new(MetricsRegistry::new());
+        let guard = install_with_metrics(Rc::new(RingSink::new(16)), Rc::clone(&metrics));
+        let view = FileView::new(flat, 0);
+        let (n, err) = write_strided(&f, &view, &DataSpec::FileGen { seed }).await;
+        drop(guard);
+        assert_eq!((n, err), (flat.total_bytes(), 0));
+        f.close().await;
+        (f, metrics.snapshot().counter("pfs.read_chunks"))
+    }
 
     #[test]
     fn direct_path_writes_every_piece() {
@@ -141,49 +170,37 @@ mod tests {
 
     #[test]
     fn sieving_merges_dense_small_pieces() {
-        run(async {
-            let tb = TestbedSpec::small(1, 1).build();
-            let ctx = tb.ctx(0);
-            let info = Info::new();
-            info.set("romio_ds_write", "enable");
-            info.set("ind_wr_buffer_size", "1M");
-            let f = AdioFile::open(&ctx, "/gfs/sieve", &info, true)
-                .await
-                .unwrap();
-            // Dense pattern: 100-byte pieces every 150 bytes.
-            let flat = FlatType::vector(64, 100, 150);
-            let view = FileView::new(&flat, 0);
-            let (n, err) = write_strided(&f, &view, &DataSpec::FileGen { seed: 7 }).await;
-            assert_eq!(n, 6_400);
-            assert_eq!(err, 0);
-            f.close().await;
-            for i in 0..64u64 {
-                f.global().extents().verify_gen(7, i * 150, 100).unwrap();
-            }
-            // Holes must remain holes.
-            assert!(!f.global().extents().covered(100, 50));
-        });
+        // Dense pattern: 100-byte pieces every 150 bytes. `automatic`
+        // sieves like `enable`; only `disable` writes piece by piece.
+        for (mode, sieves) in [("enable", true), ("automatic", true), ("disable", false)] {
+            run(async move {
+                let flat = FlatType::vector(64, 100, 150);
+                let hints = [("romio_ds_write", mode), ("ind_wr_buffer_size", "1M")];
+                let (f, reads) = write_counting_reads("/gfs/sieve", &hints, &flat, 7).await;
+                assert_eq!(reads > 0, sieves, "romio_ds_write = {mode}");
+                for i in 0..64u64 {
+                    f.global().extents().verify_gen(7, i * 150, 100).unwrap();
+                }
+                // Holes must remain holes.
+                assert!(!f.global().extents().covered(100, 50));
+            });
+        }
     }
 
     #[test]
     fn sparse_pattern_avoids_sieving() {
-        run(async {
-            let tb = TestbedSpec::small(1, 1).build();
-            let ctx = tb.ctx(0);
-            let info = Info::new();
-            info.set("romio_ds_write", "enable");
-            let f = AdioFile::open(&ctx, "/gfs/sparse", &info, true)
-                .await
-                .unwrap();
-            // 100-byte pieces every 10_000 bytes: sieving would read
-            // 99% garbage; the heuristic must fall back to direct writes.
-            let flat = FlatType::vector(4, 100, 10_000);
-            let view = FileView::new(&flat, 0);
-            write_strided(&f, &view, &DataSpec::FileGen { seed: 8 }).await;
-            f.close().await;
-            for i in 0..4u64 {
-                f.global().extents().verify_gen(8, i * 10_000, 100).unwrap();
-            }
-        });
+        // 100-byte pieces every 10_000 bytes: sieving would read 99%
+        // garbage; the heuristic must fall back to direct writes.
+        for mode in ["enable", "automatic"] {
+            run(async move {
+                let flat = FlatType::vector(4, 100, 10_000);
+                let hints = [("romio_ds_write", mode)];
+                let (f, reads) = write_counting_reads("/gfs/sparse", &hints, &flat, 8).await;
+                assert_eq!(reads, 0, "romio_ds_write = {mode}");
+                for i in 0..4u64 {
+                    f.global().extents().verify_gen(8, i * 10_000, 100).unwrap();
+                }
+            });
+        }
     }
 }

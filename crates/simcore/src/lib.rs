@@ -63,7 +63,7 @@ pub use join::{join_all, FixedJoin};
 pub use pool::{run_jobs, run_jobs_on, worker_threads, Job};
 pub use resource::{FairShare, FifoServer};
 pub use rng::{Jitter, SimRng};
-pub use stats::{LogHistogram, Tally};
+pub use stats::Tally;
 pub use sync::{Flag, Semaphore, SemaphoreGuard};
 pub use time::{transfer_time, SimDuration, SimTime};
 

@@ -87,27 +87,6 @@ impl Tally {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merge another tally into this one (parallel Welford combine).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Tally {
@@ -121,82 +100,6 @@ impl fmt::Display for Tally {
             self.min,
             self.max
         )
-    }
-}
-
-/// Fixed-memory quantile sketch over logarithmic buckets.
-///
-/// Values are bucketed by `log2` with `sub` sub-buckets per octave; this
-/// bounds relative quantile error at ~`2^(1/sub) - 1` regardless of the
-/// number of observations, which is plenty for latency histograms.
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    sub: u32,
-    counts: Vec<u64>,
-    underflow: u64,
-    total: u64,
-    floor: f64,
-}
-
-impl LogHistogram {
-    /// `floor` is the smallest distinguishable value; anything below it
-    /// lands in the underflow bucket. `sub` sub-buckets per power of two.
-    pub fn new(floor: f64, sub: u32) -> Self {
-        assert!(floor > 0.0 && sub > 0);
-        LogHistogram {
-            sub,
-            counts: vec![0; (64 * sub) as usize],
-            underflow: 0,
-            total: 0,
-            floor,
-        }
-    }
-
-    fn bucket(&self, x: f64) -> Option<usize> {
-        if x < self.floor {
-            return None;
-        }
-        let b = ((x / self.floor).log2() * self.sub as f64).floor() as usize;
-        Some(b.min(self.counts.len() - 1))
-    }
-
-    fn bucket_value(&self, b: usize) -> f64 {
-        // Geometric midpoint of the bucket.
-        self.floor * 2f64.powf((b as f64 + 0.5) / self.sub as f64)
-    }
-
-    /// Record one observation.
-    pub fn push(&mut self, x: f64) {
-        self.total += 1;
-        match self.bucket(x) {
-            Some(b) => self.counts[b] += 1,
-            None => self.underflow += 1,
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Approximate `q`-quantile (`0.0..=1.0`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.floor;
-        }
-        for (b, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.bucket_value(b);
-            }
-        }
-        self.bucket_value(self.counts.len() - 1)
     }
 }
 
@@ -221,65 +124,10 @@ mod tests {
     }
 
     #[test]
-    fn tally_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut whole = Tally::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for (i, &x) in xs.iter().enumerate() {
-            if i % 2 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn tally_empty_is_safe() {
         let t = Tally::new();
         assert_eq!(t.mean(), 0.0);
         assert_eq!(t.variance(), 0.0);
         assert_eq!(t.cv(), 0.0);
-        let mut a = Tally::new();
-        a.merge(&t);
-        assert_eq!(a.count(), 0);
-    }
-
-    #[test]
-    fn histogram_quantiles_bounded_error() {
-        let mut h = LogHistogram::new(1e-6, 8);
-        for i in 1..=10_000 {
-            h.push(i as f64 * 1e-3);
-        }
-        let med = h.quantile(0.5);
-        assert!((med - 5.0).abs() / 5.0 < 0.1, "median={med}");
-        let p99 = h.quantile(0.99);
-        assert!((p99 - 9.9).abs() / 9.9 < 0.1, "p99={p99}");
-        assert!(h.quantile(0.0) > 0.0);
-        assert!(h.quantile(1.0) >= p99);
-    }
-
-    #[test]
-    fn histogram_underflow() {
-        let mut h = LogHistogram::new(1.0, 4);
-        h.push(0.001);
-        h.push(0.002);
-        h.push(10.0);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.quantile(0.3), 1.0); // underflow reported as floor
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = LogHistogram::new(1.0, 4);
-        assert_eq!(h.quantile(0.5), 0.0);
     }
 }

@@ -8,11 +8,9 @@
 #   1. release build of every crate, bins included
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
-#      "test result:" lines, then scripts/loc.sh over crates/romio/src,
-#      crates/workloads/src, crates/simcore/src, crates/storesim/src,
-#      crates/faultsim/src, crates/localfs/src, crates/netsim/src and
-#      crates/pfs/src: production vs test lines per file
-#      (informational, no gate), then
+#      "test result:" lines, then scripts/loc.sh over every crate
+#      (crates/*/src): production vs test lines per file, per crate and
+#      the grand total (informational, no gate), then
 #      the sizes the future-size gates hold (informational here; the
 #      gates ran in the suite): a spawned task's box against its future,
 #      in simcore's join.rs, and the collective write/read, PFS write
@@ -126,9 +124,7 @@ awk '/^test result:/ {
               suites, passed, failed
      }' target/ci-test.log
 echo "    [$(($SECONDS - t0))s] cargo test"
-scripts/loc.sh crates/romio/src crates/workloads/src crates/simcore/src \
-  crates/storesim/src crates/faultsim/src crates/localfs/src crates/netsim/src \
-  crates/pfs/src
+scripts/loc.sh
 future_sizes() {
   { cargo test -q -p e10-simcore --lib a_spawned_task_holds_its_future_once -- --nocapture
     cargo test -q -p e10-romio --test future_sizes -- --nocapture

@@ -4,17 +4,33 @@
 
 use proptest::prelude::*;
 
-use e10_repro::localfs::LocalFs;
+use e10_repro::pfs::Striping;
 use e10_repro::prelude::*;
 use e10_repro::romio::{Admission, CacheArbiter, FdStrategy, FileDomains, RomioHints, HINTS};
 use e10_repro::storesim::{ExtentMap, Payload, Source};
 
-/// A one-node testbed's local volume with the given cache capacity —
-/// the arbiter property tests drive [`CacheArbiter`] directly on it.
-fn arbiter_fs(capacity: u64) -> LocalFs {
+/// A one-node testbed whose local volume has the given cache capacity —
+/// the arbiter property tests drive [`CacheArbiter`] on it, directly
+/// and through [`managed_layer`]s.
+fn arbiter_testbed(capacity: u64) -> Testbed {
     let mut spec = TestbedSpec::small(1, 1);
     spec.localfs.capacity = capacity;
-    spec.build().localfs[0].clone()
+    spec.build()
+}
+
+/// A watermark-managed (80 % / 50 %) cache of job `job`, rank `rank`,
+/// on the testbed's volume: its synced extents are the arbiter's
+/// eviction candidates.
+async fn managed_layer(tb: &Testbed, job: &str, rank: usize, flush: FlushFlag) -> CacheLayer {
+    let path = format!("/gfs/{job}.{rank}");
+    let global = tb.pfs.create(0, &path, Striping::default()).await;
+    let mut c = CacheConfig::new("/scratch", job, rank, 0);
+    c.hiwater = 80;
+    c.lowater = 50;
+    c.flush_flag = flush;
+    CacheLayer::open(tb.localfs[0].clone(), global, c)
+        .await
+        .unwrap()
 }
 
 /// Partition `[0, total)` into segments with random owners; returns
@@ -524,22 +540,26 @@ proptest! {
         target in 0u64..800_000,
     ) {
         e10_simcore::run(async move {
-            let fs = arbiter_fs(1 << 20);
+            let tb = arbiter_testbed(1 << 20);
+            let fs = tb.localfs[0].clone();
             let arb = CacheArbiter::of(&fs);
-            arb.register("a", 80, 50, 4096, 0);
-            let file = fs.create("/scratch/a.0.e10").await.unwrap();
+            // Two caches of job a: synced extents go through one that
+            // flushes every write to the global file, unsynced ones
+            // through one that never syncs.
+            let synced_layer = managed_layer(&tb, "a", 0, FlushFlag::FlushImmediate).await;
+            let unsynced_layer = managed_layer(&tb, "a", 1, FlushFlag::FlushNone).await;
             // Disjoint slots so the whole-extent candidate model stays
             // exact: extent i lives at i * 50_000.
             let mut unsynced: Vec<(u64, u64)> = Vec::new();
             let mut unsynced_total = 0u64;
             for (i, &(len, synced)) in ops.iter().enumerate() {
                 let off = i as u64 * 50_000;
-                file.fallocate(off, len).await.unwrap();
-                file.write(off, Payload::gen(9, off, len)).await.unwrap();
-                arb.note_staged("a", len);
+                let payload = Payload::gen(9, off, len);
                 if synced {
-                    arb.note_synced("a", &file, off, len, 0, None, None);
+                    assert!(synced_layer.write(off, payload).await.unwrap());
+                    synced_layer.flush().await.unwrap();
                 } else {
+                    assert!(unsynced_layer.write(off, payload).await.unwrap());
                     unsynced.push((off, len));
                     unsynced_total += len;
                 }
@@ -554,6 +574,7 @@ proptest! {
             assert!(used_after <= target.max(unsynced_total));
             let (_, _, evicted_after, _) = arb.stats();
             assert_eq!(evicted_after - evicted_before, used_before - used_after);
+            let file = fs.open(unsynced_layer.cache_file_path()).await.unwrap();
             for &(off, len) in &unsynced {
                 assert_eq!(
                     file.extents().covered_bytes_in(off, len),
@@ -578,28 +599,24 @@ proptest! {
         ),
     ) {
         e10_simcore::run(async move {
-            let fs = arbiter_fs(1_000_000);
-            let arb = CacheArbiter::of(&fs);
-            let names = ["a", "b", "c"];
-            for n in names {
-                arb.register(n, 80, 50, 4096, 0);
-            }
+            let arb = CacheArbiter::of(&arbiter_testbed(1_000_000).localfs[0]);
+            let ids = ["a", "b", "c"].map(|n| arb.register(n, 80, 50, 4096, 0));
             let reservation = (1_000_000 * 80 / 100) / 3;
             let mut model = [0u64; 3];
             let mut exhausted = 0u64;
             for (j, len, is_free) in ops {
                 if is_free {
-                    arb.note_freed(names[j], len);
+                    arb.note_freed(ids[j], len);
                     model[j] = model[j].saturating_sub(len);
                 } else if model[j] + len > reservation {
-                    assert_eq!(arb.admit(names[j], len).await, Admission::Exhausted);
+                    assert_eq!(arb.admit(ids[j], len).await, Admission::Exhausted);
                     exhausted += 1;
                 } else {
-                    assert_eq!(arb.admit(names[j], len).await, Admission::Granted);
+                    assert_eq!(arb.admit(ids[j], len).await, Admission::Granted);
                     model[j] += len;
                 }
-                for (k, n) in names.iter().enumerate() {
-                    assert_eq!(arb.staged(n), model[k], "job {n} accounting drifted");
+                for (k, &t) in ids.iter().enumerate() {
+                    assert_eq!(arb.staged(t), model[k], "job {k} accounting drifted");
                 }
             }
             let (_, _, _, degrades) = arb.stats();
@@ -619,36 +636,35 @@ proptest! {
         admits in prop::collection::vec(1_000u64..50_000, 1..10),
     ) {
         e10_simcore::run(async move {
-            let fs = arbiter_fs(1_000_000);
+            let tb = arbiter_testbed(1_000_000);
+            let fs = tb.localfs[0].clone();
             let arb = CacheArbiter::of(&fs);
-            arb.register("a", 80, 50, 4096, 0);
-            arb.register("b", 80, 50, 4096, 0);
+            let la = managed_layer(&tb, "a", 0, FlushFlag::FlushImmediate).await;
+            let b = arb.register("b", 80, 50, 4096, 0);
             // Job a holds a small synced (evictable) extent; the rest
             // of the volume is non-tenant occupancy the arbiter cannot
             // punch, parked above the 800k high watermark.
-            let fa = fs.create("/scratch/a.0.e10").await.unwrap();
-            fa.fallocate(0, synced_len).await.unwrap();
-            arb.note_staged("a", synced_len);
-            arb.note_synced("a", &fa, 0, synced_len, 0, None, None);
+            assert!(la.write(0, Payload::gen(9, 0, synced_len)).await.unwrap());
+            la.flush().await.unwrap();
             let junk = fs.create("/scratch/junk.dat").await.unwrap();
             junk.fallocate(0, junk_len).await.unwrap();
 
             for &len in &admits {
-                assert_eq!(arb.admit("b", len).await, Admission::Refused);
-                assert!(arb.under_pressure("b"));
-                assert_eq!(arb.staged("b"), 0, "refusal leaked a charge");
+                assert_eq!(arb.admit(b, len).await, Admission::Refused);
+                assert!(arb.under_pressure(b));
+                assert_eq!(arb.staged(b), 0, "refusal leaked a charge");
             }
             // The first refusal already drained everything evictable.
-            assert_eq!(arb.staged("a"), 0);
+            assert_eq!(la.tenant_staged(), 0);
             assert_eq!(fs.statfs().1, junk_len);
 
             // Occupancy drops below the low watermark: the latched
             // retry admits again and the pressure flag clears.
             junk.punch(0, junk_len).await;
             let len = admits[0];
-            assert_eq!(arb.admit("b", len).await, Admission::Granted);
-            assert!(!arb.under_pressure("b"));
-            assert_eq!(arb.staged("b"), len);
+            assert_eq!(arb.admit(b, len).await, Admission::Granted);
+            assert!(!arb.under_pressure(b));
+            assert_eq!(arb.staged(b), len);
         });
     }
 }
