@@ -1,11 +1,12 @@
 //! # e10-bench
 //!
 //! The experiment harness regenerating every table and figure of the
-//! paper's evaluation (§IV). Each `fig*` binary reruns the paper's
+//! paper's evaluation (§IV). The `figures` binary runs one kernel's
 //! parameter sweep — `cb_nodes ∈ {8,16,32,64}` × `cb_buffer_size ∈
 //! {4,16,64} MB`, three cases (cache disabled / enabled / theoretical)
-//! — on the simulated DEEP-ER testbed and prints the series the paper
-//! plots.
+//! — on the simulated DEEP-ER testbed once, and prints from it the
+//! series of the paper's bandwidth figure and breakdowns for that
+//! kernel ([`KERNELS`]).
 //!
 //! Every binary shares one command line, report and exit status
 //! ([`Cli`], [`Report`], [`finish`]). `--smoke` runs at test scale (8 ranks), otherwise
@@ -270,8 +271,8 @@ pub fn simulate<W: Workload + 'static>(
     }
 }
 
-/// Run the `<aggregators>_<coll_bufsize>` grid of `workload` for each
-/// of `cases` on `jobs` workers, one pool job per point, submitted in
+/// Run the `<aggregators>_<coll_bufsize>` grid of `workload` for every
+/// [`Case`] on `jobs` workers, one pool job per point, submitted in
 /// the sequential order (case, then aggregators, then buffer size).
 /// [`e10_simcore::pool::run_jobs_on`] returns results keyed by
 /// submission index, so the points — and every printed byte — do not
@@ -280,11 +281,10 @@ pub fn run_grid<W: Workload + 'static>(
     jobs: usize,
     scale: Scale,
     workload: fn(&Scale) -> W,
-    cases: &[Case],
     include_last_sync: bool,
 ) -> Vec<SweepPoint> {
     let mut grid: Vec<e10_simcore::Job<SweepPoint>> = Vec::new();
-    for &case in cases {
+    for case in Case::ALL {
         for aggregators in scale.aggregators() {
             for cb_size in scale.cb_sizes() {
                 grid.push(Box::new(move || {
@@ -311,6 +311,64 @@ pub fn run_grid<W: Workload + 'static>(
     e10_simcore::pool::run_jobs_on(jobs, grid)
 }
 
+/// One kernel of the paper's evaluation and the figures its grid
+/// yields: a bandwidth figure with a column per case (Fig. 4, 7 or 9),
+/// then a phase breakdown per listed case (Figs. 5 and 6, 8, 10), all
+/// from the same points.
+pub struct Kernel {
+    /// Its name on the `figures` command line.
+    pub name: &'static str,
+    /// Its grid on a worker count at a scale: [`run_grid`] over the
+    /// kernel's workload and `include_last_sync`.
+    pub grid: fn(usize, Scale) -> Vec<SweepPoint>,
+    /// The bandwidth figure's id (the `--json` document's `figure`)
+    /// and title.
+    pub bandwidth: (&'static str, &'static str),
+    /// The case and title of each breakdown, in print order.
+    pub breakdowns: &'static [(Case, &'static str)],
+}
+
+/// The three kernels, in the paper's figure order.
+pub const KERNELS: [Kernel; 3] = [
+    Kernel {
+        name: "collperf",
+        grid: |jobs, scale| run_grid(jobs, scale, Scale::collperf, false),
+        bandwidth: (
+            "fig4",
+            "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)",
+        ),
+        breakdowns: &[
+            (Case::Enabled, "Fig. 5 — coll_perf breakdown, cache ENABLED"),
+            (
+                Case::Disabled,
+                "Fig. 6 — coll_perf breakdown, cache DISABLED",
+            ),
+        ],
+    },
+    Kernel {
+        name: "flashio",
+        grid: |jobs, scale| run_grid(jobs, scale, Scale::flashio, false),
+        bandwidth: (
+            "fig7",
+            "Fig. 7 — Flash-IO perceived bandwidth (aggregators_collbuf)",
+        ),
+        breakdowns: &[(Case::Enabled, "Fig. 8 — Flash-IO breakdown, cache ENABLED")],
+    },
+    Kernel {
+        name: "ior",
+        // Unlike coll_perf and Flash-IO, IOR charges the non-hidden
+        // synchronisation of the last write phase (paper §IV-D): it
+        // caps the cache-enabled peak of Fig. 9 and is the visible
+        // `not_hidden_sync` term of Fig. 10.
+        grid: |jobs, scale| run_grid(jobs, scale, Scale::ior, true),
+        bandwidth: (
+            "fig9",
+            "Fig. 9 — IOR perceived bandwidth, incl. last-phase sync",
+        ),
+        breakdowns: &[(Case::Enabled, "Fig. 10 — IOR breakdown, cache ENABLED")],
+    },
+];
+
 /// The breakdown phases the Fig. 5/6/8/10 figures report, in column
 /// order.
 fn breakdown_phases() -> [e10_romio::Phase; 6] {
@@ -336,36 +394,21 @@ fn format_bandwidth_figure(title: &str, points: &[SweepPoint]) -> String {
         let _ = write!(out, " {:>20}", case.label());
     }
     let _ = writeln!(out, "   [GB/s, Eq. 2]");
-    let mut combos: Vec<String> = Vec::new();
-    for p in points {
-        if !combos.contains(&p.combo) {
-            combos.push(p.combo.clone());
-        }
-    }
-    for combo in combos {
-        let _ = write!(out, "{combo:<10}");
-        for case in Case::ALL {
-            let gb = points
-                .iter()
-                .find(|p| p.combo == combo && p.case == case)
-                .map(|p| p.outcome.gb_s());
-            match gb {
-                Some(v) => {
-                    let _ = write!(out, " {v:>19.2}");
-                }
-                None => {
-                    let _ = write!(out, " {:>20}", "-");
-                }
-            }
+    // `run_grid`'s points are case-major, each case over the same combos.
+    let rows = points.len() / Case::ALL.len();
+    for (i, p) in points[..rows].iter().enumerate() {
+        let _ = write!(out, "{:<10}", p.combo);
+        for case_points in points.chunks(rows) {
+            let _ = write!(out, " {:>19.2}", case_points[i].outcome.gb_s());
         }
         let _ = writeln!(out);
     }
     out
 }
 
-/// Format a Fig. 5/6/8/10-style breakdown: per combo, the aggregator-
-/// rank mean seconds in every collective-write phase.
-fn format_breakdown_figure(title: &str, points: &[SweepPoint]) -> String {
+/// Format a Fig. 5/6/8/10-style breakdown of `case`: per combo, the
+/// aggregator-rank mean seconds in every collective-write phase.
+fn format_breakdown_figure(title: &str, case: Case, points: &[SweepPoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "\n{title}");
     let _ = writeln!(out, "{}", "=".repeat(title.len()));
@@ -374,7 +417,7 @@ fn format_breakdown_figure(title: &str, points: &[SweepPoint]) -> String {
         let _ = write!(out, " {:>16}", ph.label());
     }
     let _ = writeln!(out, "   [aggregator-mean seconds]");
-    for p in points {
+    for p in points.iter().filter(|p| p.case == case) {
         let _ = write!(out, "{:<10}", p.combo);
         for ph in breakdown_phases() {
             let _ = write!(out, " {:>16.3}", p.outcome.breakdown_aggs.mean(ph));
@@ -416,25 +459,25 @@ pub fn figure_json(figure: &str, title: &str, points: &[SweepPoint]) -> Json {
     ])
 }
 
-/// The whole `main` of a Fig. 4–10 binary: run the figure's grid over
-/// `cases` at the command line's scale (default full) on `E10_JOBS`
-/// workers, and emit it — as a bandwidth table with a column per case
-/// (Fig. 4/7/9), or as one case's phase breakdown (Fig. 5/6/8/10).
-pub fn figure_main<W: Workload + 'static>(
-    figure: &str,
-    title: &str,
-    workload: fn(&Scale) -> W,
-    cases: &[Case],
-    include_last_sync: bool,
-) -> ExitCode {
+/// The whole `main` of the `figures` binary: run the grid of the
+/// kernel its first argument names (`collperf`, `flashio` or `ior`) at
+/// the command line's scale (default full) on `E10_JOBS` workers, and
+/// print the kernel's bandwidth figure, then its breakdowns. The
+/// document is the bandwidth figure's: it holds every point's
+/// breakdown too.
+pub fn figure_main() -> ExitCode {
     let cli = Cli::parse();
-    let scale = cli.scale(Scale::Full);
-    let jobs = e10_simcore::pool::worker_threads();
-    let points = run_grid(jobs, scale, workload, cases, include_last_sync);
-    let text = match cases {
-        [_] => format_breakdown_figure(title, &points),
-        _ => format_bandwidth_figure(title, &points),
+    let Some(kernel) = KERNELS.iter().find(|k| cli.arg(0) == Some(k.name)) else {
+        let names: Vec<&str> = KERNELS.iter().map(|k| k.name).collect();
+        eprintln!("usage: figures {} [flags]", names.join("|"));
+        return ExitCode::from(2);
     };
+    let points = (kernel.grid)(e10_simcore::pool::worker_threads(), cli.scale(Scale::Full));
+    let (figure, title) = kernel.bandwidth;
+    let mut text = format_bandwidth_figure(title, &points);
+    for &(case, title) in kernel.breakdowns {
+        text += &format_breakdown_figure(title, case, &points);
+    }
     finish(Report::new(figure_json(figure, title, &points), text), &cli)
 }
 

@@ -6,7 +6,7 @@
 //! counts below are the same code path the env var selects, minus the
 //! process-global env mutation that would race with other tests.
 
-use e10_bench::{figure_json, hints_for, run_grid, simulate, Case, Cli, Json, Scale, GATES};
+use e10_bench::{figure_json, hints_for, simulate, Case, Cli, Json, Scale, GATES, KERNELS};
 use e10_simcore::alloc_gauge::CountingAlloc;
 
 /// `bench_perf` counts allocator calls; without the counting allocator
@@ -46,26 +46,33 @@ fn every_gate_document_is_identical_at_1_and_8_jobs() {
     }
 }
 
-/// The rendered `--json` document of a figure holds every point's
+/// Every kernel's test-scale grid, rendered as its `--json` document,
+/// is the same at 1 and 8 workers. The document holds every point's
 /// virtual wall time, bandwidth and phase breakdown to the bit (the
-/// printed table rounds them).
-fn figure_at(jobs: usize, cases: &[Case]) -> String {
-    let points = run_grid(jobs, Scale::Test, Scale::collperf, cases, false);
-    figure_json("fig", "title", &points).render()
-}
-
+/// printed tables round them), so the breakdown figures are covered by
+/// the same comparison.
 #[test]
-fn fig4_output_is_byte_identical_at_1_and_8_jobs() {
-    let sequential = figure_at(1, &Case::ALL);
-    // Sanity: the figure actually contains the full grid.
-    for combo in ["2_8K", "2_32K", "4_8K", "4_32K"] {
-        assert!(sequential.contains(combo), "missing combo {combo}");
+fn every_figure_is_byte_identical_at_1_and_8_jobs() {
+    for kernel in &KERNELS {
+        let (figure, title) = kernel.bandwidth;
+        let figure_at =
+            |jobs| figure_json(figure, title, &(kernel.grid)(jobs, Scale::Test)).render();
+        let sequential = figure_at(1);
+        // Sanity: the figure actually contains the full grid.
+        for combo in ["2_8K", "2_32K", "4_8K", "4_32K"] {
+            assert!(
+                sequential.contains(combo),
+                "{}: missing combo {combo}",
+                kernel.name
+            );
+        }
+        assert_eq!(
+            sequential,
+            figure_at(8),
+            "{} figures depend on job count",
+            kernel.name
+        );
     }
-    assert_eq!(
-        sequential,
-        figure_at(8, &Case::ALL),
-        "fig4 output depends on job count"
-    );
 }
 
 /// The node-agg collective path (gather pre-phase, merged windows,
@@ -107,14 +114,5 @@ fn node_agg_sweep_is_bit_identical_at_1_and_8_jobs() {
     assert_eq!(
         sequential, parallel,
         "node_agg sweep outcome depends on job count"
-    );
-}
-
-#[test]
-fn breakdown_output_is_byte_identical_at_1_and_8_jobs() {
-    assert_eq!(
-        figure_at(1, &[Case::Enabled]),
-        figure_at(8, &[Case::Enabled]),
-        "breakdown output depends on job count"
     );
 }

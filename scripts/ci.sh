@@ -50,7 +50,8 @@
 #      tests/perturbation.rs and the three write algorithms under 8
 #      perturbation seeds in tests/properties.rs, each file then synced
 #      and read back collectively (from the caches on the cache arm)
-#   3. formatting, `bash -n scripts/profile.sh`, and the `unsafe`
+#   3. formatting, `bash -n` of scripts/profile.sh and
+#      scripts/results.sh, and the `unsafe`
 #      fence: simcore denies unsafe_op_in_unsafe_fn, and the word may
 #      appear in crates/simcore/src only in waker.rs (the task waker's
 #      vtable), alloc_gauge.rs (the counting allocator) and join.rs
@@ -75,9 +76,13 @@
 #      Worker-count independence is a test in step 2:
 #      crates/bench/tests/determinism.rs runs every gate at smoke scale
 #      at 1 and 8 workers and compares the documents minus "host".
-#      Then `scripts/results.sh --check multi_job`: the paper-scale
-#      multi_job output against the committed results/multi_job.txt
-#      (under a second)
+#      Then `scripts/results.sh --check multi_job
+#      fig6_collperf_breakdown_nocache`: the paper-scale multi_job
+#      output against the committed results/multi_job.txt (under a
+#      second), and one paper-scale `figures collperf` grid, whose
+#      third table must equal results/fig6_collperf_breakdown_nocache.txt
+#      (this runs results.sh's file -> figures table mapping; about
+#      10 s on 2 CPUs)
 #   6. repo-benchmark smoke: builds the standalone `benchmark/` crate
 #      against this tree (so a rename in crates/ cannot break it
 #      unnoticed) and runs all five workloads at 8 ranks; its
@@ -87,9 +92,10 @@
 #
 # Not run here (each takes minutes and gates nothing in this file):
 #   scripts/results.sh [--check]   # rewrite (or diff, exit 1 on drift)
-#      every results/<bin>.txt from <bin> at its default scale,
-#      ignoring host_secs= lines; about 110 s on 2 CPUs (step 5 checks
-#      only multi_job's)
+#      every results/<bin>.txt from <bin> at its default scale (a figure
+#      file from its table of `figures <kernel>`, each kernel run once),
+#      ignoring host_secs= lines; about 57 s on 2 CPUs (step 5 checks
+#      only multi_job's and fig6's)
 # Only syntax-checked (`bash -n`, with the formatting step): it gates
 # nothing and takes a workload's run time.
 #   scripts/profile.sh <workload> [seconds]   # host profile of one
@@ -141,6 +147,7 @@ step perturbation_properties "(budget: 20 s)"
 
 step cargo fmt --all --check
 step bash -n scripts/profile.sh
+step bash -n scripts/results.sh
 
 unsafe_fence() {
   grep -q '^#!\[deny(unsafe_op_in_unsafe_fn)\]' crates/simcore/src/lib.rs
@@ -172,7 +179,7 @@ gates() {
   done
 }
 step gates
-step scripts/results.sh --check multi_job
+step scripts/results.sh --check multi_job fig6_collperf_breakdown_nocache
 
 step bash benchmark/run.sh --smoke
 

@@ -2,8 +2,9 @@
 //! every backticked `*.rs` path in README.md, DESIGN.md and
 //! EXPERIMENTS.md must be the tail of a file in the tree (`coll.rs`,
 //! `tests/perturbation.rs` and `crates/romio/src/hints.rs` all resolve),
-//! and every backticked hint-shaped name must be a `HINTS` key. Paths
-//! into the standard library (`std/`, `alloc/`, `core/`) are exempt.
+//! every backticked hint-shaped name must be a `HINTS` key, and every
+//! `--bin NAME` must name a bench binary. Paths into the standard
+//! library (`std/`, `alloc/`, `core/`) are exempt.
 
 use std::path::{Path, PathBuf};
 
@@ -105,4 +106,37 @@ fn backticked_hint_names_in_the_docs_exist() {
     }
     assert!(checked > 0, "no backticked hint names found");
     assert!(unknown.is_empty(), "docs name unknown hints: {unknown:#?}");
+}
+
+/// Every `--bin NAME` in the docs, in code spans and console blocks
+/// alike, and wrapped across a line break too, names a file in
+/// `crates/bench/src/bin/`.
+#[test]
+fn bench_binaries_named_in_the_docs_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let bins = root.join("crates/bench/src/bin");
+    let mut missing = Vec::new();
+    let mut checked = 0;
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        let mut words = text.split_whitespace();
+        while let Some(word) = words.next() {
+            if word.trim_start_matches('`') != "--bin" {
+                continue;
+            }
+            let name = words
+                .next()
+                .unwrap_or_default()
+                .trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+            checked += 1;
+            if !bins.join(format!("{name}.rs")).is_file() {
+                missing.push(format!("{doc}: --bin {name}"));
+            }
+        }
+    }
+    assert!(checked > 0, "no --bin names found");
+    assert!(
+        missing.is_empty(),
+        "docs name missing binaries: {missing:#?}"
+    );
 }

@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! cargo run -p e10-bench --bin tables > results/tables.txt
-//! cargo run -p e10-bench --bin fig4_collperf_bw -- --smoke --json \
+//! cargo run -p e10-bench --bin figures -- collperf --smoke --json \
 //!     2>/dev/null > results/fig4_test.json
 //! cargo run -p e10-bench --bin ext_cache_read -- --smoke --json \
 //!     2>/dev/null > results/ext_cache_read_test.json
@@ -86,7 +86,7 @@ fn fig4_test_scale_sweep_matches_committed_artifact() {
     // Rerun the exact Test-scale sweep the artifact was generated
     // from. Worker count 1 keeps this off the env-dependent pool; the
     // figures are job-count-independent anyway.
-    let points = run_grid(1, Scale::Test, Scale::collperf, &Case::ALL, false);
+    let points = run_grid(1, Scale::Test, Scale::collperf, false);
     let fresh = figure_json(
         "fig4",
         "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)",
