@@ -25,7 +25,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use e10_simcore::alloc_gauge::FixedState;
-use e10_simcore::{SimDuration, SimRng};
+use e10_simcore::SimDuration;
 use e10_storesim::{DeviceModel, ExtentMap, PageCache, Payload, Source, Ssd};
 
 /// Errors from local file-system operations.
@@ -364,17 +364,20 @@ impl LocalFs {
     /// Cut power to the node *right now*.
     ///
     /// Durability model (the NVM premise of the paper, see DESIGN.md §8):
-    /// a write whose call has completed is durable on the device; a
-    /// write still in flight is torn at a multiple of `atomicity` bytes
-    /// — a deterministic, `rng`-sampled prefix survives, the rest is
-    /// lost. The page cache comes back cold, so post-restart reads pay
-    /// device time. File-system metadata survives (journalled ext4).
+    /// a write whose call has completed is durable on the device; of a
+    /// write or append still in flight, in issue order, the first
+    /// `tear(len)` of its `len` bytes survive, rounded down to a
+    /// multiple of `atomicity`. The page cache comes back cold (reads
+    /// pay device time), and so does the volume's
+    /// [attachment](LocalFs::attachment). Metadata survives (journalled
+    /// ext4).
     ///
     /// Call this *before* killing the node's crash group: killing first
     /// would run the in-flight drop guards and silently discard the
     /// torn prefixes.
-    pub fn power_loss(&self, atomicity: u64, rng: &mut SimRng) {
+    pub fn power_loss(&self, atomicity: u64, mut tear: impl FnMut(u64) -> u64) {
         let atom = atomicity.max(1);
+        let mut keep = |len: u64| tear(len).min(len) / atom * atom;
         let entries: Vec<InFlight> = {
             let mut vol = self.vol.borrow_mut();
             std::mem::take(&mut vol.in_flight).into_values().collect()
@@ -386,14 +389,14 @@ impl LocalFs {
                     offset,
                     payload,
                 } => {
-                    let keep = rng.below(payload.len + 1) / atom * atom;
+                    let keep = keep(payload.len);
                     if keep > 0 {
                         let torn = payload.slice(0, keep);
                         state.borrow_mut().data.insert(offset, keep, torn.src);
                     }
                 }
                 InFlight::Append { state, bytes } => {
-                    let keep = (rng.below(bytes.len() as u64 + 1) / atom * atom) as usize;
+                    let keep = keep(bytes.len() as u64) as usize;
                     state
                         .borrow_mut()
                         .append_log
@@ -406,6 +409,9 @@ impl LocalFs {
         let mut vol = self.vol.borrow_mut();
         vol.used = vol.files.values().map(|f| f.borrow().used()).sum();
         self.cache.power_cycle();
+        if let Some(slot) = &self.attachment {
+            drop(slot.take());
+        }
     }
 }
 
@@ -891,7 +897,7 @@ mod tests {
             f.read(0, 1000).await.unwrap();
             let warm = now().since(t0).as_secs_f64();
 
-            fs.power_loss(512, &mut SimRng::new(1));
+            fs.power_loss(512, seeded_tear(1));
             assert!(
                 f.extents().verify_gen(3, 0, 1000).is_ok(),
                 "acked data is durable"
@@ -921,7 +927,7 @@ mod tests {
             sleep_quarter().await;
             // Power loss FIRST, then the crash-group kill (the contract
             // documented on power_loss).
-            fs.power_loss(512, &mut SimRng::new(7));
+            fs.power_loss(512, seeded_tear(7));
             e10_simcore::kill_group(gid);
 
             let kept = f.extents().covered_bytes();
@@ -939,7 +945,7 @@ mod tests {
                 "reservation must shrink to the torn prefix"
             );
             // A second power loss with nothing in flight changes nothing.
-            fs.power_loss(512, &mut SimRng::new(8));
+            fs.power_loss(512, seeded_tear(8));
             assert_eq!(f.extents().covered_bytes(), kept);
         });
     }
@@ -1011,12 +1017,19 @@ mod tests {
                     let _ = f2.write(0, Payload::gen(9, 0, 5000)).await;
                 });
                 sleep_quarter().await;
-                fs.power_loss(64, &mut SimRng::new(seed));
+                fs.power_loss(64, seeded_tear(seed));
                 e10_simcore::kill_group(gid);
                 f.extents().covered_bytes()
             })
         };
         assert_eq!(kept_with(3), kept_with(3));
+    }
+
+    /// A power-loss tear that keeps a `seed`-drawn prefix of each
+    /// in-flight write.
+    fn seeded_tear(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut rng = SimRng::new(seed);
+        move |len| rng.below(len + 1)
     }
 
     async fn sleep_quarter() {
@@ -1101,7 +1114,7 @@ mod tests {
             let fs = small_nvm_fs();
             let f = fs.create("/nvm/cache.0").await.unwrap();
             f.write_direct(0, Payload::gen(3, 0, 1000)).await.unwrap();
-            fs.power_loss(512, &mut SimRng::new(1));
+            fs.power_loss(512, seeded_tear(1));
             assert!(f.extents().verify_gen(3, 0, 1000).is_ok());
             assert_eq!(fs.statfs().1, 1000);
         });
@@ -1121,7 +1134,7 @@ mod tests {
                 unreachable!("the node dies before the write completes");
             });
             sleep_quarter().await;
-            fs.power_loss(512, &mut SimRng::new(7));
+            fs.power_loss(512, seeded_tear(7));
             e10_simcore::kill_group(gid);
             let kept = f.extents().covered_bytes();
             assert!(kept < 5000, "a torn direct write must not be complete");

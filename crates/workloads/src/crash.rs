@@ -348,10 +348,10 @@ pub(crate) async fn execute(
             sleep(at.since(now())).await;
         }
         let mut tear = SimRng::stream(tear_seed, 910_000 + node as u64);
-        tb.localfs[node].power_loss(SSD_TEAR_UNIT, &mut tear);
+        tb.localfs[node].power_loss(SSD_TEAR_UNIT, |len| tear.below(len + 1));
         if romio_hints.e10_cache_class != CacheClass::Ssd {
             let mut tear = SimRng::stream(tear_seed, 911_000 + node as u64);
-            tb.nvmfs[node].power_loss(NVM_TEAR_UNIT, &mut tear);
+            tb.nvmfs[node].power_loss(NVM_TEAR_UNIT, |len| tear.below(len + 1));
         }
         e10_faultsim::note_injected("node_crash", node);
         killed_tasks += kill_group(gid);
