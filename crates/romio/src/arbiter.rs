@@ -21,8 +21,12 @@
 //! * **Eviction.** Only extents that are fully synced to the global
 //!   file are candidates; their volumes evict them in
 //!   least-recently-synced order until occupancy reaches the target. A
-//!   rewrite overlapping a candidate invalidates it (its bytes are
-//!   dirty again).
+//!   synced chunk replaces the candidates it overlaps; a rewrite
+//!   overlapping a candidate invalidates it (its bytes are dirty
+//!   again), and the cache volume never offers a chunk a write staged
+//!   over during its sync. Eviction writes nothing to the volume's
+//!   journal: the `Synced` record that made the range a candidate
+//!   already keeps it out of recovery.
 //! * **Fair flush.** When two or more watermark-managed jobs share the
 //!   node, sync-thread chunks pass through a deficit-round-robin gate:
 //!   one chunk in flight per node, byte-accounted deficits per job, so
@@ -301,9 +305,8 @@ impl CacheArbiter {
     }
 
     /// Evict least-recently-synced candidates until volume occupancy is
-    /// at or below `target` bytes (or no candidates remain), recording
-    /// each in its volume's journal. Public so property tests can drive
-    /// eviction schedules directly.
+    /// at or below `target` bytes (or no candidates remain). Public so
+    /// property tests can drive eviction schedules directly.
     pub async fn evict_down_to(&self, target: u64) {
         loop {
             if self.localfs.statfs().1 <= target {
@@ -317,16 +320,6 @@ impl CacheArbiter {
                 continue;
             }
             let freed = vol.evict(v.offset, v.len).await;
-            if let Some(jnl) = &vol.journal {
-                // Best effort: the manifest is advisory for eviction
-                // (the extent is already synced), and under pressure the
-                // volume may be too full to take the record.
-                let rec = crate::journal::Record::Evicted {
-                    offset: v.offset,
-                    len: v.len,
-                };
-                let _ = jnl.append_bytes(&rec.encode()).await;
-            }
             self.evicted.set(self.evicted.get() + freed);
             trace::counter("cache.evict_pressure", freed);
             trace::emit(|| {
@@ -354,13 +347,13 @@ impl CacheArbiter {
     }
 
     /// Offer the fully-synced `[offset, offset+len)` of `vol` for
-    /// eviction under pressure.
-    pub(crate) fn note_synced(&self, vol: Weak<Volume>, offset: u64, len: u64) {
-        if len > 0 {
-            self.evictable
-                .borrow_mut()
-                .push_back(Evictable { vol, offset, len });
-        }
+    /// eviction, in place of the candidates it overlaps.
+    pub(crate) fn note_synced(&self, vol: &Rc<Volume>, offset: u64, len: u64) {
+        self.invalidate(vol, offset, len);
+        let vol = Rc::downgrade(vol);
+        self.evictable
+            .borrow_mut()
+            .push_back(Evictable { vol, offset, len });
     }
 
     /// A rewrite of `[offset, offset+len)` in `vol` makes overlapping

@@ -292,7 +292,8 @@ impl CacheLayer {
             journal_file_path,
             global,
             tenant,
-            epoch: Cell::new(0),
+            unoffered: Cell::new(None),
+            staging: Cell::new(0),
             degraded: Cell::new(false),
             health: Cell::new(Health::Healthy),
             pending_syncs: Cell::new(0),
@@ -492,7 +493,6 @@ impl CacheLayer {
         }
         // Multi-tenant admission. Unmanaged jobs (no watermark hints)
         // skip every arbiter check and pay nothing on this path.
-        let mut epoch = 0;
         let mut grow = 0;
         if let Some((arbiter, t)) = &vol.tenant {
             match arbiter.admit(*t, len).await {
@@ -505,11 +505,10 @@ impl CacheLayer {
                     return Ok(false);
                 }
             }
-            epoch = vol.epoch.get() + 1;
-            vol.epoch.set(epoch);
-            // A rewrite makes overlapping synced extents dirty again —
-            // they must stop being eviction candidates right now.
+            // A rewrite makes overlapping candidates dirty again, and no
+            // chunk may become one while it stages.
             arbiter.invalidate(vol, offset, len);
+            vol.staging.set(vol.staging.get() + 1);
             // Admission pre-charged the full write; only the hole
             // bytes this write actually allocates stay charged
             // (computed before the fallocate await so no concurrent
@@ -533,7 +532,11 @@ impl CacheLayer {
                 }
             },
         );
-        match staged.await {
+        let staged = staged.await;
+        if vol.tenant.is_some() {
+            vol.staged(offset, len);
+        }
+        match staged {
             Ok(()) => {}
             Err(FsError::NoSpace { .. }) => {
                 vol.degraded.set(true);
@@ -593,7 +596,6 @@ impl CacheLayer {
         };
         let msg = SyncMsg {
             lock,
-            epoch,
             _slot: slot,
             ..SyncMsg::new(offset, len)
         };

@@ -326,10 +326,9 @@ fn invalidate_and_stale_epochs_protect_dirty_bytes() {
         let tb = scratch_testbed(1 << 30);
         let arb = CacheArbiter::of(&tb.localfs[0]);
         let la = managed_layer(&tb, "a", FlushFlag::FlushOnClose).await;
-        // Two writes of one range, then one flush: the first sync
-        // completes at a stale epoch (the second write came after it
-        // was posted) and must not become a candidate; the second is
-        // current and does.
+        // Two writes of one range, then one flush: both syncs read
+        // back the second write's bytes, and the second sync's
+        // candidate replaces the first's, so the range counts once.
         la.write(0, Payload::gen(1, 0, 100_000)).await.unwrap();
         la.write(0, Payload::gen(2, 0, 100_000)).await.unwrap();
         la.flush().await.unwrap();
@@ -343,6 +342,100 @@ fn invalidate_and_stale_epochs_protect_dirty_bytes() {
         arb.evict_down_to(0).await;
         let file = tb.localfs[0].open(la.cache_file_path()).await.unwrap();
         assert_eq!(file.extents().covered_bytes(), 100_000);
+    });
+}
+
+/// Three disjoint writes and one flush: each chunk is read back after
+/// every write landed, so all three are eviction candidates, and the
+/// other tenant's write that trips the high watermark is admitted once
+/// two of them are evicted.
+#[test]
+fn one_flush_after_disjoint_writes_offers_every_extent() {
+    run(async {
+        let tb = scratch_testbed(1 << 20);
+        let fs = tb.localfs[0].clone();
+        let mut layers = Vec::new();
+        for job in ["a", "b"] {
+            let path = format!("/gfs/{job}");
+            let global = tb.pfs.create(0, &path, Striping::default()).await;
+            let mut c = CacheConfig::new("/scratch", job, 0, 0);
+            c.hiwater = 80;
+            c.lowater = 70;
+            layers.push(CacheLayer::open(fs.clone(), global, c).await.unwrap());
+        }
+        let kib = 1 << 10;
+        for i in 0..3 {
+            let off = i * 100 * kib;
+            let payload = Payload::gen(1, off, 100 * kib);
+            assert!(layers[0].write(off, payload).await.unwrap());
+        }
+        layers[0].flush().await.unwrap();
+        let junk = fs.create("/scratch/other.dat").await.unwrap();
+        junk.fallocate(0, 200 * kib).await.unwrap();
+        let admitted = layers[1]
+            .write(0, Payload::gen(2, 0, 350 * kib))
+            .await
+            .unwrap();
+        let (_, _, evicted, _) = CacheArbiter::of(&fs).stats();
+        assert!(
+            admitted && evicted >= 200 * kib,
+            "admitted={admitted} evicted={evicted}"
+        );
+    });
+}
+
+/// A chunk synced while a managed rewrite of it is still staging holds
+/// the old bytes: it must not become a candidate, or eviction could
+/// punch the rewrite before its own sync.
+#[test]
+fn a_chunk_synced_while_its_rewrite_stages_is_not_offered() {
+    run(async {
+        let mut spec = TestbedSpec::small(1, 1);
+        // Writes crawl through a throttled page cache (64 ms for the
+        // rewrite), while the first write's sync takes about 1 ms.
+        spec.pagecache.dirty_limit = 0;
+        spec.pagecache.drain_bw = 1e6;
+        let tb = spec.build();
+        let arb = CacheArbiter::of(&tb.localfs[0]);
+        let la = managed_layer(&tb, "a", FlushFlag::FlushImmediate).await;
+        la.write(0, Payload::gen(1, 0, 64 << 10)).await.unwrap();
+        la.write(0, Payload::gen(2, 0, 64 << 10)).await.unwrap();
+        assert_eq!(arb.evictable_bytes(), 0);
+        arb.evict_down_to(0).await;
+        la.flush().await.unwrap();
+        assert!(la
+            .inner
+            .vol
+            .global
+            .extents()
+            .verify_gen(2, 0, 64 << 10)
+            .is_ok());
+    });
+}
+
+/// A rewrite that lands while the previous write's chunk is between
+/// its read-back and its offer leaves that chunk's global copy stale:
+/// the chunk is not offered.
+#[test]
+fn a_rewrite_landing_during_a_sync_keeps_its_chunk_off_the_candidates() {
+    run(async {
+        let tb = scratch_testbed(1 << 30);
+        let arb = CacheArbiter::of(&tb.localfs[0]);
+        let la = managed_layer(&tb, "a", FlushFlag::FlushImmediate).await;
+        let len = 64 << 10;
+        la.write(0, Payload::gen(1, 0, len)).await.unwrap();
+        // The sync thread reads the first write back at once, then
+        // spends far longer on its global write; the rewrite lands in
+        // between.
+        e10_simcore::sleep(SimDuration::from_micros(100)).await;
+        la.write(0, Payload::gen(2, 0, len)).await.unwrap();
+        assert_eq!(la.bytes_synced(), 0);
+        while la.bytes_synced() < len {
+            e10_simcore::sleep(SimDuration::from_micros(10)).await;
+        }
+        assert_eq!(arb.evictable_bytes(), 0);
+        la.flush().await.unwrap();
+        assert_eq!(arb.evictable_bytes(), len);
     });
 }
 

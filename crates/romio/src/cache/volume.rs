@@ -25,9 +25,6 @@ pub(super) struct SyncMsg {
     pub(super) len: u64,
     /// The coherent-mode range lock, held until the extent is synced.
     pub(super) lock: Option<RangeLockGuard>,
-    /// The volume's write epoch when the extent was staged (see
-    /// [`Volume::epoch`]); 0 for unmanaged caches.
-    pub(super) epoch: u64,
     /// Bounded-queue slot (`e10_cache_sync_depth`), held only for its
     /// drop: releasing it after the extent is drained readmits one
     /// waiting writer.
@@ -35,15 +32,13 @@ pub(super) struct SyncMsg {
 }
 
 impl SyncMsg {
-    /// A background request for `[offset, offset+len)` holding no lock,
-    /// no slot and no write epoch (so it never yields an eviction
-    /// candidate).
+    /// A request for `[offset, offset+len)` holding no lock and no
+    /// queue slot.
     pub(super) fn new(offset: u64, len: u64) -> SyncMsg {
         SyncMsg {
             offset,
             len,
             lock: None,
-            epoch: 0,
             _slot: None,
         }
     }
@@ -55,18 +50,19 @@ impl SyncMsg {
 pub(crate) struct Volume {
     pub(super) cfg: CacheConfig,
     pub(super) tiers: Tiers,
-    pub(crate) journal: Option<LocalFile>,
+    pub(super) journal: Option<LocalFile>,
     pub(super) journal_file_path: String,
     pub(super) global: PfsHandle,
     /// The node's shared multi-tenant arbiter (one per mount) and this
     /// cache's tenant id in it; `None` for an unmanaged cache
     /// (`e10_cache_hiwater = 0`), which never talks to the arbiter.
     pub(super) tenant: Option<(Rc<CacheArbiter>, usize)>,
-    /// Bumped by every staged write of a managed cache. A sync posted
-    /// at an older epoch yields no eviction candidate (conservatively
-    /// whole-file), so a sync racing a rewrite can never make dirty
-    /// bytes evictable.
-    pub(super) epoch: Cell<u64>,
+    /// Managed caches only: the chunk the sync thread read back and has
+    /// not yet offered to the arbiter (at most one: the thread is FIFO),
+    /// cleared when a write lands over it; and the writes still staging,
+    /// of which none may land under a chunk offered before it.
+    pub(super) unoffered: Cell<Option<(u64, u64)>>,
+    pub(super) staging: Cell<u32>,
     /// The write-through gate: set on any condition that stops the
     /// cache admitting new extents (full, reservation exhausted,
     /// persistently corrupting, sync thread gone, device failed).
@@ -115,6 +111,15 @@ impl Volume {
             arbiter.note_freed(*t, freed);
         }
         freed
+    }
+
+    /// A managed write over `[pos, pos+n)` finished staging (or failed
+    /// to): a read-back chunk it overlaps is stale.
+    pub(super) fn staged(&self, pos: u64, n: u64) {
+        self.staging.set(self.staging.get() - 1);
+        let window = self.unoffered.get();
+        self.unoffered
+            .set(window.filter(|&(o, l)| o + l <= pos || pos + n <= o));
     }
 
     /// `Draining → Retired`: nothing is pending any more.
@@ -188,7 +193,7 @@ impl Volume {
             let end = msg.offset + msg.len;
             let mut pos = msg.offset;
             while pos < end {
-                pos += self.sync_chunk(&msg, pos, end, &mut pieces).await;
+                pos += self.sync_chunk(pos, end, &mut pieces).await;
             }
             trace::emit(|| {
                 Event::new(Layer::Romio, "cache.sync", EventKind::End)
@@ -210,15 +215,9 @@ impl Volume {
         }
     }
 
-    /// Push the chunk of `msg` starting at `pos` to the global file;
-    /// returns its length. `pieces` is scratch.
-    async fn sync_chunk(
-        self: &Rc<Self>,
-        msg: &SyncMsg,
-        pos: u64,
-        end: u64,
-        pieces: &mut Pieces,
-    ) -> u64 {
+    /// Push the next chunk of `[pos, end)` to the global file; returns
+    /// its length. `pieces` is scratch.
+    async fn sync_chunk(self: &Rc<Self>, pos: u64, end: u64, pieces: &mut Pieces) -> u64 {
         let node = self.cfg.node;
         // Degraded-mode survivability: notice a dead cache device or a
         // killed sync pipeline before touching the chunk — from here on
@@ -246,6 +245,9 @@ impl Volume {
             _ => None,
         };
         // Read back from the owning tier(s)...
+        if self.tenant.is_some() {
+            self.unoffered.set(Some((pos, n)));
+        }
         self.tiers.read_into(pos, n, pieces).await;
         // Degraded drain: with the volume Draining/Retired the device
         // read above cannot be trusted (a dead device returns nothing
@@ -342,12 +344,12 @@ impl Volume {
                 self.evict(pos, n).await;
             } else if let Some((arbiter, _)) = &self.tenant {
                 // The chunk stays resident but is globally persistent:
-                // unless the volume was written since the chunk was
-                // posted (or is draining), offer it to the arbiter as
-                // an eviction candidate under pressure.
-                let current = msg.epoch != 0 && msg.epoch == self.epoch.get();
-                if current && self.health.get() == Health::Healthy {
-                    arbiter.note_synced(Rc::downgrade(self), pos, n);
+                // unless a write landed over it since the read-back, one
+                // is still staging, or the volume is draining, offer it
+                // to the arbiter as an eviction candidate under pressure.
+                let clean = self.unoffered.take().is_some() && self.staging.get() == 0;
+                if clean && self.health.get() == Health::Healthy {
+                    arbiter.note_synced(self, pos, n);
                 }
             }
             self.bytes_synced.set(self.bytes_synced.get() + n);

@@ -16,6 +16,12 @@
 //! `Add` is only written after its cache-file data write completed, a
 //! torn tail can only lose records for extents the application was
 //! never told were accepted — never acknowledged data.
+//!
+//! The kinds are 1 `Add`, 2 `Synced`, 3 `Cksum` and 5 `Retired`. Kind
+//! 4 is retired for good: it marked an arbiter eviction, which replay
+//! skipped (only synced extents are evictable). It is never written,
+//! decodes as invalid and is not reused; pressure eviction writes
+//! nothing here.
 
 /// Bytes per journal record.
 pub const RECORD_LEN: usize = 32;
@@ -51,18 +57,8 @@ pub enum Record {
         /// [`e10_storesim::ExtentMap::digest`] over the extent.
         digest: u64,
     },
-    /// Extent `[offset, offset+len)` was punched from the cache file by
-    /// the arbiter under watermark pressure (format version 3,
-    /// advisory: only synced extents are evictable, so the preceding
-    /// `Synced` record already keeps it out of the unsynced set).
-    Evicted {
-        /// File offset of the punched extent.
-        offset: u64,
-        /// Punched length in bytes.
-        len: u64,
-    },
     /// The cache tier was retired after a permanent device failure
-    /// (format version 4): the health state machine drained every
+    /// (kind 5): the health state machine drained every
     /// unsynced extent straight to the global file and abandoned the
     /// volume. Recovery after a later power loss must not re-queue
     /// anything — the tier is gone and the drain already made the data
@@ -76,7 +72,6 @@ impl Record {
             Record::Add { offset, len } => (1, offset, len),
             Record::Synced { offset, len } => (2, offset, len),
             Record::Cksum { offset, digest } => (3, offset, digest),
-            Record::Evicted { offset, len } => (4, offset, len),
             Record::Retired => (5, 0, 0),
         }
     }
@@ -114,7 +109,6 @@ impl Record {
                 offset,
                 digest: len,
             }),
-            4 => Some(Record::Evicted { offset, len }),
             5 => Some(Record::Retired),
             _ => None,
         }
@@ -145,7 +139,7 @@ impl Replay {
             match *r {
                 Record::Add { offset, len } => map.insert(offset, len, e10_storesim::Source::Zero),
                 Record::Synced { offset, len } => map.remove(offset, len),
-                Record::Cksum { .. } | Record::Evicted { .. } | Record::Retired => {}
+                Record::Cksum { .. } | Record::Retired => {}
             }
         }
         map.iter()
@@ -329,34 +323,23 @@ mod tests {
     }
 
     #[test]
-    fn evicted_records_roundtrip_and_do_not_resurrect_extents() {
-        let r = Record::Evicted {
-            offset: 8192,
-            len: 512,
-        };
-        assert_eq!(Record::decode(&r.encode()), Some(r));
-        // An evicted extent was synced first; the advisory Evicted
-        // record must not change the unsynced set either way.
-        let mut log = Vec::new();
-        for r in [
-            Record::Add {
-                offset: 8192,
-                len: 512,
-            },
-            Record::Synced {
-                offset: 8192,
-                len: 512,
-            },
-            Record::Evicted {
-                offset: 8192,
-                len: 512,
-            },
-        ] {
-            log.extend_from_slice(&r.encode());
+    fn retired_kind_4_decodes_as_invalid() {
+        // A well-formed record of the retired eviction kind, checksum
+        // and all, ends replay like any unknown kind.
+        let (offset, len) = (8192u64, 512u64);
+        let mut rec = [0u8; RECORD_LEN];
+        for (i, w) in [4, offset, len, MAGIC ^ 4 ^ offset ^ len]
+            .into_iter()
+            .enumerate()
+        {
+            rec[i * 8..(i + 1) * 8].copy_from_slice(&w.to_le_bytes());
         }
+        assert_eq!(Record::decode(&rec), None);
+        let mut log = Record::Add { offset, len }.encode().to_vec();
+        log.extend_from_slice(&rec);
         let rep = replay(&log);
-        assert!(!rep.torn);
-        assert!(rep.unsynced().is_empty());
+        assert!(rep.torn);
+        assert_eq!(rep.unsynced(), vec![(offset, len)]);
     }
 
     #[test]

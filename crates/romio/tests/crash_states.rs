@@ -14,9 +14,7 @@
 //! * every byte a write acknowledged is in the global file, or named by
 //!   a typed error (`RecoverError::NoJournal`, or a digest mismatch the
 //!   recovery report lists);
-//! * every byte in the global file is one an issued write carried;
-//! * a journal's replay gives the same unsynced set, digests and
-//!   retirement with its `Evicted` records stripped.
+//! * every byte in the global file is one an issued write carried.
 //!
 //! Two scenarios: tenant a flushes after each of its three writes, and
 //! the same three writes followed by one flush.
@@ -26,7 +24,6 @@ use std::rc::Rc;
 
 use e10_localfs::LocalFs;
 use e10_pfs::{PfsHandle, Striping};
-use e10_romio::journal::{self, Record};
 use e10_romio::{CacheConfig, CacheLayer, RecoverError, TestbedSpec};
 use e10_simcore::trace::{install, RingSink};
 use e10_simcore::{kill_group, new_group, now, run, sleep, spawn_in_group, SimDuration, SimTime};
@@ -118,8 +115,6 @@ struct Found {
     in_flight: Vec<u64>,
     /// Bytes recovery re-queued, over both tenants.
     requeued: u64,
-    /// Whether a tenant's journal held an `Evicted` record.
-    evicted: bool,
 }
 
 /// One crash state: cut at `at`, and tear the `i`-th in-flight write
@@ -172,7 +167,6 @@ async fn check_tenant(
     found: &mut Found,
 ) {
     let name = ["pina", "pinb"][t];
-    found.evicted |= journal_ignores_evicted(fs, &managed(name).journal_file_path()).await;
     let named: Vec<(u64, u64)> =
         match CacheLayer::recover(fs.clone(), global.clone(), managed(name)).await {
             Ok((layer, report)) => {
@@ -215,28 +209,6 @@ async fn check_tenant(
     }
 }
 
-/// Replay of the journal at `path` (if it exists) gives the same
-/// unsynced set, digests and retirement with its `Evicted` records
-/// stripped; returns whether it held any.
-async fn journal_ignores_evicted(fs: &LocalFs, path: &str) -> bool {
-    let Ok(file) = fs.open(path).await else {
-        return false;
-    };
-    let image = file.read_log().await;
-    let rep = journal::replay(&image);
-    let kept = rep
-        .records
-        .iter()
-        .filter(|r| !matches!(r, Record::Evicted { .. }));
-    let mut stripped: Vec<u8> = kept.flat_map(|r| r.encode()).collect();
-    stripped.extend_from_slice(&image[rep.records.len() * journal::RECORD_LEN..]);
-    let bare = journal::replay(&stripped);
-    assert_eq!(rep.unsynced(), bare.unsynced());
-    assert_eq!(rep.digests(), bare.digests());
-    assert_eq!(rep.retired(), bare.retired());
-    rep.records.len() > bare.records.len()
-}
-
 /// Every instant one uncut run woke a task: each device completion
 /// wakes its caller, so these hold every completion instant.
 fn wake_instants(flush_each: bool) -> Vec<SimTime> {
@@ -272,8 +244,6 @@ struct Tally {
     torn: usize,
     /// States whose recovery re-queued bytes.
     requeued: usize,
-    /// States with an `Evicted` record in a journal.
-    evicted: usize,
 }
 
 /// Run every crash state of one scenario.
@@ -297,7 +267,6 @@ fn enumerate(flush_each: bool) -> Tally {
             tally.states += 1;
             tally.torn += usize::from(!lens.is_empty());
             tally.requeued += usize::from(found.requeued > 0);
-            tally.evicted += usize::from(found.evicted);
             choice.resize(lens.len(), 0);
             let options = |len: u64| if len > TEAR_UNIT { 3 } else { 2 };
             let next = (0..lens.len())
@@ -321,6 +290,6 @@ fn every_crash_state_recovers_what_was_acked() {
             t0.elapsed().as_secs_f64()
         );
         // The enumeration must reach the states it exists for.
-        assert!(tally.torn > 0 && tally.requeued > 0 && tally.evicted > 0);
+        assert!(tally.torn > 0 && tally.requeued > 0);
     }
 }

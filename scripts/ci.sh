@@ -21,7 +21,11 @@
 #      64-rank write and read of one view at 8 and at 64 aggregators;
 #      what a rank's round scratch keeps and what the size exchange's
 #      rows hold are at most 4 entries per aggregator the rank touched,
-#      and the two runs are within 25 % of each other).
+#      and the two runs are within 25 % of each other), and the
+#      crash-state enumeration's state count and seconds per scenario
+#      (crates/romio/tests/crash_states.rs, which ran in the suite:
+#      every power cut and tear of a two-tenant pressure-eviction run
+#      recovers every acked byte).
 #      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
@@ -138,6 +142,7 @@ future_sizes() {
   } 2>&1 | grep -e '^future size:' -e '^round state:'
 }
 future_sizes
+cargo test -q -p e10-romio --test crash_states -- --nocapture 2>&1 | grep '^crash states:'
 
 perturbation_properties() {
   cargo test -q -p e10-simcore --test perturbation
