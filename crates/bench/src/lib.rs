@@ -14,8 +14,9 @@
 //! `E10_SCALE=test` the smallest; the figures default to the full
 //! 512-rank, 32 GB-per-file experiments. `--json` prints the
 //! machine-readable document, `--out PATH` writes it, and `--check
-//! PATH` requires it to reproduce a committed one exactly. The gated
-//! experiments — the ones whose report can fail — are [`GATES`].
+//! PATH` requires it to reproduce a committed one exactly. Every
+//! experiment but the figures — the gates and the studies — is a row of
+//! [`GATES`].
 //!
 //! Sweeps run their grid points on a host-side worker pool
 //! ([`e10_simcore::pool`]): every point is an independent,
@@ -38,7 +39,7 @@ pub use gates::{gate_main, Gate, GATES};
 pub use json::Json;
 
 use e10_mpisim::Info;
-use e10_romio::{read_at_all, write_at_all, AdioFile, DataSpec, TestbedSpec};
+use e10_romio::TestbedSpec;
 use e10_simcore::SimDuration;
 use e10_workloads::{
     run_workload, CollPerf, FlashIo, Ior, RunConfig, RunOutcome, Workload, WorkloadSpec,
@@ -199,13 +200,18 @@ pub fn hints_for(case: Case, aggregators: usize, cb_size: u64) -> Info {
     info
 }
 
-/// The label the paper uses on its x axes (`K` below 1 MB, used only
-/// by the reduced test scale).
+/// The label the paper uses on its x axes.
 pub fn combo_label(aggregators: usize, cb_size: u64) -> String {
-    if cb_size >= 1 << 20 {
-        format!("{aggregators}_{}M", cb_size >> 20)
-    } else {
-        format!("{aggregators}_{}K", cb_size >> 10)
+    format!("{aggregators}_{}", size_label(cb_size))
+}
+
+/// A size as the axes write it: `M` from 1 MB, `K` from 1 KB (only the
+/// reduced scales go below 1 MB), bytes below that.
+fn size_label(bytes: u64) -> String {
+    match bytes {
+        b if b >= 1 << 20 => format!("{}M", b >> 20),
+        b if b >= 1 << 10 => format!("{}K", b >> 10),
+        b => format!("{b}B"),
     }
 }
 
@@ -479,100 +485,6 @@ pub fn figure_main() -> ExitCode {
         text += &format_breakdown_figure(title, case, &points);
     }
     finish(Report::new(figure_json(figure, title, &points), text), &cli)
-}
-
-/// One run of the cache-read extension (`--bin ext_cache_read`): a
-/// coll_perf-shaped checkpoint is written through the E10 cache with
-/// `aggs` aggregators and synchronised, then read back collectively —
-/// from the global file system, or with `cache_read` from the
-/// aggregators' caches. Returns the read bandwidth in GB/s.
-fn cache_read_variant(scale: Scale, aggs: usize, cache_read: bool) -> f64 {
-    e10_simcore::run(async move {
-        let w = Rc::new(scale.collperf());
-        let mut spec = TestbedSpec::deep_er();
-        spec.procs = w.procs();
-        spec.nodes = scale.nodes();
-        let tb = spec.build();
-        let total = w.file_size();
-        let handles: Vec<_> = tb
-            .ctxs()
-            .into_iter()
-            .map(|ctx| {
-                let w = Rc::clone(&w);
-                e10_simcore::spawn(async move {
-                    let info = hints_for(Case::Disabled, aggs, 16 << 20);
-                    info.set("romio_cb_read", "enable");
-                    info.set("e10_cache", "enable");
-                    if cache_read {
-                        info.set("e10_cache_read", "enable");
-                    }
-                    let f = AdioFile::open(&ctx, "/gfs/extread", &info, true)
-                        .await
-                        .unwrap();
-                    let views = w.writes(ctx.comm.rank());
-                    for v in &views {
-                        write_at_all(&f, v, &DataSpec::FileGen { seed: 71 }).await;
-                    }
-                    // Make the global copy consistent, keep the cache.
-                    f.file_sync().await;
-                    ctx.comm.barrier().await;
-                    let t0 = e10_simcore::now();
-                    let mut hits = 0;
-                    for v in &views {
-                        let r = read_at_all(&f, v).await;
-                        hits += r.cache_hits;
-                    }
-                    let dt = e10_simcore::now().since(t0).as_secs_f64();
-                    f.close().await;
-                    (dt, hits)
-                })
-            })
-            .collect();
-        let outs = e10_simcore::join_all(handles).await;
-        let dt = outs[0].0;
-        let hits: u64 = outs.iter().map(|(_, h)| h).sum();
-        assert_eq!(hits > 0, cache_read, "only the extension hits the caches");
-        total as f64 / dt / 1e9
-    })
-}
-
-/// The cache-read extension at `scale`: per aggregator count, the
-/// global and the cache-served read bandwidth; the document is
-/// `{figure, scale, rows}`.
-pub fn cache_read_report(scale: Scale) -> Report {
-    let rows: Vec<(usize, f64, f64)> = scale
-        .aggregators()
-        .into_iter()
-        .map(|aggs| {
-            let global = cache_read_variant(scale, aggs, false);
-            let cached = cache_read_variant(scale, aggs, true);
-            (aggs, global, cached)
-        })
-        .collect();
-    let doc = Json::obj([
-        ("figure", Json::str("ext_cache_read")),
-        ("scale", Json::str(scale.name())),
-        (
-            "rows",
-            Json::arr(rows.iter().map(|&(aggs, global, cached)| {
-                Json::obj([
-                    ("aggregators", Json::U64(aggs as u64)),
-                    ("global_read_gb_s", Json::F64(global)),
-                    ("cache_served_read_gb_s", Json::F64(cached)),
-                ])
-            })),
-        ),
-    ]);
-    let mut text = "Cache-read extension: collective re-read of a cached checkpoint\n".to_string();
-    let _ = writeln!(
-        text,
-        "{:<8} {:>22} {:>24}",
-        "aggs", "global read [GB/s]", "cache-served read [GB/s]"
-    );
-    for (aggs, global, cached) in rows {
-        let _ = writeln!(text, "{:<8} {:>22.2} {:>24.2}", aggs, global, cached);
-    }
-    Report::new(doc, text)
 }
 
 #[cfg(test)]

@@ -78,15 +78,18 @@
 #        chaos_soak --smoke                    no schedule silently diverges
 #        multi_job                             contention degrades and evicts
 #      Worker-count independence is a test in step 2:
-#      crates/bench/tests/determinism.rs runs every gate at smoke scale
-#      at 1 and 8 workers and compares the documents minus "host".
-#      Then `scripts/results.sh --check multi_job
+#      crates/bench/tests/determinism.rs runs every GATES row (the
+#      gates and the studies) at smoke scale at 1 and 8 workers and
+#      compares the documents minus "host".
+#      Then `scripts/results.sh --check multi_job ablation_fd_strategy
 #      fig6_collperf_breakdown_nocache`: the paper-scale multi_job
 #      output against the committed results/multi_job.txt (under a
-#      second), and one paper-scale `figures collperf` grid, whose
+#      second), one study through its binary and the pool at paper
+#      scale against results/ablation_fd_strategy.txt (about 2 s on 2
+#      CPUs), and one paper-scale `figures collperf` grid, whose
 #      third table must equal results/fig6_collperf_breakdown_nocache.txt
 #      (this runs results.sh's file -> figures table mapping; about
-#      10 s on 2 CPUs)
+#      16 s on 2 CPUs)
 #   6. repo-benchmark smoke: builds the standalone `benchmark/` crate
 #      against this tree (so a rename in crates/ cannot break it
 #      unnoticed) and runs all five workloads at 8 ranks; its
@@ -98,8 +101,8 @@
 #   scripts/results.sh [--check]   # rewrite (or diff, exit 1 on drift)
 #      every results/<bin>.txt from <bin> at its default scale (a figure
 #      file from its table of `figures <kernel>`, each kernel run once),
-#      ignoring host_secs= lines; about 57 s on 2 CPUs (step 5 checks
-#      only multi_job's and fig6's)
+#      ignoring host_secs= lines; about 70 s on 2 CPUs (step 5 checks
+#      only multi_job's, ablation_fd_strategy's and fig6's)
 # Only syntax-checked (`bash -n`, with the formatting step): it gates
 # nothing and takes a workload's run time.
 #   scripts/profile.sh <workload> [seconds]   # host profile of one
@@ -184,7 +187,7 @@ gates() {
   done
 }
 step gates
-step scripts/results.sh --check multi_job fig6_collperf_breakdown_nocache
+step scripts/results.sh --check multi_job ablation_fd_strategy fig6_collperf_breakdown_nocache
 
 step bash benchmark/run.sh --smoke
 

@@ -13,7 +13,7 @@
 # The comparison ignores only `host_secs=` lines (host wall time, which
 # no two runs share). The seconds each file took are printed (a figure
 # file's include its kernel's run, if it was the first to need it), then
-# the total: about 57 s on a 2-CPU host. Workers follow E10_JOBS as in
+# the total: about 70 s on a 2-CPU host. Workers follow E10_JOBS as in
 # every bench binary.
 set -euo pipefail
 cd "$(dirname "$0")/.."

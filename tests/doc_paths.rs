@@ -140,3 +140,51 @@ fn bench_binaries_named_in_the_docs_exist() {
         "docs name missing binaries: {missing:#?}"
     );
 }
+
+/// Every committed `results/*.txt` has a producer, as
+/// `scripts/results.sh` maps it: a file its `figure_of` names is a
+/// table of `figures <kernel>` for a kernel in `e10_bench::KERNELS`,
+/// any other is the output of the bench binary of the same name.
+#[test]
+fn every_committed_result_names_its_producer() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let script = std::fs::read_to_string(root.join("scripts/results.sh")).unwrap();
+    let body = script
+        .split_once("figure_of() {")
+        .and_then(|(_, rest)| rest.split_once("esac"))
+        .expect("results.sh defines figure_of")
+        .0;
+    // `    fig4_collperf_bw) echo "collperf 1" ;;`
+    let figures: Vec<(&str, &str)> = body
+        .lines()
+        .filter_map(|line| {
+            let (name, rest) = line.trim().split_once(") echo \"")?;
+            Some((name, rest.split_whitespace().next()?))
+        })
+        .collect();
+    assert!(!figures.is_empty(), "figure_of maps no file");
+    let mut orphans = Vec::new();
+    let mut checked = 0;
+    for entry in std::fs::read_dir(root.join("results")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "txt") {
+            continue;
+        }
+        checked += 1;
+        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let produced = match figures.iter().find(|(file, _)| *file == name) {
+            Some((_, kernel)) => e10_bench::KERNELS.iter().any(|k| k.name == *kernel),
+            None => root
+                .join(format!("crates/bench/src/bin/{name}.rs"))
+                .is_file(),
+        };
+        if !produced {
+            orphans.push(format!("results/{name}.txt"));
+        }
+    }
+    assert!(checked > 0, "no results/*.txt found");
+    assert!(
+        orphans.is_empty(),
+        "results without a producer: {orphans:#?}"
+    );
+}

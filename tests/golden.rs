@@ -25,7 +25,7 @@
 //!     2>/dev/null > results/ext_cache_read_test.json
 //! ```
 
-use e10_bench::{cache_read_report, figure_json, run_grid, Case, Json, Scale};
+use e10_bench::{figure_json, run_grid, Case, Cli, Json, Scale, GATES};
 
 const TABLES_TXT: &str = include_str!("../results/tables.txt");
 const FIG4_TEST_JSON: &str = include_str!("../results/fig4_test.json");
@@ -104,7 +104,8 @@ fn fig4_test_scale_sweep_matches_committed_artifact() {
 #[test]
 fn ext_cache_read_test_scale_matches_committed_artifact() {
     let committed = Json::parse(EXT_CACHE_READ_TEST_JSON).expect("committed artifact must parse");
-    let fresh = cache_read_report(Scale::Test).doc;
+    let gate = GATES.iter().find(|g| g.name == "ext_cache_read").unwrap();
+    let fresh = (gate.run)(Scale::Test, 1, &Cli::default()).doc;
     assert!(
         fresh.approx_eq(&committed, 1e-9),
         "cache-read Test-scale figures drifted from results/ext_cache_read_test.json \
