@@ -43,6 +43,12 @@
 //!   — and for `split` a handle on its group's shared state, the
 //!   parent's node map borrowed, not copied: O(1) per rank, no
 //!   P-vector.
+//! * **[`Comm::barrier_with`]** is a barrier whose last arrival also
+//!   derives, once, what every rank would derive alike from one key
+//!   they all pass (a collective open's aggregator election), and
+//!   hands each rank a clone of it: a shared `Rc`, so per communicator
+//!   and call there is one answer, not P. Its virtual cost is
+//!   `barrier`'s, which is `barrier_with` of the unit key.
 //! * **The size exchange** ([`Comm::alltoall_u64_sparse`]) runs once
 //!   per two-phase round on every rank, almost always with nothing to
 //!   say (0.49 non-zero entries per rank per round on the paper's
@@ -62,6 +68,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
+use std::fmt::Debug;
 use std::future::poll_fn;
 use std::rc::Rc;
 use std::task::{Poll, Waker};
@@ -279,30 +286,61 @@ impl Comm {
 
     /// `MPI_Barrier`.
     pub async fn barrier(&self) {
+        self.barrier_with((), |&()| ()).await
+    }
+
+    /// [`barrier`](Self::barrier), answering every rank with
+    /// `derive(&key)`. Every rank must pass an equal `key`; one that
+    /// finds another's different panics, naming both. Under `Analytic`
+    /// the last arrival derives once and every rank takes a clone of
+    /// that one answer (for an `Rc`, the one allocation the collective
+    /// makes); under `Algorithmic` the keys ride the dissemination
+    /// barrier's messages, still of 0 bytes, and each rank derives
+    /// after it. Either way the virtual cost is exactly `barrier`'s.
+    pub async fn barrier_with<K, R>(&self, key: K, derive: impl FnOnce(&K) -> R) -> R
+    where
+        K: Clone + PartialEq + Debug + 'static,
+        R: Clone + 'static,
+    {
         let opid = self.next_op();
+        let disagree = |a: usize, ka: &K, b: usize, kb: &K| -> ! {
+            panic!("barrier_with: rank {a} passed {ka:?}, rank {b} passed {kb:?}")
+        };
         match self.coll().backend {
             CollBackend::Analytic => {
-                self.sync_slot(opid, (), |_| (), |_| ()).await;
+                let agree = |contribs: &mut [Option<K>]| {
+                    let mut keys = contribs.iter().map(|c| c.as_ref().expect("missing key"));
+                    let first = keys.next().expect("empty communicator");
+                    if let Some((r, k)) = keys.enumerate().find(|(_, k)| *k != first) {
+                        disagree(0, first, r + 1, k);
+                    }
+                    derive(first)
+                };
+                let out = self.sync_slot(opid, key, agree, R::clone).await;
                 sleep(self.cost_barrier()).await;
+                out
             }
             CollBackend::Algorithmic => {
                 let p = self.size();
-                if p == 1 {
-                    return;
-                }
                 let mut k = 0u32;
                 let mut step = 1usize;
                 while step < p {
                     let dst = (self.rank + step) % p;
                     let src = (self.rank + p - step) % p;
                     let tag = self.op_tag(opid, k);
-                    let s = self.isend(dst, tag, 0, ());
+                    let s = self.isend(dst, tag, 0, key.clone());
                     let r = self.irecv(SourceSel::Rank(src), tag);
                     s.wait().await;
-                    r.wait().await;
+                    if let Some(m) = r.wait().await {
+                        let theirs = m.into_data::<K>();
+                        if theirs != key {
+                            disagree(src, &theirs, self.rank, &key);
+                        }
+                    }
                     step <<= 1;
                     k += 1;
                 }
+                derive(&key)
             }
         }
     }
@@ -728,6 +766,38 @@ mod tests {
                     assert_eq!(*v, [0, 10, 20, 30, 40, 50], "{b:?}");
                 }
             });
+        });
+    }
+
+    #[test]
+    fn barrier_with_derives_one_answer_at_barrier_cost() {
+        both_backends(|b| {
+            let leave = |with: bool| {
+                run(async move {
+                    let outs = launch(spec(7, b), move |comm| async move {
+                        let rank = comm.rank() as u64;
+                        e10_simcore::sleep(e10_simcore::SimDuration::from_secs(rank)).await;
+                        let answer = if with {
+                            comm.barrier_with(3usize, |&k| Rc::new(k * 2)).await
+                        } else {
+                            comm.barrier().await;
+                            Rc::new(6)
+                        };
+                        (now(), answer)
+                    })
+                    .await;
+                    let shared = outs.iter().all(|(_, a)| Rc::ptr_eq(a, &outs[0].1));
+                    let times: Vec<_> = outs.iter().map(|&(t, _)| t).collect();
+                    assert!(outs.iter().all(|(_, a)| **a == 6), "{b:?}");
+                    (times, shared)
+                })
+            };
+            let ((with, shared), (plain, _)) = (leave(true), leave(false));
+            assert_eq!(
+                with, plain,
+                "{b:?}: barrier_with must cost what barrier does"
+            );
+            assert_eq!(shared, b == CollBackend::Analytic, "{b:?}");
         });
     }
 

@@ -10,7 +10,6 @@ use e10_pfs::{PfsHandle, Striping};
 use e10_storesim::Payload;
 
 use crate::cache::{CacheConfig, CacheLayer};
-use crate::collective::RoundScratch;
 use crate::error::Error;
 use crate::fd::select_aggregators_capped;
 use crate::hints::{CacheMode, RomioHints};
@@ -65,8 +64,9 @@ pub struct AdioFile {
 
 /// What is bound to the communicator a handle coordinates on.
 struct Placement {
-    /// The aggregator ranks, in that communicator's numbering.
-    aggregators: Vec<usize>,
+    /// The aggregator ranks, in that communicator's numbering: on an
+    /// analytic open, one list every rank of the open shares.
+    aggregators: Rc<[usize]>,
     /// Intra-node subcommunicator, created lazily by the first
     /// node-agg collective and cached for the handle's lifetime.
     node_comm: RefCell<Option<Comm>>,
@@ -81,13 +81,10 @@ struct FileState {
     closed: Cell<bool>,
     io_error: RefCell<Option<Error>>,
     placement: Placement,
-    /// The collectives' scratch between calls: taken by a collective,
-    /// put back when it ends.
-    scratch: Cell<RoundScratch>,
 }
 
 impl Placement {
-    fn new(aggregators: Vec<usize>) -> Placement {
+    fn new(aggregators: Rc<[usize]>) -> Placement {
         Placement {
             aggregators,
             node_comm: RefCell::new(None),
@@ -95,16 +92,39 @@ impl Placement {
     }
 }
 
+/// The placement hints an aggregator election reads, which every rank
+/// of an open must pass alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Election {
+    cb_nodes: Option<usize>,
+    cb_config_max_per_node: Option<usize>,
+}
+
+impl Election {
+    fn of(hints: &RomioHints) -> Election {
+        Election {
+            cb_nodes: hints.cb_nodes,
+            cb_config_max_per_node: hints.cb_config_max_per_node,
+        }
+    }
+
+    /// The aggregator ranks of a communicator whose ranks sit on
+    /// `node_map` (default: one per node).
+    fn elect(&self, node_map: &[usize]) -> Rc<[usize]> {
+        let nnodes = node_map.iter().copied().max().map_or(1, |m| m + 1);
+        let aggregators = select_aggregators_capped(
+            node_map,
+            self.cb_nodes.unwrap_or(nnodes),
+            self.cb_config_max_per_node.unwrap_or(usize::MAX),
+        );
+        aggregators.into()
+    }
+}
+
 /// The aggregator ranks of `comm` under the `cb_nodes` /
-/// `cb_config_list` placement hints (default: one per node).
-pub(crate) fn elect_aggregators(comm: &Comm, hints: &RomioHints) -> Vec<usize> {
-    let node_map = comm.node_map();
-    let nnodes = node_map.iter().copied().max().map_or(1, |m| m + 1);
-    select_aggregators_capped(
-        node_map,
-        hints.cb_nodes.unwrap_or(nnodes),
-        hints.cb_config_max_per_node.unwrap_or(usize::MAX),
-    )
+/// `cb_config_list` placement hints, elected by this rank alone.
+pub(crate) fn elect_aggregators(comm: &Comm, hints: &RomioHints) -> Rc<[usize]> {
+    Election::of(hints).elect(comm.node_map())
 }
 
 impl AdioFile {
@@ -127,28 +147,28 @@ impl AdioFile {
             unit: hints.striping_unit,
             count: hints.striping_factor,
         };
-        let aggregators = elect_aggregators(&comm, &hints);
-        let my_agg_index = aggregators.iter().position(|&r| r == comm.rank());
-
         // Rank 0 creates; everyone else opens after the create is
-        // globally visible. With `romio_no_indep_rw` (deferred open)
-        // only the aggregators pay the metadata RPC; the rest attach.
-        let deferred = hints.no_indep_rw && my_agg_index.is_none() && comm.rank() != 0;
-        let global = if comm.rank() == 0 {
-            let h = if create || !ctx.pfs.exists(path) {
-                ctx.pfs.create(comm.node(), path, striping).await
-            } else {
-                ctx.pfs.open(comm.node(), path).await?
-            };
-            comm.barrier().await;
-            h
+        // globally visible. The barrier that makes it so elects the
+        // aggregators, once for the communicator where the collectives
+        // are analytic. With `romio_no_indep_rw` (deferred open) only
+        // the aggregators pay the metadata RPC; the rest attach.
+        let created = if comm.rank() != 0 {
+            None
+        } else if create || !ctx.pfs.exists(path) {
+            Some(ctx.pfs.create(comm.node(), path, striping).await)
         } else {
-            comm.barrier().await;
-            if deferred {
-                ctx.pfs.attach(path)?
-            } else {
-                ctx.pfs.open(comm.node(), path).await?
-            }
+            Some(ctx.pfs.open(comm.node(), path).await?)
+        };
+        let node_map = comm.node_map();
+        let aggregators = comm
+            .barrier_with(Election::of(&hints), |e| e.elect(node_map))
+            .await;
+        let my_agg_index = aggregators.iter().position(|&r| r == comm.rank());
+        let deferred = hints.no_indep_rw && my_agg_index.is_none() && comm.rank() != 0;
+        let global = match created {
+            Some(h) => h,
+            None if deferred => ctx.pfs.attach(path)?,
+            None => ctx.pfs.open(comm.node(), path).await?,
         };
 
         let cache = if hints.cache_requested() {
@@ -179,7 +199,6 @@ impl AdioFile {
                 closed: Cell::new(false),
                 io_error: RefCell::new(None),
                 placement: Placement::new(aggregators),
-                scratch: Cell::default(),
             }),
             view: None,
         })
@@ -225,31 +244,17 @@ impl AdioFile {
         self.my_agg_index
     }
 
-    /// The round scratch of this rank's open file, emptied, for a
-    /// collective to work in and hand back ([`AdioFile::put_scratch`]).
-    /// An attempt that ends early may drop it; the next collective then
-    /// starts cold.
-    pub(crate) fn take_scratch(&self) -> RoundScratch {
-        let mut s = self.state.scratch.take();
-        s.clear();
-        s
-    }
-
-    /// What this rank's round scratch keeps, between collectives on
-    /// this file, for the aggregators it touches: entries of room per
-    /// structure ([`RoundScratch`]'s schedule, list slots, touched and
-    /// size-exchange lists), each sized by the domains this rank's views
-    /// met, not by the aggregator count.
+    /// What this rank's round scratch — kept in its [`IoCtx`] — holds
+    /// between its collectives on this file and the files it opens
+    /// after it, for the aggregators it touches: entries of room per
+    /// structure (the schedule, list slots, touched and size-exchange
+    /// lists), each sized by the domains this rank's views met, not by
+    /// the aggregator count.
     pub fn round_scratch_capacity(&self) -> [(&'static str, usize); 5] {
-        let s = self.state.scratch.take();
+        let s = self.ctx.take_scratch();
         let capacity = s.per_aggregator_capacity();
-        self.state.scratch.set(s);
+        self.ctx.put_scratch(s);
         capacity
-    }
-
-    /// Keep `s` for the file's next collective.
-    pub(crate) fn put_scratch(&self, s: RoundScratch) {
-        self.state.scratch.set(s);
     }
 
     /// True if the E10 cache is active (requested, opened and not
@@ -422,9 +427,6 @@ impl AdioFile {
         if self.state.closed.replace(true) {
             return;
         }
-        // A deferred close (Fig. 3) overlaps the next file's collectives:
-        // hold one file's scratch at a time.
-        drop(self.state.scratch.take());
         {
             let _t = self.profiler.enter(Phase::FlushWait);
             if let Some(c) = &self.cache {
@@ -452,7 +454,7 @@ impl AdioFile {
     /// partitioned-collective baseline: the global handle, cache layer,
     /// profiler and file state are shared; only the coordination scope
     /// — and with it the placement, node split included — changes.
-    pub(crate) fn with_comm(&self, sub: Comm, aggregators: Vec<usize>) -> AdioFile {
+    pub(crate) fn with_comm(&self, sub: Comm, aggregators: Rc<[usize]>) -> AdioFile {
         let my_agg_index = aggregators.iter().position(|&r| r == sub.rank());
         AdioFile {
             comm: sub,
@@ -474,6 +476,7 @@ mod tests {
     use crate::testbed::TestbedSpec;
     use e10_mpisim::{FileView, FlatType};
     use e10_simcore::run;
+    use proptest::prelude::*;
 
     fn info_with(pairs: &[(&str, &str)]) -> Info {
         let i = Info::new();
@@ -650,6 +653,103 @@ mod tests {
             })
             .await;
         });
+    }
+
+    /// Every rank's aggregator list of an open on `procs` ranks over
+    /// `nodes` nodes under `info`, with the node map, under `backend`.
+    fn elected(
+        procs: usize,
+        nodes: usize,
+        backend: e10_mpisim::CollBackend,
+        info: impl Fn(usize) -> Info + 'static,
+    ) -> (Vec<Rc<[usize]>>, Vec<usize>) {
+        run(async move {
+            let mut spec = TestbedSpec::small(procs, nodes);
+            spec.backend = backend;
+            let tb = spec.build();
+            let node_map = tb.ctx(0).comm.node_map().to_vec();
+            let info = Rc::new(info);
+            let ranks = tb.ctxs().into_iter().map(|ctx| {
+                let info = Rc::clone(&info);
+                e10_simcore::spawn(async move {
+                    let info = info(ctx.comm.rank());
+                    let f = AdioFile::open(&ctx, "/gfs/elect", &info, true)
+                        .await
+                        .unwrap();
+                    let aggregators = Rc::clone(&f.placement().aggregators);
+                    f.close().await;
+                    aggregators
+                })
+            });
+            (e10_simcore::join_all(ranks.collect()).await, node_map)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The open's one election — the last arrival's under
+        /// `Analytic`, each rank's after the barrier under
+        /// `Algorithmic` — is the per-rank `select_aggregators_capped`
+        /// of every rank, whatever `cb_nodes` and `cb_config_list` ask.
+        #[test]
+        fn the_shared_election_is_every_ranks_own(
+            procs in 1usize..13,
+            nodes in 1usize..6,
+            cb_nodes in 0usize..16,
+            cap in 0usize..4,
+            analytic in any::<bool>(),
+        ) {
+            use e10_mpisim::CollBackend;
+            // 0 leaves the hint unset, as does a `cap` of 0.
+            let nodes = nodes.min(procs);
+            let cb_nodes = (cb_nodes > 0).then(|| 1 + cb_nodes % (procs + 2));
+            let backend = [CollBackend::Algorithmic, CollBackend::Analytic][analytic as usize];
+            let (lists, node_map) = elected(procs, nodes, backend, move |_| {
+                let info = Info::new();
+                if let Some(n) = cb_nodes {
+                    info.set("cb_nodes", &n.to_string());
+                }
+                if cap > 0 {
+                    info.set("cb_config_list", &format!("*:{cap}"));
+                }
+                info
+            });
+            let want = select_aggregators_capped(
+                &node_map,
+                cb_nodes.unwrap_or(nodes),
+                if cap > 0 { cap } else { usize::MAX },
+            );
+            for (rank, list) in lists.iter().enumerate() {
+                prop_assert_eq!(&list[..], &want[..], "rank {}", rank);
+            }
+            let shared = lists.iter().all(|l| Rc::ptr_eq(l, &lists[0]));
+            prop_assert_eq!(shared, analytic || procs == 1);
+        }
+    }
+
+    #[test]
+    fn ranks_that_disagree_on_placement_hints_panic_naming_both() {
+        use e10_mpisim::CollBackend;
+        for backend in [CollBackend::Algorithmic, CollBackend::Analytic] {
+            for (key, mine, theirs) in [("cb_nodes", "2", "4"), ("cb_config_list", "*:1", "*:3")] {
+                let open = std::panic::catch_unwind(|| {
+                    elected(4, 2, backend, move |rank| {
+                        info_with(&[(key, if rank == 1 { mine } else { theirs })])
+                    })
+                });
+                let msg = open.expect_err("disagreeing ranks must not open");
+                let msg = msg.downcast_ref::<String>().expect("a formatted panic");
+                let (a, b) = match key {
+                    "cb_nodes" => ("cb_nodes: Some(2)", "cb_nodes: Some(4)"),
+                    _ => (
+                        "cb_config_max_per_node: Some(1)",
+                        "cb_config_max_per_node: Some(3)",
+                    ),
+                };
+                assert!(msg.contains(a) && msg.contains(b), "{backend:?}: {msg}");
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::testbed::IoCtx;
 
 /// Contiguous-block group of a rank: ranks `[g·P/G, (g+1)·P/G)` form
 /// group `g` (ParColl's default partitioning).
-pub fn group_of(rank: usize, size: usize, ngroups: usize) -> usize {
+fn group_of(rank: usize, size: usize, ngroups: usize) -> usize {
     assert!(ngroups > 0 && ngroups <= size);
     rank * ngroups / size
 }
@@ -49,7 +49,7 @@ pub async fn write_at_all_partitioned(
     // one aggregator per group).
     let per_group = (fd.aggregators().len() / ngroups).max(1);
     let aggregators = select_aggregators(sub.node_map(), per_group);
-    let gfd = fd.with_comm(sub, aggregators);
+    let gfd = fd.with_comm(sub, aggregators.into());
     write_at_all(&gfd, view, data).await
 }
 
@@ -72,9 +72,7 @@ pub async fn write_at_all_multifile(
     let path = format!("{base_path}.g{group}");
     let sub_ctx = IoCtx {
         comm: sub,
-        pfs: std::rc::Rc::clone(&ctx.pfs),
-        localfs: std::rc::Rc::clone(&ctx.localfs),
-        nvmfs: std::rc::Rc::clone(&ctx.nvmfs),
+        ..ctx.clone()
     };
     let fd = AdioFile::open(&sub_ctx, &path, info, true).await?;
     let res = write_at_all(&fd, view, data).await;

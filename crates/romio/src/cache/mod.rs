@@ -170,26 +170,32 @@ impl CacheConfig {
 
     /// Path of this rank's cache file.
     pub fn cache_file_path(&self) -> String {
-        format!(
-            "{}/{}.{}.e10",
-            self.cache_path, self.file_basename, self.rank
-        )
+        self.rank_file_path(".e10")
     }
 
     /// Path of this rank's manifest journal.
     pub fn journal_file_path(&self) -> String {
-        self.journal_path
-            .clone()
-            .unwrap_or_else(|| format!("{}.jnl", self.cache_file_path()))
+        match &self.journal_path {
+            Some(path) => path.clone(),
+            None => self.rank_file_path(".e10.jnl"),
+        }
     }
 
     /// Path of this rank's hybrid front file (on the front store's own
     /// namespace).
     pub fn front_file_path(&self) -> String {
-        format!(
-            "{}/{}.{}.front.e10",
-            self.cache_path, self.file_basename, self.rank
-        )
+        self.rank_file_path(".front.e10")
+    }
+
+    /// `<cache_path>/<file_basename>.<rank><suffix>`, in one allocation
+    /// of exactly its length (`format!` would grow it from a guess).
+    fn rank_file_path(&self, suffix: &str) -> String {
+        use std::fmt::Write;
+        let (dir, base, rank) = (&self.cache_path, &self.file_basename, self.rank);
+        let digits = rank.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut path = String::with_capacity(dir.len() + base.len() + digits + suffix.len() + 2);
+        write!(path, "{dir}/{base}.{rank}{suffix}").expect("a String takes any write");
+        path
     }
 }
 
@@ -243,21 +249,14 @@ impl CacheLayer {
         global: PfsHandle,
         cfg: CacheConfig,
     ) -> Result<CacheLayer, FsError> {
-        let journal_file_path = cfg.journal_file_path();
         let file = localfs.create(&cfg.cache_file_path()).await?;
         let journal = if cfg.journal {
-            Some(localfs.create(&journal_file_path).await?)
+            Some(localfs.create(&cfg.journal_file_path()).await?)
         } else {
             None
         };
         let tiers = Tiers::attach(file, localfs, front_fs, &cfg, Attach::Create).await?;
-        Ok(Self::assemble(
-            global,
-            cfg,
-            tiers,
-            journal,
-            journal_file_path,
-        ))
+        Ok(Self::assemble(global, cfg, tiers, journal))
     }
 
     /// Wrap attached tiers in a volume and start its sync thread.
@@ -266,7 +265,6 @@ impl CacheLayer {
         mut cfg: CacheConfig,
         tiers: Tiers,
         journal: Option<LocalFile>,
-        journal_file_path: String,
     ) -> CacheLayer {
         cfg.ind_wr = cfg.ind_wr.max(1);
         // The cache's private handle (and every sync-thread clone of
@@ -289,7 +287,6 @@ impl CacheLayer {
             cfg,
             tiers,
             journal,
-            journal_file_path,
             global,
             tenant,
             unoffered: Cell::new(None),
@@ -358,9 +355,9 @@ impl CacheLayer {
         self.inner.vol.tiers.block.path()
     }
 
-    /// Path of the manifest journal (whether or not one is kept).
+    /// Path of the manifest journal; empty when none is kept.
     pub fn journal_file_path(&self) -> &str {
-        &self.inner.vol.journal_file_path
+        self.inner.vol.journal.as_ref().map_or("", |j| j.path())
     }
 
     /// True if a manifest journal is being kept.
@@ -712,8 +709,8 @@ impl CacheLayer {
             if let Some((arbiter, t)) = &vol.tenant {
                 arbiter.note_freed(*t, remaining);
             }
-            if vol.journal.is_some() {
-                let _ = vol.tiers.block_fs.unlink(&vol.journal_file_path).await;
+            if let Some(journal) = &vol.journal {
+                let _ = vol.tiers.block_fs.unlink(journal.path()).await;
             }
             vol.tiers.discard_front().await;
         }

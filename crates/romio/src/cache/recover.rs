@@ -98,8 +98,8 @@ impl CacheLayer {
         cfg: CacheConfig,
     ) -> Result<(CacheLayer, RecoveryReport), RecoverError> {
         let cache_file_path = cfg.cache_file_path();
-        let journal_file_path = cfg.journal_file_path();
-        if !cfg.journal || !localfs.exists(&journal_file_path) {
+        let journal_file_path = cfg.journal.then(|| cfg.journal_file_path());
+        let Some(journal_file_path) = journal_file_path.filter(|p| localfs.exists(p)) else {
             let mut cached_bytes = match localfs.open(&cache_file_path).await {
                 Ok(f) => f.extents().covered_bytes(),
                 Err(_) => 0,
@@ -110,7 +110,7 @@ impl CacheLayer {
                 }
             }
             return Err(RecoverError::NoJournal { cached_bytes });
-        }
+        };
         let journal_file = localfs
             .open(&journal_file_path)
             .await
@@ -187,7 +187,7 @@ impl CacheLayer {
             corrupt_bytes,
             retired: rep.retired(),
         };
-        let layer = Self::assemble(global, cfg, tiers, Some(journal_file), journal_file_path);
+        let layer = Self::assemble(global, cfg, tiers, Some(journal_file));
         let vol = &layer.inner.vol;
         layer
             .inner

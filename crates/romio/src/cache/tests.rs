@@ -26,6 +26,29 @@ async fn setup(flush: FlushFlag, coherent: bool, discard: bool) -> (CacheLayer, 
     (layer, global)
 }
 
+/// Recovery finds a rank's files by name, so the paths are the ones
+/// they always were — each built in one allocation of its length.
+#[test]
+fn cache_paths_are_exactly_sized_and_unchanged() {
+    for rank in [0, 7, 10, 511, 123_456] {
+        let mut c = CacheConfig::new("/scratch", "ckpt.3", rank, 0);
+        let paths = [
+            c.cache_file_path(),
+            c.journal_file_path(),
+            c.front_file_path(),
+        ];
+        let want = [
+            format!("/scratch/ckpt.3.{rank}.e10"),
+            format!("/scratch/ckpt.3.{rank}.e10.jnl"),
+            format!("/scratch/ckpt.3.{rank}.front.e10"),
+        ];
+        assert_eq!(paths, want);
+        assert!(paths.iter().all(|p| p.capacity() == p.len()), "{paths:?}");
+        c.journal_path = Some("/pmem/j".into());
+        assert_eq!(c.journal_file_path(), "/pmem/j");
+    }
+}
+
 #[test]
 fn immediate_flush_moves_data_to_global() {
     run(async {

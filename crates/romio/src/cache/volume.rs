@@ -51,7 +51,6 @@ pub(crate) struct Volume {
     pub(super) cfg: CacheConfig,
     pub(super) tiers: Tiers,
     pub(super) journal: Option<LocalFile>,
-    pub(super) journal_file_path: String,
     pub(super) global: PfsHandle,
     /// The node's shared multi-tenant arbiter (one per mount) and this
     /// cache's tenant id in it; `None` for an unmanaged cache

@@ -636,7 +636,7 @@ pub(crate) async fn two_phase_write<T: Transport>(
     // Optional pre-stage: aggregate this node's requests at the node
     // leader. Afterwards only leaders contribute pieces to the
     // inter-node exchange; everyone still joins its collectives.
-    let mut s = fd.take_scratch();
+    let mut s = fd.ctx().take_scratch();
     let algo = fd.hints().two_phase;
     let leads = if algo == TwoPhaseAlgo::NodeAgg {
         let gather_comm = gather_comm.await;
@@ -692,7 +692,7 @@ pub(crate) async fn two_phase_write<T: Transport>(
         }
     };
     let error_code = two_phase_rounds(fd, t, rounds, writing, ntimes, slots, contribution).await?;
-    fd.put_scratch(s);
+    fd.ctx().put_scratch(s);
     Ok(WriteAllResult {
         bytes: my_bytes,
         rounds: ntimes,
@@ -711,7 +711,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
         return independent_read(fd, view).await;
     };
     let (fds, cb, ntimes) = compute_domains(fd, &range, TwoPhaseAlgo::Extended);
-    let mut s = fd.take_scratch();
+    let mut s = fd.ctx().take_scratch();
     let RoundScratch {
         rounds,
         due,
@@ -728,7 +728,7 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     let Ok(error_code) =
         two_phase_rounds(fd, t, rounds, reading, ntimes, slots, contribution).await;
     let out = reading.finish(ntimes, error_code);
-    fd.put_scratch(s);
+    fd.ctx().put_scratch(s);
     out
 }
 
@@ -736,12 +736,13 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
 /// ascending, each with its provenance.
 pub(crate) type Touched = Vec<(usize, Provenance)>;
 
-/// What a rank's collectives on one open file reuse from one call to
-/// the next: the round loop's buffers, the cursors' schedule, each
-/// direction's lists and serve scratch, and the node leader's
-/// pre-stage. It stays with the file between collectives
-/// ([`AdioFile::take_scratch`]), so that once a call has grown it to
-/// the file's high-water mark a warm call allocates nothing for it.
+/// What a rank's collectives reuse from one call to the next: the round
+/// loop's buffers, the cursors' schedule, each direction's lists and
+/// serve scratch, and the node leader's pre-stage. It stays with the
+/// rank between collectives, on one file and across the files it
+/// opens ([`IoCtx::take_scratch`](crate::IoCtx)), so that once a call
+/// has grown it to the rank's high-water mark a warm call — the first
+/// on a later file included — allocates nothing for it.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
     rounds: Rounds,
@@ -811,7 +812,7 @@ struct Rounds {
 /// A round costs what the rank sends and receives: the contribution
 /// consults a schedule, the size exchange is sparse, lists go only to
 /// the aggregators touched and come only from the sources heard from.
-/// Its buffers — `r` and those of `dir` — are the file's
+/// Its buffers — `r` and those of `dir` — are the rank's
 /// [`RoundScratch`], and shipped lists circulate through the
 /// communicator's recycling pool ([`e10_mpisim::Comm::send_buf`]), so
 /// neither a steady-state write round nor, once warm, a whole call
@@ -838,7 +839,7 @@ where
     let aggregators: &[usize] = fd.aggregators();
     let my_agg = fd.my_agg_index();
     let mut local_err: u32 = 0;
-    // The slab of lists, grown once to the file's high-water mark.
+    // The slab of lists, grown once to the rank's high-water mark.
     let lists = dir.lists();
     if lists.len() < slots {
         lists.resize_with(slots, Vec::new);
@@ -1021,6 +1022,7 @@ impl Direction for Writing {
 mod tests {
     use super::*;
     use crate::test_util::{cb_info, on_testbed, strided_view};
+    use crate::testbed::IoCtx;
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;
     use proptest::prelude::*;
@@ -1425,9 +1427,11 @@ mod tests {
     const LEN: u64 = 60_000;
 
     /// `procs` ranks on `procs / 2` nodes make `calls` on one file —
-    /// through one handle, or with `fresh` through one handle per call
-    /// (opened and closed around it) — under `e10_two_phase = algo` and
-    /// `e10_coll_timeout = timeout`, 8 KB rounds and stripes.
+    /// through one handle, closed and reopened halfway, so that the
+    /// rank's scratch also crosses files; or with `fresh` through one
+    /// handle per call (opened and closed around it) on a rank context
+    /// of its own, whose scratch starts cold — under `e10_two_phase =
+    /// algo` and `e10_coll_timeout = timeout`, 8 KB rounds and stripes.
     fn reuse_run(
         procs: usize,
         (algo, timeout, analytic): (&'static str, &'static str, bool),
@@ -1451,11 +1455,20 @@ mod tests {
                         ("e10_two_phase", algo),
                         ("e10_coll_timeout", timeout),
                     ]);
-                    let open = |create| AdioFile::open(&ctx, "/gfs/reuse", &info, create);
+                    let info = &info;
+                    let open = |create| {
+                        let ctx = if fresh {
+                            let (pfs, localfs) = (Rc::clone(&ctx.pfs), Rc::clone(&ctx.localfs));
+                            IoCtx::new(ctx.comm.clone(), pfs, localfs, Rc::clone(&ctx.nvmfs))
+                        } else {
+                            ctx.clone()
+                        };
+                        async move { AdioFile::open(&ctx, "/gfs/reuse", info, create).await }
+                    };
                     let (rank, mut reads) = (ctx.comm.rank(), Vec::new());
                     let mut f = open(true).await.unwrap();
                     for (i, call) in calls.iter().enumerate() {
-                        if fresh && i > 0 {
+                        if i > 0 && (fresh || i == calls.len() / 2) {
                             f.close().await;
                             f = open(false).await.unwrap();
                         }
@@ -1485,14 +1498,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-        /// A handle's collectives reuse the round scratch the file keeps
-        /// between calls — lists, received pieces, request lists, the
-        /// cursors' schedule, the node leader's merge. Nothing of one
-        /// call may leak into the next: back-to-back writes and reads
-        /// whose views grow, shrink, leave holes and go empty (on some
-        /// ranks, or on all), under every algorithm, both transports and
-        /// both collective backends, produce the same file and read the
-        /// same pieces as the same calls through a fresh handle each.
+        /// A rank's collectives reuse the round scratch it keeps between
+        /// calls, on one file and across files — lists, received pieces,
+        /// request lists, the cursors' schedule, the node leader's merge.
+        /// Nothing of one call may leak into the next: back-to-back
+        /// writes and reads whose views grow, shrink, leave holes and go
+        /// empty (on some ranks, or on all), under every algorithm, both
+        /// transports and both collective backends, produce the same file
+        /// and read the same pieces as the same calls through a fresh
+        /// handle, with a cold scratch, each.
         #[test]
         fn a_reused_handle_matches_a_fresh_handle_per_call(
             procs in 2usize..7,

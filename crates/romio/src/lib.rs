@@ -55,7 +55,7 @@ pub mod tolerant;
 
 pub use adio::{AdioFile, DataSpec};
 pub use arbiter::{job_family, Admission, CacheArbiter};
-pub use baselines::{group_of, write_at_all_multifile, write_at_all_partitioned};
+pub use baselines::{write_at_all_multifile, write_at_all_partitioned};
 pub use cache::{CacheConfig, CacheLayer, Health, RecoverError, RecoveryReport};
 pub use collective::{read_at_all, write_at_all, WriteAllResult};
 pub use collective_read::{ReadAllResult, ReadPiece};

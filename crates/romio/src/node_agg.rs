@@ -50,7 +50,7 @@ use crate::collective::{merge_continuing, sort_by_offset, Provenance, Transport,
 use crate::fd::FileDomains;
 
 /// The node's aggregated request list, held by the node leader, and
-/// the buffers it is built in. Part of the file's round scratch
+/// the buffers it is built in. Part of the rank's round scratch
 /// ([`crate::collective::RoundScratch`]), so a warm call's pre-stage
 /// allocates nothing for it.
 #[derive(Default)]

@@ -7,6 +7,7 @@
 //! a 30 GB `/scratch` partition, BeeGFS with 1 MDS + 4 data targets
 //! (8+2 RAID6 of nearline SAS), InfiniBand QDR.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use e10_localfs::{LocalFs, LocalFsParams};
@@ -16,6 +17,7 @@ use e10_pfs::{Pfs, PfsParams};
 use e10_simcore::SimRng;
 use e10_storesim::{DeviceModel, Nvm, NvmParams, PageCache, PageCacheParams, Ssd, SsdParams};
 
+use crate::collective::RoundScratch;
 use crate::hints::CacheClass;
 
 /// Everything an ADIO file operation needs from the environment, bound
@@ -31,9 +33,46 @@ pub struct IoCtx {
     /// Node-local NVM mounts (`/pmem`), indexed by compute node. Used
     /// only when `e10_cache_class` selects the nvm or hybrid tier.
     pub nvmfs: Rc<Vec<LocalFs>>,
+    /// The rank's collective round scratch between its collectives, on
+    /// one file and across the files it opens: taken by a collective,
+    /// put back when it ends, so the rank's next file starts at the
+    /// high-water mark its earlier ones reached.
+    pub(crate) scratch: Rc<Cell<RoundScratch>>,
 }
 
 impl IoCtx {
+    /// The context of the rank `comm` binds, with an empty round
+    /// scratch.
+    pub fn new(
+        comm: Comm,
+        pfs: Rc<Pfs>,
+        localfs: Rc<Vec<LocalFs>>,
+        nvmfs: Rc<Vec<LocalFs>>,
+    ) -> IoCtx {
+        IoCtx {
+            comm,
+            pfs,
+            localfs,
+            nvmfs,
+            scratch: Rc::default(),
+        }
+    }
+
+    /// The rank's round scratch, emptied, for a collective to work in
+    /// and hand back ([`IoCtx::put_scratch`]). An attempt that ends
+    /// early may drop it; the rank's next collective then starts cold.
+    pub(crate) fn take_scratch(&self) -> RoundScratch {
+        let mut s = self.scratch.take();
+        s.clear();
+        s
+    }
+
+    /// Keep `s` for the rank's next collective, on this file or the
+    /// next.
+    pub(crate) fn put_scratch(&self, s: RoundScratch) {
+        self.scratch.set(s);
+    }
+
     /// The local file system of this rank's node.
     pub fn my_localfs(&self) -> &LocalFs {
         &self.localfs[self.comm.node()]
@@ -230,12 +269,12 @@ pub struct Testbed {
 impl Testbed {
     /// The I/O context of `rank`.
     pub fn ctx(&self, rank: usize) -> IoCtx {
-        IoCtx {
-            comm: self.world.comms[rank].clone(),
-            pfs: Rc::clone(&self.pfs),
-            localfs: Rc::clone(&self.localfs),
-            nvmfs: Rc::clone(&self.nvmfs),
-        }
+        IoCtx::new(
+            self.world.comms[rank].clone(),
+            Rc::clone(&self.pfs),
+            Rc::clone(&self.localfs),
+            Rc::clone(&self.nvmfs),
+        )
     }
 
     /// All per-rank contexts.

@@ -18,14 +18,17 @@
 //!    multiple of P under the crash-tolerant transport — and that it
 //!    is free under the analytic collectives of the paper-scale runs
 //!    too, and
-//! 4. what a warm collective *call* costs on one open file under the
-//!    analytic collectives: a constant per communicator, plus each node
-//!    leader's staging file under `node_agg`, and
+//! 4. what a warm collective *call* costs under the analytic
+//!    collectives: a constant per communicator, plus each node leader's
+//!    staging file under `node_agg` — on one open file, and, since the
+//!    round scratch is the rank's and not the file's, for the first
+//!    call on the rank's next file too, and
 //! 5. that the count *is* reproducible where a hash table with random
 //!    keys would make it not: file churn on a node's volume, and a
 //!    whole open → split → write → close, and
 //! 6. what resolving the paper's hint set costs: `AdioFile::open` does
-//!    it once per rank, 512 times per collective open, and
+//!    it once per rank, 512 times per collective open (the aggregator
+//!    election it feeds runs once per open), and
 //! 7. that an open and close cost every rank the same whatever the
 //!    node count, and each added rank what the one before it did, and
 //! 8. what a collective-read round costs, from the global file and from
@@ -223,7 +226,7 @@ fn calls_scenario(views: &CallViews, cache: Cache, node_agg: bool) {
 /// per extra call on one open file, at 16 and at 32 ranks. Through the
 /// extended algorithm, with the cache off and through the SSD cache,
 /// a call costs 3 whatever the rank count — the round loop's scratch
-/// stays with the open file and a rendezvous boxes nothing per rank,
+/// stays with the rank and a rendezvous boxes nothing per rank,
 /// so what is left is the communicator's: the offset exchange's shared
 /// summary and the two vectors of its file domains. Through `node_agg`
 /// and the hybrid cache, each node leader adds 5 (8 leaders at 16
@@ -256,6 +259,69 @@ fn a_warm_collective_call_costs_what_is_pinned() {
                 "{procs} ranks, cache={cache:?}, node_agg={node_agg}"
             );
         }
+    }
+}
+
+/// `procs` ranks as in [`calls_scenario`] (cache off) make every
+/// collective write of their `views` on one file and close it, then
+/// open a second file and make the first `second` of them on it.
+fn second_file_scenario(views: &CallViews, second: usize) {
+    let views = Rc::clone(views);
+    e10_simcore::run(async move {
+        let procs = views.len();
+        let mut spec = e10_romio::TestbedSpec::small(procs, procs / 2);
+        spec.backend = CollBackend::Analytic;
+        let tb = spec.build();
+        let ranks = tb.ctxs().into_iter().map(|ctx| {
+            let views = Rc::clone(&views);
+            e10_simcore::spawn(async move {
+                let info = scenario_info(Cache::Off);
+                info.set("striping_unit", "32768");
+                let data = e10_romio::DataSpec::FileGen { seed: 79 };
+                let mine = &views[ctx.comm.rank()];
+                for (path, calls) in [("/gfs/first", mine.len()), ("/gfs/second", second)] {
+                    let f = e10_romio::AdioFile::open(&ctx, path, &info, true)
+                        .await
+                        .unwrap();
+                    for view in &mine[..calls] {
+                        let r = e10_romio::write_at_all(&f, view, &data).await;
+                        assert_eq!((r.error_code, r.rounds), (0, 1));
+                    }
+                    f.close().await;
+                }
+            })
+        });
+        e10_simcore::join_all(ranks.collect()).await;
+    });
+}
+
+/// The round scratch is the rank's, not the open file's: a workflow
+/// that opens a file per phase (Fig. 3) starts every file after the
+/// first at the high-water mark the first reached. So a rank's first
+/// collective write on its second file costs what its second one there
+/// does — a warm call's 3 per communicator — and not the scratch grown
+/// again from empty (156 at 16 ranks and 308 at 32 when the scratch
+/// was the file's), plus the one call that is the new file's own: the
+/// PFS's extent map takes its first node at the file's first write,
+/// once per file whatever the rank count.
+#[test]
+fn a_first_call_on_a_second_file_costs_what_a_warm_call_costs() {
+    install_bt_hook();
+    for procs in [16, 32] {
+        let views = call_views(procs, 12);
+        second_file_scenario(&views, 0); // warm-up: lazy statics, thread-locals
+        let [none, one, two] =
+            [0, 1, 2].map(|second| alloc_gauge::count(|| second_file_scenario(&views, second)).0);
+        let (first, warm) = (one - none, two - one);
+        println!(
+            "{procs} ranks, second file: first call {first}, second call {warm} allocator calls"
+        );
+        assert_eq!(warm, 3, "{procs} ranks: a warm call on the second file");
+        assert_eq!(
+            first,
+            warm + 1,
+            "{procs} ranks: the first call on a second file"
+        );
     }
 }
 
@@ -669,12 +735,10 @@ fn open_close_cost(procs: usize, nodes: usize) -> u64 {
     run(2) - run(1)
 }
 
-/// Every rank of an open elects the aggregators, so whatever the
-/// election costs per node it costs P times: the per-node rank lists it
-/// once built were 130 allocator calls per rank-open at 64 nodes. An
-/// open + close must cost the same whether 16 ranks sit on 2 nodes or
-/// on 8, and each rank added from 8 to 16 (on 2 nodes) the same as the
-/// one before it.
+/// Whatever the aggregator election costs, an open under the analytic
+/// collectives pays it once, not per rank. An open + close must cost
+/// the same whether 16 ranks sit on 2 nodes or on 8, and each rank
+/// added from 8 to 16 (on 2 nodes) the same as the one before it.
 #[test]
 fn an_open_and_close_cost_the_same_per_rank_whatever_the_node_count() {
     let (on2, on8) = (open_close_cost(16, 2), open_close_cost(16, 8));

@@ -2,6 +2,8 @@
 //! round state only for the aggregators it touches, and the analytic
 //! size exchange keeps rows only as long as the most senders a
 //! destination has had. Neither may grow with the aggregator count.
+//! Nor may the open's own per-rank state: the aggregator list is one
+//! allocation per communicator and open, which every rank shares.
 //!
 //! 64 ranks write and then read one view: rank `r` holds the blocks
 //! `k·64 + r`, `k < 4`, of a 256-block file. With stripe-aligned file
@@ -131,4 +133,62 @@ fn round_state_is_sized_by_the_aggregators_a_rank_touches() {
         many.abs_diff(few) <= few / 4,
         "{few} entries at 8 aggregators, {many} at 64: more than 25 % apart"
     );
+}
+
+/// The aggregator list is one allocation per communicator and open:
+/// under the analytic collectives of the paper-scale runs the open's
+/// barrier elects once and every rank of the communicator holds that
+/// one list, where each rank once elected and kept a copy of its own —
+/// 8 B per aggregator per rank per open file. Each rank holds three
+/// files open at once: two on the world, one on its half of a split.
+#[test]
+fn the_aggregator_list_is_one_allocation_per_communicator_and_open() {
+    let lists = run(async {
+        let mut spec = TestbedSpec::small(PROCS as usize, 16);
+        spec.backend = CollBackend::Analytic;
+        let tb = spec.build();
+        let ranks = tb.ctxs().into_iter().map(|ctx| {
+            spawn(async move {
+                let rank = ctx.comm.rank();
+                let info = Info::from_pairs([("cb_nodes", "8")]);
+                let half = ctx.comm.split((rank % 2) as u32, rank as u64).await;
+                let half_ctx = e10_romio::IoCtx::new(
+                    half,
+                    ctx.pfs.clone(),
+                    ctx.localfs.clone(),
+                    ctx.nvmfs.clone(),
+                );
+                let half_path = ["/gfs/even", "/gfs/odd"][rank % 2];
+                let files = [
+                    AdioFile::open(&ctx, "/gfs/a", &info, true).await.unwrap(),
+                    AdioFile::open(&ctx, "/gfs/b", &info, true).await.unwrap(),
+                    AdioFile::open(&half_ctx, half_path, &info, true)
+                        .await
+                        .unwrap(),
+                ];
+                let lists = files.each_ref().map(|f| f.aggregators().as_ptr() as usize);
+                for f in &files {
+                    f.close().await;
+                }
+                (rank % 2, lists)
+            })
+        });
+        join_all(ranks.collect()).await
+    });
+    // (open, list address) pairs: opens a and b, then each half's.
+    let mut held: Vec<(usize, usize)> = lists
+        .iter()
+        .flat_map(|&(half, [a, b, h])| [(0, a), (1, b), (2 + half, h)])
+        .collect();
+    held.sort_unstable();
+    held.dedup();
+    let per_open: Vec<usize> = (0..4)
+        .map(|open| held.iter().filter(|&&(o, _)| o == open).count())
+        .collect();
+    eprintln!("aggregator lists per open (a, b, even half, odd half): {per_open:?}");
+    assert_eq!(per_open, [1; 4], "one list for all the ranks of an open");
+    let mut addresses: Vec<usize> = held.iter().map(|&(_, at)| at).collect();
+    addresses.sort_unstable();
+    addresses.dedup();
+    assert_eq!(addresses.len(), 4, "one list per open");
 }

@@ -222,12 +222,12 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
     let per_rank = tb
         .world
         .run_ranks(move |comm| {
-            let ctx = IoCtx {
+            let ctx = IoCtx::new(
                 comm,
-                pfs: Rc::clone(&pfs),
-                localfs: Rc::clone(&localfs),
-                nvmfs: Rc::clone(&nvmfs),
-            };
+                Rc::clone(&pfs),
+                Rc::clone(&localfs),
+                Rc::clone(&nvmfs),
+            );
             let wl = Rc::clone(&workload);
             let cfg = Rc::clone(&cfg_shared);
             async move {

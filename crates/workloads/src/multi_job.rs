@@ -207,12 +207,7 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
                     // every job has ranks (and aggregators) on every
                     // node — the jobs genuinely share cache devices.
                     let sub = comm.split(job as u32, world_rank as u64).await;
-                    let ctx = IoCtx {
-                        comm: sub,
-                        pfs,
-                        localfs,
-                        nvmfs,
-                    };
+                    let ctx = IoCtx::new(sub, pfs, localfs, nvmfs);
                     sleep(sp.stagger * job as u64).await;
                     let t0 = now();
                     let block = sp.file_bytes / sp.procs_per_job as u64;

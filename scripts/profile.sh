@@ -36,9 +36,14 @@
 # exists) adds one line per REGEX after the tables: the share of the
 # counted samples whose stack has a frame, inlined ones included
 # (`addr2line -i`), whose function matches REGEX (an awk ERE over
-# demangled names), e.g. `--incl 'FsState|FsServe|fs_timer_fired'`
-# for everything under `FairShare`. With `--allocs` the share is of the
-# counted allocation stacks.
+# demangled function paths: generic arguments are cut out first, so a
+# frame matches by its own name and not by the types it is
+# instantiated with), e.g. `--incl 'FsState|FsServe|fs_timer_fired'`
+# for everything under `FairShare`. The line tables name an inlined
+# `async fn` body by its short name alone (`{async_fn#0}`), so such a
+# body is matched through the frame of its caller that was not
+# inlined (`write_at_all` for `two_phase_write`). With `--allocs` the
+# share is of the counted allocation stacks.
 #
 # `--allocs N` (needs `cc` and `addr2line`, with or without `perf`)
 # builds the same library to interpose `malloc` and `realloc` instead:
@@ -276,9 +281,30 @@ SAMPLER
       fn = ""
     }' > "$pre.chains"
 
-  # The samples with a frame whose function matches $1, one a line.
+  # The samples with a frame whose function path matches $1, one a
+  # line. The path is the demangled name with its generic arguments
+  # (`<…>` after a name or a `{closure}`-style segment, innermost
+  # first) cut out, so that
+  # `two_phase_write<Plain, node_comm::{async_fn_env}>` matches
+  # `two_phase_write` and not `node_comm`; `<impl T>` and `<T as U>`
+  # are paths and keep their content.
   matching() {
-    awk -F '\t' -v fn="$1" '$2 ~ fn { print $1 }' "$pre.chains" > "$pre.match"
+    awk -F '\t' -v fn="$1" '
+      function path(s,   pre, grp) {
+        gsub(/->/, "\003", s)
+        while (match(s, /<[^<>]*>/)) {
+          pre = substr(s, 1, RSTART - 1)
+          grp = substr(s, RSTART + 1, RLENGTH - 2)
+          if (grp ~ /^impl / || grp ~ / as / || pre !~ /[A-Za-z0-9_:}]$/)
+            grp = "\001" grp "\002"
+          else
+            grp = ""
+          s = pre grp substr(s, RSTART + RLENGTH)
+        }
+        gsub(/\001/, "<", s); gsub(/\002/, ">", s); gsub(/\003/, "->", s)
+        return s
+      }
+      path($2) ~ fn { print $1 }' "$pre.chains" > "$pre.match"
     awk 'FILENAME == ARGV[1] { hit[$1] = 1; next } $2 in hit { print $1 }' \
       "$pre.match" "$pre.frames" | sort -u
   }
