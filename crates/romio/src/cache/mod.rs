@@ -43,7 +43,7 @@ use e10_netsim::NodeId;
 use e10_pfs::lock::LockMode;
 use e10_pfs::PfsHandle;
 use e10_simcore::trace::{self, Event, EventKind, Layer};
-use e10_simcore::{channel, Flag, JoinHandle, Semaphore, SemaphoreGuard, Sender};
+use e10_simcore::{channel, Flag, JoinHandle, Semaphore, SemaphoreGuard, Sender, SimTime};
 use e10_storesim::Payload;
 
 use crate::arbiter::{job_family, Admission, CacheArbiter};
@@ -199,13 +199,26 @@ impl CacheConfig {
     }
 }
 
+/// Where a volume's sync thread stands. Under collective buffering
+/// most ranks' volumes never receive an extent, so the thread and its
+/// queue are made by the first extent posted, not by the open.
+enum SyncThread {
+    /// Nothing posted yet: no queue, no task. The open instant is kept
+    /// because the scrub period runs from it.
+    Idle(SimTime),
+    /// The sending end of the queue, and the task draining it.
+    Running(Sender<SyncMsg>, JoinHandle<()>),
+    /// Closed: nothing can be queued any more.
+    Stopped,
+}
+
 /// The foreground's own state.
 struct CacheInner {
     vol: Rc<Volume>,
-    /// The sync thread: the sending end of its queue, and its task.
-    /// Held here — not in the [`Volume`] the thread shares — so that a
-    /// dropped layer (a crash) closes the channel and ends the thread.
-    sync: RefCell<Option<(Sender<SyncMsg>, JoinHandle<()>)>>,
+    /// The sync thread. Held here — not in the [`Volume`] the thread
+    /// shares — so that a dropped layer (a crash) closes the channel
+    /// and ends the thread.
+    sync: RefCell<SyncThread>,
     /// Slot pool bounding the sync queue (`e10_cache_sync_depth`);
     /// `None` when the queue is unbounded.
     sync_slots: Option<Semaphore>,
@@ -222,10 +235,10 @@ pub struct CacheLayer {
 }
 
 impl CacheLayer {
-    /// Open the cache file and start the sync thread. Fails (so the
-    /// caller can revert to the standard path, as the paper requires)
-    /// if the cache file — or, when requested, its journal — cannot be
-    /// created.
+    /// Open the cache file; the sync thread starts with the first
+    /// extent posted to it. Fails (so the caller can revert to the
+    /// standard path, as the paper requires) if the cache file — or,
+    /// when requested, its journal — cannot be created.
     pub async fn open(
         localfs: LocalFs,
         global: PfsHandle,
@@ -259,7 +272,7 @@ impl CacheLayer {
         Ok(Self::assemble(global, cfg, tiers, journal))
     }
 
-    /// Wrap attached tiers in a volume and start its sync thread.
+    /// Wrap attached tiers in an idle volume: no sync thread yet.
     fn assemble(
         global: PfsHandle,
         mut cfg: CacheConfig,
@@ -299,12 +312,10 @@ impl CacheLayer {
             sync_errors: Cell::new(0),
             deferred: RefCell::new(Vec::new()),
         });
-        let (tx, rx) = channel::<SyncMsg>();
-        let task = e10_simcore::spawn(Rc::clone(&vol).sync_loop(rx));
         CacheLayer {
             inner: Rc::new(CacheInner {
                 vol,
-                sync: RefCell::new(Some((tx, task))),
+                sync: RefCell::new(SyncThread::Idle(e10_simcore::now())),
                 sync_slots,
                 bytes_cached: Cell::new(0),
                 sync_errors_reported: Cell::new(0),
@@ -409,14 +420,20 @@ impl CacheLayer {
         }
     }
 
-    /// Post one extent to the sync thread. Fails with a recoverable
-    /// [`Error::SyncStopped`] when the thread has already been torn
-    /// down (flush after close, write racing a close) — the extent is
-    /// still staged in the cache file, so callers can degrade to the
-    /// global file instead of panicking.
+    /// Post one extent to the sync thread, starting the thread — in the
+    /// calling rank's kill group — if this is the volume's first. Fails
+    /// with a recoverable [`Error::SyncStopped`] when the thread has
+    /// already been torn down (flush after close, write racing a
+    /// close) — the extent is still staged in the cache file, so
+    /// callers can degrade to the global file instead of panicking.
     fn enqueue_sync(&self, msg: SyncMsg) -> Result<(), Error> {
-        let sync = self.inner.sync.borrow();
-        let Some((tx, _)) = sync.as_ref() else {
+        let mut sync = self.inner.sync.borrow_mut();
+        if let SyncThread::Idle(opened) = *sync {
+            let (tx, rx) = channel::<SyncMsg>();
+            let vol = Rc::clone(&self.inner.vol);
+            *sync = SyncThread::Running(tx, e10_simcore::spawn(vol.sync_loop(rx, opened)));
+        }
+        let SyncThread::Running(tx, _) = &*sync else {
             return Err(Error::SyncStopped);
         };
         let pending = &self.inner.vol.pending_syncs;
@@ -644,7 +661,8 @@ impl CacheLayer {
         if vol.cfg.flush_flag != FlushFlag::FlushNone {
             // With the sync thread gone nothing can be queued: the
             // extents stay on the list, where `close` will find them.
-            if self.inner.sync.borrow().is_none() && !vol.deferred.borrow().is_empty() {
+            let stopped = matches!(*self.inner.sync.borrow(), SyncThread::Stopped);
+            if stopped && !vol.deferred.borrow().is_empty() {
                 return Err(Error::SyncStopped);
             }
             let deferred: Vec<_> = vol.deferred.borrow_mut().drain(..).collect();
@@ -689,9 +707,10 @@ impl CacheLayer {
     /// the flush outcome; teardown proceeds either way.
     pub async fn close(&self) -> Result<(), Error> {
         let flushed = self.flush().await;
-        // Dropping the sender lets the sync task drain and exit.
-        let sync = self.inner.sync.borrow_mut().take();
-        if let Some((tx, task)) = sync {
+        // Dropping the sender lets the sync task drain and exit; an
+        // idle volume has no task to wait for.
+        let sync = self.inner.sync.replace(SyncThread::Stopped);
+        if let SyncThread::Running(tx, task) = sync {
             drop(tx);
             task.await;
         }

@@ -203,8 +203,8 @@ impl CacheLayer {
             trace::counter("integrity.recover_dropped_bytes", corrupt_bytes);
         }
         for &(offset, len) in &requeued {
-            // The sync thread was started by `assemble` just above and
-            // cannot have stopped yet.
+            // The first of these starts the sync thread; a volume
+            // `assemble` just made cannot have stopped yet.
             let _ = layer.enqueue_sync(SyncMsg::new(offset, len));
         }
         trace::emit(|| {

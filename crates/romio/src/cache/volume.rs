@@ -9,7 +9,7 @@ use e10_localfs::LocalFile;
 use e10_pfs::lock::RangeLockGuard;
 use e10_pfs::PfsHandle;
 use e10_simcore::trace::{self, Event, EventKind, Layer};
-use e10_simcore::{Flag, Receiver, SemaphoreGuard, SimDuration};
+use e10_simcore::{Flag, Receiver, SemaphoreGuard, SimDuration, SimTime};
 use e10_storesim::Payload;
 
 use super::integrity::{Integrity, Stage};
@@ -168,10 +168,13 @@ impl Volume {
     }
 
     /// `ADIOI_Sync_thread_start`: one dedicated task per open file that
-    /// drains sync requests FIFO.
-    pub(super) async fn sync_loop(self: Rc<Self>, mut rx: Receiver<SyncMsg>) {
+    /// drains sync requests FIFO. It is started by the first extent
+    /// posted to the volume, not by the open, so a volume that never
+    /// receives one (a non-aggregator's) never has it; the scrub period
+    /// still runs from `opened`, the open instant.
+    pub(super) async fn sync_loop(self: Rc<Self>, mut rx: Receiver<SyncMsg>, opened: SimTime) {
         let node = self.cfg.node;
-        let mut last_scrub = e10_simcore::now();
+        let mut last_scrub = opened;
         // Scratch for the per-chunk read-back; reaches its high-water
         // mark during warm-up and is reused for every later chunk.
         let mut pieces: Pieces = Vec::new();

@@ -3,7 +3,7 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates nine
+//! `e10_simcore::alloc_gauge`; this test installs it and gates ten
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
@@ -34,7 +34,10 @@
 //! 8. what a collective-read round costs, from the global file and from
 //!    the aggregators' caches — pinned, not zero, and
 //! 9. that asking a cache whether it covers a range costs nothing,
-//!    however many extents its file holds.
+//!    however many extents its file holds, and
+//! 10. what a cache open and close cost when no extent is posted in
+//!     between — a non-aggregator's, under collective buffering: no
+//!     sync thread and no sync queue.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -458,6 +461,40 @@ fn asking_a_cache_what_it_covers_allocates_nothing() {
         assert_eq!(calls, 0, "covers() on {EXTENTS} extents");
         layer.close().await.unwrap();
     });
+}
+
+/// A cache volume that is opened and closed without an extent posted to
+/// it — a non-aggregator's, under collective buffering — starts no
+/// sync thread and builds no sync queue, so its open and close pay
+/// nothing for a task that would never receive work.
+#[test]
+fn an_idle_cache_open_and_close_costs_what_is_pinned() {
+    use e10_romio::{CacheConfig, CacheLayer};
+    let (_, costs) = alloc_gauge::count(|| {
+        e10_simcore::run(async {
+            let tb = e10_romio::TestbedSpec::small(2, 1).build();
+            let striping = e10_pfs::Striping::default();
+            let global = tb.pfs.create(0, "/gfs/idle", striping).await;
+            let mut cfg = CacheConfig::new("/scratch", "idle", 0, 0);
+            cfg.journal = true;
+            cfg.discard = true;
+            let mut costs = Vec::with_capacity(4);
+            for _ in 0..4 {
+                let (fs, global, cfg) = (tb.localfs[0].clone(), global.clone(), cfg.clone());
+                let before = alloc_gauge::allocs();
+                let layer = CacheLayer::open(fs, global, cfg).await.unwrap();
+                layer.close().await.unwrap();
+                drop(layer);
+                costs.push(alloc_gauge::allocs() - before);
+            }
+            costs
+        })
+    });
+    println!("idle cache open+close: {costs:?} allocator calls");
+    // The first open also pays for first uses; every later one
+    // pays the same.
+    assert!(costs[1..].iter().all(|&c| c == costs[1]), "{costs:?}");
+    assert_eq!(costs[1], 10, "an idle cache open and close");
 }
 
 /// The gauge is per-thread: a window on this thread must not see what

@@ -133,7 +133,7 @@ fn pressure_eviction_with_journal_and_integrity_is_pinned() {
         "cache.evict_pressure=204800",
         "cache.write_bytes=669696",
         "cache.write_stall_ns=433345",
-        "executor.polls=149",
+        "executor.polls=147",
         "flush.fair_share=669696",
         "integrity.scrubbed_bytes=976896",
         "netsim.bytes=671424",

@@ -95,6 +95,14 @@ impl RunConfig {
             faults: e10_faultsim::FaultPlan::default(),
         }
     }
+
+    /// The global file of each I/O phase, `<prefix>.<k>`: built once
+    /// per run, every rank opens its phase's file by reference.
+    pub(crate) fn file_paths(&self) -> Vec<String> {
+        (0..self.files)
+            .map(|k| format!("{}.{k}", self.path_prefix))
+            .collect()
+    }
 }
 
 /// One I/O phase's timings (measured on rank 0, which is barrier-
@@ -218,6 +226,7 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         hints,
         ..cfg.clone()
     });
+    let paths: Rc<[String]> = cfg.file_paths().into();
 
     let per_rank = tb
         .world
@@ -230,9 +239,10 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
             );
             let wl = Rc::clone(&workload);
             let cfg = Rc::clone(&cfg_shared);
+            let paths = Rc::clone(&paths);
             async move {
                 let views = wl.writes(ctx.comm.rank());
-                write_files(&ctx, &views, &cfg).await
+                write_files(&ctx, &views, &cfg, &paths).await
             }
         })
         .await;
@@ -325,11 +335,17 @@ pub(crate) struct RankPhases {
 }
 
 /// One rank's Fig.-3 loop: for each of `cfg.files` files, close the
-/// previous file, open `<prefix>.<k>` with `cfg.hints`, write every
-/// view of `views` collectively from file `k`'s generator, then compute
-/// for `cfg.compute_delay` (jittered per rank) while the file's sync
-/// runs in the background; close the last file at the end.
-pub(crate) async fn write_files(ctx: &IoCtx, views: &[FileView], cfg: &RunConfig) -> RankPhases {
+/// previous file, open `paths[k]` (see [`RunConfig::file_paths`]) with
+/// `cfg.hints`, write every view of `views` collectively from file
+/// `k`'s generator, then compute for `cfg.compute_delay` (jittered per
+/// rank) while the file's sync runs in the background; close the last
+/// file at the end.
+pub(crate) async fn write_files(
+    ctx: &IoCtx,
+    views: &[FileView],
+    cfg: &RunConfig,
+    paths: &[String],
+) -> RankPhases {
     let rank = ctx.comm.rank();
     let mut prev: Option<AdioFile> = None;
     let mut phases: Vec<(u64, f64)> = Vec::new();
@@ -371,8 +387,7 @@ pub(crate) async fn write_files(ctx: &IoCtx, views: &[FileView], cfg: &RunConfig
             .rank(rank)
             .field("file", k)
         });
-        let path = format!("{}.{k}", cfg.path_prefix);
-        let fd = AdioFile::open(ctx, &path, &cfg.hints, true)
+        let fd = AdioFile::open(ctx, &paths[k], &cfg.hints, true)
             .await
             .expect("collective open failed");
         is_agg = fd.my_agg_index().is_some();
@@ -436,11 +451,10 @@ pub(crate) async fn write_files(ctx: &IoCtx, views: &[FileView], cfg: &RunConfig
 /// `file_bytes` of its generator's bytes. Panics on a missing file or
 /// a mismatch.
 pub(crate) fn verify_files(tb: &Testbed, cfg: &RunConfig, file_bytes: u64) {
-    for k in 0..cfg.files {
-        let path = format!("{}.{k}", cfg.path_prefix);
+    for (k, path) in cfg.file_paths().iter().enumerate() {
         let ext = tb
             .pfs
-            .file_extents(&path)
+            .file_extents(path)
             .unwrap_or_else(|| panic!("file {path} missing after run"));
         ext.verify_gen(cfg.seed_base + k as u64, 0, file_bytes)
             .unwrap_or_else(|e| panic!("verification of {path} failed: {e}"));

@@ -189,10 +189,20 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
         let sink = Rc::new(RingSink::new(1 << 16));
         let guard = install_with_metrics(sink, Rc::clone(&metrics));
 
+        // Each job's configuration and file paths, built once and
+        // shared by its ranks.
+        let jobs_cfg: Rc<[(RunConfig, Vec<String>)]> = (0..spec.jobs)
+            .map(|job| {
+                let cfg = spec.run_config(job);
+                let paths = cfg.file_paths();
+                (cfg, paths)
+            })
+            .collect();
         let pfs = Rc::clone(&tb.pfs);
         let localfs = Rc::clone(&tb.localfs);
         let nvmfs = Rc::clone(&tb.nvmfs);
         let sp = spec.clone();
+        let shared_cfg = Rc::clone(&jobs_cfg);
         let per_rank = tb
             .world
             .run_ranks(move |comm| {
@@ -200,6 +210,7 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
                 let localfs = Rc::clone(&localfs);
                 let nvmfs = Rc::clone(&nvmfs);
                 let sp = sp.clone();
+                let jobs_cfg = Rc::clone(&shared_cfg);
                 async move {
                     let world_rank = comm.rank();
                     let job = world_rank % sp.jobs;
@@ -216,7 +227,8 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
                     // The deferred close keeps file k's extents
                     // cache-resident (and evictable) through the
                     // contention window of phase k+1.
-                    let r = write_files(&ctx, &[view], &sp.run_config(job)).await;
+                    let (cfg, paths) = &jobs_cfg[job];
+                    let r = write_files(&ctx, &[view], cfg, paths).await;
                     assert_eq!(r.error_code, 0, "collective write failed");
                     let bytes = r.phases.iter().map(|&(b, _)| b).sum::<u64>();
                     (job, bytes, now().since(t0).as_secs_f64())
@@ -227,8 +239,8 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
         // Every job's every file must be byte-identical to its
         // generator — contention may change *where* bytes travelled,
         // never what arrived.
-        for job in 0..spec.jobs {
-            verify_files(&tb, &spec.run_config(job), spec.file_bytes);
+        for (cfg, _) in jobs_cfg.iter() {
+            verify_files(&tb, cfg, spec.file_bytes);
         }
 
         let mut jobs: Vec<JobOutcome> = (0..spec.jobs)

@@ -71,13 +71,13 @@ fn crash_recovery_outcomes_are_pinned() {
         crash_line(false, "ssd", 78),
     ];
     let want = [
-        "crash ssd journal=true: crash_ns=2366716 killed=30 written=32768 requeued=32768 \
+        "crash ssd journal=true: crash_ns=2366716 killed=26 written=32768 requeued=32768 \
          lost=0 recovery_bits=0x3f7d446e552e6bdf verified=true",
-        "crash nvm journal=true: crash_ns=2126069 killed=30 written=32768 requeued=32768 \
+        "crash nvm journal=true: crash_ns=2126069 killed=26 written=32768 requeued=32768 \
          lost=0 recovery_bits=0x3f7b51716a5917d2 verified=true",
-        "crash hybrid journal=true: crash_ns=2323320 killed=30 written=32768 requeued=32768 \
+        "crash hybrid journal=true: crash_ns=2323320 killed=26 written=32768 requeued=32768 \
          lost=0 recovery_bits=0x3f8c272c13da277e verified=true",
-        "crash ssd journal=false: crash_ns=2336628 killed=30 written=32768 requeued=0 \
+        "crash ssd journal=false: crash_ns=2336628 killed=26 written=32768 requeued=0 \
          lost=32768 recovery_bits=0x3f1f75104d551d69 verified=false",
     ];
     assert_eq!(got, want);

@@ -30,7 +30,7 @@ fn single_arm_is_pinned() {
         "cache.bytes_synced=4194304",
         "cache.write_bytes=4194304",
         "cache.write_stall_ns=3028396",
-        "executor.polls=723",
+        "executor.polls=715",
         "netsim.bytes=4202368",
         "netsim.messages=120",
         "pfs.write_bytes=4194304",
@@ -49,7 +49,7 @@ fn uncontended_arm_is_pinned() {
         "cache.bytes_synced=16777216",
         "cache.write_bytes=16777216",
         "cache.write_stall_ns=12113584",
-        "executor.polls=2919",
+        "executor.polls=2887",
         "flush.fair_share=12582912",
         "netsim.bytes=16809472",
         "netsim.messages=480",
@@ -74,7 +74,7 @@ fn contended_arm_is_pinned() {
         "cache.evict_pressure=2097152",
         "cache.write_bytes=10485760",
         "cache.write_stall_ns=5605552",
-        "executor.polls=2857",
+        "executor.polls=2801",
         "flush.fair_share=6291456",
         "netsim.bytes=16809472",
         "netsim.messages=480",

@@ -57,7 +57,13 @@
 # (`e10_benchmark::run::set_up`, `e10_benchmark::workloads::inputs`)
 # or the byte verification (`e10_benchmark::workloads::untimed`), both
 # outside the timed window, is dropped, and the script prints how many
-# were. The call count is the whole process's, and the buffer holds
+# were. Those frames are found by the path matching `--incl` uses, under
+# their full paths or their bare names (an inlined frame carries only
+# the bare name), so nothing of the burst survives:
+# `--allocs 7 --incl set_up --incl TestbedSpec::build collperf_cached 3`
+# reads 0.00 % for `set_up`, and for `TestbedSpec::build` the share of
+# the timed testbed build, one per repetition (1 918 calls of each
+# repetition's `allocs`), within sampling error. The call count is the whole process's, and the buffer holds
 # 65 536 stacks, so pick N above calls / 65 536 (a 3 s run of
 # `collperf_direct` makes about 1.2 M calls: `--allocs 31`); the script
 # says when it filled. The dump stays in
@@ -310,8 +316,13 @@ SAMPLER
   }
 
   # Drop what the `host_s` and `allocs` metrics never see: any stack
-  # that passes through the set-up burst or the verification.
-  matching 'e10_benchmark::(run::set_up|workloads::(inputs|untimed))' > "$pre.dropped"
+  # that passes through the set-up burst or the verification. The
+  # frames are matched like `--incl`'s, by function path, and the
+  # pattern takes each function by its full path or by its bare name:
+  # an inlined frame carries only the latter (`set_up`, not
+  # `e10_benchmark::run::set_up`).
+  matching '^((e10_benchmark::)?run::)?set_up$|^((e10_benchmark::)?workloads::)?(inputs|untimed)$' \
+    > "$pre.dropped"
   awk 'FILENAME == ARGV[1] { drop[$1] = 1; next } !($1 in drop)' "$pre.dropped" "$pre.frames" > "$pre.kept"
   dropped=$(wc -l < "$pre.dropped")
   kept=$((sampled - dropped))
