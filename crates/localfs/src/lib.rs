@@ -156,6 +156,27 @@ struct VolumeState {
     next_ticket: u64,
 }
 
+/// How much of a write or append in flight at a power cut survives:
+/// none of it, its first tear unit (all of it, if shorter), or all of it
+/// (the bytes landed, but their caller is never told).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tear {
+    Nothing,
+    Unit,
+    All,
+}
+
+/// A write or append in flight at a power cut, as the tear rule of
+/// [`LocalFs::power_loss`] sees it: its length, the device's tear unit
+/// (a 64 B cache line on byte-addressable NVM, else a 4 KiB block) and
+/// whether it is a journal record ([`LocalFile::append_bytes`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pending {
+    pub len: u64,
+    pub unit: u64,
+    pub append: bool,
+}
+
 /// Deregisters an in-flight write when its future completes — or when a
 /// killed task's future is dropped.
 struct InFlightGuard {
@@ -364,39 +385,39 @@ impl LocalFs {
     /// Cut power to the node *right now*.
     ///
     /// Durability model (the NVM premise of the paper, see DESIGN.md §8):
-    /// a write whose call has completed is durable on the device; of a
-    /// write or append still in flight, in issue order, the first
-    /// `tear(len)` of its `len` bytes survive, rounded down to a
-    /// multiple of `atomicity`. The page cache comes back cold (reads
-    /// pay device time), and so does the volume's
-    /// [attachment](LocalFs::attachment). Metadata survives (journalled
-    /// ext4).
+    /// a write whose call has completed is durable on the device; each
+    /// write or append still in flight, in issue order, keeps what
+    /// `tear` says of it: nothing, its first tear unit, or all of it.
+    /// The page cache comes back cold (reads pay device time), and so
+    /// does the volume's [attachment](LocalFs::attachment). Metadata
+    /// survives (journalled ext4).
     ///
     /// Call this *before* killing the node's crash group: killing first
     /// would run the in-flight drop guards and silently discard the
     /// torn prefixes.
-    pub fn power_loss(&self, atomicity: u64, mut tear: impl FnMut(u64) -> u64) {
-        let atom = atomicity.max(1);
-        let mut keep = |len: u64| tear(len).min(len) / atom * atom;
-        let entries: Vec<InFlight> = {
-            let mut vol = self.vol.borrow_mut();
-            std::mem::take(&mut vol.in_flight).into_values().collect()
+    pub fn power_loss(&self, mut tear: impl FnMut(Pending) -> Tear) {
+        let unit = if self.dev.byte_granular() { 64 } else { 4096 };
+        let mut keep = |len: u64, append| match tear(Pending { len, unit, append }) {
+            Tear::Nothing => 0,
+            Tear::Unit => unit.min(len),
+            Tear::All => len,
         };
-        for entry in entries {
+        let in_flight = std::mem::take(&mut self.vol.borrow_mut().in_flight);
+        for entry in in_flight.into_values() {
             match entry {
                 InFlight::Write {
                     state,
                     offset,
                     payload,
                 } => {
-                    let keep = keep(payload.len);
+                    let keep = keep(payload.len, false);
                     if keep > 0 {
                         let torn = payload.slice(0, keep);
                         state.borrow_mut().data.insert(offset, keep, torn.src);
                     }
                 }
                 InFlight::Append { state, bytes } => {
-                    let keep = keep(bytes.len() as u64) as usize;
+                    let keep = keep(bytes.len() as u64, true) as usize;
                     state
                         .borrow_mut()
                         .append_log
@@ -897,7 +918,7 @@ mod tests {
             f.read(0, 1000).await.unwrap();
             let warm = now().since(t0).as_secs_f64();
 
-            fs.power_loss(512, seeded_tear(1));
+            fs.power_loss(|p| panic!("nothing is in flight: {p:?}"));
             assert!(
                 f.extents().verify_gen(3, 0, 1000).is_ok(),
                 "acked data is durable"
@@ -913,41 +934,85 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_write_is_torn_at_the_atomicity_unit() {
+    fn an_in_flight_write_keeps_one_block_on_an_ssd_volume() {
         run(async {
             let fs = small_fs();
             let f = fs.create("/a").await.unwrap();
-            let gid = e10_simcore::new_group();
             let f2 = f.clone();
-            e10_simcore::spawn_in_group(gid, async move {
-                // 5000 B at 10 000 B/s memory speed: 0.5 s in flight.
+            // 5000 B at 10 000 B/s memory speed: 0.5 s in flight.
+            let write = async move {
                 f2.write(0, Payload::gen(9, 0, 5000)).await.unwrap();
                 unreachable!("the node dies before the write completes");
-            });
-            sleep_quarter().await;
-            // Power loss FIRST, then the crash-group kill (the contract
-            // documented on power_loss).
-            fs.power_loss(512, seeded_tear(7));
-            e10_simcore::kill_group(gid);
-
-            let kept = f.extents().covered_bytes();
-            assert!(kept < 5000, "a torn write must not be complete");
-            assert_eq!(kept % 512, 0, "tear must respect the atomicity unit");
-            if kept > 0 {
-                assert!(
-                    f.extents().verify_gen(9, 0, kept).is_ok(),
-                    "prefix is real data"
-                );
-            }
+            };
+            let met = cut_during(&fs, write, SimDuration::from_millis(250), Tear::Unit).await;
+            let pending = Pending {
+                len: 5000,
+                unit: 4096,
+                append: false,
+            };
+            assert_eq!(met, [pending]);
+            assert_eq!(f.extents().covered_bytes(), 4096);
+            assert!(
+                f.extents().verify_gen(9, 0, 4096).is_ok(),
+                "the block is real data"
+            );
             assert_eq!(
                 fs.statfs().1,
-                kept,
-                "reservation must shrink to the torn prefix"
+                4096,
+                "reservation must shrink to the kept block"
             );
             // A second power loss with nothing in flight changes nothing.
-            fs.power_loss(512, seeded_tear(8));
-            assert_eq!(f.extents().covered_bytes(), kept);
+            fs.power_loss(|p| panic!("nothing is in flight: {p:?}"));
+            assert_eq!(f.extents().covered_bytes(), 4096);
         });
+    }
+
+    #[test]
+    fn an_in_flight_append_lands_whole_or_not_at_all() {
+        for tear in [Tear::All, Tear::Nothing] {
+            let (met, log, used) = run(async move {
+                let fs = small_fs();
+                let f = fs.create("/a.jnl").await.unwrap();
+                let f2 = f.clone();
+                // One 32 B journal record at 10 000 B/s: 3.2 ms in flight.
+                let append = async move {
+                    f2.append_bytes(&[7; 32]).await.unwrap();
+                    unreachable!("the node dies before the append completes");
+                };
+                let met = cut_during(&fs, append, SimDuration::from_millis(1), tear).await;
+                (met, f.read_log().await, fs.statfs().1)
+            });
+            let pending = Pending {
+                len: 32,
+                unit: 4096,
+                append: true,
+            };
+            assert_eq!(met, [pending]);
+            let kept = if tear == Tear::All { 32 } else { 0 };
+            assert_eq!(log, vec![7; kept], "{tear:?}");
+            assert_eq!(used, kept as u64, "{tear:?}");
+        }
+    }
+
+    /// Run `op` in a crash group, cut `fs`'s power `after` into it with
+    /// every in-flight write torn by `tear`, then kill the group;
+    /// returns what the tear rule was shown.
+    async fn cut_during(
+        fs: &LocalFs,
+        op: impl std::future::Future<Output = ()> + 'static,
+        after: SimDuration,
+        tear: Tear,
+    ) -> Vec<Pending> {
+        let gid = e10_simcore::new_group();
+        e10_simcore::spawn_in_group(gid, op);
+        e10_simcore::sleep(after).await;
+        let mut met = Vec::new();
+        fs.power_loss(|p| {
+            met.push(p);
+            tear
+        });
+        e10_simcore::kill_group(gid);
+        met
     }
 
     #[test]
@@ -1003,37 +1068,6 @@ mod tests {
             let err = nf.write_direct(0, Payload::zero(10)).await.unwrap_err();
             assert!(matches!(err, FsError::DeviceFailed { .. }));
         });
-    }
-
-    #[test]
-    fn power_loss_tearing_is_deterministic() {
-        let kept_with = |seed: u64| {
-            run(async move {
-                let fs = small_fs();
-                let f = fs.create("/a").await.unwrap();
-                let gid = e10_simcore::new_group();
-                let f2 = f.clone();
-                e10_simcore::spawn_in_group(gid, async move {
-                    let _ = f2.write(0, Payload::gen(9, 0, 5000)).await;
-                });
-                sleep_quarter().await;
-                fs.power_loss(64, seeded_tear(seed));
-                e10_simcore::kill_group(gid);
-                f.extents().covered_bytes()
-            })
-        };
-        assert_eq!(kept_with(3), kept_with(3));
-    }
-
-    /// A power-loss tear that keeps a `seed`-drawn prefix of each
-    /// in-flight write.
-    fn seeded_tear(seed: u64) -> impl FnMut(u64) -> u64 {
-        let mut rng = SimRng::new(seed);
-        move |len| rng.below(len + 1)
-    }
-
-    async fn sleep_quarter() {
-        e10_simcore::sleep(SimDuration::from_millis(250)).await;
     }
 
     fn small_nvm_fs() -> LocalFs {
@@ -1114,32 +1148,34 @@ mod tests {
             let fs = small_nvm_fs();
             let f = fs.create("/nvm/cache.0").await.unwrap();
             f.write_direct(0, Payload::gen(3, 0, 1000)).await.unwrap();
-            fs.power_loss(512, seeded_tear(1));
+            fs.power_loss(|p| panic!("nothing is in flight: {p:?}"));
             assert!(f.extents().verify_gen(3, 0, 1000).is_ok());
             assert_eq!(fs.statfs().1, 1000);
         });
     }
 
     #[test]
-    fn in_flight_direct_write_is_torn_like_a_staged_one() {
+    fn an_in_flight_direct_write_keeps_one_cache_line_on_an_nvm_volume() {
         run(async {
             let fs = small_nvm_fs();
             let f = fs.create("/a").await.unwrap();
-            let gid = e10_simcore::new_group();
             let f2 = f.clone();
-            e10_simcore::spawn_in_group(gid, async move {
-                // 5000 B at 500 B/s aggregate (250 B/s per channel,
-                // single stream): 20 s in flight.
+            // 5000 B at 500 B/s aggregate (250 B/s per channel, single
+            // stream): 20 s in flight.
+            let write = async move {
                 f2.write_direct(0, Payload::gen(9, 0, 5000)).await.unwrap();
                 unreachable!("the node dies before the write completes");
-            });
-            sleep_quarter().await;
-            fs.power_loss(512, seeded_tear(7));
-            e10_simcore::kill_group(gid);
-            let kept = f.extents().covered_bytes();
-            assert!(kept < 5000, "a torn direct write must not be complete");
-            assert_eq!(kept % 512, 0, "tear must respect the atomicity unit");
-            assert_eq!(fs.statfs().1, kept);
+            };
+            let met = cut_during(&fs, write, SimDuration::from_millis(250), Tear::Unit).await;
+            let pending = Pending {
+                len: 5000,
+                unit: 64,
+                append: false,
+            };
+            assert_eq!(met, [pending]);
+            assert_eq!(f.extents().covered_bytes(), 64);
+            assert!(f.extents().verify_gen(9, 0, 64).is_ok());
+            assert_eq!(fs.statfs().1, 64);
         });
     }
 }

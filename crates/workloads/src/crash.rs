@@ -6,15 +6,17 @@
 //! tree (torn in-flight writes would otherwise be silently discarded),
 //! then drive the crash-consistent recovery. This module is that owner:
 //! [`run_crash_recovery`] and the chaos soak both run their crashes
-//! through its one executor, [`execute`].
+//! through its one executor, [`execute`]. It is also the one source of
+//! crash states: [`cut_instants`] and [`each_state`].
 //!
 //! The sequence mirrors a real failure of the paper's setup:
 //!
 //! 1. every rank performs its collective writes; the E10 cache holds
 //!    the acknowledged data on the node-local NVM device,
-//! 2. each declared node loses power — in-flight device writes are torn
-//!    at the atomicity unit, the page cache comes back cold, and the
-//!    node's whole task tree (ranks, sync threads) dies,
+//! 2. each declared node loses power — each in-flight device write
+//!    keeps nothing, one tear unit or all of it, the page cache comes
+//!    back cold, and the node's whole task tree (ranks, sync threads)
+//!    dies,
 //! 3. surviving ranks finish on their own (`MPI_File_sync` is not
 //!    collective, so nobody blocks on the dead node),
 //! 4. recovery re-opens each crashed rank's cache from its manifest
@@ -26,26 +28,23 @@
 //! same crash is detected and reported as data loss.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 
 use e10_faultsim::{injected_count, FaultPlan, FaultSchedule};
+use e10_localfs::{Pending, Tear};
 use e10_mpisim::Info;
 use e10_romio::{
     write_at_all, AdioFile, CacheClass, CacheConfig, CacheLayer, DataSpec, RecoverError,
     RecoveryReport, RomioHints, Testbed,
 };
+use e10_simcore::trace::{self, RingSink};
 use e10_simcore::{
-    kill_group, new_group, now, sleep, spawn, spawn_in_group, Flag, SimDuration, SimRng, SimTime,
+    kill_group, new_group, now, sleep, spawn, spawn_in_group, Flag, SimDuration, SimTime,
 };
 
 use crate::Workload;
-
-/// Torn-write atomicity unit of a node's SSD at a power cut, bytes.
-const SSD_TEAR_UNIT: u64 = 4096;
-/// Torn-write atomicity unit of a node's NVM device, bytes:
-/// byte-addressable persistent memory tears at the cache-line flush
-/// unit, not the block size.
-const NVM_TEAR_UNIT: u64 = 64;
 
 /// Configuration of one crash/recovery experiment.
 #[derive(Clone)]
@@ -101,7 +100,8 @@ pub struct CrashOutcome {
     /// re-queued sync + flush for every crashed rank).
     pub recovery_secs: f64,
     /// Byte-for-byte verification of the final global file against the
-    /// generator — `Ok` exactly when recovery restored every acked byte.
+    /// generator — `Ok` exactly when recovery restored every acked byte
+    /// (else the first piece that is wrong).
     pub verified: Result<(), String>,
 }
 
@@ -176,17 +176,13 @@ pub async fn run_crash_recovery(
         return Err(CrashConfigError::NoRankOnNode { node });
     }
     let files = [(cfg.path.clone(), cfg.seed)];
-    let plan = Some(cfg.faults.clone());
-    let run = execute(tb, &workload, &cfg.hints, plan, &files, Gate::AfterWrites).await;
+    let (hints, plan, gate) = (&cfg.hints, Some(cfg.faults.clone()), Gate::AfterWrites);
+    let run = execute(tb, &workload, hints, plan, &files, gate, |_| Tear::Nothing).await;
     let views: usize = (0..procs).map(|r| workload.writes(r).len()).sum();
     assert_eq!(run.acked.len(), views, "pre-crash write failed");
     let alive = |rank: usize| run.cuts.iter().all(|&(node, _)| node != node_of(rank));
-    let verified = match tb.pfs.file_extents(&cfg.path) {
-        Some(ext) => ext
-            .verify_gen(cfg.seed, 0, workload.file_size())
-            .map_err(|e| e.to_string()),
-        None => Err(format!("global file {} missing", cfg.path)),
-    };
+    // Every view was acked, so the acked-byte oracle checks every byte.
+    let verified = run.acked_bad.first().map_or(Ok(()), |e| Err(e.clone()));
     Ok(CrashOutcome {
         crashed_node: run.cuts[0].0,
         crash_time: run.cuts[0].1,
@@ -203,9 +199,9 @@ pub async fn run_crash_recovery(
 
 /// When an [`execute`] run's crashes may fire.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Gate {
-    /// Once every rank has opened the last file, so the cut lands in its
-    /// write/flush window; ranks idle `idle` between writes and flush.
+pub enum Gate {
+    /// Once every rank has opened the last file, so a crash cannot stop
+    /// an open; ranks idle `idle` between writes and flush.
     LastOpen { idle: SimDuration },
     /// Once every rank's writes are acked; ranks hold their flush until
     /// the cut, so victims die with all their staged bytes cached.
@@ -213,14 +209,18 @@ pub(crate) enum Gate {
 }
 
 /// What one [`execute`] run did and found.
-pub(crate) struct Executed {
+pub struct Executed {
     /// Every acked write, victims' too, as `(rank, file, view, bytes)`:
     /// indices into the run's files and the rank's `Workload::writes`.
     pub acked: Vec<(usize, usize, usize, u64)>,
     /// Typed errors the ranks were told, `(rank, message)`, in order.
     pub errors: Vec<(usize, String)>,
+    /// The acked-byte oracle: each piece of an acked write that does not
+    /// read back from the global file as the generator's bytes.
+    pub acked_bad: Vec<String>,
     /// The cuts as they fired, `(node, instant)`.
     pub cuts: Vec<(usize, SimTime)>,
+    /// Tasks the cuts killed.
     pub killed_tasks: usize,
     /// Per crashed rank and file, as in [`CrashOutcome`]: a close that
     /// fails to flush what the replay re-queued is in both lists.
@@ -240,15 +240,18 @@ pub(crate) struct Executed {
 /// opens, each crashed node, at its earliest declared instant, loses
 /// SSD and (if the cache class stages there) NVM power *before* its
 /// task group is killed, so torn in-flight writes keep their prefixes.
+/// `tear` says what each write the cuts find in flight keeps
+/// ([`tear_by`] makes one from a tear list); a plan's crash keeps none.
 /// After the survivors, every crashed rank's cache of every file is
 /// recovered from its journal.
-pub(crate) async fn execute(
+pub async fn execute(
     tb: &Testbed,
     workload: &Rc<dyn Workload>,
     hints: &Info,
     plan: Option<FaultPlan>,
     files: &[(String, u64)],
     gate: Gate,
+    mut tear: impl FnMut(Pending) -> Tear,
 ) -> Executed {
     let procs = workload.procs();
     let node_of = |rank: usize| tb.world.comms[rank].node();
@@ -258,7 +261,6 @@ pub(crate) async fn execute(
     cuts.sort_by_key(|&(node, at)| (node, at));
     cuts.dedup_by_key(|c| c.0);
     cuts.sort_by_key(|&(node, at)| (at, node));
-    let tear_seed = plan.as_ref().map_or(0, |p| p.seed);
     let _guard = plan.map(FaultSchedule::install);
     let groups: Vec<u64> = cuts.iter().map(|_| new_group()).collect();
     let crashing = !cuts.is_empty();
@@ -347,11 +349,9 @@ pub(crate) async fn execute(
         if now() < at {
             sleep(at.since(now())).await;
         }
-        let mut tear = SimRng::stream(tear_seed, 910_000 + node as u64);
-        tb.localfs[node].power_loss(SSD_TEAR_UNIT, |len| tear.below(len + 1));
+        tb.localfs[node].power_loss(&mut tear);
         if romio_hints.e10_cache_class != CacheClass::Ssd {
-            let mut tear = SimRng::stream(tear_seed, 911_000 + node as u64);
-            tb.nvmfs[node].power_loss(NVM_TEAR_UNIT, |len| tear.below(len + 1));
+            tb.nvmfs[node].power_loss(&mut tear);
         }
         e10_faultsim::note_injected("node_crash", node);
         killed_tasks += kill_group(gid);
@@ -390,9 +390,26 @@ pub(crate) async fn execute(
             }
         }
     }
+    let exts: Vec<_> = files.iter().map(|(p, _)| tb.pfs.file_extents(p)).collect();
+    let mut acked_bad = Vec::new();
+    for &(rank, k, vi, _) in acked.borrow().iter() {
+        let Some(ext) = &exts[k] else {
+            acked_bad.push(format!("rank {rank} file {k}: global file missing"));
+            continue;
+        };
+        for p in workload.writes(rank)[vi].pieces() {
+            if let Err(e) = ext.verify_gen(files[k].1, p.file_off, p.len) {
+                let (off, len) = (p.file_off, p.len);
+                acked_bad.push(format!(
+                    "rank {rank} file {k} write {vi} [{off}, +{len}): {e}"
+                ));
+            }
+        }
+    }
     Executed {
         acked: acked.take(),
         errors: errors.take(),
+        acked_bad,
         cuts: fired,
         killed_tasks,
         recovered,
@@ -401,6 +418,70 @@ pub(crate) async fn execute(
         recovery_secs: now().since(recovery_t0).as_secs_f64(),
         injected: injected_count(),
     }
+}
+
+/// The tear rule of one crash state, for `LocalFs::power_loss`: the
+/// `i`-th write or append met, over every mount cut, is torn by
+/// `tears[i]` (`Nothing` past the list's end) and pushed to `met`.
+pub fn tear_by<'a>(
+    tears: &'a [Tear],
+    met: &'a mut Vec<Pending>,
+) -> impl FnMut(Pending) -> Tear + 'a {
+    move |p| {
+        let tear = tears.get(met.len()).copied().unwrap_or(Tear::Nothing);
+        met.push(p);
+        tear
+    }
+}
+
+/// Where a run can be cut: 1 ns after each instant at which a traced
+/// run of `main` woke a task. Each device write or append wakes its
+/// caller when it completes, so these hold every completion.
+pub fn cut_instants(main: impl Future<Output = ()> + 'static) -> Vec<SimTime> {
+    e10_simcore::run(async move {
+        let sink = Rc::new(RingSink::new(1 << 16));
+        let _guard = trace::install(Rc::clone(&sink) as _);
+        main.await;
+        assert_eq!(sink.dropped(), 0, "the ring must hold the whole run");
+        let wakes = sink.events().into_iter().filter(|e| e.span == "task.wake");
+        let mut at: Vec<SimTime> = wakes
+            .map(|e| e.sim_time + SimDuration::from_nanos(1))
+            .collect();
+        at.dedup();
+        at
+    })
+}
+
+/// Run every crash state at each instant of `cuts`: `state(at, tears)`
+/// cuts power at `at`, tears what is in flight with [`tear_by`] over
+/// `tears`, and returns what it met. A cut's first state tears nothing;
+/// an odometer over the met writes' tears gives the rest (`Unit` only
+/// on a write longer than its unit). A panicking state is named on
+/// stderr. Returns the number of states run.
+pub fn each_state(
+    cuts: &[SimTime],
+    mut state: impl FnMut(SimTime, &[Tear]) -> Vec<Pending>,
+) -> usize {
+    let mut states = 0;
+    for &at in cuts {
+        let mut tears = Vec::new();
+        loop {
+            let met = panic::catch_unwind(AssertUnwindSafe(|| state(at, &tears)));
+            let met = met.unwrap_or_else(|e| {
+                eprintln!("failing crash state: cut at {at}, tears {tears:?}");
+                panic::resume_unwind(e)
+            });
+            states += 1;
+            tears.resize(met.len(), Tear::Nothing);
+            let Some(i) = tears.iter().rposition(|&t| t != Tear::All) else {
+                break;
+            };
+            let unit_first = tears[i] == Tear::Nothing && met[i].len > met[i].unit;
+            tears[i] = if unit_first { Tear::Unit } else { Tear::All };
+            tears[i + 1..].fill(Tear::Nothing);
+        }
+    }
+    states
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
-//! Exact pins of both node-crash paths: `run_crash_recovery` on the
-//! SSD, NVM and hybrid cache classes plus the journal-less loss case,
-//! and the chaos soak's crash-bearing and crash-free cases. A refactor
-//! of the crash harness must leave every value below bit-identical.
+//! Exact pins of both callers of the one node-crash executor,
+//! `crash::execute`: `run_crash_recovery` on the SSD, NVM and hybrid
+//! cache classes plus the journal-less loss case, and the chaos soak's
+//! crash-bearing and crash-free cases. A refactor of the crash harness
+//! must leave every value below bit-identical.
 
 use std::rc::Rc;
 

@@ -23,9 +23,10 @@
 #      rows hold are at most 4 entries per aggregator the rank touched,
 #      and the two runs are within 25 % of each other), and the
 #      crash-state enumeration's state count and seconds per scenario
-#      (crates/romio/tests/crash_states.rs, which ran in the suite:
-#      every power cut and tear of a two-tenant pressure-eviction run
-#      recovers every acked byte).
+#      (crates/workloads/tests/crash_states.rs, which ran in the suite:
+#      every power cut and tear of a two-tenant pressure-eviction run,
+#      flush_each and one_flush, recovers every acked byte, and so does
+#      every one of the crash workload's, one line per cache class).
 #      The suite holds the exact allocator-call gates of
 #      crates/romio/tests/alloc_count.rs:
 #      steady_state_rounds_allocate_nothing and
@@ -145,7 +146,7 @@ future_sizes() {
   } 2>&1 | grep -e '^future size:' -e '^round state:'
 }
 future_sizes
-cargo test -q -p e10-romio --test crash_states -- --nocapture 2>&1 | grep '^crash states:'
+cargo test -q -p e10-workloads --test crash_states -- --nocapture 2>&1 | grep -o 'crash states: .*'
 
 perturbation_properties() {
   cargo test -q -p e10-simcore --test perturbation
