@@ -1,10 +1,10 @@
-//! The command line, report and exit status every bench binary shares.
+//! The command line, report and exit status every experiment shares.
 //!
 //! * [`Cli`] — the command line, parsed once. `--smoke`, `--json`,
 //!   `--out PATH`, `--check PATH`, and the seeded soaks' `--seeds N`,
-//!   `--base N` and `--seed N`; anything else is positional. The worker
-//!   count is `E10_JOBS` ([`e10_simcore::pool::worker_threads`]), never
-//!   a flag.
+//!   `--base N` and `--seed N`; the one other argument names the
+//!   experiment. The worker count is `E10_JOBS`
+//!   ([`e10_simcore::pool::worker_threads`]), never a flag.
 //! * [`Report`] — what an experiment produced: the deterministic
 //!   document, one `"host"` object of host-dependent values (wall-clock
 //!   seconds, worker count), the text rendering and the gate failures.
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 
 use crate::{Json, Scale};
 
-/// The parsed command line of a bench binary.
+/// The parsed command line of the bench binary.
 #[derive(Debug, Default)]
 pub struct Cli {
     smoke: bool,
@@ -28,12 +28,13 @@ pub struct Cli {
     pub(crate) seeds: Option<u64>,
     pub(crate) base: Option<u64>,
     pub(crate) seed: Option<u64>,
-    positional: Vec<String>,
+    row: Option<String>,
 }
 
 impl Cli {
-    /// Parse `std::env::args()`; an unknown flag or a missing or
-    /// non-numeric value prints the flag list and exits 2.
+    /// Parse `std::env::args()`; an unknown flag, a second experiment
+    /// name or a missing or non-numeric value prints the flag list and
+    /// exits 2.
     pub fn parse() -> Cli {
         let mut cli = Cli::default();
         let mut args = std::env::args().skip(1);
@@ -55,7 +56,8 @@ impl Cli {
                 "--base" => cli.base = Some(number(value())),
                 "--seed" => cli.seed = Some(number(value())),
                 flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
-                _ => cli.positional.push(arg),
+                _ if cli.row.is_none() => cli.row = Some(arg),
+                _ => usage(&format!("one experiment at a time, not also {arg}")),
             }
         }
         cli
@@ -75,9 +77,9 @@ impl Cli {
         }
     }
 
-    /// Positional argument `i` (0-based, flags skipped).
-    pub fn arg(&self, i: usize) -> Option<&str> {
-        self.positional.get(i).map(String::as_str)
+    /// The name of the experiment to run, a row of [`crate::GATES`].
+    pub fn row(&self) -> Option<&str> {
+        self.row.as_deref()
     }
 
     /// The `--check` baseline, when one was given and parses.

@@ -14,9 +14,9 @@
 //!
 //! Every cell runs sequentially on the calling thread, whatever the
 //! worker count: allocator-call counts are only meaningful with one
-//! simulation running in the counted window, and only in a binary that
-//! installs [`e10_simcore::alloc_gauge::CountingAlloc`] (every zero
-//! otherwise).
+//! simulation running in the counted window, and only in a program
+//! that installs [`e10_simcore::alloc_gauge::CountingAlloc`], as the
+//! crate's binary and its determinism test do (every zero otherwise).
 //!
 //! The densest Fig-4 cell (most aggregators × largest collective
 //! buffer, extended algorithm, ssd class) is re-run five times and

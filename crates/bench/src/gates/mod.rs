@@ -1,17 +1,16 @@
-//! Every experiment but the figures: each is a function `(scale, jobs,
-//! &Cli) -> Report` that runs its points on `jobs` pool workers, listed
-//! once in [`GATES`]. A gate's report can carry failures; a study's
-//! (the ablations, the sensitivity study, the baselines and the
-//! cache-read extension) is a table. Each binary's whole `main` is
-//! [`gate_main`] with its name; the determinism test runs every entry
-//! at two worker counts.
-
-use std::process::ExitCode;
+//! Every experiment, listed once in [`GATES`]: each is a function
+//! `(scale, jobs, &Cli) -> Report` that runs its points on `jobs` pool
+//! workers. A gate's report can carry failures; a study's (the
+//! ablations, the sensitivity study, the baselines and the cache-read
+//! extension) and the paper's tables and figures are text. The crate's
+//! binary runs the row its first argument names; the determinism test
+//! runs every row at two worker counts.
 
 use e10_simcore::pool::run_jobs_on;
 use e10_simcore::Job;
 
-use crate::{finish, Cli, Report, Scale};
+use crate::tables::{tables_json, tables_text};
+use crate::{figures, run_grid, Case, Cli, Report, Scale};
 
 mod ablation_compute_jitter;
 mod ablation_fd_strategy;
@@ -31,18 +30,76 @@ mod table;
 
 /// One experiment.
 pub struct Gate {
-    /// Its binary's name.
+    /// Its name on the command line.
     pub name: &'static str,
     /// The scale it runs at without `--smoke` or `E10_SCALE`.
-    scale: Scale,
+    pub scale: Scale,
     /// The experiment, at a scale and a worker count.
     pub run: fn(Scale, usize, &Cli) -> Report,
 }
 
-/// Every experiment but the figures: the gates, then the studies.
-/// `BENCH_*.json` files are committed at the default scales of the
-/// first four.
-pub const GATES: [Gate; 14] = [
+/// Every experiment: Tables I and II, each kernel's figures (one grid
+/// run, printed as its bandwidth figure and then its breakdowns), the
+/// gates, then the studies. `BENCH_*.json` files are committed at the
+/// default scales of the first four gates.
+pub const GATES: [Gate; 18] = [
+    Gate {
+        name: "tables",
+        scale: Scale::Full,
+        run: |_, _, _| Report::new(tables_json(), tables_text()),
+    },
+    Gate {
+        name: "collperf",
+        scale: Scale::Full,
+        run: |scale, jobs, _| {
+            figures(
+                &run_grid(jobs, scale, Scale::collperf, false),
+                (
+                    "fig4",
+                    "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)",
+                ),
+                &[
+                    (Case::Enabled, "Fig. 5 — coll_perf breakdown, cache ENABLED"),
+                    (
+                        Case::Disabled,
+                        "Fig. 6 — coll_perf breakdown, cache DISABLED",
+                    ),
+                ],
+            )
+        },
+    },
+    Gate {
+        name: "flashio",
+        scale: Scale::Full,
+        run: |scale, jobs, _| {
+            figures(
+                &run_grid(jobs, scale, Scale::flashio, false),
+                (
+                    "fig7",
+                    "Fig. 7 — Flash-IO perceived bandwidth (aggregators_collbuf)",
+                ),
+                &[(Case::Enabled, "Fig. 8 — Flash-IO breakdown, cache ENABLED")],
+            )
+        },
+    },
+    Gate {
+        name: "ior",
+        scale: Scale::Full,
+        // Unlike coll_perf and Flash-IO, IOR charges the non-hidden
+        // synchronisation of the last write phase (paper §IV-D): it
+        // caps the cache-enabled peak of Fig. 9 and is the visible
+        // `not_hidden_sync` term of Fig. 10.
+        run: |scale, jobs, _| {
+            figures(
+                &run_grid(jobs, scale, Scale::ior, true),
+                (
+                    "fig9",
+                    "Fig. 9 — IOR perceived bandwidth, incl. last-phase sync",
+                ),
+                &[(Case::Enabled, "Fig. 10 — IOR breakdown, cache ENABLED")],
+            )
+        },
+    },
     Gate {
         name: "bench_perf",
         scale: Scale::Quick,
@@ -114,22 +171,6 @@ pub const GATES: [Gate; 14] = [
         run: ext_cache_read::run,
     },
 ];
-
-/// The `main` of the binary `name`: parse the command line, run
-/// the experiment at the scale it picks on `E10_JOBS` workers, finish.
-pub fn gate_main(name: &str) -> ExitCode {
-    let gate = GATES
-        .iter()
-        .find(|g| g.name == name)
-        .unwrap_or_else(|| panic!("no gate named {name}"));
-    let cli = Cli::parse();
-    let report = (gate.run)(
-        cli.scale(gate.scale),
-        e10_simcore::pool::worker_threads(),
-        &cli,
-    );
-    finish(report, &cli)
-}
 
 /// `"smoke"` at test scale, `"full"` otherwise: the mode the seeded
 /// soaks and the survivability grid record.

@@ -1,4 +1,4 @@
-//! Minimal JSON emission and parsing for the bench binaries' documents
+//! Minimal JSON emission and parsing for the experiments' documents
 //! (`--json`, `--out`, `--check`).
 //!
 //! The workspace builds offline (no serde); this is the small subset

@@ -1,22 +1,21 @@
 //! # e10-bench
 //!
 //! The experiment harness regenerating every table and figure of the
-//! paper's evaluation (§IV). The `figures` binary runs one kernel's
-//! parameter sweep — `cb_nodes ∈ {8,16,32,64}` × `cb_buffer_size ∈
-//! {4,16,64} MB`, three cases (cache disabled / enabled / theoretical)
-//! — on the simulated DEEP-ER testbed once, and prints from it the
-//! series of the paper's bandwidth figure and breakdowns for that
-//! kernel ([`KERNELS`]).
+//! paper's evaluation (§IV), and every gate and study beyond it. Each
+//! experiment is a row of [`GATES`], and the crate's one binary runs
+//! the row its first argument names: `e10-bench collperf` runs the
+//! coll_perf parameter sweep — `cb_nodes ∈ {8,16,32,64}` ×
+//! `cb_buffer_size ∈ {4,16,64} MB`, three cases (cache disabled /
+//! enabled / theoretical) — on the simulated DEEP-ER testbed once, and
+//! prints from it Fig. 4 and the breakdowns of Figs. 5 and 6.
 //!
-//! Every binary shares one command line, report and exit status
-//! ([`Cli`], [`Report`], [`finish`]). `--smoke` runs at test scale (8 ranks), otherwise
-//! `E10_SCALE=quick` a reduced sweep (64 ranks, smaller files) and
-//! `E10_SCALE=test` the smallest; the figures default to the full
-//! 512-rank, 32 GB-per-file experiments. `--json` prints the
+//! Every row shares one command line, report and exit status ([`Cli`],
+//! [`Report`], [`finish`]). `--smoke` runs at test scale (8 ranks),
+//! otherwise `E10_SCALE=quick` a reduced sweep (64 ranks, smaller
+//! files) and `E10_SCALE=test` the smallest; the figures default to the
+//! full 512-rank, 32 GB-per-file experiments. `--json` prints the
 //! machine-readable document, `--out PATH` writes it, and `--check
-//! PATH` requires it to reproduce a committed one exactly. Every
-//! experiment but the figures — the gates and the studies — is a row of
-//! [`GATES`].
+//! PATH` requires it to reproduce a committed one exactly.
 //!
 //! Sweeps run their grid points on a host-side worker pool
 //! ([`e10_simcore::pool`]): every point is an independent,
@@ -31,11 +30,10 @@ mod json;
 pub mod tables;
 
 use std::fmt::Write as _;
-use std::process::ExitCode;
 use std::rc::Rc;
 
 pub use cli::{finish, Cli, Report};
-pub use gates::{gate_main, Gate, GATES};
+pub use gates::{Gate, GATES};
 pub use json::Json;
 
 use e10_mpisim::Info;
@@ -216,7 +214,7 @@ fn size_label(bytes: u64) -> String {
 }
 
 /// One measured configuration.
-pub struct SweepPoint {
+struct SweepPoint {
     /// `<aggregators>_<coll_bufsize>` label.
     combo: String,
     /// Aggregator count.
@@ -283,7 +281,7 @@ pub fn simulate<W: Workload + 'static>(
 /// [`e10_simcore::pool::run_jobs_on`] returns results keyed by
 /// submission index, so the points — and every printed byte — do not
 /// depend on how the jobs interleave across threads.
-pub fn run_grid<W: Workload + 'static>(
+fn run_grid<W: Workload + 'static>(
     jobs: usize,
     scale: Scale,
     workload: fn(&Scale) -> W,
@@ -316,64 +314,6 @@ pub fn run_grid<W: Workload + 'static>(
     }
     e10_simcore::pool::run_jobs_on(jobs, grid)
 }
-
-/// One kernel of the paper's evaluation and the figures its grid
-/// yields: a bandwidth figure with a column per case (Fig. 4, 7 or 9),
-/// then a phase breakdown per listed case (Figs. 5 and 6, 8, 10), all
-/// from the same points.
-pub struct Kernel {
-    /// Its name on the `figures` command line.
-    pub name: &'static str,
-    /// Its grid on a worker count at a scale: [`run_grid`] over the
-    /// kernel's workload and `include_last_sync`.
-    pub grid: fn(usize, Scale) -> Vec<SweepPoint>,
-    /// The bandwidth figure's id (the `--json` document's `figure`)
-    /// and title.
-    pub bandwidth: (&'static str, &'static str),
-    /// The case and title of each breakdown, in print order.
-    pub breakdowns: &'static [(Case, &'static str)],
-}
-
-/// The three kernels, in the paper's figure order.
-pub const KERNELS: [Kernel; 3] = [
-    Kernel {
-        name: "collperf",
-        grid: |jobs, scale| run_grid(jobs, scale, Scale::collperf, false),
-        bandwidth: (
-            "fig4",
-            "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)",
-        ),
-        breakdowns: &[
-            (Case::Enabled, "Fig. 5 — coll_perf breakdown, cache ENABLED"),
-            (
-                Case::Disabled,
-                "Fig. 6 — coll_perf breakdown, cache DISABLED",
-            ),
-        ],
-    },
-    Kernel {
-        name: "flashio",
-        grid: |jobs, scale| run_grid(jobs, scale, Scale::flashio, false),
-        bandwidth: (
-            "fig7",
-            "Fig. 7 — Flash-IO perceived bandwidth (aggregators_collbuf)",
-        ),
-        breakdowns: &[(Case::Enabled, "Fig. 8 — Flash-IO breakdown, cache ENABLED")],
-    },
-    Kernel {
-        name: "ior",
-        // Unlike coll_perf and Flash-IO, IOR charges the non-hidden
-        // synchronisation of the last write phase (paper §IV-D): it
-        // caps the cache-enabled peak of Fig. 9 and is the visible
-        // `not_hidden_sync` term of Fig. 10.
-        grid: |jobs, scale| run_grid(jobs, scale, Scale::ior, true),
-        bandwidth: (
-            "fig9",
-            "Fig. 9 — IOR perceived bandwidth, incl. last-phase sync",
-        ),
-        breakdowns: &[(Case::Enabled, "Fig. 10 — IOR breakdown, cache ENABLED")],
-    },
-];
 
 /// The breakdown phases the Fig. 5/6/8/10 figures report, in column
 /// order.
@@ -456,35 +396,26 @@ impl SweepPoint {
     }
 }
 
-/// The `--json` document for a figure: `{figure, title, points}`.
-pub fn figure_json(figure: &str, title: &str, points: &[SweepPoint]) -> Json {
-    Json::obj([
+/// The report of one kernel's grid (Figs. 4–10): the bandwidth figure
+/// `(id, title)` with a column per case, then the breakdown of each
+/// listed case, in order, all from the same `points`. The document is
+/// the bandwidth figure's, `{figure, title, points}`: it holds every
+/// point's breakdown too.
+fn figures(
+    points: &[SweepPoint],
+    (figure, title): (&str, &str),
+    breakdowns: &[(Case, &str)],
+) -> Report {
+    let mut text = format_bandwidth_figure(title, points);
+    for &(case, title) in breakdowns {
+        text += &format_breakdown_figure(title, case, points);
+    }
+    let doc = Json::obj([
         ("figure", Json::str(figure)),
         ("title", Json::str(title)),
         ("points", Json::arr(points.iter().map(SweepPoint::to_json))),
-    ])
-}
-
-/// The whole `main` of the `figures` binary: run the grid of the
-/// kernel its first argument names (`collperf`, `flashio` or `ior`) at
-/// the command line's scale (default full) on `E10_JOBS` workers, and
-/// print the kernel's bandwidth figure, then its breakdowns. The
-/// document is the bandwidth figure's: it holds every point's
-/// breakdown too.
-pub fn figure_main() -> ExitCode {
-    let cli = Cli::parse();
-    let Some(kernel) = KERNELS.iter().find(|k| cli.arg(0) == Some(k.name)) else {
-        let names: Vec<&str> = KERNELS.iter().map(|k| k.name).collect();
-        eprintln!("usage: figures {} [flags]", names.join("|"));
-        return ExitCode::from(2);
-    };
-    let points = (kernel.grid)(e10_simcore::pool::worker_threads(), cli.scale(Scale::Full));
-    let (figure, title) = kernel.bandwidth;
-    let mut text = format_bandwidth_figure(title, &points);
-    for &(case, title) in kernel.breakdowns {
-        text += &format_breakdown_figure(title, case, &points);
-    }
-    finish(Report::new(figure_json(figure, title, &points), text), &cli)
+    ]);
+    Report::new(doc, text)
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Tables I and II (the ROMIO collective-I/O hints and the proposed
 //! E10 MPI-IO hint extensions) as resolved by this implementation.
 //!
-//! The content lives in the library so the `tables` binary and the
-//! golden-figure regression test render the same bytes: the binary
-//! prints what [`tables_text`] / [`tables_json`] produce, and the test
-//! pins that output against the committed `results/tables.txt`.
+//! The content lives in the library so the `tables` row of
+//! [`crate::GATES`] and the golden-figure regression test render the
+//! same bytes: the row prints what [`tables_text`] / [`tables_json`]
+//! produce, and the test pins that output against the committed
+//! `results/tables.txt`.
 
 use crate::Json;
 use e10_mpisim::Info;

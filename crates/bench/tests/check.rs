@@ -1,6 +1,7 @@
 //! `--check` accepts only a baseline that the run reproduces whole:
-//! every cell, at the same scale. Both cases drive the `bench_perf`
-//! binary at smoke scale against a baseline it just wrote, edited.
+//! every cell, at the same scale. Both cases drive the bench binary's
+//! `bench_perf` row at smoke scale against a baseline it just wrote,
+//! edited.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -9,8 +10,8 @@ use std::sync::OnceLock;
 use e10_bench::Json;
 
 fn bench_perf(dir: &Path, args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_bench_perf"))
-        .args(["--smoke"])
+    Command::new(env!("CARGO_BIN_EXE_e10-bench"))
+        .args(["bench_perf", "--smoke"])
         .args(args)
         .current_dir(dir)
         .output()

@@ -99,9 +99,9 @@ pub struct CrashOutcome {
     /// Virtual seconds the recovery pass took (journal replay +
     /// re-queued sync + flush for every crashed rank).
     pub recovery_secs: f64,
-    /// Byte-for-byte verification of the final global file against the
-    /// generator — `Ok` exactly when recovery restored every acked byte
-    /// (else the first piece that is wrong).
+    /// The acked-byte oracle ([`Executed::acked_bad`]) over every view,
+    /// all of them acked: `Ok` exactly when recovery restored every
+    /// acked byte (else the first piece that is wrong).
     pub verified: Result<(), String>,
 }
 

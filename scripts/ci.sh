@@ -5,7 +5,7 @@
 #   scripts/ci.sh           # full gate
 #
 # Steps:
-#   1. release build of every crate, bins included
+#   1. release build of every crate, the bench binary included
 #   2. full test suite (unit + integration + property + doc tests),
 #      with a per-suite/total test-count summary from the harness
 #      "test result:" lines, then scripts/loc.sh over every crate
@@ -63,10 +63,11 @@
 #      (two pin projections: FixedJoin's onto its slots and Spawned's,
 #      a spawned task's box, onto its future)
 #   4. clippy, warnings promoted to errors
-#   5. the bench gates: one table, GATES below, run at E10_JOBS=4 with
-#      each row's seconds and the total. A row fails on a non-zero
-#      exit: a failed gate, or a failed `--check FILE`, which runs at
-#      FILE's committed scale (the binary's default) and requires the
+#   5. the bench gates: one table, GATES below, each row a row of
+#      e10_bench::GATES and its flags, run by the bench binary at
+#      E10_JOBS=4 with each row's seconds and the total. A row fails on
+#      a non-zero exit: a failed gate, or a failed `--check FILE`, which
+#      runs at FILE's committed scale (the row's default) and requires the
 #      document minus its "host" object to equal FILE exactly
 #      (bench_perf also holds its densest cell's fastest wall clock per
 #      event within 2x of FILE's).
@@ -80,17 +81,17 @@
 #        multi_job                             contention degrades and evicts
 #      Worker-count independence is a test in step 2:
 #      crates/bench/tests/determinism.rs runs every GATES row (the
-#      gates and the studies) at smoke scale at 1 and 8 workers and
-#      compares the documents minus "host".
+#      tables, the figures, the gates and the studies) at smoke scale
+#      at 1 and 8 workers and compares the documents minus "host".
 #      Then `scripts/results.sh --check multi_job ablation_fd_strategy
 #      fig6_collperf_breakdown_nocache`: the paper-scale multi_job
 #      output against the committed results/multi_job.txt (under a
-#      second), one study through its binary and the pool at paper
+#      second), one study through the binary and the pool at paper
 #      scale against results/ablation_fd_strategy.txt (about 2 s on 2
-#      CPUs), and one paper-scale `figures collperf` grid, whose
-#      third table must equal results/fig6_collperf_breakdown_nocache.txt
-#      (this runs results.sh's file -> figures table mapping; about
-#      16 s on 2 CPUs)
+#      CPUs), and one paper-scale `collperf` grid, whose third table
+#      must equal results/fig6_collperf_breakdown_nocache.txt (this
+#      runs results.sh's file -> (row, table) mapping; about 11 s on 2
+#      CPUs, the whole step about 13 s)
 #   6. repo-benchmark smoke: builds the standalone `benchmark/` crate
 #      against this tree (so a rename in crates/ cannot break it
 #      unnoticed) and runs all five workloads at 8 ranks; its
@@ -100,10 +101,10 @@
 #
 # Not run here (each takes minutes and gates nothing in this file):
 #   scripts/results.sh [--check]   # rewrite (or diff, exit 1 on drift)
-#      every results/<bin>.txt from <bin> at its default scale (a figure
-#      file from its table of `figures <kernel>`, each kernel run once),
-#      ignoring host_secs= lines; about 70 s on 2 CPUs (step 5 checks
-#      only multi_job's, ablation_fd_strategy's and fig6's)
+#      every results/<row>.txt from `e10-bench <row>` at its default
+#      scale (a figure file from its table of the kernel's row, each
+#      kernel run once), ignoring host_secs= lines; about 50 s on 2 CPUs
+#      (step 5 checks only multi_job's, ablation_fd_strategy's and fig6's)
 # Only syntax-checked (`bash -n`, with the formatting step): it gates
 # nothing and takes a workload's run time.
 #   scripts/profile.sh <workload> [seconds]   # host profile of one
@@ -181,9 +182,9 @@ gates() {
   local row t
   for row in "${GATES[@]}"; do
     t=$SECONDS
-    # Word-splitting $row into binary + arguments is the point.
+    # Word-splitting $row into the row's name + arguments is the point.
     # shellcheck disable=SC2086
-    E10_JOBS=4 target/release/$row
+    E10_JOBS=4 target/release/e10-bench $row
     echo "    [$(($SECONDS - t))s] $row"
   done
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Regenerate or check the committed text results. Each results/<bin>.txt
-# is the standard output of the bench binary <bin> at its default
-# (paper) scale, except the figure files: `figures <kernel>` prints a
-# kernel's bandwidth figure and then its breakdowns, each table opened
-# by a blank line, and results/fig<N>_*.txt is one of those tables (see
-# figure_of). Each kernel's grid runs at most once per invocation.
+# Regenerate or check the committed text results. Each results/<row>.txt
+# is the standard output of `e10-bench <row>`, the bench binary running
+# the row <row> of e10_bench::GATES at its default (paper) scale, except
+# the figure files: a kernel's row (collperf, flashio, ior) prints its
+# bandwidth figure and then its breakdowns, each table opened by a blank
+# line, and results/fig<N>_*.txt is one of those tables (see figure_of).
+# Each kernel's grid runs at most once per invocation.
 #
 #   scripts/results.sh                     # rewrite every results/*.txt
 #   scripts/results.sh --check             # diff each against a fresh run; exit 1 on drift
@@ -13,8 +14,8 @@
 # The comparison ignores only `host_secs=` lines (host wall time, which
 # no two runs share). The seconds each file took are printed (a figure
 # file's include its kernel's run, if it was the first to need it), then
-# the total: about 70 s on a 2-CPU host. Workers follow E10_JOBS as in
-# every bench binary.
+# the total: about 50 s on a 2-CPU host. Workers follow E10_JOBS as in
+# every experiment.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,8 +24,8 @@ usage() {
   exit 2
 }
 
-# The `figures` kernel and the table (1 = the first) that a figure file
-# holds; nothing for the files of the other binaries.
+# The figure row and the table (1 = the first) that a figure file
+# holds; nothing for the files of the other rows.
 figure_of() {
   case $1 in
     fig4_collperf_bw) echo "collperf 1" ;;
@@ -51,19 +52,17 @@ if [ ${#files[@]} -eq 0 ]; then
   files=(results/*.txt)
 fi
 
-cargo build -q --release -p e10-bench --bins
+cargo build -q --release -p e10-bench
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 strip() { grep -v '^host_secs=' "$1" || true; }
 
-# run OUT BIN [ARG...]: BIN's standard output into OUT, or fail loudly.
+# run OUT ROW: the row's standard output into OUT, or fail loudly.
 run() {
-  local out=$1 bin=$2
-  shift 2
-  if ! "target/release/$bin" "$@" >"$out" 2>"$tmp/err"; then
+  if ! target/release/e10-bench "$2" >"$1" 2>"$tmp/err"; then
     cat "$tmp/err" >&2
-    echo "results.sh: $bin $* failed" >&2
+    echo "results.sh: e10-bench $2 failed" >&2
     exit 1
   fi
 }
@@ -73,12 +72,12 @@ t_all=$SECONDS
 for file in "${files[@]}"; do
   name=$(basename "$file" .txt)
   t=$SECONDS
-  read -r kernel table <<<"$(figure_of "$name")" || true
-  if [ -n "$kernel" ]; then
-    [ -f "$tmp/$kernel" ] || run "$tmp/$kernel" figures "$kernel"
-    awk -v n="$table" '$0 == "" { k++ } k == n' "$tmp/$kernel" >"$tmp/out"
+  read -r row table <<<"$(figure_of "$name")" || true
+  if [ -n "$row" ]; then
+    [ -f "$tmp/$row" ] || run "$tmp/$row" "$row"
+    awk -v n="$table" '$0 == "" { k++ } k == n' "$tmp/$row" >"$tmp/out"
     if [ ! -s "$tmp/out" ]; then
-      echo "results.sh: figures $kernel printed no table $table" >&2
+      echo "results.sh: e10-bench $row printed no table $table" >&2
       exit 1
     fi
   else

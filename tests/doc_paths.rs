@@ -2,9 +2,11 @@
 //! every backticked `*.rs` path in README.md, DESIGN.md and
 //! EXPERIMENTS.md must be the tail of a file in the tree (`coll.rs`,
 //! `tests/perturbation.rs` and `crates/romio/src/hints.rs` all resolve),
-//! every backticked hint-shaped name must be a `HINTS` key, and every
-//! `--bin NAME` must name a bench binary. Paths into the standard
-//! library (`std/`, `alloc/`, `core/`) are exempt.
+//! every backticked hint-shaped name must be a `HINTS` key, every
+//! experiment a command line names must be a row of
+//! `e10_bench::GATES`, and every `--example NAME` a file in
+//! `examples/`. Paths into the standard library (`std/`, `alloc/`,
+//! `core/`) are exempt.
 
 use std::path::{Path, PathBuf};
 
@@ -108,43 +110,74 @@ fn backticked_hint_names_in_the_docs_exist() {
     assert!(unknown.is_empty(), "docs name unknown hints: {unknown:#?}");
 }
 
-/// Every `--bin NAME` in the docs, in code spans and console blocks
-/// alike, and wrapped across a line break too, names a file in
-/// `crates/bench/src/bin/`.
-#[test]
-fn bench_binaries_named_in_the_docs_exist() {
+/// The words of the docs that follow a place where `marker` holds of
+/// the words before it, in code spans and console blocks alike and
+/// wrapped across a line break too, trimmed of punctuation: how many
+/// there are, and those that `exists` rejects.
+fn unresolved(marker: fn(&[&str]) -> bool, exists: impl Fn(&str) -> bool) -> (usize, Vec<String>) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let bins = root.join("crates/bench/src/bin");
-    let mut missing = Vec::new();
-    let mut checked = 0;
+    let (mut found, mut missing) = (0, Vec::new());
     for doc in DOCS {
         let text = std::fs::read_to_string(root.join(doc)).unwrap();
-        let mut words = text.split_whitespace();
-        while let Some(word) = words.next() {
-            if word.trim_start_matches('`') != "--bin" {
-                continue;
-            }
-            let name = words
-                .next()
-                .unwrap_or_default()
-                .trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
-            checked += 1;
-            if !bins.join(format!("{name}.rs")).is_file() {
-                missing.push(format!("{doc}: --bin {name}"));
+        let words: Vec<&str> = text
+            .split_whitespace()
+            .map(|w| w.trim_matches('`'))
+            .collect();
+        for i in (1..words.len()).filter(|&i| marker(&words[..i])) {
+            found += 1;
+            let word = words[i].trim_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+            if !exists(word) {
+                missing.push(format!("{doc}: {} {word}", words[i - 1]));
             }
         }
     }
-    assert!(checked > 0, "no --bin names found");
+    (found, missing)
+}
+
+/// Whether `name` is a row of `e10_bench::GATES`.
+fn is_row(name: &str) -> bool {
+    e10_bench::GATES.iter().any(|g| g.name == name)
+}
+
+/// Every experiment the docs run — the word after `e10-bench --` (a
+/// `cargo run`) or after a path ending in `/e10-bench` (the built
+/// binary) — is a row of `e10_bench::GATES`, and every `--bin NAME`
+/// names the one bench binary.
+#[test]
+fn experiments_named_in_the_docs_exist() {
+    let (runs, mut missing) = unresolved(
+        |w| {
+            w.ends_with(&["e10-bench", "--"]) || w.last().is_some_and(|l| l.ends_with("/e10-bench"))
+        },
+        is_row,
+    );
+    missing.extend(unresolved(|w| w.last() == Some(&"--bin"), |name| name == "e10-bench").1);
+    assert!(runs > 0, "no experiment names found");
     assert!(
         missing.is_empty(),
-        "docs name missing binaries: {missing:#?}"
+        "docs name missing experiments: {missing:#?}"
+    );
+}
+
+/// Every `--example NAME` in the docs names a file in `examples/`.
+#[test]
+fn examples_named_in_the_docs_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let (found, missing) = unresolved(
+        |w| w.last() == Some(&"--example"),
+        |name| root.join(format!("examples/{name}.rs")).is_file(),
+    );
+    assert!(found > 0, "no --example names found");
+    assert!(
+        missing.is_empty(),
+        "docs name missing examples: {missing:#?}"
     );
 }
 
 /// Every committed `results/*.txt` has a producer, as
 /// `scripts/results.sh` maps it: a file its `figure_of` names is a
-/// table of `figures <kernel>` for a kernel in `e10_bench::KERNELS`,
-/// any other is the output of the bench binary of the same name.
+/// table of a figure row, any other is the output of the row of the
+/// same name; either row is in `e10_bench::GATES`.
 #[test]
 fn every_committed_result_names_its_producer() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -172,13 +205,11 @@ fn every_committed_result_names_its_producer() {
         }
         checked += 1;
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let produced = match figures.iter().find(|(file, _)| *file == name) {
-            Some((_, kernel)) => e10_bench::KERNELS.iter().any(|k| k.name == *kernel),
-            None => root
-                .join(format!("crates/bench/src/bin/{name}.rs"))
-                .is_file(),
-        };
-        if !produced {
+        let row = figures
+            .iter()
+            .find(|(file, _)| *file == name)
+            .map_or(name.as_str(), |&(_, row)| row);
+        if !is_row(row) {
             orphans.push(format!("results/{name}.txt"));
         }
     }

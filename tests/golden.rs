@@ -18,18 +18,24 @@
 //! When a change intentionally shifts these outputs, regenerate them:
 //!
 //! ```text
-//! cargo run -p e10-bench --bin tables > results/tables.txt
-//! cargo run -p e10-bench --bin figures -- collperf --smoke --json \
+//! cargo run -p e10-bench -- tables > results/tables.txt
+//! cargo run -p e10-bench -- collperf --smoke --json \
 //!     2>/dev/null > results/fig4_test.json
-//! cargo run -p e10-bench --bin ext_cache_read -- --smoke --json \
+//! cargo run -p e10-bench -- ext_cache_read --smoke --json \
 //!     2>/dev/null > results/ext_cache_read_test.json
 //! ```
 
-use e10_bench::{figure_json, run_grid, Case, Cli, Json, Scale, GATES};
+use e10_bench::{Case, Cli, Json, Scale, GATES};
 
 const TABLES_TXT: &str = include_str!("../results/tables.txt");
 const FIG4_TEST_JSON: &str = include_str!("../results/fig4_test.json");
 const EXT_CACHE_READ_TEST_JSON: &str = include_str!("../results/ext_cache_read_test.json");
+
+/// The document of the `GATES` row `name` at test scale on one worker.
+fn test_scale_doc(name: &str) -> Json {
+    let gate = GATES.iter().find(|g| g.name == name).unwrap();
+    (gate.run)(Scale::Test, 1, &Cli::default()).doc
+}
 
 #[test]
 fn tables_txt_matches_committed_golden() {
@@ -37,7 +43,7 @@ fn tables_txt_matches_committed_golden() {
         e10_bench::tables::tables_text(),
         TABLES_TXT,
         "results/tables.txt is stale — regenerate with \
-         `cargo run -p e10-bench --bin tables > results/tables.txt`"
+         `cargo run -p e10-bench -- tables > results/tables.txt`"
     );
 }
 
@@ -86,12 +92,7 @@ fn fig4_test_scale_sweep_matches_committed_artifact() {
     // Rerun the exact Test-scale sweep the artifact was generated
     // from. Worker count 1 keeps this off the env-dependent pool; the
     // figures are job-count-independent anyway.
-    let points = run_grid(1, Scale::Test, Scale::collperf, false);
-    let fresh = figure_json(
-        "fig4",
-        "Fig. 4 — coll_perf perceived bandwidth (aggregators_collbuf)",
-        &points,
-    );
+    let fresh = test_scale_doc("collperf");
     assert!(
         fresh.approx_eq(&committed, 1e-9),
         "Fig. 4 Test-scale figures drifted from results/fig4_test.json \
@@ -104,8 +105,7 @@ fn fig4_test_scale_sweep_matches_committed_artifact() {
 #[test]
 fn ext_cache_read_test_scale_matches_committed_artifact() {
     let committed = Json::parse(EXT_CACHE_READ_TEST_JSON).expect("committed artifact must parse");
-    let gate = GATES.iter().find(|g| g.name == "ext_cache_read").unwrap();
-    let fresh = (gate.run)(Scale::Test, 1, &Cli::default()).doc;
+    let fresh = test_scale_doc("ext_cache_read");
     assert!(
         fresh.approx_eq(&committed, 1e-9),
         "cache-read Test-scale figures drifted from results/ext_cache_read_test.json \
