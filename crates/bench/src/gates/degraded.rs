@@ -2,7 +2,7 @@
 //! × collective-write algorithm.
 //!
 //! Every cell replays the coll_perf kernel through the chaos-soak
-//! oracle harness on a 2-node testbed, for each `e10_cache_class`
+//! harness and its acked-byte oracle on a 2-node testbed, for each `e10_cache_class`
 //! (ssd / nvm / hybrid) and each cache-friendly `e10_two_phase`
 //! algorithm (extended / node_agg), under five failure arms of rising
 //! intensity:

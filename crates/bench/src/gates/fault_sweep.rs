@@ -17,7 +17,7 @@ use e10_mpisim::Info;
 use e10_romio::TestbedSpec;
 use e10_simcore::pool::run_jobs_on;
 use e10_simcore::{Job, SimDuration, SimTime};
-use e10_workloads::{run_crash_recovery, CollPerf, CrashConfig, Workload};
+use e10_workloads::{run_crash_recovery, CollPerf, CrashConfig, Executed, Workload};
 
 use super::mode;
 use crate::{simulate, Cli, Json, Report, Scale};
@@ -79,21 +79,10 @@ fn sweep_once(
     (out.gb_s(), out.wall_time, out.faults_injected)
 }
 
-struct CrashOutcome {
-    ok: bool,
-    crash_secs: f64,
-    recovery_secs: f64,
-    requeued: u64,
-    killed: usize,
-    base_wall: f64,
-}
-
-/// Crash + journal recovery: virtual cost of the recovery pass against
-/// the wall time of a fault-free run of the same workload.
-fn crash_case(fault_seed: u64) -> CrashOutcome {
-    // Fault-free wall of the exact write sequence the crash harness
-    // replays (collective writes + per-rank sync).
-    let base_wall = e10_simcore::run(async move {
+/// Virtual seconds of a fault-free run of the exact write sequence the
+/// crash harness replays (collective writes + per-rank sync).
+fn fault_free_secs(fault_seed: u64) -> f64 {
+    e10_simcore::run(async move {
         let w = Rc::new(CollPerf::tiny([2, 2, 2]));
         let tb = TestbedSpec::small(w.procs(), 2).build();
         let handles: Vec<_> = tb
@@ -121,32 +110,21 @@ fn crash_case(fault_seed: u64) -> CrashOutcome {
             .collect();
         e10_simcore::join_all(handles).await;
         e10_simcore::now().since(SimTime::ZERO).as_secs_f64()
-    });
-    let (ok, crash_secs, recovery_secs, requeued, killed) = e10_simcore::run(async move {
+    })
+}
+
+/// Crash + journal recovery, and the virtual seconds the whole run
+/// took.
+fn crash_case(fault_seed: u64) -> (Executed, f64) {
+    e10_simcore::run(async move {
         let w = Rc::new(CollPerf::tiny([2, 2, 2]));
         let tb = TestbedSpec::small(w.procs(), 2).build();
         let cfg = CrashConfig::after_writes(crash_hints(), "/gfs/fsweep_crash", fault_seed, 1);
         let out = run_crash_recovery(&tb, w as Rc<dyn Workload>, &cfg)
             .await
             .expect("crash plan is well-formed");
-        let ok = out.verified.is_ok() && out.lost.is_empty() && out.failed.is_empty();
-        let wall = e10_simcore::now().since(SimTime::ZERO).as_secs_f64();
-        (
-            ok,
-            wall,
-            out.recovery_secs,
-            out.requeued_bytes(),
-            out.killed_tasks,
-        )
-    });
-    CrashOutcome {
-        ok,
-        crash_secs,
-        recovery_secs,
-        requeued,
-        killed,
-        base_wall,
-    }
+        (out, e10_simcore::now().since(SimTime::ZERO).as_secs_f64())
+    })
 }
 
 fn crash_hints() -> Info {
@@ -183,7 +161,10 @@ pub(super) fn run(scale: Scale, jobs: usize, cli: &Cli) -> Report {
             rows.push((cache, Some(kind), bw, wall, injected, overhead));
         }
     }
-    let crash = crash_case(fault_seed);
+    let base_wall = fault_free_secs(fault_seed);
+    let (crash, crash_secs) = crash_case(fault_seed);
+    let ok = crash.verified().is_ok() && crash.lost.is_empty() && crash.failed.is_empty();
+    let requeued = crash.requeued_bytes();
     let host_secs = host0.elapsed().as_secs_f64();
 
     let doc = Json::obj([
@@ -209,12 +190,12 @@ pub(super) fn run(scale: Scale, jobs: usize, cli: &Cli) -> Report {
         (
             "crash_recovery",
             Json::obj([
-                ("verified", Json::Bool(crash.ok)),
-                ("killed_tasks", Json::U64(crash.killed as u64)),
-                ("requeued_bytes", Json::U64(crash.requeued)),
+                ("verified", Json::Bool(ok)),
+                ("killed_tasks", Json::U64(crash.killed_tasks as u64)),
+                ("requeued_bytes", Json::U64(requeued)),
                 ("recovery_secs", Json::F64(crash.recovery_secs)),
-                ("wall_secs", Json::F64(crash.crash_secs)),
-                ("fault_free_secs", Json::F64(crash.base_wall)),
+                ("wall_secs", Json::F64(crash_secs)),
+                ("fault_free_secs", Json::F64(base_wall)),
             ]),
         ),
     ]);
@@ -237,17 +218,17 @@ pub(super) fn run(scale: Scale, jobs: usize, cli: &Cli) -> Report {
         text,
         "crash+recovery: killed_tasks={} requeued_kib={} recovery_s={:.4} \
          wall_s={:.3} fault_free_s={:.3} overhead_pct={:.1} verified={}",
-        crash.killed,
-        crash.requeued / 1024,
+        crash.killed_tasks,
+        requeued / 1024,
         crash.recovery_secs,
-        crash.crash_secs,
-        crash.base_wall,
-        100.0 * (crash.crash_secs - crash.base_wall) / crash.base_wall,
-        if crash.ok { "ok" } else { "FAILED" },
+        crash_secs,
+        base_wall,
+        100.0 * (crash_secs - base_wall) / base_wall,
+        if ok { "ok" } else { "FAILED" },
     );
     let _ = writeln!(text, "host_secs={host_secs:.1}");
     let mut failures = Vec::new();
-    if !crash.ok {
+    if !ok {
         failures.push("fault_sweep: crash recovery FAILED".to_string());
     }
     Report {

@@ -1,22 +1,21 @@
-//! Chaos-soak harness: long randomized, seeded fault schedules against
-//! a fault-free oracle.
+//! Chaos-soak harness: long randomized, seeded fault schedules judged
+//! by the acked-byte oracle.
 //!
-//! Each soak case replays one of the paper's write kernels twice on
-//! identical testbeds: once fault-free (the **oracle**) and once under
+//! Each soak case replays one of the paper's write kernels once, under
 //! a [`random_plan`] of corruption/stall/RPC/device-failure faults —
 //! which since the degraded-mode work may include a permanent
 //! [`FaultSpec::DeviceFail`], a [`FaultSpec::SyncThreadKill`] and a
 //! mid-run [`FaultSpec::NodeCrash`] — drawn from the case seed. The
-//! gold invariant is then checked structurally:
+//! gold invariant is then checked by [`crash::execute`]'s acked-byte
+//! oracle (`Executed::acked_bad`):
 //!
-//! > every byte the run **acknowledged** reads back correct, and no
-//! > divergence goes unreported. For crash-free plans that means the
-//! > final global file is byte-identical to the oracle's **or** a
-//! > typed error was surfaced; for crash-bearing plans (where dead
-//! > ranks legitimately never wrote some of their pieces) every
-//! > collective write that returned success — on survivors *and* on
-//! > victims before they died — must verify byte-for-byte after
-//! > survivor completion and journal recovery of the crashed nodes.
+//! > every byte the run **acknowledged** reads back as the generator's,
+//! > after survivor completion and journal recovery of any crashed
+//! > node, and no divergence goes unreported.
+//!
+//! Without a crash and without an error every view was acked, and the
+//! kernels' views tile the file, so the oracle then holds exactly when
+//! the file equals a fault-free run's.
 //!
 //! A run that diverges *silently* — acked bytes wrong and nobody was
 //! told — is the one outcome the integrity pipeline must make
@@ -35,12 +34,22 @@ use std::rc::Rc;
 use e10_faultsim::{always, DeviceClass, FaultPlan, FaultSpec};
 use e10_localfs::Tear;
 use e10_mpisim::Info;
-use e10_romio::{CacheClass, RecoverError, Testbed, TestbedSpec, TwoPhaseAlgo};
+use e10_romio::{CacheClass, RecoverError, TestbedSpec, TwoPhaseAlgo};
 use e10_simcore::trace;
 use e10_simcore::{SimDuration, SimRng, SimTime};
 
 use crate::crash::{self, Gate};
-use crate::{CollPerf, FlashIo, Ior, Workload};
+use crate::{CollPerf, Ior, Workload};
+
+/// Compute nodes in every soak testbed.
+const NODES: usize = 2;
+
+/// Files written back-to-back (flush rounds between which the scrubber
+/// gets a chance to run).
+const FILES: u64 = 2;
+
+/// `e10_integrity_scrub_ms` of every soak run.
+const SCRUB_MS: u64 = 20;
 
 /// Which write kernel a chaos case replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +58,6 @@ pub enum ChaosWorkload {
     Ior,
     /// MPICH coll_perf 3-D block pattern, 8 ranks.
     CollPerf,
-    /// FLASH checkpoint kernel, 4 ranks.
-    FlashIo,
 }
 
 impl ChaosWorkload {
@@ -59,7 +66,6 @@ impl ChaosWorkload {
         match self {
             ChaosWorkload::Ior => "ior",
             ChaosWorkload::CollPerf => "collperf",
-            ChaosWorkload::FlashIo => "flashio",
         }
     }
 
@@ -67,26 +73,18 @@ impl ChaosWorkload {
         match self {
             ChaosWorkload::Ior => Rc::new(Ior::tiny(4)),
             ChaosWorkload::CollPerf => Rc::new(CollPerf::tiny([2, 2, 2])),
-            ChaosWorkload::FlashIo => Rc::new(FlashIo::tiny(4)),
         }
     }
 }
 
-/// One soak case: a kernel, a cluster shape and the seed that drives
-/// both the fault schedule and the generated data.
+/// One soak case: a kernel, its hints and the seed that drives both the
+/// fault schedule and the generated data.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosCase {
     /// The kernel to replay.
     pub workload: ChaosWorkload,
-    /// Compute nodes in the testbed.
-    pub nodes: usize,
-    /// Files written back-to-back (flush rounds between which the
-    /// scrubber gets a chance to run).
-    pub files: usize,
     /// Seed for [`random_plan`] and the data generator.
     pub seed: u64,
-    /// `e10_integrity_scrub_ms` hint for the run (0 disables).
-    pub scrub_ms: u64,
     /// `e10_integrity` hint. Soaks run with it on; turning it off
     /// exists so the harness can prove to itself that the oracle
     /// *does* flag silent corruption when nothing defends against it.
@@ -98,25 +96,21 @@ pub struct ChaosCase {
     pub cache_class: CacheClass,
     /// `e10_two_phase` hint: which collective-write algorithm runs.
     pub two_phase: TwoPhaseAlgo,
-    /// `e10_coll_timeout` (milliseconds) for the *faulted* run. 0 means
-    /// automatic: crash-bearing plans enable the crash-tolerant
-    /// collective engine with a margin-safe 40 ms, crash-free plans
-    /// keep the stock dispatch. Non-zero forces the tolerant engine
-    /// even without crashes (the `degraded` bench uses this to pin
-    /// tolerant-idle bytes == stock bytes).
+    /// `e10_coll_timeout` (milliseconds). 0 means automatic:
+    /// crash-bearing plans enable the crash-tolerant collective engine
+    /// with a margin-safe 40 ms, crash-free plans keep the stock
+    /// dispatch. Non-zero forces the tolerant engine even without
+    /// crashes (the `degraded` bench uses this to pin tolerant-idle
+    /// bytes == stock bytes).
     pub coll_timeout_ms: u64,
 }
 
 impl ChaosCase {
-    /// Default soak shape for `seed`: IOR on 2 nodes, two files, with
-    /// integrity and the scrubber on.
+    /// Default soak shape for `seed`: IOR with integrity on.
     pub fn new(seed: u64) -> ChaosCase {
         ChaosCase {
             workload: ChaosWorkload::Ior,
-            nodes: 2,
-            files: 2,
             seed,
-            scrub_ms: 20,
             integrity: true,
             cache_class: CacheClass::Ssd,
             two_phase: TwoPhaseAlgo::Extended,
@@ -135,18 +129,15 @@ impl ChaosCase {
 /// The oracle-invariant verdict of one soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosVerdict {
-    /// Every acked byte verified and no errors reported. For
-    /// crash-free plans the final bytes are identical to the oracle's
-    /// (any injected corruption was repaired in place); for
-    /// crash-bearing plans every acknowledged collective write reads
-    /// back correct after recovery.
+    /// Every acked byte verified and no errors reported: any injected
+    /// corruption was absorbed or repaired in place.
     Clean,
     /// A typed error reached at least one rank — the pipeline refused
     /// to pretend the run was healthy (bytes may or may not match).
     Detected,
     /// **Silent corruption**: acked bytes differ from what was written
-    /// (or, crash-free, the file differs from the oracle) and no rank
-    /// was told. This is the failure the soak exists to catch.
+    /// and no rank was told (under a crash, whatever the victims were
+    /// told). This is the failure the soak exists to catch.
     Diverged,
 }
 
@@ -172,20 +163,16 @@ pub struct ChaosReport {
     pub verdict: ChaosVerdict,
     /// Fault specs in the schedule.
     pub plan_specs: usize,
-    /// Faults actually injected during the faulted run.
+    /// Faults actually injected during the run.
     pub injected: u64,
     /// Typed errors surfaced per rank, as `(rank, message)`.
     pub rank_errors: Vec<(usize, String)>,
-    /// File indices whose final bytes differ from the oracle
-    /// (crash-free plans only; with crashes the whole-file comparison
-    /// is meaningless since dead ranks never wrote some pieces).
-    pub mismatched_files: Vec<usize>,
-    /// Acked-but-wrong regions (crash-bearing plans): collective
-    /// writes that returned success yet fail byte verification after
-    /// recovery. Non-empty exactly when a crash run diverges.
+    /// Acked-but-wrong pieces, crash or not: collective writes that
+    /// returned success yet fail byte verification after any recovery.
+    /// Every diverged run has one; a detected run may.
     pub acked_violations: Vec<String>,
-    /// Per-file structural digests of the faulted run's final global
-    /// files (`None` = file missing) — the byte-identity anchor the
+    /// Per-file structural digests of the run's final global files
+    /// (`None` = file missing) — the byte-identity anchor the
     /// `degraded` bench compares across tolerance settings.
     pub file_digests: Vec<Option<u64>>,
     /// On divergence: the kind names of the shrunken minimal schedule
@@ -205,12 +192,12 @@ fn at_ms(ms: u64) -> SimTime {
 /// journals and verifies every acknowledged byte. Probabilities are bounded so
 /// retries and retransmissions *usually* absorb the faults, which is
 /// exactly the regime where silent corruption would hide.
-pub fn random_plan(seed: u64, nodes: usize) -> FaultPlan {
+pub fn random_plan(seed: u64) -> FaultPlan {
     let mut rng = SimRng::stream(seed, 990_000);
     let count = 1 + rng.below(4);
     let mut plan = FaultPlan::new(seed);
     for _ in 0..count {
-        let node = rng.below(nodes.max(1) as u64) as usize;
+        let node = rng.below(NODES as u64) as usize;
         let prob = 0.05 + 0.5 * rng.uniform();
         plan = match rng.below(8) {
             0 => plan.cache_bitflip(node, always(), prob),
@@ -235,7 +222,7 @@ pub fn random_plan(seed: u64, nodes: usize) -> FaultPlan {
     // (over 400 seeds no cut found a write in flight); the mid-write
     // states are `crash::each_state`'s.
     if rng.below(4) == 0 {
-        let node = rng.below(nodes.max(1) as u64) as usize;
+        let node = rng.below(NODES as u64) as usize;
         plan = plan.node_crash(node, at_ms(1 + rng.below(60)));
     }
     plan
@@ -268,7 +255,7 @@ fn chaos_hints(case: &ChaosCase, timeout_ms: u64) -> Info {
         "e10_integrity",
         if case.integrity { "enable" } else { "disable" },
     );
-    h.set("e10_integrity_scrub_ms", &case.scrub_ms.to_string());
+    h.set("e10_integrity_scrub_ms", &SCRUB_MS.to_string());
     h.set("e10_cache_class", case.cache_class.as_str());
     h.set("e10_two_phase", case.two_phase.as_str());
     if timeout_ms > 0 {
@@ -283,42 +270,46 @@ fn chaos_hints(case: &ChaosCase, timeout_ms: u64) -> Info {
     h
 }
 
-/// Per-file digests plus per-rank error strings of one run. `None`
-/// digest means the file is missing entirely.
-struct RunDigest {
-    digests: Vec<Option<u64>>,
-    errors: Vec<(usize, String)>,
-    injected: u64,
-    /// The plan declared (and the runner executed) a node crash.
-    crashed: bool,
-    /// Acked collective writes failing byte verification (crash runs).
-    acked_bad: Vec<String>,
-}
-
-/// The soak's own non-panicking mini-driver: unlike
-/// [`crate::run_workload`] it must survive corrupted final state (the
-/// whole point is to *observe* divergence, not die on it). The ranks,
-/// the cuts and the journal recovery are [`crash::execute`]'s; a
-/// crash-bearing plan adds the crash-tolerant collectives.
-async fn run_once(tb: &Testbed, case: &ChaosCase, plan: Option<FaultPlan>) -> RunDigest {
-    let workload = case.workload.build();
-    let crashed = plan.as_ref().is_some_and(|p| !p.crashes().is_empty());
-    let timeout_ms = if crashed {
-        case.coll_timeout_ms.max(40)
-    } else {
-        case.coll_timeout_ms
-    };
-    let hints = chaos_hints(case, timeout_ms);
-    if workload.force_collective() && hints.get("romio_cb_write").is_none() {
-        hints.set("romio_cb_write", "enable");
-    }
-    let seed = case.seed;
-    let files: Vec<(String, u64)> = (0..case.files as u64)
-        .map(|k| (format!("/gfs/chaos.{seed}.{k}"), 1000 + seed + k))
-        .collect();
-    let idle = SimDuration::from_millis(50);
-    let gate = Gate::LastOpen { idle };
-    let run = crash::execute(tb, &workload, &hints, plan, &files, gate, |_| Tear::Nothing).await;
+/// Run one soak probe of `case` under an explicit `plan`, in a fresh
+/// simulation, and judge it against the gold invariant. Does not
+/// shrink.
+///
+/// The driver is [`crash::execute`], not [`crate::run_workload`]: the
+/// soak must survive corrupted final state (the whole point is to
+/// *observe* divergence, not die on it). A crash-bearing plan adds the
+/// crash-tolerant collectives.
+pub fn probe_with_plan(case: &ChaosCase, plan: &FaultPlan) -> ChaosReport {
+    let (case, plan) = (*case, plan.clone());
+    let crashed = !plan.crashes().is_empty();
+    let specs = plan.specs.len();
+    let (run, file_digests) = e10_simcore::run(async move {
+        let workload = case.workload.build();
+        let tb = TestbedSpec::small(workload.procs(), NODES).build();
+        let timeout_ms = if crashed {
+            case.coll_timeout_ms.max(40)
+        } else {
+            case.coll_timeout_ms
+        };
+        let hints = chaos_hints(&case, timeout_ms);
+        if workload.force_collective() && hints.get("romio_cb_write").is_none() {
+            hints.set("romio_cb_write", "enable");
+        }
+        let seed = case.seed;
+        let files: Vec<(String, u64)> = (0..FILES)
+            .map(|k| (format!("/gfs/chaos.{seed}.{k}"), 1000 + seed + k))
+            .collect();
+        let gate = Gate::LastOpen {
+            idle: SimDuration::from_millis(50),
+        };
+        let tear = |_| Tear::Nothing;
+        let run = crash::execute(&tb, &workload, &hints, Some(plan), &files, gate, tear).await;
+        let size = workload.file_size();
+        let digests: Vec<_> = files
+            .iter()
+            .map(|(p, _)| tb.pfs.file_extents(p).map(|e| e.digest(0, size)))
+            .collect();
+        (run, digests)
+    });
 
     // A journal-less cache that staged nothing for a file is benign;
     // stranded bytes are a detected loss.
@@ -327,66 +318,16 @@ async fn run_once(tb: &Testbed, case: &ChaosCase, plan: Option<FaultPlan>) -> Ru
     for (rank, cached_bytes) in run.lost.into_iter().filter(|l| l.1 > 0) {
         errors.push((rank, RecoverError::NoJournal { cached_bytes }.to_string()));
     }
-    let exts: Vec<_> = files.iter().map(|(p, _)| tb.pfs.file_extents(p)).collect();
-    let size = workload.file_size();
-    RunDigest {
-        digests: exts
-            .iter()
-            .map(|e| e.as_ref().map(|e| e.digest(0, size)))
-            .collect(),
-        errors,
-        injected: run.injected,
-        crashed,
-        // The acked-byte oracle judges crash runs only; crash-free runs
-        // are judged by their digests.
-        acked_bad: if crashed { run.acked_bad } else { Vec::new() },
-    }
-}
-
-fn verdict_of(oracle: &RunDigest, faulted: &RunDigest) -> (ChaosVerdict, Vec<usize>) {
-    if faulted.crashed {
-        // Dead ranks legitimately never wrote some pieces, so the
-        // whole-file comparison is meaningless under a crash: the
-        // invariant is that every *acknowledged* write reads back.
-        let verdict = if !faulted.acked_bad.is_empty() {
-            ChaosVerdict::Diverged
-        } else if !faulted.errors.is_empty() {
-            ChaosVerdict::Detected
-        } else {
-            ChaosVerdict::Clean
-        };
-        return (verdict, Vec::new());
-    }
-    let mismatched: Vec<usize> = oracle
-        .digests
-        .iter()
-        .zip(&faulted.digests)
-        .enumerate()
-        .filter_map(|(k, (o, f))| (o != f).then_some(k))
-        .collect();
-    let verdict = if !faulted.errors.is_empty() {
-        ChaosVerdict::Detected
-    } else if mismatched.is_empty() {
-        ChaosVerdict::Clean
-    } else {
+    // Under a crash the victims' errors are expected, so wrong acked
+    // bytes diverge whatever the ranks were told; without one, a typed
+    // error is the detection.
+    let verdict = if !run.acked_bad.is_empty() && (crashed || errors.is_empty()) {
         ChaosVerdict::Diverged
+    } else if !errors.is_empty() {
+        ChaosVerdict::Detected
+    } else {
+        ChaosVerdict::Clean
     };
-    (verdict, mismatched)
-}
-
-/// Run one soak probe of `case` under an explicit `plan` (both the
-/// oracle and the faulted run execute inside fresh simulations) and
-/// judge it against the gold invariant. Does not shrink.
-pub fn probe_with_plan(case: &ChaosCase, plan: &FaultPlan) -> ChaosReport {
-    let run = |plan: Option<FaultPlan>| {
-        let case = *case;
-        e10_simcore::run(async move {
-            let tb = TestbedSpec::small(case.workload.build().procs(), case.nodes).build();
-            run_once(&tb, &case, plan).await
-        })
-    };
-    let (oracle, faulted) = (run(None), run(Some(plan.clone())));
-    let (verdict, mismatched_files) = verdict_of(&oracle, &faulted);
     trace::counter("chaos.runs", 1);
     match verdict {
         ChaosVerdict::Clean => trace::counter("chaos.clean", 1),
@@ -397,12 +338,11 @@ pub fn probe_with_plan(case: &ChaosCase, plan: &FaultPlan) -> ChaosReport {
         seed: case.seed,
         workload: case.workload.name(),
         verdict,
-        plan_specs: plan.specs.len(),
-        injected: faulted.injected,
-        rank_errors: faulted.errors,
-        mismatched_files,
-        acked_violations: faulted.acked_bad,
-        file_digests: faulted.digests,
+        plan_specs: specs,
+        injected: run.injected,
+        rank_errors: errors,
+        acked_violations: run.acked_bad,
+        file_digests,
         minimal: None,
     }
 }
@@ -433,7 +373,7 @@ pub fn shrink_plan(case: &ChaosCase, plan: &FaultPlan) -> FaultPlan {
 /// schedule to its minimal failing form (recorded in
 /// [`ChaosReport::minimal`]).
 pub fn chaos_case(case: &ChaosCase) -> ChaosReport {
-    let plan = random_plan(case.seed, case.nodes);
+    let plan = random_plan(case.seed);
     let mut report = probe_with_plan(case, &plan);
     if report.verdict == ChaosVerdict::Diverged {
         let minimal = shrink_plan(case, &plan);
@@ -457,8 +397,8 @@ mod tests {
         let mut crash_seeds = 0;
         let mut degraded_specs = 0;
         for seed in 0..64u64 {
-            let a = random_plan(seed, 2);
-            let b = random_plan(seed, 2);
+            let a = random_plan(seed);
+            let b = random_plan(seed);
             assert_eq!(a.specs.len(), b.specs.len(), "seed {seed} not stable");
             assert!((1..=5).contains(&a.specs.len()));
             for (x, y) in a.specs.iter().zip(&b.specs) {
@@ -495,7 +435,7 @@ mod tests {
         // mid-run crash must still complete and verify every acked
         // byte (Clean or Detected, never Diverged).
         let seed = (0..64u64)
-            .find(|&s| !random_plan(s, 2).crashes().is_empty())
+            .find(|&s| !random_plan(s).crashes().is_empty())
             .expect("some seed draws a crash");
         let report = chaos_case(&ChaosCase::new(seed));
         assert_ne!(
@@ -572,7 +512,7 @@ mod tests {
         let b = chaos_case(&ChaosCase::new(3));
         assert_eq!(a.verdict, b.verdict);
         assert_eq!(a.injected, b.injected);
-        assert_eq!(a.mismatched_files, b.mismatched_files);
+        assert_eq!(a.acked_violations, b.acked_violations);
         assert_eq!(a.rank_errors, b.rank_errors);
         assert_eq!(a.file_digests, b.file_digests);
     }
@@ -583,17 +523,8 @@ mod tests {
         // bit-flip, padded with benign stalls. Run WITHOUT integrity it
         // must diverge (this validates the oracle itself), and the
         // shrinker must isolate the single corrupting spec.
-        let mut case = ChaosCase {
-            workload: ChaosWorkload::Ior,
-            nodes: 2,
-            files: 1,
-            seed: 424_242,
-            scrub_ms: 0,
-            integrity: false,
-            cache_class: CacheClass::Ssd,
-            two_phase: TwoPhaseAlgo::Extended,
-            coll_timeout_ms: 0,
-        };
+        let mut case = ChaosCase::new(424_242);
+        case.integrity = false;
         let plan = FaultPlan::new(7)
             .ssd_stall(0, always(), 0.2, SimDuration::from_micros(100))
             .cache_bitflip(0, always(), 1.0)
@@ -604,6 +535,13 @@ mod tests {
             ChaosVerdict::Diverged,
             "without integrity the flip must slip through silently"
         );
+        // The plan is crash-free, and the acked-byte oracle judges it:
+        // it names the flipped pieces of acked writes.
+        assert!(bare.rank_errors.is_empty());
+        assert!(!bare.acked_violations.is_empty());
+        for v in &bare.acked_violations {
+            assert!(v.starts_with("rank ") && v.contains(" write "), "{v}");
+        }
         let minimal = shrink_plan(&case, &plan);
         assert_eq!(minimal.specs.len(), 1, "padding stalls must be shed");
         assert_eq!(spec_kind(&minimal.specs[0]), "cache_bitflip");

@@ -75,36 +75,6 @@ impl CrashConfig {
     }
 }
 
-/// What a crash/recovery run did and found.
-#[derive(Debug)]
-pub struct CrashOutcome {
-    /// The node that lost power first.
-    pub crashed_node: usize,
-    /// Virtual instant of that first power cut.
-    pub crash_time: SimTime,
-    /// Tasks destroyed by the crashes (ranks, sync threads, …).
-    pub killed_tasks: usize,
-    /// Bytes acknowledged by collective writes on the surviving ranks.
-    pub written_bytes: u64,
-    /// Faults the installed plan injected, the crashes included — what
-    /// the chaos soak's `ChaosReport::injected` counts.
-    pub injected: u64,
-    /// Per-rank journal recovery reports for the crashed nodes.
-    pub recovered: Vec<(usize, RecoveryReport)>,
-    /// Ranks whose staged bytes were unrecoverable (no journal), with
-    /// the number of bytes stranded in their cache files.
-    pub lost: Vec<(usize, u64)>,
-    /// Ranks whose recovery failed outright (local FS error).
-    pub failed: Vec<(usize, String)>,
-    /// Virtual seconds the recovery pass took (journal replay +
-    /// re-queued sync + flush for every crashed rank).
-    pub recovery_secs: f64,
-    /// The acked-byte oracle ([`Executed::acked_bad`]) over every view,
-    /// all of them acked: `Ok` exactly when recovery restored every
-    /// acked byte (else the first piece that is wrong).
-    pub verified: Result<(), String>,
-}
-
 /// A [`CrashConfig`] that cannot be executed as declared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrashConfigError {
@@ -134,44 +104,32 @@ impl std::fmt::Display for CrashConfigError {
 
 impl std::error::Error for CrashConfigError {}
 
-impl CrashOutcome {
-    /// Total bytes re-queued from journals during recovery.
-    pub fn requeued_bytes(&self) -> u64 {
-        self.recovered.iter().map(|(_, r)| r.requeued_bytes).sum()
-    }
-
-    /// Total bytes reported stranded (journal-less caches).
-    pub fn lost_bytes(&self) -> u64 {
-        self.lost.iter().map(|&(_, b)| b).sum()
-    }
-}
-
 /// Run `workload` once with a crash of every planned node, then
 /// recover the nodes' caches and verify the global file.
 ///
 /// The crashes fire once every rank has finished its collective writes
 /// (event trigger) and no earlier than the plan's declared instants
 /// (time trigger) — acknowledged data is exactly the data a recovery
-/// must reproduce. Returns a [`CrashConfigError`] (instead of
-/// panicking) if the plan declares no node crash or a crashed node
-/// hosts no rank.
+/// must reproduce, and every view is acked, so
+/// [`Executed::verified`] checks every byte. Returns a
+/// [`CrashConfigError`] (instead of panicking) if the plan declares no
+/// node crash or a crashed node hosts no rank.
 pub async fn run_crash_recovery(
     tb: &Testbed,
     workload: Rc<dyn Workload>,
     cfg: &CrashConfig,
-) -> Result<CrashOutcome, CrashConfigError> {
+) -> Result<Executed, CrashConfigError> {
     let procs = workload.procs();
     assert_eq!(
         tb.world.comms.len(),
         procs,
         "testbed rank count must match the workload"
     );
-    let node_of = |rank: usize| tb.world.comms[rank].node();
     let crashes = cfg.faults.crashes();
     if crashes.is_empty() {
         return Err(CrashConfigError::NoCrashDeclared);
     }
-    let hosts_ranks = |node| (0..procs).any(|r| node_of(r) == node);
+    let hosts_ranks = |node| (0..procs).any(|r| tb.world.comms[r].node() == node);
     if let Some(&(node, _)) = crashes.iter().find(|c| !hosts_ranks(c.0)) {
         return Err(CrashConfigError::NoRankOnNode { node });
     }
@@ -180,21 +138,7 @@ pub async fn run_crash_recovery(
     let run = execute(tb, &workload, hints, plan, &files, gate, |_| Tear::Nothing).await;
     let views: usize = (0..procs).map(|r| workload.writes(r).len()).sum();
     assert_eq!(run.acked.len(), views, "pre-crash write failed");
-    let alive = |rank: usize| run.cuts.iter().all(|&(node, _)| node != node_of(rank));
-    // Every view was acked, so the acked-byte oracle checks every byte.
-    let verified = run.acked_bad.first().map_or(Ok(()), |e| Err(e.clone()));
-    Ok(CrashOutcome {
-        crashed_node: run.cuts[0].0,
-        crash_time: run.cuts[0].1,
-        killed_tasks: run.killed_tasks,
-        written_bytes: run.acked.iter().filter(|a| alive(a.0)).map(|a| a.3).sum(),
-        injected: run.injected,
-        recovered: run.recovered,
-        lost: run.lost,
-        failed: run.failed,
-        recovery_secs: run.recovery_secs,
-        verified,
-    })
+    Ok(run)
 }
 
 /// When an [`execute`] run's crashes may fire.
@@ -209,6 +153,7 @@ pub enum Gate {
 }
 
 /// What one [`execute`] run did and found.
+#[derive(Debug)]
 pub struct Executed {
     /// Every acked write, victims' too, as `(rank, file, view, bytes)`:
     /// indices into the run's files and the rank's `Workload::writes`.
@@ -222,15 +167,38 @@ pub struct Executed {
     pub cuts: Vec<(usize, SimTime)>,
     /// Tasks the cuts killed.
     pub killed_tasks: usize,
-    /// Per crashed rank and file, as in [`CrashOutcome`]: a close that
-    /// fails to flush what the replay re-queued is in both lists.
+    /// Journal recovery reports, per crashed rank and file. A close
+    /// that fails to flush what the replay re-queued is also in
+    /// `failed`.
     pub recovered: Vec<(usize, RecoveryReport)>,
+    /// Ranks whose staged bytes were unrecoverable (no journal), with
+    /// the number of bytes stranded in their cache files.
     pub lost: Vec<(usize, u64)>,
+    /// Ranks whose recovery failed outright (local FS error).
     pub failed: Vec<(usize, String)>,
     /// Virtual seconds the recovery of every crashed rank took.
     pub recovery_secs: f64,
     /// Faults the plan injected, crashes included.
     pub injected: u64,
+}
+
+impl Executed {
+    /// Total bytes re-queued from journals during recovery.
+    pub fn requeued_bytes(&self) -> u64 {
+        self.recovered.iter().map(|(_, r)| r.requeued_bytes).sum()
+    }
+
+    /// Total bytes reported stranded (journal-less caches).
+    pub fn lost_bytes(&self) -> u64 {
+        self.lost.iter().map(|&(_, b)| b).sum()
+    }
+
+    /// The acked-byte oracle's answer: `Ok` exactly when every acked
+    /// piece reads back as the generator's, else the first that does
+    /// not.
+    pub fn verified(&self) -> Result<(), &str> {
+        self.acked_bad.first().map_or(Ok(()), |e| Err(e))
+    }
 }
 
 /// The one node-crash executor. Under `plan`, every rank writes each of
@@ -517,7 +485,7 @@ mod tests {
             assert!(!out.recovered.is_empty());
             assert!(out.lost.is_empty() && out.failed.is_empty());
             assert!(out.requeued_bytes() > 0, "crash landed before the sync");
-            out.verified.expect("recovered file must verify");
+            out.verified().expect("recovered file must verify");
         });
     }
 
@@ -550,7 +518,7 @@ mod tests {
                 .filter(|&r| [1, 3].contains(&tb.world.comms[r].node()))
                 .collect();
             let out = run_crash_recovery(&tb, w, &cfg).await.unwrap();
-            assert_eq!((out.crashed_node, out.crash_time), (1, at(4)));
+            assert_eq!(out.cuts[0], (1, at(4)));
             assert_eq!(out.injected, 2, "one cut per crashed node");
             let mut recovered: Vec<usize> = out.recovered.iter().map(|&(r, _)| r).collect();
             recovered.sort_unstable();
@@ -558,7 +526,8 @@ mod tests {
             assert!(out.killed_tasks >= victims.len());
             assert!(out.lost.is_empty() && out.failed.is_empty());
             assert!(out.requeued_bytes() > 0);
-            out.verified.expect("both nodes' acked bytes must survive");
+            out.verified()
+                .expect("both nodes' acked bytes must survive");
         });
     }
 
@@ -587,7 +556,7 @@ mod tests {
             assert!(!out.recovered.is_empty());
             assert!(out.lost.is_empty() && out.failed.is_empty());
             assert!(out.requeued_bytes() > 0, "crash landed before the sync");
-            out.verified
+            out.verified()
                 .expect("nvm-staged bytes must survive the power cut");
         });
     }
@@ -610,7 +579,7 @@ mod tests {
             assert!(!out.recovered.is_empty());
             assert!(out.lost.is_empty() && out.failed.is_empty());
             assert!(out.requeued_bytes() > 0, "crash landed before the sync");
-            out.verified
+            out.verified()
                 .expect("bytes staged across both tiers must survive");
         });
     }
@@ -651,7 +620,7 @@ mod tests {
             assert!(out.recovered.is_empty());
             assert!(!out.lost.is_empty(), "loss must be attributed per rank");
             assert!(out.lost_bytes() > 0, "stranded bytes must be counted");
-            assert!(out.verified.is_err(), "data loss must fail verification");
+            assert!(out.verified().is_err(), "data loss must fail verification");
         });
     }
 }

@@ -24,7 +24,7 @@ pub use chaos::{
     ChaosVerdict, ChaosWorkload,
 };
 pub use collperf::CollPerf;
-pub use crash::{run_crash_recovery, CrashConfig, CrashConfigError, CrashOutcome};
+pub use crash::{run_crash_recovery, CrashConfig, CrashConfigError, Executed};
 pub use driver::{run_workload, PhaseOutcome, RunConfig, RunOutcome, TraceReport};
 pub use flashio::{FlashFile, FlashIo};
 pub use ior::Ior;

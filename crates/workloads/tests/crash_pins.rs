@@ -36,16 +36,24 @@ fn crash_line(journal: bool, class: &'static str, seed: u64) -> String {
         let out = run_crash_recovery(&tb, w as Rc<dyn Workload>, &cfg)
             .await
             .unwrap();
+        let (_, crash_time) = out.cuts[0];
+        let survived = |rank: usize| out.cuts.iter().all(|c| c.0 != tb.world.comms[rank].node());
+        let written: u64 = out
+            .acked
+            .iter()
+            .filter(|a| survived(a.0))
+            .map(|a| a.3)
+            .sum();
         format!(
             "crash {class} journal={journal}: crash_ns={} killed={} written={} requeued={} \
              lost={} recovery_bits={:#x} verified={}",
-            out.crash_time.as_nanos(),
+            crash_time.as_nanos(),
             out.killed_tasks,
-            out.written_bytes,
+            written,
             out.requeued_bytes(),
             out.lost_bytes(),
             out.recovery_secs.to_bits(),
-            out.verified.is_ok(),
+            out.verified().is_ok(),
         )
     })
 }

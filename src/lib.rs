@@ -92,7 +92,6 @@ pub mod prelude {
     pub use e10_simcore::{SimDuration, SimTime};
     pub use e10_storesim::Payload;
     pub use e10_workloads::{
-        run_crash_recovery, run_workload, CollPerf, CrashConfig, CrashOutcome, FlashIo, Ior,
-        RunConfig, Workload,
+        run_crash_recovery, run_workload, CollPerf, CrashConfig, FlashIo, Ior, RunConfig, Workload,
     };
 }

@@ -74,7 +74,7 @@ fn crashed_run_recovers_to_fault_free_bytes() {
         );
         // Byte identity with the fault-free run: same coverage, same
         // generator contents (verified inside the harness).
-        out.verified.as_ref().expect("recovered file must verify");
+        out.verified().expect("recovered file must verify");
         let ext = tb.pfs.file_extents("/gfs/crashrec").unwrap();
         (ext.covered_bytes(), out.requeued_bytes())
     });
@@ -95,7 +95,7 @@ fn crash_without_journal_is_detected_data_loss() {
         assert!(out.recovered.is_empty(), "no journal, nothing to replay");
         assert!(out.lost_bytes() > 0, "stranded cache bytes must be counted");
         assert!(
-            out.verified.is_err(),
+            out.verified().is_err(),
             "the loss must fail verification, not pass silently"
         );
     });
@@ -111,7 +111,7 @@ fn crash_run_emits_fault_and_recovery_telemetry() {
         let tb = TestbedSpec::small(w.procs(), 2).build();
         let cfg = CrashConfig::after_writes(crash_hints(true), "/gfs/crashtrace", 7, 1);
         let out = run_crash_recovery(&tb, w, &cfg).await.unwrap();
-        out.verified.unwrap();
+        out.verified().unwrap();
         let events = sink.events();
         let spans: std::collections::BTreeSet<&'static str> =
             events.iter().map(|e| e.span).collect();

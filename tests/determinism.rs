@@ -214,7 +214,7 @@ fn crash_recovery_is_deterministic() {
             let out = run_crash_recovery(&tb, w as Rc<dyn Workload>, &cfg)
                 .await
                 .unwrap();
-            out.verified.as_ref().unwrap();
+            out.verified().unwrap();
             // The whole outcome, per-rank recovery reports included,
             // and the recovery time to the bit.
             (format!("{out:?}"), out.recovery_secs.to_bits())

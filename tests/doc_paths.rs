@@ -4,10 +4,12 @@
 //! `tests/perturbation.rs` and `crates/romio/src/hints.rs` all resolve),
 //! every backticked hint-shaped name must be a `HINTS` key, every
 //! experiment a command line names must be a row of
-//! `e10_bench::GATES`, and every `--example NAME` a file in
-//! `examples/`. Paths into the standard library (`std/`, `alloc/`,
-//! `core/`) are exempt.
+//! `e10_bench::GATES`, every `--example NAME` a file in `examples/`,
+//! and every backticked item name (`CacheLayer`, `Executed::verified`)
+//! an item declared in the tree. Paths into the standard library
+//! (`std/`, `alloc/`, `core/`) are exempt.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Every `.rs` file under `dir`, as `/`-separated paths relative to
@@ -108,6 +110,161 @@ fn backticked_hint_names_in_the_docs_exist() {
     }
     assert!(checked > 0, "no backticked hint names found");
     assert!(unknown.is_empty(), "docs name unknown hints: {unknown:#?}");
+}
+
+/// A span shaped like a CamelCase name: `^[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*$`.
+fn is_camel_case(span: &str) -> bool {
+    let mut chars = span.chars();
+    let Some(first) = chars.next() else {
+        return false;
+    };
+    let rest = chars.as_str();
+    let hump = rest
+        .find(|c: char| !c.is_ascii_lowercase() && !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    first.is_ascii_uppercase()
+        && hump > 0
+        && rest[hump..].starts_with(|c: char| c.is_ascii_uppercase())
+        && rest.chars().all(|c| c.is_ascii_alphanumeric())
+}
+
+/// The identifier `s` starts with (empty if none).
+fn leading_ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+fn is_ident(s: &str) -> bool {
+    s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// A span shaped like `Type::member`: a capitalised type name, `::`
+/// and one identifier.
+fn type_member(span: &str) -> Option<(&str, &str)> {
+    let (ty, member) = span.split_once("::")?;
+    (ty.starts_with(|c: char| c.is_ascii_uppercase()) && is_ident(ty) && is_ident(member))
+        .then_some((ty, member))
+}
+
+/// Names of the standard library and of ROMIO that the docs mention
+/// but the tree does not declare.
+const FOREIGN: [&str; 11] = [
+    "BTreeMap",
+    "BinaryHeap",
+    "HashMap",
+    "RefCell",
+    "VecDeque",
+    "AtomicBool",
+    "OnceCell",
+    "RandomState",
+    "RawWaker",
+    "Waker",
+    "WriteStrided",
+];
+
+/// What the tree's Rust files declare, read line by line: which crate
+/// directories (the path above `src/`, `tests/`, `examples/` or
+/// `benches/`) declare each type (`struct`, `enum`, `trait` or
+/// `type`), and each crate's members (`fn`, `const`, a field's
+/// `name:` or a variant's `Name,` / `Name {` / `Name(`).
+#[derive(Default)]
+struct Items {
+    types: BTreeMap<String, BTreeSet<String>>,
+    members: BTreeSet<(String, String)>,
+}
+
+impl Items {
+    fn scan() -> Items {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+        let mut files = Vec::new();
+        rust_files(&root, &root, &mut files);
+        let mut items = Items::default();
+        for file in files {
+            let parts: Vec<&str> = file.split('/').collect();
+            let at = parts
+                .iter()
+                .position(|p| ["src", "tests", "examples", "benches"].contains(p))
+                .unwrap_or(0);
+            let krate = parts[..at].join("/");
+            let text = std::fs::read_to_string(root.join(&file)).unwrap();
+            for line in text.lines() {
+                items.declare(&krate, line.trim_start());
+            }
+        }
+        items
+    }
+
+    fn declare(&mut self, krate: &str, mut line: &str) {
+        if let Some(rest) = line.strip_prefix("pub(") {
+            line = rest.split_once(") ").map_or("", |(_, l)| l);
+        }
+        line = line.strip_prefix("pub ").unwrap_or(line);
+        for kw in ["struct ", "enum ", "trait ", "type "] {
+            if let Some(rest) = line.strip_prefix(kw) {
+                let name = leading_ident(rest).to_string();
+                self.types.entry(name).or_default().insert(krate.into());
+                return;
+            }
+        }
+        // `const X: T` reads as a field, `const fn f` as a fn.
+        for qualifier in ["const ", "async ", "unsafe "] {
+            line = line.strip_prefix(qualifier).unwrap_or(line);
+        }
+        let function = line.starts_with("fn ");
+        line = line.strip_prefix("fn ").unwrap_or(line);
+        let name = leading_ident(line);
+        let after = &line[name.len()..];
+        let field = after.starts_with(':') && !after.starts_with("::");
+        let variant = [",", " {", "("].iter().any(|p| after.starts_with(p)) || after.is_empty();
+        if is_ident(name) && (function || field || variant) {
+            self.members.insert((krate.into(), name.into()));
+        }
+    }
+
+    /// Whether `name` is a declared type or a variant.
+    fn has_name(&self, name: &str) -> bool {
+        self.types.contains_key(name) || self.members.iter().any(|(_, m)| m == name)
+    }
+
+    /// Whether `ty` is a declared type with a `member` in its crate.
+    fn has_member(&self, ty: &str, member: &str) -> bool {
+        self.types.get(ty).is_some_and(|crates| {
+            crates
+                .iter()
+                .any(|k| self.members.contains(&(k.clone(), member.to_string())))
+        })
+    }
+}
+
+/// Every backticked CamelCase name in the docs is a type or variant
+/// the tree declares, and every `Type::member` a declared type with a
+/// `fn`, field, variant or `const` of that name in the type's crate.
+#[test]
+fn backticked_item_names_in_the_docs_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let items = Items::scan();
+    let (mut names, mut paths, mut missing) = (0, 0, Vec::new());
+    for doc in DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for span in spans(&text, is_camel_case) {
+            names += 1;
+            if !FOREIGN.contains(&span) && !items.has_name(span) {
+                missing.push(format!("{doc}: `{span}`"));
+            }
+        }
+        for span in spans(&text, |s| type_member(s).is_some()) {
+            paths += 1;
+            let (ty, member) = type_member(span).unwrap();
+            if !FOREIGN.contains(&ty) && !items.has_member(ty, member) {
+                missing.push(format!("{doc}: `{span}`"));
+            }
+        }
+    }
+    assert!(names > 0 && paths > 0, "no backticked item names found");
+    assert!(missing.is_empty(), "docs name missing items: {missing:#?}");
 }
 
 /// The words of the docs that follow a place where `marker` holds of

@@ -712,7 +712,7 @@ proptest! {
                 .await
                 .unwrap();
             assert!(out.lost.is_empty() && out.failed.is_empty());
-            out.verified.expect("recovered file must match the generator");
+            out.verified().expect("recovered file must match the generator");
         });
     }
 }
