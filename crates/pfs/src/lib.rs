@@ -153,7 +153,8 @@ pub struct Pfs {
     mds: FifoServer,
     backend: FairShare,
     targets: Vec<Target>,
-    files: RefCell<HashMap<String, Rc<RefCell<PfsFileState>>, FixedState>>,
+    /// Keyed by the path every [`PfsHandle`] on the file shares.
+    files: RefCell<HashMap<Rc<str>, Rc<RefCell<PfsFileState>>, FixedState>>,
     files_created: RefCell<u64>,
     /// Jitter stream for client retry backoff (decorrelates retries of
     /// concurrent clients after a correlated server failure).
@@ -399,12 +400,13 @@ impl Pfs {
             open_handles: 1,
             fence: 0,
         }));
+        let path: Rc<str> = Rc::from(path);
         self.files
             .borrow_mut()
-            .insert(path.to_string(), Rc::clone(&st));
+            .insert(Rc::clone(&path), Rc::clone(&st));
         PfsHandle {
             pfs: Rc::clone(self),
-            path: path.to_string(),
+            path,
             state: st,
             epoch: std::cell::Cell::new(0),
             fence_exempt: std::cell::Cell::new(false),
@@ -414,20 +416,7 @@ impl Pfs {
     /// Open an existing file. One metadata RPC.
     pub async fn open(self: &Rc<Self>, client: NodeId, path: &str) -> Result<PfsHandle, PfsError> {
         self.meta_rpc(client).await;
-        let st = self
-            .files
-            .borrow()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
-        st.borrow_mut().open_handles += 1;
-        Ok(PfsHandle {
-            pfs: Rc::clone(self),
-            path: path.to_string(),
-            state: st,
-            epoch: std::cell::Cell::new(0),
-            fence_exempt: std::cell::Cell::new(false),
-        })
+        self.attach(path)
     }
 
     /// Attach to an existing file WITHOUT a metadata RPC — the
@@ -436,17 +425,15 @@ impl Pfs {
     /// talk to the MDS if they later do I/O (which, under collective
     /// buffering, they do not).
     pub fn attach(self: &Rc<Self>, path: &str) -> Result<PfsHandle, PfsError> {
-        let st = self
-            .files
-            .borrow()
-            .get(path)
-            .cloned()
+        let files = self.files.borrow();
+        let (path, st) = files
+            .get_key_value(path)
             .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
         st.borrow_mut().open_handles += 1;
         Ok(PfsHandle {
             pfs: Rc::clone(self),
-            path: path.to_string(),
-            state: st,
+            path: Rc::clone(path),
+            state: Rc::clone(st),
             epoch: std::cell::Cell::new(0),
             fence_exempt: std::cell::Cell::new(false),
         })
@@ -523,7 +510,7 @@ const CHUNK_JOIN_SLOTS: usize = 8;
 #[derive(Clone)]
 pub struct PfsHandle {
     pfs: Rc<Pfs>,
-    path: String,
+    path: Rc<str>,
     state: Rc<RefCell<PfsFileState>>,
     /// Write epoch this handle stamps on its requests (see
     /// [`PfsFileState::fence`]). Clones inherit the current value.

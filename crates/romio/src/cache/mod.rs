@@ -35,6 +35,7 @@ mod recover;
 mod tiers;
 mod volume;
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -84,7 +85,7 @@ pub enum Health {
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Directory on the node-local file system (`e10_cache_path`).
-    pub cache_path: String,
+    pub cache_path: Cow<'static, str>,
     /// Base name of the global file (cache file name component).
     pub file_basename: String,
     /// Owning rank (cache file name component).
@@ -135,7 +136,7 @@ impl CacheConfig {
     /// A config with the hint defaults for `rank` on `node`.
     pub fn new(cache_path: &str, file_basename: &str, rank: usize, node: NodeId) -> CacheConfig {
         let mut cfg = Self::from_hints(&RomioHints::default(), file_basename, rank, node);
-        cfg.cache_path = cache_path.to_string();
+        cfg.cache_path = Cow::Owned(cache_path.to_string());
         cfg
     }
 

@@ -17,6 +17,7 @@
 //! cb_nodes: Some(16), ..Default::default() }`), then
 //! [`RomioHints::validate`].
 
+use std::borrow::Cow;
 use std::ops::RangeInclusive;
 
 use e10_mpisim::Info;
@@ -191,8 +192,9 @@ pub struct RomioHints {
     pub ind_wr_buffer_size: u64,
     /// `e10_cache` (Table II).
     pub e10_cache: CacheMode,
-    /// `e10_cache_path` (Table II; default `/scratch`).
-    pub e10_cache_path: String,
+    /// `e10_cache_path` (Table II; default `/scratch`, borrowed, so a
+    /// default hint set owns no string).
+    pub e10_cache_path: Cow<'static, str>,
     /// `e10_cache_flush_flag` (Table II).
     pub e10_cache_flush_flag: FlushFlag,
     /// `e10_cache_discard_flag` (Table II; `enable` removes the cache
@@ -287,8 +289,8 @@ pub struct RomioHints {
     /// `e10_trace` (extension): structured-trace destination.
     pub e10_trace: TraceMode,
     /// `e10_trace_path` (extension): directory for `jsonl` traces
-    /// (default `results/traces`).
-    pub e10_trace_path: String,
+    /// (default `results/traces`, borrowed like `e10_cache_path`'s).
+    pub e10_trace_path: Cow<'static, str>,
 }
 
 /// A numeric field: every integer hint is read and stored as a `u64`.
@@ -351,7 +353,7 @@ enum Kind {
     /// A boolean in these words (`enable`/`disable` always work).
     Flag(Lens<bool>, Words),
     /// A non-empty path.
-    Path(Lens<String>),
+    Path(Lens<Cow<'static, str>>),
     /// A non-empty path that may stay unset.
     OptPath(Lens<Option<String>>),
 }
@@ -419,7 +421,7 @@ impl HintSpec {
             }
             Path(_) | OptPath(_) if value.is_empty() => false,
             Path(lens) => {
-                *(lens.get_mut)(hints) = value.to_string();
+                *(lens.get_mut)(hints) = Cow::Owned(value.to_string());
                 true
             }
             OptPath(lens) => {
@@ -437,7 +439,7 @@ impl HintSpec {
             Size(lens, ..) | Uint(lens, ..) => (lens.get)(hints).get().map(|n| n.to_string()),
             PerNode(lens) => (lens.get)(hints).get().map(|n| format!("*:{n}")),
             Flag(lens, words) => Some(words[!*(lens.get)(hints) as usize].to_string()),
-            Path(lens) => Some((lens.get)(hints).clone()),
+            Path(lens) => Some((lens.get)(hints).to_string()),
             OptPath(lens) => (lens.get)(hints).clone(),
         }
     }
@@ -492,7 +494,7 @@ hint_table! {
         Table2(5, "synchronisation buffer size [bytes]");
     "e10_cache" => e10_cache = CacheMode::Disable, Choice(CacheMode::EXPECTED),
         Table2(1, "enable, disable, coherent");
-    "e10_cache_path" => e10_cache_path = "/scratch".to_string(), Path(),
+    "e10_cache_path" => e10_cache_path = Cow::Borrowed("/scratch"), Path(),
         Table2(2, "cache directory pathname");
     "e10_cache_flush_flag" => e10_cache_flush_flag = FlushFlag::FlushImmediate,
         Choice(FlushFlag::EXPECTED),
@@ -543,7 +545,7 @@ hint_table! {
         Extension("milliseconds (crash-tolerant collectives; 0 = off)");
     "e10_trace" => e10_trace = TraceMode::Off, Choice(TraceMode::EXPECTED),
         Extension("off, ring, jsonl (structured-trace destination)");
-    "e10_trace_path" => e10_trace_path = "results/traces".to_string(), Path(),
+    "e10_trace_path" => e10_trace_path = Cow::Borrowed("results/traces"), Path(),
         Extension("directory of the jsonl trace files");
 }
 
@@ -724,7 +726,7 @@ mod tests {
         let bad = RomioHints {
             cb_buffer_size: 0,
             cb_nodes: Some(0),
-            e10_cache_path: String::new(),
+            e10_cache_path: "".into(),
             ..RomioHints::default()
         };
         let err = bad.validate().unwrap_err();

@@ -14,6 +14,7 @@
 //! field; a caller that wants a traced run sets the hint on its
 //! `hints`.
 
+use std::borrow::Cow;
 use std::rc::Rc;
 
 use e10_mpisim::{FileView, Info};
@@ -174,7 +175,7 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
     // for the duration. Nothing in the simulation reads trace state, so
     // virtual-time outcomes are identical traced or not.
     let (mode, trace_dir) = e10_romio::RomioHints::from_info(&hints)
-        .map_or((TraceMode::Off, String::new()), |h| {
+        .map_or((TraceMode::Off, Cow::default()), |h| {
             (h.e10_trace, h.e10_trace_path)
         });
     let metrics = Rc::new(MetricsRegistry::new());

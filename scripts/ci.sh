@@ -37,10 +37,13 @@
 #      (0 per extra round, at 8 and at 16 ranks, on the analytic
 #      collectives every paper-scale run uses), the per-call gate
 #      a_warm_collective_call_costs_what_is_pinned (3 per extra
-#      write_at_all on an open file at 16 and 32 ranks, plus 5 per node
+#      write_at_all on an open file at 16 and 32 ranks, plus 4 per node
 #      leader under node_agg, all pinned exactly), the
-#      ceiling on what resolving the paper's hints costs per rank-open
-#      (resolving_the_paper_hints_allocates_no_more_than_it_did, 3),
+#      exact cost of resolving the paper's hints per rank-open
+#      (resolving_the_paper_hints_allocates_no_more_than_it_did, 1;
+#      the_default_hints_allocate_nothing, 0), one collective open and
+#      close of 16 ranks (a_collective_open_and_close_costs_what_is_pinned,
+#      101 calls, 229 with the cache),
 #      the two same-count-every-time gates (file churn on a volume;
 #      an 8-rank open, split_by_node, write, close) and the read-round
 #      gate read_rounds_cost_what_is_pinned (9.8 per extra collective-
