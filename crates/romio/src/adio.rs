@@ -859,6 +859,30 @@ mod tests {
         });
     }
 
+    /// Dropping every handle on a cached file without closing it — a
+    /// rank that dies mid-run — closes the sync queue: the sync thread
+    /// drains what it holds and ends, and with it goes the last hold on
+    /// the cache volume.
+    #[test]
+    fn a_dropped_file_ends_its_cache_sync_thread() {
+        run(async {
+            let tb = TestbedSpec::small(1, 1).build();
+            let ctx = tb.ctx(0);
+            let info = info_with(&[("e10_cache", "enable")]);
+            let f = AdioFile::open(&ctx, "/gfs/dropped", &info, true)
+                .await
+                .unwrap();
+            f.write_contig(0, Payload::gen(8, 0, 4096)).await.unwrap();
+            let cache = f.cache().expect("the cache opened");
+            assert_eq!(cache.outstanding(), 1, "the extent went to the sync thread");
+            let volume = cache.volume();
+            let view = f.with_comm(ctx.comm.clone(), Rc::clone(&f.placement().aggregators));
+            drop((f.clone(), view, f));
+            e10_simcore::sleep(e10_simcore::SimDuration::from_secs(1)).await;
+            assert!(volume.upgrade().is_none(), "the volume outlived its file");
+        });
+    }
+
     #[test]
     fn invalid_hint_fails_open() {
         run(async {

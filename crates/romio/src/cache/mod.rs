@@ -324,6 +324,12 @@ impl CacheLayer {
         }
     }
 
+    /// A hold on the volume that does not keep it alive.
+    #[cfg(test)]
+    pub(crate) fn volume(&self) -> std::rc::Weak<Volume> {
+        Rc::downgrade(&self.inner.vol)
+    }
+
     /// True once the cache has failed and writes go to the global file.
     pub fn is_degraded(&self) -> bool {
         self.inner.vol.degraded.get()

@@ -39,8 +39,9 @@
 //! 10. what a cache open and close cost when no extent is posted in
 //!     between — a non-aggregator's, under collective buffering: no
 //!     sync thread and no sync queue, and
-//! 11. what one collective open and close cost, with the cache on and
-//!     off, under the analytic collectives.
+//! 11. what one collective open and close cost, and what each rank
+//!     adds to it, under the analytic collectives: without the cache,
+//!     with it, with its journal and with its NVM front.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -742,15 +743,47 @@ fn an_open_split_write_close_costs_the_same_every_time() {
     }
 }
 
+/// What the opens of [`open_close_cost`] ask of the E10 cache.
+#[derive(Clone, Copy, Debug)]
+enum Opens {
+    /// No cache.
+    Plain,
+    /// Every rank creates and closes its own SSD cache file
+    /// (`e10_cache`).
+    Cache,
+    /// The same, plus the cache file's manifest journal
+    /// (`e10_cache_journal`).
+    Journal,
+    /// The hybrid class: the SSD cache file and a byte-granular front
+    /// file on the node's NVM (`e10_cache_class = hybrid`).
+    Front,
+}
+
+impl Opens {
+    const ALL: [Opens; 4] = [Opens::Plain, Opens::Cache, Opens::Journal, Opens::Front];
+
+    fn info(self) -> e10_mpisim::Info {
+        let info = e10_mpisim::Info::from_pairs([("romio_cb_write", "enable")]);
+        let cache: &[(&str, &str)] = match self {
+            Opens::Plain => &[],
+            Opens::Cache => &[("e10_cache", "enable")],
+            Opens::Journal => &[("e10_cache", "enable"), ("e10_cache_journal", "enable")],
+            Opens::Front => &[("e10_cache", "enable"), ("e10_cache_class", "hybrid")],
+        };
+        for (k, v) in cache {
+            info.set(k, v);
+        }
+        info
+    }
+}
+
 /// Allocator calls of `procs` ranks on `nodes` nodes opening a file and
 /// closing it again, under the analytic collectives of the paper-scale
 /// runs: a run with two opens and closes less the same run with one,
 /// so that what the first pays for the testbed's first use (fabric
-/// queues, communicator pools) is not counted. With `cache` every rank
-/// also opens and closes its node-local cache file (`e10_cache`).
-fn open_close_cost(procs: usize, nodes: usize, cache: bool) -> u64 {
-    use e10_mpisim::Info;
-    let run = |opens: usize| {
+/// queues, communicator pools) is not counted.
+fn open_close_cost(procs: usize, nodes: usize, opens: Opens) -> u64 {
+    let run = |times: usize| {
         let run = || {
             e10_simcore::run(async move {
                 let mut spec = e10_romio::TestbedSpec::small(procs, nodes);
@@ -758,14 +791,12 @@ fn open_close_cost(procs: usize, nodes: usize, cache: bool) -> u64 {
                 let tb = spec.build();
                 let ranks = tb.ctxs().into_iter().map(|ctx| {
                     e10_simcore::spawn(async move {
-                        for _ in 0..opens {
-                            let info = Info::from_pairs([("romio_cb_write", "enable")]);
-                            if cache {
-                                info.set("e10_cache", "enable");
-                            }
+                        for _ in 0..times {
+                            let info = opens.info();
                             let f = e10_romio::AdioFile::open(&ctx, "/gfs/oc", &info, true)
                                 .await
                                 .unwrap();
+                            assert_eq!(f.cache_active(), !matches!(opens, Opens::Plain));
                             f.close().await;
                         }
                     })
@@ -785,12 +816,15 @@ fn open_close_cost(procs: usize, nodes: usize, cache: bool) -> u64 {
 /// added from 8 to 16 (on 2 nodes) the same as the one before it.
 #[test]
 fn an_open_and_close_cost_the_same_per_rank_whatever_the_node_count() {
-    let (on2, on8) = (open_close_cost(16, 2, false), open_close_cost(16, 8, false));
+    let (on2, on8) = (
+        open_close_cost(16, 2, Opens::Plain),
+        open_close_cost(16, 8, Opens::Plain),
+    );
     println!("open+close, 16 ranks: {on2} allocator calls on 2 nodes, {on8} on 8");
     assert_eq!(on2, on8, "the node count must not price an open");
     let by_ranks: Vec<u64> = (8..=16)
         .step_by(4)
-        .map(|p| open_close_cost(p, 2, false))
+        .map(|p| open_close_cost(p, 2, Opens::Plain))
         .collect();
     println!("open+close on 2 nodes, 8/12/16 ranks: {by_ranks:?}");
     assert_eq!(
@@ -800,15 +834,46 @@ fn an_open_and_close_cost_the_same_per_rank_whatever_the_node_count() {
     );
 }
 
+/// What one rank adds to a collective open and close on 2 nodes: the
+/// 15th and the 16th rank cost the same as the 14th, with and without
+/// the cache, its journal and its NVM front. Returns that per-rank
+/// cost.
+fn per_rank_open_close_cost(opens: Opens) -> u64 {
+    let [c14, c15, c16] = [14, 15, 16].map(|p| open_close_cost(p, 2, opens));
+    assert_eq!(
+        c15 - c14,
+        c16 - c15,
+        "{opens:?}: a rank added must cost what the one before it did: {:?}",
+        [c14, c15, c16]
+    );
+    c16 - c15
+}
+
 /// What one collective open and close of 16 ranks on 2 nodes costs
 /// under the analytic collectives, without the E10 cache and with it
 /// (every rank then creates and closes its own cache file, paper
-/// §III-A): pinned exactly, so a copy added to the open path shows.
+/// §III-A; with the journal a second file, with the hybrid class a
+/// front file on NVM), and what each of those ranks adds: pinned
+/// exactly, so a copy added to the open path shows. Of a rank's cost,
+/// 4 calls are the test's own `Info`.
 #[test]
 fn a_collective_open_and_close_costs_what_is_pinned() {
-    let (off, on) = (open_close_cost(16, 2, false), open_close_cost(16, 2, true));
-    println!("open+close, 16 ranks on 2 nodes: {off} allocator calls, {on} with the cache");
-    assert_eq!((off, on), (101, 229), "(cache off, cache on)");
+    let total = Opens::ALL.map(|o| open_close_cost(16, 2, o));
+    let per_rank = Opens::ALL.map(per_rank_open_close_cost);
+    println!(
+        "open+close, 16 ranks on 2 nodes (plain, cache, journal, front): \
+         {total:?} allocator calls, {per_rank:?} per rank"
+    );
+    assert_eq!(
+        total,
+        [101, 229, 309, 309],
+        "(plain, cache, journal, front)"
+    );
+    assert_eq!(
+        per_rank,
+        [6, 13, 18, 17],
+        "per rank: (plain, cache, journal, front)"
+    );
 }
 
 /// `AdioFile::open` resolves its hints once per rank — 512 times per
