@@ -78,6 +78,16 @@ impl std::fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
+/// `args` as the one `Rc<str>` allocation [`LocalFs::create`] shares
+/// (a path past 255 bytes also pays for a `String`).
+pub fn path_of(args: std::fmt::Arguments<'_>) -> Rc<str> {
+    let mut buf = std::io::Cursor::new([0u8; 255]);
+    match std::io::Write::write_fmt(&mut buf, args) {
+        Ok(()) => Rc::from(std::str::from_utf8(&buf.get_ref()[..buf.position() as usize]).unwrap()),
+        Err(_) => Rc::from(args.to_string()),
+    }
+}
+
 /// Mount-time parameters.
 #[derive(Debug, Clone)]
 pub struct LocalFsParams {
@@ -300,8 +310,9 @@ impl LocalFs {
         }
     }
 
-    /// Create (or truncate-open) a file.
-    pub async fn create(&self, path: &str) -> Result<LocalFile, FsError> {
+    /// Create (or truncate-open) a file; an `Rc<str>` path is shared.
+    pub async fn create(&self, path: impl Into<Rc<str>>) -> Result<LocalFile, FsError> {
+        let path: Rc<str> = path.into();
         e10_simcore::sleep(self.params.meta_op).await;
         let state = Rc::new(RefCell::new(FileState {
             data: ExtentMap::new(),
@@ -309,7 +320,6 @@ impl LocalFs {
             unlinked: false,
             append_log: Vec::new(),
         }));
-        let path: Rc<str> = Rc::from(path);
         let mut vol = self.vol.borrow_mut();
         if let Some(old) = vol.files.insert(Rc::clone(&path), Rc::clone(&state)) {
             // Truncation releases the old allocation.

@@ -78,7 +78,7 @@ proptest! {
                         let h = match files.entry(path.clone()) {
                             std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
                             std::collections::hash_map::Entry::Vacant(v) => {
-                                v.insert(fs.create(&path).await.unwrap()).clone()
+                                v.insert(fs.create(path.as_str()).await.unwrap()).clone()
                             }
                         };
                         match h.write(off, Payload::gen(1, off, len)).await {

@@ -524,8 +524,8 @@ pub struct PfsHandle {
 }
 
 impl PfsHandle {
-    /// File path.
-    pub fn path(&self) -> &str {
+    /// File path, shared with the file table and every handle.
+    pub fn path(&self) -> &Rc<str> {
         &self.path
     }
 

@@ -3,9 +3,11 @@
 //! `ADIOI_GEN_WriteContig`.
 
 use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::rc::Rc;
 
 use e10_mpisim::{Comm, Info};
+use e10_pfs::lock::{LockMode, RangeLockGuard};
 use e10_pfs::{PfsHandle, Striping};
 use e10_storesim::Payload;
 
@@ -51,10 +53,7 @@ pub struct AdioFile {
     pub comm: Comm,
     ctx: IoCtx,
     global: PfsHandle,
-    cache: Option<CacheLayer>,
-    profiler: Profiler,
     my_agg_index: Option<usize>,
-    deferred_open: bool,
     /// What every handle of this rank's open file shares.
     state: Rc<FileState>,
     /// A view's own placement ([`AdioFile::with_comm`]); `None` on the
@@ -73,10 +72,15 @@ struct Placement {
 }
 
 /// One rank's open file, in one allocation: the resolved hints, the
-/// flags every clone and view must agree on, and the placement on the
-/// communicator it was opened on.
+/// profiler every handle charges, the cache layer (whose sync sender
+/// goes with the last handle), the flags every clone and view must
+/// agree on, and the placement on the communicator it was opened on.
 struct FileState {
     hints: RomioHints,
+    profiler: Profiler,
+    cache: Option<CacheLayer>,
+    /// With `romio_no_indep_rw`, a non-aggregator only attached.
+    deferred_open: bool,
     atomic: Cell<bool>,
     closed: Cell<bool>,
     io_error: RefCell<Option<Error>>,
@@ -172,8 +176,8 @@ impl AdioFile {
         };
 
         let cache = if hints.cache_requested() {
-            let basename = path.rsplit('/').next().unwrap_or(path);
-            let cfg = CacheConfig::from_hints(&hints, basename, comm.rank(), comm.node());
+            let file = Rc::clone(global.path());
+            let cfg = CacheConfig::from_hints(&hints, file, comm.rank(), comm.node());
             // "If for any reason the open of the cache file fails, the
             // implementation reverts to standard open."
             let (store, front) = ctx.cache_mounts(hints.e10_cache_class);
@@ -189,12 +193,12 @@ impl AdioFile {
             comm,
             ctx: ctx.clone(),
             global,
-            cache,
-            profiler,
             my_agg_index,
-            deferred_open: deferred,
             state: Rc::new(FileState {
                 hints,
+                profiler,
+                cache,
+                deferred_open: deferred,
                 atomic: Cell::new(false),
                 closed: Cell::new(false),
                 io_error: RefCell::new(None),
@@ -231,7 +235,7 @@ impl AdioFile {
 
     /// This file's profiler.
     pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+        &self.state.profiler
     }
 
     /// The aggregator ranks for collective I/O on this file.
@@ -260,12 +264,12 @@ impl AdioFile {
     /// True if the E10 cache is active (requested, opened and not
     /// degraded).
     pub fn cache_active(&self) -> bool {
-        self.cache.as_ref().is_some_and(|c| !c.is_degraded())
+        self.cache().is_some_and(|c| !c.is_degraded())
     }
 
     /// The cache layer, if any.
     pub fn cache(&self) -> Option<&CacheLayer> {
-        self.cache.as_ref()
+        self.state.cache.as_ref()
     }
 
     /// The global file handle (verification / inspection).
@@ -335,27 +339,17 @@ impl AdioFile {
     /// extent, through the cache when enabled (falling back to the
     /// global file if the cache has degraded).
     pub async fn write_contig(&self, offset: u64, payload: Payload) -> Result<(), Error> {
-        let _t = self.profiler.enter(Phase::Write);
-        if let Some(c) = &self.cache {
-            match c.write(offset, payload.clone()).await {
-                Ok(true) => return Ok(()),
-                Ok(false) => {} // degraded → global path below
-                Err(_) => {}    // unexpected local error → global path
+        let _t = self.profiler().enter(Phase::Write);
+        if let Some(c) = self.cache() {
+            // Not taken (degraded, or a local error): the global path below.
+            if let Ok(true) = c.write(offset, payload.clone()).await {
+                return Ok(());
             }
         }
-        let _guard = if self.state.atomic.get() && payload.len > 0 {
-            Some(
-                self.global
-                    .lock_extent(
-                        self.comm.node(),
-                        offset..offset + payload.len,
-                        e10_pfs::lock::LockMode::Exclusive,
-                    )
-                    .await,
-            )
-        } else {
-            None
-        };
+        let atomic = self.state.atomic.get();
+        let _guard = self
+            .lock_if(atomic, offset..offset + payload.len, LockMode::Exclusive)
+            .await;
         self.global
             .write(self.comm.node(), offset, payload)
             .await
@@ -371,7 +365,7 @@ impl AdioFile {
         span_len: u64,
         pieces: Vec<(u64, Payload)>,
     ) -> Result<(), Error> {
-        let _t = self.profiler.enter(Phase::Write);
+        let _t = self.profiler().enter(Phase::Write);
         self.global
             .write_span_pieces(self.comm.node(), span_start, span_len, pieces)
             .await
@@ -386,31 +380,31 @@ impl AdioFile {
         &self,
         offset: u64,
         len: u64,
-    ) -> Result<Vec<(std::ops::Range<u64>, Option<e10_storesim::Source>)>, Error> {
-        let _guard = if self.state.hints.e10_cache == CacheMode::Coherent && len > 0 {
-            Some(
-                self.global
-                    .lock_extent(
-                        self.comm.node(),
-                        offset..offset + len,
-                        e10_pfs::lock::LockMode::Shared,
-                    )
-                    .await,
-            )
-        } else {
-            None
-        };
+    ) -> Result<Vec<(Range<u64>, Option<e10_storesim::Source>)>, Error> {
+        let coherent = self.state.hints.e10_cache == CacheMode::Coherent;
+        let _guard = self
+            .lock_if(coherent, offset..offset + len, LockMode::Shared)
+            .await;
         self.global
             .read(self.comm.node(), offset, len)
             .await
             .map_err(Error::from)
     }
 
+    /// A `mode` lock on the global file's `range`, taken only when `on`
+    /// and the range is not empty.
+    async fn lock_if(&self, on: bool, range: Range<u64>, mode: LockMode) -> Option<RangeLockGuard> {
+        if !on || range.is_empty() {
+            return None;
+        }
+        Some(self.global.lock_extent(self.comm.node(), range, mode).await)
+    }
+
     /// `MPI_File_sync`: after it returns, all data this process wrote
     /// is visible in the global file.
     pub async fn file_sync(&self) {
-        let _t = self.profiler.enter(Phase::FlushWait);
-        if let Some(c) = &self.cache {
+        let _t = self.profiler().enter(Phase::FlushWait);
+        if let Some(c) = self.cache() {
             if let Err(e) = c.flush().await {
                 // Unrepairable integrity failure or flush-after-close:
                 // surface to the application through the file's error
@@ -428,15 +422,15 @@ impl AdioFile {
             return;
         }
         {
-            let _t = self.profiler.enter(Phase::FlushWait);
-            if let Some(c) = &self.cache {
+            let _t = self.profiler().enter(Phase::FlushWait);
+            if let Some(c) = self.cache() {
                 if let Err(e) = c.close().await {
                     self.record_io_error(e);
                 }
             }
         }
-        let _t = self.profiler.enter(Phase::Close);
-        if self.deferred_open {
+        let _t = self.profiler().enter(Phase::Close);
+        if self.state.deferred_open {
             self.global.detach();
         } else {
             self.global.close(self.comm.node()).await;
@@ -460,10 +454,7 @@ impl AdioFile {
             comm: sub,
             ctx: self.ctx.clone(),
             global: self.global.clone(),
-            cache: self.cache.clone(),
-            profiler: self.profiler.clone(),
             my_agg_index,
-            deferred_open: self.deferred_open,
             state: Rc::clone(&self.state),
             view: Some(Rc::new(Placement::new(aggregators))),
         }
@@ -475,7 +466,7 @@ mod tests {
     use super::*;
     use crate::testbed::TestbedSpec;
     use e10_mpisim::{FileView, FlatType};
-    use e10_simcore::run;
+    use e10_simcore::{run, SimDuration};
     use proptest::prelude::*;
 
     fn info_with(pairs: &[(&str, &str)]) -> Info {
@@ -856,6 +847,37 @@ mod tests {
                 f.close().await;
             })
             .await;
+        });
+    }
+
+    /// Every handle on one open — the file, a clone of it and a view on
+    /// a sub-communicator — charges that open's one profiler; a clone
+    /// of the profiler is a snapshot that later charges do not reach.
+    #[test]
+    fn every_handle_on_an_open_charges_its_one_profiler() {
+        run(async {
+            let tb = TestbedSpec::small(1, 1).build();
+            let ctx = tb.ctx(0);
+            let f = AdioFile::open(&ctx, "/gfs/prof", &Info::new(), true)
+                .await
+                .unwrap();
+            let view = f.with_comm(ctx.comm.clone(), Rc::clone(&f.placement().aggregators));
+            let clone = f.clone();
+            let snapshot = f.profiler().clone();
+            let secs = SimDuration::from_secs;
+            f.profiler().add(Phase::Write, secs(1));
+            clone.profiler().add(Phase::Write, secs(2));
+            view.profiler().add(Phase::Write, secs(4));
+            for handle in [&f, &clone, &view] {
+                assert!(std::ptr::eq(handle.profiler(), f.profiler()));
+                assert_eq!(handle.profiler().get(Phase::Write), secs(7));
+            }
+            assert_eq!(snapshot.get(Phase::Write), SimDuration::ZERO);
+            assert_eq!(
+                snapshot.get(Phase::OpenColl),
+                f.profiler().get(Phase::OpenColl)
+            );
+            f.close().await;
         });
     }
 

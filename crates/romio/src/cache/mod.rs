@@ -86,8 +86,9 @@ pub enum Health {
 pub struct CacheConfig {
     /// Directory on the node-local file system (`e10_cache_path`).
     pub cache_path: Cow<'static, str>,
-    /// Base name of the global file (cache file name component).
-    pub file_basename: String,
+    /// The global file's path (an open shares its handle's), or just
+    /// its base name, which names the cache files.
+    pub file: Rc<str>,
     /// Owning rank (cache file name component).
     pub rank: usize,
     /// Compute node hosting the cache.
@@ -134,22 +135,17 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// A config with the hint defaults for `rank` on `node`.
-    pub fn new(cache_path: &str, file_basename: &str, rank: usize, node: NodeId) -> CacheConfig {
-        let mut cfg = Self::from_hints(&RomioHints::default(), file_basename, rank, node);
+    pub fn new(cache_path: &str, file: &str, rank: usize, node: NodeId) -> CacheConfig {
+        let mut cfg = Self::from_hints(&RomioHints::default(), file.into(), rank, node);
         cfg.cache_path = Cow::Owned(cache_path.to_string());
         cfg
     }
 
     /// The config a resolved hint set asks for.
-    pub fn from_hints(
-        hints: &RomioHints,
-        file_basename: &str,
-        rank: usize,
-        node: NodeId,
-    ) -> CacheConfig {
+    pub fn from_hints(hints: &RomioHints, file: Rc<str>, rank: usize, node: NodeId) -> CacheConfig {
         CacheConfig {
             cache_path: hints.e10_cache_path.clone(),
-            file_basename: file_basename.to_string(),
+            file,
             rank,
             node,
             ind_wr: hints.ind_wr_buffer_size,
@@ -169,34 +165,35 @@ impl CacheConfig {
         }
     }
 
+    /// The last component of the global file's path.
+    pub fn file_basename(&self) -> &str {
+        self.file.rsplit('/').next().unwrap_or_default()
+    }
+
     /// Path of this rank's cache file.
-    pub fn cache_file_path(&self) -> String {
+    pub fn cache_file_path(&self) -> Rc<str> {
         self.rank_file_path(".e10")
     }
 
     /// Path of this rank's manifest journal.
-    pub fn journal_file_path(&self) -> String {
+    pub fn journal_file_path(&self) -> Rc<str> {
         match &self.journal_path {
-            Some(path) => path.clone(),
+            Some(path) => path.as_str().into(),
             None => self.rank_file_path(".e10.jnl"),
         }
     }
 
     /// Path of this rank's hybrid front file (on the front store's own
     /// namespace).
-    pub fn front_file_path(&self) -> String {
+    pub fn front_file_path(&self) -> Rc<str> {
         self.rank_file_path(".front.e10")
     }
 
-    /// `<cache_path>/<file_basename>.<rank><suffix>`, in one allocation
-    /// of exactly its length (`format!` would grow it from a guess).
-    fn rank_file_path(&self, suffix: &str) -> String {
-        use std::fmt::Write;
-        let (dir, base, rank) = (&self.cache_path, &self.file_basename, self.rank);
-        let digits = rank.checked_ilog10().map_or(1, |d| d as usize + 1);
-        let mut path = String::with_capacity(dir.len() + base.len() + digits + suffix.len() + 2);
-        write!(path, "{dir}/{base}.{rank}{suffix}").expect("a String takes any write");
-        path
+    /// `<cache_path>/<file_basename>.<rank><suffix>`, in the one
+    /// allocation the volume's file table and the open file share.
+    fn rank_file_path(&self, suffix: &str) -> Rc<str> {
+        let (dir, base, rank) = (&self.cache_path, self.file_basename(), self.rank);
+        e10_localfs::path_of(format_args!("{dir}/{base}.{rank}{suffix}"))
     }
 }
 
@@ -213,8 +210,9 @@ enum SyncThread {
     Stopped,
 }
 
-/// The foreground's own state.
-struct CacheInner {
+/// One open file's cache: the foreground's own state, and the volume
+/// it shares with the sync thread.
+pub struct CacheLayer {
     vol: Rc<Volume>,
     /// The sync thread. Held here — not in the [`Volume`] the thread
     /// shares — so that a dropped layer (a crash) closes the channel
@@ -227,12 +225,6 @@ struct CacheInner {
     /// Sync errors already reported by an earlier `flush`, so each
     /// failure surfaces exactly once.
     sync_errors_reported: Cell<u64>,
-}
-
-/// One open file's cache state.
-#[derive(Clone)]
-pub struct CacheLayer {
-    inner: Rc<CacheInner>,
 }
 
 impl CacheLayer {
@@ -263,9 +255,9 @@ impl CacheLayer {
         global: PfsHandle,
         cfg: CacheConfig,
     ) -> Result<CacheLayer, FsError> {
-        let file = localfs.create(&cfg.cache_file_path()).await?;
+        let file = localfs.create(cfg.cache_file_path()).await?;
         let journal = if cfg.journal {
-            Some(localfs.create(&cfg.journal_file_path()).await?)
+            Some(localfs.create(cfg.journal_file_path()).await?)
         } else {
             None
         };
@@ -288,7 +280,7 @@ impl CacheLayer {
         global.set_fence_exempt(true);
         let tenant = (cfg.hiwater > 0).then(|| {
             let arbiter = CacheArbiter::of(&tiers.block_fs);
-            let job = job_family(&cfg.file_basename);
+            let job = job_family(cfg.file_basename());
             let t = arbiter.register(job, cfg.hiwater, cfg.lowater, cfg.ind_wr, cfg.node);
             (arbiter, t)
         });
@@ -314,84 +306,82 @@ impl CacheLayer {
             deferred: RefCell::new(Vec::new()),
         });
         CacheLayer {
-            inner: Rc::new(CacheInner {
-                vol,
-                sync: RefCell::new(SyncThread::Idle(e10_simcore::now())),
-                sync_slots,
-                bytes_cached: Cell::new(0),
-                sync_errors_reported: Cell::new(0),
-            }),
+            vol,
+            sync: RefCell::new(SyncThread::Idle(e10_simcore::now())),
+            sync_slots,
+            bytes_cached: Cell::new(0),
+            sync_errors_reported: Cell::new(0),
         }
     }
 
     /// A hold on the volume that does not keep it alive.
     #[cfg(test)]
     pub(crate) fn volume(&self) -> std::rc::Weak<Volume> {
-        Rc::downgrade(&self.inner.vol)
+        Rc::downgrade(&self.vol)
     }
 
     /// True once the cache has failed and writes go to the global file.
     pub fn is_degraded(&self) -> bool {
-        self.inner.vol.degraded.get()
+        self.vol.degraded.get()
     }
 
     /// Where the volume stands in the device-failure state machine.
     pub fn health(&self) -> Health {
-        self.inner.vol.health.get()
+        self.vol.health.get()
     }
 
     /// Bytes accepted into the cache so far.
     pub fn bytes_cached(&self) -> u64 {
-        self.inner.bytes_cached.get()
+        self.bytes_cached.get()
     }
 
     /// Bytes fully synchronised to the global file so far.
     pub fn bytes_synced(&self) -> u64 {
-        self.inner.vol.bytes_synced.get()
+        self.vol.bytes_synced.get()
     }
 
     /// Global-file write failures hit by the sync thread (the affected
     /// chunks stay staged in the cache file).
     pub fn sync_errors(&self) -> u64 {
-        self.inner.vol.sync_errors.get()
+        self.vol.sync_errors.get()
     }
 
     /// Bytes this cache's tenant holds staged on the node, as the
     /// arbiter charges them; 0 for an unmanaged cache.
     pub fn tenant_staged(&self) -> u64 {
-        let tenant = self.inner.vol.tenant.as_ref();
+        let tenant = self.vol.tenant.as_ref();
         tenant.map_or(0, |(arbiter, t)| arbiter.staged(*t))
     }
 
     /// Sync requests posted but not yet completed.
     pub fn outstanding(&self) -> usize {
-        self.inner.vol.pending_syncs.get() as usize
+        self.vol.pending_syncs.get() as usize
     }
 
     /// Path of the cache file on `/scratch`.
     pub fn cache_file_path(&self) -> &str {
-        self.inner.vol.tiers.block.path()
+        self.vol.tiers.block.path()
     }
 
     /// Path of the manifest journal; empty when none is kept.
     pub fn journal_file_path(&self) -> &str {
-        self.inner.vol.journal.as_ref().map_or("", |j| j.path())
+        self.vol.journal.as_ref().map_or("", |j| j.path())
     }
 
     /// True if a manifest journal is being kept.
     pub fn journal_active(&self) -> bool {
-        self.inner.vol.journal.is_some()
+        self.vol.journal.is_some()
     }
 
     /// True if a byte-granular front tier is active (pure `nvm` on a
     /// byte-granular device, or `hybrid` with a distinct front store).
     pub fn front_active(&self) -> bool {
-        self.inner.vol.tiers.front_active()
+        self.vol.tiers.front_active()
     }
 
     /// Bytes currently owned by the byte-granular front tier.
     pub fn front_bytes(&self) -> u64 {
-        self.inner.vol.tiers.front_bytes()
+        self.vol.tiers.front_bytes()
     }
 
     /// True if `[offset, offset+len)` is fully present in this
@@ -400,7 +390,7 @@ impl CacheLayer {
     pub fn covers(&self, offset: u64, len: u64) -> bool {
         // A draining/retired tier serves nothing: readers must go to
         // the global file, which the drain is making complete.
-        self.inner.vol.health.get() == Health::Healthy && self.inner.vol.tiers.covers(offset, len)
+        self.vol.health.get() == Health::Healthy && self.vol.tiers.covers(offset, len)
     }
 
     /// Read from the cache (charges local device/page-cache time) with
@@ -416,7 +406,7 @@ impl CacheLayer {
     /// already verified) the bytes are served as stored. The pieces go
     /// to `out`, which is cleared first.
     pub async fn read_verified(&self, offset: u64, len: u64, out: &mut Pieces) {
-        let vol = &self.inner.vol;
+        let vol = &self.vol;
         vol.tiers.read_into(offset, len, out).await;
         if vol
             .integrity
@@ -434,16 +424,16 @@ impl CacheLayer {
     /// close) — the extent is still staged in the cache file, so
     /// callers can degrade to the global file instead of panicking.
     fn enqueue_sync(&self, msg: SyncMsg) -> Result<(), Error> {
-        let mut sync = self.inner.sync.borrow_mut();
+        let mut sync = self.sync.borrow_mut();
         if let SyncThread::Idle(opened) = *sync {
             let (tx, rx) = channel::<SyncMsg>();
-            let vol = Rc::clone(&self.inner.vol);
+            let vol = Rc::clone(&self.vol);
             *sync = SyncThread::Running(tx, e10_simcore::spawn(vol.sync_loop(rx, opened)));
         }
         let SyncThread::Running(tx, _) = &*sync else {
             return Err(Error::SyncStopped);
         };
-        let pending = &self.inner.vol.pending_syncs;
+        let pending = &self.vol.pending_syncs;
         pending.set(pending.get() + 1);
         tx.send(msg).ok();
         Ok(())
@@ -455,7 +445,7 @@ impl CacheLayer {
     /// across this wait — a throttled writer blocking the drain path
     /// would deadlock the queue it is waiting on.
     async fn reserve_sync_slot(&self) -> Option<SemaphoreGuard> {
-        match &self.inner.sync_slots {
+        match &self.sync_slots {
             Some(sem) => Some(sem.acquire().await),
             None => None,
         }
@@ -487,14 +477,14 @@ impl CacheLayer {
     /// is the caller's error.
     async fn write_failed(&self, e: FsError) -> Result<bool, FsError> {
         if matches!(e, FsError::DeviceFailed { .. }) {
-            self.inner.vol.retire("device_fail").await;
+            self.vol.retire("device_fail").await;
             return Ok(false);
         }
         Err(e)
     }
 
     async fn write_inner(&self, offset: u64, payload: Payload) -> Result<bool, FsError> {
-        let vol = &self.inner.vol;
+        let vol = &self.vol;
         let cfg = &vol.cfg;
         if vol.degraded.get() {
             return Ok(false);
@@ -586,7 +576,7 @@ impl CacheLayer {
                 return self.write_failed(e).await;
             }
         }
-        let cached = &self.inner.bytes_cached;
+        let cached = &self.bytes_cached;
         cached.set(cached.get() + len);
         trace::emit(|| {
             Event::new(Layer::Romio, "cache.extent_write", EventKind::Point)
@@ -639,19 +629,19 @@ impl CacheLayer {
     /// Take the pending unrepairable-integrity error, if any (also
     /// returned by the next [`CacheLayer::flush`]).
     pub fn take_integrity_error(&self) -> Option<Error> {
-        self.inner.vol.integrity.error.borrow_mut().take()
+        self.vol.integrity.error.borrow_mut().take()
     }
 
     /// Extents that failed digest verification anywhere in the
     /// pipeline (flush, scrub or cached read).
     pub fn integrity_mismatches(&self) -> u64 {
-        self.inner.vol.integrity.mismatches.get()
+        self.vol.integrity.mismatches.get()
     }
 
     /// Mismatched extents successfully rewritten from the in-memory
     /// copy.
     pub fn integrity_repairs(&self) -> u64 {
-        self.inner.vol.integrity.repairs.get()
+        self.vol.integrity.repairs.get()
     }
 
     /// `ADIOI_GEN_Flush`: push the deferred extents — `flush_onclose`
@@ -664,11 +654,11 @@ impl CacheLayer {
     /// with [`Error::SyncFailed`] if any staged extent could not be
     /// pushed to the global file.
     pub async fn flush(&self) -> Result<(), Error> {
-        let vol = &self.inner.vol;
+        let vol = &self.vol;
         if vol.cfg.flush_flag != FlushFlag::FlushNone {
             // With the sync thread gone nothing can be queued: the
             // extents stay on the list, where `close` will find them.
-            let stopped = matches!(*self.inner.sync.borrow(), SyncThread::Stopped);
+            let stopped = matches!(*self.sync.borrow(), SyncThread::Stopped);
             if stopped && !vol.deferred.borrow().is_empty() {
                 return Err(Error::SyncStopped);
             }
@@ -699,9 +689,9 @@ impl CacheLayer {
         // extent staged (and deferred again) but the global file
         // incomplete: that must not pass as a durable flush.
         let errs = vol.sync_errors.get();
-        let new = errs - self.inner.sync_errors_reported.get();
+        let new = errs - self.sync_errors_reported.get();
         if new > 0 {
-            self.inner.sync_errors_reported.set(errs);
+            self.sync_errors_reported.set(errs);
             return Err(Error::SyncFailed { failures: new });
         }
         Ok(())
@@ -716,12 +706,12 @@ impl CacheLayer {
         let flushed = self.flush().await;
         // Dropping the sender lets the sync task drain and exit; an
         // idle volume has no task to wait for.
-        let sync = self.inner.sync.replace(SyncThread::Stopped);
+        let sync = self.sync.replace(SyncThread::Stopped);
         if let SyncThread::Running(tx, task) = sync {
             drop(tx);
             task.await;
         }
-        let vol = &self.inner.vol;
+        let vol = &self.vol;
         if vol.cfg.discard && vol.deferred.borrow().is_empty() {
             let file = &vol.tiers.block;
             // Candidates must go before the unlink: punching an extent

@@ -118,7 +118,7 @@ impl CacheLayer {
         let file = match localfs.open(&cache_file_path).await {
             // Journal without cache file: nothing unsynced can be
             // staged (Adds follow data), start from an empty cache.
-            Err(FsError::NotFound(_)) => localfs.create(&cache_file_path).await,
+            Err(FsError::NotFound(_)) => localfs.create(cache_file_path).await,
             found => found,
         }
         .map_err(RecoverError::Local)?;
@@ -188,9 +188,8 @@ impl CacheLayer {
             retired: rep.retired(),
         };
         let layer = Self::assemble(global, cfg, tiers, Some(journal_file));
-        let vol = &layer.inner.vol;
+        let vol = &layer.vol;
         layer
-            .inner
             .bytes_cached
             .set(vol.tiers.block.extents().covered_bytes() + vol.tiers.front_bytes());
         if let Some(&(offset, len)) = corrupt.first() {

@@ -117,9 +117,9 @@ impl Tiers {
         } else if let Some(fs) = front_fs {
             let path = cfg.front_file_path();
             let file = match mode {
-                Attach::Create => fs.create(&path).await?,
+                Attach::Create => fs.create(path).await?,
                 Attach::Reopen => match fs.open(&path).await {
-                    Err(FsError::NotFound(_)) => fs.create(&path).await?,
+                    Err(FsError::NotFound(_)) => fs.create(path).await?,
                     found => found?,
                 },
             };
@@ -481,7 +481,7 @@ mod tests {
                 let mut cfg = CacheConfig::new("/scratch", "model", 0, 0);
                 cfg.nvm_threshold = THRESHOLD;
                 cfg.nvm_capacity = 64 * KIB;
-                let block = tb.localfs[0].create(&cfg.cache_file_path()).await.unwrap();
+                let block = tb.localfs[0].create(cfg.cache_file_path()).await.unwrap();
                 let tiers = Tiers::attach(
                     block,
                     tb.localfs[0].clone(),

@@ -833,7 +833,7 @@ where
     S: FnMut(u64, &mut [Vec<D::Piece>], &mut Touched),
 {
     let comm = fd.comm.clone();
-    let prof = fd.profiler().clone();
+    let prof = fd.profiler();
     let (me, my_node) = (comm.rank(), comm.node());
     // Borrow the aggregator set for the whole collective.
     let aggregators: &[usize] = fd.aggregators();

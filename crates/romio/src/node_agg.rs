@@ -257,7 +257,7 @@ pub(crate) async fn stage_into_cache(fd: &AdioFile, merged: &mut MergedNode) {
     let path = &mut merged.stage_path;
     path.clear();
     let _ = write!(path, "/scratch/e10_nodeagg_stage.{}", fd.comm.rank());
-    let Ok(f) = fd.ctx().my_localfs().create(path).await else {
+    let Ok(f) = fd.ctx().my_localfs().create(path.as_str()).await else {
         return;
     };
     let mut cursor = 0u64;

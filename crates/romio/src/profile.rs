@@ -6,9 +6,8 @@
 //! those stages; [`Profiler`] accumulates per-rank wall time per stage;
 //! [`Breakdown`] merges ranks for the Fig. 5/6/8/10 stacked bars.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use e10_simcore::trace::{self, Event, EventKind, Layer};
 use e10_simcore::{now, SimDuration, SimTime};
@@ -86,15 +85,16 @@ impl Phase {
 }
 
 /// Per-rank accumulated time per phase, indexed by `phase as usize`.
-/// Handle semantics (clones share).
+/// A value: every handle on an open file charges the one its state
+/// holds, through a borrow; a clone is a snapshot.
 #[derive(Clone, Default)]
 pub struct Profiler {
-    acc: Rc<RefCell<[SimDuration; Phase::ALL.len()]>>,
+    acc: [Cell<SimDuration>; Phase::ALL.len()],
 }
 
 /// RAII timer: charges the elapsed virtual time to a phase on drop.
-pub struct PhaseTimer {
-    profiler: Profiler,
+pub struct PhaseTimer<'a> {
+    profiler: &'a Profiler,
     phase: Phase,
     start: SimTime,
 }
@@ -108,10 +108,10 @@ impl Profiler {
     /// Start timing `phase`; the returned guard charges on drop. The
     /// phase also becomes a `Begin`/`End` span on the ambient trace
     /// sink, so MPE-style breakdowns and traces share one taxonomy.
-    pub fn enter(&self, phase: Phase) -> PhaseTimer {
+    pub fn enter(&self, phase: Phase) -> PhaseTimer<'_> {
         trace::emit(|| Event::new(Layer::Romio, phase.label(), EventKind::Begin));
         PhaseTimer {
-            profiler: self.clone(),
+            profiler: self,
             phase,
             start: now(),
         }
@@ -119,28 +119,28 @@ impl Profiler {
 
     /// Charge an explicit duration to a phase.
     pub fn add(&self, phase: Phase, d: SimDuration) {
-        self.acc.borrow_mut()[phase as usize] += d;
+        let acc = &self.acc[phase as usize];
+        acc.set(acc.get() + d);
     }
 
     /// Accumulated time in a phase.
     pub fn get(&self, phase: Phase) -> SimDuration {
-        self.acc.borrow()[phase as usize]
+        self.acc[phase as usize].get()
     }
 
     /// Total across all phases.
     pub fn total(&self) -> SimDuration {
-        let acc = self.acc.borrow();
-        acc.iter().fold(SimDuration::ZERO, |a, &b| a + b)
+        self.acc.iter().fold(SimDuration::ZERO, |a, b| a + b.get())
     }
 
     /// Reset all counters.
     pub fn reset(&self) {
-        self.acc.borrow_mut().fill(SimDuration::ZERO);
+        self.acc.iter().for_each(|a| a.set(SimDuration::ZERO));
     }
 
     /// Remove and return a phase's accumulated time.
     pub fn take(&self, phase: Phase) -> SimDuration {
-        std::mem::take(&mut self.acc.borrow_mut()[phase as usize])
+        self.acc[phase as usize].take()
     }
 
     /// Add all of `other`'s counters into this profiler.
@@ -151,7 +151,7 @@ impl Profiler {
     }
 }
 
-impl Drop for PhaseTimer {
+impl Drop for PhaseTimer<'_> {
     fn drop(&mut self) {
         // Tolerate being dropped outside the simulation (e.g. during
         // unwinding after a test failure) without a double panic.

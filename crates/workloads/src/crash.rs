@@ -340,8 +340,8 @@ pub async fn execute(
                 let Ok(global) = tb.pfs.attach(path) else {
                     continue;
                 };
-                let basename = path.rsplit('/').next().unwrap_or(path);
-                let ccfg = CacheConfig::from_hints(&romio_hints, basename, rank, node);
+                let file = Rc::clone(global.path());
+                let ccfg = CacheConfig::from_hints(&romio_hints, file, rank, node);
                 let (store, front) = tb.ctx(rank).cache_mounts(romio_hints.e10_cache_class);
                 match CacheLayer::recover_with_front(store, front, global, ccfg).await {
                     Ok((layer, report)) => {

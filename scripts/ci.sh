@@ -43,7 +43,9 @@
 #      (resolving_the_paper_hints_allocates_no_more_than_it_did, 1;
 #      the_default_hints_allocate_nothing, 0), one collective open and
 #      close of 16 ranks (a_collective_open_and_close_costs_what_is_pinned,
-#      101 calls, 229 with the cache),
+#      85 calls, 165 with the cache, 229 with its journal or its NVM
+#      front; 5, 9, 13 and 12 per added rank), an idle cache open and
+#      close (an_idle_cache_open_and_close_costs_what_is_pinned, 5),
 #      the two same-count-every-time gates (file churn on a volume;
 #      an 8-rank open, split_by_node, write, close) and the read-round
 #      gate read_rounds_cost_what_is_pinned (9.8 per extra collective-
