@@ -2,8 +2,8 @@
 //! algorithms (`e10_two_phase = stock | extended | node_agg`) on the
 //! Fig. 4 coll_perf grid.
 //!
-//! Every grid cell runs all three algorithms with Ring tracing and
-//! verification enabled, then reports the shuffle-traffic counters the
+//! Every grid cell runs all three algorithms with a metrics registry
+//! and verification enabled, then reports the shuffle-traffic counters the
 //! collective engine emits: total and *inter-node* message counts and
 //! bytes, plus the node-agg pre-phase telemetry (requests merged,
 //! envelope/header bytes saved). The committed `BENCH_node_agg.json`
@@ -16,6 +16,7 @@
 use std::fmt::Write as _;
 
 use e10_simcore::pool::run_jobs_on;
+use e10_simcore::trace::counted;
 use e10_simcore::Job;
 
 use crate::{combo_label, hints_for, simulate, Case, Cli, Json, Report, Scale};
@@ -37,20 +38,14 @@ struct AlgoStats {
 }
 
 /// Run one cell × algorithm: cache disabled (the traffic comparison is
-/// about the exchange, not the write target), verification on, Ring
-/// tracing to collect the engine's counters.
+/// about the exchange, not the write target), verification on, a
+/// metrics registry to collect the engine's counters.
 fn run_algo(scale: Scale, algo: &'static str, aggs: usize, cb: u64) -> AlgoStats {
     let hints = hints_for(Case::Disabled, aggs, cb);
     hints.set("e10_two_phase", algo);
     let path = format!("/gfs/node_agg_{algo}");
-    let outcome = simulate(scale, scale.collperf(), hints, &path, |_, cfg| {
-        cfg.hints.set("e10_trace", "ring");
-    })
-    .outcome;
-    let snap = outcome
-        .metrics
-        .as_ref()
-        .expect("ring tracing always snapshots metrics");
+    let (sim, snap) = counted(|| simulate(scale, scale.collperf(), hints, &path, |_, _| {}));
+    let outcome = sim.outcome;
     AlgoStats {
         algo,
         gb_s: outcome.gb_s(),

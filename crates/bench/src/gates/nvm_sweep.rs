@@ -2,7 +2,7 @@
 //!
 //! Every grid cell runs both collective-write algorithms
 //! (`e10_two_phase = extended | node_agg`) under all three
-//! `e10_cache_class` values, with Ring tracing and verification
+//! `e10_cache_class` values, with a metrics registry and verification
 //! enabled. The grid is the Fig. 4 aggregator × buffer matrix with one
 //! extra small-buffer column (16 KiB) so every scale exercises the
 //! regime the byte-granular front-end targets, and the NVM mount is
@@ -29,6 +29,7 @@
 use std::fmt::Write as _;
 
 use e10_simcore::pool::run_jobs_on;
+use e10_simcore::trace::counted;
 use e10_simcore::Job;
 use e10_workloads::Workload;
 
@@ -86,8 +87,8 @@ impl ClassStats {
 }
 
 /// Run one cell × algorithm × class: cache enabled with immediate
-/// flush (the paper's configuration), verification on, Ring tracing to
-/// collect the cache layer's stall counters.
+/// flush (the paper's configuration), verification on, a metrics
+/// registry to collect the cache layer's stall counters.
 fn run_class(
     scale: Scale,
     algo: &'static str,
@@ -106,15 +107,12 @@ fn run_class(
     let max_aggs = *scale.aggregators().last().unwrap() as u64;
     let nvm_capacity = (scale.collperf().file_size() / (2 * max_aggs)).max(8 << 10);
     let path = format!("/gfs/nvm_sweep_{algo}_{class}");
-    let outcome = simulate(scale, scale.collperf(), hints, &path, |spec, cfg| {
-        spec.nvm_localfs.capacity = nvm_capacity;
-        cfg.hints.set("e10_trace", "ring");
-    })
-    .outcome;
-    let snap = outcome
-        .metrics
-        .as_ref()
-        .expect("ring tracing always snapshots metrics");
+    let (sim, snap) = counted(|| {
+        simulate(scale, scale.collperf(), hints, &path, |spec, _| {
+            spec.nvm_localfs.capacity = nvm_capacity;
+        })
+    });
+    let outcome = sim.outcome;
     ClassStats {
         class,
         gb_s: outcome.gb_s(),

@@ -8,6 +8,7 @@
 
 use e10_bench::{hints_for, simulate, Case, Cli, Json, Scale, GATES};
 use e10_simcore::alloc_gauge::CountingAlloc;
+use e10_simcore::trace::counted;
 
 /// `bench_perf` counts allocator calls; without the counting allocator
 /// every count would be 0 and compare equal for nothing.
@@ -63,7 +64,7 @@ fn every_gate_document_is_identical_at_1_and_8_jobs() {
 
 /// The node-agg collective path (gather pre-phase, merged windows,
 /// traffic counters) must be bit-deterministic across worker counts:
-/// a traced Test-scale grid run under `E10_JOBS=1` and `E10_JOBS=8`
+/// a counted Test-scale grid run under `E10_JOBS=1` and `E10_JOBS=8`
 /// equivalents yields identical sim times, bandwidths and full counter
 /// snapshots (the `node_agg` gate's document holds only six counters).
 #[test]
@@ -76,16 +77,14 @@ fn node_agg_sweep_is_bit_identical_at_1_and_8_jobs() {
                 grid.push(Box::new(move || {
                     let hints = hints_for(Case::Disabled, aggs, cb);
                     hints.set("e10_two_phase", "node_agg");
-                    let outcome =
-                        simulate(scale, scale.collperf(), hints, "/gfs/na_det", |_, cfg| {
-                            cfg.hints.set("e10_trace", "ring");
-                        })
-                        .outcome;
+                    let (sim, counts) = counted(|| {
+                        simulate(scale, scale.collperf(), hints, "/gfs/na_det", |_, _| {})
+                    });
                     format!(
                         "{aggs}_{cb}: wall={:016x} bw={:016x} counters={:?}",
-                        outcome.wall_time.to_bits(),
-                        outcome.bandwidth.to_bits(),
-                        outcome.metrics.expect("traced run has metrics").counters,
+                        sim.outcome.wall_time.to_bits(),
+                        sim.outcome.bandwidth.to_bits(),
+                        counts.counters,
                     )
                 }));
             }

@@ -271,6 +271,14 @@ async fn managed_layer(tb: &Testbed, job: &str, flush: FlushFlag) -> CacheLayer 
         .unwrap()
 }
 
+/// `c` opened on node 0's SSD with node 0's NVM front.
+async fn front_layer(tb: &Testbed, global: &PfsHandle, c: CacheConfig) -> CacheLayer {
+    let (ssd, nvm) = (tb.localfs[0].clone(), tb.nvmfs[0].clone());
+    CacheLayer::open_with_front(ssd, Some(nvm), global.clone(), c)
+        .await
+        .unwrap()
+}
+
 fn scratch_testbed(capacity: u64) -> Testbed {
     let mut spec = TestbedSpec::small(1, 1);
     spec.localfs.capacity = capacity;
@@ -786,10 +794,10 @@ fn scrub_detects_and_repairs_between_flush_rounds() {
 /// before it syncs its first chunk.
 #[test]
 fn a_volume_idle_past_its_scrub_period_scrubs_its_first_chunk() {
-    use e10_simcore::trace::{install_with_metrics, MetricsRegistry, RingSink};
+    use e10_simcore::trace::{install_metrics, MetricsRegistry};
     let scrubbed = run(async {
         let metrics = Rc::new(MetricsRegistry::new());
-        let _trace = install_with_metrics(Rc::new(RingSink::new(16)), Rc::clone(&metrics));
+        let _trace = install_metrics(Rc::clone(&metrics));
         let tb = TestbedSpec::small(2, 1).build();
         let global = tb.pfs.create(0, "/gfs/idle", Striping::default()).await;
         let mut c = integrity_cfg("idle");
@@ -1172,14 +1180,7 @@ fn hybrid_routes_small_to_nvm_and_large_to_ssd() {
         let mut c = CacheConfig::new("/scratch", "h", 0, 0);
         c.discard = true;
         let front_path = c.front_file_path();
-        let layer = CacheLayer::open_with_front(
-            tb.localfs[0].clone(),
-            Some(tb.nvmfs[0].clone()),
-            global.clone(),
-            c,
-        )
-        .await
-        .unwrap();
+        let layer = front_layer(&tb, &global, c).await;
         assert!(layer.front_active());
         layer.write(0, Payload::gen(5, 0, 16 << 10)).await.unwrap();
         layer
@@ -1210,14 +1211,7 @@ fn hybrid_overwrite_migrates_ownership_between_tiers() {
         let tb = TestbedSpec::small(2, 1).build();
         let global = tb.pfs.create(0, "/gfs/m", Striping::default()).await;
         let c = CacheConfig::new("/scratch", "m", 0, 0);
-        let layer = CacheLayer::open_with_front(
-            tb.localfs[0].clone(),
-            Some(tb.nvmfs[0].clone()),
-            global.clone(),
-            c,
-        )
-        .await
-        .unwrap();
+        let layer = front_layer(&tb, &global, c).await;
         // Small write owns [0, 64K) on the front tier...
         layer.write(0, Payload::gen(1, 0, 64 << 10)).await.unwrap();
         assert_eq!(layer.front_bytes(), 64 << 10);
@@ -1246,14 +1240,7 @@ fn hybrid_capacity_budget_overflows_to_block_tier() {
         let global = tb.pfs.create(0, "/gfs/b", Striping::default()).await;
         let mut c = CacheConfig::new("/scratch", "b", 0, 0);
         c.nvm_capacity = 64 << 10;
-        let layer = CacheLayer::open_with_front(
-            tb.localfs[0].clone(),
-            Some(tb.nvmfs[0].clone()),
-            global.clone(),
-            c,
-        )
-        .await
-        .unwrap();
+        let layer = front_layer(&tb, &global, c).await;
         layer.write(0, Payload::gen(9, 0, 48 << 10)).await.unwrap();
         assert_eq!(layer.front_bytes(), 48 << 10);
         // Only 16 KiB of budget remains: the next small write spills
@@ -1279,14 +1266,7 @@ fn hybrid_recover_requeues_both_tiers() {
         let mut c = CacheConfig::new("/scratch", "hr", 0, 0);
         c.journal = true;
         c.flush_flag = FlushFlag::FlushOnClose;
-        let layer = CacheLayer::open_with_front(
-            tb.localfs[0].clone(),
-            Some(tb.nvmfs[0].clone()),
-            global.clone(),
-            c.clone(),
-        )
-        .await
-        .unwrap();
+        let layer = front_layer(&tb, &global, c.clone()).await;
         layer.write(0, Payload::gen(7, 0, 32 << 10)).await.unwrap();
         layer
             .write(4 << 20, Payload::gen(7, 4 << 20, 2 << 20))
@@ -1435,14 +1415,7 @@ fn hybrid_front_failure_spills_to_block_tier_and_stays_healthy() {
         let global = tb.pfs.create(0, "/gfs/fs", Striping::default()).await;
         let mut c = CacheConfig::new("/scratch", "fs", 0, 0);
         c.integrity = true;
-        let layer = CacheLayer::open_with_front(
-            tb.localfs[0].clone(),
-            Some(tb.nvmfs[0].clone()),
-            global.clone(),
-            c,
-        )
-        .await
-        .unwrap();
+        let layer = front_layer(&tb, &global, c).await;
         layer.write(0, Payload::gen(34, 0, 64 << 10)).await.unwrap();
         assert_eq!(layer.front_bytes(), 64 << 10);
         e10_simcore::sleep(SimDuration::from_secs(1)).await;

@@ -98,7 +98,7 @@ mod tests {
     use crate::testbed::TestbedSpec;
     use e10_mpisim::{FlatType, Info};
     use e10_simcore::run;
-    use e10_simcore::trace::{install_with_metrics, MetricsRegistry, RingSink};
+    use e10_simcore::trace::{install_metrics, MetricsRegistry};
     use std::rc::Rc;
 
     /// Write `flat` at offset 0 of `path` independently with generator
@@ -118,7 +118,7 @@ mod tests {
         }
         let f = AdioFile::open(&tb.ctx(0), path, &info, true).await.unwrap();
         let metrics = Rc::new(MetricsRegistry::new());
-        let guard = install_with_metrics(Rc::new(RingSink::new(16)), Rc::clone(&metrics));
+        let guard = install_metrics(Rc::clone(&metrics));
         let view = FileView::new(flat, 0);
         let (n, err) = write_strided(&f, &view, &DataSpec::FileGen { seed }).await;
         drop(guard);

@@ -5,7 +5,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use e10_mpisim::{FileView, FlatType, Info};
-use e10_simcore::trace::{self, RingSink};
+use e10_simcore::trace::{self, MetricsRegistry};
 use e10_storesim::Payload;
 
 use crate::adio::{AdioFile, DataSpec};
@@ -64,7 +64,8 @@ pub(crate) struct Outcome {
 /// and read it back collectively. Every byte is checked on the way.
 pub(crate) fn write_then_read(algo: &'static str, timeout: &'static str) -> Outcome {
     const LEN: u64 = 8 * 8 * 7_000;
-    let _trace = trace::install(Rc::new(RingSink::new(16)));
+    let metrics = Rc::new(MetricsRegistry::new());
+    let _trace = trace::install_metrics(Rc::clone(&metrics));
     let out = Rc::new(RefCell::new(Outcome::default()));
     out.borrow_mut().read.resize(8, Vec::new());
     let out2 = Rc::clone(&out);
@@ -103,7 +104,7 @@ pub(crate) fn write_then_read(algo: &'static str, timeout: &'static str) -> Outc
             }
         }
     }));
-    let counters = trace::metrics_snapshot().unwrap().counters;
+    let counters = metrics.snapshot().counters;
     let mut out = out.take();
     out.shuffle = counters
         .into_iter()

@@ -300,7 +300,7 @@ mod tests {
     use crate::test_util::{cb_info, strided_view, write_then_read};
     use crate::testbed::TestbedSpec;
     use e10_mpisim::{FlatType, Info};
-    use e10_simcore::trace::{self, RingSink};
+    use e10_simcore::trace;
     use e10_simcore::{kill_group, new_group, run, sleep, spawn, spawn_in_group, Flag};
     use proptest::prelude::*;
     use std::cell::Cell;
@@ -469,15 +469,13 @@ mod tests {
         // the redo runs without them — and when their gather sends
         // finally land, the evicted find their own conviction at the
         // settle, convict nobody, and return with an error.
-        let _trace = trace::install(Rc::new(RingSink::new(16)));
         let extra = &[("e10_two_phase", "node_agg"), ("cb_buffer_size", "1048576")];
-        crash_scenario(&[], &[1, 5], ms(700), extra, (2, 6_250_000));
-        let counters = trace::metrics_snapshot().unwrap().counters;
-        let count = |name| counters.iter().find(|c| c.0 == name).map(|c| c.1);
-        assert_eq!(count("coll.ft.self_evicted"), Some(2));
+        let (_, counts) =
+            trace::counted(|| crash_scenario(&[], &[1, 5], ms(700), extra, (2, 6_250_000)));
+        assert_eq!(counts.counter("coll.ft.self_evicted"), 2);
         assert_eq!(
-            count("ft.convictions"),
-            Some(2 + 2),
+            counts.counter("ft.convictions"),
+            2 + 2,
             "sub + parent, no more"
         );
     }

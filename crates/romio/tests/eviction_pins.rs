@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use e10_pfs::Striping;
 use e10_romio::{CacheArbiter, CacheConfig, CacheLayer, TestbedSpec};
-use e10_simcore::trace::{install_with_metrics, MetricsRegistry, RingSink};
+use e10_simcore::trace::{install_metrics, MetricsRegistry};
 use e10_simcore::{run, sleep, SimDuration};
 use e10_storesim::Payload;
 
@@ -43,7 +43,7 @@ fn pressure_eviction_lines() -> Vec<String> {
         let tb = spec.build();
         let fs = tb.localfs[0].clone();
         let metrics = Rc::new(MetricsRegistry::new());
-        let _guard = install_with_metrics(Rc::new(RingSink::new(1 << 12)), Rc::clone(&metrics));
+        let _guard = install_metrics(Rc::clone(&metrics));
 
         let ga = tb.pfs.create(0, "/gfs/pina", Striping::default()).await;
         let gb = tb.pfs.create(0, "/gfs/pinb", Striping::default()).await;

@@ -1030,8 +1030,8 @@ where
         wakes_coalesced: k.wakes_coalesced,
     });
     // Mirror the run's calendar statistics into the ambient metrics
-    // registry (no-ops without an installed trace sink), so trace
-    // consumers see the executor counters next to the I/O ones.
+    // registry (no-ops without a registry), so counter readers see
+    // the executor counters next to the I/O ones.
     trace::counter("executor.events_fired", stats.events_fired);
     trace::counter("executor.tasks_spawned", stats.tasks_spawned);
     trace::counter("executor.events_batched", stats.events_batched);

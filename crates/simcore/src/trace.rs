@@ -31,9 +31,11 @@
 //! ## Metrics
 //!
 //! A [`MetricsRegistry`] of named counters and [`Tally`] instruments
-//! rides on the same enable flag; [`counter`]/[`sample`] are the
-//! ambient entry points and [`MetricsRegistry::snapshot`] exports the
-//! result for the bench binaries.
+//! has its own flag: [`counter`]/[`sample`] record whenever a registry
+//! is installed ([`install_metrics`]), with or without a sink, so a
+//! reader of counters pays for no event stream. [`emit`]/[`span`] run
+//! only while a sink is installed. [`MetricsRegistry::snapshot`]
+//! exports the result for the bench binaries.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -388,53 +390,71 @@ impl Drop for JsonlSink {
 
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
     static SINK: RefCell<Option<Rc<dyn TraceSink>>> = const { RefCell::new(None) };
     static METRICS: RefCell<Option<Rc<MetricsRegistry>>> = const { RefCell::new(None) };
 }
 
-/// Is a sink installed? Instrumentation sites branch on this and do no
-/// other work when it is false.
+/// Is a sink installed? Event sites branch on this and do no other
+/// work when it is false.
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.with(|e| e.get())
 }
 
-/// Install `sink` (and a fresh metrics registry) as the ambient trace
-/// destination for this thread. Returns a guard that uninstalls on
-/// drop, restoring whatever was installed before — so tests and bench
-/// runs can nest cleanly.
+/// Install `sink` as the ambient trace destination for this thread;
+/// the installed registry, if any, stays. Returns a guard that restores
+/// whatever was installed before on drop — so tests and bench runs can
+/// nest cleanly.
 pub fn install(sink: Rc<dyn TraceSink>) -> TraceGuard {
-    install_with_metrics(sink, Rc::new(MetricsRegistry::new()))
+    let metrics = METRICS.with(|m| m.borrow().clone());
+    TraceGuard(swap((Some(sink), metrics)))
 }
 
-/// [`install`] with a caller-owned registry (so the caller can keep a
-/// handle and snapshot it after the run).
+/// Install `metrics` as the ambient registry for this thread, leaving
+/// the sink as it is: counters and tallies record into it, and no event
+/// is built unless a sink is installed too.
+pub fn install_metrics(metrics: Rc<MetricsRegistry>) -> TraceGuard {
+    let sink = SINK.with(|s| s.borrow().clone());
+    TraceGuard(swap((sink, Some(metrics))))
+}
+
+/// Run `f` with a fresh registry installed; returns what it counted.
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
+    let metrics = Rc::new(MetricsRegistry::new());
+    let guard = install_metrics(Rc::clone(&metrics));
+    let out = f();
+    drop(guard);
+    (out, metrics.snapshot())
+}
+
+/// [`install`] and [`install_metrics`] in one guard.
 pub fn install_with_metrics(sink: Rc<dyn TraceSink>, metrics: Rc<MetricsRegistry>) -> TraceGuard {
-    let prev_sink = SINK.with(|s| s.borrow_mut().replace(sink));
-    let prev_metrics = METRICS.with(|m| m.borrow_mut().replace(metrics));
-    let prev_enabled = ENABLED.with(|e| e.replace(true));
-    TraceGuard {
-        prev_sink,
-        prev_metrics,
-        prev_enabled,
-    }
+    TraceGuard(swap((Some(sink), Some(metrics))))
 }
 
-/// Uninstalls the trace sink installed by [`install`] when dropped.
-pub struct TraceGuard {
-    prev_sink: Option<Rc<dyn TraceSink>>,
-    prev_metrics: Option<Rc<MetricsRegistry>>,
-    prev_enabled: bool,
+/// The ambient sink and registry.
+type Ambient = (Option<Rc<dyn TraceSink>>, Option<Rc<MetricsRegistry>>);
+
+/// Make `(sink, metrics)` ambient and return the pair it replaced.
+fn swap((sink, metrics): Ambient) -> Ambient {
+    ENABLED.with(|e| e.set(sink.is_some()));
+    COUNTING.with(|c| c.set(metrics.is_some()));
+    (
+        SINK.with(|s| s.replace(sink)),
+        METRICS.with(|m| m.replace(metrics)),
+    )
 }
+
+/// Restores, when dropped, the sink and registry an install replaced.
+pub struct TraceGuard(Ambient);
 
 impl Drop for TraceGuard {
     fn drop(&mut self) {
-        if let Some(sink) = SINK.with(|s| s.borrow_mut().take()) {
+        let prev = std::mem::take(&mut self.0);
+        if let (Some(sink), _) = swap(prev) {
             sink.flush();
         }
-        SINK.with(|s| *s.borrow_mut() = self.prev_sink.take());
-        METRICS.with(|m| *m.borrow_mut() = self.prev_metrics.take());
-        ENABLED.with(|e| e.set(self.prev_enabled));
     }
 }
 
@@ -571,10 +591,10 @@ impl MetricsSnapshot {
     }
 }
 
-/// Ambient counter increment (no-op unless tracing is enabled).
+/// Ambient counter increment (no-op unless a registry is installed).
 #[inline]
 pub fn counter(name: &'static str, by: u64) {
-    if !enabled() {
+    if !COUNTING.with(|c| c.get()) {
         return;
     }
     METRICS.with(|m| {
@@ -584,10 +604,10 @@ pub fn counter(name: &'static str, by: u64) {
     });
 }
 
-/// Ambient tally observation (no-op unless tracing is enabled).
+/// Ambient tally observation (no-op unless a registry is installed).
 #[inline]
 pub fn sample(name: &'static str, x: f64) {
-    if !enabled() {
+    if !COUNTING.with(|c| c.get()) {
         return;
     }
     METRICS.with(|m| {
@@ -597,11 +617,6 @@ pub fn sample(name: &'static str, x: f64) {
     });
 }
 
-/// Snapshot the ambient registry, if one is installed.
-pub fn metrics_snapshot() -> Option<MetricsSnapshot> {
-    METRICS.with(|m| m.borrow().as_ref().map(|r| r.snapshot()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,11 +624,34 @@ mod tests {
     use crate::{run, sleep};
 
     #[test]
-    fn disabled_trace_records_nothing_and_calls_no_closure() {
-        assert!(!enabled());
-        emit(|| panic!("closure must not run while disabled"));
-        counter("x", 1);
-        assert!(metrics_snapshot().is_none());
+    fn guards_nest_either_way_and_restore_what_they_replaced() {
+        let reg = Rc::new(MetricsRegistry::new());
+        let (a, b) = (Rc::new(RingSink::new(8)), Rc::new(RingSink::new(8)));
+        let tick = |name: &'static str| {
+            emit(|| Event::new(Layer::Pfs, name, EventKind::Point));
+            counter(name, 1);
+        };
+        let spans = |ring: &RingSink| ring.events().iter().map(|e| e.span).collect::<Vec<_>>();
+        let outer = install_metrics(reg.clone());
+        let inner = install(a.clone());
+        tick("both");
+        drop(inner);
+        tick("counted");
+        drop(outer);
+        let outer = install(a.clone());
+        let inner = install_metrics(reg.clone());
+        tick("both");
+        drop(inner);
+        let inner = install(b.clone());
+        tick("inner");
+        drop(inner);
+        tick("traced");
+        drop(outer);
+        emit(|| panic!("nothing installed: the closure must not run"));
+        tick("neither");
+        assert_eq!(spans(&a), ["both", "both", "traced"]);
+        assert_eq!(spans(&b), ["inner"]);
+        assert_eq!(reg.snapshot().counters, vec![("both", 2), ("counted", 1)]);
     }
 
     #[test]
@@ -629,21 +667,6 @@ mod tests {
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].fields[0], ("i", Value::U64(2)));
         assert_eq!(evs[2].fields[0], ("i", Value::U64(4)));
-    }
-
-    #[test]
-    fn guard_restores_previous_sink() {
-        let outer = Rc::new(RingSink::new(8));
-        let _g1 = install(outer.clone());
-        {
-            let inner = Rc::new(RingSink::new(8));
-            let _g2 = install(inner.clone());
-            emit(|| Event::new(Layer::Pfs, "inner", EventKind::Point));
-            assert_eq!(inner.recorded(), 1);
-        }
-        emit(|| Event::new(Layer::Pfs, "outer", EventKind::Point));
-        assert_eq!(outer.recorded(), 1);
-        assert_eq!(outer.events()[0].span, "outer");
     }
 
     #[test]
@@ -734,9 +757,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_registry_snapshots_in_stable_order() {
+    fn a_registry_alone_counts_in_stable_order_and_builds_no_event() {
         let reg = Rc::new(MetricsRegistry::new());
-        let _g = install_with_metrics(Rc::new(RingSink::new(1)), reg.clone());
+        let _g = install_metrics(reg.clone());
+        assert!(!enabled());
+        emit(|| panic!("no sink: the closure must not run"));
+        let _s = span(Layer::Romio, "phase");
         counter("z.last", 1);
         counter("a.first", 2);
         counter("a.first", 3);

@@ -11,7 +11,7 @@ use std::future::{poll_fn, Future};
 use std::rc::Rc;
 use std::task::{Poll, Waker};
 
-use e10_simcore::trace::{self, MetricsRegistry, RingSink};
+use e10_simcore::trace;
 use e10_simcore::{
     kill_group, new_group, run, run_with_stats, schedule_call, sleep, spawn, spawn_in_group,
     RunStats, SimDuration,
@@ -24,12 +24,8 @@ fn secs(n: u64) -> SimDuration {
 /// Run `main`; returns its polls (the `executor.polls` counter) and
 /// its `RunStats`.
 fn counted(main: impl Future<Output = ()> + 'static) -> (u64, RunStats) {
-    let metrics = Rc::new(MetricsRegistry::new());
-    let guard = trace::install_with_metrics(Rc::new(RingSink::new(1)), Rc::clone(&metrics));
-    let ((), stats) = run_with_stats(main);
-    drop(guard);
-    let polls = metrics
-        .snapshot()
+    let (((), stats), counts) = trace::counted(|| run_with_stats(main));
+    let polls = counts
         .counters
         .iter()
         .find(|(name, _)| *name == "executor.polls")

@@ -23,7 +23,7 @@ use e10_romio::{
     write_at_all, AdioFile, Breakdown, DataSpec, IoCtx, Phase, Profiler, Testbed, TraceMode,
 };
 use e10_simcore::trace::{
-    install_with_metrics, JsonlSink, MetricsRegistry, MetricsSnapshot, RingSink, TraceGuard,
+    install_with_metrics, JsonlSink, MetricsRegistry, MetricsSnapshot, RingSink, TraceSink,
 };
 use e10_simcore::{now, sleep, SimDuration};
 
@@ -124,8 +124,6 @@ pub struct RunOutcome {
     pub phases: Vec<PhaseOutcome>,
     /// Eq. 2 perceived bandwidth, bytes/s.
     pub bandwidth: f64,
-    /// Per-phase cost breakdown merged over all ranks.
-    pub breakdown: Breakdown,
     /// Per-phase cost breakdown merged over aggregator ranks only —
     /// what the paper's Fig. 5/6/8/10 stacked bars show (non-
     /// aggregators spend almost everything waiting in the alltoall).
@@ -178,15 +176,14 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         .map_or((TraceMode::Off, Cow::default()), |h| {
             (h.e10_trace, h.e10_trace_path)
         });
-    let metrics = Rc::new(MetricsRegistry::new());
     let mut ring: Option<Rc<RingSink>> = None;
     let mut jsonl: Option<(Rc<JsonlSink>, String)> = None;
-    let trace_guard: Option<TraceGuard> = match mode {
+    let sink: Option<Rc<dyn TraceSink>> = match mode {
         TraceMode::Off => None,
         TraceMode::Ring => {
             let s = Rc::new(RingSink::new(TRACE_RING_CAPACITY));
             ring = Some(Rc::clone(&s));
-            Some(install_with_metrics(s, Rc::clone(&metrics)))
+            Some(s)
         }
         TraceMode::Jsonl => {
             let base = cfg.path_prefix.rsplit('/').next().unwrap_or("run");
@@ -195,7 +192,7 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
                 Ok(s) => {
                     let s = Rc::new(s);
                     jsonl = Some((Rc::clone(&s), path));
-                    Some(install_with_metrics(s, Rc::clone(&metrics)))
+                    Some(s)
                 }
                 Err(e) => {
                     eprintln!("e10: cannot create trace file {path}: {e}; tracing disabled");
@@ -204,6 +201,10 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
             }
         }
     };
+    let traced = sink.map(|s| {
+        let metrics = Rc::new(MetricsRegistry::new());
+        (install_with_metrics(s, Rc::clone(&metrics)), metrics)
+    });
 
     // Install the run's fault schedule, if any. Like the trace sink it
     // is ambient: device and server models sample it at their injection
@@ -269,8 +270,6 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         })
         .collect();
     let bandwidth = total_bandwidth(&measures);
-    let profs: Vec<Profiler> = per_rank.iter().map(|r| r.prof.clone()).collect();
-    let breakdown = Breakdown::from_profilers(&profs);
     let agg_profs: Vec<Profiler> = per_rank
         .iter()
         .filter(|r| r.is_agg)
@@ -282,7 +281,7 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         verify_files(tb, cfg, file_bytes);
     }
 
-    let (metrics_snap, trace_report) = if trace_guard.is_some() {
+    let (metrics_snap, trace_report) = if let Some((_, metrics)) = &traced {
         let report = if let Some(r) = &ring {
             TraceReport {
                 mode: TraceMode::Ring,
@@ -306,12 +305,11 @@ pub async fn run_workload(tb: &Testbed, workload: Rc<dyn Workload>, cfg: &RunCon
         (None, None)
     };
     let faults_injected = e10_faultsim::injected_count();
-    drop(trace_guard); // restore the previous sink, flush the file
+    drop(traced); // restore the previous sink, flush the file
 
     RunOutcome {
         phases,
         bandwidth,
-        breakdown,
         breakdown_aggs,
         total_bytes: file_bytes * cfg.files as u64,
         wall_time: now().since(t_start).as_secs_f64(),
@@ -359,19 +357,25 @@ pub(crate) async fn write_files(
         cfg.compute_jitter_cv,
     );
 
-    for k in 0..cfg.files {
-        // Fig. 3: close file k-1 right before opening file k.
+    for k in 0..=cfg.files {
+        // Fig. 3: close file k-1 right before opening file k. The
+        // close wait is re-attributed from `FlushWait` to the not-
+        // hidden sync; the last close has nothing left to hide behind
+        // and is charged only under `include_last_sync`.
         if let Some(f) = prev.take() {
             let t0 = now();
             f.close().await;
-            not_hidden[k - 1] = now().since(t0).as_secs_f64();
+            let wait = now().since(t0).as_secs_f64();
             let p = f.profiler();
-            p.take(Phase::FlushWait); // re-attributed:
-            p.add(
-                Phase::NotHiddenSync,
-                SimDuration::from_secs_f64(not_hidden[k - 1]),
-            );
+            p.take(Phase::FlushWait);
+            if k < cfg.files || cfg.include_last_sync {
+                not_hidden[k - 1] = wait;
+                p.add(Phase::NotHiddenSync, SimDuration::from_secs_f64(wait));
+            }
             rank_prof.merge_from(p);
+        }
+        if k == cfg.files {
+            break;
         }
         // T_c is measured from when THIS rank becomes ready: under
         // compute jitter the collective's synchronisation absorbs the
@@ -425,19 +429,6 @@ pub(crate) async fn write_files(
             sleep(cfg.compute_delay.mul_f64(jitter.sample())).await;
         }
         prev = Some(fd);
-    }
-    // Final close: nothing left to hide behind.
-    if let Some(f) = prev.take() {
-        let t0 = now();
-        f.close().await;
-        let wait = now().since(t0).as_secs_f64();
-        let p = f.profiler();
-        p.take(Phase::FlushWait);
-        if cfg.include_last_sync {
-            not_hidden[cfg.files - 1] = wait;
-            p.add(Phase::NotHiddenSync, SimDuration::from_secs_f64(wait));
-        }
-        rank_prof.merge_from(p);
     }
     RankPhases {
         phases,

@@ -143,6 +143,7 @@ mod tests {
     use e10_mpisim::Info;
     use e10_romio::TestbedSpec;
     use e10_simcore::run;
+    use e10_simcore::trace::{install_metrics, MetricsRegistry};
     use std::rc::Rc;
 
     fn quick_cfg(hints: Info, prefix: &str, files: usize) -> RunConfig {
@@ -269,10 +270,11 @@ mod tests {
                 ("e10_integrity", "enable"),
             ]);
             let cfg = quick_cfg(hints, "/gfs/degrade", 2);
-            cfg.hints.set("e10_trace", "ring");
-            let out = run_workload(&tb, Rc::clone(&w) as Rc<dyn Workload>, &cfg).await;
-            let metrics = out.metrics.expect("ring mode records metrics");
-            let cached = metrics.counter("cache.bytes_cached");
+            let metrics = Rc::new(MetricsRegistry::new());
+            let guard = install_metrics(Rc::clone(&metrics));
+            run_workload(&tb, Rc::clone(&w) as Rc<dyn Workload>, &cfg).await;
+            drop(guard);
+            let cached = metrics.snapshot().counter("cache.bytes_cached");
             let total = w.file_size() * cfg.files as u64;
             assert!(cached > 0, "cache must absorb extents before filling");
             assert!(
@@ -290,9 +292,9 @@ mod tests {
             let hints = Info::from_pairs([("cb_buffer_size", "2048"), ("striping_unit", "4096")]);
             let out = run_workload(&tb, w, &quick_cfg(hints, "/gfs/bd", 1)).await;
             use e10_romio::Phase;
-            assert!(out.breakdown.mean(Phase::ShuffleAlltoall) > 0.0);
-            assert!(out.breakdown.mean(Phase::Write) > 0.0);
-            assert!(out.breakdown.mean(Phase::PostWrite) > 0.0);
+            assert!(out.breakdown_aggs.mean(Phase::ShuffleAlltoall) > 0.0);
+            assert!(out.breakdown_aggs.mean(Phase::Write) > 0.0);
+            assert!(out.breakdown_aggs.mean(Phase::PostWrite) > 0.0);
         });
     }
 }

@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use e10_mpisim::{FileView, FlatType};
 use e10_romio::{CacheMode, FlushFlag, IoCtx, RomioHints, TestbedSpec};
-use e10_simcore::trace::{install_with_metrics, MetricsRegistry, MetricsSnapshot, RingSink};
+use e10_simcore::trace::{install_metrics, MetricsRegistry, MetricsSnapshot};
 use e10_simcore::{now, sleep, SimDuration};
 
 use crate::driver::{verify_files, write_files, RunConfig};
@@ -186,8 +186,7 @@ pub fn run_multi_job(spec: &MultiJobSpec) -> MultiJobOutcome {
         let tb = tspec.build();
 
         let metrics = Rc::new(MetricsRegistry::new());
-        let sink = Rc::new(RingSink::new(1 << 16));
-        let guard = install_with_metrics(sink, Rc::clone(&metrics));
+        let guard = install_metrics(Rc::clone(&metrics));
 
         // Each job's configuration and file paths, built once and
         // shared by its ranks.

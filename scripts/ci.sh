@@ -76,14 +76,20 @@
 #      document minus its "host" object to equal FILE exactly
 #      (bench_perf also holds its densest cell's fastest wall clock per
 #      event within 2x of FILE's).
-#        row                                   gate
-#        bench_perf --check BENCH_perf.json    events, allocs per cell
-#        node_agg --check BENCH_node_agg.json  node_agg < extended inter-node
-#        degraded --check BENCH_degraded.json  acked bytes survive; idle FT inert
-#        nvm_sweep --check BENCH_nvm.json      nvm stall/B < ssd; hybrid >= pure
-#        fault_sweep --smoke                   faulted runs verify; crash recovers
-#        chaos_soak --smoke                    no schedule silently diverges
-#        multi_job                             contention degrades and evicts
+#        row                                   gate                                   s
+#        bench_perf --check BENCH_perf.json    events, allocs per cell              0.4
+#        node_agg --check BENCH_node_agg.json  node_agg < extended inter-node       0.1
+#        degraded --check BENCH_degraded.json  acked bytes survive; idle FT inert  <0.1
+#        nvm_sweep --check BENCH_nvm.json      nvm stall/B < ssd; hybrid >= pure    7.0
+#        fault_sweep --smoke                   faulted runs verify; crash recovers <0.1
+#        chaos_soak --smoke                    no schedule silently diverges       <0.1
+#        multi_job                             contention degrades and evicts      <0.1
+#      The s column is each row's median of three runs on a 2-CPU host,
+#      about 7.6 s for the table. The counter-reading rows (node_agg,
+#      nvm_sweep, multi_job) install a metrics registry and no trace
+#      sink; while they ring-traced every run to turn their counters on,
+#      node_agg took 0.3 s, nvm_sweep 24.0 s (22-29 s seen) and the
+#      table 24.9 s.
 #      Worker-count independence is a test in step 2:
 #      crates/bench/tests/determinism.rs runs every GATES row (the
 #      tables, the figures, the gates and the studies) at smoke scale
