@@ -3,7 +3,7 @@
 //! The simulation is deterministic and single-threaded, so the number
 //! of allocator calls for a fixed scenario is a stable, reproducible
 //! metric. The counting allocator itself lives in
-//! `e10_simcore::alloc_gauge`; this test installs it and gates eleven
+//! `e10_simcore::alloc_gauge`; this test installs it and gates twelve
 //! properties:
 //!
 //! 1. an absolute budget on the fixed 8-rank scenario (a reintroduced
@@ -41,7 +41,11 @@
 //!     sync thread and no sync queue, and
 //! 11. what one collective open and close cost, and what each rank
 //!     adds to it, under the analytic collectives: without the cache,
-//!     with it, with its journal and with its NVM front.
+//!     with it, with its journal and with its NVM front, and
+//! 12. what a rank's cold first collective call costs, its round
+//!     scratch grown from empty: a write without the cache, through the
+//!     SSD cache and through `node_agg` and the hybrid cache, and a
+//!     read, at 16 and at 32 ranks.
 //!
 //! Debug aid: set `E10_ALLOC_BT=lo:hi` (plus `RUST_BACKTRACE=1`) to
 //! print a backtrace for every counted allocation whose ordinal falls
@@ -330,6 +334,107 @@ fn a_first_call_on_a_second_file_costs_what_a_warm_call_costs() {
             "{procs} ranks: the first call on a second file"
         );
     }
+}
+
+/// What a cold first call of [`first_call_scenario`] makes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum First {
+    /// No call: the open and close alone.
+    Nothing,
+    Write,
+    Read,
+}
+
+/// `procs` ranks, two to a node, under the analytic collectives, each
+/// on a rank context of its own whose round scratch starts cold, open a
+/// file with 8 KB stripes, make `first` — one collective write or read
+/// of 8 interleaved 8 KB blocks each, in 64 KB rounds — and close it.
+/// `node_agg` runs a write through the node leaders' pre-stage.
+fn first_call_scenario(procs: usize, cache: Cache, node_agg: bool, first: First) {
+    use e10_mpisim::FlatType;
+    let p = procs as u64;
+    let views = (0..p).map(|rank| {
+        let blocks = (0..8).map(|i| ((i * p + rank) * 8192, 8192));
+        FileView::new(&FlatType::indexed(blocks.collect()), 0)
+    });
+    // Built with or without a call: the count's difference skips them.
+    let views: Rc<Vec<FileView>> = Rc::new(views.collect());
+    e10_simcore::run(async move {
+        let mut spec = e10_romio::TestbedSpec::small(procs, procs / 2);
+        spec.backend = CollBackend::Analytic;
+        let tb = spec.build();
+        let ranks = tb.ctxs().into_iter().map(|ctx| {
+            let views = Rc::clone(&views);
+            e10_simcore::spawn(async move {
+                let info = scenario_info(cache);
+                info.set("striping_unit", "8192");
+                info.set("romio_cb_read", "enable");
+                if node_agg {
+                    info.set("e10_two_phase", "node_agg");
+                }
+                let f = e10_romio::AdioFile::open(&ctx, "/gfs/first", &info, true)
+                    .await
+                    .unwrap();
+                let view = &views[ctx.comm.rank()];
+                match first {
+                    First::Nothing => {}
+                    First::Write => {
+                        let data = e10_romio::DataSpec::FileGen { seed: 80 };
+                        let w = e10_romio::write_at_all(&f, view, &data).await;
+                        assert_eq!((w.error_code, w.bytes), (0, view.total_bytes()));
+                    }
+                    First::Read => {
+                        let r = e10_romio::read_at_all(&f, view).await;
+                        assert_eq!((r.error_code, r.bytes), (0, view.total_bytes()));
+                    }
+                }
+                f.close().await;
+            })
+        });
+        e10_simcore::join_all(ranks.collect()).await;
+    });
+}
+
+/// What a rank's first collective call costs, the scratch it keeps
+/// between calls grown from empty: the count of an open, one call and a
+/// close, less that of the open and close alone, at 16 and at 32 ranks.
+/// Every warm-call gate above starts its count after the scratch is
+/// grown, so this is the one that sees what growing it costs — the
+/// round state a rank sizes by the domains its view meets. The read is
+/// of a file nothing was written to, which reads back as holes.
+/// `(ranks, write off, write SSD, node_agg hybrid write, read)`.
+#[test]
+fn a_cold_first_call_costs_what_is_pinned() {
+    const PINNED: [(usize, [u64; 4]); 2] =
+        [(16, [790, 892, 954, 1353]), (32, [1524, 1726, 1860, 2533])];
+    install_bt_hook();
+    let arms = [
+        (Cache::Off, false, First::Write),
+        (Cache::Ssd, false, First::Write),
+        (Cache::Hybrid, true, First::Write),
+        (Cache::Off, false, First::Read),
+    ];
+    let got = PINNED.map(|(procs, _)| {
+        let calls = arms.map(|(cache, node_agg, first)| {
+            let cost = |first| {
+                let run = || first_call_scenario(procs, cache, node_agg, first);
+                alloc_gauge::count(run).0
+            };
+            cost(first); // warm-up: lazy statics, thread-locals
+            let (with, without) = (cost(first), cost(First::Nothing));
+            println!(
+                "{procs} ranks, cache={cache:?}, node_agg={node_agg}, {first:?}: \
+                 {with} - {without} = {} allocator calls",
+                with - without
+            );
+            with - without
+        });
+        (procs, calls)
+    });
+    assert_eq!(
+        got, PINNED,
+        "(ranks, [write off, write SSD, node_agg hybrid, read])"
+    );
 }
 
 /// Allocator calls per extra round of `run(blocks)` (which returns its
