@@ -258,17 +258,17 @@ pub(crate) trait Direction {
     ///    on another node), its pieces standing for `provenance`.
     fn wire_bytes(list: &[Self::Piece], remote: bool, provenance: Provenance) -> u64;
 
-    /// 3. The lists a round fills, a dense slab: slot `i` holds this
-    ///    rank's list for the aggregator `touched[i]` of the round,
-    ///    and the round loop grows it to as many slots as the domains
-    ///    this rank's contribution meets, not one per aggregator; every
-    ///    list is empty between rounds. Take delivery of this rank's
-    ///    own list, in `slot`, leaving it empty (its capacity stays),
-    ///    or of the one `src` sent; then, on an aggregator whose round
-    ///    is not doomed, serve what `round` delivered, keeping nothing.
-    ///    `serve` returns this rank's error code.
-    fn lists(&mut self) -> &mut Vec<Vec<Self::Piece>>;
-    fn keep_own(&mut self, fd: &AdioFile, slot: usize);
+    /// 3. The lists a round fills, one slab of pieces: the list for
+    ///    the aggregator `touched[i]` of the round is the run of pieces
+    ///    ending where that entry says, after the one before it; the
+    ///    round loop drains the slab in order, so it is empty between
+    ///    rounds and keeps its capacity. Take delivery of this rank's
+    ///    own list, as its `pieces`, or of the one `src` sent; then,
+    ///    on an aggregator whose round is not doomed, serve what `round`
+    ///    delivered, keeping nothing. `serve` returns this rank's error
+    ///    code.
+    fn lists(&mut self) -> &mut Vec<Self::Piece>;
+    fn keep_own(&mut self, fd: &AdioFile, pieces: impl Iterator<Item = Self::Piece>);
     fn keep(&mut self, fd: &AdioFile, src: usize, list: Vec<Self::Piece>);
     async fn serve(&mut self, fd: &AdioFile, round: u64) -> u32;
 
@@ -548,16 +548,16 @@ impl<'v> WindowCursors<'v> {
     /// The rank's own contribution to `round`: for every aggregator `a`
     /// whose window of `round` holds pieces of the view, aggregators
     /// ascending, `piece(vp)` of each such piece in order, clipped to
-    /// the window, into the next slot of `lists` (slot `i` for
-    /// `touched[i]`, empty on entry; [`WindowCursors::met`] slots are
-    /// enough) — the non-empty answers [`FileView::pieces_in_window`]
-    /// gives for the round's windows — and `a` into `touched`, standing
-    /// for itself. Rounds must be visited in order; a round with
+    /// the window, onto `slab` — the non-empty answers
+    /// [`FileView::pieces_in_window`] gives for the round's windows, one
+    /// after another — and into `touched`, `a`, standing for itself,
+    /// and where its list ends in `slab` ([`WindowCursors::met`] entries
+    /// are enough). Rounds must be visited in order; a round with
     /// nothing in it costs one look at the schedule.
     pub(crate) fn fill<P>(
         &mut self,
         round: u64,
-        lists: &mut [Vec<P>],
+        slab: &mut Vec<P>,
         touched: &mut Touched,
         mut piece: impl FnMut(ViewPiece) -> P,
     ) {
@@ -568,13 +568,13 @@ impl<'v> WindowCursors<'v> {
             }
             self.due.pop();
             let (ws, we) = self.fds.window(a, self.cb, round);
-            let list = &mut lists[touched.len()];
+            let start = slab.len();
             while let Some(p) = self.pieces.get(i).filter(|p| p.file_off < we) {
                 // It ends past `ws`: that is where the cursor stands.
                 let (s, end) = (p.file_off.max(ws), p.file_off + p.len);
                 let buf_off = p.buf_off + (s - p.file_off);
                 let len = end.min(we) - s;
-                list.push(piece(ViewPiece {
+                slab.push(piece(ViewPiece {
                     file_off: s,
                     len,
                     buf_off,
@@ -584,8 +584,8 @@ impl<'v> WindowCursors<'v> {
                 }
                 i += 1;
             }
-            let pieces = list.len() as u64;
-            touched.push((a, Provenance { msgs: 1, pieces }));
+            let pieces = (slab.len() - start) as u64;
+            touched.push((a, Provenance { msgs: 1, pieces }, slab.len()));
             self.schedule(a, i, we);
         }
     }
@@ -672,21 +672,21 @@ pub(crate) async fn two_phase_write<T: Transport>(
     } else {
         own.as_ref().map_or(0, |cursors| cursors.met)
     };
-    let contribution = |round, bufs: &mut [Vec<(u64, Payload)>], touched: &mut Touched| {
+    let contribution = |round, slab: &mut Vec<(u64, Payload)>, touched: &mut Touched| {
         if leads {
             for a in 0..fds.len() {
-                // Every slot taken: the merged list meets no more domains.
-                let Some(buf) = bufs.get_mut(touched.len()) else {
-                    break;
-                };
+                if touched.len() == slots {
+                    break; // every domain met touched: the merged list meets no more
+                }
                 let (ws, we) = fds.window(a, cb, round);
-                let provenance = leader.window_into(ws, we, buf);
-                if !buf.is_empty() {
-                    touched.push((a, provenance));
+                let start = slab.len();
+                let provenance = leader.window_into(ws, we, slab);
+                if slab.len() > start {
+                    touched.push((a, provenance, slab.len()));
                 }
             }
         } else if let Some(cursors) = &mut own {
-            cursors.fill(round, bufs, touched, |vp| {
+            cursors.fill(round, slab, touched, |vp| {
                 (vp.file_off, data.piece(vp.buf_off, vp.file_off, vp.len))
             });
         }
@@ -720,10 +720,8 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
     } = &mut s;
     let mut cursors = WindowCursors::new(view, fds, cb, due);
     let slots = cursors.met;
-    let contribution = |round, lists: &mut [Vec<_>], touched: &mut Touched| {
-        cursors.fill(round, lists, touched, |vp| {
-            (vp.file_off, vp.len, vp.buf_off)
-        });
+    let contribution = |round, slab: &mut Vec<_>, touched: &mut Touched| {
+        cursors.fill(round, slab, touched, |vp| (vp.file_off, vp.len, vp.buf_off));
     };
     let Ok(error_code) =
         two_phase_rounds(fd, t, rounds, reading, ntimes, slots, contribution).await;
@@ -733,8 +731,9 @@ pub async fn read_at_all(fd: &AdioFile, view: &FileView) -> ReadAllResult {
 }
 
 /// The aggregators (by index) a round's contribution is non-empty for,
-/// ascending, each with its provenance.
-pub(crate) type Touched = Vec<(usize, Provenance)>;
+/// ascending, each with its provenance and where its list ends in the
+/// direction's slab ([`Direction::lists`]).
+pub(crate) type Touched = Vec<(usize, Provenance, usize)>;
 
 /// What a rank's collectives reuse from one call to the next: the round
 /// loop's buffers, the cursors' schedule, each direction's lists and
@@ -754,13 +753,13 @@ pub(crate) struct RoundScratch {
 
 impl RoundScratch {
     /// The room kept for the aggregators a rank touches, by structure:
-    /// the schedule's entries, the write's and the read's list slots,
+    /// the schedule's entries, the write's and the read's list pieces,
     /// and a round's touched and size-exchange entries.
     pub(crate) fn per_aggregator_capacity(&self) -> [(&'static str, usize); 5] {
         [
             ("schedule", self.due.capacity()),
-            ("write lists", self.writing.lists.capacity()),
-            ("read lists", self.reading.lists.capacity()),
+            ("write pieces", self.writing.lists.capacity()),
+            ("read pieces", self.reading.lists.capacity()),
             ("touched", self.rounds.touched.capacity()),
             ("sizes sent", self.rounds.sends.capacity()),
         ]
@@ -784,8 +783,8 @@ impl RoundScratch {
 /// The round loop's per-round buffers, each empty between rounds.
 #[derive(Default)]
 struct Rounds {
-    /// Shipping drains exactly the touched lists, so every list is
-    /// empty again when the next round fills it.
+    /// Shipping drains the slab, so it is empty again when the next
+    /// round fills it.
     touched: Touched,
     /// The size exchange: what this rank lists for each touched
     /// aggregator, `(rank, bytes)`, and what each source lists for it.
@@ -799,15 +798,15 @@ struct Rounds {
 /// Steps 3–5, the round loop, moving data in direction `dir`: per-round
 /// size exchange, the lists out to the aggregators, their serve and the
 /// reply leg, a settle per round, then the finish; returns the global
-/// error code. `contribution(round, lists, touched)` lists every
+/// error code. `contribution(round, slab, touched)` lists every
 /// aggregator `a` whose window of `round` it has something for in
-/// `touched`, ascending, with its provenance, and fills slot `i` of
-/// `lists` — empty on entry — with what this rank lists for the
-/// aggregator `touched[i]`, sorted by offset (a write's own pieces, the
-/// node-merged list on a node leader, nothing on the ranks it speaks
-/// for; a read's requests). It is called once per round, rounds in
-/// order, and fills at most `slots` lists a round: as many as the
-/// domains the contribution meets.
+/// `touched`, ascending, with its provenance, and pushes onto `slab` —
+/// empty on entry — what this rank lists for each, in that order,
+/// sorted by offset (a write's own pieces, the node-merged list on a
+/// node leader, nothing on the ranks it speaks for; a read's requests),
+/// each entry saying where its list ends. It is called once per round,
+/// rounds in order, and touches at most `slots` aggregators a round: as
+/// many as the domains the contribution meets.
 ///
 /// A round costs what the rank sends and receives: the contribution
 /// consults a schedule, the size exchange is sparse, lists go only to
@@ -830,7 +829,7 @@ async fn two_phase_rounds<T, D, S>(
 where
     T: Transport,
     D: Direction,
-    S: FnMut(u64, &mut [Vec<D::Piece>], &mut Touched),
+    S: FnMut(u64, &mut Vec<D::Piece>, &mut Touched),
 {
     let comm = fd.comm.clone();
     let prof = fd.profiler();
@@ -839,21 +838,22 @@ where
     let aggregators: &[usize] = fd.aggregators();
     let my_agg = fd.my_agg_index();
     let mut local_err: u32 = 0;
-    // The slab of lists, grown once to the rank's high-water mark.
-    let lists = dir.lists();
-    if lists.len() < slots {
-        lists.resize_with(slots, Vec::new);
-    }
+    // No round touches more aggregators than the domains met.
+    r.touched.reserve(slots);
+    r.sends.reserve(slots);
+    r.sreqs.reserve(slots);
 
     // --- 3–4. the two-phase rounds ----------------------------------------
     for round in 0..ntimes {
         let tag = round_tag(D::LIST_TAGS, round);
         r.touched.clear();
         contribution(round, dir.lists(), &mut r.touched);
-        let lists = dir.lists();
+        let slab = dir.lists();
         r.sends.clear();
-        let sizes = r.touched.iter().zip(lists).map(|(&(a, _), list)| {
-            let bytes: u64 = list.iter().map(D::piece_len).sum();
+        let mut start = 0;
+        let sizes = r.touched.iter().map(|&(a, _, end)| {
+            let bytes: u64 = slab[start..end].iter().map(D::piece_len).sum();
+            start = end;
             (aggregators[a], bytes)
         });
         r.sends.extend(sizes);
@@ -865,21 +865,26 @@ where
             t.exchange_sizes(&r.sends, &mut r.recvs).await?;
         }
 
-        // The lists out: post the sends, keep my own.
-        for (slot, &(a, provenance)) in r.touched.iter().enumerate() {
-            let dst = aggregators[a];
+        // The lists out, the slab drained in order: post the sends,
+        // keep my own.
+        let mut slab = std::mem::take(dir.lists());
+        let (mut pieces, mut start) = (slab.drain(..), 0);
+        for &(a, provenance, end) in &r.touched {
+            let (dst, list) = (aggregators[a], pieces.by_ref().take(end - start));
+            start = end;
             if dst == me {
-                dir.keep_own(fd, slot);
+                dir.keep_own(fd, list);
             } else {
-                let list = &mut dir.lists()[slot];
-                let bytes = D::wire_bytes(list, comm.node_of(dst) != my_node, provenance);
                 // Ship a pooled vector so the receiver's recycle refills
                 // the next sender.
                 let mut shipped = comm.send_buf::<D::Piece>();
-                shipped.append(list);
+                shipped.extend(list);
+                let bytes = D::wire_bytes(&shipped, comm.node_of(dst) != my_node, provenance);
                 r.sreqs.push(comm.isend(dst, tag, bytes, shipped));
             }
         }
+        drop(pieces);
+        *dir.lists() = slab;
         {
             let _t = prof.enter(Phase::ShuffleWaitall);
             // Only an aggregator is ever sent to.
@@ -906,9 +911,9 @@ where
 /// they receive into their collective buffer and write it.
 #[derive(Default)]
 struct Writing {
-    /// What this rank ships to each aggregator it touches in a round,
-    /// by slot.
-    lists: Vec<Vec<(u64, Payload)>>,
+    /// What this rank ships to the aggregators it touches in a round,
+    /// one list after another.
+    lists: Vec<(u64, Payload)>,
     /// The pieces this aggregator holds this round: its own first,
     /// then each source's in turn.
     recvd: Vec<(u64, Payload)>,
@@ -924,7 +929,7 @@ struct Writing {
 
 impl Writing {
     fn clear(&mut self) {
-        self.lists.iter_mut().for_each(Vec::clear);
+        self.lists.clear();
         self.recvd.clear();
         self.order.clear();
         self.sorted.clear();
@@ -960,12 +965,12 @@ impl Direction for Writing {
         bytes
     }
 
-    fn lists(&mut self) -> &mut Vec<Vec<(u64, Payload)>> {
+    fn lists(&mut self) -> &mut Vec<(u64, Payload)> {
         &mut self.lists
     }
 
-    fn keep_own(&mut self, _: &AdioFile, slot: usize) {
-        self.recvd.append(&mut self.lists[slot]);
+    fn keep_own(&mut self, _: &AdioFile, pieces: impl Iterator<Item = (u64, Payload)>) {
+        self.recvd.extend(pieces);
     }
 
     fn keep(&mut self, fd: &AdioFile, _: usize, mut list: Vec<(u64, Payload)>) {
@@ -1385,22 +1390,27 @@ mod tests {
             // Reserved for the domains met alone (a vector's least
             // non-zero room is 4 of these entries).
             prop_assert!(cursors.due.capacity() <= met.max(4) * usize::from(met > 0));
-            let mut lists = vec![Vec::new(); met];
+            let mut slab = Vec::new();
             // One round past the last: every window empty by then.
             for round in 0..fds.max_size().div_ceil(cb) + 1 {
                 for &Reverse((_, a, _)) in cursors.due.iter() {
                     prop_assert!(meets(a), "domain {} scheduled, round {}", a, round);
                 }
                 let mut touched = Vec::new();
-                cursors.fill(round, &mut lists, &mut touched, |vp| vp);
-                for (slot, &(_, provenance)) in touched.iter().enumerate() {
-                    prop_assert_eq!(provenance.pieces, lists[slot].len() as u64, "round {}", round);
+                cursors.fill(round, &mut slab, &mut touched, |vp| vp);
+                prop_assert!(touched.len() <= met, "round {}", round);
+                // Each entry's list runs from the end of the one before:
+                // the lists partition the slab.
+                let mut start = 0;
+                let mut walked: Vec<(usize, Vec<ViewPiece>)> = Vec::new();
+                for &(a, provenance, end) in &touched {
+                    prop_assert!(start <= end && end <= slab.len(), "round {}", round);
+                    prop_assert_eq!(provenance.pieces, (end - start) as u64, "round {}", round);
+                    walked.push((a, slab[start..end].to_vec()));
+                    start = end;
                 }
-                let walked: Vec<(usize, Vec<ViewPiece>)> = touched
-                    .iter()
-                    .zip(&mut lists)
-                    .map(|(&(a, _), list)| (a, std::mem::take(list)))
-                    .collect();
+                prop_assert_eq!(start, slab.len(), "round {}", round);
+                slab.clear();
                 let windows = (0..fds.len()).map(|a| {
                     let (ws, we) = fds.window(a, cb, round);
                     (a, view.pieces_in_window(ws, we))

@@ -112,9 +112,9 @@ type ReqPiece = (u64, u64, u64); // (file_off, len, buf_off)
 /// union of what they were asked for and answer every source.
 #[derive(Default)]
 pub(crate) struct Reading {
-    /// What this rank asks each aggregator it touches for in a round,
-    /// by slot.
-    pub(crate) lists: Vec<Vec<ReqPiece>>,
+    /// What this rank asks the aggregators it touches for in a round,
+    /// one list after another.
+    pub(crate) lists: Vec<ReqPiece>,
     /// What this rank has been answered so far.
     out: ReadAllResult,
     /// The request lists this aggregator holds this round, by source.
@@ -134,7 +134,7 @@ pub(crate) struct Reading {
 impl Reading {
     /// Empty every buffer, keeping its capacity.
     pub(crate) fn clear(&mut self) {
-        self.lists.iter_mut().for_each(Vec::clear);
+        self.lists.clear();
         self.out = ReadAllResult::default();
         self.requests.clear();
         self.ranges.clear();
@@ -168,13 +168,13 @@ impl Direction for Reading {
         32 + 24 * list.len() as u64
     }
 
-    fn lists(&mut self) -> &mut Vec<Vec<ReqPiece>> {
+    fn lists(&mut self) -> &mut Vec<ReqPiece> {
         &mut self.lists
     }
 
-    fn keep_own(&mut self, fd: &AdioFile, slot: usize) {
+    fn keep_own(&mut self, fd: &AdioFile, pieces: impl Iterator<Item = ReqPiece>) {
         let mut reqs = fd.comm.send_buf::<ReqPiece>();
-        reqs.append(&mut self.lists[slot]);
+        reqs.extend(pieces);
         self.requests.push((fd.comm.rank(), reqs));
     }
 

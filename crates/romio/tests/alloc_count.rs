@@ -400,13 +400,15 @@ fn first_call_scenario(procs: usize, cache: Cache, node_agg: bool, first: First)
 /// close, less that of the open and close alone, at 16 and at 32 ranks.
 /// Every warm-call gate above starts its count after the scratch is
 /// grown, so this is the one that sees what growing it costs — the
-/// round state a rank sizes by the domains its view meets. The read is
-/// of a file nothing was written to, which reads back as holes.
+/// round state a rank sizes by the domains its view meets (8 here),
+/// on every rank that lists pieces: under `node_agg`, the node leaders.
+/// The read is of a file nothing was written to, which reads back as
+/// holes.
 /// `(ranks, write off, write SSD, node_agg hybrid write, read)`.
 #[test]
 fn a_cold_first_call_costs_what_is_pinned() {
     const PINNED: [(usize, [u64; 4]); 2] =
-        [(16, [790, 892, 954, 1353]), (32, [1524, 1726, 1860, 2533])];
+        [(16, [646, 748, 882, 1209]), (32, [1236, 1438, 1716, 2245])];
     install_bt_hook();
     let arms = [
         (Cache::Off, false, First::Write),

@@ -1029,14 +1029,6 @@ where
         heap_peak: k.heap_peak as u64,
         wakes_coalesced: k.wakes_coalesced,
     });
-    // Mirror the run's calendar statistics into the ambient metrics
-    // registry (no-ops without a registry), so counter readers see
-    // the executor counters next to the I/O ones.
-    trace::counter("executor.events_fired", stats.events_fired);
-    trace::counter("executor.tasks_spawned", stats.tasks_spawned);
-    trace::counter("executor.events_batched", stats.events_batched);
-    trace::counter("executor.heap_peak", stats.heap_peak);
-    trace::counter("executor.wakes_coalesced", stats.wakes_coalesced);
     let out = {
         let mut st = main_handle.state.borrow_mut();
         st.result.take().expect("main task finished without result")

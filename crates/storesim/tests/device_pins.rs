@@ -3,15 +3,15 @@
 //! sequential reads and writes, 4 and then 6 concurrent clones, and one
 //! node stall under a fault schedule — and what they report is held to
 //! constants: the virtual instant each phase ends at (to the bit), the
-//! latency tallies, and, under an installed trace sink, every counter
-//! and sample the commands record. How the device models are built may
-//! change; none of these may.
+//! latency tallies, the run's calendar statistics and, under an
+//! installed trace sink, every counter and sample the commands record.
+//! How the device models are built may change; none of these may.
 
 use std::rc::Rc;
 
 use e10_faultsim::{FaultPlan, FaultSchedule};
 use e10_simcore::trace::{self, MetricsRegistry, MetricsSnapshot, RingSink};
-use e10_simcore::{join_all, now, run, spawn, SimDuration, SimRng, Tally};
+use e10_simcore::{join_all, now, run_with_stats, spawn, RunStats, SimDuration, SimRng, Tally};
 use e10_storesim::{Nvm, NvmParams, Ssd, SsdParams};
 
 /// The node the device is bound to; the stall phase targets it.
@@ -97,8 +97,8 @@ macro_rules! mix {
     }};
 }
 
-fn ssd_mix() -> Outcome {
-    run(async {
+fn ssd_mix() -> (Outcome, RunStats) {
+    run_with_stats(async {
         mix!(Ssd::new(
             SsdParams::sata_scratch(),
             SimRng::stream(2016, 100_000)
@@ -106,8 +106,8 @@ fn ssd_mix() -> Outcome {
     })
 }
 
-fn nvm_mix() -> Outcome {
-    run(async {
+fn nvm_mix() -> (Outcome, RunStats) {
+    run_with_stats(async {
         mix!(Nvm::new(
             NvmParams::optane_scratch(),
             SimRng::stream(2016, 130_000)
@@ -115,12 +115,24 @@ fn nvm_mix() -> Outcome {
     })
 }
 
+/// The run's calendar statistics: `(events fired, events batched, heap
+/// peak, tasks spawned, wakes coalesced)`.
+fn calendar(s: &RunStats) -> [u64; 5] {
+    [
+        s.events_fired,
+        s.events_batched,
+        s.heap_peak,
+        s.tasks_spawned,
+        s.wakes_coalesced,
+    ]
+}
+
 /// Run `mix` under a ring sink and a metrics registry.
-fn traced(mix: fn() -> Outcome) -> (Outcome, Metrics) {
+fn traced(mix: fn() -> (Outcome, RunStats)) -> (Outcome, [u64; 5], Metrics) {
     let ring = Rc::new(RingSink::new(1 << 10));
     let metrics = Rc::new(MetricsRegistry::new());
     let guard = trace::install_with_metrics(ring.clone(), Rc::clone(&metrics));
-    let out = mix();
+    let (out, stats) = mix();
     drop(guard);
     let MetricsSnapshot { counters, tallies } = metrics.snapshot();
     let samples = tallies
@@ -132,7 +144,7 @@ fn traced(mix: fn() -> Outcome) -> (Outcome, Metrics) {
         samples,
         events: ring.recorded(),
     };
-    (out, m)
+    (out, calendar(&stats), m)
 }
 
 const SSD: Outcome = Outcome {
@@ -157,30 +169,34 @@ const NVM: Outcome = Outcome {
     reads: (19, 4554571674235774985),
 };
 
+/// The mixes' [`calendar`]s.
+const SSD_CALENDAR: [u64; 5] = [99, 0, 6, 11, 0];
+const NVM_CALENDAR: [u64; 5] = [92, 0, 6, 11, 0];
+
 #[test]
 fn ssd_mix_is_pinned() {
-    assert_eq!(ssd_mix(), SSD);
+    let (out, stats) = ssd_mix();
+    assert_eq!(out, SSD);
+    assert_eq!(calendar(&stats), SSD_CALENDAR);
 }
 
 #[test]
 fn nvm_mix_is_pinned() {
-    assert_eq!(nvm_mix(), NVM);
+    let (out, stats) = nvm_mix();
+    assert_eq!(out, NVM);
+    assert_eq!(calendar(&stats), NVM_CALENDAR);
 }
 
 #[test]
 fn traced_ssd_mix_records_pinned_metrics() {
-    let (out, m) = traced(ssd_mix);
+    let (out, calendar, m) = traced(ssd_mix);
     assert_eq!(out, SSD, "tracing must not move virtual time");
+    assert_eq!(calendar, SSD_CALENDAR, "nor the calendar");
     assert_eq!(
         m,
         Metrics {
             counters: vec![
-                ("executor.events_batched", 0),
-                ("executor.events_fired", 99),
-                ("executor.heap_peak", 6),
                 ("executor.polls", 91),
-                ("executor.tasks_spawned", 11),
-                ("executor.wakes_coalesced", 0),
                 ("faultsim.injected", 1),
                 ("ssd.read_bytes", 7502336),
                 ("ssd.write_bytes", 7430144),
@@ -196,18 +212,14 @@ fn traced_ssd_mix_records_pinned_metrics() {
 
 #[test]
 fn traced_nvm_mix_records_pinned_metrics() {
-    let (out, m) = traced(nvm_mix);
+    let (out, calendar, m) = traced(nvm_mix);
     assert_eq!(out, NVM, "tracing must not move virtual time");
+    assert_eq!(calendar, NVM_CALENDAR, "nor the calendar");
     assert_eq!(
         m,
         Metrics {
             counters: vec![
-                ("executor.events_batched", 0),
-                ("executor.events_fired", 92),
-                ("executor.heap_peak", 6),
                 ("executor.polls", 94),
-                ("executor.tasks_spawned", 11),
-                ("executor.wakes_coalesced", 0),
                 ("faultsim.injected", 1),
                 ("nvm.read_bytes", 7502336),
                 ("nvm.write_bytes", 7430144),

@@ -19,8 +19,9 @@
 #      (crates/romio/tests/round_state.rs,
 #      round_state_is_sized_by_the_aggregators_a_rank_touches: a
 #      64-rank write and read of one view at 8 and at 64 aggregators;
-#      what a rank's round scratch keeps and what the size exchange's
-#      rows hold are at most 4 entries per aggregator the rank touched,
+#      what a rank's round scratch keeps — schedule entries, list
+#      pieces, touched and size-exchange entries — and what the size
+#      exchange's rows hold are at most 4 per aggregator the rank touched,
 #      and the two runs are within 25 % of each other), and the
 #      crash-state enumeration's state count and seconds per scenario
 #      (crates/workloads/tests/crash_states.rs, which ran in the suite:
@@ -38,7 +39,12 @@
 #      collectives every paper-scale run uses), the per-call gate
 #      a_warm_collective_call_costs_what_is_pinned (3 per extra
 #      write_at_all on an open file at 16 and 32 ranks, plus 4 per node
-#      leader under node_agg, all pinned exactly), the
+#      leader under node_agg, all pinned exactly), the cold-call gate
+#      a_cold_first_call_costs_what_is_pinned (a rank's first
+#      write_at_all or read_at_all, its round scratch grown from empty,
+#      at 16 and 32 ranks: 646 and 1 236 calls without the cache, 748
+#      and 1 438 through the SSD cache, 882 and 1 716 under node_agg
+#      and the hybrid cache, 1 209 and 2 245 for the read), the
 #      exact cost of resolving the paper's hints per rank-open
 #      (resolving_the_paper_hints_allocates_no_more_than_it_did, 1;
 #      the_default_hints_allocate_nothing, 0), one collective open and
